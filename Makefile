@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet rtlevet e2e bench-json bench-wire bench-sweep bench-smoke bench-guard bench-repl all
+.PHONY: build test race vet rtlevet e2e bench bench-test all
 
 all: build vet test
 
@@ -28,43 +28,12 @@ rtlevet:
 e2e:
 	scripts/e2e.sh
 
-# bench-json refreshes the committed benchmark grid. The file lands as
-# BENCH_<n>.json with n one past the highest committed ordinal; rename to
-# the PR's ordinal before committing.
-bench-json:
-	$(GO) run ./cmd/rtlebench -threads 1,2,4 -dur 300ms -json -outdir .
+# bench runs the canonical benchmark (BENCHMARK.json): the four gated
+# workloads, one result line each. benchmark/ is its own module, so root
+# build/test targets never reach it; bench-test compiles it and runs its
+# smoke path against the current cmd/rtled.
+bench:
+	$(GO) run -C benchmark .
 
-# bench-wire additionally sweeps the serving layer (shard counts over
-# loopback TCP) into the same BENCH_<n>.json's "wire" section.
-bench-wire:
-	$(GO) run ./cmd/rtlebench -threads 1,2,4 -dur 300ms -json -outdir . \
-		-wire -wire-shards 1,2,4 -wire-ops 60000 -wire-rate 40000
-
-# bench-sweep runs the multi-core wire sweep (coalesce x workers x shards
-# x GOMAXPROCS over one deeply pipelined connection) into the next
-# BENCH_<n>.json. Grid axes are overridable via SWEEP_* env vars.
-bench-sweep:
-	scripts/benchsweep.sh
-
-# bench-smoke is the CI regression gate: a short two-cell wire sweep
-# diffed against the committed BENCH_8.json baseline; any matched cell
-# dropping more than 20% fails.
-bench-smoke:
-	rm -rf /tmp/benchsmoke && mkdir -p /tmp/benchsmoke
-	SWEEP_OUTDIR=/tmp/benchsmoke SWEEP_SHARDS=1,4 SWEEP_PROCS=1 \
-		SWEEP_COALESCE=8 SWEEP_RATE=0 SWEEP_OPS=15000 scripts/benchsweep.sh
-	$(GO) run ./scripts/benchdiff.go -tolerance 0.20 BENCH_8.json /tmp/benchsmoke/BENCH_0.json
-
-# bench-guard sweeps the elision guards (rtle.Mutex / rtle.RWMutex vs
-# sync locks vs raw Methods) into a BENCH_<n>.json "guard" section. The
-# method grid is skipped (-methods '') so the file is guard-only.
-bench-guard:
-	$(GO) run ./cmd/rtlebench -methods '' -json -outdir . \
-		-guard -guard-goroutines 1,4,16 -guard-read-pcts 90,10 -guard-ops 20000
-
-# bench-repl sweeps the replication ack modes (off, async, sync) into a
-# BENCH_<n>.json "repl" section: the same closed-loop load against an
-# unreplicated server, an async pair, and a sync pair.
-bench-repl:
-	$(GO) run ./cmd/rtlebench -methods '' -json -outdir . \
-		-repl -repl-ops 60000 -repl-read-pct 50
+bench-test:
+	cd benchmark && $(GO) test ./...

@@ -501,6 +501,12 @@ func (t *Tx) commit() AbortReason {
 		t.rollbackLocks()
 		return Conflict
 	}
+	// Take the commit version before validating the read set, as TL2
+	// does: a transaction whose read we are about to overwrite validated
+	// that line before we locked it, hence ticked before us. Ticking after
+	// validation would leave two such commits' versions unordered, and
+	// CommitVersion order is the serial order the opacity checker replays.
+	wv := t.m.ClockTick()
 	// Validate the read set.
 	t.readLines.forEach(func(line uint64) bool {
 		if t.writeLines.contains(line) {
@@ -518,7 +524,6 @@ func (t *Tx) commit() AbortReason {
 		return Conflict
 	}
 	// Publish.
-	wv := t.m.ClockTick()
 	t.writes.forEachOrdered(func(a mem.Addr, v uint64) {
 		t.m.WordStore(a, v)
 	})

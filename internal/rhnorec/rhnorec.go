@@ -97,7 +97,6 @@ func (t *thread) Atomic(body func(core.Context)) {
 	t0 := t.rec.Begin()
 	r := t.method
 	for i := 0; i < r.attempts(); i++ {
-		t.rec.FastAttempt()
 		t.bumped = false
 		reason := t.tx.Run(func(tx *htm.Tx) {
 			// Subscribe to the fallback lock: a pessimistic commit
@@ -122,12 +121,18 @@ func (t *thread) Atomic(body func(core.Context)) {
 				t.bumped = true
 			}
 		})
+		// Which path a hardware attempt ran on is known only once it ends
+		// (whether it had to bump the timestamp), so the attempt is booked
+		// here, right before its outcome: per path, commits + aborts never
+		// exceed attempts, also in a concurrent snapshot.
+		if reason == htm.None && t.bumped {
+			t.rec.SlowAttempt()
+			t.rec.SlowCommit(t0) // HTMSlow in Fig. 9
+			return
+		}
+		t.rec.FastAttempt()
 		if reason == htm.None {
-			if t.bumped {
-				t.rec.SlowCommit(t0) // HTMSlow in Fig. 9
-			} else {
-				t.rec.FastCommit(t0) // HTMFast in Fig. 9
-			}
+			t.rec.FastCommit(t0) // HTMFast in Fig. 9
 			return
 		}
 		t.rec.FastAbort(reason, false, t.tx.LastAbortInjected())

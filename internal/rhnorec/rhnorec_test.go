@@ -106,6 +106,11 @@ func TestHTMBumpsTimestampWhileSoftwareRuns(t *testing.T) {
 	if hw.Stats().SlowCommits != 1 {
 		t.Fatalf("SlowCommits = %d, want 1 while software transaction runs", hw.Stats().SlowCommits)
 	}
+	// The attempt is booked on the path it retired on, so commits + aborts
+	// <= attempts holds per path.
+	if s := hw.Stats(); s.SlowAttempts != 1 || s.FastAttempts != 0 {
+		t.Fatalf("attempts slow=%d fast=%d, want 1/0: the bumping attempt belongs to the slow path", s.SlowAttempts, s.FastAttempts)
+	}
 	if after := m.Load(meth.seqAddr); after != before+2 {
 		t.Fatalf("timestamp %d -> %d, want +2", before, after)
 	}

@@ -18,7 +18,7 @@ import (
 // are callers.
 type Client struct {
 	nc    net.Conn
-	hello ServerHello // the server's negotiation answer, fixed at Dial
+	hello ServerHello // the server's negotiation answer, fixed at dial
 
 	wmu  sync.Mutex // one frame per Write call, serialized
 	wbuf []byte     // encode scratch, owned by wmu: the request frame reuses it
@@ -72,9 +72,8 @@ var ErrClosed = errors.New("server: client connection closed")
 // same request might succeed against another server.
 var ErrConnClosed = errors.New("server: connection closed by peer")
 
-// DialOption configures DialContext. Options replace the positional
-// configuration of the original constructor: a zero-option dial behaves
-// exactly as the pre-option Dial(addr) did.
+// DialOption configures DialContext. A zero-option dial has no
+// client-side setup bound and advertises no feature bits.
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
@@ -90,8 +89,8 @@ func WithDialTimeout(d time.Duration) DialOption {
 }
 
 // WithHelloFeatures sets the feature bits the client advertises in its
-// hello frame. The default of zero advertises nothing, matching the
-// original constructor; servers ignore bits they do not know.
+// hello frame. The default of zero advertises nothing; servers ignore
+// bits they do not know.
 func WithHelloFeatures(mask uint32) DialOption {
 	return func(c *dialConfig) { c.features = mask }
 }
@@ -163,20 +162,10 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	return c, nil
 }
 
-// Dial is the original constructor, retained as a forwarding shim: it is
-// DialContext with a background context.
-//
-// Deprecated: new code should call DialContext, which accepts
-// cancellation; Dial remains so existing Dial(addr) call sites keep
-// compiling and behaving exactly as before (it also forwards options).
-func Dial(addr string, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, opts...)
-}
-
-// ServerShards returns the shard count the server advertised at Dial.
+// ServerShards returns the shard count the server advertised at dial.
 func (c *Client) ServerShards() int { return int(c.hello.Shards) }
 
-// ServerFeatures returns the feature bits the server advertised at Dial.
+// ServerFeatures returns the feature bits the server advertised at dial.
 func (c *Client) ServerFeatures() uint32 { return c.hello.Features }
 
 // readLoop demultiplexes responses to their waiting callers until the

@@ -10,8 +10,8 @@ import (
 )
 
 // TestDialOptions covers the functional-option constructor: the hello
-// feature mask reaches the server, the deprecated Dial shim still works,
-// and both observe the server's negotiation answer.
+// feature mask reaches the server, a zero-option dial still works, and
+// both observe the server's negotiation answer.
 func TestDialOptions(t *testing.T) {
 	_, addr := startServer(t, Config{Workload: "map", Keys: 32})
 
@@ -29,14 +29,14 @@ func TestDialOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The forwarding shim: old signature, same behavior.
-	c2, err := Dial(addr)
+	// No options: the defaults negotiate the same answer.
+	c2, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
 	if c2.ServerShards() != c.ServerShards() {
-		t.Errorf("shim client saw %d shards, option client %d", c2.ServerShards(), c.ServerShards())
+		t.Errorf("zero-option client saw %d shards, option client %d", c2.ServerShards(), c.ServerShards())
 	}
 }
 

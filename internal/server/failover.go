@@ -80,7 +80,7 @@ func NewFailoverClient(cfg FailoverConfig) (*FailoverClient, error) {
 	fc.cond = sync.NewCond(&fc.mu)
 	var errs []error
 	for _, addr := range cfg.Addrs {
-		c, err := Dial(addr, WithDialTimeout(cfg.DialTimeout))
+		c, err := DialContext(context.Background(), addr, WithDialTimeout(cfg.DialTimeout))
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
 			continue

@@ -237,7 +237,7 @@ func TestErrNotPrimaryTyped(t *testing.T) {
 		t.Error("a same-text untyped error matched ErrNotPrimary")
 	}
 
-	c, err := Dial(rAddr)
+	c, err := DialContext(context.Background(), rAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,18 +240,6 @@ func (m *Metrics) Sections() uint64 {
 // cross-shard slow path.
 func (m *Metrics) CrossShard() uint64 { return m.crossOps.Load() }
 
-// HelloRejects returns the number of connections refused at version
-// negotiation.
-func (m *Metrics) HelloRejects() uint64 { return m.helloRejects.Load() }
-
-// AffineOps returns the number of operations delivered to their shard by
-// an affinity run (chained same-shard handoff) rather than a per-op queue
-// send.
-func (m *Metrics) AffineOps() uint64 { return m.affineOps.Load() }
-
-// WriteBatches returns a snapshot of the frames-per-writev distribution.
-func (m *Metrics) WriteBatches() obs.LatencySnapshot { return m.writeBatchFrames.Snapshot() }
-
 // ewmaServiceNanos returns the widest shard EWMA, the merged gauge.
 func (m *Metrics) ewmaServiceNanosMax() int64 {
 	var v int64

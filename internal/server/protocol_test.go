@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"net"
 	"reflect"
@@ -195,8 +196,8 @@ func TestHelloRejectsOldClient(t *testing.T) {
 	if _, err := br.ReadByte(); err == nil {
 		t.Error("connection still open after a hello rejection")
 	}
-	if srv.Metrics().HelloRejects() != 1 {
-		t.Errorf("hello rejects %d, want 1", srv.Metrics().HelloRejects())
+	if srv.Metrics().helloRejects.Load() != 1 {
+		t.Errorf("hello rejects %d, want 1", srv.Metrics().helloRejects.Load())
 	}
 }
 
@@ -219,7 +220,7 @@ func TestHelloRejectsWrongVersion(t *testing.T) {
 // client.
 func TestHelloAdvertisesShards(t *testing.T) {
 	_, addr := startServer(t, Config{Workload: "map", Shards: 4, Keys: 64})
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -428,43 +428,3 @@ func (s *Server) streamEntries(c *conn, sub *replSub, next uint64) {
 		next = entries[len(entries)-1].Seq + 1
 	}
 }
-
-// ReplStats is a point-in-time replication snapshot, for dashboards and
-// the bench sweep (the same numbers /metrics exposes as gauges).
-type ReplStats struct {
-	// Role is "primary" or "replica".
-	Role string
-	// LogSeq is the log high-water mark (latest appended entry).
-	LogSeq uint64
-	// AckedSeq is the lowest cumulative acknowledgement across live
-	// subscribers (LogSeq with none).
-	AckedSeq uint64
-	// AppliedSeq is the latest entry applied to this server's ADT.
-	AppliedSeq uint64
-	// Subscribers is the live replication stream subscriber count.
-	Subscribers int
-	// SyncDegraded counts sync-mode commits released without a live
-	// subscriber.
-	SyncDegraded uint64
-}
-
-// ReplStats reports the replication snapshot; ok is false when
-// replication is not enabled.
-func (s *Server) ReplStats() (stats ReplStats, ok bool) {
-	r := s.repl
-	if r == nil {
-		return ReplStats{}, false
-	}
-	role := "primary"
-	if r.role.Load() == roleReplica {
-		role = "replica"
-	}
-	return ReplStats{
-		Role:         role,
-		LogSeq:       r.log.HighWater(),
-		AckedSeq:     r.minAcked(),
-		AppliedSeq:   r.appliedSeq.Load(),
-		Subscribers:  r.subscriberCount(),
-		SyncDegraded: r.degraded.Load(),
-	}, true
-}

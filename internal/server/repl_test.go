@@ -62,7 +62,7 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 64, Shards: 2, Repl: true})
 	replica, rAddr := bootRepl(t, Config{Workload: "map", Keys: 64, Shards: 2, ReplicaOf: pAddr})
 
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 
 	// A following replica must reject mutations and reads alike — serving
 	// reads from a lagging copy would break linearizability.
-	rc, err := Dial(rAddr)
+	rc, err := DialContext(context.Background(), rAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 	}
 
 	// The promoted server must hold exactly the primary's final state.
-	rc2, err := Dial(rAddr)
+	rc2, err := DialContext(context.Background(), rAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSyncAckWaitsForReplica(t *testing.T) {
 		return n == 1
 	})
 
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSyncAckWaitsForReplica(t *testing.T) {
 // and are counted degraded instead of stalling the server.
 func TestSyncAckDegradedWithoutReplica(t *testing.T) {
 	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplAck: "sync"})
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestReplGauges(t *testing.T) {
 	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, Repl: true})
 	replica, _ := bootRepl(t, Config{Workload: "map", Keys: 32, ReplicaOf: pAddr})
 
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestBootReplayFromLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve() }() // shut down cleanly below
-	c, err := Dial(addr.String())
+	c, err := DialContext(context.Background(), addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestBootReplayFromLog(t *testing.T) {
 	if hw := reborn.repl.log.HighWater(); hw == 0 {
 		t.Fatal("reborn server loaded an empty log")
 	}
-	c2, err := Dial(addr2)
+	c2, err := DialContext(context.Background(), addr2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ type Server struct {
 func (s *Server) top() *topology { return s.topo.Load() }
 
 // task is one accepted request bound to its connection. Task headers are
-// pooled: admit draws them from the arena and respond/discard recycle
+// pooled: affRun.add draws them from the arena and respond/discard recycle
 // them, so steady-state admission allocates nothing.
 type task struct {
 	c       *conn
@@ -493,14 +493,6 @@ func (s *Server) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if _, err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // readLoop negotiates the hello exchange, then decodes frames from one
 // connection, validating and admitting them.
 //
@@ -597,12 +589,15 @@ func (s *Server) readLoop(c *conn) {
 		}
 		tp := s.top()
 		plan := tp.router.plan(&req)
+		run.add(c, req)
 		if plan.fast {
 			run.tp, run.sh = tp, plan.shard
-			run.add(c, req)
 			continue
 		}
-		s.admit(c, req)
+		// A multi-shard op is a run of length one with no cached plan:
+		// flushRun plans it under the drain lock and queues it on the slow
+		// path.
+		s.flushRun(c, &run)
 	}
 }
 
@@ -612,10 +607,12 @@ func (s *Server) readLoop(c *conn) {
 // still amortizing the channel handoff across a pipelined burst.
 const affinityRunCap = 32
 
-// affRun accumulates one connection's pending affinity run: consecutive
-// fast-path operations, all planned onto one shard of one topology
-// generation, chained through task.next while further frames are already
-// buffered. flushRun delivers the whole chain with a single queue send.
+// affRun accumulates one connection's pending run: requests admitted by the
+// read loop but not yet queued, chained through task.next. Consecutive
+// fast-path operations planned onto one shard of one topology generation
+// keep growing the chain while further frames are already buffered, and
+// flushRun delivers it with a single queue send; a run with no cached plan
+// (tp nil) is planned task by task at the flush.
 type affRun struct {
 	head, tail *task
 	sh         int       // planned shard index
@@ -638,12 +635,18 @@ func (run *affRun) add(c *conn, req Request) {
 	run.n++
 }
 
-// flushRun hands the pending run to its shard queue in one send, applying
-// the same drain and backpressure discipline as admit. The run was planned
-// against a cached topology pointer without holding drainMu; the flush
-// re-checks the generation under the lock and re-plans per task if a
-// reshard swapped it in between (rare, and the re-plan may legally send
-// individual tasks to different shards or the slow path).
+// flushRun is the one admission function: it queues the pending run,
+// applying drain and backpressure rejection. A run whose cached plan is
+// still of the live generation reaches its shard queue as one linked
+// handoff. Otherwise — the run carries no plan (a multi-shard op), or a
+// reshard swapped the generation since the run was planned without holding
+// drainMu — every task is planned on the generation whose workers will
+// execute it, and may legally land on a different shard or the slow queue.
+// The topology load sits inside the drain lock for that reason: swaps hold
+// it exclusively.
+//
+// Rejected tasks are answered only after the lock is released: a send can
+// block on a stalled peer, and blocking under drainMu would wedge Shutdown.
 //
 //rtle:hotpath
 func (s *Server) flushRun(c *conn, run *affRun) {
@@ -663,56 +666,77 @@ func (s *Server) flushRun(c *conn, run *affRun) {
 		}
 		return
 	}
+	// rejected chains the backpressured tasks, each carrying its busy-hint
+	// shard in t.sh, out of the lock.
+	var rejected *task
 	tp := s.top()
-	if tp != tp0 {
-		// The serving generation changed since classification: re-plan
-		// every task on the generation whose workers will execute it.
-		var rejected *task
+	if tp == tp0 {
+		if s.enqueueLocked(tp, head, n, routePlan{fast: true, shard: shIdx}) {
+			s.metrics.affineOps.Add(uint64(n))
+			s.metrics.affineRuns.Add(1)
+		} else {
+			rejected = head
+		}
+	} else {
 		for t := head; t != nil; {
 			nx := t.next
 			t.next = nil
-			if bsh := s.enqueueLocked(tp, t, tp.router.plan(&t.req)); bsh != nil {
-				t.sh = bsh // carries the busy-hint target out of the lock
+			if !s.enqueueLocked(tp, t, 1, tp.router.plan(&t.req)) {
 				t.next = rejected
 				rejected = t
 			}
 			t = nx
 		}
-		s.drainMu.RUnlock()
-		for t := rejected; t != nil; {
-			nx := t.next
-			s.busy(c, t.req.ID, t.sh)
-			putTask(t)
-			t = nx
-		}
-		return
 	}
-	sh := tp.shards[shIdx]
-	for t := head; t != nil; t = t.next {
-		t.sh = sh
+	s.drainMu.RUnlock()
+	for t := rejected; t != nil; {
+		nx := t.next
+		s.busy(c, t.req.ID, t.sh)
+		putTask(t)
+		t = nx
 	}
-	// Count before the send (see admit): the gauge must never dip negative
-	// under a racing pickup.
+}
+
+// enqueueLocked queues a planned chain of n tasks on its shard queue (or a
+// single multi-shard task on the slow queue) with the count-before-send
+// accounting discipline: a worker decrements the depth gauge at pickup, so
+// counting after the send could let it dip negative — and the coalescer
+// reads it, so a stale negative depth would spuriously shrink the window.
+// The caller holds drainMu shared with draining false. On backpressure
+// every count is rolled back, each task's sh is left naming the busy-hint
+// shard, and false is returned.
+//
+//rtle:hotpath
+func (s *Server) enqueueLocked(tp *topology, head *task, n int, plan routePlan) bool {
+	c := head.c
 	c.tasks.Add(n)
 	s.tasksWG.Add(n)
-	sh.m.queueDepth.Add(int64(n))
-	select {
-	case sh.queue <- head:
-		s.drainMu.RUnlock()
-		s.metrics.affineOps.Add(uint64(n))
-		s.metrics.affineRuns.Add(1)
-	default:
-		sh.m.queueDepth.Add(int64(-n))
-		c.tasks.Add(-n)
-		s.tasksWG.Add(-n)
-		s.drainMu.RUnlock()
-		for t := head; t != nil; {
-			nx := t.next
-			s.busy(c, t.req.ID, sh)
-			putTask(t)
-			t = nx
+	if plan.fast {
+		sh := tp.shards[plan.shard]
+		for t := head; t != nil; t = t.next {
+			t.sh = sh
+		}
+		sh.m.queueDepth.Add(int64(n))
+		select {
+		case sh.queue <- head:
+			return true
+		default:
+			sh.m.queueDepth.Add(int64(-n))
+		}
+	} else {
+		head.spans = plan.spans
+		s.metrics.slowDepth.Add(1)
+		select {
+		case tp.slowQueue <- head:
+			return true
+		default:
+			s.metrics.slowDepth.Add(-1)
+			head.sh = tp.shards[plan.spans[0]]
 		}
 	}
+	c.tasks.Add(-n)
+	s.tasksWG.Add(-n)
+	return false
 }
 
 // hello runs the server side of the rtled/1 version negotiation: the first
@@ -777,78 +801,6 @@ func (s *Server) validate(req *Request) error {
 		return nil
 	default:
 		return s.top().shards[0].adt.validate(req.Op, req.Arg1, req.Arg2)
-	}
-}
-
-// admit routes one request and queues it, applying drain and backpressure
-// rejection. Fast-path requests go to their shard's bounded queue;
-// multi-shard requests go to the slow queue. (The read loop admits
-// fast-path singles through affinity runs instead; this is the slow-path
-// and direct-call entry.)
-//
-//rtle:hotpath
-func (s *Server) admit(c *conn, req Request) {
-	s.drainMu.RLock()
-	if s.draining {
-		s.drainMu.RUnlock()
-		s.reject(c, req.ID, StatusShutdown, "server is draining")
-		return
-	}
-	// The topology load sits inside the drain lock: swaps hold it
-	// exclusively, so the task lands on the generation whose workers will
-	// drain its queue.
-	tp := s.top()
-	plan := tp.router.plan(&req)
-	t := getTask()
-	t.c, t.req, t.arrived = c, req, time.Now()
-	bsh := s.enqueueLocked(tp, t, plan)
-	s.drainMu.RUnlock()
-	if bsh != nil {
-		s.busy(c, t.req.ID, bsh)
-		putTask(t)
-	}
-}
-
-// enqueueLocked queues one planned task on its shard or the slow queue,
-// with the count-before-send accounting discipline (a worker decrements
-// the depth gauge at pickup, so counting after the send could let it dip
-// negative — and the coalescer reads it, so a stale negative depth would
-// spuriously shrink the window). The caller holds drainMu shared with
-// draining false. On backpressure every count is rolled back and the
-// busy-hint shard is returned; the caller sends the StatusBusy response
-// and recycles the task after releasing the lock (a send can block on a
-// stalled peer, and blocking under drainMu would wedge Shutdown).
-//
-//rtle:hotpath
-func (s *Server) enqueueLocked(tp *topology, t *task, plan routePlan) *shard {
-	c := t.c
-	c.tasks.Add(1)
-	s.tasksWG.Add(1)
-	if plan.fast {
-		sh := tp.shards[plan.shard]
-		t.sh = sh
-		sh.m.queueDepth.Add(1)
-		select {
-		case sh.queue <- t:
-			return nil
-		default:
-			sh.m.queueDepth.Add(-1)
-			c.tasks.Done()
-			s.tasksWG.Done()
-			t.sh = nil
-			return sh
-		}
-	}
-	t.spans = plan.spans
-	s.metrics.slowDepth.Add(1)
-	select {
-	case tp.slowQueue <- t:
-		return nil
-	default:
-		s.metrics.slowDepth.Add(-1)
-		c.tasks.Done()
-		s.tasksWG.Done()
-		return tp.shards[plan.spans[0]]
 	}
 }
 

@@ -158,37 +158,193 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
-// TestBackpressure exercises the admission path directly: with a full
-// queue, admit must answer StatusBusy with a retry hint instead of
-// blocking, and the rejection must leave no task accounting behind.
-func TestBackpressure(t *testing.T) {
-	srv, err := New(Config{Workload: "set", QueueDepth: 1, Keys: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No workers are running (Listen was never called), so the first
-	// admission fills the queue and the second must bounce.
-	c := &conn{out: make(chan *frameBuf, 4)}
-	srv.admit(c, Request{ID: 1, Op: check.OpContains, Arg1: 1})
-	srv.admit(c, Request{ID: 2, Op: check.OpContains, Arg1: 2})
+// flushOne admits one request the way the read loop admits a multi-shard
+// op: as a run of length one with no cached plan.
+func flushOne(srv *Server, c *conn, req Request) {
+	var run affRun
+	run.add(c, req)
+	srv.flushRun(c, &run)
+}
 
-	frame := <-c.out
-	resp, err := DecodeResponse(frame.b[4:])
-	if err != nil {
-		t.Fatal(err)
+// nextResponse decodes the next frame queued on c.
+func nextResponse(t *testing.T, c *conn) Response {
+	t.Helper()
+	select {
+	case frame := <-c.out:
+		resp, err := DecodeResponse(frame.b[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	case <-time.After(10 * time.Second):
+		t.Fatal("no response queued")
+		return Response{}
 	}
-	if resp.ID != 2 || resp.Status != StatusBusy {
-		t.Fatalf("second admission answered %+v, want busy for id 2", resp)
+}
+
+// TestBackpressure exercises the one admission function, flushRun,
+// directly. No workers are running (Listen is never called), so queues
+// only fill: a full queue must answer StatusBusy with a retry hint instead
+// of blocking, a draining server must refuse planned runs and unplanned
+// singles alike, and no rejection may leave task accounting behind.
+func TestBackpressure(t *testing.T) {
+	t.Run("busy", func(t *testing.T) {
+		srv, err := New(Config{Workload: "set", QueueDepth: 1, Keys: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first admission fills the queue and the second must bounce.
+		c := &conn{out: make(chan *frameBuf, 4)}
+		flushOne(srv, c, Request{ID: 1, Op: check.OpContains, Arg1: 1})
+		flushOne(srv, c, Request{ID: 2, Op: check.OpContains, Arg1: 2})
+
+		resp := nextResponse(t, c)
+		if resp.ID != 2 || resp.Status != StatusBusy {
+			t.Fatalf("second admission answered %+v, want busy for id 2", resp)
+		}
+		if resp.RetryAfterMicros < 100 {
+			t.Errorf("retry-after %dus below the floor", resp.RetryAfterMicros)
+		}
+		if resp.QueueDepth != 1 {
+			t.Errorf("queue depth %d, want 1", resp.QueueDepth)
+		}
+		if got := srv.Metrics().Responses(StatusBusy); got != 1 {
+			t.Errorf("busy responses %d, want 1", got)
+		}
+	})
+
+	// bankPair returns a bank server and two accounts that different shards
+	// own once it serves two, where a transfer between them is a slow-path
+	// op.
+	bankPair := func(t *testing.T, shards int) (*Server, uint64, uint64) {
+		srv, err := New(Config{Workload: "bank", Shards: shards, QueueDepth: 1, Keys: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := uint64(1); b < 16; b++ {
+			if ShardForKey(b, 2) != ShardForKey(0, 2) {
+				return srv, 0, b
+			}
+		}
+		t.Fatal("every account hashes to one shard")
+		return nil, 0, 0
 	}
-	if resp.RetryAfterMicros < 100 {
-		t.Errorf("retry-after %dus below the floor", resp.RetryAfterMicros)
-	}
-	if resp.QueueDepth != 1 {
-		t.Errorf("queue depth %d, want 1", resp.QueueDepth)
-	}
-	if got := srv.Metrics().Responses(StatusBusy); got != 1 {
-		t.Errorf("busy responses %d, want 1", got)
-	}
+
+	t.Run("draining", func(t *testing.T) {
+		srv, a, b := bankPair(t, 2)
+		tp := srv.top()
+		srv.drainMu.Lock()
+		srv.draining = true
+		srv.drainMu.Unlock()
+
+		// A pending three-task run with a live cached plan, then a
+		// slow-path single: the same check refuses both.
+		c := &conn{out: make(chan *frameBuf, 4)}
+		var run affRun
+		run.tp, run.sh = tp, tp.router.shardOf(a)
+		for id := uint32(1); id <= 3; id++ {
+			run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+		}
+		srv.flushRun(c, &run)
+		flushOne(srv, c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+
+		for id := uint32(1); id <= 4; id++ {
+			if resp := nextResponse(t, c); resp.ID != id || resp.Status != StatusShutdown {
+				t.Errorf("draining server answered %+v, want shutdown for id %d", resp, id)
+			}
+		}
+		if d := srv.Metrics().QueueDepth(); d != 0 {
+			t.Errorf("queue depth %d after refused admissions, want 0", d)
+		}
+		srv.tasksWG.Wait() // nothing was accepted
+	})
+
+	t.Run("reshard", func(t *testing.T) {
+		srv, a, b := bankPair(t, 1)
+		// The run is planned on the one-shard generation, where even the
+		// transfers are fast-path; the reshard under it makes the flush
+		// re-plan every task: three balances compete for one shard-queue
+		// slot, two now cross-shard transfers for the one slow-queue slot.
+		c := &conn{out: make(chan *frameBuf)}
+		var run affRun
+		run.tp, run.sh = srv.top(), 0
+		for id := uint32(1); id <= 3; id++ {
+			run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+		}
+		run.add(c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		run.add(c, Request{ID: 5, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		if err := srv.Reshard(2); err != nil {
+			t.Fatal(err)
+		}
+
+		// The depth gauges must never read negative, whoever looks.
+		m := srv.Metrics()
+		stop := make(chan struct{})
+		var sampler sync.WaitGroup
+		sampler.Add(1)
+		go func() {
+			defer sampler.Done()
+			for {
+				for _, sm := range m.Shards() {
+					if d := sm.queueDepth.Load(); d < 0 {
+						t.Errorf("shard queue depth went negative: %d", d)
+					}
+				}
+				if d := m.slowDepth.Load(); d < 0 {
+					t.Errorf("slow queue depth went negative: %d", d)
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}()
+
+		flushed := make(chan struct{})
+		go func() {
+			srv.flushRun(c, &run)
+			close(flushed)
+		}()
+		// c.out is unbuffered, so the flush sits in its first busy send
+		// until this receive: were it answering under drainMu, the lock
+		// would still be held for the two sends to come.
+		busy := []Response{nextResponse(t, c)}
+		if !srv.drainMu.TryLock() {
+			t.Fatal("busy rejections are sent with drainMu held: a stalled peer would wedge Shutdown")
+		}
+		srv.drainMu.Unlock()
+		busy = append(busy, nextResponse(t, c), nextResponse(t, c))
+		<-flushed
+		for _, resp := range busy {
+			if resp.Status != StatusBusy || resp.ID == 1 || resp.ID == 4 {
+				t.Errorf("re-planned run answered %+v, want busy for ids 2, 3 and 5 only", resp)
+			}
+		}
+		if d := m.QueueDepth(); d != 2 || m.slowDepth.Load() != 1 {
+			t.Errorf("depth %d (slow %d) after the flush, want the 2 accepted tasks (1 slow)", d, m.slowDepth.Load())
+		}
+
+		// Workers pick the two accepted tasks up; the gauges return to 0.
+		srv.startWorkers(srv.top())
+		for range 2 {
+			if resp := nextResponse(t, c); resp.Status != StatusOK {
+				t.Errorf("accepted task answered %+v, want ok", resp)
+			}
+		}
+		c.tasks.Wait()
+		if d := m.QueueDepth(); d != 0 {
+			t.Errorf("queue depth %d after the accepted tasks ran, want 0", d)
+		}
+		close(stop)
+		sampler.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
 }
 
 // TestGracefulDrain checks the shutdown contract: in-flight requests are
@@ -205,7 +361,7 @@ func TestGracefulDrain(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve() }()
 
-	c, err := Dial(addr.String())
+	c, err := DialContext(context.Background(), addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +409,7 @@ func TestGracefulDrain(t *testing.T) {
 // without killing the connection.
 func TestBadRequestOverWire(t *testing.T) {
 	_, addr := startServer(t, Config{Workload: "set", Keys: 8})
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +440,7 @@ func TestBadRequestOverWire(t *testing.T) {
 func TestMetricsRendered(t *testing.T) {
 	reg := obs.NewRegistry(obs.Config{})
 	srv, addr := startServer(t, Config{Workload: "set", Keys: 16, Registry: reg})
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

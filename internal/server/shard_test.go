@@ -120,7 +120,7 @@ func TestCrossShardBank(t *testing.T) {
 func TestCrossShardTransferBatch(t *testing.T) {
 	const keys = 16
 	srv, addr := startServer(t, Config{Workload: "bank", Shards: 4, Workers: 2, Keys: keys})
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestCrossShardTransferBatch(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cc, err := Dial(addr)
+			cc, err := DialContext(context.Background(), addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -259,7 +259,7 @@ func TestMultiShardDrain(t *testing.T) {
 	done := make(chan struct{})
 	go func() { defer close(done); _ = srv.Serve() }()
 
-	c, err := Dial(addr.String())
+	c, err := DialContext(context.Background(), addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestSnapshotEqualsLogPrefix(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						c, err := Dial(addr)
+						c, err := DialContext(context.Background(), addr)
 						if err != nil {
 							t.Error(err)
 							return
@@ -177,7 +177,7 @@ func TestFetchSnapshotWire(t *testing.T) {
 	const keys = 1500 // > snap.MaxChunkItems, so the stream must chunk
 	srv, addr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 2, Repl: true})
 
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestFetchSnapshotWire(t *testing.T) {
 
 	// The connection that served the stream keeps answering ordinary
 	// requests afterwards — the snapshot is not a terminal exchange.
-	sc, err := Dial(addr)
+	sc, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestReshardUnderLoad(t *testing.T) {
 	if got := srv.Shards(); got != 2 {
 		t.Errorf("server serves %d shards after reshard, want 2", got)
 	}
-	c, err := Dial(addr)
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestReplicaBootstrapAfterCompaction(t *testing.T) {
 		Workload: "map", Keys: 32, Shards: 2, Repl: true, SnapFile: snapPath,
 	})
 
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestBootFromSnapshotAndTruncatedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve() }() // shut down cleanly below
-	c, err := Dial(addr.String())
+	c, err := DialContext(context.Background(), addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestBootFromSnapshotAndTruncatedLog(t *testing.T) {
 	if f := reborn.repl.log.Floor(); f != floor {
 		t.Errorf("reborn log floor %d, compaction left %d", f, floor)
 	}
-	c2, err := Dial(addr2)
+	c2, err := DialContext(context.Background(), addr2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +479,7 @@ func TestAutoCompactor(t *testing.T) {
 		Workload: "map", Keys: 32, Repl: true,
 		SnapFile: snapPath, CompactEvery: 25,
 	})
-	c, err := Dial(pAddr)
+	c, err := DialContext(context.Background(), pAddr)
 	if err != nil {
 		t.Fatal(err)
 	}

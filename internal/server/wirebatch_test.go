@@ -199,10 +199,10 @@ func TestAffinityRunDelivery(t *testing.T) {
 	wg.Wait()
 
 	m := srv.Metrics()
-	if m.AffineOps() == 0 {
+	if m.affineOps.Load() == 0 {
 		t.Error("a 16-deep pipelined single-shard burst never took the affinity run path")
 	}
-	if runs := m.affineRuns.Load(); runs > 0 && m.AffineOps() <= runs {
-		t.Errorf("affine ops %d never exceeded runs %d: chains all had length 1", m.AffineOps(), runs)
+	if runs := m.affineRuns.Load(); runs > 0 && m.affineOps.Load() <= runs {
+		t.Errorf("affine ops %d never exceeded runs %d: chains all had length 1", m.affineOps.Load(), runs)
 	}
 }
