@@ -68,11 +68,22 @@ type Handle struct {
 	freeList  []mem.Addr
 	usedSpare bool
 	removed   mem.Addr
+
+	// The wrapper methods' atomic bodies, bound once so a call allocates
+	// neither a closure nor an escaping result: they take key and leave
+	// res in the handle.
+	key                              uint64
+	res                              bool
+	findBody, insertBody, removeBody func(core.Context)
 }
 
 // NewHandle returns a fresh per-thread handle.
 func (s *Set) NewHandle() *Handle {
-	return &Handle{s: s, path: make([]pathEntry, 0, 64)}
+	h := &Handle{s: s, path: make([]pathEntry, 0, 64)}
+	h.findBody = func(c core.Context) { h.res = h.FindCS(c, h.key) }
+	h.insertBody = func(c core.Context) { h.res = h.InsertCS(c, h.key) }
+	h.removeBody = func(c core.Context) { h.res = h.RemoveCS(c, h.key) }
+	return h
 }
 
 // --- Critical-section bodies (compose inside Thread.Atomic) --------------
@@ -179,27 +190,27 @@ func (h *Handle) RemoveCS(c core.Context, key uint64) bool {
 
 // Contains runs FindCS in an atomic block on t.
 func (h *Handle) Contains(t core.Thread, key uint64) bool {
-	var res bool
-	t.Atomic(func(c core.Context) { res = h.FindCS(c, key) })
-	return res
+	h.key = key
+	t.Atomic(h.findBody)
+	return h.res
 }
 
 // Insert runs InsertCS in an atomic block on t and consumes the spare node
 // if the committed execution linked it.
 func (h *Handle) Insert(t core.Thread, key uint64) bool {
-	var res bool
-	t.Atomic(func(c core.Context) { res = h.InsertCS(c, key) })
-	h.AfterInsert(res)
-	return res
+	h.key = key
+	t.Atomic(h.insertBody)
+	h.AfterInsert(h.res)
+	return h.res
 }
 
 // Remove runs RemoveCS in an atomic block on t and recycles the unlinked
 // node.
 func (h *Handle) Remove(t core.Thread, key uint64) bool {
-	var res bool
-	t.Atomic(func(c core.Context) { res = h.RemoveCS(c, key) })
-	h.AfterRemove(res)
-	return res
+	h.key = key
+	t.Atomic(h.removeBody)
+	h.AfterRemove(h.res)
+	return h.res
 }
 
 // AfterInsert finalizes handle bookkeeping after an atomic block that

@@ -402,3 +402,28 @@ func TestRangeCountCapacityFallback(t *testing.T) {
 		t.Fatalf("narrow scan did not commit on the fast path: %+v", *th2.Stats())
 	}
 }
+
+// TestHandleWrappersDoNotAllocate pins the per-call cost of the Thread
+// wrappers: the bodies are bound once in NewHandle, so a steady-state
+// Contains / Insert / Remove through a real method allocates nothing.
+func TestHandleWrappersDoNotAllocate(t *testing.T) {
+	m := mem.New(1 << 20)
+	th := core.NewFGTLE(m, 256, core.Policy{}).NewThread()
+	h := New(m).NewHandle()
+	for k := uint64(0); k < 512; k += 2 {
+		h.Insert(th, k)
+	}
+	var k uint64
+	allocs := testing.AllocsPerRun(500, func() {
+		k = (k + 7) % 512
+		h.Contains(th, k)
+		// Remove-then-insert recycles the node through the free list,
+		// whose backing array AllocsPerRun's warm-up call grows.
+		if h.Remove(th, k) {
+			h.Insert(th, k)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Contains+Remove+Insert allocate %v objects per run, want 0", allocs)
+	}
+}

@@ -64,6 +64,9 @@ type gthread struct {
 	rec      core.Recorder
 
 	lockBusy bool // subscription check saw the lock held
+
+	// Attempts and aborts not yet folded into the guard's retreat window.
+	pendAttempts, pendAborts int
 }
 
 // base holds the machinery shared by Mutex and RWMutex.

@@ -2,11 +2,13 @@ package guard
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rtle/internal/core"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
+	"rtle/internal/rng"
 )
 
 func newHeap() *mem.Memory { return mem.New(1 << 16) }
@@ -286,6 +288,127 @@ func TestRetreatRecovers(t *testing.T) {
 	}
 }
 
+// stormInjector aborts every attempt at begin while the shared flag is up.
+type stormInjector struct{ on *atomic.Bool }
+
+func (in stormInjector) TxBegin() (int, int, htm.AbortReason) {
+	if in.on.Load() {
+		return 0, 0, htm.Spurious
+	}
+	return 0, 0, htm.None
+}
+func (stormInjector) TxAccess(int, bool) htm.AbortReason { return htm.None }
+func (stormInjector) TxPreCommit() htm.AbortReason       { return htm.None }
+
+// TestRetreatBatchedAcrossGoroutines: the retreat window is fed in
+// per-goroutine batches, so when every attempt on every goroutine aborts
+// the verdict may lag the window boundary — but by no more than what the
+// goroutines can hold back: each less than a batch unflushed, plus the
+// section it has in flight when the verdict lands. Once the aborts stop
+// and the pause drains, the guard speculates again and stays there.
+func TestRetreatBatchedAcrossGoroutines(t *testing.T) {
+	const (
+		goroutines = 3
+		budget     = 2
+		window     = 64
+		pause      = 2048
+		stormOps   = 200  // per goroutine; goroutines*stormOps < pause
+		calmOps    = 2000 // per goroutine; goroutines*calmOps > pause
+	)
+	var storm atomic.Bool
+	storm.Store(true)
+	m := newHeap()
+	g := NewMutex(m, Config{
+		Policy: core.Policy{Attempts: budget, HTM: htm.Config{
+			NewInjector: func() htm.Injector { return stormInjector{&storm} },
+		}},
+		Retreat: RetreatConfig{Window: window, MinPause: pause, MaxPause: pause},
+	})
+	var counters [goroutines]mem.Addr
+	for i := range counters {
+		counters[i] = m.AllocLines(1) // a line each: no organic conflicts
+	}
+	phase := func(ops int) {
+		var wg sync.WaitGroup
+		for _, a := range counters {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < ops; j++ {
+					g.Do(func(c core.Context) { c.Write(a, c.Read(a)+1) })
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	phase(stormOps)
+	s := g.Stats()
+	if s.ModeSwitches != 1 || s.FastCommits != 0 {
+		t.Fatalf("under 100%% aborts: ModeSwitches=%d FastCommits=%d, want one retreat and no commit", s.ModeSwitches, s.FastCommits)
+	}
+	// The pause outlasts the phase, so every attempt ever made precedes
+	// the verdict or belongs to a section already past the retreat gate.
+	// The unflushed counts live in the gthreads the guard has lent: at
+	// most one per goroutine, unless the pool dropped some (the race
+	// detector makes it drop a quarter of all Puts).
+	lent := len(g.threads)
+	if limit := uint64(window + lent*(g.retreat.batch+2*budget)); s.FastAttempts > limit {
+		t.Fatalf("retreat took %d attempts over %d gthreads, want at most Window + a batch and a section per gthread = %d", s.FastAttempts, lent, limit)
+	}
+
+	// Sections that took the lock: those that spent their budget before
+	// the verdict, then the pause; allow each goroutine one more for an
+	// attempt that meets the last pessimistic section's lock.
+	lockRuns := s.FastAttempts/budget + pause + goroutines
+
+	storm.Store(false)
+	phase(calmOps)
+	s = g.Stats()
+	if s.ModeSwitches != 2 {
+		t.Fatalf("after the storm: ModeSwitches=%d, want 2 (one retreat, one return)", s.ModeSwitches)
+	}
+	if want := goroutines*(stormOps+calmOps) - lockRuns; s.FastCommits < want {
+		t.Fatalf("after the storm: %d fast commits, want every section past the %d-op pause (>= %d)", s.FastCommits, pause, want)
+	}
+	for i, a := range counters {
+		if got := m.Load(a); got != stormOps+calmOps {
+			t.Fatalf("counter %d = %d, want %d", i, got, stormOps+calmOps)
+		}
+	}
+}
+
+// TestRetreatDropsCountsFromBeforeTheVerdict: when the verdict lands during
+// an abort storm every other lent gthread still holds almost a batch of
+// all-abort counts. They must not survive the pause: folded in with the
+// first healthy sections they would fill a window at batch-1 aborts in
+// batch attempts and send a guard that no longer aborts straight back.
+func TestRetreatDropsCountsFromBeforeTheVerdict(t *testing.T) {
+	var r retreat
+	r.init(RetreatConfig{Window: 64, MinPause: 32, MaxPause: 1024})
+	threads := make([]*gthread, 16)
+	for i := range threads {
+		threads[i] = &gthread{}
+		r.record(threads[i], r.batch-1, r.batch-1) // one short of a flush
+	}
+	for r.remaining.Load() == 0 {
+		r.record(threads[0], 1, 1)
+	}
+	for i := 0; !r.speculate(threads[i%len(threads)]); i++ {
+	}
+	for range 4 * 64 {
+		for _, th := range threads {
+			r.record(th, 0, 1)
+		}
+	}
+	if left := r.remaining.Load(); left != 0 {
+		t.Fatalf("retreated again (%d ops) with no abort since the pause", left)
+	}
+	if p := r.pause.Load(); p != 32 {
+		t.Fatalf("pause = %d after healthy windows, want it back at MinPause 32", p)
+	}
+}
+
 // TestStatsSurvivePoolDrop checks counters outlive pool eviction: Stats
 // merges the registry, not the pool.
 func TestStatsSurvivePoolDrop(t *testing.T) {
@@ -302,4 +425,42 @@ func TestStatsSurvivePoolDrop(t *testing.T) {
 	if s := g.Stats(); s.Ops != 50 {
 		t.Fatalf("Stats.Ops = %d after pool drain, want 50", s.Ops)
 	}
+}
+
+// BenchmarkRWMutexParallel is the guard_counters shape under go test: 90 %
+// RDo summing four of 64 line-sized counters, 10 % Do incrementing one,
+// from GOMAXPROCS goroutines. Data conflicts are rare here, so what it
+// times is the guard's fixed cost per section, including every line the
+// goroutines share.
+func BenchmarkRWMutexParallel(b *testing.B) {
+	m := newHeap()
+	g := NewRWMutex(m, Config{})
+	var counters [64]mem.Addr
+	for i := range counters {
+		counters[i] = m.AllocLines(1)
+	}
+	var seed atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		r := rng.NewXoshiro256(seed.Add(1))
+		var sink uint64
+		for pb.Next() {
+			at := r.Intn(len(counters))
+			if r.Intn(100) < 90 {
+				g.RDo(func(c core.Context) {
+					var sum uint64
+					for i := 0; i < 4; i++ {
+						sum += c.Read(counters[(at+i)%len(counters)])
+					}
+					sink = sum
+				})
+				continue
+			}
+			g.Do(func(c core.Context) {
+				a := counters[at]
+				c.Write(a, c.Read(a)+1)
+			})
+		}
+		_ = sink
+	})
 }

@@ -46,27 +46,44 @@ func (c RetreatConfig) withDefaults() RetreatConfig {
 	return c
 }
 
-// retreat is the windowed abort-rate controller. All fields are atomics:
-// any goroutine inside the guard may tick it, and the occasional lost
-// update only perturbs a heuristic, never correctness.
-type retreat struct {
-	cfg RetreatConfig
+// flushDivisor sets how often a goroutine folds its locally counted
+// attempts into the shared window: every Window/flushDivisor attempts. A
+// verdict can therefore lag the window boundary by one batch per goroutine.
+const flushDivisor = 8
 
-	attempts  atomic.Int64 // window attempt count
-	aborts    atomic.Int64 // window abort count
-	pause     atomic.Int64 // current retreat span (ops)
+// retreat is the windowed abort-rate controller. The shared fields are
+// atomics: any goroutine inside the guard may tick it, and the occasional
+// lost update only perturbs a heuristic, never correctness.
+//
+// Sections count into their borrowed gthread and reach the window counters
+// once per batch, and remaining — which every section loads — sits on a
+// line of its own that is written only while the guard retreats. A guard
+// whose speculation is healthy thus writes no shared line per section.
+type retreat struct {
+	cfg   RetreatConfig
+	batch int // attempts a gthread accumulates before folding them in
+
+	_      [64]byte
+	window atomic.Uint64 // this window's aborts<<32 | attempts: one add per batch
+	pause  atomic.Int64  // current retreat span (ops)
+
+	_         [64]byte
 	remaining atomic.Int64 // >0: pessimistic ops left in the current retreat
+	_         [64]byte
 }
 
 //rtle:init
 func (r *retreat) init(cfg RetreatConfig) {
 	r.cfg = cfg.withDefaults()
+	r.batch = max(1, r.cfg.Window/flushDivisor)
 	r.pause.Store(int64(r.cfg.MinPause))
 }
 
 // speculate reports whether the next block may attempt elision, consuming
 // one pessimistic operation when the guard is in retreat. The operation
 // that drains the retreat records the mode switch back to speculation.
+// Counts t still holds from before the verdict are dropped, so they cannot
+// weigh on the first window after the retreat.
 func (r *retreat) speculate(t *gthread) bool {
 	if r.cfg.Disable {
 		return true
@@ -77,6 +94,7 @@ func (r *retreat) speculate(t *gthread) bool {
 			return true
 		}
 		if r.remaining.CompareAndSwap(left, left-1) {
+			t.pendAborts, t.pendAttempts = 0, 0
 			if left == 1 {
 				t.rec.ModeSwitch()
 			}
@@ -85,24 +103,30 @@ func (r *retreat) speculate(t *gthread) bool {
 	}
 }
 
-// record feeds one finished block's attempt/abort counts into the current
-// window and, at window boundaries, decides whether to retreat. aborted is
-// the number of aborted attempts, total the number made.
+// record counts one finished block's attempts in t and, once t holds a
+// batch, folds the batch into the current window and, at window
+// boundaries, decides whether to retreat. aborted is the number of aborted
+// attempts, total the number made.
 func (r *retreat) record(t *gthread, aborted, total int) {
 	if r.cfg.Disable || total == 0 {
 		return
 	}
-	r.aborts.Add(int64(aborted))
-	n := r.attempts.Add(int64(total))
+	t.pendAborts += aborted
+	t.pendAttempts += total
+	if t.pendAttempts < r.batch {
+		return
+	}
+	w := r.window.Add(uint64(t.pendAborts)<<32 | uint64(t.pendAttempts))
+	t.pendAborts, t.pendAttempts = 0, 0
+	a, n := int64(w>>32), int64(uint32(w))
 	if n < int64(r.cfg.Window) {
 		return
 	}
 	// One goroutine wins the reset and applies the window's verdict; the
 	// losers' counts fold into the next window.
-	if !r.attempts.CompareAndSwap(n, 0) {
+	if !r.window.CompareAndSwap(w, 0) {
 		return
 	}
-	a := r.aborts.Swap(0)
 	pause := r.pause.Load()
 	if a*100 >= n*int64(r.cfg.AbortFraction) {
 		// Speculation is mostly wasted work: retreat, and double the

@@ -244,8 +244,18 @@ type Tx struct {
 	Stats Stats
 }
 
+// checkAddressable panics if a heap of the given size has addresses the
+// read/write-set keys cannot tell apart.
+func checkAddressable(words uint64) {
+	if words > maxWords {
+		panic(fmt.Sprintf("htm: heap of %d words exceeds the %d the transaction sets can index (keys pack addr+1 into 32 bits)", words, uint64(maxWords)))
+	}
+}
+
 // NewTx returns a transaction context over m with the given configuration.
+// It panics if m is larger than the transaction sets can index.
 func NewTx(m *mem.Memory, cfg Config) *Tx {
+	checkAddressable(uint64(m.Size()))
 	t := &Tx{
 		m:          m,
 		cfg:        cfg,
@@ -481,25 +491,19 @@ func (t *Tx) commit() AbortReason {
 	}
 	// Lock the write set. Pure try-lock: any contention aborts, so there
 	// is no deadlock and no ordering requirement.
-	ok := true
-	t.writeLines.forEach(func(line uint64) bool {
+	for line := range t.writeLines.forEach {
 		mw := t.m.MetaLoad(line)
 		if mem.Locked(mw) || !t.m.TryLockLine(line, mw) {
-			ok = false
-			return false
+			t.rollbackLocks()
+			return Conflict
 		}
 		ver := mem.VersionOf(mw)
 		t.locked = append(t.locked, lineVer{line, ver})
 		if ver > t.snapshot && t.readLines.contains(line) {
 			// A line we both read and wrote changed since we read it.
-			ok = false
-			return false
+			t.rollbackLocks()
+			return Conflict
 		}
-		return true
-	})
-	if !ok {
-		t.rollbackLocks()
-		return Conflict
 	}
 	// Take the commit version before validating the read set, as TL2
 	// does: a transaction whose read we are about to overwrite validated
@@ -508,20 +512,15 @@ func (t *Tx) commit() AbortReason {
 	// CommitVersion order is the serial order the opacity checker replays.
 	wv := t.m.ClockTick()
 	// Validate the read set.
-	t.readLines.forEach(func(line uint64) bool {
+	for line := range t.readLines.forEach {
 		if t.writeLines.contains(line) {
-			return true // validated during locking above
+			continue // validated during locking above
 		}
 		mw := t.m.MetaLoad(line)
 		if mem.Locked(mw) || mem.VersionOf(mw) > t.snapshot {
-			ok = false
-			return false
+			t.rollbackLocks()
+			return Conflict
 		}
-		return true
-	})
-	if !ok {
-		t.rollbackLocks()
-		return Conflict
 	}
 	// Publish.
 	t.writes.forEachOrdered(func(a mem.Addr, v uint64) {

@@ -74,6 +74,59 @@ func TestReadOwnWrite(t *testing.T) {
 	}
 }
 
+// TestReadAfterWriteOnReadLine: on a line already in the read set a
+// buffered word wins and its unwritten neighbour still comes from memory.
+func TestReadAfterWriteOnReadLine(t *testing.T) {
+	m := newHeap()
+	a := m.AllocLines(1)
+	m.Store(a, 5)
+	tx := NewTx(m, Config{})
+	reason := tx.Run(func(tx *Tx) {
+		tx.Read(a)
+		tx.Write(a+1, 7)
+		if got := tx.Read(a + 1); got != 7 {
+			t.Errorf("read of a buffered word on a read line = %d, want 7", got)
+		}
+		if got := tx.Read(a); got != 5 {
+			t.Errorf("read of its unwritten neighbour = %d, want 5", got)
+		}
+		if tx.ReadSetLines() != 1 {
+			t.Errorf("read set = %d lines, want 1", tx.ReadSetLines())
+		}
+	})
+	if reason != None {
+		t.Fatalf("commit failed: %v", reason)
+	}
+}
+
+// TestRepeatLineReadStillValidates: a line already in the read set is
+// version-checked on every read — a plain store to it between two reads
+// dooms the second one on the spot, not at commit.
+func TestRepeatLineReadStillValidates(t *testing.T) {
+	m := newHeap()
+	a := m.AllocLines(1)
+	tx := NewTx(m, Config{})
+	reason := tx.Run(func(tx *Tx) {
+		tx.Read(a)
+		m.Store(a+1, 42)
+		tx.Read(a)
+		t.Error("repeat read of a line stored to since the snapshot did not abort")
+	})
+	if reason != Conflict {
+		t.Fatalf("reason = %v, want conflict", reason)
+	}
+}
+
+func TestHeapTooLargeForSetKeys(t *testing.T) {
+	checkAddressable(1<<32 - 1) // the largest heap whose addr+1 fits 32 bits
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 2^32-word heap, whose last address aliases key 0, was accepted")
+		}
+	}()
+	checkAddressable(1 << 32)
+}
+
 func TestPlainStoreDoomsReader(t *testing.T) {
 	m := newHeap()
 	a := m.Alloc(1)

@@ -165,3 +165,34 @@ func TestSqueezedLimitsResetPerAttempt(t *testing.T) {
 		t.Fatal("LastAbortInjected sticky across a committed attempt")
 	}
 }
+
+// TestSqueezedCapacityRepeatedLines: at a read capacity squeezed to the
+// lines already held, re-reading them (the last one or an earlier one)
+// costs nothing, while one new line is a Capacity abort booked to the
+// injector.
+func TestSqueezedCapacityRepeatedLines(t *testing.T) {
+	inj := &scriptedInjector{squeezeReads: 2}
+	m := mem.New(1 << 10)
+	base := m.AllocLines(3)
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.WordsPerLine) }
+	tx := NewTx(m, Config{ReadLines: 8, NewInjector: func() Injector { return inj }})
+
+	repeats := func(tx *Tx) {
+		tx.Read(line(0))
+		tx.Read(line(1))
+		tx.Read(line(1) + 1) // the last line again
+		tx.Read(line(0) + 1) // an earlier line again
+		tx.Read(line(0))
+	}
+	if r := tx.Run(repeats); r != None {
+		t.Fatalf("repeats within a squeezed capacity: %v, want commit", r)
+	}
+	r := tx.Run(func(tx *Tx) {
+		repeats(tx)
+		tx.Read(line(2))
+		t.Error("a third line fit a read capacity squeezed to two")
+	})
+	if r != Capacity || !tx.LastAbortInjected() {
+		t.Fatalf("new line at a squeezed capacity: %v (injected=%v), want injected Capacity", r, tx.LastAbortInjected())
+	}
+}

@@ -2,19 +2,29 @@ package htm
 
 import "rtle/internal/mem"
 
+// maxWords is the largest heap, in words, whose addresses the set keys
+// below can hold: a key packs addr+1 (or line+1) into its low 32 bits
+// beside the epoch, so the largest address must be at most 2^32-2. NewTx
+// refuses a bigger heap instead of letting two addresses share a key.
+const maxWords = 1<<32 - 1
+
 // lineSet is an open-addressing set of cache-line indices, reset in O(1)
 // by bumping an epoch tag instead of clearing the table. It is the
 // transaction read/write-set index — the hot path of every transactional
 // access — so it avoids Go map overhead.
 //
 // Slots hold epoch<<32 | (line+1); a slot belongs to the current
-// generation only if its epoch matches. Line indices fit comfortably in
-// 32 bits (a 2^32-line heap would be 2 TiB of simulated memory).
+// generation only if its epoch matches. Line indices are word addresses
+// divided by the line size, so they fit whenever the heap respects
+// maxWords.
+//
+// members lists the current generation densely, in insertion order: a
+// commit walks its 1–20 lines, not the table sized for the capacity limit.
 type lineSet struct {
-	slots []uint64
-	mask  uint64
-	n     int
-	epoch uint32
+	slots   []uint64
+	mask    uint64
+	members []uint64
+	epoch   uint32
 }
 
 func newLineSet(capacity int) *lineSet {
@@ -22,12 +32,17 @@ func newLineSet(capacity int) *lineSet {
 	for size < capacity*2 {
 		size <<= 1
 	}
-	return &lineSet{slots: make([]uint64, size), mask: uint64(size - 1), epoch: 1}
+	return &lineSet{
+		slots:   make([]uint64, size),
+		mask:    uint64(size - 1),
+		members: make([]uint64, 0, capacity),
+		epoch:   1,
+	}
 }
 
 // reset empties the set in O(1).
 func (s *lineSet) reset() {
-	s.n = 0
+	s.members = s.members[:0]
 	s.epoch++
 	if s.epoch == 0 { // epoch wrapped: lazily stale tags could collide
 		clear(s.slots)
@@ -35,7 +50,7 @@ func (s *lineSet) reset() {
 	}
 }
 
-func (s *lineSet) len() int { return s.n }
+func (s *lineSet) len() int { return len(s.members) }
 
 // add inserts line, reporting whether it was absent. The caller bounds
 // occupancy (capacity aborts fire before the table fills).
@@ -49,7 +64,7 @@ func (s *lineSet) add(line uint64) bool {
 		}
 		if uint32(slot>>32) != s.epoch || slot == 0 {
 			s.slots[i] = want
-			s.n++
+			s.members = append(s.members, line)
 			return true
 		}
 		i = (i + 1) & s.mask
@@ -72,25 +87,22 @@ func (s *lineSet) contains(line uint64) bool {
 	}
 }
 
-// forEach visits every member of the current generation.
+// forEach visits the members of the current generation in insertion
+// order, stopping when fn returns false.
 func (s *lineSet) forEach(fn func(line uint64) bool) {
-	if s.n == 0 {
-		return
-	}
-	for _, slot := range s.slots {
-		if slot != 0 && uint32(slot>>32) == s.epoch {
-			if !fn((slot & 0xffffffff) - 1) {
-				return
-			}
+	for _, line := range s.members {
+		if !fn(line) {
+			return
 		}
 	}
 }
 
 // writeMap buffers a transaction's speculative stores: an epoch-tagged
 // open-addressing index from word address to a dense values array, plus
-// the insertion order for deterministic write-back.
+// the insertion order for deterministic write-back (order[i] was stored
+// vals[i]).
 type writeMap struct {
-	keys  []uint64 // epoch<<32 | (addr+1) -> index+1 into vals, packed below
+	keys  []uint64 // epoch<<32 | (addr+1); idx holds the slot's index into vals
 	idx   []uint32
 	vals  []uint64
 	order []mem.Addr
@@ -166,9 +178,8 @@ func (w *writeMap) put(a mem.Addr, v uint64) {
 // forEachOrdered visits buffered stores in insertion order with their
 // final values.
 func (w *writeMap) forEachOrdered(fn func(a mem.Addr, v uint64)) {
-	for _, a := range w.order {
-		v, _ := w.get(a)
-		fn(a, v)
+	for i, a := range w.order {
+		fn(a, w.vals[i])
 	}
 }
 

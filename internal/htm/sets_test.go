@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -98,6 +99,39 @@ func TestLineSetForEach(t *testing.T) {
 	}
 }
 
+// TestLineSetForEachIsTheCurrentGeneration pins what commit relies on:
+// forEach yields exactly the lines added since the last reset, once each,
+// in insertion order — across resets and an epoch wrap, whatever stale
+// tags the table still holds.
+func TestLineSetForEachIsTheCurrentGeneration(t *testing.T) {
+	s := newLineSet(8)
+	s.epoch = ^uint32(0) - 2 // the wrap falls inside the loop below
+	for gen := uint64(0); gen < 6; gen++ {
+		// Overlapping, differently ordered generations, with duplicates.
+		want := []uint64{gen + 5, gen, gen + 2, gen + 9}
+		for _, l := range want {
+			s.add(l)
+			s.add(want[0])
+		}
+		var got []uint64
+		s.forEach(func(l uint64) bool { got = append(got, l); return true })
+		if len(got) > s.len() {
+			t.Fatalf("gen %d: %d callbacks for a set of %d", gen, len(got), s.len())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("gen %d: forEach yielded %v, want %v", gen, got, want)
+		}
+		s.reset()
+		s.forEach(func(l uint64) bool {
+			t.Fatalf("gen %d: forEach yielded %d after reset", gen, l)
+			return false
+		})
+	}
+	if s.epoch >= 6 {
+		t.Fatalf("epoch %d: the loop never wrapped it", s.epoch)
+	}
+}
+
 func TestLineSetForEachEarlyStop(t *testing.T) {
 	s := newLineSet(16)
 	for i := uint64(0); i < 10; i++ {
@@ -155,12 +189,12 @@ func TestWriteMapOrderPreserved(t *testing.T) {
 		w.put(a, uint64(i))
 	}
 	w.put(3, 99) // overwrite must not change order
+	wantVals := []uint64{0, 99, 2, 3}
 	var got []mem.Addr
-	w.forEachOrdered(func(a mem.Addr, v uint64) { got = append(got, a) })
-	for i, a := range addrs {
-		if got[i] != a {
-			t.Fatalf("order[%d] = %d, want %d", i, got[i], a)
-		}
+	var gotVals []uint64
+	w.forEachOrdered(func(a mem.Addr, v uint64) { got = append(got, a); gotVals = append(gotVals, v) })
+	if !slices.Equal(got, addrs) || !slices.Equal(gotVals, wantVals) {
+		t.Fatalf("forEachOrdered yielded %v = %v, want %v = %v", got, gotVals, addrs, wantVals)
 	}
 }
 
