@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet rtlevet e2e bench bench-test all
+.PHONY: build test race vet rtlevet e2e microbench bench bench-test all
 
 all: build vet test
 
@@ -27,6 +27,13 @@ rtlevet:
 # with rtleload, clean and under a fault plan, once per shard count.
 e2e:
 	scripts/e2e.sh
+
+# microbench compiles and completes the micro-benchmarks DESIGN.md §1.8
+# quotes, a hundred iterations each (CI's step; raise -benchtime, build both
+# sides with `go test -c` and alternate them to measure).
+microbench:
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Store|LockSection' \
+		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated
 # workloads, one result line each. benchmark/ is its own module, so root

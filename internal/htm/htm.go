@@ -148,20 +148,6 @@ const (
 	DefaultWriteLines = 128
 )
 
-func (c Config) readLines() int {
-	if c.ReadLines > 0 {
-		return c.ReadLines
-	}
-	return DefaultReadLines
-}
-
-func (c Config) writeLines() int {
-	if c.WriteLines > 0 {
-		return c.WriteLines
-	}
-	return DefaultWriteLines
-}
-
 // Stats counts transaction outcomes for one Tx (one thread).
 type Stats struct {
 	Starts  uint64
@@ -218,6 +204,7 @@ type Tx struct {
 
 	snapshot uint64
 	active   bool
+	hooked   bool // any per-access hook configured: Read/Write call onAccess
 	accesses int
 
 	readLines  *lineSet
@@ -256,12 +243,18 @@ func checkAddressable(words uint64) {
 // It panics if m is larger than the transaction sets can index.
 func NewTx(m *mem.Memory, cfg Config) *Tx {
 	checkAddressable(uint64(m.Size()))
+	if cfg.ReadLines <= 0 {
+		cfg.ReadLines = DefaultReadLines
+	}
+	if cfg.WriteLines <= 0 {
+		cfg.WriteLines = DefaultWriteLines
+	}
 	t := &Tx{
 		m:          m,
 		cfg:        cfg,
-		readLines:  newLineSet(cfg.readLines()),
-		writeLines: newLineSet(cfg.writeLines()),
-		writes:     newWriteMap(cfg.writeLines() * mem.WordsPerLine),
+		readLines:  newLineSet(cfg.ReadLines),
+		writeLines: newLineSet(cfg.WriteLines),
+		writes:     newWriteMap(cfg.WriteLines * mem.WordsPerLine),
 	}
 	if cfg.SpuriousProb > 0 {
 		t.fault = rng.NewXoshiro256(cfg.SpuriousSeed | 1)
@@ -269,6 +262,7 @@ func NewTx(m *mem.Memory, cfg Config) *Tx {
 	if cfg.NewInjector != nil {
 		t.inj = cfg.NewInjector()
 	}
+	t.hooked = t.fault != nil || t.inj != nil || cfg.InterleaveEvery > 0
 	return t
 }
 
@@ -343,8 +337,8 @@ func (t *Tx) begin() {
 	t.active = true
 	t.accesses = 0
 	t.snapshot = t.m.ClockLoad()
-	t.effReadLines = t.cfg.readLines()
-	t.effWriteLines = t.cfg.writeLines()
+	t.effReadLines = t.cfg.ReadLines
+	t.effWriteLines = t.cfg.WriteLines
 	t.injecting = false
 	t.lastInjected = false
 	t.Stats.Starts++
@@ -414,6 +408,7 @@ func (t *Tx) mustBeActive(op string) {
 
 // onAccess runs the per-access hooks: fault injection (probabilistic and
 // plan-driven) and single-core concurrency virtualization (InterleaveEvery).
+// Read and Write skip the call on a Tx that NewTx found to have none.
 func (t *Tx) onAccess(write bool) {
 	if t.fault != nil && t.fault.Float64() < t.cfg.SpuriousProb {
 		t.abort(Spurious)
@@ -435,7 +430,9 @@ func (t *Tx) onAccess(write bool) {
 // overflow aborts the attempt.
 func (t *Tx) Read(a mem.Addr) uint64 {
 	t.mustBeActive("Read")
-	t.onAccess(false)
+	if t.hooked {
+		t.onAccess(false)
+	}
 	if t.writes.len() > 0 {
 		if v, ok := t.writes.get(a); ok {
 			return v
@@ -449,7 +446,7 @@ func (t *Tx) Read(a mem.Addr) uint64 {
 		t.abort(Conflict)
 	}
 	if t.readLines.len() >= t.effReadLines && !t.readLines.contains(line) {
-		if t.readLines.len() < t.cfg.readLines() {
+		if t.readLines.len() < t.cfg.ReadLines {
 			// The set fits the configured limit: only the injector's
 			// squeeze made this an overflow.
 			t.injectAbort(Capacity)
@@ -464,10 +461,12 @@ func (t *Tx) Read(a mem.Addr) uint64 {
 // until commit; write-set overflow aborts the attempt.
 func (t *Tx) Write(a mem.Addr, v uint64) {
 	t.mustBeActive("Write")
-	t.onAccess(true)
+	if t.hooked {
+		t.onAccess(true)
+	}
 	line := mem.LineOf(a)
 	if t.writeLines.len() >= t.effWriteLines && !t.writeLines.contains(line) {
-		if t.writeLines.len() < t.cfg.writeLines() {
+		if t.writeLines.len() < t.cfg.WriteLines {
 			t.injectAbort(Capacity)
 		}
 		t.abort(Capacity)

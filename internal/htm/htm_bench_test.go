@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"rtle/internal/mem"
@@ -82,5 +83,46 @@ func BenchmarkWriteMapPutReset(b *testing.B) {
 			w.put(mem.Addr(uint64(i)*17+uint64(j)), uint64(j))
 		}
 		w.reset()
+	}
+}
+
+// BenchmarkStoreBesideReaders is the cost the lone BenchmarkStore (and the
+// canonical benchmark's mem.store_ns probe) cannot see: one goroutine loops
+// mem.Store on a line of its own while b.N read-only 16-line transactions
+// run on another. The two touch no simulated line in common, and the spacer
+// keeps their meta words (eight to a host cache line) apart too, so whatever
+// either pays over its solo cost is the simulator's own shared state —
+// DESIGN.md §1.8. ns/op is per transaction; ns/store is the storer's.
+func BenchmarkStoreBesideReaders(b *testing.B) {
+	m := mem.New(1 << 16)
+	base := m.AllocLines(16)
+	m.AllocLines(16)
+	own := m.AllocLines(1)
+	var stop atomic.Bool
+	var stores int
+	begin, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-begin
+		for !stop.Load() {
+			m.Store(own, uint64(stores))
+			stores++
+		}
+	}()
+	tx := NewTx(m, Config{})
+	b.ResetTimer()
+	close(begin)
+	for i := 0; i < b.N; i++ {
+		tx.Run(func(tx *Tx) {
+			for l := 0; l < 16; l++ {
+				tx.Read(base + mem.Addr(l*mem.WordsPerLine))
+			}
+		})
+	}
+	b.StopTimer()
+	stop.Store(true)
+	<-done
+	if stores > 0 { // none on one P, where the storer never gets to run
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(stores), "ns/store")
 	}
 }

@@ -14,7 +14,8 @@ const maxWords = 1<<32 - 1
 // access — so it avoids Go map overhead.
 //
 // Slots hold epoch<<32 | (line+1); a slot belongs to the current
-// generation only if its epoch matches. Line indices are word addresses
+// generation only if its epoch matches (a live epoch is never 0, so a
+// never-written slot fails the same test). Line indices are word addresses
 // divided by the line size, so they fit whenever the heap respects
 // maxWords.
 //
@@ -62,7 +63,7 @@ func (s *lineSet) add(line uint64) bool {
 		if slot == want {
 			return false
 		}
-		if uint32(slot>>32) != s.epoch || slot == 0 {
+		if uint32(slot>>32) != s.epoch {
 			s.slots[i] = want
 			s.members = append(s.members, line)
 			return true
@@ -80,7 +81,7 @@ func (s *lineSet) contains(line uint64) bool {
 		if slot == want {
 			return true
 		}
-		if uint32(slot>>32) != s.epoch || slot == 0 {
+		if uint32(slot>>32) != s.epoch {
 			return false
 		}
 		i = (i + 1) & s.mask
@@ -146,7 +147,7 @@ func (w *writeMap) get(a mem.Addr) (uint64, bool) {
 		if k == want {
 			return w.vals[w.idx[i]], true
 		}
-		if uint32(k>>32) != w.epoch || k == 0 {
+		if uint32(k>>32) != w.epoch {
 			return 0, false
 		}
 		i = (i + 1) & w.mask
@@ -164,7 +165,7 @@ func (w *writeMap) put(a mem.Addr, v uint64) {
 			w.vals[w.idx[i]] = v
 			return
 		}
-		if uint32(k>>32) != w.epoch || k == 0 {
+		if uint32(k>>32) != w.epoch {
 			w.keys[i] = want
 			w.idx[i] = uint32(len(w.vals))
 			w.vals = append(w.vals, v)
@@ -183,11 +184,6 @@ func (w *writeMap) forEachOrdered(fn func(a mem.Addr, v uint64)) {
 	}
 }
 
-// mix is a fast 64-bit finalizer (splitmix64 tail) for slot hashing.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
-}
+// mix is a Fibonacci hash: one multiply by 2^64/φ, upper half kept so every
+// bit of a 32-bit key reaches the index (sets_test.go bounds the probe runs).
+func mix(x uint64) uint64 { return (x * 0x9e3779b97f4a7c15) >> 32 }

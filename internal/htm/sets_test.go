@@ -1,11 +1,13 @@
 package htm
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"rtle/internal/mem"
+	"rtle/internal/rng"
 )
 
 func TestLineSetAddContains(t *testing.T) {
@@ -255,5 +257,106 @@ func TestInterleaveEveryYields(t *testing.T) {
 	}
 	if m.Load(a) != 50 {
 		t.Fatalf("counter = %d", m.Load(a))
+	}
+}
+
+// worstProbe returns the most slots any lookup of a present key inspects in
+// an epoch-tagged table, by the same walk add/contains/get/put make.
+func worstProbe(table []uint64, mask uint64, epoch uint32, keys []uint64) int {
+	worst := 0
+	for _, k := range keys {
+		want := uint64(epoch)<<32 | (k + 1)
+		n := 1
+		for i := mix(k) & mask; table[i] != want; i = (i + 1) & mask {
+			n++
+		}
+		worst = max(worst, n)
+	}
+	return worst
+}
+
+// avlSeedLines returns n distinct node lines of an AVL set seeded with half
+// of 8192 keys: the seed allocates ≈ 4096 one-line nodes back to back, and
+// the lines a body touches are a scattered subset of that range.
+func avlSeedLines(seed uint64, n int) []uint64 {
+	const firstNode, nodes = 34, 4096 // behind the nil line, the set's head and a method's lock/orec lines
+	r := rng.NewXoshiro256(seed)
+	lines := make([]uint64, 0, n)
+	for len(lines) < n {
+		if l := firstNode + r.Uint64n(nodes); !slices.Contains(lines, l) {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// The slot hash is one multiply, not an avalanche: what it must not do is
+// pile allocator-shaped keys — consecutive lines, one word per line, page
+// strides — into long probe runs. 512 keys is the read-set limit, so the
+// lineSet below runs at its worst legal load (1/2). Regular strides must
+// stay nearly collision-free; a scattered subset is bounded by what linear
+// probing itself gives a random placement at that load. The worst walks
+// today are 3 (strided), 13 (scattered lines) and 7 (scattered words).
+const (
+	maxProbesStrided   = 4
+	maxProbesScattered = 16
+)
+
+// stridedKeySets returns 512 keys from each of several bases at each of the
+// strides an allocator produces: words, lines, eight lines, pages.
+func stridedKeySets() map[string][]uint64 {
+	sets := map[string][]uint64{}
+	for _, base := range []uint64{0, 1, 8200, 1 << 20, 123457} {
+		for _, stride := range []uint64{1, 8, 64, 4096} {
+			keys := make([]uint64, 512)
+			for i := range keys {
+				keys[i] = base + uint64(i)*stride
+			}
+			sets[fmt.Sprintf("base %d stride %d", base, stride)] = keys
+		}
+	}
+	return sets
+}
+
+func TestLineSetProbesStayShort(t *testing.T) {
+	check := func(name string, lines []uint64, bound int) {
+		s := newLineSet(DefaultReadLines)
+		for _, l := range lines {
+			s.add(l)
+		}
+		if worst := worstProbe(s.slots, s.mask, s.epoch, lines); worst > bound {
+			t.Errorf("%s: a lookup probed %d slots, bound %d", name, worst, bound)
+		}
+	}
+	for name, lines := range stridedKeySets() {
+		check(name, lines, maxProbesStrided)
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		check(fmt.Sprintf("AVL seed lines, draw %d", seed), avlSeedLines(seed, 512), maxProbesScattered)
+	}
+}
+
+func TestWriteMapProbesStayShort(t *testing.T) {
+	check := func(name string, words []uint64, bound int) {
+		w := newWriteMap(DefaultWriteLines * mem.WordsPerLine)
+		for _, a := range words {
+			w.put(mem.Addr(a), a)
+		}
+		if worst := worstProbe(w.keys, w.mask, w.epoch, words); worst > bound {
+			t.Errorf("%s: a lookup probed %d slots, bound %d", name, worst, bound)
+		}
+	}
+	for name, words := range stridedKeySets() {
+		check(name, words, maxProbesStrided)
+	}
+	// The four fields of each of 128 AVL nodes: the write-line limit.
+	for seed := uint64(1); seed <= 8; seed++ {
+		var words []uint64
+		for _, l := range avlSeedLines(seed, DefaultWriteLines) {
+			for f := uint64(0); f < 4; f++ {
+				words = append(words, l*mem.WordsPerLine+f)
+			}
+		}
+		check(fmt.Sprintf("AVL node fields, draw %d", seed), words, maxProbesScattered)
 	}
 }

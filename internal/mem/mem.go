@@ -54,11 +54,18 @@ const Nil Addr = 0
 
 // Memory is a simulated shared heap. All methods are safe for concurrent
 // use. The zero value is not usable; call New.
+//
+// Every access by every thread loads the slice headers; every Store, CAS,
+// FetchAdd and writing commit bumps the clock, every Alloc the cursor. In
+// one 64-byte host cache line, each plain store cost every other thread a
+// miss on its next access: a line of padding keeps the three apart.
 type Memory struct {
 	words []atomic.Uint64
 	meta  []atomic.Uint64 // per line: version<<1 | lockbit
-	clock atomic.Uint64   // global version clock
-	next  atomic.Uint64   // bump-allocation cursor (in words)
+	_     [64]byte
+	clock atomic.Uint64 // global version clock
+	_     [64]byte
+	next  atomic.Uint64 // bump-allocation cursor (in words)
 }
 
 // New returns a Memory with capacity for at least words 64-bit words,

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewReservesNilLine(t *testing.T) {
@@ -316,5 +317,37 @@ func TestQuickVersionMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClockDoesNotShareALineWithHeaders pins Memory's layout: the slice
+// headers every access loads, the clock every plain store and writing
+// commit bumps, and the cursor every Alloc bumps sit in pairwise different
+// 64-byte blocks, so a writer of one never invalidates the host cache line
+// a reader of another holds.
+func TestClockDoesNotShareALineWithHeaders(t *testing.T) {
+	const line = 64 // host cache line, spelled out so the test does not lean on the layout's own constant
+	var m Memory
+	blocks := map[string]uintptr{
+		"words": unsafe.Offsetof(m.words) / line,
+		"meta":  (unsafe.Offsetof(m.meta) + unsafe.Sizeof(m.meta) - 1) / line,
+		"clock": unsafe.Offsetof(m.clock) / line,
+		"next":  unsafe.Offsetof(m.next) / line,
+	}
+	if blocks["words"] != blocks["meta"] {
+		t.Errorf("the two slice headers span blocks %d..%d; every access would load two lines", blocks["words"], blocks["meta"])
+	}
+	for _, pair := range [][2]string{{"clock", "words"}, {"clock", "meta"}, {"next", "words"}, {"next", "meta"}, {"clock", "next"}} {
+		if blocks[pair[0]] == blocks[pair[1]] {
+			t.Errorf("%s and %s share 64-byte block %d of Memory", pair[0], pair[1], blocks[pair[0]])
+		}
+	}
+	// Blocks are relative to the struct's start, which the allocator need
+	// not align to a line: a whole line of distance holds at any alignment.
+	if d := unsafe.Offsetof(m.clock) - (unsafe.Offsetof(m.meta) + unsafe.Sizeof(m.meta)); d < line {
+		t.Errorf("clock starts %d bytes after the headers end, want >= %d", d, line)
+	}
+	if d := unsafe.Offsetof(m.next) - (unsafe.Offsetof(m.clock) + unsafe.Sizeof(m.clock)); d < line {
+		t.Errorf("next starts %d bytes after the clock ends, want >= %d", d, line)
 	}
 }

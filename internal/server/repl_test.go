@@ -451,3 +451,33 @@ func TestFailoverUnderLoad(t *testing.T) {
 	t.Logf("failover run: ops=%d cut=%d notPrimaryRetries=%d reconnects=%d window=%v",
 		res.Ops, res.Cut, res.NotPrimaryRetries, res.Reconnects, res.FailoverWindow)
 }
+
+// TestReplicaCloseRacesFirstDial closes replicas while their runner is
+// somewhere between dialling the primary and following the stream. Close
+// severs only a connection the runner has already published, so a runner
+// that publishes after that must notice the stop itself; before it did,
+// Close waited forever on a runner blocked reading a live stream (a fifth
+// of lone TestErrNotPrimaryTyped runs hung in their cleanup).
+func TestReplicaCloseRacesFirstDial(t *testing.T) {
+	_, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, Repl: true})
+	for i := 0; i < 40; i++ {
+		srv, err := New(Config{Workload: "map", Keys: 32, ReplicaOf: pAddr, Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.Listen(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(i%8) * 250 * time.Microsecond) // sweep the dial window
+		closed := make(chan struct{})
+		go func() {
+			_ = srv.Close() // the listener never served; only the hang matters
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("replica %d: Close did not return", i)
+		}
+	}
+}

@@ -126,6 +126,13 @@ func (s *Server) followStream(nc net.Conn, fr *frameReader) {
 	r := s.repl
 	r.setConn(nc)
 	defer r.setConn(nil)
+	// shutdownRunner closes stop before it severs the published conn: a
+	// shutdown that found none published yet is visible here.
+	select {
+	case <-r.stop:
+		return
+	default:
+	}
 	bw := bufio.NewWriterSize(nc, 1<<12)
 	br, _ := fr.r.(*bufio.Reader)
 	var sr *snap.Reader
