@@ -1,0 +1,220 @@
+package check
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"rtle/internal/core"
+	"rtle/internal/guard"
+	"rtle/internal/harness"
+	"rtle/internal/mem"
+	"rtle/internal/obs"
+	"rtle/internal/spinlock"
+)
+
+// pathCounts is the per-path accounting one section leaves behind.
+type pathCounts struct {
+	FastAttempts, FastAborts, SubscriptionAborts, FastCommits uint64
+	SlowAttempts, SlowAborts, SlowCommits                     uint64
+	LockRuns                                                  uint64
+}
+
+func countsOf(s core.Stats) pathCounts {
+	c := pathCounts{
+		FastAttempts: s.FastAttempts, SubscriptionAborts: s.SubscriptionAborts, FastCommits: s.FastCommits,
+		SlowAttempts: s.SlowAttempts, SlowCommits: s.SlowCommits, LockRuns: s.LockRuns,
+	}
+	for i := range s.FastAborts {
+		c.FastAborts += s.FastAborts[i]
+		c.SlowAborts += s.SlowAborts[i]
+	}
+	return c
+}
+
+// elider is one way into Figure 1's loop: a method's Thread or a guard's
+// entry point, with the means to sit in its lock from outside.
+type elider struct {
+	run     func(body func(core.Context))
+	hold    func()
+	release func()
+	// stats are the section's counters; a guard's exclude the bracket
+	// section that played the holder.
+	stats func() core.Stats
+}
+
+// behaviour groups the entry points by what Figure 1 makes them do.
+type behaviour int
+
+const (
+	waits    behaviour = iota // no slow path: TLE and the two Do forms
+	refined                   // commits on the slow path beside a holder
+	hardware                  // HLE: one attempt, no look at the lock first
+)
+
+const conformanceBudget = 3
+
+// conformanceEntries lists every instantiation of the two loops.
+var conformanceEntries = []struct {
+	name  string
+	class behaviour
+}{
+	{"TLE", waits},
+	{"HLE", hardware},
+	{"RW-TLE", refined},
+	{"FG-TLE(16)", refined},
+	{"FG-TLE(adaptive)", refined},
+	{"Mutex.Do", waits},
+	{"RWMutex.Do", waits},
+	{"RWMutex.RDo", refined},
+}
+
+func buildElider(t *testing.T, name string, m *mem.Memory, p core.Policy) elider {
+	t.Helper()
+	gcfg := guard.Config{Policy: p, Retreat: guard.RetreatConfig{Disable: true}}
+	bracket := func(g interface {
+		Lock()
+		Unlock()
+		Stats() core.Stats
+	}, run func(func(core.Context))) elider {
+		held := uint64(0)
+		return elider{
+			run:     run,
+			hold:    func() { g.Lock(); held++ },
+			release: g.Unlock,
+			stats: func() core.Stats {
+				s := g.Stats()
+				s.LockRuns -= held
+				s.Ops -= held
+				return s
+			},
+		}
+	}
+	switch name {
+	case "Mutex.Do":
+		g := guard.NewMutex(m, gcfg)
+		return bracket(g, g.Do)
+	case "RWMutex.Do":
+		g := guard.NewRWMutex(m, gcfg)
+		return bracket(g, g.Do)
+	case "RWMutex.RDo":
+		g := guard.NewRWMutex(m, gcfg)
+		return bracket(g, g.RDo)
+	}
+	method, err := harness.BuildMethod(name, m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := method.(interface{ Lock() *spinlock.Lock }).Lock()
+	th := method.NewThread()
+	return elider{
+		run:     th.Atomic,
+		hold:    lock.Acquire,
+		release: lock.Release,
+		stats:   func() core.Stats { return *th.Stats() },
+	}
+}
+
+// TestAccountingConformance runs the same scripted sections through every
+// instantiation of Figure 1's loop — the five elision methods (one loop in
+// internal/core) and the three guard entry points (one loop in
+// internal/guard) — and requires the per-path accounting the table states.
+// Entries of one behaviour class must agree to the counter; the classes
+// differ only where the paper says the algorithms do.
+func TestAccountingConformance(t *testing.T) {
+	const budget = conformanceBudget
+	scenarios := []struct {
+		name string
+		// aborts is how many hardware executions of the body hit an
+		// HTM-unfriendly instruction before one is allowed through; -1
+		// means every one.
+		aborts int
+		// held runs the section while another party sits in the lock
+		// without writing.
+		held bool
+		want map[behaviour]pathCounts
+	}{
+		{"commits first try", 0, false, map[behaviour]pathCounts{
+			waits:    {FastAttempts: 1, FastCommits: 1},
+			refined:  {FastAttempts: 1, FastCommits: 1},
+			hardware: {FastAttempts: 1, FastCommits: 1},
+		}},
+		{"aborts twice then commits", 2, false, map[behaviour]pathCounts{
+			waits:    {FastAttempts: 3, FastAborts: 2, FastCommits: 1},
+			refined:  {FastAttempts: 3, FastAborts: 2, FastCommits: 1},
+			hardware: {FastAttempts: 1, FastAborts: 1, LockRuns: 1},
+		}},
+		{"exhausts the budget", -1, false, map[behaviour]pathCounts{
+			waits:    {FastAttempts: budget, FastAborts: budget, LockRuns: 1},
+			refined:  {FastAttempts: budget, FastAborts: budget, LockRuns: 1},
+			hardware: {FastAttempts: 1, FastAborts: 1, LockRuns: 1},
+		}},
+		{"beside a holder", 0, true, map[behaviour]pathCounts{
+			// Waits out the holder, then elides: never a doomed attempt.
+			waits: {FastAttempts: 1, FastCommits: 1},
+			// Completes while the holder is still in the lock.
+			refined: {SlowAttempts: 1, SlowCommits: 1},
+			// Begins regardless, aborts on the subscription, queues up.
+			hardware: {FastAttempts: 1, FastAborts: 1, SubscriptionAborts: 1, LockRuns: 1},
+		}},
+	}
+	for _, e := range conformanceEntries {
+		for _, sc := range scenarios {
+			t.Run(e.name+"/"+sc.name, func(t *testing.T) {
+				m := mem.New(1 << 16)
+				reg := obs.NewRegistry(obs.Config{})
+				el := buildElider(t, e.name, m, core.Policy{Attempts: budget, Observer: reg})
+				word := m.AllocLines(1)
+				m.Store(word, 42)
+
+				executions, got := 0, uint64(0)
+				body := func(c core.Context) {
+					if c.InHTM() && (sc.aborts < 0 || executions < sc.aborts) {
+						executions++
+						c.Unsupported()
+					}
+					got = c.Read(word)
+				}
+				switch {
+				case !sc.held:
+					el.run(body)
+				case e.class == refined:
+					// Same goroutine: the section must finish beside the
+					// holder or the test hangs.
+					el.hold()
+					el.run(body)
+					el.release()
+				default:
+					el.hold()
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						el.run(body)
+					}()
+					if e.class == hardware {
+						// Release only once the doomed attempt has aborted.
+						for reg.Snapshot().Stats.SubscriptionAborts == 0 {
+							runtime.Gosched()
+						}
+					} else {
+						// A waiter shows nothing while it waits; give it
+						// time to reach the lock. The counts hold either way.
+						time.Sleep(time.Millisecond)
+					}
+					el.release()
+					<-done
+				}
+				if got != 42 {
+					t.Fatalf("section read %d, want 42", got)
+				}
+				s := el.stats()
+				if s.Ops != 1 {
+					t.Errorf("Ops = %d, want 1", s.Ops)
+				}
+				if c, want := countsOf(s), sc.want[e.class]; c != want {
+					t.Errorf("accounting\n got  %+v\n want %+v", c, want)
+				}
+			})
+		}
+	}
+}

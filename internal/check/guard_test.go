@@ -42,7 +42,10 @@ func TestGuardWorkloadsLinearizable(t *testing.T) {
 
 // TestGuardLinearizableUnderFaults repeats the sweep under seeded fault
 // plans: spurious aborts, capacity squeezes, and lock-acquisition spikes
-// must never let a guarded section observe or publish a torn state.
+// must never let a guarded section observe or publish a torn state. The
+// spikes stretch reader-held sections too (RDo's fallback and RLock fire
+// the hook), so writers draining readers and write sections subscribed to
+// the reader count meet a stalled reader here.
 func TestGuardLinearizableUnderFaults(t *testing.T) {
 	seeds := chaosSeeds(t)
 	var injectedTotal uint64

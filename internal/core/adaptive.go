@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
-	"rtle/internal/wanghash"
 )
 
 // AdaptiveConfig tunes AdaptiveFGTLE. The zero value selects defaults.
@@ -75,16 +73,12 @@ const (
 // enabled but no slow-path commits, the method switches to TLE mode; it
 // probes back to FG-TLE mode a window later.
 type AdaptiveFGTLE struct {
-	m      *mem.Memory
-	lock   *spinlock.Lock
-	policy Policy
-	cfg    AdaptiveConfig
+	elision
+	orecTable
+	cfg AdaptiveConfig
 
-	epochAddr mem.Addr //rtle:meta
-	sizeAddr  mem.Addr //rtle:meta
-	modeAddr  mem.Addr //rtle:meta
-	rOrecs    mem.Addr //rtle:meta
-	wOrecs    mem.Addr //rtle:meta
+	sizeAddr mem.Addr //rtle:meta
+	modeAddr mem.Addr //rtle:meta
 
 	// Adaptation state, mutated only while holding the lock.
 	windowRuns  uint64 //rtle:meta
@@ -136,29 +130,21 @@ func NewAdaptiveFGTLE(m *mem.Memory, policy Policy, cfg AdaptiveConfig) *Adaptiv
 		panic(fmt.Sprintf("core: adaptive orec bounds [%d, %d] must be powers of two with min <= max", minN, maxN))
 	}
 	a := &AdaptiveFGTLE{
-		m:           m,
-		lock:        spinlock.New(m),
-		policy:      policy,
+		elision:     elision{m, spinlock.New(m), policy},
+		orecTable:   newOrecTable(m, int(maxN)),
 		cfg:         cfg,
 		slowCommits: &counterSet{},
 	}
-	a.epochAddr = m.AllocLines(1)
-	m.Store(a.epochAddr, 1)
 	ctl := m.AllocLines(1)
 	a.sizeAddr = ctl
 	a.modeAddr = ctl + 1
 	m.Store(a.sizeAddr, maxN)
 	m.Store(a.modeAddr, modeFG)
-	a.rOrecs = m.AllocAligned(int(maxN))
-	a.wOrecs = m.AllocAligned(int(maxN))
 	return a
 }
 
 // Name implements Method.
 func (a *AdaptiveFGTLE) Name() string { return "FG-TLE(adaptive)" }
-
-// Lock exposes the underlying lock.
-func (a *AdaptiveFGTLE) Lock() *spinlock.Lock { return a.lock }
 
 // CurrentOrecs returns the live orec-array size (racy probe, for tests and
 // reports).
@@ -169,48 +155,37 @@ func (a *AdaptiveFGTLE) InTLEMode() bool { return a.m.Load(a.modeAddr) == modeTL
 
 // NewThread implements Method.
 func (a *AdaptiveFGTLE) NewThread() Thread {
-	t := &adaptiveThread{method: a, slot: a.slowCommits.add()}
-	t.refinedThread = refinedThread{
-		m:        a.m,
-		lock:     a.lock,
-		policy:   a.policy,
-		pacer:    &Pacer{Every: a.policy.HTM.InterleaveEvery},
-		attempts: attemptPolicyFor(a.policy),
-		tx:       htm.NewTx(a.m, a.policy.HTM),
-		rec:      NewRecorder(a.policy, a.Name()),
+	t := &adaptiveThread{
+		fgtleThread: newFGThread(a.exec(a.Name()), a.orecTable, a.cfg.max()),
+		method:      a,
+		slot:        a.slowCommits.add(),
 	}
 	t.slowAttempt = t.runSlow
-	t.lockRun = t.runUnderLock
+	t.underLock = t.lockSection
 	return t
 }
 
+// adaptiveThread is an FG-TLE thread whose orec count is live: slow-path
+// transactions read it (and the mode) transactionally, the holder re-reads
+// it under the lock.
 type adaptiveThread struct {
-	refinedThread
+	fgtleThread
 	method *AdaptiveFGTLE
 	slot   *paddedCounter
-
-	seq   uint64 //rtle:meta
-	size  uint64 //rtle:meta
-	uniqR uint64 //rtle:meta
-	uniqW uint64 //rtle:meta
 }
 
-// runSlow mirrors fgtleThread.runSlow but additionally reads the mode flag
-// and the live orec count inside the transaction, subscribing to both.
+// runSlow is fgtleThread.runSlow with the mode flag and the live orec count
+// read inside the transaction, subscribing to both.
 //
 //rtle:slowpath
 func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 	a := t.method
-	// The raw load is the algorithm: the snapshot must predate the
-	// transaction so the epoch line stays out of the read set.
-	//rtle:ignore barrierdiscipline pre-transaction epoch snapshot (Figure 3 local_seq_number)
-	localSeq := t.m.Load(a.epochAddr)
-	reason := t.tx.Run(func(tx *htm.Tx) {
+	localSeq := t.epochSnapshot()
+	reason := t.Tx.Run(func(tx *htm.Tx) {
 		if tx.Read(a.modeAddr) != modeFG {
 			tx.Abort() // TLE mode: no slow-path speculation
 		}
-		size := tx.Read(a.sizeAddr)
-		body(adaptiveSlowCtx{method: a, tx: tx, localSeq: localSeq, size: size})
+		body(fgSlowCtx{&t.fgtleThread, localSeq, tx.Read(a.sizeAddr)})
 		t.lazySubscribe(tx)
 	})
 	if reason == htm.None {
@@ -220,33 +195,20 @@ func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 }
 
 //rtle:lockpath
-func (t *adaptiveThread) runUnderLock(body func(Context)) {
+func (t *adaptiveThread) lockSection(body func(Context)) {
 	a := t.method
-	t.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	m := t.m
-
 	t.adapt()
-
-	t.size = m.Load(a.sizeAddr)
-	mode := m.Load(a.modeAddr)
-	t.seq = m.Load(a.epochAddr) + 1
-	if mode == modeFG {
-		m.Store(a.epochAddr, t.seq)
-		t.uniqR, t.uniqW = 0, 0
-		body(adaptiveLockCtx{t})
-		m.Store(a.epochAddr, t.seq+1)
+	t.size = t.m.Load(a.sizeAddr)
+	if t.m.Load(a.modeAddr) == modeFG {
+		t.fgtleThread.lockSection(body)
 		a.usageSum += t.uniqR + t.uniqW
 		if t.uniqR >= t.size && t.uniqW >= t.size {
 			a.saturations++
 		}
 	} else {
-		body(lockPathCtx(m, t.pacer)) // TLE mode: uninstrumented
+		body(t.LockCtx()) // TLE mode: uninstrumented
 	}
 	a.windowRuns++
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	t.lock.Release()
 }
 
 // adapt runs the adaptation policy. Called with the lock held, before the
@@ -270,97 +232,25 @@ func (t *adaptiveThread) adapt() {
 			// A full window of lock-path executions with zero
 			// slow-path commits: instrumentation is pure overhead.
 			m.Store(a.modeAddr, modeTLE)
-			t.rec.ModeSwitch()
+			t.Rec.ModeSwitch()
 		case a.windowRuns > 0 && a.usageSum/a.windowRuns*4 <= size && size > a.cfg.min():
 			// Most orecs never used: shrink so the saturation
 			// optimization kicks in sooner (the paper's hint).
 			m.Store(a.sizeAddr, size/2)
-			t.rec.Resize()
+			t.Rec.Resize()
 		case a.saturations*2 >= a.windowRuns && size < a.cfg.max():
 			// Critical sections keep acquiring every orec while
 			// speculation continues: refine the granularity.
 			m.Store(a.sizeAddr, size*2)
-			t.rec.Resize()
+			t.Rec.Resize()
 		}
 	} else {
 		// Probe back into FG-TLE mode each window; if speculation
 		// still yields nothing, adapt will switch away again.
 		m.Store(a.modeAddr, modeFG)
-		t.rec.ModeSwitch()
+		t.Rec.ModeSwitch()
 	}
 
 	a.windowRuns, a.usageSum, a.saturations = 0, 0, 0
 	a.slowBase = slowNow
 }
-
-// adaptiveSlowCtx is fgSlowCtx with the transactionally-read orec count.
-type adaptiveSlowCtx struct {
-	method   *AdaptiveFGTLE
-	tx       *htm.Tx
-	localSeq uint64
-	size     uint64
-}
-
-//rtle:slowpath
-func (c adaptiveSlowCtx) Read(a mem.Addr) uint64 {
-	f := c.method
-	idx := wanghash.Hash(uint64(a), c.size)
-	if c.tx.Read(f.wOrecs+mem.Addr(idx)) >= c.localSeq {
-		c.tx.Abort()
-	}
-	return c.tx.Read(a)
-}
-
-//rtle:slowpath
-func (c adaptiveSlowCtx) Write(a mem.Addr, v uint64) {
-	f := c.method
-	idx := wanghash.Hash(uint64(a), c.size)
-	if c.tx.Read(f.rOrecs+mem.Addr(idx)) >= c.localSeq ||
-		c.tx.Read(f.wOrecs+mem.Addr(idx)) >= c.localSeq {
-		c.tx.Abort()
-	}
-	c.tx.Write(a, v)
-}
-
-func (c adaptiveSlowCtx) InHTM() bool  { return true }
-func (c adaptiveSlowCtx) Unsupported() { c.tx.Unsupported() }
-
-// adaptiveLockCtx is fgLockCtx against the live orec count.
-type adaptiveLockCtx struct {
-	t *adaptiveThread
-}
-
-//rtle:lockpath
-func (c adaptiveLockCtx) Read(a mem.Addr) uint64 {
-	t := c.t
-	t.pacer.Tick()
-	f := t.method
-	if t.uniqR < t.size {
-		idx := wanghash.Hash(uint64(a), t.size)
-		oa := f.rOrecs + mem.Addr(idx)
-		if t.m.Load(oa) < t.seq {
-			t.m.Store(oa, t.seq)
-			t.uniqR++
-		}
-	}
-	return t.m.Load(a)
-}
-
-//rtle:lockpath
-func (c adaptiveLockCtx) Write(a mem.Addr, v uint64) {
-	t := c.t
-	t.pacer.Tick()
-	f := t.method
-	if t.uniqW < t.size {
-		idx := wanghash.Hash(uint64(a), t.size)
-		oa := f.wOrecs + mem.Addr(idx)
-		if t.m.Load(oa) < t.seq {
-			t.m.Store(oa, t.seq)
-			t.uniqW++
-		}
-	}
-	t.m.Store(a, v)
-}
-
-func (c adaptiveLockCtx) InHTM() bool  { return false }
-func (c adaptiveLockCtx) Unsupported() {}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -36,9 +35,7 @@ import (
 // phase counter, so a beginning software section aborts in-flight fast
 // transactions once (the analogue of ALE's synchronized phase start).
 type ALEMethod struct {
-	m      *mem.Memory
-	lock   *spinlock.Lock
-	policy Policy
+	elision
 
 	seqAddr     mem.Addr //rtle:meta software-phase counter (bumped by each sw section)
 	blockedAddr mem.Addr //rtle:meta halts the fast path during pessimistic write-back
@@ -54,12 +51,7 @@ func NewALE(m *mem.Memory, orecs int, policy Policy) *ALEMethod {
 	if orecs < 1 || orecs > 1<<20 || orecs&(orecs-1) != 0 {
 		panic(fmt.Sprintf("core: ALE orec count %d is not a power of two in [1, 2^20]", orecs))
 	}
-	a := &ALEMethod{
-		m:      m,
-		lock:   spinlock.New(m),
-		policy: policy,
-		norecs: uint64(orecs),
-	}
+	a := &ALEMethod{elision: elision{m, spinlock.New(m), policy}, norecs: uint64(orecs)}
 	line := m.AllocLines(1)
 	a.seqAddr = line
 	a.blockedAddr = line + 1
@@ -71,27 +63,17 @@ func NewALE(m *mem.Memory, orecs int, policy Policy) *ALEMethod {
 // Name implements Method.
 func (a *ALEMethod) Name() string { return fmt.Sprintf("ALE(%d)", a.norecs) }
 
-// Lock exposes the underlying lock.
-func (a *ALEMethod) Lock() *spinlock.Lock { return a.lock }
-
 // NewThread implements Method.
 func (a *ALEMethod) NewThread() Thread {
-	return &aleThread{
-		method:   a,
-		tx:       htm.NewTx(a.m, a.policy.HTM),
-		pacer:    &Pacer{Every: a.policy.HTM.InterleaveEvery},
-		attempts: attemptPolicyFor(a.policy),
-		writeMap: map[mem.Addr]uint64{},
-		rec:      NewRecorder(a.policy, a.Name()),
-	}
+	return &aleThread{Exec: a.exec(a.Name()), method: a, writeMap: map[mem.Addr]uint64{}}
 }
 
+// aleThread keeps a loop of its own: its fast path is the instrumented one
+// and it never waits on the lock, so sharing refinedThread's loop would make
+// that loop branch on ALE.
 type aleThread struct {
-	method   *ALEMethod
-	tx       *htm.Tx
-	pacer    *Pacer
-	attempts AttemptPolicy
-	rec      Recorder
+	Exec
+	method *ALEMethod
 
 	// Software-section state.
 	swSeq      uint64              //rtle:meta phase counter value of this section
@@ -102,16 +84,14 @@ type aleThread struct {
 	writeOrder []mem.Addr          //rtle:meta
 }
 
-func (t *aleThread) Stats() *Stats { return t.rec.Stats() }
-
 func (t *aleThread) Atomic(body func(Context)) {
-	t0 := t.rec.Begin()
+	t0 := t.Rec.Begin()
 	a := t.method
 	attempts := 0
-	budget := t.attempts.Budget()
+	budget := t.Attempts.Budget()
 	for attempts < budget {
-		t.rec.FastAttempt()
-		reason := t.tx.Run(func(tx *htm.Tx) {
+		t.Rec.FastAttempt()
+		reason := t.Tx.Run(func(tx *htm.Tx) {
 			// Subscribe to the blocked flag (pessimistic write-back
 			// halts us) and the phase counter (a beginning software
 			// section invalidates our orec stamps).
@@ -122,16 +102,16 @@ func (t *aleThread) Atomic(body func(Context)) {
 			body(aleFastCtx{method: a, tx: tx, seq: seq})
 		})
 		if reason == htm.None {
-			t.rec.FastCommit(t0)
-			t.attempts.Record(attempts, true)
+			t.Rec.FastCommit(t0)
+			t.Attempts.Record(attempts, true)
 			return
 		}
-		t.rec.FastAbort(reason, false, t.tx.LastAbortInjected())
+		t.FastAborted(reason)
 		attempts++
 	}
-	t.attempts.Record(attempts, false)
+	t.Attempts.Record(attempts, false)
 	t.software(body)
-	t.rec.LockCommit(t0)
+	t.Rec.LockCommit(t0)
 }
 
 // software runs the critical section as the single software thread, under
@@ -139,18 +119,11 @@ func (t *aleThread) Atomic(body func(Context)) {
 //
 //rtle:lockpath
 func (t *aleThread) software(body func(Context)) {
-	a := t.method
-	a.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	for {
-		if t.attemptSoftware(body) {
-			break
-		}
-		t.rec.STMAbort()
+	start := t.AcquireLock()
+	for !t.attemptSoftware(body) {
+		t.Rec.STMAbort()
 	}
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	a.lock.Release()
+	t.ReleaseLock(start)
 }
 
 type aleAbort struct{}
@@ -172,7 +145,7 @@ func (t *aleThread) attemptSoftware(body func(Context)) (ok bool) {
 	t.readVals = t.readVals[:0]
 	clear(t.writeMap)
 	t.writeOrder = t.writeOrder[:0]
-	t.rec.STMStart()
+	t.Rec.STMStart()
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -202,12 +175,12 @@ func (t *aleThread) writeBack() bool {
 		// ALE software sections are dual-booked: a lock run (the Op,
 		// recorded by Atomic) plus the STM commit bucket of the
 		// write-back, hence the extraCommit here and below.
-		t.rec.ExtraCommit(CommitSTMRO)
+		t.Rec.ExtraCommit(CommitSTMRO)
 		return true
 	}
 	valid := true
-	for i := 0; i < t.method.policyAttempts(); i++ {
-		reason := t.tx.Run(func(tx *htm.Tx) {
+	for i := 0; i < a.policy.attempts(); i++ {
+		reason := t.Tx.Run(func(tx *htm.Tx) {
 			// Every logged read is a pre-write observation and must
 			// still hold — including reads of addresses this section
 			// later wrote (read-modify-writes).
@@ -222,7 +195,7 @@ func (t *aleThread) writeBack() bool {
 			}
 		})
 		if reason == htm.None {
-			t.rec.ExtraCommit(CommitSTMHTM)
+			t.Rec.ExtraCommit(CommitSTMHTM)
 			return true
 		}
 		if !valid {
@@ -240,11 +213,9 @@ func (t *aleThread) writeBack() bool {
 	for _, addr := range t.writeOrder {
 		m.Store(addr, t.writeMap[addr])
 	}
-	t.rec.ExtraCommit(CommitSTMLock)
+	t.Rec.ExtraCommit(CommitSTMLock)
 	return true
 }
-
-func (a *ALEMethod) policyAttempts() int { return a.policy.attempts() }
 
 func (a *ALEMethod) orecOf(addr mem.Addr) mem.Addr {
 	return a.orecs + mem.Addr(wanghash.Hash(uint64(addr), a.norecs))

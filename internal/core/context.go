@@ -64,17 +64,3 @@ func lockPathCtx(m *mem.Memory, p *Pacer) Context {
 	}
 	return directCtx{m}
 }
-
-// HTMContext returns the uninstrumented fast-path Context over a live
-// hardware transaction: every access becomes a Tx.Read/Tx.Write barrier.
-// It exists for execution layers built outside this package (the elision
-// guards in internal/guard) that run the TLE control flow themselves; the
-// caller owns the transaction lifecycle and must only use the Context
-// inside tx.Run.
-func HTMContext(tx *htm.Tx) Context { return htmCtx{tx} }
-
-// LockContext returns the uninstrumented pessimistic-path Context a
-// lock-holding section runs against, paced when p enables concurrency
-// virtualization. Like HTMContext, it exports the lock-path half of the
-// execution model to external layers such as internal/guard.
-func LockContext(m *mem.Memory, p *Pacer) Context { return lockPathCtx(m, p) }

@@ -16,6 +16,20 @@
 // counters, orec bookkeeping, transaction contexts), each worker goroutine
 // obtains its own Thread via Method.NewThread and calls Atomic on it.
 //
+// # One loop, one copy of each barrier set
+//
+// Figure 1's control flow — fast HTM with the lock subscribed, instrumented
+// slow HTM beside the holder, the lock — is written once, as
+// refinedThread.Atomic. The elision methods are configurations of it: TLE
+// sets neither hook (no slow path means "wait until the lock is free"), HLE
+// is TLE with a budget of one that does not look at the lock first, RW-TLE
+// plugs in WriteFlag (§3's protocol, also held by guard.RWMutex), and both
+// FG-TLE flavours plug in fgtleThread's orec barriers (§4), which read
+// their orec count live. The per-thread state all of them — and the guards
+// — run on is Exec, whose AcquireLock/ReleaseLock pair is the one bracket
+// around every lock-held section. ALE keeps its own loop: its fast path is
+// the instrumented one and it never waits on the lock.
+//
 // # Contract for critical-section bodies
 //
 // Real HTM rolls back registers and stack on abort; a simulation cannot

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
@@ -371,5 +372,16 @@ func TestMethodsShareNothing(t *testing.T) {
 	m2 := core.NewTLE(m, core.Policy{})
 	if m1.Lock().Addr() == m2.Lock().Addr() {
 		t.Fatal("two method instances share a lock word")
+	}
+}
+
+// TestExecCountersStartALineIn pins the padding in front of Exec: threads are
+// allocated back to back in size classes that are not multiples of the cache
+// line, and only a full line between one allocation's end and the next Exec's
+// first live field keeps a thread's counters off the line its neighbour's
+// tail is written on.
+func TestExecCountersStartALineIn(t *testing.T) {
+	if off := unsafe.Offsetof(core.Exec{}.Tx); off < 64 {
+		t.Fatalf("Exec's first live field is %d bytes in; it must be at least a 64-byte cache line", off)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -29,141 +28,141 @@ import (
 // The orec count is the tuning knob the paper sweeps (FG-TLE(1) ...
 // FG-TLE(8192)).
 type FGTLEMethod struct {
-	m      *mem.Memory
-	lock   *spinlock.Lock
-	policy Policy
+	elision
+	orecTable
+	orecs uint64
+}
 
+// orecTable locates §4's conflict-detection metadata in the heap: the epoch
+// word and the read and write orec arrays. FG-TLE(n) uses all n orecs of
+// each array; adaptive FG-TLE a live-sized prefix.
+type orecTable struct {
 	epochAddr mem.Addr //rtle:meta
 	rOrecs    mem.Addr //rtle:meta
 	wOrecs    mem.Addr //rtle:meta
-	orecs     uint64
+}
+
+//rtle:init
+func newOrecTable(m *mem.Memory, orecs int) orecTable {
+	var o orecTable
+	o.epochAddr = m.AllocLines(1)
+	// Epoch starts at 1 so that zero-initialized orecs read as unowned
+	// (orec < snapshot) from the very first transaction.
+	m.Store(o.epochAddr, 1)
+	o.rOrecs = m.AllocAligned(orecs)
+	o.wOrecs = m.AllocAligned(orecs)
+	return o
 }
 
 // NewFGTLE returns an FG-TLE method over m with orecs ownership records per
 // array. orecs must be a power of two between 1 and 1<<20.
-//
-//rtle:init
 func NewFGTLE(m *mem.Memory, orecs int, policy Policy) *FGTLEMethod {
 	if orecs < 1 || orecs > 1<<20 || orecs&(orecs-1) != 0 {
 		panic(fmt.Sprintf("core: FG-TLE orec count %d is not a power of two in [1, 2^20]", orecs))
 	}
-	f := &FGTLEMethod{
-		m:      m,
-		lock:   spinlock.New(m),
-		policy: policy,
-		orecs:  uint64(orecs),
-	}
-	f.epochAddr = m.AllocLines(1)
-	// Epoch starts at 1 so that zero-initialized orecs read as unowned
-	// (orec < snapshot) from the very first transaction.
-	m.Store(f.epochAddr, 1)
-	f.rOrecs = m.AllocAligned(orecs)
-	f.wOrecs = m.AllocAligned(orecs)
-	return f
+	return &FGTLEMethod{elision{m, spinlock.New(m), policy}, newOrecTable(m, orecs), uint64(orecs)}
 }
 
 // Name implements Method.
 func (f *FGTLEMethod) Name() string { return fmt.Sprintf("FG-TLE(%d)", f.orecs) }
-
-// Lock exposes the underlying lock.
-func (f *FGTLEMethod) Lock() *spinlock.Lock { return f.lock }
 
 // Orecs returns the orec-array size.
 func (f *FGTLEMethod) Orecs() int { return int(f.orecs) }
 
 // NewThread implements Method.
 func (f *FGTLEMethod) NewThread() Thread {
-	t := &fgtleThread{method: f}
-	t.refinedThread = refinedThread{
-		m:        f.m,
-		lock:     f.lock,
-		policy:   f.policy,
-		pacer:    &Pacer{Every: f.policy.HTM.InterleaveEvery},
-		attempts: attemptPolicyFor(f.policy),
-		tx:       htm.NewTx(f.m, f.policy.HTM),
-		rec:      NewRecorder(f.policy, f.Name()),
-	}
+	t := newFGThread(f.exec(f.Name()), f.orecTable, f.orecs)
 	t.slowAttempt = t.runSlow
-	t.lockRun = t.runUnderLock
-	return t
+	t.underLock = t.lockSection
+	return &t
 }
 
+// fgtleThread carries §4's barriers for both FG-TLE flavours: they differ
+// only in where the orec count comes from.
 type fgtleThread struct {
 	refinedThread
-	method *FGTLEMethod
+	orecTable
 
 	// Lock-holder state for the current critical section.
 	seq   uint64 //rtle:meta epoch stamped into acquired orecs
+	size  uint64 //rtle:meta orec count: fixed for FG-TLE(n), re-read under the lock by adaptive FG-TLE
 	uniqR uint64 //rtle:meta distinct read orecs acquired so far (Figure 3's uniq_r_orecs)
 	uniqW uint64 //rtle:meta distinct write orecs acquired so far
 }
 
-// runSlow is one instrumented slow-path attempt. The epoch snapshot is
-// taken before the transaction begins (local_seq_number in Figure 3), so
-// the epoch line itself is not subscribed and the lock release does not
-// abort slow-path transactions.
+func newFGThread(e Exec, o orecTable, size uint64) fgtleThread {
+	return fgtleThread{refinedThread: refinedThread{Exec: e}, orecTable: o, size: size}
+}
+
+// epochSnapshot is Figure 3's local_seq_number, taken before the slow-path
+// transaction begins, so the epoch line itself is not subscribed and the
+// lock release does not abort slow-path transactions.
 //
 //rtle:slowpath
-func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
+func (t *fgtleThread) epochSnapshot() uint64 {
 	// The raw load is the algorithm: the snapshot must predate the
 	// transaction so the epoch line stays out of the read set.
 	//rtle:ignore barrierdiscipline pre-transaction epoch snapshot (Figure 3 local_seq_number)
-	localSeq := t.m.Load(t.method.epochAddr)
-	return t.tx.Run(func(tx *htm.Tx) {
-		body(fgSlowCtx{method: t.method, tx: tx, localSeq: localSeq})
+	return t.m.Load(t.epochAddr)
+}
+
+// runSlow is one instrumented slow-path attempt.
+//
+//rtle:slowpath
+func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
+	localSeq := t.epochSnapshot()
+	return t.Tx.Run(func(tx *htm.Tx) {
+		body(fgSlowCtx{t, localSeq, t.size})
 		t.lazySubscribe(tx)
 	})
 }
 
-// runUnderLock is the instrumented pessimistic path of Figure 3's else
+// lockSection is the instrumented pessimistic path of Figure 3's else
 // branches: bump the epoch, stamp orecs while executing, bump the epoch
 // again to release all orecs at once.
 //
 //rtle:lockpath
-func (t *fgtleThread) runUnderLock(body func(Context)) {
-	t.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
+func (t *fgtleThread) lockSection(body func(Context)) {
 	m := t.m
-	t.seq = m.Load(t.method.epochAddr) + 1
-	m.Store(t.method.epochAddr, t.seq)
+	t.seq = m.Load(t.epochAddr) + 1
+	m.Store(t.epochAddr, t.seq)
 	t.uniqR, t.uniqW = 0, 0
 	body(fgLockCtx{t})
-	m.Store(t.method.epochAddr, t.seq+1)
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	t.lock.Release()
+	m.Store(t.epochAddr, t.seq+1)
 }
 
-// fgSlowCtx is the instrumented slow path of Figure 3's on_htm() branches.
+// fgSlowCtx is the instrumented slow path of Figure 3's on_htm() branches,
+// over the first size orecs of each array. (Three words, not four: a Context
+// wider than a pointer is allocated per attempt.)
 type fgSlowCtx struct {
-	method   *FGTLEMethod
-	tx       *htm.Tx
+	t        *fgtleThread
 	localSeq uint64
+	size     uint64
 }
 
 //rtle:slowpath
 func (c fgSlowCtx) Read(a mem.Addr) uint64 {
-	f := c.method
-	idx := wanghash.Hash(uint64(a), f.orecs)
-	if c.tx.Read(f.wOrecs+mem.Addr(idx)) >= c.localSeq {
-		c.tx.Abort()
+	tx := c.t.Tx
+	idx := wanghash.Hash(uint64(a), c.size)
+	if tx.Read(c.t.wOrecs+mem.Addr(idx)) >= c.localSeq {
+		tx.Abort()
 	}
-	return c.tx.Read(a)
+	return tx.Read(a)
 }
 
 //rtle:slowpath
 func (c fgSlowCtx) Write(a mem.Addr, v uint64) {
-	f := c.method
-	idx := wanghash.Hash(uint64(a), f.orecs)
-	if c.tx.Read(f.rOrecs+mem.Addr(idx)) >= c.localSeq ||
-		c.tx.Read(f.wOrecs+mem.Addr(idx)) >= c.localSeq {
-		c.tx.Abort()
+	tx := c.t.Tx
+	idx := wanghash.Hash(uint64(a), c.size)
+	if tx.Read(c.t.rOrecs+mem.Addr(idx)) >= c.localSeq ||
+		tx.Read(c.t.wOrecs+mem.Addr(idx)) >= c.localSeq {
+		tx.Abort()
 	}
-	c.tx.Write(a, v)
+	tx.Write(a, v)
 }
 
 func (c fgSlowCtx) InHTM() bool  { return true }
-func (c fgSlowCtx) Unsupported() { c.tx.Unsupported() }
+func (c fgSlowCtx) Unsupported() { c.t.Tx.Unsupported() }
 
 // fgLockCtx is the instrumented pessimistic path of Figure 3's else
 // branches, with both of the paper's §4.2 optimizations: an orec is written
@@ -178,10 +177,9 @@ type fgLockCtx struct {
 func (c fgLockCtx) Read(a mem.Addr) uint64 {
 	t := c.t
 	t.pacer.Tick()
-	f := t.method
-	if t.uniqR < f.orecs {
-		idx := wanghash.Hash(uint64(a), f.orecs)
-		oa := f.rOrecs + mem.Addr(idx)
+	if t.uniqR < t.size {
+		idx := wanghash.Hash(uint64(a), t.size)
+		oa := t.rOrecs + mem.Addr(idx)
 		if t.m.Load(oa) < t.seq {
 			t.m.Store(oa, t.seq)
 			t.uniqR++
@@ -194,10 +192,9 @@ func (c fgLockCtx) Read(a mem.Addr) uint64 {
 func (c fgLockCtx) Write(a mem.Addr, v uint64) {
 	t := c.t
 	t.pacer.Tick()
-	f := t.method
-	if t.uniqW < f.orecs {
-		idx := wanghash.Hash(uint64(a), f.orecs)
-		oa := f.wOrecs + mem.Addr(idx)
+	if t.uniqW < t.size {
+		idx := wanghash.Hash(uint64(a), t.size)
+		oa := t.wOrecs + mem.Addr(idx)
 		if t.m.Load(oa) < t.seq {
 			t.m.Store(oa, t.seq)
 			t.uniqW++

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
 )
@@ -10,11 +8,7 @@ import (
 // LockMethod is the pessimistic baseline: every atomic block acquires the
 // lock and runs uninstrumented. It anchors the paper's speedup
 // normalization (every Fig. 5 curve is relative to single-threaded Lock).
-type LockMethod struct {
-	m      *mem.Memory
-	lock   *spinlock.Lock
-	policy Policy
-}
+type LockMethod struct{ elision }
 
 // NewLock returns a lock-only method over m with a fresh lock.
 func NewLock(m *mem.Memory) *LockMethod {
@@ -25,44 +19,32 @@ func NewLock(m *mem.Memory) *LockMethod {
 // virtualization (the lock path paces its accesses like every other path,
 // keeping the baseline comparable); the speculation knobs are ignored.
 func NewLockWithPolicy(m *mem.Memory, policy Policy) *LockMethod {
-	return &LockMethod{m: m, lock: spinlock.New(m), policy: policy}
+	return &LockMethod{elision{m, spinlock.New(m), policy}}
 }
 
 // Name implements Method.
 func (l *LockMethod) Name() string { return "Lock" }
 
-// Lock exposes the underlying lock, so tests can share it across methods.
-func (l *LockMethod) Lock() *spinlock.Lock { return l.lock }
-
-// NewThread implements Method.
+// NewThread implements Method. A lock thread never speculates, so it carries
+// no transaction and no attempt policy.
 func (l *LockMethod) NewThread() Thread {
-	return &lockThread{
+	return &lockThread{Exec{
+		Rec:   NewRecorder(l.policy, l.Name()),
 		m:     l.m,
 		lock:  l.lock,
-		pacer: &Pacer{Every: l.policy.HTM.InterleaveEvery},
-		rec:   NewRecorder(l.policy, l.Name()),
-	}
+		pacer: Pacer{Every: l.policy.HTM.InterleaveEvery},
+	}}
 }
 
-type lockThread struct {
-	m     *mem.Memory
-	lock  *spinlock.Lock
-	pacer *Pacer
-	rec   Recorder
-}
-
-func (t *lockThread) Stats() *Stats { return t.rec.Stats() }
+type lockThread struct{ Exec }
 
 // Atomic always takes the pessimistic path; the body runs uninstrumented.
 //
 //rtle:lockpath
 func (t *lockThread) Atomic(body func(Context)) {
-	t0 := t.rec.Begin()
-	t.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	body(lockPathCtx(t.m, t.pacer))
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	t.lock.Release()
-	t.rec.LockCommit(t0)
+	t0 := t.Rec.Begin()
+	start := t.AcquireLock()
+	body(t.LockCtx())
+	t.ReleaseLock(start)
+	t.Rec.LockCommit(t0)
 }

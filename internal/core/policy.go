@@ -1,7 +1,5 @@
 package core
 
-import "rtle/internal/htm"
-
 // AttemptPolicy decides, per thread, how many fast-path HTM attempts to
 // make before falling back to the lock. The paper fixes the budget at 5
 // and notes (§2) that dynamic policies — Dice et al.'s adaptive
@@ -74,11 +72,6 @@ func (a *AIMDAttempts) Record(attempts int, elided bool) {
 	}
 }
 
-// AttemptPolicyFor materializes the per-thread attempt policy from a
-// Policy, for execution layers built outside this package (the elision
-// guards in internal/guard share the methods' attempt semantics).
-func AttemptPolicyFor(p Policy) AttemptPolicy { return attemptPolicyFor(p) }
-
 // attemptPolicyFor materializes the per-thread attempt policy from a
 // Policy: the adaptive one when requested, else the static budget.
 func attemptPolicyFor(p Policy) AttemptPolicy {
@@ -87,6 +80,3 @@ func attemptPolicyFor(p Policy) AttemptPolicy {
 	}
 	return StaticAttempts(p.attempts())
 }
-
-// htmConfig is a convenience accessor used by method constructors.
-func (p Policy) htmConfig() htm.Config { return p.HTM }

@@ -8,105 +8,115 @@ import (
 	"rtle/internal/spinlock"
 )
 
-// refinedThread implements the control flow of Figure 1's right-hand
-// (refined TLE) path, shared by RW-TLE, FG-TLE and adaptive FG-TLE:
+// elision is what every lock-based Method is bound to: a heap, the lock it
+// elides there, and the speculation policy.
+type elision struct {
+	m      *mem.Memory
+	lock   *spinlock.Lock
+	policy Policy
+}
+
+// Lock exposes the underlying lock, so tests can hold it to stage the paths
+// that only run beside a holder.
+func (b *elision) Lock() *spinlock.Lock { return b.lock }
+
+// exec builds one thread's execution state.
+func (b *elision) exec(name string) Exec { return NewExec(b.m, b.lock, b.policy, name) }
+
+// refinedThread is the control flow of Figure 1, written once for every
+// elision method in this package:
 //
 //   - lock free, attempts remaining → fast path: uninstrumented HTM with
 //     eager lock subscription;
 //   - lock held → slow path: instrumented HTM attempt, concurrent with the
 //     lock holder; slow-path failures do not count against the fast-path
 //     attempt budget (§6.2.1);
-//   - attempt budget exhausted → acquire the lock and run the instrumented
-//     pessimistic path.
+//   - attempt budget exhausted → acquire the lock and run the pessimistic
+//     path.
 //
-// Variants plug in via the slowAttempt and lockRun hooks.
+// The refinements plug in through the two hooks; leaving both nil is plain
+// TLE, and HLE is that with a budget of one and no look at the lock first.
 type refinedThread struct {
-	m        *mem.Memory
-	lock     *spinlock.Lock
-	policy   Policy
-	tx       *htm.Tx
-	pacer    *Pacer
-	attempts AttemptPolicy
-	rec      Recorder
+	Exec
 
-	// slowAttempt runs one instrumented HTM attempt of body on tx and
-	// returns htm.None on commit.
+	// slowAttempt runs one instrumented HTM attempt of body on Tx and
+	// returns htm.None on commit. Nil means the method has no slow path:
+	// while the lock is held the thread waits for it to be free.
 	slowAttempt func(body func(Context)) htm.AbortReason
-	// lockRun acquires the lock, runs body on the instrumented
-	// pessimistic path, releases, and maintains LockHoldNanos.
-	lockRun func(body func(Context))
-
-	lockBusy bool
-}
-
-func (r *refinedThread) Stats() *Stats { return r.rec.Stats() }
-
-//rtle:speculative
-func (r *refinedThread) subscribe(tx *htm.Tx) {
-	if tx.Read(r.lock.Addr()) != 0 {
-		r.lockBusy = true
-		tx.Abort()
-	}
-}
-
-// lazySubscribe implements the §5 option: subscribe to the lock at the end
-// of a slow-path transaction, so the transaction cannot commit while the
-// lock is held. Variants call it from their slowAttempt when enabled.
-//
-//rtle:speculative
-func (r *refinedThread) lazySubscribe(tx *htm.Tx) {
-	if r.policy.LazySubscription && tx.Read(r.lock.Addr()) != 0 {
-		tx.Abort()
-	}
+	// underLock runs body on the instrumented pessimistic path; the loop
+	// holds the lock around the call. Nil means the unmodified body.
+	underLock func(body func(Context))
+	// eager skips the look at the lock before an attempt (HLE: the hardware
+	// begins the elided acquisition without asking).
+	eager bool
 }
 
 func (r *refinedThread) Atomic(body func(Context)) {
-	t0 := r.rec.Begin()
+	t0 := r.Rec.Begin()
 	attempts := 0
-	budget := r.attempts.Budget()
+	budget := r.Attempts.Budget()
 	backoff := 1
 	for {
-		if r.lock.Held() {
-			r.rec.SlowAttempt()
-			reason := r.slowAttempt(body)
-			if reason == htm.None {
-				r.rec.SlowCommit(t0)
-				return
+		if !r.eager && r.lock.Held() {
+			if r.slowAttempt != nil {
+				r.Rec.SlowAttempt()
+				reason := r.slowAttempt(body)
+				if reason == htm.None {
+					r.Rec.SlowCommit(t0)
+					return
+				}
+				r.Rec.SlowAbort(reason, r.Tx.LastAbortInjected())
+				// A slow-path abort usually means a conflict with the
+				// lock holder that persists until its critical section
+				// retires; back off politely instead of spinning hot.
+				SpinBackoff(&backoff)
+				continue
 			}
-			r.rec.SlowAbort(reason, r.tx.LastAbortInjected())
-			// A slow-path abort usually means a conflict with the
-			// lock holder that persists until its critical section
-			// retires; back off politely instead of spinning hot.
-			spinBackoff(&backoff)
-			continue
+			// "Is lock available?" — do not even start a transaction that
+			// is doomed to fail its subscription [16]. Every speculating
+			// thread waits here: the limitation the refinements remove.
+			r.lock.WaitUntilFree()
 		}
 		backoff = 1
 		if attempts >= budget {
-			r.lockRun(body)
-			r.rec.LockCommit(t0)
-			r.attempts.Record(attempts, false)
+			r.runUnderLock(body)
+			r.Rec.LockCommit(t0)
+			r.Attempts.Record(attempts, false)
 			return
 		}
-		r.lockBusy = false
-		r.rec.FastAttempt()
-		reason := r.tx.Run(func(tx *htm.Tx) {
-			r.subscribe(tx)
+		r.Rec.FastAttempt()
+		reason := r.Tx.Run(func(tx *htm.Tx) {
+			r.Subscribe(tx)
 			body(htmCtx{tx})
 		})
 		if reason == htm.None {
-			r.rec.FastCommit(t0)
-			r.attempts.Record(attempts, true)
+			r.Rec.FastCommit(t0)
+			r.Attempts.Record(attempts, true)
 			return
 		}
-		r.rec.FastAbort(reason, r.lockBusy, r.tx.LastAbortInjected())
+		r.FastAborted(reason)
 		attempts++
 	}
 }
 
-// spinBackoff burns a short, exponentially growing number of iterations and
+// runUnderLock is the pessimistic path: the method's instrumented lock-path
+// body, or the unmodified critical section when it has none.
+//
+//rtle:lockpath
+func (r *refinedThread) runUnderLock(body func(Context)) {
+	start := r.AcquireLock()
+	if r.underLock != nil {
+		r.underLock(body)
+	} else {
+		body(r.LockCtx())
+	}
+	r.ReleaseLock(start)
+}
+
+// SpinBackoff burns a short, exponentially growing number of iterations and
 // yields to the scheduler, so that retry storms stay polite under
 // GOMAXPROCS=1 and on loaded machines.
-func spinBackoff(backoff *int) {
+func SpinBackoff(backoff *int) {
 	for i := 0; i < *backoff; i++ {
 		if i%16 == 15 {
 			runtime.Gosched()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
@@ -11,98 +9,97 @@ import (
 // RWTLEMethod implements RW-TLE (§3): the lock is augmented with a boolean
 // write flag. While a thread holds the lock, other threads may complete
 // read-only critical sections in hardware transactions on the slow path,
-// as long as the lock holder has not yet executed its first write:
-//
-//   - The lock holder's write barrier raises the flag on its first write.
-//   - A slow-path transaction subscribes to the flag at begin (aborting if
-//     it is already set), so a later flag raise aborts it.
-//   - A slow-path transaction's own write barrier self-aborts — only
-//     read-only transactions may commit on the slow path (Figure 2).
+// as long as the lock holder has not yet executed its first write. The
+// protocol itself is WriteFlag; this type places the flag beside the lock
+// and plugs the protocol into the shared loop.
 //
 // The flag deliberately shares a cache line with the lock word, so that the
 // lock-release store also aborts slow-path subscribers: this is the eager
 // switch back to the fast path that §6.3 contrasts with FG-TLE's behaviour.
 type RWTLEMethod struct {
-	m        *mem.Memory
-	lock     *spinlock.Lock
-	flagAddr mem.Addr //rtle:meta
-	policy   Policy
+	elision
+	flag WriteFlag
 }
 
 // NewRWTLE returns an RW-TLE method over m with a fresh lock+flag line.
 func NewRWTLE(m *mem.Memory, policy Policy) *RWTLEMethod {
 	line := m.AllocLines(1)
-	return &RWTLEMethod{
-		m:        m,
-		lock:     spinlock.NewAt(m, line),
-		flagAddr: line + 1,
-		policy:   policy,
-	}
+	return &RWTLEMethod{elision{m, spinlock.NewAt(m, line), policy}, NewWriteFlag(m, line+1)}
 }
 
 // Name implements Method.
 func (r *RWTLEMethod) Name() string { return "RW-TLE" }
 
-// Lock exposes the underlying lock.
-func (r *RWTLEMethod) Lock() *spinlock.Lock { return r.lock }
-
-// FlagAddr returns the write-flag address (for tests).
-func (r *RWTLEMethod) FlagAddr() mem.Addr { return r.flagAddr }
-
 // NewThread implements Method.
 func (r *RWTLEMethod) NewThread() Thread {
-	t := &rwtleThread{method: r}
-	t.refinedThread = refinedThread{
-		m:        r.m,
-		lock:     r.lock,
-		policy:   r.policy,
-		pacer:    &Pacer{Every: r.policy.HTM.InterleaveEvery},
-		attempts: attemptPolicyFor(r.policy),
-		tx:       htm.NewTx(r.m, r.policy.HTM),
-		rec:      NewRecorder(r.policy, r.Name()),
+	t := &refinedThread{Exec: r.exec(r.Name())}
+	flag := r.flag // the thread's own view: only a holder uses the raised bit
+	t.slowAttempt = func(body func(Context)) htm.AbortReason {
+		return flag.SlowAttempt(&t.Exec, body)
 	}
-	t.slowAttempt = t.runSlow
-	t.lockRun = t.runUnderLock
+	t.underLock = func(body func(Context)) {
+		body(flag.LockCtx(&t.Exec))
+		flag.Lower()
+	}
 	return t
 }
 
-type rwtleThread struct {
-	refinedThread
-	method *RWTLEMethod
-	wrote  bool //rtle:meta write flag raised during the current lock-held CS
+// WriteFlag is §3's protocol around one flag word, held by every layer that
+// runs RW-TLE (RWTLEMethod's threads, guard.RWMutex):
+//
+//   - A slow-path transaction subscribes to the flag at begin (aborting if
+//     it is already set), so a later raise aborts it.
+//   - A slow-path transaction's own write barrier self-aborts — only
+//     read-only transactions may commit on the slow path (Figure 2).
+//   - The lock holder's write barrier raises the flag on its first write,
+//     and the holder lowers it before it releases the lock.
+//
+// The lock-path half (LockCtx, Lower) must only run while the lock is held;
+// the lock orders the raised bit between successive holders.
+type WriteFlag struct {
+	m      *mem.Memory
+	addr   mem.Addr //rtle:meta
+	raised bool     //rtle:meta write flag raised during the current lock-held section
 }
 
-// runSlow is one instrumented slow-path attempt: subscribe to the write
-// flag, run the body with the aborting write barrier, optionally subscribe
-// to the lock lazily.
+// NewWriteFlag wraps the (zero) word at addr as a write flag.
+func NewWriteFlag(m *mem.Memory, addr mem.Addr) WriteFlag { return WriteFlag{m: m, addr: addr} }
+
+// Addr returns the flag word's address (tests probe it).
+func (f *WriteFlag) Addr() mem.Addr { return f.addr }
+
+// SlowAttempt is one instrumented slow-path attempt of body on e's
+// transaction: subscribe to the write flag, run the body with the aborting
+// write barrier, optionally subscribe to the lock lazily (§5).
 //
 //rtle:slowpath
-func (t *rwtleThread) runSlow(body func(Context)) htm.AbortReason {
-	return t.tx.Run(func(tx *htm.Tx) {
-		if tx.Read(t.method.flagAddr) != 0 {
+func (f *WriteFlag) SlowAttempt(e *Exec, body func(Context)) htm.AbortReason {
+	return e.Tx.Run(func(tx *htm.Tx) {
+		if tx.Read(f.addr) != 0 {
 			tx.Abort()
 		}
 		body(rwSlowCtx{tx})
-		t.lazySubscribe(tx)
+		e.lazySubscribe(tx)
 	})
 }
 
-// runUnderLock is the instrumented pessimistic path: writes raise the flag
-// (once per critical section — Figure 2's note that only the first write
-// needs the barrier).
+// LockCtx returns the instrumented pessimistic-path Context for a section
+// of e that holds the lock: its first write raises the flag.
 //
 //rtle:lockpath
-func (t *rwtleThread) runUnderLock(body func(Context)) {
-	t.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	t.wrote = false
-	body(rwLockCtx{t})
-	if t.wrote {
-		t.m.Store(t.method.flagAddr, 0)
+func (f *WriteFlag) LockCtx(e *Exec) Context { return rwLockCtx{f, &e.pacer} }
+
+// Lower clears the flag if the section raised it (once per critical section
+// — Figure 2's note that only the first write needs the barrier — so a
+// read-only holder never stores to the line its subscribers watch). The
+// holder calls it after the body, before releasing the lock.
+//
+//rtle:lockpath
+func (f *WriteFlag) Lower() {
+	if f.raised {
+		f.m.Store(f.addr, 0)
+		f.raised = false
 	}
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	t.lock.Release()
 }
 
 // rwSlowCtx is the instrumented slow path: reads are plain transactional
@@ -123,23 +120,24 @@ func (c rwSlowCtx) Unsupported()               { c.tx.Unsupported() }
 // the write flag before touching data (Figure 2, lines 3–4; under TSO the
 // flag store becomes visible no later than the data store).
 type rwLockCtx struct {
-	t *rwtleThread
+	f *WriteFlag
+	p *Pacer
 }
 
 //rtle:lockpath
 func (c rwLockCtx) Read(a mem.Addr) uint64 {
-	c.t.pacer.Tick()
-	return c.t.m.Load(a)
+	c.p.Tick()
+	return c.f.m.Load(a)
 }
 
 //rtle:lockpath
 func (c rwLockCtx) Write(a mem.Addr, v uint64) {
-	c.t.pacer.Tick()
-	if !c.t.wrote {
-		c.t.m.Store(c.t.method.flagAddr, 1)
-		c.t.wrote = true
+	c.p.Tick()
+	if !c.f.raised {
+		c.f.m.Store(c.f.addr, 1)
+		c.f.raised = true
 	}
-	c.t.m.Store(a, v)
+	c.f.m.Store(a, v)
 }
 
 func (c rwLockCtx) InHTM() bool  { return false }

@@ -1,115 +1,55 @@
 package core
 
 import (
-	"time"
-
-	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
 )
 
 // TLEMethod is standard transactional lock elision (Fig. 1, left path):
 // attempt the critical section in a hardware transaction with the lock
-// subscribed; after Policy.Attempts failures acquire the lock. While the
-// lock is held, every speculating thread waits — the limitation the
-// refined variants remove.
-type TLEMethod struct {
-	m      *mem.Memory
-	lock   *spinlock.Lock
-	policy Policy
-}
+// subscribed; after Policy.Attempts failures acquire the lock and run the
+// unmodified critical section. While the lock is held, every speculating
+// thread waits — the limitation the refined variants remove. It is the
+// shared loop (refinedThread) with neither hook set.
+type TLEMethod struct{ elision }
 
 // NewTLE returns a TLE method over m with a fresh lock.
 func NewTLE(m *mem.Memory, policy Policy) *TLEMethod {
-	return &TLEMethod{m: m, lock: spinlock.New(m), policy: policy}
+	return &TLEMethod{elision{m, spinlock.New(m), policy}}
 }
 
 // Name implements Method.
 func (t *TLEMethod) Name() string { return "TLE" }
 
-// Lock exposes the underlying lock.
-func (t *TLEMethod) Lock() *spinlock.Lock { return t.lock }
-
 // NewThread implements Method.
 func (t *TLEMethod) NewThread() Thread {
-	return &tleThread{
-		m:        t.m,
-		lock:     t.lock,
-		policy:   t.policy,
-		tx:       htm.NewTx(t.m, t.policy.HTM),
-		pacer:    &Pacer{Every: t.policy.HTM.InterleaveEvery},
-		attempts: attemptPolicyFor(t.policy),
-		rec:      NewRecorder(t.policy, t.Name()),
-	}
+	return &refinedThread{Exec: t.exec(t.Name())}
 }
 
-type tleThread struct {
-	m        *mem.Memory
-	lock     *spinlock.Lock
-	policy   Policy
-	tx       *htm.Tx
-	pacer    *Pacer
-	attempts AttemptPolicy
-	rec      Recorder
+// HLEMethod models Intel's Hardware Lock Elision mode (§1): elision
+// implemented *in hardware* via instruction prefixes (XACQUIRE/XRELEASE),
+// with the begin-fail-retry logic fixed by the microarchitecture — one
+// implicit speculative attempt, then the real atomic acquisition. It is a
+// useful floor for the software-controlled TLE policies: identical
+// mechanism, no retry budget, no wait-until-free discipline. Here that is
+// TLE's loop with a budget of one that does not look at the lock first: the
+// elided XACQUIRE leaves the lock word unchanged but in the read set, and
+// the hardware re-executes without elision when the attempt fails.
+type HLEMethod struct{ elision }
 
-	lockBusy bool // set when the subscription check sees the lock held
+// NewHLE returns an HLE-style method over m. Only the policy's HTM
+// configuration applies; the retry policy is hardware-fixed (a single
+// attempt).
+func NewHLE(m *mem.Memory, policy Policy) *HLEMethod {
+	return &HLEMethod{elision{m, spinlock.New(m), policy}}
 }
 
-func (t *tleThread) Stats() *Stats { return t.rec.Stats() }
+// Name implements Method.
+func (h *HLEMethod) Name() string { return "HLE" }
 
-// subscribe reads the lock word inside the transaction, adding it to the
-// read set so that a later acquisition aborts this transaction; if the lock
-// is already held the attempt self-aborts immediately.
-//
-//rtle:speculative
-func (t *tleThread) subscribe(tx *htm.Tx) {
-	if tx.Read(t.lock.Addr()) != 0 {
-		t.lockBusy = true
-		tx.Abort()
-	}
-}
-
-func (t *tleThread) Atomic(body func(Context)) {
-	t0 := t.rec.Begin()
-	attempts := 0
-	budget := t.attempts.Budget()
-	for {
-		// "Is lock available?" — do not even start a transaction that
-		// is doomed to fail its subscription [16].
-		if t.lock.Held() {
-			t.lock.WaitUntilFree()
-		}
-		if attempts >= budget {
-			t.runUnderLock(body)
-			t.rec.LockCommit(t0)
-			t.attempts.Record(attempts, false)
-			return
-		}
-		t.lockBusy = false
-		t.rec.FastAttempt()
-		reason := t.tx.Run(func(tx *htm.Tx) {
-			t.subscribe(tx)
-			body(htmCtx{tx})
-		})
-		if reason == htm.None {
-			t.rec.FastCommit(t0)
-			t.attempts.Record(attempts, true)
-			return
-		}
-		t.rec.FastAbort(reason, t.lockBusy, t.tx.LastAbortInjected())
-		attempts++
-	}
-}
-
-// runUnderLock executes the pessimistic path: plain TLE runs the
-// unmodified (uninstrumented) critical section.
-//
-//rtle:lockpath
-func (t *tleThread) runUnderLock(body func(Context)) {
-	t.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	body(lockPathCtx(t.m, t.pacer))
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	t.lock.Release()
+// NewThread implements Method.
+func (h *HLEMethod) NewThread() Thread {
+	t := &refinedThread{Exec: h.exec(h.Name()), eager: true}
+	t.Attempts = StaticAttempts(1)
+	return t
 }

@@ -15,6 +15,19 @@
 // *interoperates* with elision — speculating Do sections subscribe to the
 // words the brackets mutate and abort when a bracket section enters.
 //
+// Mutex.Do, RWMutex.Do and RWMutex.RDo are one loop (base.do) over the
+// same pieces the methods of internal/core are built from: a core.Exec per
+// section (transaction, lock-word subscription, the bracket around a
+// lock-held run) and, for RWMutex, the core.WriteFlag that RW-TLE's own
+// threads hold. The loop itself is the guard's own rather than core's
+// because Do and RDo are concrete methods whose body stays on the caller's
+// stack; core's loop takes its refinements as func-valued hooks, which
+// would make every section allocate its closure (DESIGN §1.8 has the
+// measurements). It departs from core's loop in one deliberate way: RDo
+// charges slow-path aborts to the attempt budget, where core follows
+// §6.2.1 and does not — a reader's fallback is a shared acquisition, so
+// giving up is cheap (TestRDoSlowAbortsSpendTheBudget pins it).
+//
 // Guards differ from Threads in two ways that matter to callers:
 //
 //   - Identity-free: any goroutine may call any method at any time. Each
@@ -34,10 +47,11 @@ package guard
 
 import (
 	"sync"
+	"time"
 
 	"rtle/internal/core"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
+	"rtle/internal/spinlock"
 )
 
 // Config assembles a guard. The zero value of Policy and Retreat are
@@ -54,37 +68,48 @@ type Config struct {
 }
 
 // gthread is the per-execution state a guard lends to whichever goroutine
-// is currently inside one of its sections: a hardware transaction, a
-// pacer, an attempt policy, and a recorder. It is the guard-layer
-// equivalent of a Thread, minus the fixed goroutine identity.
+// is currently inside one of its sections: the same core.Exec a method's
+// Thread runs on (transaction, pacer, attempt policy, recorder), minus the
+// fixed goroutine identity.
 type gthread struct {
-	tx       *htm.Tx
-	pacer    *core.Pacer
-	attempts core.AttemptPolicy
-	rec      core.Recorder
-
-	lockBusy bool // subscription check saw the lock held
+	core.Exec
 
 	// Attempts and aborts not yet folded into the guard's retreat window.
 	pendAttempts, pendAborts int
 }
 
-// base holds the machinery shared by Mutex and RWMutex.
+// base is the guard proper; Mutex and RWMutex are its two public faces.
 type base struct {
 	m       *mem.Memory
 	policy  core.Policy
 	name    string // observer/method label, e.g. "Guard(TLE)"
 	retreat retreat
 
+	// lock is the word every section subscribes: the only lock of a Mutex,
+	// the writer lock of an RWMutex. flag is §3's write flag, deliberately
+	// on the lock word's line; only RWMutex sections use it, as they do
+	// readersAddr, the bracket-reader count on a line of its own (unset in
+	// a Mutex).
+	lock        *spinlock.Lock
+	flag        core.WriteFlag
+	readersAddr mem.Addr
+
 	pool sync.Pool // of *gthread
 
 	mu      sync.Mutex
 	threads []*gthread    // every gthread ever created, for Stats
 	brec    core.Recorder // accounting for shared-bracket (RLock) sections
+
+	// Bracket state, written only by the lock holder while it holds the
+	// lock (the spinlock's atomics order these writes between successive
+	// holders, as with any lock-protected field).
+	holder    *gthread
+	holdT0    int64
+	holdStart time.Time
 }
 
-// init wires the pool and the bracket recorder. Single-threaded
-// constructor use only.
+// init lays out the lock line and wires the pool and the bracket recorder.
+// Single-threaded constructor use only.
 //
 //rtle:init
 func (b *base) init(m *mem.Memory, name string, cfg Config) {
@@ -94,6 +119,9 @@ func (b *base) init(m *mem.Memory, name string, cfg Config) {
 	b.m = m
 	b.policy = cfg.Policy
 	b.name = name
+	line := m.AllocLines(1)
+	b.lock = spinlock.NewAt(m, line)
+	b.flag = core.NewWriteFlag(m, line+1)
 	b.retreat.init(cfg.Retreat)
 	b.brec = core.NewRecorder(cfg.Policy, name)
 	b.pool.New = func() any { return b.newThread() }
@@ -101,12 +129,7 @@ func (b *base) init(m *mem.Memory, name string, cfg Config) {
 
 // newThread builds and registers one gthread.
 func (b *base) newThread() *gthread {
-	t := &gthread{
-		tx:       htm.NewTx(b.m, b.policy.HTM),
-		pacer:    &core.Pacer{Every: b.policy.HTM.InterleaveEvery},
-		attempts: core.AttemptPolicyFor(b.policy),
-		rec:      core.NewRecorder(b.policy, b.name),
-	}
+	t := &gthread{Exec: core.NewExec(b.m, b.lock, b.policy, b.name)}
 	b.mu.Lock()
 	b.threads = append(b.threads, t)
 	b.mu.Unlock()
@@ -135,7 +158,7 @@ func (b *base) Stats() core.Stats {
 	defer b.mu.Unlock()
 	var s core.Stats
 	for _, t := range b.threads {
-		s.Merge(t.rec.Stats())
+		s.Merge(t.Rec.Stats())
 	}
 	s.Merge(b.brec.Stats())
 	return s

@@ -1,6 +1,7 @@
 package guard
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,6 +408,135 @@ func TestRetreatDropsCountsFromBeforeTheVerdict(t *testing.T) {
 	if p := r.pause.Load(); p != 32 {
 		t.Fatalf("pause = %d after healthy windows, want it back at MinPause 32", p)
 	}
+}
+
+// lockFaultCounter is a core.LockFaultHook that counts its calls.
+type lockFaultCounter struct{ n atomic.Int64 }
+
+func (c *lockFaultCounter) OnLockAcquired() { c.n.Add(1) }
+
+// TestReaderSectionsFireLockFault: Policy.LockFault covers "every method's
+// pessimistic path", and a reader-held section is one — a stalled reader is
+// what a writer's drain loop and Do's reader-count subscription must
+// survive. The hook fires once per RDo fallback and once per RLock.
+func TestReaderSectionsFireLockFault(t *testing.T) {
+	var hook lockFaultCounter
+	m := newHeap()
+	g := NewRWMutex(m, Config{
+		Policy:  core.Policy{Attempts: 2, LockFault: &hook},
+		Retreat: RetreatConfig{Disable: true},
+	})
+	word := m.AllocLines(1)
+
+	g.RDo(func(c core.Context) {
+		c.Unsupported() // aborts every hardware attempt; a no-op under the lock
+		c.Read(word)
+	})
+	if s := g.Stats(); s.LockRuns != 1 || s.FastAttempts != 2 {
+		t.Fatalf("RDo did not fall back after its budget: LockRuns=%d FastAttempts=%d, want 1/2", s.LockRuns, s.FastAttempts)
+	}
+	if got := hook.n.Load(); got != 1 {
+		t.Fatalf("LockFault hook fired %d times for one RDo fallback, want 1", got)
+	}
+
+	g.RLock()
+	g.RCtx().Read(word)
+	g.RUnlock()
+	if got := hook.n.Load(); got != 2 {
+		t.Fatalf("LockFault hook fired %d times after one RDo fallback and one RLock, want 2", got)
+	}
+}
+
+// beginCounter counts transaction begins, fast and slow alike.
+type beginCounter struct{ n *atomic.Int64 }
+
+func (in beginCounter) TxBegin() (int, int, htm.AbortReason) {
+	in.n.Add(1)
+	return 0, 0, htm.None
+}
+func (beginCounter) TxAccess(int, bool) htm.AbortReason { return htm.None }
+func (beginCounter) TxPreCommit() htm.AbortReason       { return htm.None }
+
+// TestRDoSlowAbortsSpendTheBudget pins the one place the guard's loop
+// departs from core's on purpose: core does not charge slow-path aborts to
+// the attempt budget (§6.2.1), RDo does, because its fallback is a shared
+// reader acquisition and giving up is cheap. Beside a writer that has
+// already written, a read section makes exactly budget slow attempts and
+// then takes the reader lock once.
+func TestRDoSlowAbortsSpendTheBudget(t *testing.T) {
+	const budget = 3
+	var begins atomic.Int64
+	m := newHeap()
+	g := NewRWMutex(m, Config{
+		Policy: core.Policy{Attempts: budget, HTM: htm.Config{
+			NewInjector: func() htm.Injector { return beginCounter{&begins} },
+		}},
+		Retreat: RetreatConfig{Disable: true},
+	})
+	word := m.AllocLines(1)
+
+	g.Lock()
+	g.Ctx().Write(word, 7) // raises the flag: every slow attempt now aborts
+	done := make(chan uint64)
+	go func() {
+		var got uint64
+		g.RDo(func(c core.Context) { got = c.Read(word) })
+		done <- got
+	}()
+	// Hold the lock until the reader has begun its last slow attempt; from
+	// there it can only abort and queue up behind the writer.
+	for begins.Load() < budget {
+		runtime.Gosched()
+	}
+	g.Unlock()
+	if got := <-done; got != 7 {
+		t.Fatalf("read %d, want the writer's 7", got)
+	}
+
+	s := g.Stats()
+	var slowAborts uint64
+	for _, n := range s.SlowAborts {
+		slowAborts += n
+	}
+	// Ops and LockRuns count the writer's bracket section too.
+	if s.SlowAttempts != budget || slowAborts != budget || s.SlowCommits != 0 ||
+		s.FastAttempts != 0 || s.LockRuns != 2 || s.Ops != 2 {
+		t.Fatalf("SlowAttempts=%d slow aborts=%d SlowCommits=%d FastAttempts=%d LockRuns=%d Ops=%d, want %d/%d/0/0/2/2",
+			s.SlowAttempts, slowAborts, s.SlowCommits, s.FastAttempts, s.LockRuns, s.Ops, budget, budget)
+	}
+}
+
+// TestGuardSectionsDoNotAllocate: Do and RDo are concrete methods whose
+// body stays on the caller's stack — the reason the guard keeps a loop of
+// its own with its differences selected by direct calls. Routing body
+// through a func-valued hook or an interface makes every call allocate its
+// closure, which only a benchmark showed before.
+func TestGuardSectionsDoNotAllocate(t *testing.T) {
+	m := newHeap()
+	word := m.AllocLines(1)
+	mu := NewMutex(m, Config{})
+	rw := NewRWMutex(m, Config{})
+	// The race detector makes sync.Pool drop a quarter of all Puts; hand
+	// the refill the same gthread back so a drop costs no allocation.
+	for _, b := range []*base{&mu.base, &rw.base} {
+		spare := b.newThread()
+		b.pool.New = func() any { return spare }
+	}
+	delta := uint64(3) // a captured local: the closure is not static
+	var sum uint64
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"Mutex.Do", func() { mu.Do(func(c core.Context) { c.Write(word, c.Read(word)+delta) }) }},
+		{"RWMutex.Do", func() { rw.Do(func(c core.Context) { c.Write(word, c.Read(word)+delta) }) }},
+		{"RWMutex.RDo", func() { rw.RDo(func(c core.Context) { sum = c.Read(word) + delta }) }},
+	} {
+		if allocs := testing.AllocsPerRun(200, tc.run); allocs != 0 {
+			t.Errorf("%s allocates %.0f times per section, want 0", tc.name, allocs)
+		}
+	}
+	_ = sum
 }
 
 // TestStatsSurvivePoolDrop checks counters outlive pool eviction: Stats

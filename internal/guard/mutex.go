@@ -1,12 +1,8 @@
 package guard
 
 import (
-	"time"
-
 	"rtle/internal/core"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
-	"rtle/internal/spinlock"
 )
 
 // Mutex is a sync.Mutex-shaped elision guard backed by plain TLE. Do runs
@@ -17,138 +13,29 @@ import (
 // acquires it, so the two forms compose soundly.
 //
 // Create with NewMutex; the zero value is not usable.
-type Mutex struct {
-	base
-	lock *spinlock.Lock
-
-	// Bracket state, written only by the lock holder while it holds the
-	// lock (the spinlock's atomics order these writes between successive
-	// holders, as with any lock-protected field).
-	holder    *gthread
-	holdT0    int64
-	holdStart time.Time
-}
+type Mutex struct{ base }
 
 // NewMutex returns a TLE-backed guard whose lock lives on its own cache
 // line of m.
 func NewMutex(m *mem.Memory, cfg Config) *Mutex {
 	g := &Mutex{}
-	g.base.init(m, "Guard(TLE)", cfg)
-	g.lock = spinlock.New(m)
+	g.init(m, "Guard(TLE)", cfg)
 	return g
 }
-
-// LockAddr returns the lock word's address (for tests and subscription
-// diagnostics).
-func (g *Mutex) LockAddr() mem.Addr { return g.lock.Addr() }
 
 // Do runs body as one atomic section, eliding the lock when it can: the
 // paper's TLE loop with the guard's retreat gate in front. body must
 // access shared data only through the Context and must be re-executable
 // (it can run several times before one run commits).
-func (g *Mutex) Do(body func(core.Context)) {
-	t := g.get()
-	defer g.put(t)
-	t0 := t.rec.Begin()
-	if !g.retreat.speculate(t) {
-		g.lockRun(t, body)
-		t.rec.LockCommit(t0)
-		return
-	}
-	attempts := 0
-	budget := t.attempts.Budget()
-	for {
-		// Anti-lemming [16]: do not start a transaction doomed to fail
-		// its subscription.
-		if g.lock.Held() {
-			g.lock.WaitUntilFree()
-		}
-		if attempts >= budget {
-			g.lockRun(t, body)
-			t.rec.LockCommit(t0)
-			t.attempts.Record(attempts, false)
-			g.retreat.record(t, attempts, attempts)
-			return
-		}
-		t.lockBusy = false
-		t.rec.FastAttempt()
-		reason := t.tx.Run(func(tx *htm.Tx) {
-			g.subscribe(t, tx)
-			body(core.HTMContext(tx))
-		})
-		if reason == htm.None {
-			t.rec.FastCommit(t0)
-			t.attempts.Record(attempts, true)
-			g.retreat.record(t, attempts, attempts+1)
-			return
-		}
-		t.rec.FastAbort(reason, t.lockBusy, t.tx.LastAbortInjected())
-		attempts++
-	}
-}
+func (g *Mutex) Do(body func(core.Context)) { g.do(exclusive, body) }
 
-// subscribe reads the lock word inside the transaction, adding it to the
-// read set so a later acquisition aborts this attempt; if the lock is
-// already held the attempt self-aborts immediately.
-//
-//rtle:speculative
-func (g *Mutex) subscribe(t *gthread, tx *htm.Tx) {
-	if tx.Read(g.lock.Addr()) != 0 {
-		t.lockBusy = true
-		tx.Abort()
-	}
-}
-
-// lockRun is Do's pessimistic fallback: the uninstrumented critical
-// section under the real lock.
-//
-//rtle:lockpath
-func (g *Mutex) lockRun(t *gthread, body func(core.Context)) {
-	g.lock.Acquire()
-	t.rec.LockAcquired()
-	start := time.Now()
-	body(core.LockContext(g.m, t.pacer))
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	g.lock.Release()
-}
-
-// Lock acquires the guard pessimistically, as sync.Mutex.Lock would. A
-// bracket section cannot elide — Go cannot re-execute the code between
-// Lock and Unlock after an abort — so it always takes the lock, which in
-// turn aborts every speculating Do section via their subscriptions.
+// Lock acquires the guard pessimistically, as sync.Mutex.Lock would.
 // Access shared data through Ctx between Lock and Unlock.
-//
-//rtle:lockpath
-func (g *Mutex) Lock() {
-	t := g.get()
-	g.lock.Acquire()
-	t.rec.LockAcquired()
-	g.holder = t
-	g.holdT0 = t.rec.Begin()
-	g.holdStart = time.Now()
-}
+func (g *Mutex) Lock() { g.enter(exclusive) }
 
 // Unlock releases a Lock-acquired guard.
-//
-//rtle:lockpath
-func (g *Mutex) Unlock() {
-	t := g.holder
-	if t == nil {
-		panic("guard: Unlock of unlocked Mutex")
-	}
-	g.holder = nil
-	t.rec.LockHold(time.Since(g.holdStart).Nanoseconds())
-	t.rec.LockCommit(g.holdT0)
-	g.lock.Release()
-	g.put(t)
-}
+func (g *Mutex) Unlock() { g.exit() }
 
 // Ctx returns the Context a bracket section accesses shared data through.
 // It must only be used between Lock and Unlock.
-func (g *Mutex) Ctx() core.Context {
-	t := g.holder
-	if t == nil {
-		panic("guard: Mutex.Ctx outside Lock/Unlock")
-	}
-	return core.LockContext(g.m, t.pacer)
-}
+func (g *Mutex) Ctx() core.Context { return g.holderCtx(exclusive) }

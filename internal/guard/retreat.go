@@ -96,7 +96,7 @@ func (r *retreat) speculate(t *gthread) bool {
 		if r.remaining.CompareAndSwap(left, left-1) {
 			t.pendAborts, t.pendAttempts = 0, 0
 			if left == 1 {
-				t.rec.ModeSwitch()
+				t.Rec.ModeSwitch()
 			}
 			return false
 		}
@@ -135,7 +135,7 @@ func (r *retreat) record(t *gthread, aborted, total int) {
 		if next := pause * 2; next <= int64(r.cfg.MaxPause) {
 			r.pause.Store(next)
 		}
-		t.rec.ModeSwitch()
+		t.Rec.ModeSwitch()
 		return
 	}
 	if next := pause / 2; next >= int64(r.cfg.MinPause) {

@@ -2,12 +2,9 @@ package guard
 
 import (
 	"runtime"
-	"time"
 
 	"rtle/internal/core"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
-	"rtle/internal/spinlock"
 )
 
 // RWMutex is a sync.RWMutex-shaped elision guard backed by the RW-TLE
@@ -37,15 +34,6 @@ import (
 // Create with NewRWMutex; the zero value is not usable.
 type RWMutex struct {
 	base
-	wlock       *spinlock.Lock
-	flagAddr    mem.Addr //rtle:meta
-	readersAddr mem.Addr
-
-	// Writer-bracket state, written only by the writer-lock holder.
-	holder    *gthread
-	holdT0    int64
-	holdStart time.Time
-	wrote     bool //rtle:meta write flag raised during the current section
 
 	// Bracket-reader start times (base.mu-guarded), paired LIFO.
 	rstarts []int64
@@ -54,65 +42,18 @@ type RWMutex struct {
 // NewRWMutex returns an RW-TLE-backed guard over m.
 func NewRWMutex(m *mem.Memory, cfg Config) *RWMutex {
 	g := &RWMutex{}
-	g.base.init(m, "Guard(RW-TLE)", cfg)
-	line := m.AllocLines(1)
-	g.wlock = spinlock.NewAt(m, line)
-	g.flagAddr = line + 1
+	g.init(m, "Guard(RW-TLE)", cfg)
 	g.readersAddr = m.AllocLines(1)
 	return g
 }
 
-// LockAddr returns the writer lock word's address (for tests).
-func (g *RWMutex) LockAddr() mem.Addr { return g.wlock.Addr() }
-
 // FlagAddr returns the write-flag address (for tests).
-func (g *RWMutex) FlagAddr() mem.Addr { return g.flagAddr }
-
-// Readers returns the current bracket-reader count (a racy probe, for
-// tests and diagnostics).
-func (g *RWMutex) Readers() uint64 { return g.m.Load(g.readersAddr) }
+func (g *RWMutex) FlagAddr() mem.Addr { return g.flag.Addr() }
 
 // Do runs body as one atomic write section, eliding the writer lock when
 // it can. body must access shared data only through the Context and must
 // be re-executable.
-func (g *RWMutex) Do(body func(core.Context)) {
-	t := g.get()
-	defer g.put(t)
-	t0 := t.rec.Begin()
-	if !g.retreat.speculate(t) {
-		g.wlockRun(t, body)
-		t.rec.LockCommit(t0)
-		return
-	}
-	attempts := 0
-	budget := t.attempts.Budget()
-	for {
-		if g.wlock.Held() {
-			g.wlock.WaitUntilFree()
-		}
-		if attempts >= budget {
-			g.wlockRun(t, body)
-			t.rec.LockCommit(t0)
-			t.attempts.Record(attempts, false)
-			g.retreat.record(t, attempts, attempts)
-			return
-		}
-		t.lockBusy = false
-		t.rec.FastAttempt()
-		reason := t.tx.Run(func(tx *htm.Tx) {
-			g.subscribeWriter(t, tx)
-			body(core.HTMContext(tx))
-		})
-		if reason == htm.None {
-			t.rec.FastCommit(t0)
-			t.attempts.Record(attempts, true)
-			g.retreat.record(t, attempts, attempts+1)
-			return
-		}
-		t.rec.FastAbort(reason, t.lockBusy, t.tx.LastAbortInjected())
-		attempts++
-	}
-}
+func (g *RWMutex) Do(body func(core.Context)) { g.do(writer, body) }
 
 // RDo runs body as one atomic read-only section. While the writer lock is
 // free it speculates exactly like Do (minus the reader-count
@@ -122,152 +63,16 @@ func (g *RWMutex) Do(body func(core.Context)) {
 // falls back to a bracket reader acquisition, preserving reader-reader
 // concurrency even in the fallback. A body that calls Context.Write
 // aborts its speculative attempts and panics on the fallback path.
-func (g *RWMutex) RDo(body func(core.Context)) {
-	t := g.get()
-	defer g.put(t)
-	t0 := t.rec.Begin()
-	if !g.retreat.speculate(t) {
-		g.rlockRun(t, body)
-		t.rec.LockCommit(t0)
-		return
-	}
-	attempts := 0
-	budget := t.attempts.Budget()
-	backoff := 1
-	for {
-		if attempts >= budget {
-			g.rlockRun(t, body)
-			t.rec.LockCommit(t0)
-			t.attempts.Record(attempts, false)
-			g.retreat.record(t, attempts, attempts)
-			return
-		}
-		if g.wlock.Held() {
-			t.rec.SlowAttempt()
-			reason := g.runSlow(t, body)
-			if reason == htm.None {
-				t.rec.SlowCommit(t0)
-				t.attempts.Record(attempts, true)
-				g.retreat.record(t, attempts, attempts+1)
-				return
-			}
-			t.rec.SlowAbort(reason, t.tx.LastAbortInjected())
-			// A slow-path abort usually means a conflict with the lock
-			// holder that persists until its section retires.
-			spinBackoff(&backoff)
-			attempts++
-			continue
-		}
-		backoff = 1
-		t.lockBusy = false
-		t.rec.FastAttempt()
-		reason := t.tx.Run(func(tx *htm.Tx) {
-			g.subscribeRead(t, tx)
-			body(core.HTMContext(tx))
-		})
-		if reason == htm.None {
-			t.rec.FastCommit(t0)
-			t.attempts.Record(attempts, true)
-			g.retreat.record(t, attempts, attempts+1)
-			return
-		}
-		t.rec.FastAbort(reason, t.lockBusy, t.tx.LastAbortInjected())
-		attempts++
-	}
-}
-
-// subscribeWriter adds the writer word and the reader count to the read
-// set: a write section conflicts with bracket writers and bracket
-// readers alike.
-//
-//rtle:speculative
-func (g *RWMutex) subscribeWriter(t *gthread, tx *htm.Tx) {
-	if tx.Read(g.wlock.Addr()) != 0 {
-		t.lockBusy = true
-		tx.Abort()
-	}
-	if tx.Read(g.readersAddr) != 0 {
-		tx.Abort()
-	}
-}
-
-// subscribeRead adds only the writer word: concurrent readers — bracket
-// or speculative — do not conflict with a read-only section.
-//
-//rtle:speculative
-func (g *RWMutex) subscribeRead(t *gthread, tx *htm.Tx) {
-	if tx.Read(g.wlock.Addr()) != 0 {
-		t.lockBusy = true
-		tx.Abort()
-	}
-}
-
-// runSlow is one instrumented RW-TLE slow-path attempt: subscribe the
-// write flag (abort if already raised), run the body with the aborting
-// write barrier, optionally subscribe the writer word lazily (§5).
-//
-//rtle:slowpath
-func (g *RWMutex) runSlow(t *gthread, body func(core.Context)) htm.AbortReason {
-	return t.tx.Run(func(tx *htm.Tx) {
-		if tx.Read(g.flagAddr) != 0 {
-			tx.Abort()
-		}
-		body(rSlowCtx{tx})
-		if g.policy.LazySubscription && tx.Read(g.wlock.Addr()) != 0 {
-			tx.Abort()
-		}
-	})
-}
-
-// wlockRun is Do's pessimistic fallback: acquire the writer lock, wait
-// out the bracket readers, and run the instrumented lock path whose first
-// write raises the flag.
-//
-//rtle:lockpath
-func (g *RWMutex) wlockRun(t *gthread, body func(core.Context)) {
-	g.acquireWriter()
-	t.rec.LockAcquired()
-	start := time.Now()
-	g.wrote = false
-	body(wLockCtx{g, t.pacer})
-	if g.wrote {
-		g.m.Store(g.flagAddr, 0)
-	}
-	t.rec.LockHold(time.Since(start).Nanoseconds())
-	g.wlock.Release()
-}
-
-// rlockRun is RDo's pessimistic fallback: a bracket-reader acquisition
-// around the uninstrumented read-only path.
-func (g *RWMutex) rlockRun(t *gthread, body func(core.Context)) {
-	g.acquireReader()
-	body(rDirectCtx{g.m, t.pacer})
-	g.releaseReader()
-}
-
-// acquireWriter takes the writer lock and waits until the bracket-reader
-// count drains. New readers cannot enter once the writer word is held
-// (RLock re-checks it after incrementing), so the wait is bounded by the
-// sections already in flight.
-//
-//rtle:lockpath
-func (g *RWMutex) acquireWriter() {
-	g.wlock.Acquire()
-	for spins := 0; g.m.Load(g.readersAddr) != 0; spins++ {
-		if spins%8 == 7 {
-			runtime.Gosched()
-		}
-	}
-}
+func (g *RWMutex) RDo(body func(core.Context)) { g.do(reader, body) }
 
 // acquireReader performs the bracket-reader entry protocol: announce by
 // incrementing the count, then re-check the writer word; if a writer got
 // in first, withdraw and retry.
-func (g *RWMutex) acquireReader() {
+func (g *base) acquireReader() {
 	for {
-		g.wlock.WaitUntilFree()
+		g.lock.WaitUntilFree()
 		g.m.FetchAdd(g.readersAddr, 1)
-		if !g.wlock.Held() {
+		if !g.lock.Held() {
 			return
 		}
 		g.m.FetchAdd(g.readersAddr, ^uint64(0))
@@ -276,7 +81,7 @@ func (g *RWMutex) acquireReader() {
 }
 
 // releaseReader undoes acquireReader.
-func (g *RWMutex) releaseReader() {
+func (g *base) releaseReader() {
 	g.m.FetchAdd(g.readersAddr, ^uint64(0))
 }
 
@@ -285,46 +90,15 @@ func (g *RWMutex) releaseReader() {
 // section via their subscriptions. Access shared data through Ctx; its
 // first Write raises the write flag, exactly like the RW-TLE lock path,
 // so concurrent slow-path readers stay sound.
-//
-//rtle:lockpath
-func (g *RWMutex) Lock() {
-	t := g.get()
-	g.acquireWriter()
-	t.rec.LockAcquired()
-	g.holder = t
-	g.holdT0 = t.rec.Begin()
-	g.holdStart = time.Now()
-	g.wrote = false
-}
+func (g *RWMutex) Lock() { g.enter(writer) }
 
 // Unlock releases a Lock-acquired guard, lowering the write flag if the
 // section raised it.
-//
-//rtle:lockpath
-func (g *RWMutex) Unlock() {
-	t := g.holder
-	if t == nil {
-		panic("guard: Unlock of unlocked RWMutex")
-	}
-	g.holder = nil
-	if g.wrote {
-		g.m.Store(g.flagAddr, 0)
-	}
-	t.rec.LockHold(time.Since(g.holdStart).Nanoseconds())
-	t.rec.LockCommit(g.holdT0)
-	g.wlock.Release()
-	g.put(t)
-}
+func (g *RWMutex) Unlock() { g.exit() }
 
 // Ctx returns the writer-bracket Context. It must only be used between
 // Lock and Unlock.
-func (g *RWMutex) Ctx() core.Context {
-	t := g.holder
-	if t == nil {
-		panic("guard: RWMutex.Ctx outside Lock/Unlock")
-	}
-	return wLockCtx{g, t.pacer}
-}
+func (g *RWMutex) Ctx() core.Context { return g.holderCtx(writer) }
 
 // RLock acquires the guard as a bracket reader. Reader sections run
 // concurrently with each other and with speculative RDo sections; they
@@ -332,6 +106,7 @@ func (g *RWMutex) Ctx() core.Context {
 // Access shared data through RCtx between RLock and RUnlock.
 func (g *RWMutex) RLock() {
 	g.acquireReader()
+	g.brec.LockAcquired()
 	// Bracket readers are anonymous (no per-section state survives
 	// RLock→RUnlock), so they account through the shared bracket
 	// recorder under the guard's mutex; start times pair up LIFO, which
@@ -358,82 +133,4 @@ func (g *RWMutex) RUnlock() {
 
 // RCtx returns the read-only Context bracket-reader sections access
 // shared data through. Its Write panics: read sections do not write.
-func (g *RWMutex) RCtx() core.Context {
-	return rDirectCtx{g.m, nil}
-}
-
-// rSlowCtx is the instrumented RW-TLE slow path: reads are transactional
-// loads; any write self-aborts (Figure 2, line 2).
-type rSlowCtx struct {
-	tx *htm.Tx
-}
-
-//rtle:slowpath
-func (c rSlowCtx) Read(a mem.Addr) uint64 { return c.tx.Read(a) }
-
-//rtle:slowpath
-func (c rSlowCtx) Write(a mem.Addr, v uint64) { c.tx.Abort() }
-func (c rSlowCtx) InHTM() bool                { return true }
-func (c rSlowCtx) Unsupported()               { c.tx.Unsupported() }
-
-// rDirectCtx is the pessimistic read-only path: plain loads under a
-// bracket-reader acquisition. Writes are an API misuse and panic rather
-// than silently corrupting reader-concurrent state.
-type rDirectCtx struct {
-	m *mem.Memory
-	p *core.Pacer // nil for bracket sections (no borrowed state)
-}
-
-func (c rDirectCtx) Read(a mem.Addr) uint64 {
-	if c.p != nil {
-		c.p.Tick()
-	}
-	return c.m.Load(a)
-}
-
-func (c rDirectCtx) Write(a mem.Addr, v uint64) {
-	panic("guard: Write inside a read-only RWMutex section")
-}
-
-func (c rDirectCtx) InHTM() bool  { return false }
-func (c rDirectCtx) Unsupported() {}
-
-// wLockCtx is the instrumented writer path: the first write raises the
-// write flag before touching data (Figure 2, lines 3–4).
-type wLockCtx struct {
-	g *RWMutex
-	p *core.Pacer
-}
-
-//rtle:lockpath
-func (c wLockCtx) Read(a mem.Addr) uint64 {
-	c.p.Tick()
-	return c.g.m.Load(a)
-}
-
-//rtle:lockpath
-func (c wLockCtx) Write(a mem.Addr, v uint64) {
-	c.p.Tick()
-	if !c.g.wrote {
-		c.g.m.Store(c.g.flagAddr, 1)
-		c.g.wrote = true
-	}
-	c.g.m.Store(a, v)
-}
-
-func (c wLockCtx) InHTM() bool  { return false }
-func (c wLockCtx) Unsupported() {}
-
-// spinBackoff burns a short, exponentially growing number of iterations
-// and yields, keeping slow-path retry storms polite under GOMAXPROCS=1.
-func spinBackoff(backoff *int) {
-	for i := 0; i < *backoff; i++ {
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
-	}
-	runtime.Gosched()
-	if *backoff < 256 {
-		*backoff <<= 1
-	}
-}
+func (g *RWMutex) RCtx() core.Context { return readOnly{core.Direct(g.m)} }
