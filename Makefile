@@ -18,10 +18,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# rtlevet enforces the repository's HTM/TLE instrumentation discipline.
+# rtlevet enforces the repository's HTM/TLE instrumentation and serving
+# disciplines: every pass over the whole tree (go vet exits non-zero on an
+# unwaived finding), then the standalone driver's stale-waiver report (an
+# //rtle:ignore that suppresses nothing is a violation hiding spot). CI's
+# rtlevet job calls this target.
 rtlevet:
 	$(GO) build -o /tmp/rtlevet ./cmd/rtlevet
 	$(GO) vet -vettool=/tmp/rtlevet ./...
+	/tmp/rtlevet -unusedignores ./...
 
 # e2e boots rtled on loopback and validates wire-level linearizability
 # with rtleload, clean and under a fault plan, once per shard count.

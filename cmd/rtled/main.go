@@ -4,9 +4,9 @@
 // package documentation). With -shards N the key space is partitioned into
 // N independent instances by consistent hash, each with its own bounded
 // queue and worker pool; single-key requests route to their shard and
-// cross-shard requests take an ordered-drain slow path. Each shard's
-// worker pool coalesces pending single operations into shared atomic
-// blocks under an adaptive window capped by -coalesce; a full queue
+// cross-shard requests take an ordered-drain slow path. A shard's worker
+// folds the single operations already queued behind the one it took, up
+// to -coalesce in all, into one shared atomic block; a full queue
 // answers StatusBusy with a queue-depth-aware retry hint. SIGINT/SIGTERM
 // drain gracefully: accepted requests on every shard finish and flush
 // before the listener and connections close.
@@ -70,7 +70,7 @@ func main() {
 	shards := flag.Int("shards", 1, "independent ADT partitions (consistent-hash routed)")
 	workers := flag.Int("workers", 4, "worker pool size per shard")
 	queue := flag.Int("queue", 256, "accepted-request queue bound per shard (backpressure beyond)")
-	coalesce := flag.Int("coalesce", 8, "adaptive coalesce window cap (single ops per shared atomic block)")
+	coalesce := flag.Int("coalesce", 8, "maximum single ops per shared atomic block (1: uncoalesced)")
 	keys := flag.Int("keys", 0, "key space (set/map) or account count (bank); 0 picks the default")
 	attempts := flag.Int("attempts", core.DefaultAttempts, "HTM attempts before lock fallback")
 	lazy := flag.Bool("lazy", false, "lazy lock subscription on the slow path")
@@ -103,17 +103,17 @@ func main() {
 
 	reg := obs.NewRegistry(obs.Config{})
 	srv, err := server.New(server.Config{
-		Addr:       *addr,
-		Workload:   *workload,
-		Method:     *method,
-		Shards:     *shards,
-		Workers:    *workers,
-		QueueDepth: *queue,
-		Coalesce:   *coalesce,
-		Keys:       *keys,
-		Policy:     core.Policy{Attempts: *attempts, LazySubscription: *lazy},
-		Registry:   reg,
-		Plan:       plan,
+		Addr:         *addr,
+		Workload:     *workload,
+		Method:       *method,
+		Shards:       *shards,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		Coalesce:     *coalesce,
+		Keys:         *keys,
+		Policy:       core.Policy{Attempts: *attempts, LazySubscription: *lazy},
+		Registry:     reg,
+		Plan:         plan,
 		ReplicaOf:    *replicaOf,
 		ReplAck:      *replAck,
 		ReplLog:      *replLog,

@@ -92,6 +92,7 @@ type Annotations struct {
 type ignorePragma struct {
 	analyzer string // pass name, or "*" for all
 	pos      token.Position
+	trailing bool // shares its line with code, so it covers that line only
 	used     bool
 }
 
@@ -119,14 +120,18 @@ func (a *Annotations) HasMeta() bool { return len(a.meta) > 0 }
 func (a *Annotations) IsCounterType(tn *types.TypeName) bool { return a.counters[tn] }
 
 // suppressed reports whether an //rtle:ignore pragma covers analyzer at
-// pos, marking any matching pragma as used. A pragma suppresses its own
-// line and the following line, so it works both as a trailing comment and
-// as a standalone comment above the flagged statement.
+// pos, marking any matching pragma as used. A pragma trailing code
+// suppresses its own line; a standalone one suppresses the line below it.
+// A trailing pragma must not reach the next line too, or deleting the
+// statement it was written for silently re-aims it at its neighbour.
 func (a *Annotations) suppressed(analyzer string, pos token.Position) bool {
 	lines := a.suppress[pos.Filename]
 	hit := false
 	for _, l := range []int{pos.Line, pos.Line - 1} {
 		for _, p := range lines[l] {
+			if l != pos.Line && p.trailing {
+				continue
+			}
 			if p.analyzer == "*" || p.analyzer == analyzer {
 				p.used = true
 				hit = true
@@ -224,6 +229,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 	}
 	for _, file := range files {
 		filename := fset.Position(file.Package).Filename
+		code := codeLines(fset, file)
 
 		// Engine marker and //rtle:ignore pragmas can appear in any
 		// comment group.
@@ -251,7 +257,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 							a.suppress[filename] = map[int][]*ignorePragma{}
 						}
 						a.suppress[filename][pos.Line] = append(a.suppress[filename][pos.Line],
-							&ignorePragma{analyzer: name, pos: pos})
+							&ignorePragma{analyzer: name, pos: pos, trailing: code[pos.Line]})
 					}
 				}
 			}
@@ -319,6 +325,22 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 		}
 	}
 	return a
+}
+
+// codeLines returns the lines of file on which a syntax node other than a
+// comment begins or ends: the lines a comment can share with code.
+func codeLines(fset *token.FileSet, file *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()).Line] = true
+		return true
+	})
+	return lines
 }
 
 // HasAdjacentComment reports whether any comment in file sits on the same

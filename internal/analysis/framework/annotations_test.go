@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"slices"
 	"testing"
 )
 
@@ -113,12 +114,14 @@ func a() {}
 func b() {}
 func c() {}
 func d() {}
+func e() {}
 
 func calls() {
 	a()
 	//rtle:ignore fake covered by the standalone pragma above the next line
 	b()
 	c() //rtle:ignore fake trailing pragma covers its own line
+	e()
 	//rtle:ignore other a different analyzer's pragma does not apply
 	d()
 }
@@ -151,10 +154,10 @@ func TestReportSuppression(t *testing.T) {
 	for _, d := range diags {
 		lines = append(lines, d.Pos.Line)
 	}
-	// a() on line 9 (unprotected) and d() on line 14 (pragma names another
-	// analyzer) must survive; b() and c() are suppressed.
-	want := []int{9, 14}
-	if len(lines) != len(want) || lines[0] != want[0] || lines[1] != want[1] {
+	// a() on line 10 (unprotected), e() on line 14 (the pragma trailing
+	// c() above it covers c()'s line only) and d() on line 16 (pragma names
+	// another analyzer) must survive; b() and c() are suppressed.
+	if want := []int{10, 14, 16}; !slices.Equal(lines, want) {
 		t.Fatalf("diagnostic lines = %v, want %v", lines, want)
 	}
 }

@@ -264,19 +264,29 @@ func TestAssemblyConcurrentMatchesSequential(t *testing.T) {
 
 // TestAssemblyWithErrorsFiltersWeakKmers: with sequencing errors and
 // MinCount 2+, erroneous k-mers must not enter contigs, and the genome is
-// still largely reconstructed.
+// still largely reconstructed. How long the longest contig gets is only
+// deterministic on one thread: where two extension threads meet, and so
+// where a contig splits, is timing. The two-thread run is held to what does
+// not depend on it: the same k-mers end up in contigs, and every long contig
+// is a genome substring.
 func TestAssemblyWithErrorsFiltersWeakKmers(t *testing.T) {
-	cfg := Config{GenomeLen: 2000, Coverage: 30, ErrorRate: 0.002, MinCount: 3, Threads: 2, Seed: 8}
+	cfg := Config{GenomeLen: 2000, Coverage: 30, ErrorRate: 0.002, MinCount: 3, Threads: 1, Seed: 8}
 	in := Prepare(cfg)
-	res := in.RunTransactified(func(m *mem.Memory) core.Method {
-		return core.NewTLE(m, core.Policy{})
-	})
-	if res.Longest < cfg.GenomeLen/4 {
-		t.Fatalf("longest contig %d too short for a lightly-corrupted genome of %d", res.Longest, cfg.GenomeLen)
+	tle := func(m *mem.Memory) core.Method { return core.NewTLE(m, core.Policy{}) }
+	one := in.RunTransactified(tle)
+	if one.Longest < cfg.GenomeLen/4 {
+		t.Fatalf("longest contig %d too short for a lightly-corrupted genome of %d", one.Longest, cfg.GenomeLen)
 	}
-	for _, contig := range res.Contigs {
-		if len(contig) >= 200 && !bytes.Contains(in.Genome, contig) {
-			t.Fatalf("a long contig (len %d) is not a genome substring — error k-mers leaked through", len(contig))
+	in.Cfg.Threads = 2
+	two := in.RunTransactified(tle)
+	if two.KmersInContigs != one.KmersInContigs {
+		t.Fatalf("two threads put %d k-mers in contigs, one thread %d", two.KmersInContigs, one.KmersInContigs)
+	}
+	for _, res := range []*Result{one, two} {
+		for _, contig := range res.Contigs {
+			if len(contig) >= 200 && !bytes.Contains(in.Genome, contig) {
+				t.Fatalf("%d threads: a long contig (len %d) is not a genome substring — error k-mers leaked through", res.Threads, len(contig))
+			}
 		}
 	}
 }

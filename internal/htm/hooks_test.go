@@ -104,8 +104,12 @@ func TestOnlySpuriousProbAbortsFirstAccess(t *testing.T) {
 }
 
 // TestOnlyInterleaveEveryYieldsOnReadAndWrite checks the yield itself, on
-// one P so that a yield is the only way the second goroutine can run: its
-// counter must advance across every transactional access.
+// one P so that a yield is the only way the second goroutine can run. Not
+// every yield reaches it: Gosched puts the caller on the global run queue,
+// which the scheduler polls first on every 61st tick, so about one yield in
+// 61 hands the P straight back. Over a few hundred accesses of each kind
+// the other goroutine's counter must advance at least half as often with
+// InterleaveEvery 1, and not at all with 0.
 func TestOnlyInterleaveEveryYieldsOnReadAndWrite(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m := mem.New(1 << 12)
@@ -124,19 +128,34 @@ func TestOnlyInterleaveEveryYieldsOnReadAndWrite(t *testing.T) {
 		stop.Store(true)
 		<-done
 	}()
-	tx := NewTx(m, Config{InterleaveEvery: 1})
-	var t0, t1, t2 int64
-	if r := tx.Run(func(tx *Tx) {
-		t0 = ticks.Load()
-		v := tx.Read(a)
-		t1 = ticks.Load()
-		tx.Write(a, v+1)
-		t2 = ticks.Load()
-	}); r != None {
-		t.Fatalf("aborted: %v", r)
+	const accesses = 200
+	// advanced returns how far the other goroutine got across one
+	// transaction's reads and across its writes.
+	advanced := func(every int) (reads, writes int64) {
+		tx := NewTx(m, Config{InterleaveEvery: every})
+		// Start on a fresh time slice, so that the runtime's own preemption
+		// of a long-running goroutine stays out of the hook-free count.
+		runtime.Gosched()
+		if r := tx.Run(func(tx *Tx) {
+			t0 := ticks.Load()
+			for i := 0; i < accesses; i++ {
+				tx.Read(a)
+			}
+			t1 := ticks.Load()
+			for i := 0; i < accesses; i++ {
+				tx.Write(a, uint64(i))
+			}
+			reads, writes = t1-t0, ticks.Load()-t1
+		}); r != None {
+			t.Fatalf("InterleaveEvery %d: aborted: %v", every, r)
+		}
+		return reads, writes
 	}
-	if t1 <= t0 || t2 <= t1 {
-		t.Fatalf("other goroutine's ticks %d -> %d (Read) -> %d (Write): an access did not yield", t0, t1, t2)
+	if r, w := advanced(0); r != 0 || w != 0 {
+		t.Errorf("InterleaveEvery 0: the other goroutine ran %d times across the reads and %d across the writes; nothing should yield", r, w)
+	}
+	if r, w := advanced(1); r < accesses/2 || w < accesses/2 {
+		t.Errorf("InterleaveEvery 1: the other goroutine ran %d times across %d reads and %d across %[2]d writes; an access kind does not yield", r, accesses, w)
 	}
 }
 

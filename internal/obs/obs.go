@@ -169,13 +169,17 @@ func (r *Registry) ObserveThread(method string) core.ThreadObserver {
 	return s
 }
 
-// record appends a trace event (called by shards, already sampled).
+// record stamps and appends a trace event (called by shards, already
+// sampled). The stamp is taken under the lock: the ring is read oldest
+// first, so ring order must be timestamp order, and two threads that read
+// the clock before queueing for the lock can enter it the other way round.
 func (r *Registry) record(ev TraceEvent) {
 	r.mu.Lock()
 	if len(r.trace) == 0 {
 		r.mu.Unlock()
 		return
 	}
+	ev.UnixNanos = time.Now().UnixNano()
 	if r.traceLen == len(r.trace) {
 		r.traceDropped++
 	} else {
@@ -247,15 +251,14 @@ func (s *Shard) tracePath(p core.Path, k core.CommitKind) {
 		return
 	}
 	s.reg.record(TraceEvent{
-		UnixNanos: time.Now().UnixNano(),
-		Thread:    s.id,
-		Method:    s.method,
-		From:      core.Path(from),
-		To:        p,
-		FromName:  core.Path(from).String(),
-		ToName:    p.String(),
-		Kind:      k,
-		KindName:  k.String(),
+		Thread:   s.id,
+		Method:   s.method,
+		From:     core.Path(from),
+		To:       p,
+		FromName: core.Path(from).String(),
+		ToName:   p.String(),
+		Kind:     k,
+		KindName: k.String(),
 	})
 }
 

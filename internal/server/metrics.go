@@ -13,7 +13,9 @@ import (
 // batch, ping, replication-subscribe, and snapshot slots.
 const numOps = 13
 
-// opIndex maps a wire op to its metric slot.
+// opIndex maps a wire op to its metric slot. An opcode the protocol does
+// not define has none (-1): validation rejects it before anything indexes
+// by it.
 func opIndex(op Op) int {
 	switch op {
 	case OpBatch:
@@ -28,7 +30,7 @@ func opIndex(op Op) int {
 		if int(op) < 9 {
 			return int(op)
 		}
-		return 10
+		return -1
 	}
 }
 
@@ -62,21 +64,6 @@ type ShardMetrics struct {
 	// on this shard — fast and slow paths alike — the basis of the
 	// retry-after hint, which prices total shard occupancy.
 	ewmaServiceNanos atomic.Int64
-
-	// ewmaFastNanos is the same decayed mean over fast-path blocks only,
-	// the service signal the adaptive coalescer steers by: a long
-	// multi-shard slow block must not read as fast-path service time and
-	// suppress window widening.
-	ewmaFastNanos atomic.Int64
-
-	// ewmaAbortPerMille is the decayed HTM abort fraction (aborts per 1000
-	// attempts) observed by this shard's workers, the contention signal the
-	// adaptive coalescer narrows the window on: a wide window under heavy
-	// abort pressure grows the retry tail instead of amortizing entry cost.
-	ewmaAbortPerMille atomic.Int64
-
-	// coal renders the shard's live coalesce window; set by New.
-	coal *coalescer
 }
 
 // ewmaFold folds one sample into a decayed mean (alpha = 1/8, integer
@@ -91,23 +78,8 @@ func ewmaFold(v *atomic.Int64, sample int64) {
 	v.Store(old + (sample-old)/8)
 }
 
-// observeService folds one atomic block's wall time into the shared
-// service EWMA (both paths).
+// observeService folds one atomic block's wall time into the service EWMA.
 func (m *ShardMetrics) observeService(nanos int64) { ewmaFold(&m.ewmaServiceNanos, nanos) }
-
-// observeFastService folds one fast-path block's wall time into the
-// coalescer's service signal.
-func (m *ShardMetrics) observeFastService(nanos int64) { ewmaFold(&m.ewmaFastNanos, nanos) }
-
-// observeAborts folds one block's (attempts, aborts) delta into the abort
-// EWMA, scaled to per-mille. Zero-attempt samples carry no signal and are
-// dropped.
-func (m *ShardMetrics) observeAborts(attempts, aborts uint64) {
-	if attempts == 0 {
-		return
-	}
-	ewmaFold(&m.ewmaAbortPerMille, int64(aborts*1000/attempts))
-}
 
 // retryAfterMicros estimates when this shard's queue capacity frees up:
 // the backlog ahead of a rejected request (depth plus what is executing),
@@ -368,20 +340,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p("rtled_service_ewma_seconds %g\n", float64(m.ewmaServiceNanosMax())/1e9)
 	for k, s := range shards {
 		p("rtled_service_ewma_seconds{shard=\"%d\"} %g\n", k, float64(s.ewmaServiceNanos.Load())/1e9)
-	}
-
-	p("# HELP rtled_coalesce_window Live adaptive coalesce window, per shard.\n")
-	p("# TYPE rtled_coalesce_window gauge\n")
-	for k, s := range shards {
-		if s.coal != nil {
-			p("rtled_coalesce_window{shard=\"%d\"} %d\n", k, s.coal.Window())
-		}
-	}
-
-	p("# HELP rtled_abort_ewma_per_mille Decayed HTM abort fraction (aborts per 1000 attempts), per shard.\n")
-	p("# TYPE rtled_abort_ewma_per_mille gauge\n")
-	for k, s := range shards {
-		p("rtled_abort_ewma_per_mille{shard=\"%d\"} %d\n", k, s.ewmaAbortPerMille.Load())
 	}
 
 	if r := m.repl; r != nil {

@@ -270,27 +270,9 @@ func (r *replication) shutdownRunner() {
 	}
 }
 
-// replGroupOps converts a fast-path group's mutating operations to log
-// ops. Reads are stripped: they do not change state, so replaying without
-// them reproduces the same history. A nil return means nothing to log.
-func replGroupOps(buf []repl.Op, group []*task) []repl.Op {
-	buf = buf[:0]
-	for _, t := range group {
-		if IsRead(t.req.Op) {
-			continue
-		}
-		buf = append(buf, repl.Op{
-			Code: uint8(t.req.Op), Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3,
-		})
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	return buf
-}
-
-// replBatchOps converts a batch's mutating entries to log ops (see
-// replGroupOps).
+// replBatchOps converts one block's mutating entries to log ops. Reads are
+// stripped: they do not change state, so replaying without them reproduces
+// the same history. A nil return means nothing to log.
 func replBatchOps(buf []repl.Op, entries []BatchEntry) []repl.Op {
 	buf = buf[:0]
 	for i := range entries {

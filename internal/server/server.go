@@ -41,11 +41,10 @@ type Config struct {
 	// cross-shard slow queue). A full queue rejects with StatusBusy and a
 	// retry-after hint (default 256).
 	QueueDepth int
-	// Coalesce caps the adaptive coalesce window: the maximum number of
-	// pending single operations one worker folds into a shared atomic
-	// block. Each shard adapts its live window within [1, Coalesce] from
-	// queue depth and observed service time (default 8; 1 pins the window
-	// to uncoalesced execution).
+	// Coalesce is the maximum number of pending single operations one
+	// worker folds into a shared atomic block: it takes one task and
+	// drains up to Coalesce-1 more that are already queued, never waiting
+	// (default 8; 1 means uncoalesced execution).
 	Coalesce int
 	// Keys bounds the key space for set/map and is the account count for
 	// bank (default 1024, bank 16).
@@ -395,10 +394,8 @@ func (s *Server) buildTopology(n int) (*topology, error) {
 			adt:    a,
 			method: method,
 			queue:  make(chan *task, cfg.QueueDepth),
-			coal:   newCoalescer(cfg.Coalesce),
 			m:      &ShardMetrics{},
 		}
-		sh.m.coal = sh.coal
 		sh.slowThread = method.NewThread()
 		sh.slowEx = a.newExecutor(slots)
 		tp.shards = append(tp.shards, sh)
@@ -546,7 +543,11 @@ func (s *Server) readLoop(c *conn) {
 			s.reject(c, req.ID, StatusBad, err.Error())
 			continue
 		}
-		s.metrics.requests[opIndex(req.Op)].Add(1)
+		// An opcode the protocol does not define has no slot: validate
+		// counts it as the bad request it is.
+		if i := opIndex(req.Op); i >= 0 {
+			s.metrics.requests[i].Add(1)
+		}
 		if req.Op == OpReplSubscribe {
 			// The connection becomes a replication stream; when the
 			// subscriber hangs up the deferred teardown runs as usual.
@@ -700,11 +701,10 @@ func (s *Server) flushRun(c *conn, run *affRun) {
 // enqueueLocked queues a planned chain of n tasks on its shard queue (or a
 // single multi-shard task on the slow queue) with the count-before-send
 // accounting discipline: a worker decrements the depth gauge at pickup, so
-// counting after the send could let it dip negative — and the coalescer
-// reads it, so a stale negative depth would spuriously shrink the window.
-// The caller holds drainMu shared with draining false. On backpressure
-// every count is rolled back, each task's sh is left naming the busy-hint
-// shard, and false is returned.
+// counting after the send could let a scrape, or a busy answer's
+// queue-depth hint, read it negative. The caller holds drainMu shared with
+// draining false. On backpressure every count is rolled back, each task's
+// sh is left naming the busy-hint shard, and false is returned.
 //
 //rtle:hotpath
 func (s *Server) enqueueLocked(tp *topology, head *task, n int, plan routePlan) bool {
@@ -833,8 +833,8 @@ func (s *Server) busy(c *conn, id uint32, sh *shard) {
 }
 
 // Write-batch bounds. The frame bound keeps one writev's iovec small
-// enough to track the coalesced-block sizes the adaptive controller
-// produces (a whole block's responses land in one syscall); the byte
+// enough to track the sizes of the coalesced blocks the workers
+// produce (a whole block's responses land in one syscall); the byte
 // bound is the latency budget — it flushes before the vectored write
 // itself becomes a latency cliff for whoever's response rides last in
 // the batch. Gathering never waits: only frames already queued join a

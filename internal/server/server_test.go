@@ -182,6 +182,38 @@ func nextResponse(t *testing.T, c *conn) Response {
 	}
 }
 
+// watchGauges samples every shard's queue-depth and in-flight gauges and the
+// slow-queue depth from a goroutine of its own, failing the test if one ever
+// reads negative, until the returned function is called.
+func watchGauges(t *testing.T, m *Metrics) (stop func()) {
+	done := make(chan struct{})
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			for k, sm := range m.Shards() {
+				if q, in := sm.queueDepth.Load(), sm.inflight.Load(); q < 0 || in < 0 {
+					t.Errorf("shard %d: a gauge went negative: queue depth %d, inflight %d", k, q, in)
+				}
+			}
+			if d := m.slowDepth.Load(); d < 0 {
+				t.Errorf("slow queue depth went negative: %d", d)
+			}
+			select {
+			case <-done:
+				return
+			default:
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		sampler.Wait()
+	}
+}
+
 // TestBackpressure exercises the one admission function, flushRun,
 // directly. No workers are running (Listen is never called), so queues
 // only fill: a full queue must answer StatusBusy with a retry hint instead
@@ -277,30 +309,9 @@ func TestBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// The depth gauges must never read negative, whoever looks.
+		// The gauges must never read negative, whoever looks.
 		m := srv.Metrics()
-		stop := make(chan struct{})
-		var sampler sync.WaitGroup
-		sampler.Add(1)
-		go func() {
-			defer sampler.Done()
-			for {
-				for _, sm := range m.Shards() {
-					if d := sm.queueDepth.Load(); d < 0 {
-						t.Errorf("shard queue depth went negative: %d", d)
-					}
-				}
-				if d := m.slowDepth.Load(); d < 0 {
-					t.Errorf("slow queue depth went negative: %d", d)
-				}
-				select {
-				case <-stop:
-					return
-				default:
-					time.Sleep(50 * time.Microsecond)
-				}
-			}
-		}()
+		stopWatch := watchGauges(t, m)
 
 		flushed := make(chan struct{})
 		go func() {
@@ -337,8 +348,7 @@ func TestBackpressure(t *testing.T) {
 		if d := m.QueueDepth(); d != 0 {
 			t.Errorf("queue depth %d after the accepted tasks ran, want 0", d)
 		}
-		close(stop)
-		sampler.Wait()
+		stopWatch()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -453,6 +463,10 @@ func TestMetricsRendered(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
+	// An opcode the protocol does not define is a bad request, not a ping.
+	if resp, err := c.Op(Op(55), 1, 0, 0); err != nil || resp.Status != StatusBad {
+		t.Fatalf("undefined opcode answered %+v, %v; want bad-request", resp, err)
+	}
 
 	var sb strings.Builder
 	if err := srv.Metrics().WritePrometheus(&sb); err != nil {
@@ -462,6 +476,7 @@ func TestMetricsRendered(t *testing.T) {
 	for _, want := range []string{
 		`rtled_requests_total{op="insert"} 10`,
 		`rtled_requests_total{op="ping"} 1`,
+		"rtled_bad_requests_total 1",
 		`rtled_responses_total{status="ok"}`,
 		"rtled_queue_depth 0",
 		"rtled_sections_total",

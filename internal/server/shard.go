@@ -34,8 +34,7 @@ type shard struct {
 	// multi-shard operation.
 	gate sync.RWMutex
 
-	coal *coalescer
-	m    *ShardMetrics
+	m *ShardMetrics
 
 	// logMu serializes replicated fast-path commits on this shard: held
 	// around the whole gate region (RLock, atomic block, log append) so an
@@ -59,29 +58,6 @@ type shard struct {
 	slowEx     *executor
 }
 
-// abortProbe tracks one worker thread's cumulative attempt/abort counters
-// so each section's delta can feed the shard's contention signal. The
-// stats are written by the owning worker goroutine only, so sampling them
-// between sections is race-free.
-type abortProbe struct {
-	stats    *core.Stats
-	attempts uint64
-	aborts   uint64
-}
-
-// sample returns the (attempts, aborts) delta since the previous sample.
-func (p *abortProbe) sample() (attempts, aborts uint64) {
-	st := p.stats
-	att := st.FastAttempts + st.SlowAttempts + st.STMStarts
-	ab := st.STMAborts
-	for i := range st.FastAborts {
-		ab += st.FastAborts[i] + st.SlowAborts[i]
-	}
-	attempts, aborts = att-p.attempts, ab-p.aborts
-	p.attempts, p.aborts = att, ab
-	return attempts, aborts
-}
-
 // worker executes one shard's queued tasks. Each worker owns one method
 // thread and one executor (with a handle per slot), so the pool maps onto
 // the paper's thread model: Workers concurrent critical-section executors
@@ -96,10 +72,10 @@ func (s *Server) worker(sh *shard) {
 	}
 	ex := sh.adt.newExecutor(slots)
 	thread := sh.method.NewThread()
-	results := make([]Result, slots) //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
-	group := make([]*task, 0, s.cfg.Coalesce)
-	probe := &abortProbe{stats: thread.Stats()} //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
-	replBuf := make([]repl.Op, 0, slots)
+	results := make([]Result, slots)                 //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
+	group := make([]*task, 0, s.cfg.Coalesce)        //rtle:ignore hotalloc worker-lifetime scratch; one group of at most Coalesce tasks at a time
+	entries := make([]BatchEntry, 0, s.cfg.Coalesce) //rtle:ignore hotalloc worker-lifetime scratch; the group's operations in the form the section runner takes
+	replBuf := make([]repl.Op, 0, slots)             //rtle:ignore hotalloc worker-lifetime scratch; one block's log ops, copied by the log on append
 
 	for {
 		t, ok := <-sh.queue
@@ -109,9 +85,8 @@ func (s *Server) worker(sh *shard) {
 		// The queue carries affinity-run chains as well as lone tasks. Each
 		// task is picked up (queued → executing) only as it is detached
 		// into a group, so a carried chain remainder still reads as queue
-		// depth — the backlog signal the adaptive coalescer widens on.
-		// Detaching before execution matters: putTask clears next, so a
-		// still-linked task would drop its tail.
+		// depth. Detaching before execution matters: putTask clears next,
+		// so a still-linked task would drop its tail.
 		for t != nil {
 			carry := t.next
 			t.next = nil
@@ -121,13 +96,12 @@ func (s *Server) worker(sh *shard) {
 				//rtle:ignore hotalloc a ping carries no results; respond encodes nil as the empty set without growing it
 				s.respond(t, nil, Response{ID: t.req.ID, Status: StatusOK})
 			case OpBatch:
-				s.runBatch(sh, ex, thread, t, results, probe, replBuf)
+				s.runBatch(sh, ex, thread, t, results, replBuf)
 			default:
 				group = append(group[:0], t)
-				window := sh.coal.Window()
 				// The rest of the chain fills the group first, then the
 				// queue tops it off.
-				for carry != nil && len(group) < window &&
+				for carry != nil && len(group) < s.cfg.Coalesce &&
 					carry.req.Op != OpPing && carry.req.Op != OpBatch {
 					nt := carry
 					carry = carry.next
@@ -135,40 +109,42 @@ func (s *Server) worker(sh *shard) {
 					sh.pickup(nt)
 					group = append(group, nt)
 				}
-				if carry == nil && len(group) < window {
-					carry = s.fillGroup(sh, &group, window)
+				if carry == nil {
+					carry = s.fillGroup(sh, &group)
 				}
-				s.runGroup(sh, ex, thread, group, results, probe, replBuf)
+				s.runGroup(sh, ex, thread, group, entries, results, replBuf)
 			}
 			t = carry
 		}
 	}
 }
 
-// pickup accounts a task's transition from queued to executing.
+// pickup accounts a task's transition from queued to executing. The depth
+// gauge was raised before the send (enqueueLocked), so it never reads
+// negative here either.
 func (sh *shard) pickup(t *task) {
 	sh.m.queueDepth.Add(-1)
 	sh.m.inflight.Add(1)
 }
 
-// fillGroup opportunistically drains further pending single operations
-// into group — up to the shard's live adaptive window — so one elided
-// critical section serves several queued requests. A batch or ping pulled
-// while filling is returned for the caller to run next, as is the
-// remainder of a chain that overflows the window (already picked up, its
-// links intact). Coalescing preserves linearizability: every grouped
-// operation is pending (invoked, not yet answered) when the shared block
-// commits, so placing them all at its commit point respects real-time
-// order.
-func (s *Server) fillGroup(sh *shard, group *[]*task, window int) *task {
-	for len(*group) < window {
+// fillGroup drains further single operations that are already queued into
+// group, up to Config.Coalesce in all, so one elided critical section
+// serves several pending requests. It never waits: a shallow queue yields a
+// small group. A batch or ping pulled while filling is returned for the
+// caller to run next, as is the remainder of a chain that overflows the
+// cap (not yet picked up, its links intact). Coalescing preserves
+// linearizability: every grouped operation is pending (invoked, not yet
+// answered) when the shared block commits, so placing them all at its
+// commit point respects real-time order.
+func (s *Server) fillGroup(sh *shard, group *[]*task) *task {
+	for len(*group) < s.cfg.Coalesce {
 		select {
 		case t, ok := <-sh.queue:
 			if !ok {
 				return nil
 			}
 			for t != nil {
-				if t.req.Op == OpPing || t.req.Op == OpBatch || len(*group) >= window {
+				if t.req.Op == OpPing || t.req.Op == OpBatch || len(*group) >= s.cfg.Coalesce {
 					return t
 				}
 				nx := t.next
@@ -215,27 +191,43 @@ func (s *Server) runFastSection(sh *shard, body func(), ops []repl.Op) uint64 {
 	return bar
 }
 
-// runGroup executes every task of group inside one atomic block on sh,
-// each in its own executor slot, then finalizes and answers them.
-func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*task, results []Result, probe *abortProbe, replBuf []repl.Op) {
+// runSection executes entries inside one fast-path atomic block on sh,
+// entry i in executor slot i with its result in results[i], and returns the
+// block's sync barrier (see runFastSection).
+func (s *Server) runSection(sh *shard, ex *executor, thread core.Thread, entries []BatchEntry, results []Result, replBuf []repl.Op) uint64 {
 	var ops []repl.Op
 	if r := s.repl; r != nil && r.primary() {
-		ops = replGroupOps(replBuf, group)
+		ops = replBatchOps(replBuf, entries)
 	}
 	start := time.Now()
-	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc block-body closure pair; runFastSection and Atomic call them inline, so they stay on the stack
+	//rtle:ignore hotalloc block-body closure; runFastSection calls it inline, so it stays on the stack
+	bar := s.runFastSection(sh, func() {
+		//rtle:ignore hotalloc atomic-block body; Atomic is an interface call, so it escapes: one closure per block, shared by every operation the block folds
 		thread.Atomic(func(c core.Context) {
-			for i, t := range group {
-				results[i] = ex.run(c, i, t.req.Op, t.req.Arg1, t.req.Arg2, t.req.Arg3)
+			for i := range entries {
+				e := &entries[i]
+				results[i] = ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
 			}
 		})
 	}, ops)
-	sh.sectionDone(start, probe)
+	sh.sectionDone(start)
+	for i := range entries {
+		ex.after(i, entries[i].Op, results[i])
+	}
+	return bar
+}
+
+// runGroup executes every task of group inside one atomic block on sh,
+// then answers them. entries is the worker's scratch for the group's
+// operations.
+func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*task, entries []BatchEntry, results []Result, replBuf []repl.Op) {
+	entries = entries[:0]
+	for _, t := range group {
+		entries = append(entries, BatchEntry{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3})
+	}
+	bar := s.runSection(sh, ex, thread, entries, results, replBuf)
 	if len(group) > 1 {
 		sh.m.coalesced.Add(uint64(len(group)))
-	}
-	for i, t := range group {
-		ex.after(i, t.req.Op, results[i])
 	}
 	if !s.replWait(bar) {
 		for _, t := range group {
@@ -251,26 +243,10 @@ func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*
 // runBatch executes one single-shard client batch inside one atomic block
 // — the protocol's atomicity contract — and answers with per-entry
 // results. Batches spanning several shards take the slow path instead.
-func (s *Server) runBatch(sh *shard, ex *executor, thread core.Thread, t *task, results []Result, probe *abortProbe, replBuf []repl.Op) {
+func (s *Server) runBatch(sh *shard, ex *executor, thread core.Thread, t *task, results []Result, replBuf []repl.Op) {
 	entries := t.req.Batch
-	var ops []repl.Op
-	if r := s.repl; r != nil && r.primary() {
-		ops = replBatchOps(replBuf, entries)
-	}
-	start := time.Now()
-	bar := s.runFastSection(sh, func() { //rtle:ignore hotalloc block-body closure pair; runFastSection and Atomic call them inline, so they stay on the stack
-		thread.Atomic(func(c core.Context) {
-			for i := range entries {
-				e := &entries[i]
-				results[i] = ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
-			}
-		})
-	}, ops)
-	sh.sectionDone(start, probe)
+	bar := s.runSection(sh, ex, thread, entries, results, replBuf)
 	sh.m.batchOps.Add(uint64(len(entries)))
-	for i := range entries {
-		ex.after(i, entries[i].Op, results[i])
-	}
 	if !s.replWait(bar) {
 		s.discard(t)
 		return
@@ -321,25 +297,16 @@ func (s *Server) replAppendSlow(tp *topology, spans []int, ops []repl.Op) uint64
 	return seq
 }
 
-// sectionDone folds one fast-path atomic block's wall time and its HTM
-// attempt/abort delta into the shard's metrics and feeds the adaptive
-// coalesce controller.
-func (sh *shard) sectionDone(start time.Time, probe *abortProbe) {
-	nanos := time.Since(start).Nanoseconds()
+// sectionDone folds one fast-path atomic block's wall time into the
+// shard's metrics.
+func (sh *shard) sectionDone(start time.Time) {
 	sh.m.sections.Add(1)
-	sh.m.observeService(nanos)
-	sh.m.observeFastService(nanos)
-	attempts, aborts := probe.sample()
-	sh.m.observeAborts(attempts, aborts)
-	sh.coal.Observe(sh.m.queueDepth.Load(), sh.m.ewmaFastNanos.Load(), sh.m.ewmaAbortPerMille.Load())
+	sh.m.observeService(time.Since(start).Nanoseconds())
 }
 
 // slowSectionDone folds one slow-path atomic block into sh's metrics.
-// Slow blocks run under the exclusive gate; they feed the shared service
-// EWMA (the retry-after hint prices total shard occupancy) but not the
-// fast-path EWMA the coalescer steers by, so a long multi-shard block
-// cannot masquerade as fast-path service time and suppress window
-// widening.
+// Slow blocks run under the exclusive gate and feed the same service EWMA:
+// the retry-after hint prices total shard occupancy.
 func (sh *shard) slowSectionDone(start time.Time) {
 	sh.m.sections.Add(1)
 	sh.m.slowBlocks.Add(1)

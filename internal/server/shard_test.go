@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rtle/internal/check"
-	"rtle/internal/core"
 	"rtle/internal/fault"
 )
 
@@ -220,26 +219,72 @@ func TestCrossShardTransferBatch(t *testing.T) {
 	}
 }
 
-// TestCoalescerIgnoresSlowServiceTime pins the fast/slow split of the
-// service EWMAs: a long multi-shard slow block inflates the shared EWMA
-// (which prices retry-after hints) but must not feed the coalescer,
-// whose latency guard would otherwise refuse to widen the window under
-// pure fast-path pressure.
-func TestCoalescerIgnoresSlowServiceTime(t *testing.T) {
-	sh := &shard{m: &ShardMetrics{}, coal: newCoalescer(8)}
-	sh.slowSectionDone(time.Now().Add(-50 * time.Millisecond))
-	if sh.m.ewmaServiceNanos.Load() == 0 {
-		t.Fatal("slow block did not feed the shared service EWMA")
+// TestWorkerDrain holds the worker loop to its contract: take one task,
+// fold in whatever single operations are already queued up to
+// Config.Coalesce, never wait for more, and run a ping or batch pulled
+// mid-fill next, picking it up exactly once. Requests are admitted on a cold
+// server (Listen is never called) and one worker is started on the full
+// queue, so the grouping is deterministic.
+func TestWorkerDrain(t *testing.T) {
+	get := Request{Op: check.OpGet, Arg1: 1}
+	gets := []Request{get, get, get, get, get, get, get, get}
+	cases := []struct {
+		name                string
+		coalesce            int
+		reqs                []Request
+		sections, coalesced uint64
+	}{
+		{"cap8", 8, gets, 1, 8},
+		{"cap4", 4, gets, 2, 8},
+		{"cap1", 1, gets, 8, 0},
+		{"mixed", 8, []Request{
+			get, get, {Op: OpPing}, get,
+			{Op: OpBatch, Batch: []BatchEntry{{Op: check.OpPut, Arg1: 2, Arg2: 7}, {Op: check.OpGet, Arg1: 2}}},
+			get,
+		}, 4, 2},
 	}
-	if got := sh.m.ewmaFastNanos.Load(); got != 0 {
-		t.Fatalf("slow block leaked %dns into the fast-path EWMA", got)
-	}
-	sh.m.queueDepth.Store(8)
-	probe := &abortProbe{stats: &core.Stats{}}
-	sh.sectionDone(time.Now(), probe)
-	sh.sectionDone(time.Now(), probe)
-	if w := sh.coal.Window(); w <= 1 {
-		t.Errorf("window %d did not widen under fast-path backlog; the slow EWMA is steering the coalescer", w)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{Workload: "map", Workers: 1, Coalesce: tc.coalesce, Keys: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &conn{out: make(chan *frameBuf, len(tc.reqs))}
+			for i, req := range tc.reqs {
+				req.ID = uint32(i + 1)
+				flushOne(srv, c, req)
+			}
+			m := srv.Metrics()
+			sm := m.Shards()[0]
+			if d := sm.queueDepth.Load(); d != int64(len(tc.reqs)) {
+				t.Fatalf("queue depth %d after %d admissions", d, len(tc.reqs))
+			}
+
+			// The gauges must never read negative, whoever looks.
+			stopWatch := watchGauges(t, m)
+			srv.startWorkers(srv.top())
+			for range tc.reqs {
+				if resp := nextResponse(t, c); resp.Status != StatusOK {
+					t.Errorf("queued request answered %+v, want ok", resp)
+				}
+			}
+			c.tasks.Wait()
+			stopWatch()
+			if got := m.Sections(); got != tc.sections {
+				t.Errorf("%d sections, want %d", got, tc.sections)
+			}
+			if got := m.Coalesced(); got != tc.coalesced {
+				t.Errorf("%d coalesced operations, want %d", got, tc.coalesced)
+			}
+			if q, in, slow := sm.queueDepth.Load(), sm.inflight.Load(), m.slowDepth.Load(); q != 0 || in != 0 || slow != 0 {
+				t.Errorf("queue depth %d, inflight %d, slow depth %d after every answer, want 0", q, in, slow)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+		})
 	}
 }
 
@@ -331,7 +376,6 @@ func TestShardedMetricsRendered(t *testing.T) {
 		`rtled_sections_total{shard="0"}`,
 		`rtled_sections_total{shard="1"}`,
 		`rtled_shard_queue_depth{shard="0"}`,
-		`rtled_coalesce_window{shard="1"}`,
 		"rtled_hello_rejects_total 0",
 		"rtled_cross_shard_total",
 	} {

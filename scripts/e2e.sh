@@ -161,7 +161,8 @@ run_load() {
     -conns 2 -pipeline 4 -ops 1500 -read-pct 60 -batch-pct 20
   drain
 
-  # Skewed keys exercise the hot-shard path and the abort-aware coalescer.
+  # Skewed keys put most of the load on one shard: the hot-shard path, with
+  # coalesced blocks that conflict (about 1 % of attempts abort here).
   boot -workload set -method 'FG-TLE(256)' -shards "$SHARDS" -workers 4 -keys 256
   "$BINDIR/rtleload" -addr "$ADDR" -workload set -keys 256 \
     -conns 4 -pipeline 8 -ops 10000 -read-pct 50 -batch-pct 10 \
