@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: build test race vet rtlevet e2e microbench bench bench-test all
+.PHONY: fmt build test race vet rtlevet e2e microbench bench bench-test all
 
-all: build vet test
+all: fmt build vet test
+
+# fmt fails when any file is not gofmt-clean (CI's first step).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

@@ -218,3 +218,51 @@ func TestAccountingConformance(t *testing.T) {
 		}
 	}
 }
+
+// TestSoftwareSectionConformance runs one scripted body through the two
+// methods that run NOrec's software transaction — NOrec itself, and RHNOrec
+// with a hardware path that can never commit it — and requires the same
+// software accounting from both: they embed one transaction (norec.Tx) and
+// may differ only in how a writing attempt commits. The script: read a; a
+// second thread commits a write to a; read b, which notices the moved
+// timestamp, revalidates by value and aborts; the re-execution reads both
+// undisturbed and writes c.
+func TestSoftwareSectionConformance(t *testing.T) {
+	type stmCounts struct{ STMStarts, STMAborts, Validations, RO, ViaHTM, ViaLock uint64 }
+	for name, commit := range map[string]stmCounts{
+		"NOrec":   {ViaLock: 1}, // takes the sequence lock
+		"RHNOrec": {ViaHTM: 1},  // the reduced hardware transaction
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := mem.New(1 << 16)
+			method, err := harness.BuildMethod(name, m, core.Policy{Attempts: conformanceBudget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b, c := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
+			th, other := method.NewThread(), method.NewThread()
+			software := 0
+			th.Atomic(func(ctx core.Context) {
+				if ctx.InHTM() {
+					ctx.Unsupported() // no hardware attempt survives
+				}
+				software++
+				va := ctx.Read(a)
+				if software == 1 {
+					other.Atomic(func(o core.Context) { o.Write(a, 7) })
+				}
+				ctx.Write(c, va+ctx.Read(b)+1)
+			})
+			if got := m.Load(c); got != 8 {
+				t.Fatalf("c = %d, want 8: the committed execution must have read the interfering write", got)
+			}
+			s := th.Stats()
+			want := commit
+			want.STMStarts, want.STMAborts, want.Validations = 2, 1, 1
+			got := stmCounts{s.STMStarts, s.STMAborts, s.Validations, s.STMCommitsRO, s.STMCommitsHTM, s.STMCommitsLock}
+			if s.Ops != 1 || got != want {
+				t.Errorf("Ops = %d, software accounting\n got  %+v\n want %+v", s.Ops, got, want)
+			}
+		})
+	}
+}

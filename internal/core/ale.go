@@ -65,7 +65,7 @@ func (a *ALEMethod) Name() string { return fmt.Sprintf("ALE(%d)", a.norecs) }
 
 // NewThread implements Method.
 func (a *ALEMethod) NewThread() Thread {
-	return &aleThread{Exec: a.exec(a.Name()), method: a, writeMap: map[mem.Addr]uint64{}}
+	return &aleThread{Exec: a.exec(a.Name()), method: a, log: NewValueLog()}
 }
 
 // aleThread keeps a loop of its own: its fast path is the instrumented one
@@ -76,12 +76,9 @@ type aleThread struct {
 	method *ALEMethod
 
 	// Software-section state.
-	swSeq      uint64              //rtle:meta phase counter value of this section
-	swClock    uint64              //rtle:meta memory-clock snapshot at section begin
-	readAddrs  []mem.Addr          //rtle:meta
-	readVals   []uint64            //rtle:meta
-	writeMap   map[mem.Addr]uint64 //rtle:meta
-	writeOrder []mem.Addr          //rtle:meta
+	swSeq   uint64   //rtle:meta phase counter value of this section
+	swClock uint64   //rtle:meta memory-clock snapshot at section begin
+	log     ValueLog // reads by value and buffered writes of this section
 }
 
 func (t *aleThread) Atomic(body func(Context)) {
@@ -141,10 +138,7 @@ func (t *aleThread) attemptSoftware(body func(Context)) (ok bool) {
 	t.swSeq = m.Load(a.seqAddr) + 1
 	m.Store(a.seqAddr, t.swSeq)
 	t.swClock = m.ClockLoad()
-	t.readAddrs = t.readAddrs[:0]
-	t.readVals = t.readVals[:0]
-	clear(t.writeMap)
-	t.writeOrder = t.writeOrder[:0]
+	t.log.Reset()
 	t.Rec.STMStart()
 
 	defer func() {
@@ -169,7 +163,7 @@ func (t *aleThread) attemptSoftware(body func(Context)) (ok bool) {
 func (t *aleThread) writeBack() bool {
 	a := t.method
 	m := a.m
-	if len(t.writeOrder) == 0 {
+	if t.log.ReadOnly() {
 		// Read-only section: reads were validated eagerly (orec +
 		// version checks), so the section is consistent as of swClock.
 		// ALE software sections are dual-booked: a lock run (the Op,
@@ -179,20 +173,12 @@ func (t *aleThread) writeBack() bool {
 		return true
 	}
 	valid := true
-	for i := 0; i < a.policy.attempts(); i++ {
+	for i := 0; i < a.policy.AttemptBudget(); i++ {
 		reason := t.Tx.Run(func(tx *htm.Tx) {
-			// Every logged read is a pre-write observation and must
-			// still hold — including reads of addresses this section
-			// later wrote (read-modify-writes).
-			for j, addr := range t.readAddrs {
-				if tx.Read(addr) != t.readVals[j] {
-					valid = false
-					tx.Abort()
-				}
+			if valid = t.log.ValidTx(tx); !valid {
+				tx.Abort()
 			}
-			for _, addr := range t.writeOrder {
-				tx.Write(addr, t.writeMap[addr])
-			}
+			t.log.PublishTx(tx)
 		})
 		if reason == htm.None {
 			t.Rec.ExtraCommit(CommitSTMHTM)
@@ -205,14 +191,10 @@ func (t *aleThread) writeBack() bool {
 	// Halt the fast path and publish pessimistically.
 	m.Store(a.blockedAddr, 1)
 	defer m.Store(a.blockedAddr, 0)
-	for j, addr := range t.readAddrs {
-		if m.Load(addr) != t.readVals[j] {
-			return false
-		}
+	if !t.log.Valid(m) {
+		return false
 	}
-	for _, addr := range t.writeOrder {
-		m.Store(addr, t.writeMap[addr])
-	}
+	t.log.Publish(m)
 	t.Rec.ExtraCommit(CommitSTMLock)
 	return true
 }
@@ -257,10 +239,8 @@ type aleSwCtx struct {
 func (c aleSwCtx) Read(a mem.Addr) uint64 {
 	t := c.t
 	t.pacer.Tick()
-	if len(t.writeMap) > 0 {
-		if v, ok := t.writeMap[a]; ok {
-			return v
-		}
+	if v, ok := t.log.Written(a); ok {
+		return v
 	}
 	m := t.method.m
 	if m.Load(t.method.orecOf(a)) >= t.swSeq {
@@ -273,19 +253,14 @@ func (c aleSwCtx) Read(a mem.Addr) uint64 {
 		// began: the view would be torn.
 		panic(aleAbort{})
 	}
-	t.readAddrs = append(t.readAddrs, a)
-	t.readVals = append(t.readVals, v)
+	t.log.LogRead(a, v)
 	return v
 }
 
 //rtle:lockpath
 func (c aleSwCtx) Write(a mem.Addr, v uint64) {
-	t := c.t
-	t.pacer.Tick()
-	if _, ok := t.writeMap[a]; !ok {
-		t.writeOrder = append(t.writeOrder, a)
-	}
-	t.writeMap[a] = v
+	c.t.pacer.Tick()
+	c.t.log.Buffer(a, v)
 }
 
 func (c aleSwCtx) InHTM() bool  { return false }

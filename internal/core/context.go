@@ -20,6 +20,10 @@ func (c htmCtx) Write(a mem.Addr, v uint64) { c.tx.Write(a, v) }
 func (c htmCtx) InHTM() bool                { return true }
 func (c htmCtx) Unsupported()               { c.tx.Unsupported() }
 
+// FastContext returns the uninstrumented fast-path Context over tx; it must
+// only be used inside tx.Run.
+func FastContext(tx *htm.Tx) Context { return htmCtx{tx} }
+
 // directCtx is the uninstrumented pessimistic path: plain loads and stores
 // by a thread that holds the lock (or runs single-threaded).
 type directCtx struct {

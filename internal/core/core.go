@@ -28,7 +28,10 @@
 // their orec count live. The per-thread state all of them — and the guards
 // — run on is Exec, whose AcquireLock/ReleaseLock pair is the one bracket
 // around every lock-held section. ALE keeps its own loop: its fast path is
-// the instrumented one and it never waits on the lock.
+// the instrumented one and it never waits on the lock. What its buffered
+// software section keeps — reads by value, writes held back — is ValueLog,
+// the same log NOrec's transaction (internal/norec, embedded by
+// internal/rhnorec) runs on.
 //
 // # Contract for critical-section bodies
 //
@@ -124,7 +127,9 @@ type Policy struct {
 // DefaultAttempts is the paper's retry budget.
 const DefaultAttempts = 5
 
-func (p Policy) attempts() int {
+// AttemptBudget returns the static fast-path attempt budget: Attempts, or
+// the paper's default when it is unset.
+func (p Policy) AttemptBudget() int {
 	if p.Attempts > 0 {
 		return p.Attempts
 	}

@@ -13,8 +13,9 @@ import (
 // internal/guard: one hardware transaction, a pacer, an attempt policy and a
 // recorder, bound to the lock being elided. Its methods are the steps of
 // Figure 1 that no refinement changes: subscribing the lock word on the fast
-// path, the two uninstrumented Contexts, and the bracket around a lock-held
-// section. An Exec serves one goroutine at a time.
+// path, the uninstrumented lock-path Context (the fast path's is FastContext),
+// and the bracket around a lock-held section. An Exec serves one goroutine at
+// a time.
 type Exec struct {
 	// Threads are allocated back to back and every section writes the
 	// counters below, so whatever shares a cache line with them is
@@ -83,10 +84,6 @@ func (e *Exec) FastAborted(reason htm.AbortReason) {
 	e.Rec.FastAbort(reason, e.lockBusy, e.Tx.LastAbortInjected())
 	e.lockBusy = false
 }
-
-// FastCtx returns the uninstrumented fast-path Context over the thread's
-// transaction; it must only be used inside Tx.Run.
-func (e *Exec) FastCtx() Context { return htmCtx{e.Tx} }
 
 // LockCtx returns the uninstrumented pessimistic-path Context a lock-holding
 // section runs against, paced when concurrency virtualization is on.

@@ -76,7 +76,7 @@ func (a *AIMDAttempts) Record(attempts int, elided bool) {
 // Policy: the adaptive one when requested, else the static budget.
 func attemptPolicyFor(p Policy) AttemptPolicy {
 	if p.AdaptiveAttempts {
-		return NewAIMDAttempts(1, 4*p.attempts())
+		return NewAIMDAttempts(1, 4*p.AttemptBudget())
 	}
-	return StaticAttempts(p.attempts())
+	return StaticAttempts(p.AttemptBudget())
 }

@@ -87,7 +87,7 @@ func (r *refinedThread) Atomic(body func(Context)) {
 		r.Rec.FastAttempt()
 		reason := r.Tx.Run(func(tx *htm.Tx) {
 			r.Subscribe(tx)
-			body(htmCtx{tx})
+			body(FastContext(tx))
 		})
 		if reason == htm.None {
 			r.Rec.FastCommit(t0)

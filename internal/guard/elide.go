@@ -73,7 +73,7 @@ func (g *base) do(kind section, body func(core.Context)) {
 			if kind == writer && tx.Read(g.readersAddr) != 0 {
 				tx.Abort()
 			}
-			body(t.FastCtx())
+			body(core.FastContext(tx))
 		})
 		if reason == htm.None {
 			t.Rec.FastCommit(t0)

@@ -3,6 +3,7 @@ package norec
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
@@ -43,7 +44,7 @@ func TestReadOnlyCommitsFree(t *testing.T) {
 		t.Fatalf("read-only op not committed as RO: %+v", *s)
 	}
 	// The global sequence lock must be untouched by a read-only commit.
-	if m.Load(meth.SeqAddr()) != 0 {
+	if m.Load(meth.seqAddr) != 0 {
 		t.Fatal("read-only commit moved the sequence lock")
 	}
 }
@@ -235,4 +236,14 @@ func TestUserPanicPropagates(t *testing.T) {
 		}
 	}()
 	th.Atomic(func(c core.Context) { panic("boom") })
+}
+
+// TestTxCountersStartALineIn pins the padding in front of Tx, as
+// core's TestExecCountersStartALineIn does for Exec: threads embedding a Tx
+// are allocated back to back in size classes that are not multiples of the
+// cache line, and RHNOrec's thread ends in a flag written every section.
+func TestTxCountersStartALineIn(t *testing.T) {
+	if off := unsafe.Offsetof(Tx{}.Snapshot); off < 64 {
+		t.Fatalf("Tx's first live field is %d bytes in; it must be at least a 64-byte cache line", off)
+	}
 }

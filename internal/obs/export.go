@@ -4,114 +4,147 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"rtle/internal/core"
 	"rtle/internal/htm"
 )
 
-// WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Counter values are cumulative since the registry
-// was created; pass a Delta snapshot to export interval values instead.
-func (snap *Snapshot) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
+// PromWriter renders metric families in the Prometheus text exposition
+// format (version 0.0.4). It is the only code in the tree that knows the
+// format; Snapshot.WritePrometheus and the server's wire-level registry are
+// lists of families handed to it. The first write error sticks: later calls
+// do nothing and Err reports it.
+type PromWriter struct {
+	w    io.Writer
+	err  error
+	name string // the family samples are being written for
+}
+
+// NewPromWriter returns a writer rendering to w.
+func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
+
+// Err returns the first error a write met.
+func (p *PromWriter) Err() error { return p.err }
+
+func (p *PromWriter) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
 	}
+}
 
-	p("# HELP rtle_ops_total Completed atomic blocks.\n")
-	p("# TYPE rtle_ops_total counter\n")
-	p("rtle_ops_total %d\n", snap.Stats.Ops)
+// Family opens the family name of the given type ("counter", "gauge",
+// "histogram"); the samples that follow belong to it.
+func (p *PromWriter) Family(name, typ, help string) {
+	p.name = name
+	p.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
 
-	p("# HELP rtle_commits_total Committed atomic blocks by execution path.\n")
-	p("# TYPE rtle_commits_total counter\n")
-	commits := [core.NumCommitKinds]uint64{
-		snap.Stats.FastCommits, snap.Stats.SlowCommits, snap.Stats.LockRuns,
-		snap.Stats.STMCommitsHTM, snap.Stats.STMCommitsLock, snap.Stats.STMCommitsRO,
+// labelSet renders key, value pairs — and last, when given, one label more,
+// already rendered — as {k1="v1",k2="v2"}; no label at all is "".
+func labelSet(kv []string, last string) string {
+	var b []byte
+	for i := 0; i+1 < len(kv); i += 2 {
+		b = fmt.Appendf(b, "%s=%q,", kv[i], kv[i+1])
 	}
-	for k := 0; k < core.NumCommitKinds; k++ {
-		p("rtle_commits_total{kind=%q} %d\n", core.CommitKind(k).String(), commits[k])
+	if b = append(b, last...); len(b) == 0 {
+		return ""
 	}
+	return "{" + strings.TrimSuffix(string(b), ",") + "}"
+}
 
-	p("# HELP rtle_attempts_total Transaction attempts by path.\n")
-	p("# TYPE rtle_attempts_total counter\n")
-	p("rtle_attempts_total{path=\"fast\"} %d\n", snap.Stats.FastAttempts)
-	p("rtle_attempts_total{path=\"slow\"} %d\n", snap.Stats.SlowAttempts)
-	p("rtle_attempts_total{path=\"stm\"} %d\n", snap.Stats.STMStarts)
+// Sample writes one sample of the open family: an integer or a float64
+// value (floats in %g form), labelled with the key, value pairs given.
+func (p *PromWriter) Sample(v any, labels ...string) {
+	p.printf("%s%s %v\n", p.name, labelSet(labels, ""), v)
+}
 
-	p("# HELP rtle_aborts_total Failed hardware attempts by path and reason.\n")
-	p("# TYPE rtle_aborts_total counter\n")
-	for i := 1; i < htm.NumReasons; i++ {
-		reason := htm.AbortReason(i).String()
-		p("rtle_aborts_total{path=\"fast\",reason=%q} %d\n", reason, snap.Stats.FastAborts[i])
-		p("rtle_aborts_total{path=\"slow\",reason=%q} %d\n", reason, snap.Stats.SlowAborts[i])
-	}
+// Metric writes a family that is one unlabelled sample.
+func (p *PromWriter) Metric(name, typ, help string, v any) {
+	p.Family(name, typ, help)
+	p.Sample(v)
+}
 
-	p("# HELP rtle_injected_faults_total Hardware aborts forced by the fault injector, by reason.\n")
-	p("# TYPE rtle_injected_faults_total counter\n")
-	for i := 1; i < htm.NumReasons; i++ {
-		p("rtle_injected_faults_total{reason=%q} %d\n", htm.AbortReason(i).String(), snap.Stats.InjectedAborts[i])
-	}
-
-	p("# HELP rtle_subscription_aborts_total Fast-path aborts caused by lock subscription.\n")
-	p("# TYPE rtle_subscription_aborts_total counter\n")
-	p("rtle_subscription_aborts_total %d\n", snap.Stats.SubscriptionAborts)
-
-	p("# HELP rtle_stm_aborts_total Software-transaction validation failures.\n")
-	p("# TYPE rtle_stm_aborts_total counter\n")
-	p("rtle_stm_aborts_total %d\n", snap.Stats.STMAborts)
-
-	p("# HELP rtle_validations_total Value-based read-set validations.\n")
-	p("# TYPE rtle_validations_total counter\n")
-	p("rtle_validations_total %d\n", snap.Stats.Validations)
-
-	p("# HELP rtle_lock_hold_seconds_total Time spent holding the fallback lock.\n")
-	p("# TYPE rtle_lock_hold_seconds_total counter\n")
-	p("rtle_lock_hold_seconds_total %g\n", float64(snap.Stats.LockHoldNanos)/1e9)
-
-	p("# HELP rtle_stm_seconds_total Time spent inside software transactions.\n")
-	p("# TYPE rtle_stm_seconds_total counter\n")
-	p("rtle_stm_seconds_total %g\n", float64(snap.Stats.STMTimeNanos)/1e9)
-
-	p("# HELP rtle_resizes_total Adaptive FG-TLE orec-array resizes.\n")
-	p("# TYPE rtle_resizes_total counter\n")
-	p("rtle_resizes_total %d\n", snap.Stats.Resizes)
-
-	p("# HELP rtle_mode_switches_total Adaptive FG-TLE mode changes.\n")
-	p("# TYPE rtle_mode_switches_total counter\n")
-	p("rtle_mode_switches_total %d\n", snap.Stats.ModeSwitches)
-
-	p("# HELP rtle_threads Observed worker threads.\n")
-	p("# TYPE rtle_threads gauge\n")
-	p("rtle_threads %d\n", snap.Threads)
-
-	p("# HELP rtle_atomic_latency_seconds Whole-Atomic-call latency by execution path.\n")
-	p("# TYPE rtle_atomic_latency_seconds histogram\n")
-	for path := 0; path < core.NumPaths; path++ {
-		l := &snap.Latency[path]
-		if l.Count == 0 {
+// Histogram writes one label set of the open histogram family from a log2
+// histogram: a cumulative line per non-empty bucket, +Inf, sum and count.
+// With seconds set the observations are nanoseconds and bounds and sum are
+// rendered in seconds; otherwise they are plain counts and a bucket's bound
+// is the largest value it admits.
+func (p *PromWriter) Histogram(l *LatencySnapshot, seconds bool, labels ...string) {
+	var cum uint64
+	for b := 0; b < NumLatencyBuckets; b++ {
+		if l.Counts[b] == 0 {
 			continue
 		}
-		name := core.Path(path).String()
-		var cum uint64
-		for b := 0; b < NumLatencyBuckets; b++ {
-			if l.Counts[b] == 0 {
-				continue
-			}
-			cum += l.Counts[b]
-			p("rtle_atomic_latency_seconds_bucket{path=%q,le=\"%g\"} %d\n",
-				name, BucketUpperBoundSeconds(b), cum)
+		cum += l.Counts[b]
+		var le any = uint64(1)<<(b+1) - 1
+		if seconds {
+			le = BucketUpperBoundSeconds(b)
 		}
-		p("rtle_atomic_latency_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", name, l.Count)
-		p("rtle_atomic_latency_seconds_sum{path=%q} %g\n", name, float64(l.SumNanos)/1e9)
-		p("rtle_atomic_latency_seconds_count{path=%q} %d\n", name, l.Count)
+		p.printf("%s_bucket%s %d\n", p.name, labelSet(labels, fmt.Sprintf(`le="%v"`, le)), cum)
+	}
+	p.printf("%s_bucket%s %d\n", p.name, labelSet(labels, `le="+Inf"`), l.Count)
+	var sum any = l.SumNanos
+	if seconds {
+		sum = float64(l.SumNanos) / 1e9
+	}
+	set := labelSet(labels, "")
+	p.printf("%s_sum%s %v\n%s_count%s %d\n", p.name, set, sum, p.name, set, l.Count)
+}
+
+// WritePrometheus renders the snapshot in the Prometheus text exposition
+// format. Counter values are cumulative since the registry was created;
+// pass a Delta snapshot to export interval values instead.
+func (snap *Snapshot) WritePrometheus(w io.Writer) error {
+	p := NewPromWriter(w)
+	st := &snap.Stats
+	seconds := func(nanos int64) float64 { return float64(nanos) / 1e9 }
+
+	p.Metric("rtle_ops_total", "counter", "Completed atomic blocks.", st.Ops)
+
+	p.Family("rtle_commits_total", "counter", "Committed atomic blocks by execution path.")
+	for k, n := range [core.NumCommitKinds]uint64{
+		st.FastCommits, st.SlowCommits, st.LockRuns,
+		st.STMCommitsHTM, st.STMCommitsLock, st.STMCommitsRO,
+	} {
+		p.Sample(n, "kind", core.CommitKind(k).String())
 	}
 
-	p("# HELP rtle_trace_dropped_total Path transitions lost to trace-ring overwrites.\n")
-	p("# TYPE rtle_trace_dropped_total counter\n")
-	p("rtle_trace_dropped_total %d\n", snap.TraceDropped)
-	return err
+	p.Family("rtle_attempts_total", "counter", "Transaction attempts by path.")
+	p.Sample(st.FastAttempts, "path", "fast")
+	p.Sample(st.SlowAttempts, "path", "slow")
+	p.Sample(st.STMStarts, "path", "stm")
+
+	p.Family("rtle_aborts_total", "counter", "Failed hardware attempts by path and reason.")
+	for i := 1; i < htm.NumReasons; i++ {
+		reason := htm.AbortReason(i).String()
+		p.Sample(st.FastAborts[i], "path", "fast", "reason", reason)
+		p.Sample(st.SlowAborts[i], "path", "slow", "reason", reason)
+	}
+
+	p.Family("rtle_injected_faults_total", "counter", "Hardware aborts forced by the fault injector, by reason.")
+	for i := 1; i < htm.NumReasons; i++ {
+		p.Sample(st.InjectedAborts[i], "reason", htm.AbortReason(i).String())
+	}
+
+	p.Metric("rtle_subscription_aborts_total", "counter", "Fast-path aborts caused by lock subscription.", st.SubscriptionAborts)
+	p.Metric("rtle_stm_aborts_total", "counter", "Software-transaction validation failures.", st.STMAborts)
+	p.Metric("rtle_validations_total", "counter", "Value-based read-set validations.", st.Validations)
+	p.Metric("rtle_lock_hold_seconds_total", "counter", "Time spent holding the fallback lock.", seconds(st.LockHoldNanos))
+	p.Metric("rtle_stm_seconds_total", "counter", "Time spent inside software transactions.", seconds(st.STMTimeNanos))
+	p.Metric("rtle_resizes_total", "counter", "Adaptive FG-TLE orec-array resizes.", st.Resizes)
+	p.Metric("rtle_mode_switches_total", "counter", "Adaptive FG-TLE mode changes.", st.ModeSwitches)
+	p.Metric("rtle_threads", "gauge", "Observed worker threads.", snap.Threads)
+
+	p.Family("rtle_atomic_latency_seconds", "histogram", "Whole-Atomic-call latency by execution path.")
+	for path := 0; path < core.NumPaths; path++ {
+		if l := &snap.Latency[path]; l.Count > 0 {
+			p.Histogram(l, true, "path", core.Path(path).String())
+		}
+	}
+
+	p.Metric("rtle_trace_dropped_total", "counter", "Path transitions lost to trace-ring overwrites.", snap.TraceDropped)
+	return p.Err()
 }
 
 // WriteJSON renders the snapshot as indented JSON.

@@ -28,7 +28,7 @@ import (
 // later Open knows where the retained suffix starts.
 type Log struct {
 	mu      sync.Mutex
-	floor   uint64  // highest compacted-away sequence; entries[i].Seq == floor+i+1
+	floor   uint64 // highest compacted-away sequence; entries[i].Seq == floor+i+1
 	entries []Entry
 	bytes   int64  // encoded size of retained entry records (header + payload)
 	truncs  uint64 // completed truncations (TruncateBelow / ResetTo)

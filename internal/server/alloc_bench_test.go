@@ -6,19 +6,17 @@ import (
 	"testing"
 
 	"rtle/internal/check"
-	"rtle/internal/core"
 )
 
 // fastPathHarness is an in-process single-op serving pipeline: the real
-// router over the real shards, with one executor and method thread per
-// shard standing in for the worker pool. Buffers mirror the per-connection
-// and per-worker scratch the serving loops reuse.
+// router over the real shards, with one worker's section per shard standing
+// in for the worker pool and the worker's own runSection executing the
+// block. Buffers mirror the per-connection scratch the serving loops reuse.
 type fastPathHarness struct {
 	srv     *Server
-	ex      []*executor
-	threads []core.Thread
+	secs    []*section
 	reqBuf  []byte
-	results []Result
+	entries []BatchEntry // the one-operation group handed to runSection
 
 	// Response-side scratch, mirroring writeLoop's conn-lifetime iovec
 	// backing array, its boxed view (see writeLoop for why the view must
@@ -27,14 +25,7 @@ type fastPathHarness struct {
 	view   *net.Buffers
 	sink   io.Writer
 	cliRes [1]Result
-
-	// The decoded operation is staged in fields so the per-shard atomic
-	// bodies can be built once at setup — the worker's block closures are
-	// likewise reused across its whole lifetime, not built per request.
-	op         Op
-	a1, a2, a3 uint64
-	bodies     []func(core.Context)
-	resp       Response
+	resp   Response
 }
 
 func newFastPathHarness(tb testing.TB) *fastPathHarness {
@@ -46,18 +37,13 @@ func newFastPathHarness(tb testing.TB) *fastPathHarness {
 	h := &fastPathHarness{
 		srv:     srv,
 		reqBuf:  make([]byte, 0, 64),
-		results: make([]Result, 1),
+		entries: make([]BatchEntry, 1),
 		bufs:    make(net.Buffers, 1),
 		view:    new(net.Buffers),
 		sink:    io.Discard,
 	}
-	for k, sh := range srv.top().shards {
-		h.ex = append(h.ex, sh.adt.newExecutor(1))
-		h.threads = append(h.threads, sh.method.NewThread())
-		ex := h.ex[k]
-		h.bodies = append(h.bodies, func(c core.Context) {
-			h.results[0] = ex.run(c, 0, h.op, h.a1, h.a2, h.a3)
-		})
+	for _, sh := range srv.top().shards {
+		h.secs = append(h.secs, newSection(sh, 1))
 	}
 	return h
 }
@@ -78,14 +64,15 @@ func (h *fastPathHarness) serve(req *Request) error {
 	if err := h.srv.validate(&decoded); err != nil {
 		return err
 	}
-	plan := h.srv.top().router.plan(&decoded)
-	h.op, h.a1, h.a2, h.a3 = decoded.Op, decoded.Arg1, decoded.Arg2, decoded.Arg3
-	h.threads[plan.shard].Atomic(h.bodies[plan.shard])
-	// Post-commit bookkeeping, exactly as the worker does it: an insert
-	// consumed the handle's spare node, so replace it before the next
-	// operation reuses the handle.
-	h.ex[plan.shard].after(0, decoded.Op, h.results[0])
-	h.resp = Response{ID: decoded.ID, Status: StatusOK, Results: h.results[:1]}
+	tp := h.srv.top()
+	plan := tp.router.plan(&decoded)
+	// The worker's own block runner, post-commit bookkeeping included (an
+	// insert consumed the handle's spare node; runSection replaces it before
+	// the next operation reuses the handle).
+	sec := h.secs[plan.shard]
+	h.entries[0] = BatchEntry{Op: decoded.Op, Arg1: decoded.Arg1, Arg2: decoded.Arg2, Arg3: decoded.Arg3}
+	h.srv.runSection(tp.shards[plan.shard], sec, h.entries)
+	h.resp = Response{ID: decoded.ID, Status: StatusOK, Results: sec.results[:1]}
 
 	// Response side: pooled frame, vectored flush, recycle — writeLoop's
 	// steady state with a one-frame batch.

@@ -95,16 +95,88 @@ func WithHelloFeatures(mask uint32) DialOption {
 	return func(c *dialConfig) { c.features = mask }
 }
 
-// helloDeadline derives the connection-setup deadline from the dial
-// context and the WithDialTimeout option, whichever is sooner.
-func helloDeadline(ctx context.Context, timeout time.Duration) (time.Time, bool) {
-	deadline, ok := ctx.Deadline()
+// handshake opens one client-side rtled/1 connection: TCP connect, client
+// hello advertising features, server hello back. Every client-side
+// connection of this package starts here — DialContext's pipelined Client,
+// a replica's stream (dialPrimary), a snapshot transfer (FetchSnapshot) — so
+// the negotiation rules are written once: a server that rejects the hello
+// has its explanation surfaced as the error, and one that speaks another
+// protocol version is refused.
+//
+// ctx, cut short by timeout when that is set, bounds the whole setup, and
+// ending it severs a blocked hello read: a connection deadline alone would
+// hold a caller that has given up until it expires. The deadline stays armed
+// on the returned connection; the caller clears it when its own setup is
+// done. The hello answer and everything after it flow through the returned
+// reader, which keeps any bytes buffered past the hello frame.
+func handshake(ctx context.Context, addr string, features uint32, timeout time.Duration) (_ net.Conn, _ *frameReader, sh ServerHello, err error) {
 	if timeout > 0 {
-		if t := time.Now().Add(timeout); !ok || t.Before(deadline) {
-			deadline, ok = t, true
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	return deadline, ok
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, nil, sh, err
+	}
+	stop := context.AfterFunc(ctx, func() { _ = nc.Close() })
+	defer func() {
+		if !stop() {
+			err = ctx.Err() // the read failed because the context's end closed the connection
+		}
+		if err != nil {
+			_ = nc.Close() // the setup failed; the close error adds nothing
+		}
+	}()
+	if deadline, ok := ctx.Deadline(); ok {
+		_ = nc.SetDeadline(deadline) // best effort; the read below surfaces real failures
+	}
+	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion, Features: features})); err != nil {
+		return nil, nil, sh, fmt.Errorf("server: client hello: %w", err)
+	}
+	fr := &frameReader{r: bufio.NewReaderSize(nc, 1<<16)}
+	payload, err := fr.next()
+	if err != nil {
+		return nil, nil, sh, fmt.Errorf("server: reading server hello: %w", err)
+	}
+	if sh, err = DecodeServerHello(payload); err != nil {
+		// A rejecting server answers with a StatusBad response carrying
+		// the reason; surface it instead of a bare decode error.
+		if resp, derr := DecodeResponse(payload); derr == nil && resp.Message != "" {
+			err = fmt.Errorf("server: hello rejected: %s", resp.Message)
+		}
+		return nil, nil, sh, err
+	}
+	if sh.Version != ProtocolVersion {
+		return nil, nil, sh, fmt.Errorf("server: server speaks rtled/%d, client speaks rtled/%d", sh.Version, ProtocolVersion)
+	}
+	return nc, fr, sh, nil
+}
+
+// exchange issues req as the connection's sole in-flight request and waits
+// for its answer, for the two dedicated-connection protocols — replication
+// subscribe, snapshot transfer — whose follow-on frames carry no request id.
+// Anything but an OK answer is an error carrying the server's message.
+// Cancelling ctx severs a blocked read, as in handshake.
+func exchange(ctx context.Context, nc net.Conn, fr *frameReader, req *Request) error {
+	defer context.AfterFunc(ctx, func() { _ = nc.Close() })()
+	req.ID = 1
+	if _, err := nc.Write(AppendRequest(nil, req)); err != nil {
+		return err
+	}
+	payload, err := fr.next()
+	if err != nil {
+		return err
+	}
+	resp, err := DecodeResponse(payload)
+	if err != nil {
+		return err
+	}
+	if resp.Status != StatusOK {
+		return fmt.Errorf("server: %s rejected: %v %s", opName(opIndex(req.Op)), resp.Status, resp.Message)
+	}
+	return nil
 }
 
 // DialContext connects to an rtled server at addr and runs the rtled/1
@@ -119,41 +191,9 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	d := net.Dialer{Timeout: cfg.timeout}
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	nc, fr, sh, err := handshake(ctx, addr, cfg.features, cfg.timeout)
 	if err != nil {
 		return nil, err
-	}
-	if deadline, ok := helloDeadline(ctx, cfg.timeout); ok {
-		_ = nc.SetDeadline(deadline) // best effort; the read below surfaces real failures
-	}
-	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion, Features: cfg.features})); err != nil {
-		_ = nc.Close() // the dial failed; the close error adds nothing
-		return nil, fmt.Errorf("server: client hello: %w", err)
-	}
-	// The hello answer and all later responses flow through one buffered
-	// reader: handing fr to readLoop keeps any bytes buffered past the
-	// hello frame.
-	fr := frameReader{r: bufio.NewReaderSize(nc, 1<<16)}
-	payload, err := fr.next()
-	if err != nil {
-		_ = nc.Close()
-		return nil, fmt.Errorf("server: reading server hello: %w", err)
-	}
-	sh, err := DecodeServerHello(payload)
-	if err != nil {
-		// A rejecting server answers with a StatusBad response carrying
-		// the reason; surface it instead of a bare decode error.
-		if resp, derr := DecodeResponse(payload); derr == nil && resp.Message != "" {
-			_ = nc.Close()
-			return nil, fmt.Errorf("server: hello rejected: %s", resp.Message)
-		}
-		_ = nc.Close()
-		return nil, err
-	}
-	if sh.Version != ProtocolVersion {
-		_ = nc.Close()
-		return nil, fmt.Errorf("server: server speaks rtled/%d, client speaks rtled/%d", sh.Version, ProtocolVersion)
 	}
 	_ = nc.SetDeadline(time.Time{}) // the setup bound does not govern the connection's life
 	c := &Client{nc: nc, hello: sh, pending: make(map[uint32]*pendingCall)}
@@ -172,7 +212,7 @@ func (c *Client) ServerFeatures() uint32 { return c.hello.Features }
 // connection dies, then fails every pending and future request.
 //
 //rtle:hotpath
-func (c *Client) readLoop(fr frameReader) {
+func (c *Client) readLoop(fr *frameReader) {
 	for {
 		payload, err := fr.next()
 		if err != nil {

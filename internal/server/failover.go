@@ -225,11 +225,6 @@ func (fc *FailoverClient) Op(op Op, a1, a2, a3 uint64) (Response, error) {
 	return fc.Do(&Request{Op: op, Arg1: a1, Arg2: a2, Arg3: a3})
 }
 
-// Batch issues one batch request.
-func (fc *FailoverClient) Batch(entries []BatchEntry) (Response, error) {
-	return fc.Do(&Request{Op: OpBatch, Batch: entries})
-}
-
 // Ping issues a liveness probe.
 func (fc *FailoverClient) Ping() error {
 	resp, err := fc.Do(&Request{Op: OpPing})

@@ -203,9 +203,7 @@ func (r *LoadResult) Percentile(q float64) float64 {
 // loadConn is the connection surface the load generator drives — both
 // *Client (one address) and *FailoverClient (an address list) satisfy it.
 type loadConn interface {
-	Do(req *Request) (Response, error)
 	DoInto(req *Request, res []Result) (Response, error)
-	Batch(entries []BatchEntry) (Response, error)
 	ServerShards() int
 	Close() error
 }
@@ -233,6 +231,13 @@ type loadState struct {
 	firstErr    error
 }
 
+// count bumps one of the run's counters, which the slots share.
+func (st *loadState) count(n *uint64) {
+	st.mu.Lock()
+	*n++
+	st.mu.Unlock()
+}
+
 // noteDisrupt opens the disruption window (if not already open): the
 // service stopped answering — a lost response or a not-primary rejection.
 func (st *loadState) noteDisrupt() {
@@ -244,8 +249,8 @@ func (st *loadState) noteDisrupt() {
 	st.outage.Store(true)
 }
 
-// noteHealthy closes the disruption window on the first StatusOK after a
-// disruption, folding its span into the maximum.
+// noteHealthy closes the disruption window — on the first StatusOK after a
+// disruption, and at the end of the run — folding its span into the maximum.
 func (st *loadState) noteHealthy() {
 	if !st.outage.Load() {
 		return
@@ -357,15 +362,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// A run that ended mid-disruption still owes its window to the max.
-	st.mu.Lock()
-	if !st.outageStart.IsZero() {
-		if d := time.Since(st.outageStart); d > st.maxOutage {
-			st.maxOutage = d
-		}
-		st.outageStart = time.Time{}
-	}
-	st.mu.Unlock()
+	st.noteHealthy() // a run that ended mid-disruption still owes its window to the max
 
 	res := &LoadResult{
 		Ops:               0,
@@ -447,97 +444,95 @@ func (st *loadState) slot(s int, c loadConn, start time.Time) {
 	}
 }
 
-// single issues one recorded operation, absorbing busy rejections below
-// the recording layer: Invoke stamps before the first send and Return
-// after the final response, so retries only widen the pending interval —
-// sound, because a StatusBusy request was rejected before execution. In
-// failover mode the same soundness argument extends to StatusNotPrimary
-// (rejected before execution, safe to re-issue), while a transport error
-// is the one genuinely ambiguous outcome — the operation may or may not
-// have executed — so the event is cut to pending rather than abandoned,
-// and the checker must explain it both ways.
-func (st *loadState) single(rec *check.ThreadRecorder, c loadConn, r *rng.Xoshiro256, issueAt time.Time, req *Request, res []Result) bool {
-	op, a1, a2, a3 := st.pick(r)
-	rec.Invoke(op, a1, a2, a3)
+// outcome is how issue ended a request.
+type outcome int
+
+const (
+	answered outcome = iota // a StatusOK response
+	lost                    // failover run: the transport died under the request — the one ambiguous end, it may or may not have executed
+	refused                 // a draining server turned it away (StatusShutdown), before execution
+	failed                  // any other rejection, or a transport error with no failover to absorb it; the run's first error is recorded
+)
+
+// issue sends req until it ends for good and classifies the end — the
+// generator's whole response policy, for recorded operations and witness
+// batches alike. What the server rejected before execution is re-issued
+// here, below the recording layer, which is sound for exactly that reason:
+// a StatusBusy request after the server's retry hint, and a not-primary
+// rejection once the promotion lands. The failover client classifies the
+// latter as a typed ErrNotPrimary — not string-matched, so it survives
+// message rewording — and a plain client never re-issues it: with one
+// address there is no successor to wait for, and the status fails the run.
+func (st *loadState) issue(c loadConn, req *Request, res []Result) (Response, outcome) {
 	for {
-		*req = Request{Op: op, Arg1: a1, Arg2: a2, Arg3: a3}
 		resp, err := c.DoInto(req, res)
-		if err != nil {
-			if errors.Is(err, ErrNotPrimary) {
-				// Typed, not string-matched: the failover client classified
-				// the rejection, whatever the server's message said. Rejected
-				// before execution, so keep the pending interval open and
-				// re-issue once the promotion lands.
-				st.mu.Lock()
-				st.notPrimary++
-				st.mu.Unlock()
-				st.noteDisrupt()
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			if st.failover {
-				rec.Cut() // the response is lost; the op may have executed
-				st.mu.Lock()
-				st.cut++
-				st.mu.Unlock()
-				st.noteDisrupt()
-				return true
-			}
-			rec.Abandon() // unsound to keep: the op may have executed; the error voids the check
-			st.fail(err)
-			return false
-		}
-		switch resp.Status {
-		case StatusOK:
-			rec.Return(resp.Results[0].Ret, resp.Results[0].Ok)
-			st.latency.Observe(time.Since(issueAt).Nanoseconds())
+		switch {
+		case err == nil && resp.Status == StatusOK:
 			st.noteHealthy()
-			return true
-		case StatusBusy:
-			st.mu.Lock()
-			st.busy++
-			st.mu.Unlock()
+			return resp, answered
+		case errors.Is(err, ErrNotPrimary):
+			st.count(&st.notPrimary)
+			st.noteDisrupt()
+			time.Sleep(2 * time.Millisecond)
+		case err != nil && st.failover:
+			st.noteDisrupt()
+			return resp, lost
+		case err != nil:
+			st.fail(err)
+			return resp, failed
+		case resp.Status == StatusBusy:
+			st.count(&st.busy)
 			backoff := time.Duration(resp.RetryAfterMicros) * time.Microsecond
 			if backoff > 20*time.Millisecond {
 				backoff = 20 * time.Millisecond
 			}
 			time.Sleep(backoff)
-		case StatusNotPrimary:
-			if !st.failover {
-				rec.Abandon() // rejected before execution: sound to discard
-				st.mu.Lock()
-				st.rejected++
-				st.mu.Unlock()
-				st.fail(fmt.Errorf("server rejected %v(%d,%d,%d): %s", op, a1, a2, a3, resp.Message))
-				return false
+		default:
+			st.count(&st.rejected)
+			if resp.Status != StatusShutdown {
+				st.fail(fmt.Errorf("server rejected %s(%d,%d,%d): %s",
+					opName(opIndex(req.Op)), req.Arg1, req.Arg2, req.Arg3, resp.Message))
+				return resp, failed
 			}
-			// Rejected before execution: keep the pending interval open and
-			// re-issue once the promotion lands.
-			st.mu.Lock()
-			st.notPrimary++
-			st.mu.Unlock()
-			st.noteDisrupt()
-			time.Sleep(2 * time.Millisecond)
-		case StatusShutdown:
-			rec.Abandon() // rejected before execution: sound to discard
-			st.mu.Lock()
-			st.rejected++
-			st.mu.Unlock()
 			if st.failover {
 				// The primary is draining; ride through to its successor.
 				st.noteDisrupt()
 				time.Sleep(time.Millisecond)
-				return true
 			}
-			return false
-		default:
-			rec.Abandon() // rejected before execution: sound to discard
-			st.mu.Lock()
-			st.rejected++
-			st.mu.Unlock()
-			st.fail(fmt.Errorf("server rejected %v(%d,%d,%d): %s", op, a1, a2, a3, resp.Message))
-			return false
+			return resp, refused
 		}
+	}
+}
+
+// single issues one recorded operation. Invoke stamps before the first send
+// and Return after the final response, so issue's retries only widen the
+// pending interval. It reports whether the slot goes on.
+func (st *loadState) single(rec *check.ThreadRecorder, c loadConn, r *rng.Xoshiro256, issueAt time.Time, req *Request, res []Result) bool {
+	op, a1, a2, a3 := st.pick(r)
+	rec.Invoke(op, a1, a2, a3)
+	*req = Request{Op: op, Arg1: a1, Arg2: a2, Arg3: a3}
+	resp, out := st.issue(c, req, res)
+	switch out {
+	case answered:
+		rec.Return(resp.Results[0].Ret, resp.Results[0].Ok)
+		st.latency.Observe(time.Since(issueAt).Nanoseconds())
+		return true
+	case lost:
+		// The response is lost and the op may have executed: the event is
+		// cut to pending rather than abandoned, and the checker must
+		// explain it both ways.
+		rec.Cut()
+		st.count(&st.cut)
+		return true
+	case refused:
+		rec.Abandon() // rejected before execution: sound to discard
+		return st.failover
+	default:
+		// Rejected before execution, which is sound to discard — or a
+		// transport error, after which the op may have executed and keeping
+		// it would be unsound: the recorded error voids the check.
+		rec.Abandon()
+		return false
 	}
 }
 
@@ -581,59 +576,11 @@ func (st *loadState) witnessBatch(c loadConn, r *rng.Xoshiro256) {
 			entries[i] = BatchEntry{Op: check.OpBalance, Arg1: uint64(i)}
 		}
 	}
-	for {
-		resp, err := c.Batch(entries)
-		if err != nil {
-			if errors.Is(err, ErrNotPrimary) {
-				// Typed rejection from the failover client: wait out the
-				// promotion and re-issue (witnesses are read-only, re-issuing
-				// is free).
-				st.noteDisrupt()
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			if st.failover {
-				// Witness batches are read-only and unrecorded: a lost
-				// response costs nothing, so just note the disruption.
-				st.noteDisrupt()
-				return
-			}
-			st.fail(err)
-			return
-		}
-		switch resp.Status {
-		case StatusOK:
-			st.mu.Lock()
-			st.batches++
-			st.mu.Unlock()
-			st.noteHealthy()
-			st.judgeWitness(entries, resp.Results)
-			return
-		case StatusBusy:
-			st.mu.Lock()
-			st.busy++
-			st.mu.Unlock()
-			time.Sleep(time.Duration(resp.RetryAfterMicros) * time.Microsecond)
-		case StatusNotPrimary:
-			if !st.failover {
-				st.fail(fmt.Errorf("server rejected witness batch: %s", resp.Message))
-				return
-			}
-			st.noteDisrupt()
-			time.Sleep(2 * time.Millisecond)
-		case StatusShutdown:
-			st.mu.Lock()
-			st.rejected++
-			st.mu.Unlock()
-			if st.failover {
-				st.noteDisrupt()
-				time.Sleep(time.Millisecond)
-			}
-			return
-		default:
-			st.fail(fmt.Errorf("server rejected witness batch: %s", resp.Message))
-			return
-		}
+	// Witnesses are read-only and unrecorded: re-issuing one is free and a
+	// lost or refused one costs nothing, so only an answer is judged.
+	if resp, out := st.issue(c, &Request{Op: OpBatch, Batch: entries}, nil); out == answered {
+		st.count(&st.batches)
+		st.judgeWitness(entries, resp.Results)
 	}
 }
 

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"sync/atomic"
 
 	"rtle/internal/check"
@@ -212,79 +212,52 @@ func (m *Metrics) Sections() uint64 {
 // cross-shard slow path.
 func (m *Metrics) CrossShard() uint64 { return m.crossOps.Load() }
 
-// ewmaServiceNanos returns the widest shard EWMA, the merged gauge.
-func (m *Metrics) ewmaServiceNanosMax() int64 {
-	var v int64
-	for _, s := range m.Shards() {
-		if e := s.ewmaServiceNanos.Load(); e > v {
-			v = e
-		}
-	}
-	return v
-}
-
-// WritePrometheus renders the server series in the Prometheus text format,
-// in the style of obs.Snapshot.WritePrometheus; the rtled admin endpoint
-// concatenates both under one /metrics response. Per-shard execution
-// series carry a shard label; the unlabelled series are the merged
+// WritePrometheus renders the server series in the Prometheus text format
+// through obs.PromWriter, as obs.Snapshot.WritePrometheus does; the rtled
+// admin endpoint concatenates both under one /metrics response. Per-shard
+// execution series carry a shard label; the unlabelled series are the merged
 // snapshot (sums, or the max for the service-time gauge).
 func (m *Metrics) WritePrometheus(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
+	p := obs.NewPromWriter(w)
 	// One load for the whole scrape: Reshard may swap the shard set while
 	// a render is in flight, and mixed generations would mislabel series.
 	shards := m.Shards()
 
-	p("# HELP rtled_connections Open client connections.\n")
-	p("# TYPE rtled_connections gauge\n")
-	p("rtled_connections %d\n", m.connsOpen.Load())
+	p.Metric("rtled_connections", "gauge", "Open client connections.", m.connsOpen.Load())
+	p.Metric("rtled_connections_total", "counter", "Client connections accepted.", m.connsTotal.Load())
+	p.Metric("rtled_shards", "gauge", "Independent ADT shards served.", len(shards))
 
-	p("# HELP rtled_connections_total Client connections accepted.\n")
-	p("# TYPE rtled_connections_total counter\n")
-	p("rtled_connections_total %d\n", m.connsTotal.Load())
-
-	p("# HELP rtled_shards Independent ADT shards served.\n")
-	p("# TYPE rtled_shards gauge\n")
-	p("rtled_shards %d\n", len(shards))
-
-	p("# HELP rtled_requests_total Requests decoded, by operation.\n")
-	p("# TYPE rtled_requests_total counter\n")
+	p.Family("rtled_requests_total", "counter", "Requests decoded, by operation.")
 	for i := 0; i < numOps; i++ {
 		if n := m.requests[i].Load(); n > 0 {
-			p("rtled_requests_total{op=%q} %d\n", opName(i), n)
+			p.Sample(n, "op", opName(i))
 		}
 	}
 
-	p("# HELP rtled_responses_total Responses sent, by status.\n")
-	p("# TYPE rtled_responses_total counter\n")
+	p.Family("rtled_responses_total", "counter", "Responses sent, by status.")
 	for s := 0; s < len(m.statuses); s++ {
-		p("rtled_responses_total{status=%q} %d\n", Status(s).String(), m.statuses[s].Load())
+		p.Sample(m.statuses[s].Load(), "status", Status(s).String())
 	}
 
-	p("# HELP rtled_bad_requests_total Frames rejected at decode or validation.\n")
-	p("# TYPE rtled_bad_requests_total counter\n")
-	p("rtled_bad_requests_total %d\n", m.badOps.Load())
-
-	p("# HELP rtled_hello_rejects_total Connections refused at version negotiation.\n")
-	p("# TYPE rtled_hello_rejects_total counter\n")
-	p("rtled_hello_rejects_total %d\n", m.helloRejects.Load())
-
-	p("# HELP rtled_queue_depth Accepted requests waiting for a worker.\n")
-	p("# TYPE rtled_queue_depth gauge\n")
-	p("rtled_queue_depth %d\n", m.QueueDepth())
-
-	p("# HELP rtled_cross_shard_total Operations answered via the cross-shard slow path.\n")
-	p("# TYPE rtled_cross_shard_total counter\n")
-	p("rtled_cross_shard_total %d\n", m.crossOps.Load())
+	p.Metric("rtled_bad_requests_total", "counter", "Frames rejected at decode or validation.", m.badOps.Load())
+	p.Metric("rtled_hello_rejects_total", "counter", "Connections refused at version negotiation.", m.helloRejects.Load())
+	p.Metric("rtled_queue_depth", "gauge", "Accepted requests waiting for a worker.", m.QueueDepth())
+	p.Metric("rtled_cross_shard_total", "counter", "Operations answered via the cross-shard slow path.", m.crossOps.Load())
 
 	// Per-shard execution families: the unlabelled line is the merged
-	// snapshot (sum, or max for the service-time gauge), followed by one
-	// {shard="k"} series per shard so a dashboard can see skew.
-	var inflight int64
+	// snapshot (sum, or max for the service-time gauge; nil for none),
+	// followed by one {shard="k"} series per shard so a dashboard can see
+	// skew.
+	perShard := func(name, typ, help string, merged any, get func(*ShardMetrics) any) {
+		p.Family(name, typ, help)
+		if merged != nil {
+			p.Sample(merged)
+		}
+		for k, s := range shards {
+			p.Sample(get(s), "shard", strconv.Itoa(k))
+		}
+	}
+	var inflight, ewmaMax int64
 	var sections, batchOps, coalesced, slowBlocks uint64
 	for _, s := range shards {
 		inflight += s.inflight.Load()
@@ -292,74 +265,35 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		batchOps += s.batchOps.Load()
 		coalesced += s.coalesced.Load()
 		slowBlocks += s.slowBlocks.Load()
+		ewmaMax = max(ewmaMax, s.ewmaServiceNanos.Load())
 	}
-
-	p("# HELP rtled_inflight Requests a worker is executing.\n")
-	p("# TYPE rtled_inflight gauge\n")
-	p("rtled_inflight %d\n", inflight)
-	for k, s := range shards {
-		p("rtled_inflight{shard=\"%d\"} %d\n", k, s.inflight.Load())
-	}
-
-	p("# HELP rtled_shard_queue_depth Accepted requests waiting on one shard's queue.\n")
-	p("# TYPE rtled_shard_queue_depth gauge\n")
-	for k, s := range shards {
-		p("rtled_shard_queue_depth{shard=\"%d\"} %d\n", k, s.queueDepth.Load())
-	}
-
-	p("# HELP rtled_sections_total Atomic blocks executed by the worker pools.\n")
-	p("# TYPE rtled_sections_total counter\n")
-	p("rtled_sections_total %d\n", sections)
-	for k, s := range shards {
-		p("rtled_sections_total{shard=\"%d\"} %d\n", k, s.sections.Load())
-	}
-
-	p("# HELP rtled_batch_ops_total Operations executed inside client batches.\n")
-	p("# TYPE rtled_batch_ops_total counter\n")
-	p("rtled_batch_ops_total %d\n", batchOps)
-	for k, s := range shards {
-		p("rtled_batch_ops_total{shard=\"%d\"} %d\n", k, s.batchOps.Load())
-	}
-
-	p("# HELP rtled_coalesced_ops_total Single operations coalesced into a shared atomic block.\n")
-	p("# TYPE rtled_coalesced_ops_total counter\n")
-	p("rtled_coalesced_ops_total %d\n", coalesced)
-	for k, s := range shards {
-		p("rtled_coalesced_ops_total{shard=\"%d\"} %d\n", k, s.coalesced.Load())
-	}
-
-	p("# HELP rtled_slow_blocks_total Atomic blocks run under exclusive drain gates by the cross-shard slow path.\n")
-	p("# TYPE rtled_slow_blocks_total counter\n")
-	p("rtled_slow_blocks_total %d\n", slowBlocks)
-	for k, s := range shards {
-		p("rtled_slow_blocks_total{shard=\"%d\"} %d\n", k, s.slowBlocks.Load())
-	}
-
-	p("# HELP rtled_service_ewma_seconds Decayed mean atomic-block service time (max across shards).\n")
-	p("# TYPE rtled_service_ewma_seconds gauge\n")
-	p("rtled_service_ewma_seconds %g\n", float64(m.ewmaServiceNanosMax())/1e9)
-	for k, s := range shards {
-		p("rtled_service_ewma_seconds{shard=\"%d\"} %g\n", k, float64(s.ewmaServiceNanos.Load())/1e9)
-	}
+	perShard("rtled_inflight", "gauge", "Requests a worker is executing.",
+		inflight, func(s *ShardMetrics) any { return s.inflight.Load() })
+	perShard("rtled_shard_queue_depth", "gauge", "Accepted requests waiting on one shard's queue.",
+		nil, func(s *ShardMetrics) any { return s.queueDepth.Load() })
+	perShard("rtled_sections_total", "counter", "Atomic blocks executed by the worker pools.",
+		sections, func(s *ShardMetrics) any { return s.sections.Load() })
+	perShard("rtled_batch_ops_total", "counter", "Operations executed inside client batches.",
+		batchOps, func(s *ShardMetrics) any { return s.batchOps.Load() })
+	perShard("rtled_coalesced_ops_total", "counter", "Single operations coalesced into a shared atomic block.",
+		coalesced, func(s *ShardMetrics) any { return s.coalesced.Load() })
+	perShard("rtled_slow_blocks_total", "counter", "Atomic blocks run under exclusive drain gates by the cross-shard slow path.",
+		slowBlocks, func(s *ShardMetrics) any { return s.slowBlocks.Load() })
+	perShard("rtled_service_ewma_seconds", "gauge", "Decayed mean atomic-block service time (max across shards).",
+		float64(ewmaMax)/1e9, func(s *ShardMetrics) any { return float64(s.ewmaServiceNanos.Load()) / 1e9 })
 
 	if r := m.repl; r != nil {
 		role, roleN := "primary", 0
 		if r.role.Load() == roleReplica {
 			role, roleN = "replica", 1
 		}
-		p("# HELP rtled_repl_role Replication role (0 primary, 1 replica), labelled with the name.\n")
-		p("# TYPE rtled_repl_role gauge\n")
-		p("rtled_repl_role{role=%q} %d\n", role, roleN)
+		p.Family("rtled_repl_role", "gauge", "Replication role (0 primary, 1 replica), labelled with the name.")
+		p.Sample(roleN, "role", role)
 
 		hw := r.log.HighWater()
-		p("# HELP rtled_repl_log_seq Log high-water mark: sequence of the latest appended entry.\n")
-		p("# TYPE rtled_repl_log_seq gauge\n")
-		p("rtled_repl_log_seq %d\n", hw)
-
+		p.Metric("rtled_repl_log_seq", "gauge", "Log high-water mark: sequence of the latest appended entry.", hw)
 		acked := r.minAcked()
-		p("# HELP rtled_repl_acked_seq Lowest cumulative acknowledgement across live subscribers (log high-water with none).\n")
-		p("# TYPE rtled_repl_acked_seq gauge\n")
-		p("rtled_repl_acked_seq %d\n", acked)
+		p.Metric("rtled_repl_acked_seq", "gauge", "Lowest cumulative acknowledgement across live subscribers (log high-water with none).", acked)
 
 		var lag uint64
 		if roleN == 1 {
@@ -369,91 +303,35 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		} else if hw > acked {
 			lag = hw - acked
 		}
-		p("# HELP rtled_repl_lag_entries Entries appended but not yet acknowledged (primary) or applied (replica).\n")
-		p("# TYPE rtled_repl_lag_entries gauge\n")
-		p("rtled_repl_lag_entries %d\n", lag)
-
-		p("# HELP rtled_repl_applied_seq Latest log sequence applied to this server's ADT.\n")
-		p("# TYPE rtled_repl_applied_seq gauge\n")
-		p("rtled_repl_applied_seq %d\n", r.appliedSeq.Load())
-
-		p("# HELP rtled_repl_subscribers Live replication stream subscribers.\n")
-		p("# TYPE rtled_repl_subscribers gauge\n")
-		p("rtled_repl_subscribers %d\n", r.subscriberCount())
-
-		p("# HELP rtled_repl_ack_waiters Commits waiting for subscriber acknowledgement (sync ack depth).\n")
-		p("# TYPE rtled_repl_ack_waiters gauge\n")
-		p("rtled_repl_ack_waiters %d\n", r.waiters.Load())
-
-		p("# HELP rtled_repl_sync_degraded_total Sync-mode commits acknowledged without a live subscriber.\n")
-		p("# TYPE rtled_repl_sync_degraded_total counter\n")
-		p("rtled_repl_sync_degraded_total %d\n", r.degraded.Load())
+		p.Metric("rtled_repl_lag_entries", "gauge", "Entries appended but not yet acknowledged (primary) or applied (replica).", lag)
+		p.Metric("rtled_repl_applied_seq", "gauge", "Latest log sequence applied to this server's ADT.", r.appliedSeq.Load())
+		p.Metric("rtled_repl_subscribers", "gauge", "Live replication stream subscribers.", r.subscriberCount())
+		p.Metric("rtled_repl_ack_waiters", "gauge", "Commits waiting for subscriber acknowledgement (sync ack depth).", r.waiters.Load())
+		p.Metric("rtled_repl_sync_degraded_total", "counter", "Sync-mode commits acknowledged without a live subscriber.", r.degraded.Load())
 
 		st := r.log.LogStats()
-		p("# HELP rtled_repl_log_entries Log entries retained above the compaction floor.\n")
-		p("# TYPE rtled_repl_log_entries gauge\n")
-		p("rtled_repl_log_entries %d\n", st.Entries)
-
-		p("# HELP rtled_repl_log_bytes Encoded size of the retained log entries.\n")
-		p("# TYPE rtled_repl_log_bytes gauge\n")
-		p("rtled_repl_log_bytes %d\n", st.Bytes)
-
-		p("# HELP rtled_repl_log_floor Compaction floor: highest sequence truncated out of the log.\n")
-		p("# TYPE rtled_repl_log_floor gauge\n")
-		p("rtled_repl_log_floor %d\n", st.Floor)
-
-		p("# HELP rtled_repl_log_truncations_total Completed log compactions (truncations and bootstrap resets).\n")
-		p("# TYPE rtled_repl_log_truncations_total counter\n")
-		p("rtled_repl_log_truncations_total %d\n", st.Truncations)
+		p.Metric("rtled_repl_log_entries", "gauge", "Log entries retained above the compaction floor.", st.Entries)
+		p.Metric("rtled_repl_log_bytes", "gauge", "Encoded size of the retained log entries.", st.Bytes)
+		p.Metric("rtled_repl_log_floor", "gauge", "Compaction floor: highest sequence truncated out of the log.", st.Floor)
+		p.Metric("rtled_repl_log_truncations_total", "counter", "Completed log compactions (truncations and bootstrap resets).", st.Truncations)
 	}
 
-	p("# HELP rtled_affine_ops_total Operations handed to their shard by a chained affinity run.\n")
-	p("# TYPE rtled_affine_ops_total counter\n")
-	p("rtled_affine_ops_total %d\n", m.affineOps.Load())
-
-	p("# HELP rtled_affine_runs_total Affinity-run chains delivered (ops/runs is the mean run length).\n")
-	p("# TYPE rtled_affine_runs_total counter\n")
-	p("rtled_affine_runs_total %d\n", m.affineRuns.Load())
+	p.Metric("rtled_affine_ops_total", "counter", "Operations handed to their shard by a chained affinity run.", m.affineOps.Load())
+	p.Metric("rtled_affine_runs_total", "counter", "Affinity-run chains delivered (ops/runs is the mean run length).", m.affineRuns.Load())
 
 	// Frames-per-writev distribution. The histogram's log2 buckets hold
 	// frame counts, not nanoseconds, so the bucket bound is rendered as the
 	// largest count the bucket admits.
 	if wb := m.writeBatchFrames.Snapshot(); wb.Count > 0 {
-		p("# HELP rtled_write_batch_frames Response frames flushed per vectored write syscall.\n")
-		p("# TYPE rtled_write_batch_frames histogram\n")
-		var cum uint64
-		for b := 0; b < obs.NumLatencyBuckets; b++ {
-			if wb.Counts[b] == 0 {
-				continue
-			}
-			cum += wb.Counts[b]
-			p("rtled_write_batch_frames_bucket{le=\"%d\"} %d\n", uint64(1)<<(b+1)-1, cum)
-		}
-		p("rtled_write_batch_frames_bucket{le=\"+Inf\"} %d\n", wb.Count)
-		p("rtled_write_batch_frames_sum %d\n", wb.SumNanos)
-		p("rtled_write_batch_frames_count %d\n", wb.Count)
+		p.Family("rtled_write_batch_frames", "histogram", "Response frames flushed per vectored write syscall.")
+		p.Histogram(&wb, false)
 	}
 
-	p("# HELP rtled_request_latency_seconds Queue-to-response service latency by operation.\n")
-	p("# TYPE rtled_request_latency_seconds histogram\n")
+	p.Family("rtled_request_latency_seconds", "histogram", "Queue-to-response service latency by operation.")
 	for i := 0; i < numOps; i++ {
-		l := m.latency[i].Snapshot()
-		if l.Count == 0 {
-			continue
+		if l := m.latency[i].Snapshot(); l.Count > 0 {
+			p.Histogram(&l, true, "op", opName(i))
 		}
-		name := opName(i)
-		var cum uint64
-		for b := 0; b < obs.NumLatencyBuckets; b++ {
-			if l.Counts[b] == 0 {
-				continue
-			}
-			cum += l.Counts[b]
-			p("rtled_request_latency_seconds_bucket{op=%q,le=\"%g\"} %d\n",
-				name, obs.BucketUpperBoundSeconds(b), cum)
-		}
-		p("rtled_request_latency_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", name, l.Count)
-		p("rtled_request_latency_seconds_sum{op=%q} %g\n", name, float64(l.SumNanos)/1e9)
-		p("rtled_request_latency_seconds_count{op=%q} %d\n", name, l.Count)
 	}
-	return err
+	return p.Err()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -64,12 +65,13 @@ type replication struct {
 	// sessions counts replica stream (re)connections, for observability.
 	sessions atomic.Uint64
 
-	// Replica runner lifecycle: stop interrupts the dial/follow loop,
-	// runnerDone closes when it exits (started reports whether Listen ever
-	// launched it). connMu guards nc, the live upstream connection, so
-	// Promote and Close can sever a blocked read.
-	stop       chan struct{}
-	stopOnce   sync.Once
+	// Replica runner lifecycle: cancelling ctx interrupts the dial/follow
+	// loop — a connection setup in flight included — and runnerDone closes
+	// when it exits (started reports whether Listen ever launched it).
+	// connMu guards nc, the live upstream connection, so Promote and Close
+	// can sever a blocked read.
+	ctx        context.Context
+	cancel     context.CancelFunc
 	started    atomic.Bool
 	runnerDone chan struct{}
 	connMu     sync.Mutex
@@ -90,9 +92,9 @@ func newReplication(log *repl.Log, syncAck bool, primaryAddr string) *replicatio
 		syncAck:     syncAck,
 		primaryAddr: primaryAddr,
 		subs:        make(map[*replSub]struct{}),
-		stop:        make(chan struct{}),
 		runnerDone:  make(chan struct{}),
 	}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
 	r.cond = sync.NewCond(&r.mu)
 	if primaryAddr != "" {
 		r.role.Store(roleReplica)
@@ -263,7 +265,7 @@ func (r *replication) closeConn() {
 // Idempotent; a no-op when the runner never started (a born-primary
 // server, or Close before Listen).
 func (r *replication) shutdownRunner() {
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.cancel()
 	r.closeConn()
 	if r.started.Load() {
 		<-r.runnerDone

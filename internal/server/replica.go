@@ -22,15 +22,10 @@ func (s *Server) runReplica() {
 	defer close(r.runnerDone)
 	backoff := 50 * time.Millisecond
 	for {
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		nc, fr, err := s.dialPrimary()
+		nc, fr, err := s.dialPrimary(r.ctx) // fails at once when the context is done
 		if err != nil {
 			select {
-			case <-r.stop:
+			case <-r.ctx.Done():
 				return
 			case <-time.After(backoff):
 			}
@@ -46,66 +41,28 @@ func (s *Server) runReplica() {
 	}
 }
 
-// dialPrimary opens one subscribed replication stream: TCP dial, hello
-// exchange declaring FeatureReplicated, and an OpReplSubscribe for the
-// suffix this replica is missing. The handshake runs under a deadline so a
-// hung primary cannot wedge the loop; the deadline is cleared before the
-// open-ended stream phase.
-func (s *Server) dialPrimary() (net.Conn, *frameReader, error) {
+// dialPrimary opens one subscribed replication stream: the handshake
+// declaring FeatureReplicated, and an OpReplSubscribe for the suffix this
+// replica is missing. The setup runs under a deadline so a hung primary
+// cannot wedge the loop, and under ctx so a stopping replica does not wait
+// the deadline out; the deadline is cleared before the open-ended stream
+// phase.
+func (s *Server) dialPrimary(ctx context.Context) (net.Conn, *frameReader, error) {
 	r := s.repl
-	nc, err := net.DialTimeout("tcp", r.primaryAddr, 2*time.Second)
+	nc, fr, sh, err := handshake(ctx, r.primaryAddr, FeatureReplicated|FeatureSnapshot, 5*time.Second)
 	if err != nil {
 		return nil, nil, err
-	}
-	fail := func(err error) (net.Conn, *frameReader, error) {
-		_ = nc.Close() // the handshake failed; nothing to keep
-		return nil, nil, err
-	}
-	if err := nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		return fail(err)
-	}
-	fr := &frameReader{r: bufio.NewReaderSize(nc, 1<<16)}
-	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{
-		Version:  ProtocolVersion,
-		Features: FeatureReplicated | FeatureSnapshot,
-	})); err != nil {
-		return fail(err)
-	}
-	payload, err := fr.next()
-	if err != nil {
-		return fail(err)
-	}
-	sh, err := DecodeServerHello(payload)
-	if err != nil {
-		// The primary answers a bad hello with a StatusBad response frame;
-		// surface its message rather than the magic mismatch.
-		if resp, derr := DecodeResponse(payload); derr == nil {
-			return fail(fmt.Errorf("repl: primary rejected hello: %s", resp.Message))
-		}
-		return fail(err)
 	}
 	if sh.Features&FeatureReplicated == 0 {
-		return fail(errors.New("repl: upstream server does not replicate (missing FeatureReplicated)"))
+		err = errors.New("repl: upstream server does not replicate (missing FeatureReplicated)")
+	} else {
+		err = exchange(ctx, nc, fr, &Request{Op: OpReplSubscribe, Arg1: r.log.HighWater() + 1})
 	}
-	if _, err := nc.Write(AppendRequest(nil, &Request{
-		ID: 1, Op: OpReplSubscribe, Arg1: r.log.HighWater() + 1,
-	})); err != nil {
-		return fail(err)
-	}
-	payload, err = fr.next()
 	if err != nil {
-		return fail(err)
+		_ = nc.Close() // the setup failed; nothing to keep
+		return nil, nil, err
 	}
-	resp, err := DecodeResponse(payload)
-	if err != nil {
-		return fail(err)
-	}
-	if resp.Status != StatusOK {
-		return fail(fmt.Errorf("repl: subscribe rejected: %v %s", resp.Status, resp.Message))
-	}
-	if err := nc.SetDeadline(time.Time{}); err != nil {
-		return fail(err)
-	}
+	_ = nc.SetDeadline(time.Time{}) // as in DialContext; a connection this fails on is dead and the stream's first read says so
 	return nc, fr, nil
 }
 
@@ -126,12 +83,10 @@ func (s *Server) followStream(nc net.Conn, fr *frameReader) {
 	r := s.repl
 	r.setConn(nc)
 	defer r.setConn(nil)
-	// shutdownRunner closes stop before it severs the published conn: a
+	// shutdownRunner cancels ctx before it severs the published conn: a
 	// shutdown that found none published yet is visible here.
-	select {
-	case <-r.stop:
+	if r.ctx.Err() != nil {
 		return
-	default:
 	}
 	bw := bufio.NewWriterSize(nc, 1<<12)
 	br, _ := fr.r.(*bufio.Reader)

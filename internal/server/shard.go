@@ -66,16 +66,8 @@ type shard struct {
 //rtle:hotpath
 func (s *Server) worker(sh *shard) {
 	defer s.workersWG.Done()
-	slots := s.cfg.Coalesce
-	if MaxBatchOps > slots {
-		slots = MaxBatchOps
-	}
-	ex := sh.adt.newExecutor(slots)
-	thread := sh.method.NewThread()
-	results := make([]Result, slots)                 //rtle:ignore hotalloc worker-lifetime scratch; allocated once per worker and reused for every block
-	group := make([]*task, 0, s.cfg.Coalesce)        //rtle:ignore hotalloc worker-lifetime scratch; one group of at most Coalesce tasks at a time
-	entries := make([]BatchEntry, 0, s.cfg.Coalesce) //rtle:ignore hotalloc worker-lifetime scratch; the group's operations in the form the section runner takes
-	replBuf := make([]repl.Op, 0, slots)             //rtle:ignore hotalloc worker-lifetime scratch; one block's log ops, copied by the log on append
+	sec := newSection(sh, max(s.cfg.Coalesce, MaxBatchOps))
+	group := make([]*task, 0, s.cfg.Coalesce) //rtle:ignore hotalloc worker-lifetime scratch; one group of at most Coalesce tasks at a time
 
 	for {
 		t, ok := <-sh.queue
@@ -96,7 +88,7 @@ func (s *Server) worker(sh *shard) {
 				//rtle:ignore hotalloc a ping carries no results; respond encodes nil as the empty set without growing it
 				s.respond(t, nil, Response{ID: t.req.ID, Status: StatusOK})
 			case OpBatch:
-				s.runBatch(sh, ex, thread, t, results, replBuf)
+				s.runBatch(sh, sec, t)
 			default:
 				group = append(group[:0], t)
 				// The rest of the chain fills the group first, then the
@@ -112,7 +104,7 @@ func (s *Server) worker(sh *shard) {
 				if carry == nil {
 					carry = s.fillGroup(sh, &group)
 				}
-				s.runGroup(sh, ex, thread, group, entries, results, replBuf)
+				s.runGroup(sh, sec, group)
 			}
 			t = carry
 		}
@@ -160,72 +152,98 @@ func (s *Server) fillGroup(sh *shard, group *[]*task) *task {
 	return nil
 }
 
-// runFastSection executes one fast-path atomic block under sh's shared
-// gate and, on a replicating primary, appends the block's mutating ops to
-// the log inside the gate region — the log-order-equals-gate-order
-// invariant replica replay rests on. It returns the sync barrier: the
-// commit's last log sequence (for a write), or the shard's latest logged
-// sequence (for a sync-mode read-only block, which must not be answered
-// ahead of the acknowledged writes it observed). Zero means no barrier.
-func (s *Server) runFastSection(sh *shard, body func(), ops []repl.Op) uint64 {
+// section is what one worker runs its atomic blocks with: an executor (a
+// handle per slot), a method thread, and the scratch a block needs, reused
+// for the worker's whole life. The block's body is bound once, here: Atomic
+// is an interface call, so a body built per block would escape — one
+// allocation per section, the serving path's only steady-state garbage.
+type section struct {
+	ex      *executor
+	thread  core.Thread
+	results []Result           // entry i's result, slot i
+	replBuf []repl.Op          // one block's log ops, copied by the log on append
+	staged  []BatchEntry       // a coalesced group's operations, staged for runSection
+	entries []BatchEntry       // the block being run; body reads it
+	body    func(core.Context) // exec, bound
+}
+
+// newSection builds the block runner of one worker of sh, sized for blocks
+// of up to slots operations.
+//
+//rtle:init
+func newSection(sh *shard, slots int) *section {
+	sec := &section{
+		ex:      sh.adt.newExecutor(slots),
+		thread:  sh.method.NewThread(),
+		results: make([]Result, slots),
+		replBuf: make([]repl.Op, 0, slots),
+	}
+	sec.body = sec.exec
+	return sec
+}
+
+// exec is the atomic-block body: entry i runs in executor slot i and leaves
+// its result in results[i]. Re-executable, as every body must be: a retry
+// overwrites each slot.
+//
+//rtle:hotpath
+func (sec *section) exec(c core.Context) {
+	for i := range sec.entries {
+		e := &sec.entries[i]
+		sec.results[i] = sec.ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
+	}
+}
+
+// runSection executes entries inside one fast-path atomic block on sh under
+// its shared gate and, on a replicating primary, appends the block's
+// mutating ops to the log inside the gate region — the
+// log-order-equals-gate-order invariant replica replay rests on. It returns
+// the sync barrier: the commit's last log sequence (for a write), or the
+// shard's latest logged sequence (for a sync-mode read-only block, which
+// must not be answered ahead of the acknowledged writes it observed). Zero
+// means no barrier.
+func (s *Server) runSection(sh *shard, sec *section, entries []BatchEntry) uint64 {
 	r := s.repl
+	var ops []repl.Op
+	if r != nil && r.primary() {
+		ops = replBatchOps(sec.replBuf, entries)
+	}
+	sec.entries = entries
+	var bar uint64
+	start := time.Now()
 	if r == nil || !r.primary() || (ops == nil && !r.syncAck) {
 		// Unreplicated (or async read-only): the bare fast path.
 		sh.gate.RLock()
-		body()
+		sec.thread.Atomic(sec.body)
 		sh.gate.RUnlock()
-		return 0
-	}
-	sh.logMu.Lock()
-	sh.gate.RLock()
-	body()
-	var bar uint64
-	if ops != nil {
-		bar = r.append(ops)
-		sh.lastSeq.Store(bar)
 	} else {
-		bar = sh.lastSeq.Load()
+		sh.logMu.Lock()
+		sh.gate.RLock()
+		sec.thread.Atomic(sec.body)
+		if ops != nil {
+			bar = r.append(ops)
+			sh.lastSeq.Store(bar)
+		} else {
+			bar = sh.lastSeq.Load()
+		}
+		sh.gate.RUnlock()
+		sh.logMu.Unlock()
 	}
-	sh.gate.RUnlock()
-	sh.logMu.Unlock()
-	return bar
-}
-
-// runSection executes entries inside one fast-path atomic block on sh,
-// entry i in executor slot i with its result in results[i], and returns the
-// block's sync barrier (see runFastSection).
-func (s *Server) runSection(sh *shard, ex *executor, thread core.Thread, entries []BatchEntry, results []Result, replBuf []repl.Op) uint64 {
-	var ops []repl.Op
-	if r := s.repl; r != nil && r.primary() {
-		ops = replBatchOps(replBuf, entries)
-	}
-	start := time.Now()
-	//rtle:ignore hotalloc block-body closure; runFastSection calls it inline, so it stays on the stack
-	bar := s.runFastSection(sh, func() {
-		//rtle:ignore hotalloc atomic-block body; Atomic is an interface call, so it escapes: one closure per block, shared by every operation the block folds
-		thread.Atomic(func(c core.Context) {
-			for i := range entries {
-				e := &entries[i]
-				results[i] = ex.run(c, i, e.Op, e.Arg1, e.Arg2, e.Arg3)
-			}
-		})
-	}, ops)
 	sh.sectionDone(start)
 	for i := range entries {
-		ex.after(i, entries[i].Op, results[i])
+		sec.ex.after(i, entries[i].Op, sec.results[i])
 	}
 	return bar
 }
 
 // runGroup executes every task of group inside one atomic block on sh,
-// then answers them. entries is the worker's scratch for the group's
-// operations.
-func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*task, entries []BatchEntry, results []Result, replBuf []repl.Op) {
-	entries = entries[:0]
+// then answers them.
+func (s *Server) runGroup(sh *shard, sec *section, group []*task) {
+	sec.staged = sec.staged[:0]
 	for _, t := range group {
-		entries = append(entries, BatchEntry{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3})
+		sec.staged = append(sec.staged, BatchEntry{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3})
 	}
-	bar := s.runSection(sh, ex, thread, entries, results, replBuf)
+	bar := s.runSection(sh, sec, sec.staged)
 	if len(group) > 1 {
 		sh.m.coalesced.Add(uint64(len(group)))
 	}
@@ -236,22 +254,22 @@ func (s *Server) runGroup(sh *shard, ex *executor, thread core.Thread, group []*
 		return
 	}
 	for i, t := range group {
-		s.respond(t, results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
+		s.respond(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
 	}
 }
 
 // runBatch executes one single-shard client batch inside one atomic block
 // — the protocol's atomicity contract — and answers with per-entry
 // results. Batches spanning several shards take the slow path instead.
-func (s *Server) runBatch(sh *shard, ex *executor, thread core.Thread, t *task, results []Result, replBuf []repl.Op) {
+func (s *Server) runBatch(sh *shard, sec *section, t *task) {
 	entries := t.req.Batch
-	bar := s.runSection(sh, ex, thread, entries, results, replBuf)
+	bar := s.runSection(sh, sec, entries)
 	sh.m.batchOps.Add(uint64(len(entries)))
 	if !s.replWait(bar) {
 		s.discard(t)
 		return
 	}
-	s.respond(t, results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
+	s.respond(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
 }
 
 // replWait blocks until the barrier sequence is acknowledged (sync ack

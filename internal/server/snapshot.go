@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"rtle/internal/check"
@@ -243,53 +241,22 @@ var ErrNoSnapshot = errors.New("server: the server does not support snapshot str
 // connection's sole in-flight request, which a pipelined Client cannot
 // guarantee.
 func FetchSnapshot(ctx context.Context, addr string) (*snap.Snapshot, error) {
-	d := net.Dialer{}
-	nc, err := d.DialContext(ctx, "tcp", addr)
+	// A caller without a deadline still gets a bounded transfer; either way
+	// the connection deadline handshake arms stays for all of it.
+	timeout := 30 * time.Second
+	if _, ok := ctx.Deadline(); ok {
+		timeout = 0
+	}
+	nc, fr, sh, err := handshake(ctx, addr, FeatureSnapshot, timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer nc.Close()
-	dl, ok := ctx.Deadline()
-	if !ok {
-		dl = time.Now().Add(30 * time.Second)
-	}
-	if err := nc.SetDeadline(dl); err != nil {
-		return nil, err
-	}
-	fr := &frameReader{r: bufio.NewReaderSize(nc, 1<<16)}
-	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{
-		Version:  ProtocolVersion,
-		Features: FeatureSnapshot,
-	})); err != nil {
-		return nil, err
-	}
-	payload, err := fr.next()
-	if err != nil {
-		return nil, err
-	}
-	sh, err := DecodeServerHello(payload)
-	if err != nil {
-		if resp, derr := DecodeResponse(payload); derr == nil {
-			return nil, fmt.Errorf("server: snapshot hello rejected: %s", resp.Message)
-		}
-		return nil, err
-	}
 	if sh.Features&FeatureSnapshot == 0 {
 		return nil, ErrNoSnapshot
 	}
-	if _, err := nc.Write(AppendRequest(nil, &Request{ID: 1, Op: OpSnapshot})); err != nil {
+	if err := exchange(ctx, nc, fr, &Request{Op: OpSnapshot}); err != nil {
 		return nil, err
-	}
-	payload, err = fr.next()
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeResponse(payload)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Status != StatusOK {
-		return nil, fmt.Errorf("server: snapshot rejected: %v %s", resp.Status, resp.Message)
 	}
 	r := snap.NewReader()
 	for {

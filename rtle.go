@@ -113,8 +113,11 @@ const (
 	FGTLE
 	// AdaptiveFGTLE is FG-TLE with a self-tuning orec array (§4.2.1).
 	AdaptiveFGTLE
-	// ALE is all-levels elision: FG-TLE whose lock path is replaced by
-	// buffered software sections.
+	// ALE models Amalgamated Lock Elision (Afek, Matveev, Moll and Shavit,
+	// DISC 2015), the concurrent design §2 contrasts with refined TLE: the
+	// hardware fast path is the instrumented one (every write stamps an
+	// ownership record), and the lock holder runs as a buffered software
+	// section that publishes with a small hardware transaction.
 	ALE
 	// NOrec is the software-only NOrec STM baseline (§6.2.2).
 	NOrec
