@@ -180,12 +180,13 @@ type adaptiveThread struct {
 //rtle:slowpath
 func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 	a := t.method
-	localSeq := t.epochSnapshot()
+	t.beginSlow()
 	reason := t.Tx.Run(func(tx *htm.Tx) {
 		if tx.Read(a.modeAddr) != modeFG {
 			tx.Abort() // TLE mode: no slow-path speculation
 		}
-		body(fgSlowCtx{&t.fgtleThread, localSeq, tx.Read(a.sizeAddr)})
+		t.slowSize = tx.Read(a.sizeAddr)
+		body(fgSlowCtx{&t.fgtleThread})
 		t.lazySubscribe(tx)
 	})
 	if reason == htm.None {

@@ -6,7 +6,6 @@ import (
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
-	"rtle/internal/wanghash"
 )
 
 // ALEMethod models Amalgamated Lock Elision (Afek, Matveev, Moll, Shavit —
@@ -199,8 +198,9 @@ func (t *aleThread) writeBack() bool {
 	return true
 }
 
+// orecOf is the orec of addr's cache line, by the mapping FG-TLE uses.
 func (a *ALEMethod) orecOf(addr mem.Addr) mem.Addr {
-	return a.orecs + mem.Addr(wanghash.Hash(uint64(addr), a.norecs))
+	return a.orecs + mem.Addr(orecIndex(addr, a.norecs))
 }
 
 // aleFastCtx is ALE's hardware fast path: reads are raw, writes carry the

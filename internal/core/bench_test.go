@@ -3,6 +3,7 @@ package core_test
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
@@ -11,38 +12,104 @@ import (
 	"rtle/internal/rng"
 )
 
-// BenchmarkFGTLELockSectionBesideReader is paper Fig. 12 at two threads, the
-// shape of the canonical benchmark's avl_lockheld: b.N HTM-unfriendly
-// updates of a seeded 8192-key AVL set, each of which ends under the lock
-// stamping orecs with plain stores, while a second thread only Finds — on
-// the fast path between sections, on the instrumented slow path during
-// them. ns/section is the lock holder's time per section, which bounds
-// what the reader can overlap with.
-func BenchmarkFGTLELockSectionBesideReader(b *testing.B) {
-	const keys = 8192
-	m := mem.New(harness.DefaultSetHeapWords(keys, 2))
+// The two benchmarks below are paper Fig. 12 at two threads, the shape of
+// the canonical benchmark's avl_lockheld, seen from either side: one thread
+// makes HTM-unfriendly updates of a seeded 8192-key AVL set under
+// FG-TLE(256), each of which ends under the lock stamping orecs with plain
+// stores, while a second thread only Finds — on the fast path between
+// sections, on the instrumented slow path during them. Both need -cpu 2 or
+// more to mean anything.
+const fig12Keys = 8192
+
+// fig12Set seeds that set on a heap of its own, with the named method over it.
+func fig12Set(method string) (*mem.Memory, *avl.Set, core.Method) {
+	m := mem.New(harness.DefaultSetHeapWords(fig12Keys, 2))
 	set := avl.New(m)
-	harness.SeedSet(set, keys)
-	meth := core.NewFGTLE(m, 256, core.Policy{})
-	var stop atomic.Bool
+	harness.SeedSet(set, fig12Keys)
+	return m, set, harness.MustBuildMethod(method, m, core.Policy{})
+}
+
+// beside runs w on a goroutine of its own until the returned stop is called;
+// stop returns once the goroutine has exited.
+func beside(w harness.Worker, seed uint64) (stop func()) {
+	var stopped atomic.Bool
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		find := harness.NewSetWorker(set, meth.NewThread(), harness.SetMix{}, keys)
-		for r := rng.NewXoshiro256(2); !stop.Load(); {
-			find(r)
+		for r := rng.NewXoshiro256(seed); !stopped.Load(); {
+			w(r)
 		}
 	}()
+	return func() {
+		stopped.Store(true)
+		<-done
+	}
+}
+
+// BenchmarkFGTLELockSectionBesideReader is the holder's side: b.N updates.
+// ns/section is the lock holder's time per section, which bounds what the
+// reader can overlap with; stores/section is what it spends it on — every
+// plain store ticks the heap's clock once, and the reader's read-only
+// commits never do.
+func BenchmarkFGTLELockSectionBesideReader(b *testing.B) {
+	m, set, meth := fig12Set("FG-TLE(256)")
+	stop := beside(harness.NewSetWorker(set, meth.NewThread(), harness.SetMix{}, fig12Keys), 2)
 	holder := meth.NewThread()
-	update := harness.NewUnfriendlySetWorker(set, holder, keys, true)
+	update := harness.NewUnfriendlySetWorker(set, holder, fig12Keys, true)
 	r := rng.NewXoshiro256(1)
 	b.ResetTimer()
+	clock := m.ClockLoad()
 	for i := 0; i < b.N; i++ {
 		update(r)
 	}
+	stores := m.ClockLoad() - clock
 	b.StopTimer()
-	stop.Store(true)
-	<-done
+	stop()
 	st := holder.Stats()
 	b.ReportMetric(float64(st.LockHoldNanos)/float64(st.LockRuns), "ns/section")
+	b.ReportMetric(float64(stores)/float64(st.LockRuns), "stores/section")
+}
+
+// BenchmarkFGTLESlowFindBesideHolder is the reader's side: b.N Finds beside
+// a goroutine that loops real lock sections. ns/slow-commit is the time of
+// a Find that committed on the slow path, its aborted attempts and their
+// backoff included, and ns/fast-commit that of one that found the lock free
+// (each Find is timed with one monotonic clock read, which is in both
+// figures); aborts/slow-commit is how many failed attempts a slow commit
+// cost. Nothing is reported when no Find met a held lock (-cpu 1, or a b.N
+// too small to).
+func BenchmarkFGTLESlowFindBesideHolder(b *testing.B) {
+	_, set, meth := fig12Set("FG-TLE(256)")
+	stop := beside(harness.NewUnfriendlySetWorker(set, meth.NewThread(), fig12Keys, true), 1)
+	reader := meth.NewThread()
+	find := harness.NewSetWorker(set, reader, harness.SetMix{}, fig12Keys)
+	st := reader.Stats()
+	r := rng.NewXoshiro256(2)
+	var slowNanos, fastNanos time.Duration
+	b.ResetTimer()
+	start := time.Now()
+	last := time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		slow := st.SlowCommits
+		find(r)
+		now := time.Since(start)
+		if st.SlowCommits != slow {
+			slowNanos += now - last
+		} else {
+			fastNanos += now - last
+		}
+		last = now
+	}
+	b.StopTimer()
+	stop()
+	if st.SlowCommits == 0 {
+		return
+	}
+	var aborts uint64
+	for _, n := range st.SlowAborts {
+		aborts += n
+	}
+	b.ReportMetric(float64(slowNanos.Nanoseconds())/float64(st.SlowCommits), "ns/slow-commit")
+	b.ReportMetric(float64(fastNanos.Nanoseconds())/float64(st.FastCommits), "ns/fast-commit")
+	b.ReportMetric(float64(aborts)/float64(st.SlowCommits), "aborts/slow-commit")
 }

@@ -8,9 +8,11 @@ import (
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
+	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/rng"
+	"rtle/internal/spinlock"
 )
 
 // TestFGTLEWriterBlockedByHolderRead: the r_orecs array must prevent a
@@ -127,6 +129,65 @@ func TestFGTLEOneOrecBlocksEverything(t *testing.T) {
 	close(release)
 	<-finished
 	<-done
+}
+
+// TestStoresPerLockSection counts what the instrumented lock path costs in
+// plain stores, exactly: one thread runs 20 000 HTM-unfriendly updates of a
+// seeded 8192-key AVL set, so every operation ends in a lock section, and
+// every plain store — acquire, release, epoch bumps, orec stamps, data —
+// ticks the heap's clock once while nothing else does. FG-TLE stamped one
+// orec per word touched (45.9 stores a section); per cache line it is half.
+func TestStoresPerLockSection(t *testing.T) {
+	for _, tc := range []struct {
+		method   string
+		min, max float64
+	}{
+		{"TLE", 5.07, 5.27}, // acquire + release + the update's own stores
+		{"FG-TLE(256)", 0, 24},
+	} {
+		m, set, meth := fig12Set(tc.method)
+		before := m.ClockLoad()
+		res := harness.Run(meth, harness.Config{Threads: 1, OpsPerThread: 20000, Seed: 3},
+			harness.UnfriendlyFactory(set, fig12Keys, true))
+		if res.Total.LockRuns != 20000 {
+			t.Fatalf("%s: %d lock runs, want every one of 20000 operations", tc.method, res.Total.LockRuns)
+		}
+		got := float64(m.ClockLoad()-before) / float64(res.Total.LockRuns)
+		if got < tc.min || got > tc.max {
+			t.Errorf("%s: %.2f plain stores per lock section, want %.2f–%.2f", tc.method, got, tc.min, tc.max)
+		}
+	}
+}
+
+// TestSlowPathAttemptDoesNotAllocate: a slow-path Context is one pointer —
+// the epoch snapshot and the orec count live in the thread — so a Contains
+// that commits beside a held lock allocates nothing. (A Context of three
+// words was boxed at every attempt.)
+func TestSlowPathAttemptDoesNotAllocate(t *testing.T) {
+	for _, name := range []string{"FG-TLE(256)", "FG-TLE(adaptive)"} {
+		m := mem.New(1 << 20)
+		meth := harness.MustBuildMethod(name, m, core.Policy{})
+		th := meth.NewThread()
+		h := avl.New(m).NewHandle()
+		for k := uint64(0); k < 512; k += 2 {
+			h.Insert(th, k)
+		}
+		lock := meth.(interface{ Lock() *spinlock.Lock }).Lock()
+		lock.Acquire()
+		slow := th.Stats().SlowCommits
+		var k uint64
+		allocs := testing.AllocsPerRun(200, func() {
+			k = (k + 7) % 512
+			h.Contains(th, k)
+		})
+		lock.Release()
+		if got := th.Stats().SlowCommits - slow; got != 201 {
+			t.Fatalf("%s: %d of 201 Contains committed on the slow path", name, got)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: a slow-path Contains allocates %v objects, want 0", name, allocs)
+		}
+	}
 }
 
 // TestRWTLEEmptyCSCommitsOnSlowPath: an empty critical section is

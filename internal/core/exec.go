@@ -102,8 +102,14 @@ func (e *Exec) AcquireLock() time.Time {
 // (a guard writer also waits out its readers) call it themselves.
 func (e *Exec) BeginHold() time.Time {
 	e.Rec.LockAcquired()
-	return time.Now()
+	return holdEpoch.Add(time.Since(holdEpoch))
 }
+
+// holdEpoch anchors the start times BeginHold hands out: its only consumer
+// is ReleaseLock's time.Since, which reads the monotonic clock alone, and
+// Since-then-Add reaches the same instant without time.Now's wall-clock
+// read — inside every critical section of every lock-based method.
+var holdEpoch = time.Now()
 
 // ReleaseLock accounts the hold that began at start and releases the lock.
 func (e *Exec) ReleaseLock(start time.Time) {
