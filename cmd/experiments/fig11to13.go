@@ -14,7 +14,7 @@ import (
 // micro-benchmark (256 padded accounts, random transfers), throughput in
 // transfers per millisecond.
 func fig11(opt options) {
-	header("Fig. 11: bank-accounts throughput (transfers/ms) — 256 accounts")
+	opt.header("Fig. 11: bank-accounts throughput (transfers/ms) — 256 accounts")
 	methods := []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1)", "FG-TLE(16)",
 		"FG-TLE(256)", "FG-TLE(1024)", "FG-TLE(4096)", "FG-TLE(8192)", "NOrec", "RHNOrec"}
 	if opt.quick {
@@ -29,12 +29,14 @@ func fig11(opt options) {
 	for _, meth := range methods {
 		fmt.Fprintf(w, "%s", meth)
 		for _, n := range opt.threads {
-			m := mem.New(1 << 20)
-			b := bank.New(m, 256, 10000)
-			method := harness.MustBuildMethod(meth, m, opt.policy())
-			res := harness.Run(method, harness.Config{
-				Threads: n, Duration: opt.dur, Seed: opt.seed,
-			}, harness.BankFactory(b, 100))
+			res := opt.point(n, func() *harness.Result {
+				m := mem.New(1 << 20)
+				b := bank.New(m, 256, 10000)
+				method := harness.MustBuildMethod(meth, m, opt.policy())
+				return harness.Run(method, harness.Config{
+					Threads: n, Duration: opt.dur, Seed: opt.seed,
+				}, harness.BankFactory(b, 100))
+			})
 			fmt.Fprintf(w, "\t%.0f", res.Throughput())
 		}
 		fmt.Fprintln(w)
@@ -46,7 +48,7 @@ func fig11(opt options) {
 // HTM-unfriendly Insert/Remove (it always falls back to the lock) while
 // the remaining threads run Find — total throughput per method.
 func fig12(opt options) {
-	header("Fig. 12: HTM-unfriendly thread + readers, AVL key range 65536 (ops/ms)")
+	opt.header("Fig. 12: HTM-unfriendly thread + readers, AVL key range 65536 (ops/ms)")
 	keyRange := uint64(65536)
 	if opt.quick {
 		keyRange = 8192
@@ -65,12 +67,14 @@ func fig12(opt options) {
 	for _, meth := range methods {
 		fmt.Fprintf(w, "%s", meth)
 		for _, n := range opt.threads {
-			m := mem.New(harness.DefaultSetHeapWords(keyRange, n) + 1<<18)
-			set := avlSeeded(m, keyRange)
-			method := harness.MustBuildMethod(meth, m, opt.policy())
-			res := harness.Run(method, harness.Config{
-				Threads: n, Duration: opt.dur, Seed: opt.seed,
-			}, harness.UnfriendlyFactory(set, keyRange, true))
+			res := opt.point(n, func() *harness.Result {
+				m := mem.New(harness.DefaultSetHeapWords(keyRange, n) + 1<<18)
+				set := avlSeeded(m, keyRange)
+				method := harness.MustBuildMethod(meth, m, opt.policy())
+				return harness.Run(method, harness.Config{
+					Threads: n, Duration: opt.dur, Seed: opt.seed,
+				}, harness.UnfriendlyFactory(set, keyRange, true))
+			})
 			fmt.Fprintf(w, "\t%.0f", res.Throughput())
 		}
 		fmt.Fprintln(w)
@@ -88,7 +92,7 @@ func fig13(opt options) {
 	if opt.quick {
 		genomeLen = 10000
 	}
-	header(fmt.Sprintf("Fig. 13: ccTSA total runtime (ms) — synthetic genome %d bp, 36-bp reads, k=27", genomeLen))
+	opt.header(fmt.Sprintf("Fig. 13: ccTSA total runtime (ms) — synthetic genome %d bp, 36-bp reads, k=27", genomeLen))
 	methods := []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1)", "FG-TLE(16)",
 		"FG-TLE(256)", "FG-TLE(1024)", "FG-TLE(4096)", "FG-TLE(8192)"}
 	if opt.quick {
@@ -106,6 +110,7 @@ func fig13(opt options) {
 	fmt.Fprintf(w, "Lock.orig")
 	for _, n := range opt.threads {
 		in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
+		warm(n)
 		res := in.RunOriginal()
 		fmt.Fprintf(w, "\t%.0f", float64(res.Total.Milliseconds()))
 	}
@@ -115,6 +120,7 @@ func fig13(opt options) {
 		fmt.Fprintf(w, "%s", meth)
 		for _, n := range opt.threads {
 			in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
+			warm(n)
 			res := in.RunTransactified(func(m *mem.Memory) core.Method {
 				return harness.MustBuildMethod(meth, m, opt.policy())
 			})
@@ -127,7 +133,7 @@ func fig13(opt options) {
 	}
 	w.Flush()
 
-	header("§6.4.2: fraction of atomic blocks that acquired the lock (per thread count)")
+	title("§6.4.2: fraction of atomic blocks that acquired the lock (per thread count)") // a table of the runs above: nothing to probe
 	w2 := newTable()
 	fmt.Fprintf(w2, "method")
 	for _, n := range opt.threads {

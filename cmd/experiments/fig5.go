@@ -20,7 +20,7 @@ func fig5(opt options) {
 	}
 	for _, kr := range keyRanges {
 		for _, mix := range ms {
-			header(fmt.Sprintf("Fig. 5: AVL speedup vs 1-thread Lock — key range %d, mix %s (Ins:Rem:Find)", kr, mixLabel(mix)))
+			opt.header(fmt.Sprintf("Fig. 5: AVL speedup vs 1-thread Lock — key range %d, mix %s (Ins:Rem:Find)", kr, mixLabel(mix)))
 			base := runSetPoint(opt, "Lock", kr, mix, 1)
 			w := newTable()
 			fmt.Fprintf(w, "method")

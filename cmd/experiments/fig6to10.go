@@ -16,7 +16,7 @@ var slowPathMix = harness.SetMix{InsertPct: 20, RemovePct: 20}
 // — hardware commits on the instrumented path and lock-path executions,
 // each per millisecond of lock-held time.
 func fig6(opt options) {
-	header("Fig. 6: refined-TLE slow-path throughput (ops/ms of lock-held time) — key range 8192, 20% Ins/Rem")
+	opt.header("Fig. 6: refined-TLE slow-path throughput (ops/ms of lock-held time) — key range 8192, 20% Ins/Rem")
 	w := newTable()
 	fmt.Fprintf(w, "method")
 	for _, n := range opt.threads {
@@ -37,7 +37,7 @@ func fig6(opt options) {
 // fig7 regenerates Figure 7: per-execution time under lock, normalized to
 // the Lock method at the same thread count.
 func fig7(opt options) {
-	header("Fig. 7: execution time under lock relative to Lock — key range 8192, 20% Ins/Rem")
+	opt.header("Fig. 7: execution time under lock relative to Lock — key range 8192, 20% Ins/Rem")
 	methods := append([]string{"Lock", "TLE"}, harness.RefinedNames...)
 	w := newTable()
 	fmt.Fprintf(w, "method")
@@ -70,7 +70,7 @@ func fig7(opt options) {
 // commits that bump the timestamp, and software commits, per millisecond
 // of software-transaction time.
 func fig8(opt options) {
-	header("Fig. 8: RHNOrec slow-path throughput (ops/ms of software-transaction time) — key range 8192, 20% Ins/Rem")
+	opt.header("Fig. 8: RHNOrec slow-path throughput (ops/ms of software-transaction time) — key range 8192, 20% Ins/Rem")
 	w := newTable()
 	fmt.Fprintln(w, "threads\tSlowHTM\tSWSlow")
 	for _, n := range opt.threads {
@@ -82,7 +82,7 @@ func fig8(opt options) {
 
 // fig9 regenerates Figure 9: RHNOrec execution-type distribution.
 func fig9(opt options) {
-	header("Fig. 9: RHNOrec execution-type fractions — key range 8192, 20% Ins/Rem")
+	opt.header("Fig. 9: RHNOrec execution-type fractions — key range 8192, 20% Ins/Rem")
 	w := newTable()
 	fmt.Fprintln(w, "threads\tHTMFast\tHTMSlow\tSTMFastCommit\tSTMSlowCommit")
 	for _, n := range opt.threads {
@@ -96,7 +96,7 @@ func fig9(opt options) {
 // fig10 regenerates Figure 10: value-based validations per software
 // transaction, NOrec vs RHNOrec.
 func fig10(opt options) {
-	header("Fig. 10: validations per software transaction — key range 8192, 20% Ins/Rem")
+	opt.header("Fig. 10: validations per software transaction — key range 8192, 20% Ins/Rem")
 	w := newTable()
 	fmt.Fprintln(w, "threads\tNOrec\tRHNOrec")
 	for _, n := range opt.threads {

@@ -46,7 +46,7 @@ func main() {
 	var threadsFlag string
 	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 5..13, scan, or all")
 	flag.StringVar(&threadsFlag, "threads", "", "comma-separated thread counts (default 1,2,4,8)")
-	flag.DurationVar(&opt.dur, "dur", 300*time.Millisecond, "duration per data point")
+	flag.DurationVar(&opt.dur, "dur", 300*time.Millisecond, "duration per data point (-quick: 100ms unless given)")
 	var seed int64
 	flag.Int64Var(&seed, "seed", 1, "experiment seed")
 	flag.BoolVar(&opt.quick, "quick", false, "reduced parameters for a fast pass")
@@ -69,7 +69,12 @@ func main() {
 		opt.threads = append(opt.threads, n)
 	}
 	if opt.quick {
-		opt.dur = 100 * time.Millisecond
+		// -quick shortens a point only when -dur did not say how long one is.
+		durSet := false
+		flag.Visit(func(f *flag.Flag) { durSet = durSet || f.Name == "dur" })
+		if !durSet {
+			opt.dur = 100 * time.Millisecond
+		}
 	}
 
 	figs := map[string]func(options){

@@ -15,7 +15,7 @@ import (
 // with no fault injection. While a scan holds the lock, refined TLE lets
 // point operations keep committing on the slow path.
 func figScan(opt options) {
-	header("Scan extension: 20% Ins/Rem + 5% wide scans (capacity fallbacks), key range 8192 (ops/ms)")
+	opt.header("Scan extension: 20% Ins/Rem + 5% wide scans (capacity fallbacks), key range 8192 (ops/ms)")
 	mix := harness.ScanMix{
 		SetMix:   harness.SetMix{InsertPct: 20, RemovePct: 20},
 		ScanPct:  5,
@@ -31,7 +31,7 @@ func figScan(opt options) {
 	for _, meth := range methods {
 		fmt.Fprintf(w, "%s", meth)
 		for _, n := range opt.threads {
-			res := harness.Median(opt.runs, func() *harness.Result {
+			res := opt.point(n, func() *harness.Result {
 				m := mem.New(harness.DefaultSetHeapWords(8192, n) + 1<<18)
 				set := avl.New(m)
 				harness.SeedSet(set, 8192)

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"rtle/internal/avl"
@@ -41,10 +42,9 @@ func mixLabel(m harness.SetMix) string {
 var csvRecords []harness.Record
 
 // runSetPoint runs one AVL data point — a fresh heap, a seeded set, one
-// method, one thread count — opt.runs times, reporting the
-// median-throughput run (the paper's discipline, §6.2).
+// method, one thread count — as options.point runs every point.
 func runSetPoint(opt options, method string, keyRange uint64, mix harness.SetMix, threads int) *harness.Result {
-	res := harness.Median(opt.runs, func() *harness.Result {
+	res := opt.point(threads, func() *harness.Result {
 		m := mem.New(harness.DefaultSetHeapWords(keyRange, threads) + 1<<18)
 		set := avl.New(m)
 		harness.SeedSet(set, keyRange)
@@ -91,6 +91,40 @@ func newTable() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
+func title(s string) {
+	fmt.Printf("\n=== %s ===\n", s)
+}
+
+// header prints a figure's title and, for a thread axis that goes past one,
+// what the two-spinner probe reads as the figure starts.
+func (o options) header(s string) {
+	title(s)
+	if slices.Max(o.threads) > 1 {
+		fmt.Printf("(two-spinner ratio %.2f: 1.0 = two threads run on two cores, 2.0 = they take turns)\n", warm(2))
+	}
+}
+
+// warm makes sure a point of more than one thread starts with its threads
+// really overlapping (harness.WarmUntilParallel), says so on stderr when the
+// host never lets them, and returns the probe's last reading; 0 for a
+// single-threaded point, which has nothing to overlap.
+func warm(threads int) float64 {
+	if threads < 2 {
+		return 0
+	}
+	ratio, ok := harness.WarmUntilParallel()
+	if !ok {
+		fmt.Fprintf(os.Stderr, "experiments: two threads still take turns after the warm-up (two-spinner ratio %.2f); the next %d-thread point has little overlap in it\n", ratio, threads)
+	}
+	return ratio
+}
+
+// point is how every harness data point runs: warmed, o.runs times over a
+// fresh heap each (run builds it), the median-throughput run reported — the
+// paper's discipline, §6.2 — with the probe's reading attached.
+func (o options) point(threads int, run func() *harness.Result) *harness.Result {
+	ratio := warm(threads)
+	res := harness.Median(o.runs, run)
+	res.ParallelRatio = ratio
+	return res
 }

@@ -8,6 +8,7 @@ import (
 	"rtle/internal/core"
 	"rtle/internal/guard"
 	"rtle/internal/harness"
+	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/obs"
 	"rtle/internal/spinlock"
@@ -264,5 +265,55 @@ func TestSoftwareSectionConformance(t *testing.T) {
 				t.Errorf("Ops = %d, software accounting\n got  %+v\n want %+v", s.Ops, got, want)
 			}
 		})
+	}
+}
+
+// TestTurnedAwayWriterAccounting pins what a slow-path writer that meets a
+// readers-only FG-TLE section costs in the books: one slow attempt and one
+// Explicit slow abort — RW-TLE's entry for the same event — never a fast
+// attempt, and nothing against the attempt budget. The budget here is one:
+// had the turned-away attempt been charged, the section would go on to take
+// the lock instead of committing its single fast attempt.
+func TestTurnedAwayWriterAccounting(t *testing.T) {
+	m := mem.New(1 << 16)
+	method, err := harness.BuildMethod("FG-TLE(16)", m, core.Policy{Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := method.(interface{ Lock() *spinlock.Lock }).Lock()
+	word := m.AllocLines(1)
+	holder, writer := method.NewThread(), method.NewThread()
+	// 64 lock sections beside no slow-path writer, and the holder stops
+	// stamping r-orecs: the 65th flips the mode word.
+	for i := 0; i < 65; i++ {
+		holder.Atomic(func(c core.Context) {
+			c.Unsupported()
+			c.Read(word)
+		})
+	}
+	if s := holder.Stats(); s.LockRuns != 65 || s.ModeSwitches != 1 {
+		t.Fatalf("staging: %d lock runs, %d mode switches; want 65 and the one flip to readers-only", s.LockRuns, s.ModeSwitches)
+	}
+
+	// The writer finds the lock held and starts a slow attempt; the "holder"
+	// leaves before the attempt's write, which still meets the readers-only
+	// mode word — only the next holder changes it — and is turned away. With
+	// the lock free, the retry is an ordinary fast attempt.
+	lock.Acquire()
+	held := true
+	writer.Atomic(func(c core.Context) {
+		if held {
+			held = false
+			lock.Release()
+		}
+		c.Write(word, 7)
+	})
+	if got := m.Load(word); got != 7 {
+		t.Fatalf("word = %d, want 7", got)
+	}
+	s := *writer.Stats()
+	want := pathCounts{SlowAttempts: 1, SlowAborts: 1, FastAttempts: 1, FastCommits: 1}
+	if c := countsOf(s); c != want || s.SlowAborts[htm.Explicit] != 1 || s.Ops != 1 {
+		t.Errorf("accounting (Ops %d, Explicit slow aborts %d)\n got  %+v\n want %+v", s.Ops, s.SlowAborts[htm.Explicit], c, want)
 	}
 }

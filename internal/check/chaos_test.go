@@ -2,9 +2,14 @@ package check
 
 import (
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"rtle/internal/avl"
 	"rtle/internal/core"
 	"rtle/internal/fault"
 	"rtle/internal/harness"
@@ -180,5 +185,164 @@ func TestMutantLossyMethodCaught(t *testing.T) {
 	}
 	if run(true) {
 		t.Fatal("lossy mutant's history accepted: the checker has no teeth")
+	}
+}
+
+// TestChaosReadersOnlyFlips drives FG-TLE's mode word both ways under the
+// checker: paper Fig. 12's HTM-unfriendly updater, which ends every
+// operation under the lock; one 20:20:60 thread whose slow-path writes the
+// mode follows, working in seeded bursts and sleeping between them for
+// longer than the holder keeps admitting writers nobody sends; and one
+// Find-only thread, the slow path's steady customer. Both are paced by the
+// updater's progress, so their operations are spread over its sections
+// whatever the core count. Holder latency spikes and injected aborts come
+// from the chaos plan. The recorded history must be linearizable, the tree a
+// valid AVL tree, and the mode must really have moved, there and back.
+func TestChaosReadersOnlyFlips(t *testing.T) {
+	const (
+		keys       = 32
+		updates    = 1800
+		others     = 300
+		quietSpell = 80 // lock sections slept through: more than the 64 a holder waits before it stops admitting
+	)
+	for _, methodName := range []string{"FG-TLE(256)", "FG-TLE(adaptive)"} {
+		var flips uint64
+		for _, seed := range chaosSeeds(t) {
+			plan := chaosPlan(seed)
+			// Every other section is stretched to several of the others'
+			// operations, so the lock is held most of the time and most of
+			// what the other two threads do, they do beside a holder.
+			plan.LockSpikeEvery, plan.LockSpikeSpins = 2, 4000
+			d := fault.NewDirector(plan)
+			policy := core.Policy{Attempts: 5, HTM: htm.Config{InterleaveEvery: 8}}
+			d.Configure(&policy)
+			m := mem.New(1 << 18)
+			method, err := harness.BuildMethod(methodName, m, policy)
+			if err != nil {
+				t.Fatalf("%s: %v", methodName, err)
+			}
+			set := avl.New(m)
+			threads := []core.Thread{method.NewThread(), method.NewThread(), method.NewThread()}
+			h := NewHistory(len(threads))
+
+			// sections is the updater's progress, negative once it is done;
+			// sleep waits for n more of them.
+			var sections, torn atomic.Int64
+			sleep := func(n int64) {
+				for from := sections.Load(); ; time.Sleep(10 * time.Microsecond) {
+					if now := sections.Load(); now < 0 || now-from >= n {
+						return
+					}
+				}
+			}
+
+			var wg sync.WaitGroup
+			run := func(i int, worker func(th core.Thread, hd *avl.Handle, rec *ThreadRecorder, r *rng.Xoshiro256)) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					worker(threads[i], set.NewHandle(), h.Recorder(i), rng.NewXoshiro256(seed+uint64(i)*0x9e3779b97f4a7c15+1))
+				}()
+			}
+			run(0, func(th core.Thread, hd *avl.Handle, rec *ThreadRecorder, r *rng.Xoshiro256) {
+				for i := 0; i < updates; i++ {
+					key, insert := r.Uint64n(keys), r.Intn(2) == 0
+					var res bool
+					if insert {
+						rec.Invoke(OpInsert, key, 0, 0)
+					} else {
+						rec.Invoke(OpRemove, key, 0, 0)
+					}
+					th.Atomic(func(c core.Context) {
+						// Under the lock every other section counts the tree
+						// twice, with a pause in between: the first count's
+						// reads are the unstamped ones of a readers-only
+						// section, and a slow-path write that got past them
+						// shows as a disagreement.
+						if !c.InHTM() && i%2 == 0 {
+							size := set.Size(c)
+							for spin := 0; spin < 2000; spin++ {
+								if spin%500 == 499 {
+									runtime.Gosched()
+								}
+							}
+							if set.Size(c) != size {
+								torn.Add(1)
+							}
+						}
+						if insert {
+							res = hd.InsertCS(c, key)
+						} else {
+							res = hd.RemoveCS(c, key)
+						}
+						c.Unsupported()
+					})
+					if insert {
+						hd.AfterInsert(res)
+					} else {
+						hd.AfterRemove(res)
+					}
+					rec.Return(0, res)
+					sections.Add(1)
+				}
+				sections.Store(-1)
+			})
+			run(1, func(th core.Thread, hd *avl.Handle, rec *ThreadRecorder, r *rng.Xoshiro256) {
+				for i, burst := 0, 0; i < others; i, burst = i+1, burst-1 {
+					if burst == 0 {
+						burst = 8 + r.Intn(24)
+						sleep(quietSpell)
+					}
+					sleep(1)
+					key := r.Uint64n(keys)
+					switch p := r.Intn(100); {
+					case p < 20:
+						rec.Invoke(OpInsert, key, 0, 0)
+						rec.Return(0, hd.Insert(th, key))
+					case p < 40:
+						rec.Invoke(OpRemove, key, 0, 0)
+						rec.Return(0, hd.Remove(th, key))
+					default:
+						rec.Invoke(OpContains, key, 0, 0)
+						rec.Return(0, hd.Contains(th, key))
+					}
+				}
+			})
+			run(2, func(th core.Thread, hd *avl.Handle, rec *ThreadRecorder, r *rng.Xoshiro256) {
+				for i := 0; i < others; i++ {
+					sleep(updates / others / 2)
+					key := r.Uint64n(keys)
+					rec.Invoke(OpContains, key, 0, 0)
+					rec.Return(0, hd.Contains(th, key))
+				}
+			})
+			wg.Wait()
+
+			if !CheckLinearizable(SetModel(), h.Events()) {
+				t.Errorf("%s seed %d with plan %s: history NOT linearizable", methodName, seed, plan)
+			}
+			if err := set.CheckInvariants(core.Direct(m)); err != nil {
+				t.Errorf("%s seed %d: AVL invariants broken: %v", methodName, seed, err)
+			}
+			if n := torn.Load(); n != 0 {
+				t.Errorf("%s seed %d: %d lock sections saw the tree change under them", methodName, seed, n)
+			}
+			var total core.Stats
+			for _, th := range threads {
+				total.Merge(th.Stats())
+			}
+			if total.ModeSwitches == 0 {
+				t.Errorf("%s seed %d: the mode never moved in %d lock sections", methodName, seed, total.LockRuns)
+			}
+			flips += total.ModeSwitches
+			if d.LockSpins() == 0 {
+				t.Errorf("%s seed %d: no holder latency spike was injected", methodName, seed)
+			}
+			t.Logf("%s seed %d: %d mode switches in %d lock sections, %d slow commits, %d holder spikes",
+				methodName, seed, total.ModeSwitches, total.LockRuns, total.SlowCommits, d.LockSpins())
+		}
+		if flips < 2 {
+			t.Errorf("%s: %d mode switches over all seeds, want the mode to leave and come back", methodName, flips)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
-	"rtle/internal/spinlock"
 )
 
 // AdaptiveConfig tunes AdaptiveFGTLE. The zero value selects defaults.
@@ -129,15 +128,17 @@ func NewAdaptiveFGTLE(m *mem.Memory, policy Policy, cfg AdaptiveConfig) *Adaptiv
 	if minN&(minN-1) != 0 || maxN&(maxN-1) != 0 || minN > maxN {
 		panic(fmt.Sprintf("core: adaptive orec bounds [%d, %d] must be powers of two with min <= max", minN, maxN))
 	}
+	lock, table := newOrecTable(m, int(maxN))
 	a := &AdaptiveFGTLE{
-		elision:     elision{m, spinlock.New(m), policy},
-		orecTable:   newOrecTable(m, int(maxN)),
+		elision:     elision{m, lock, policy},
+		orecTable:   table,
 		cfg:         cfg,
 		slowCommits: &counterSet{},
 	}
-	ctl := m.AllocLines(1)
-	a.sizeAddr = ctl
-	a.modeAddr = ctl + 1
+	// One control line: FG-TLE's mode word, then the live size and the
+	// TLE-mode flag, all written only under the lock.
+	a.sizeAddr = a.admitAddr + 1
+	a.modeAddr = a.admitAddr + 2
 	m.Store(a.sizeAddr, maxN)
 	m.Store(a.modeAddr, modeFG)
 	return a
@@ -189,6 +190,7 @@ func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 		body(fgSlowCtx{&t.fgtleThread})
 		t.lazySubscribe(tx)
 	})
+	t.endSlow()
 	if reason == htm.None {
 		t.slot.n.Add(1)
 	}
@@ -202,7 +204,10 @@ func (t *adaptiveThread) lockSection(body func(Context)) {
 	t.size = t.m.Load(a.sizeAddr)
 	if t.m.Load(a.modeAddr) == modeFG {
 		t.fgtleThread.lockSection(body)
-		a.usageSum += t.uniqR + t.uniqW
+		a.usageSum += t.uniqW
+		if t.m.Load(t.admitAddr) == writersAdmitted { // else uniqR is pinned at size: no r-orec was used
+			a.usageSum += t.uniqR
+		}
 		if t.uniqR >= t.size && t.uniqW >= t.size {
 			a.saturations++
 		}

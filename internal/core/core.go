@@ -182,9 +182,9 @@ type Stats struct {
 	Validations    uint64 // value-based read-set validations (Fig. 10)
 	STMTimeNanos   int64  // total time spent inside software transactions (Fig. 8)
 
-	// Adaptive FG-TLE counters.
-	Resizes      uint64 // orec-array resizes
-	ModeSwitches uint64 // FG-TLE <-> plain-TLE mode changes
+	// Mode counters: FG-TLE's, adaptive FG-TLE's and the guards'.
+	Resizes      uint64 // adaptive FG-TLE orec-array resizes
+	ModeSwitches uint64 // mode changes made under the lock: FG-TLE writers admitted <-> readers only, adaptive FG-TLE <-> plain TLE, a guard's retreat and return
 }
 
 // Merge adds other into s.

@@ -136,25 +136,49 @@ func TestFGTLEOneOrecBlocksEverything(t *testing.T) {
 // seeded 8192-key AVL set, so every operation ends in a lock section, and
 // every plain store — acquire, release, epoch bumps, orec stamps, data —
 // ticks the heap's clock once while nothing else does. FG-TLE stamped one
-// orec per word touched (45.9 stores a section); per cache line it is half.
+// orec per word touched (45.9 stores a section), then one per cache line
+// (22.3), and 13.7 of those were r-orecs, which only a slow-path writer
+// reads: with none about, the holder is left with TLE's stores, its two
+// epoch bumps and 1.44 w-orec stamps. Both modes carry a lower bound, so a
+// holder that stopped stamping w-orecs too does not pass. The admitting row
+// is reached the way production reaches it — a writing slow attempt beside
+// a held lock, every 32 sections, which is as long as one keeps a holder
+// admitting — and its stores are not counted.
 func TestStoresPerLockSection(t *testing.T) {
 	for _, tc := range []struct {
-		method   string
-		min, max float64
+		name, method string
+		slowWriters  bool
+		min, max     float64
 	}{
-		{"TLE", 5.07, 5.27}, // acquire + release + the update's own stores
-		{"FG-TLE(256)", 0, 24},
+		{"TLE", "TLE", false, 5.07, 5.27}, // acquire + release + the update's own stores
+		{"FG-TLE(256) readers only", "FG-TLE(256)", false, 8.55, 8.75},
+		{"FG-TLE(256) writers admitted", "FG-TLE(256)", true, 22.2, 22.5},
 	} {
 		m, set, meth := fig12Set(tc.method)
-		before := m.ClockLoad()
-		res := harness.Run(meth, harness.Config{Threads: 1, OpsPerThread: 20000, Seed: 3},
-			harness.UnfriendlyFactory(set, fig12Keys, true))
-		if res.Total.LockRuns != 20000 {
-			t.Fatalf("%s: %d lock runs, want every one of 20000 operations", tc.method, res.Total.LockRuns)
+		lock := meth.(interface{ Lock() *spinlock.Lock }).Lock()
+		scratch := m.AllocLines(1)
+		holder, writer := meth.NewThread(), meth.NewThread()
+		update := harness.NewUnfriendlySetWorker(set, holder, fig12Keys, true)
+		r := rng.NewXoshiro256(4) // harness.Run's stream for thread 0 of seed 3
+		var stores uint64
+		for i := 0; i < 20000; i++ {
+			if tc.slowWriters && i%32 == 0 {
+				lock.Acquire()
+				writer.Atomic(func(c core.Context) { c.Write(scratch, 1) })
+				lock.Release()
+			}
+			before := m.ClockLoad()
+			update(r)
+			stores += m.ClockLoad() - before
 		}
-		got := float64(m.ClockLoad()-before) / float64(res.Total.LockRuns)
-		if got < tc.min || got > tc.max {
-			t.Errorf("%s: %.2f plain stores per lock section, want %.2f–%.2f", tc.method, got, tc.min, tc.max)
+		if runs := holder.Stats().LockRuns; runs != 20000 {
+			t.Fatalf("%s: %d lock runs, want every one of 20000 operations", tc.name, runs)
+		}
+		if tc.slowWriters && writer.Stats().SlowCommits != 20000/32 {
+			t.Fatalf("%s: %d of %d staged writers committed on the slow path", tc.name, writer.Stats().SlowCommits, 20000/32)
+		}
+		if got := float64(stores) / 20000; got < tc.min || got > tc.max {
+			t.Errorf("%s: %.2f plain stores per lock section, want %.2f–%.2f", tc.name, got, tc.min, tc.max)
 		}
 	}
 }

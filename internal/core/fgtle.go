@@ -32,6 +32,13 @@ import (
 // runs once per line, not once per access, while an attempt or a section
 // stays on that line (DESIGN.md §4, decision 7).
 //
+// An r-orec protects the holder's reads from slow-path *writers* and has one
+// reader, the slow path's write barrier, so the holder stamps r-orecs only
+// while a slow attempt has lately reached that barrier. Otherwise its
+// sections are readers-only: no r-orec is stamped, and a slow-path write
+// aborts itself as under RW-TLE — which tells the next holder to admit
+// writers again (the mode word; DESIGN.md §4, decision 8).
+//
 // The orec count is the tuning knob the paper sweeps (FG-TLE(1) ...
 // FG-TLE(8192)).
 type FGTLEMethod struct {
@@ -41,29 +48,62 @@ type FGTLEMethod struct {
 }
 
 // orecTable locates §4's conflict-detection metadata in the heap: the epoch
-// word and the read and write orec arrays. FG-TLE(n) uses all n orecs of
-// each array; adaptive FG-TLE a live-sized prefix.
+// word, the mode word and the read and write orec arrays. FG-TLE(n) uses all
+// n orecs of each array; adaptive FG-TLE a live-sized prefix.
 type orecTable struct {
 	epochAddr mem.Addr //rtle:meta
+	admitAddr mem.Addr //rtle:meta the mode word: writersAdmitted or readersOnly, stored by lock holders only
 	rOrecs    mem.Addr //rtle:meta
 	wOrecs    mem.Addr //rtle:meta
+
+	// slowWrite is the signal the mode follows: the epoch snapshot of the
+	// most recent slow attempt that reached a write barrier, published
+	// sparsely (endSlow) so that in steady state holder and writers only
+	// load its line. A host word, not a simulated one: a store inside an
+	// attempt would be rolled back with it.
+	slowWrite *paddedCounter
 }
+
+// Mode word values.
+const (
+	writersAdmitted uint64 = 0 // Figure 3 as printed
+	readersOnly     uint64 = 1 // no r-orec is stamped; a slow-path write self-aborts (RW-TLE's rule)
+)
+
+// A lock holder admits slow-path writers while one has been seen within
+// admitEpochs of its section — 64 sections of two bumps each, adaptive's
+// Window default — and a slow-path writer republishes the signal only once
+// it is publishEpochs stale.
+const (
+	admitEpochs   = 128
+	publishEpochs = 64
+)
 
 // orecIndex maps an address to one of n ownership records by its cache
 // line. It is the only place an address becomes an orec: FG-TLE(n), adaptive
 // FG-TLE and ALE (the §2 comparison point) all hash through it.
 func orecIndex(a mem.Addr, n uint64) uint64 { return wanghash.Hash(mem.LineOf(a), n) }
 
+// newOrecTable allocates the metadata and the lock it serves. The epoch
+// rides the lock's line (word 1 beside the lock word, as RW-TLE's write flag
+// does): the holder's acquire, two bumps and release, and a reader's look at
+// the lock and epoch snapshot before a slow attempt, then touch one line
+// instead of two. Nothing subscribes the epoch, and a fast-path subscriber
+// of the lock word is already doomed by the acquisition when the epoch moves.
+//
 //rtle:init
-func newOrecTable(m *mem.Memory, orecs int) orecTable {
+func newOrecTable(m *mem.Memory, orecs int) (*spinlock.Lock, orecTable) {
 	var o orecTable
-	o.epochAddr = m.AllocLines(1)
+	line := m.AllocLines(1)
+	o.epochAddr = line + 1
 	// Epoch starts at 1 so that zero-initialized orecs read as unowned
 	// (orec < snapshot) from the very first transaction.
 	m.Store(o.epochAddr, 1)
+	o.admitAddr = m.AllocLines(1) // zero: a fresh method admits writers
+	o.slowWrite = &paddedCounter{}
 	o.rOrecs = m.AllocAligned(orecs)
 	o.wOrecs = m.AllocAligned(orecs)
-	return o
+	return spinlock.NewAt(m, line), o
 }
 
 // NewFGTLE returns an FG-TLE method over m with orecs ownership records per
@@ -72,7 +112,8 @@ func NewFGTLE(m *mem.Memory, orecs int, policy Policy) *FGTLEMethod {
 	if orecs < 1 || orecs > 1<<20 || orecs&(orecs-1) != 0 {
 		panic(fmt.Sprintf("core: FG-TLE orec count %d is not a power of two in [1, 2^20]", orecs))
 	}
-	return &FGTLEMethod{elision{m, spinlock.New(m), policy}, newOrecTable(m, orecs), uint64(orecs)}
+	lock, table := newOrecTable(m, orecs)
+	return &FGTLEMethod{elision{m, lock, policy}, table, uint64(orecs)}
 }
 
 // Name implements Method.
@@ -108,6 +149,7 @@ type fgtleThread struct {
 	slowSize uint64 // orec count of the slow attempt (adaptive reads it inside the transaction)
 	lastR    uint64 // line+1 whose read barrier ran last in this attempt or section, 0 = none
 	lastW    uint64 // line+1 whose write barrier ran last
+	wrote    bool   // the slow attempt reached a write barrier
 }
 
 func newFGThread(e Exec, o orecTable, size uint64) fgtleThread {
@@ -115,13 +157,14 @@ func newFGThread(e Exec, o orecTable, size uint64) fgtleThread {
 }
 
 // beginSlow opens a slow-path attempt: it forgets the lines the previous
-// attempt's barriers vouched for and takes Figure 3's local_seq_number
-// before the transaction begins, so the epoch line itself is not subscribed
-// and the lock release does not abort slow-path transactions.
+// attempt's barriers vouched for, and that it wrote, and takes Figure 3's
+// local_seq_number before the transaction begins, so the epoch line itself
+// is not subscribed and the lock release does not abort slow-path
+// transactions.
 //
 //rtle:slowpath
 func (t *fgtleThread) beginSlow() {
-	t.lastR, t.lastW = 0, 0
+	t.lastR, t.lastW, t.wrote = 0, 0, false
 	// The raw load is the algorithm: the snapshot must predate the
 	// transaction so the epoch line stays out of the read set.
 	//rtle:ignore barrierdiscipline pre-transaction epoch snapshot (Figure 3 local_seq_number)
@@ -133,22 +176,55 @@ func (t *fgtleThread) beginSlow() {
 //rtle:slowpath
 func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
 	t.beginSlow()
-	return t.Tx.Run(func(tx *htm.Tx) {
+	reason := t.Tx.Run(func(tx *htm.Tx) {
 		body(fgSlowCtx{t})
 		t.lazySubscribe(tx)
 	})
+	t.endSlow()
+	return reason
+}
+
+// endSlow closes a slow-path attempt, committed or not: one that reached a
+// write barrier tells the lock holders that slow-path writers exist. It runs
+// after Tx.Run has returned (on real RTM a store inside the attempt would
+// roll back with it) and stores only over a stale value, so a stream of
+// writing attempts shares the signal's line read-only.
+//
+//rtle:slowpath
+func (t *fgtleThread) endSlow() {
+	if t.wrote && t.localSeq >= t.slowWrite.n.Load()+publishEpochs {
+		t.slowWrite.n.Store(t.localSeq)
+	}
 }
 
 // lockSection is the instrumented pessimistic path of Figure 3's else
 // branches: bump the epoch, stamp orecs while executing, bump the epoch
-// again to release all orecs at once.
+// again to release all orecs at once. Between the opening bump and the
+// body's first access it sets the mode the section runs in: readers only
+// unless a slow attempt reached a write barrier in the last admitEpochs. A
+// readers-only section starts with every r-orec counted as acquired —
+// §4.2's saturation shortcut taken from the first read — so the read
+// barrier stamps none.
 //
 //rtle:lockpath
 func (t *fgtleThread) lockSection(body func(Context)) {
 	m := t.m
 	t.seq = m.Load(t.epochAddr) + 1
 	m.Store(t.epochAddr, t.seq)
+	mode := readersOnly
+	if t.seq-t.slowWrite.n.Load() <= admitEpochs {
+		mode = writersAdmitted
+	}
+	if m.Load(t.admitAddr) != mode {
+		// The store precedes the section's first unstamped read, so a
+		// writing attempt that read the old mode cannot commit past it.
+		m.Store(t.admitAddr, mode)
+		t.Rec.ModeSwitch()
+	}
 	t.uniqR, t.uniqW = 0, 0
+	if mode == readersOnly {
+		t.uniqR = t.size
+	}
 	t.lastR, t.lastW = 0, 0
 	body(fgLockCtx{t})
 	m.Store(t.epochAddr, t.seq+1)
@@ -178,13 +254,22 @@ func (c fgSlowCtx) Read(a mem.Addr) uint64 {
 }
 
 // Write checks both orecs even after a read of the same line: the read
-// barrier never looked at the r-orec.
+// barrier never looked at the r-orec. The attempt's first write barrier
+// reads the mode word, and only it does — a read-only attempt never
+// subscribes the mode, so a flip aborts no reader — and turns the attempt
+// away while the holder stamps no r-orecs.
 //
 //rtle:slowpath
 func (c fgSlowCtx) Write(a mem.Addr, v uint64) {
 	t := c.t
 	tx := t.Tx
 	if line := mem.LineOf(a) + 1; line != t.lastW {
+		if !t.wrote {
+			t.wrote = true
+			if tx.Read(t.admitAddr) != writersAdmitted {
+				tx.Abort()
+			}
+		}
 		idx := mem.Addr(orecIndex(a, t.slowSize))
 		if tx.Read(t.rOrecs+idx) >= t.localSeq || tx.Read(t.wOrecs+idx) >= t.localSeq {
 			tx.Abort()

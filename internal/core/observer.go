@@ -137,7 +137,7 @@ type ThreadObserver interface {
 	STMTime(nanos int64)
 	// Resize records an adaptive FG-TLE orec-array resize.
 	Resize()
-	// ModeSwitch records an adaptive FG-TLE mode change.
+	// ModeSwitch records a mode change (Stats.ModeSwitches).
 	ModeSwitch()
 }
 

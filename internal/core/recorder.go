@@ -135,7 +135,7 @@ func (r *Recorder) Resize() {
 	}
 }
 
-// ModeSwitch records an adaptive FG-TLE mode change.
+// ModeSwitch records a mode change (Stats.ModeSwitches).
 func (r *Recorder) ModeSwitch() {
 	r.stats.ModeSwitches++
 	if r.obs != nil {

@@ -50,6 +50,9 @@ type Result struct {
 	Elapsed   time.Duration
 	Total     core.Stats
 	PerThread []core.Stats
+	// ParallelRatio is what ParallelRatio read before the run, when the
+	// driver asked (0 otherwise): ≈ 1 means the threads had a core each.
+	ParallelRatio float64
 }
 
 // Run executes the workload produced by factory over method with cfg.

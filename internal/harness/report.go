@@ -33,6 +33,10 @@ type Record struct {
 	LockPathTput float64 `json:"lockPathOpsPerMs"`
 	Validations  float64 `json:"validationsPerTx"`
 	LockFallback float64 `json:"lockFallbackRate"`
+
+	// ParallelRatio is Result.ParallelRatio: the two-spinner reading taken
+	// before a multi-threaded point, 0 when none was.
+	ParallelRatio float64 `json:"parallelRatio"`
 }
 
 // Record flattens the result, labelling it with an axis description.
@@ -62,6 +66,8 @@ func (r *Result) Record(label string) Record {
 		LockPathTput: r.LockPathThroughput(),
 		Validations:  r.ValidationsPerTx(),
 		LockFallback: r.LockFallbackRate(),
+
+		ParallelRatio: r.ParallelRatio,
 	}
 }
 
@@ -71,6 +77,7 @@ var csvHeader = []string{
 	"fastCommits", "slowCommits", "lockRuns", "stmCommits",
 	"fastAborts", "slowAborts", "lockHoldMs", "stmTimeMs",
 	"slowHtmOpsPerMs", "lockPathOpsPerMs", "validationsPerTx", "lockFallbackRate",
+	"parallelRatio",
 }
 
 // WriteCSV emits records as CSV with a header row.
@@ -88,6 +95,7 @@ func WriteCSV(w io.Writer, records []Record) error {
 			u(r.FastCommits), u(r.SlowCommits), u(r.LockRuns), u(r.STMCommits),
 			u(r.FastAborts), u(r.SlowAborts), f(r.LockHoldMs), f(r.STMTimeMs),
 			f(r.SlowHTMTput), f(r.LockPathTput), f(r.Validations), f(r.LockFallback),
+			f(r.ParallelRatio),
 		}
 		if err := cw.Write(row); err != nil {
 			return err
