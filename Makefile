@@ -41,7 +41,7 @@ e2e:
 # quotes, a hundred iterations each (CI's step; raise -benchtime, build both
 # sides with `go test -c` and alternate them to measure).
 microbench:
-	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Store|LockSection|SlowFind|SlowWriters' \
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Store|LockSection|SlowFind|SlowWriters' \
 		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated

@@ -20,28 +20,12 @@ func fig11(opt options) {
 	if opt.quick {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(256)", "NOrec", "RHNOrec"}
 	}
-	w := newTable()
-	fmt.Fprintf(w, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tT=%d", n)
-	}
-	fmt.Fprintln(w)
-	for _, meth := range methods {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			res := opt.point(n, func() *harness.Result {
-				m := mem.New(1 << 20)
-				b := bank.New(m, 256, 10000)
-				method := harness.MustBuildMethod(meth, m, opt.policy())
-				return harness.Run(method, harness.Config{
-					Threads: n, Duration: opt.dur, Seed: opt.seed,
-				}, harness.BankFactory(b, 100))
-			})
-			fmt.Fprintf(w, "\t%.0f", res.Throughput())
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	opt.sweep("method", perThread, methods, func(meth string, n int) string {
+		res := opt.methodPoint(meth, n, 1<<20, func(m *mem.Memory) harness.WorkerFactory {
+			return harness.BankFactory(bank.New(m, 256, 10000), 100)
+		})
+		return fmt.Sprintf("%.0f", res.Throughput())
+	})
 }
 
 // fig12 regenerates Figure 12: one thread repeatedly executes an
@@ -58,28 +42,12 @@ func fig12(opt options) {
 	if opt.quick {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(256)", "NOrec", "RHNOrec"}
 	}
-	w := newTable()
-	fmt.Fprintf(w, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tT=%d", n)
-	}
-	fmt.Fprintln(w)
-	for _, meth := range methods {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			res := opt.point(n, func() *harness.Result {
-				m := mem.New(harness.DefaultSetHeapWords(keyRange, n) + 1<<18)
-				set := avlSeeded(m, keyRange)
-				method := harness.MustBuildMethod(meth, m, opt.policy())
-				return harness.Run(method, harness.Config{
-					Threads: n, Duration: opt.dur, Seed: opt.seed,
-				}, harness.UnfriendlyFactory(set, keyRange, true))
-			})
-			fmt.Fprintf(w, "\t%.0f", res.Throughput())
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	opt.sweep("method", perThread, methods, func(meth string, n int) string {
+		res := opt.methodPoint(meth, n, harness.DefaultSetHeapWords(keyRange, n)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
+			return harness.UnfriendlyFactory(avlSeeded(m, keyRange), keyRange, true)
+		})
+		return fmt.Sprintf("%.0f", res.Throughput())
+	})
 }
 
 // fig13 regenerates Figure 13: total ccTSA runtime versus thread count for
@@ -98,57 +66,30 @@ func fig13(opt options) {
 	if opt.quick {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1024)"}
 	}
-	w := newTable()
-	fmt.Fprintf(w, "variant")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tT=%d", n)
+	// The share of atomic blocks that took the lock, per method and thread
+	// count, for the second table.
+	type cellKey struct {
+		meth string
+		n    int
 	}
-	fmt.Fprintln(w)
-
-	fallback := map[string][]float64{}
-
-	fmt.Fprintf(w, "Lock.orig")
-	for _, n := range opt.threads {
+	fallback := map[cellKey]float64{}
+	opt.sweep("variant", perThread, append([]string{"Lock.orig"}, methods...), func(variant string, n int) string {
 		in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
 		warm(n)
-		res := in.RunOriginal()
-		fmt.Fprintf(w, "\t%.0f", float64(res.Total.Milliseconds()))
-	}
-	fmt.Fprintln(w)
+		if variant == "Lock.orig" {
+			return fmt.Sprintf("%.0f", float64(in.RunOriginal().Total.Milliseconds()))
+		}
+		res := in.RunTransactified(func(m *mem.Memory) core.Method {
+			return harness.MustBuildMethod(variant, m, opt.policy())
+		})
+		fallback[cellKey{variant, n}] = float64(res.Stats.LockRuns) / float64(max(res.Stats.Ops, 1))
+		return fmt.Sprintf("%.0f", float64(res.Total.Milliseconds()))
+	})
 
-	for _, meth := range methods {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
-			warm(n)
-			res := in.RunTransactified(func(m *mem.Memory) core.Method {
-				return harness.MustBuildMethod(meth, m, opt.policy())
-			})
-			fmt.Fprintf(w, "\t%.0f", float64(res.Total.Milliseconds()))
-			if res.Stats.Ops > 0 {
-				fallback[meth] = append(fallback[meth], float64(res.Stats.LockRuns)/float64(res.Stats.Ops))
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
-
-	title("§6.4.2: fraction of atomic blocks that acquired the lock (per thread count)") // a table of the runs above: nothing to probe
-	w2 := newTable()
-	fmt.Fprintf(w2, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w2, "\tT=%d", n)
-	}
-	fmt.Fprintln(w2)
-	for _, meth := range methods {
-		if meth == "Lock" {
-			continue
-		}
-		fmt.Fprintf(w2, "%s", meth)
-		for _, r := range fallback[meth] {
-			fmt.Fprintf(w2, "\t%.4f%%", r*100)
-		}
-		fmt.Fprintln(w2)
-	}
-	w2.Flush()
+	// A table of the runs above, so nothing to probe; methods[0] is Lock, whose
+	// share is 100 % by construction.
+	title("§6.4.2: fraction of atomic blocks that acquired the lock (per thread count)")
+	opt.sweep("method", perThread, methods[1:], func(meth string, n int) string {
+		return fmt.Sprintf("%.4f%%", fallback[cellKey{meth, n}]*100)
+	})
 }

@@ -22,21 +22,9 @@ func fig5(opt options) {
 		for _, mix := range ms {
 			opt.header(fmt.Sprintf("Fig. 5: AVL speedup vs 1-thread Lock — key range %d, mix %s (Ins:Rem:Find)", kr, mixLabel(mix)))
 			base := runSetPoint(opt, "Lock", kr, mix, 1)
-			w := newTable()
-			fmt.Fprintf(w, "method")
-			for _, n := range opt.threads {
-				fmt.Fprintf(w, "\tT=%d", n)
-			}
-			fmt.Fprintln(w)
-			for _, meth := range methods {
-				fmt.Fprintf(w, "%s", meth)
-				for _, n := range opt.threads {
-					res := runSetPoint(opt, meth, kr, mix, n)
-					fmt.Fprintf(w, "\t%.2f", res.Speedup(base))
-				}
-				fmt.Fprintln(w)
-			}
-			w.Flush()
+			opt.sweep("method", perThread, methods, func(meth string, n int) string {
+				return fmt.Sprintf("%.2f", runSetPoint(opt, meth, kr, mix, n).Speedup(base))
+			})
 		}
 	}
 }

@@ -17,21 +17,10 @@ var slowPathMix = harness.SetMix{InsertPct: 20, RemovePct: 20}
 // each per millisecond of lock-held time.
 func fig6(opt options) {
 	opt.header("Fig. 6: refined-TLE slow-path throughput (ops/ms of lock-held time) — key range 8192, 20% Ins/Rem")
-	w := newTable()
-	fmt.Fprintf(w, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tSlowHTM T=%d\tLock T=%d", n, n)
-	}
-	fmt.Fprintln(w)
-	for _, meth := range harness.RefinedNames {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			res := runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n)
-			fmt.Fprintf(w, "\t%.0f\t%.0f", res.SlowHTMThroughput(), res.LockPathThroughput())
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	opt.sweep("method", []string{"SlowHTM ", "Lock "}, harness.RefinedNames, func(meth string, n int) string {
+		res := runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n)
+		return fmt.Sprintf("%.0f\t%.0f", res.SlowHTMThroughput(), res.LockPathThroughput())
+	})
 }
 
 // fig7 regenerates Figure 7: per-execution time under lock, normalized to
@@ -39,31 +28,17 @@ func fig6(opt options) {
 func fig7(opt options) {
 	opt.header("Fig. 7: execution time under lock relative to Lock — key range 8192, 20% Ins/Rem")
 	methods := append([]string{"Lock", "TLE"}, harness.RefinedNames...)
-	w := newTable()
-	fmt.Fprintf(w, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tT=%d", n)
-	}
-	fmt.Fprintln(w)
 	bases := map[int]*harness.Result{}
 	for _, n := range opt.threads {
 		bases[n] = runSetPoint(opt, "Lock", slowPathKeyRange, slowPathMix, n)
 	}
-	for _, meth := range methods {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			var rel float64
-			if meth == "Lock" {
-				rel = 1.0
-			} else {
-				res := runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n)
-				rel = res.RelativeTimeUnderLock(bases[n])
-			}
-			fmt.Fprintf(w, "\t%.2f", rel)
+	opt.sweep("method", perThread, methods, func(meth string, n int) string {
+		rel := 1.0
+		if meth != "Lock" {
+			rel = runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n).RelativeTimeUnderLock(bases[n])
 		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+		return fmt.Sprintf("%.2f", rel)
+	})
 }
 
 // fig8 regenerates Figure 8: RHNOrec's slow-path throughput — hardware

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 
-	"rtle/internal/avl"
 	"rtle/internal/harness"
 	"rtle/internal/mem"
 )
@@ -22,27 +21,10 @@ func figScan(opt options) {
 		ScanSpan: 4096,
 	}
 	methods := []string{"Lock", "TLE", "RW-TLE", "FG-TLE(16)", "FG-TLE(1024)", "FG-TLE(8192)", "NOrec", "RHNOrec"}
-	w := newTable()
-	fmt.Fprintf(w, "method")
-	for _, n := range opt.threads {
-		fmt.Fprintf(w, "\tT=%d\tslow T=%d", n, n)
-	}
-	fmt.Fprintln(w)
-	for _, meth := range methods {
-		fmt.Fprintf(w, "%s", meth)
-		for _, n := range opt.threads {
-			res := opt.point(n, func() *harness.Result {
-				m := mem.New(harness.DefaultSetHeapWords(8192, n) + 1<<18)
-				set := avl.New(m)
-				harness.SeedSet(set, 8192)
-				method := harness.MustBuildMethod(meth, m, opt.policy())
-				return harness.Run(method, harness.Config{
-					Threads: n, Duration: opt.dur, Seed: opt.seed,
-				}, harness.ScanWorkerFactory(set, mix, 8192))
-			})
-			fmt.Fprintf(w, "\t%.0f\t%d", res.Throughput(), res.Total.SlowCommits)
-		}
-		fmt.Fprintln(w)
-	}
-	w.Flush()
+	opt.sweep("method", []string{"", "slow "}, methods, func(meth string, n int) string {
+		res := opt.methodPoint(meth, n, harness.DefaultSetHeapWords(8192, n)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
+			return harness.ScanWorkerFactory(avlSeeded(m, 8192), mix, 8192)
+		})
+		return fmt.Sprintf("%.0f\t%d", res.Throughput(), res.Total.SlowCommits)
+	})
 }

@@ -44,16 +44,8 @@ var csvRecords []harness.Record
 // runSetPoint runs one AVL data point — a fresh heap, a seeded set, one
 // method, one thread count — as options.point runs every point.
 func runSetPoint(opt options, method string, keyRange uint64, mix harness.SetMix, threads int) *harness.Result {
-	res := opt.point(threads, func() *harness.Result {
-		m := mem.New(harness.DefaultSetHeapWords(keyRange, threads) + 1<<18)
-		set := avl.New(m)
-		harness.SeedSet(set, keyRange)
-		meth := harness.MustBuildMethod(method, m, opt.policy())
-		return harness.Run(meth, harness.Config{
-			Threads:  threads,
-			Duration: opt.dur,
-			Seed:     opt.seed,
-		}, harness.SetWorkerFactory(set, mix, keyRange))
+	res := opt.methodPoint(method, threads, harness.DefaultSetHeapWords(keyRange, threads)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
+		return harness.SetWorkerFactory(avlSeeded(m, keyRange), mix, keyRange)
 	})
 	if opt.csvPath != "" {
 		label := fmt.Sprintf("range=%d mix=%s", keyRange, mixLabel(mix))
@@ -91,6 +83,32 @@ func newTable() *tabwriter.Writer {
 	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 }
 
+// perThread is sweep's column list for a figure with one number per cell.
+var perThread = []string{""}
+
+// sweep prints the table most figures are: corner, then for each thread
+// count one "<prefix>T=n" column per prefix in cols; then one row per name in
+// rows, its cell for each thread count from cell (tab-separated inside when
+// cols has several prefixes). Cells are computed row by row, left to right.
+func (o options) sweep(corner string, cols, rows []string, cell func(row string, threads int) string) {
+	w := newTable()
+	fmt.Fprint(w, corner)
+	for _, n := range o.threads {
+		for _, prefix := range cols {
+			fmt.Fprintf(w, "\t%sT=%d", prefix, n)
+		}
+	}
+	fmt.Fprintln(w)
+	for _, row := range rows {
+		fmt.Fprint(w, row)
+		for _, n := range o.threads {
+			fmt.Fprint(w, "\t", cell(row, n))
+		}
+		fmt.Fprintln(w)
+	}
+	w.Flush()
+}
+
 func title(s string) {
 	fmt.Printf("\n=== %s ===\n", s)
 }
@@ -117,6 +135,18 @@ func warm(threads int) float64 {
 		fmt.Fprintf(os.Stderr, "experiments: two threads still take turns after the warm-up (two-spinner ratio %.2f); the next %d-thread point has little overlap in it\n", ratio, threads)
 	}
 	return ratio
+}
+
+// methodPoint is a point of one method on a fresh heap of words words:
+// workload builds its structure on the heap, then the method is built on it.
+func (o options) methodPoint(method string, threads, words int, workload func(*mem.Memory) harness.WorkerFactory) *harness.Result {
+	return o.point(threads, func() *harness.Result {
+		m := mem.New(words)
+		factory := workload(m)
+		return harness.Run(harness.MustBuildMethod(method, m, o.policy()), harness.Config{
+			Threads: threads, Duration: o.dur, Seed: o.seed,
+		}, factory)
+	})
 }
 
 // point is how every harness data point runs: warmed, o.runs times over a

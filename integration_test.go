@@ -205,9 +205,7 @@ func TestIntegrationMapAllMethods(t *testing.T) {
 								}
 								h.AddCS(c, key, 1)
 							})
-							if h.UsedSpare() {
-								h.ConsumeSpare()
-							}
+							h.Committed()
 						}
 					}(g, th)
 				}

@@ -23,12 +23,14 @@ import (
 	"rtle/internal/mem"
 )
 
-// Node field offsets within the node's cache line.
+// Node field offsets within the node's cache line; only a Map's nodes use
+// offVal.
 const (
 	offKey    = 0
 	offLeft   = 1
 	offRight  = 2
 	offHeight = 3
+	offVal    = 4
 )
 
 // Set is a set of uint64 keys backed by an AVL tree in simulated memory.
@@ -61,19 +63,25 @@ type pathEntry struct {
 // heap); RemoveCS records the unlinked node, which the wrapper methods
 // recycle after the atomic block commits — the simulated analogue of a
 // malloc with thread-local caches, which the paper marks transaction_pure.
+//
+// A Map's nodes are a Set's plus a value word, and a MapHandle runs these
+// same bodies: vals says the nodes carry offVal, and val is the value an
+// insert in flight stores there.
 type Handle struct {
-	s         *Set
-	path      []pathEntry
-	spare     mem.Addr
-	freeList  []mem.Addr
-	usedSpare bool
-	removed   mem.Addr
+	s        *Set
+	path     []pathEntry
+	spare    mem.Addr
+	freeList []mem.Addr
+	// One word for the three flags: two handles are allocated back to back
+	// and every operation rewrites path's length, so the struct must not
+	// grow past 128 bytes (TestHandleSize).
+	usedSpare, res, vals bool
+	removed              mem.Addr
 
 	// The wrapper methods' atomic bodies, bound once so a call allocates
-	// neither a closure nor an escaping result: they take key and leave
-	// res in the handle.
-	key                              uint64
-	res                              bool
+	// neither a closure nor an escaping result: they take key (and val)
+	// and leave res in the handle.
+	key, val                         uint64
 	findBody, insertBody, removeBody func(core.Context)
 }
 
@@ -107,7 +115,8 @@ func (h *Handle) FindCS(c core.Context, key uint64) bool {
 }
 
 // InsertCS inserts key, reporting whether the set changed. It must run
-// inside an atomic block.
+// inside an atomic block. On a map's handle it also stores h.val as key's
+// value, whether or not key was there.
 func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 	h.path = h.path[:0]
 	h.usedSpare = false
@@ -115,6 +124,9 @@ func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 	for cur != mem.Nil {
 		k := c.Read(cur + offKey)
 		if key == k {
+			if h.vals {
+				c.Write(cur+offVal, h.val)
+			}
 			return false
 		}
 		right := key > k
@@ -124,6 +136,9 @@ func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 
 	n := h.ensureSpare()
 	c.Write(n+offKey, key)
+	if h.vals {
+		c.Write(n+offVal, h.val)
+	}
 	c.Write(n+offLeft, uint64(mem.Nil))
 	c.Write(n+offRight, uint64(mem.Nil))
 	c.Write(n+offHeight, 1)
@@ -170,6 +185,9 @@ func (h *Handle) RemoveCS(c core.Context, key uint64) bool {
 			succ = l
 		}
 		c.Write(target+offKey, c.Read(succ+offKey))
+		if h.vals {
+			c.Write(target+offVal, c.Read(succ+offVal))
+		}
 		target = succ
 		left = mem.Nil
 		right = mem.Addr(c.Read(target + offRight))

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rtle/internal/core"
 	"rtle/internal/htm"
@@ -199,6 +200,17 @@ func TestNodeRecycling(t *testing.T) {
 	// not grow the heap beyond that.
 	if grown := s.m.Allocated() - before; grown > 2*mem.WordsPerLine {
 		t.Fatalf("heap grew by %d words over 50 remove/insert cycles; free list not working", grown)
+	}
+}
+
+// TestHandleSize pins the handle at two cache lines. The harness allocates
+// one handle per thread back to back and every operation rewrites path's
+// length at the head of its handle: at 136 bytes (the 144-byte size class)
+// handle k's tail shares a line with handle k+1's head, which cost
+// avl_mixed 4 % when the Map's value word was first added as its own field.
+func TestHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Handle{}); got > 128 {
+		t.Fatalf("avl.Handle is %d bytes, want at most 128", got)
 	}
 }
 

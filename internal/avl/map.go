@@ -13,40 +13,35 @@ import (
 // The concurrency contract is Set's: all access through core.Context
 // inside atomic blocks; per-thread MapHandle for scratch state.
 type Map struct {
-	m    *mem.Memory
-	head mem.Addr
+	set Set
 }
-
-// Node value offset (alongside offKey/offLeft/offRight/offHeight).
-const offVal = 4
 
 // NewMap allocates an empty ordered map on m.
 func NewMap(m *mem.Memory) *Map {
-	return &Map{m: m, head: m.AllocLines(1)}
+	return &Map{set: *New(m)}
 }
 
 // Memory returns the heap the map lives in.
-func (mp *Map) Memory() *mem.Memory { return mp.m }
+func (mp *Map) Memory() *mem.Memory { return mp.set.m }
 
-// MapHandle is the per-thread access handle for a Map.
+// MapHandle is the per-thread access handle for a Map: a Set's handle whose
+// insert and remove bodies also carry the value word, kept in an unexported
+// field so that the set's methods are not the map's.
 type MapHandle struct {
-	mp        *Map
-	path      []pathEntry
-	spare     mem.Addr
-	freeList  []mem.Addr
-	usedSpare bool
-	removed   mem.Addr
+	h *Handle
 }
 
 // NewHandle returns a fresh per-thread handle.
 func (mp *Map) NewHandle() *MapHandle {
-	return &MapHandle{mp: mp, path: make([]pathEntry, 0, 64)}
+	h := mp.set.NewHandle()
+	h.vals = true
+	return &MapHandle{h: h}
 }
 
 // GetCS looks up key. It must run inside an atomic block (or on a
 // quiescent map).
 func (h *MapHandle) GetCS(c core.Context, key uint64) (uint64, bool) {
-	cur := mem.Addr(c.Read(h.mp.head))
+	cur := mem.Addr(c.Read(h.h.s.head))
 	for cur != mem.Nil {
 		k := c.Read(cur + offKey)
 		switch {
@@ -64,81 +59,18 @@ func (h *MapHandle) GetCS(c core.Context, key uint64) (uint64, bool) {
 // PutCS sets key's value, inserting if absent; reports whether the key
 // was newly inserted.
 func (h *MapHandle) PutCS(c core.Context, key, val uint64) bool {
-	h.path = h.path[:0]
-	h.usedSpare = false
-	cur := mem.Addr(c.Read(h.mp.head))
-	for cur != mem.Nil {
-		k := c.Read(cur + offKey)
-		if key == k {
-			c.Write(cur+offVal, val)
-			return false
-		}
-		right := key > k
-		h.path = append(h.path, pathEntry{cur, right, c.Read(cur + offHeight)})
-		cur = mem.Addr(c.Read(cur + childOff(right)))
-	}
-	n := h.ensureSpare()
-	c.Write(n+offKey, key)
-	c.Write(n+offVal, val)
-	c.Write(n+offLeft, uint64(mem.Nil))
-	c.Write(n+offRight, uint64(mem.Nil))
-	c.Write(n+offHeight, 1)
-	h.usedSpare = true
-	h.attach(c, len(h.path)-1, n)
-	h.rebalancePath(c)
-	return true
+	h.h.val = val
+	return h.h.InsertCS(c, key)
 }
 
 // RemoveCS removes key, reporting whether the map changed.
 func (h *MapHandle) RemoveCS(c core.Context, key uint64) bool {
-	h.path = h.path[:0]
-	h.removed = mem.Nil
-	cur := mem.Addr(c.Read(h.mp.head))
-	for cur != mem.Nil {
-		k := c.Read(cur + offKey)
-		if key == k {
-			break
-		}
-		right := key > k
-		h.path = append(h.path, pathEntry{cur, right, c.Read(cur + offHeight)})
-		cur = mem.Addr(c.Read(cur + childOff(right)))
-	}
-	if cur == mem.Nil {
-		return false
-	}
-	target := cur
-	left := mem.Addr(c.Read(target + offLeft))
-	right := mem.Addr(c.Read(target + offRight))
-	if left != mem.Nil && right != mem.Nil {
-		h.path = append(h.path, pathEntry{target, true, c.Read(target + offHeight)})
-		succ := right
-		for {
-			l := mem.Addr(c.Read(succ + offLeft))
-			if l == mem.Nil {
-				break
-			}
-			h.path = append(h.path, pathEntry{succ, false, c.Read(succ + offHeight)})
-			succ = l
-		}
-		c.Write(target+offKey, c.Read(succ+offKey))
-		c.Write(target+offVal, c.Read(succ+offVal))
-		target = succ
-		left = mem.Nil
-		right = mem.Addr(c.Read(target + offRight))
-	}
-	child := left
-	if child == mem.Nil {
-		child = right
-	}
-	h.attach(c, len(h.path)-1, child)
-	h.removed = target
-	h.rebalancePath(c)
-	return true
+	return h.h.RemoveCS(c, key)
 }
 
 // FloorCS returns the greatest entry with key <= bound.
 func (h *MapHandle) FloorCS(c core.Context, bound uint64) (key, val uint64, ok bool) {
-	cur := mem.Addr(c.Read(h.mp.head))
+	cur := mem.Addr(c.Read(h.h.s.head))
 	for cur != mem.Nil {
 		k := c.Read(cur + offKey)
 		switch {
@@ -156,7 +88,7 @@ func (h *MapHandle) FloorCS(c core.Context, bound uint64) (key, val uint64, ok b
 
 // CeilingCS returns the least entry with key >= bound.
 func (h *MapHandle) CeilingCS(c core.Context, bound uint64) (key, val uint64, ok bool) {
-	cur := mem.Addr(c.Read(h.mp.head))
+	cur := mem.Addr(c.Read(h.h.s.head))
 	for cur != mem.Nil {
 		k := c.Read(cur + offKey)
 		switch {
@@ -174,7 +106,7 @@ func (h *MapHandle) CeilingCS(c core.Context, bound uint64) (key, val uint64, ok
 
 // MinCS returns the least entry.
 func (h *MapHandle) MinCS(c core.Context) (key, val uint64, ok bool) {
-	cur := mem.Addr(c.Read(h.mp.head))
+	cur := mem.Addr(c.Read(h.h.s.head))
 	for cur != mem.Nil {
 		key, val, ok = c.Read(cur+offKey), c.Read(cur+offVal), true
 		cur = mem.Addr(c.Read(cur + offLeft))
@@ -184,7 +116,7 @@ func (h *MapHandle) MinCS(c core.Context) (key, val uint64, ok bool) {
 
 // MaxCS returns the greatest entry.
 func (h *MapHandle) MaxCS(c core.Context) (key, val uint64, ok bool) {
-	cur := mem.Addr(c.Read(h.mp.head))
+	cur := mem.Addr(c.Read(h.h.s.head))
 	for cur != mem.Nil {
 		key, val, ok = c.Read(cur+offKey), c.Read(cur+offVal), true
 		cur = mem.Addr(c.Read(cur + offRight))
@@ -196,19 +128,10 @@ func (h *MapHandle) MaxCS(c core.Context) (key, val uint64, ok bool) {
 
 // AfterPut finalizes bookkeeping after a committed atomic block that
 // called PutCS; pass the committed execution's result.
-func (h *MapHandle) AfterPut(inserted bool) {
-	if inserted && h.usedSpare {
-		h.spare = mem.Nil
-	}
-}
+func (h *MapHandle) AfterPut(inserted bool) { h.h.AfterInsert(inserted) }
 
 // AfterRemove recycles the node a committed RemoveCS unlinked.
-func (h *MapHandle) AfterRemove(removed bool) {
-	if removed && h.removed != mem.Nil {
-		h.freeList = append(h.freeList, h.removed)
-		h.removed = mem.Nil
-	}
-}
+func (h *MapHandle) AfterRemove(removed bool) { h.h.AfterRemove(removed) }
 
 // --- Atomic wrappers --------------------------------------------------------
 
@@ -222,18 +145,13 @@ func (h *MapHandle) Get(t core.Thread, key uint64) (uint64, bool) {
 
 // Put runs PutCS atomically on t.
 func (h *MapHandle) Put(t core.Thread, key, val uint64) bool {
-	var inserted bool
-	t.Atomic(func(c core.Context) { inserted = h.PutCS(c, key, val) })
-	h.AfterPut(inserted)
-	return inserted
+	h.h.val = val
+	return h.h.Insert(t, key)
 }
 
 // Remove runs RemoveCS atomically on t.
 func (h *MapHandle) Remove(t core.Thread, key uint64) bool {
-	var ok bool
-	t.Atomic(func(c core.Context) { ok = h.RemoveCS(c, key) })
-	h.AfterRemove(ok)
-	return ok
+	return h.h.Remove(t, key)
 }
 
 // Floor runs FloorCS atomically on t.
@@ -244,59 +162,14 @@ func (h *MapHandle) Floor(t core.Thread, bound uint64) (uint64, uint64, bool) {
 	return k, v, ok
 }
 
-// --- Internals shared with Set ----------------------------------------------
-
-func (h *MapHandle) ensureSpare() mem.Addr {
-	if h.spare == mem.Nil {
-		if n := len(h.freeList); n > 0 {
-			h.spare = h.freeList[n-1]
-			h.freeList = h.freeList[:n-1]
-		} else {
-			h.spare = h.mp.m.AllocLines(1)
-		}
-	}
-	return h.spare
-}
-
-func (h *MapHandle) attach(c core.Context, i int, child mem.Addr) {
-	if i < 0 {
-		c.Write(h.mp.head, uint64(child))
-		return
-	}
-	p := h.path[i]
-	c.Write(p.addr+childOff(p.right), uint64(child))
-}
-
-func (h *MapHandle) rebalancePath(c core.Context) {
-	for i := len(h.path) - 1; i >= 0; i-- {
-		e := h.path[i]
-		nr := balance(c, e.addr)
-		if nr != e.addr {
-			h.attach(c, i-1, nr)
-		}
-		if height(c, nr) == e.oldH {
-			return
-		}
-	}
-}
-
 // --- Whole-map helpers (quiescent use) ---------------------------------------
 
 // Len counts entries via c.
-func (mp *Map) Len(c core.Context) int {
-	return lenRec(c, mem.Addr(c.Read(mp.head)))
-}
-
-func lenRec(c core.Context, n mem.Addr) int {
-	if n == mem.Nil {
-		return 0
-	}
-	return 1 + lenRec(c, mem.Addr(c.Read(n+offLeft))) + lenRec(c, mem.Addr(c.Read(n+offRight)))
-}
+func (mp *Map) Len(c core.Context) int { return mp.set.Size(c) }
 
 // Entries returns all (key, value) pairs in ascending key order via c.
 func (mp *Map) Entries(c core.Context) (keys, vals []uint64) {
-	entriesRec(c, mem.Addr(c.Read(mp.head)), &keys, &vals)
+	entriesRec(c, mem.Addr(c.Read(mp.set.head)), &keys, &vals)
 	return keys, vals
 }
 
@@ -312,6 +185,5 @@ func entriesRec(c core.Context, n mem.Addr, keys, vals *[]uint64) {
 
 // CheckInvariants verifies BST ordering, heights, and balance via c.
 func (mp *Map) CheckInvariants(c core.Context) error {
-	_, err := checkRec(c, mem.Addr(c.Read(mp.head)), 0, ^uint64(0))
-	return err
+	return mp.set.CheckInvariants(c)
 }

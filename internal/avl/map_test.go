@@ -240,14 +240,14 @@ func TestMapNodeRecycling(t *testing.T) {
 	mp, h, c := newMapT(1 << 14)
 	h.PutCS(c, 1, 1)
 	h.AfterPut(true)
-	before := mp.m.Allocated()
+	before := mp.set.m.Allocated()
 	for i := 0; i < 40; i++ {
 		h.RemoveCS(c, 1)
 		h.AfterRemove(true)
 		h.PutCS(c, 1, uint64(i))
 		h.AfterPut(true)
 	}
-	if grown := mp.m.Allocated() - before; grown > 2*mem.WordsPerLine {
+	if grown := mp.set.m.Allocated() - before; grown > 2*mem.WordsPerLine {
 		t.Fatalf("heap grew %d words across churn", grown)
 	}
 }

@@ -149,9 +149,7 @@ func (s *stripedStore) add(tid int, kmer uint64) {
 	l := s.locks[st]
 	l.Acquire()
 	h.AddCS(core.Direct(s.m), kmer, 1)
-	if h.UsedSpare() {
-		h.ConsumeSpare()
-	}
+	h.Committed()
 	l.Release()
 }
 

@@ -2,15 +2,10 @@ package check
 
 import (
 	"fmt"
-	"sync"
 
-	"rtle/internal/avl"
-	"rtle/internal/bank"
 	"rtle/internal/core"
 	"rtle/internal/guard"
 	"rtle/internal/mem"
-	"rtle/internal/rng"
-	"rtle/internal/tmap"
 )
 
 // GuardVariants names the guard types the fuzzer and the chaos suite
@@ -40,7 +35,7 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 		// silently do nothing, so strip it rather than mislead.
 		gcfg.Policy.LazySubscription = false
 		g := guard.NewMutex(m, gcfg)
-		//rtle:ignore guardmisuse acquire-helper: guardOps.write pairs it with unlock
+		//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with unlock
 		w := func() core.Context { g.Lock(); return g.Ctx() }
 		return &guardOps{
 			do: g.Do, rdo: g.Do,
@@ -51,10 +46,10 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 		g := guard.NewRWMutex(m, gcfg)
 		return &guardOps{
 			do: g.Do, rdo: g.RDo,
-			//rtle:ignore guardmisuse acquire-helper: guardOps.write pairs it with unlock
+			//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with unlock
 			lock:   func() core.Context { g.Lock(); return g.Ctx() },
 			unlock: g.Unlock,
-			//rtle:ignore guardmisuse acquire-helper: guardOps.read pairs it with runlock
+			//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with runlock
 			rlock:   func() core.Context { g.RLock(); return g.RCtx() },
 			runlock: g.RUnlock,
 		}, nil
@@ -68,35 +63,31 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 // interoperation is precisely what the checker must vouch for.
 const bracketEvery = 8
 
-// read runs a read-only critical section through g, choosing the bracket
-// reader for every bracketEvery-th op.
-func (g *guardOps) read(i int, body func(core.Context)) {
-	if i%bracketEvery == bracketEvery-1 {
-		c := g.rlock()
-		body(c)
-		g.runlock()
-		return
-	}
-	g.rdo(body)
-}
-
-// write runs a mutating critical section through g, choosing the bracket
-// writer for every bracketEvery-th op.
-func (g *guardOps) write(i int, body func(core.Context)) {
-	if i%bracketEvery == bracketEvery-1 {
+// section is the guard's check.section: the closure form through Do or
+// RDo, and the bracket form for every bracketEvery-th op.
+func (g *guardOps) section(i int, write bool, body func(core.Context)) {
+	bracket := i%bracketEvery == bracketEvery-1
+	switch {
+	case bracket && write:
 		c := g.lock()
 		body(c)
 		g.unlock()
-		return
+	case bracket:
+		c := g.rlock()
+		body(c)
+		g.runlock()
+	case write:
+		g.do(body)
+	default:
+		g.rdo(body)
 	}
-	g.do(body)
 }
 
-// RunGuardWorkload is RunWorkload's guard twin: it executes the named ADT
-// workload ("set", "map", or "bank") with every critical section guarded
-// by the named guard variant built over m with gcfg, mixing closure and
-// bracket forms, and records every operation. It returns the history and
-// the sequential model to check it against.
+// RunGuardWorkload is RunWorkload with every critical section guarded by
+// the named guard variant, built over m with gcfg, instead of run by a
+// method's thread: the same operations and the same bodies, mixing closure
+// and bracket forms. It returns the history and the sequential model to
+// check it against.
 //
 // Reads go through RDo/RLock and writes through Do/Lock, so on the
 // RW-TLE variant read-mostly phases exercise reader-reader parallelism
@@ -107,122 +98,5 @@ func RunGuardWorkload(kind, variant string, m *mem.Memory, gcfg guard.Config, cf
 	if err != nil {
 		return nil, Model{}, err
 	}
-	switch kind {
-	case "set":
-		s := avl.New(m)
-		return runGuardThreads(cfg, func(rec *ThreadRecorder, r *rng.Xoshiro256) {
-			h := s.NewHandle()
-			keys := uint64(cfg.keys(16))
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				key := r.Uint64n(keys)
-				switch p := r.Intn(100); {
-				case p < 40:
-					rec.Invoke(OpContains, key, 0, 0)
-					var ok bool
-					g.read(i, func(c core.Context) { ok = h.FindCS(c, key) })
-					rec.Return(0, ok)
-				case p < 70:
-					rec.Invoke(OpInsert, key, 0, 0)
-					var ok bool
-					g.write(i, func(c core.Context) { ok = h.InsertCS(c, key) })
-					h.AfterInsert(ok)
-					rec.Return(0, ok)
-				default:
-					rec.Invoke(OpRemove, key, 0, 0)
-					var ok bool
-					g.write(i, func(c core.Context) { ok = h.RemoveCS(c, key) })
-					h.AfterRemove(ok)
-					rec.Return(0, ok)
-				}
-			}
-		}), SetModel(), nil
-	case "map":
-		mp := tmap.New(m, cfg.keys(16))
-		return runGuardThreads(cfg, func(rec *ThreadRecorder, r *rng.Xoshiro256) {
-			h := mp.NewHandle()
-			keys := uint64(cfg.keys(16))
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				key := r.Uint64n(keys)
-				switch p := r.Intn(100); {
-				case p < 30:
-					rec.Invoke(OpGet, key, 0, 0)
-					var v uint64
-					var ok bool
-					g.read(i, func(c core.Context) { v, ok = h.GetCS(c, key) })
-					rec.Return(v, ok)
-				case p < 55:
-					val := r.Uint64n(1 << 20)
-					rec.Invoke(OpPut, key, val, 0)
-					var inserted bool
-					g.write(i, func(c core.Context) { inserted = h.PutCS(c, key, val) })
-					if inserted && h.UsedSpare() {
-						h.ConsumeSpare()
-					}
-					rec.Return(0, inserted)
-				case p < 80:
-					delta := 1 + r.Uint64n(9)
-					rec.Invoke(OpAdd, key, delta, 0)
-					var nv uint64
-					g.write(i, func(c core.Context) { nv = h.AddCS(c, key, delta) })
-					if h.UsedSpare() {
-						h.ConsumeSpare()
-					}
-					rec.Return(nv, true)
-				default:
-					rec.Invoke(OpDelete, key, 0, 0)
-					var ok bool
-					g.write(i, func(c core.Context) { ok = h.DeleteCS(c, key) })
-					if ok {
-						h.RecycleRemoved()
-					}
-					rec.Return(0, ok)
-				}
-			}
-		}), MapModel(), nil
-	case "bank":
-		accounts := cfg.keys(8)
-		b := bank.New(m, accounts, BankInitial)
-		return runGuardThreads(cfg, func(rec *ThreadRecorder, r *rng.Xoshiro256) {
-			for i := 0; i < cfg.OpsPerThread; i++ {
-				if r.Intn(100) < 70 {
-					from := r.Intn(accounts)
-					to := (from + 1 + r.Intn(accounts-1)) % accounts
-					amount := 1 + r.Uint64n(100)
-					rec.Invoke(OpTransfer, uint64(from), uint64(to), amount)
-					var moved uint64
-					g.write(i, func(c core.Context) { moved = b.TransferCS(c, from, to, amount) })
-					rec.Return(moved, true)
-				} else {
-					acct := r.Intn(accounts)
-					rec.Invoke(OpBalance, uint64(acct), 0, 0)
-					var v uint64
-					g.read(i, func(c core.Context) { v = b.BalanceCS(c, acct) })
-					rec.Return(v, true)
-				}
-			}
-		}), BankModel(accounts, BankInitial), nil
-	}
-	return nil, Model{}, fmt.Errorf("check: unknown workload %q", kind)
-}
-
-// runGuardThreads is runThreads without the per-thread method identity:
-// guards are callable from any goroutine, so each worker gets only a
-// recorder and a PRNG stream.
-func runGuardThreads(cfg RunConfig, worker func(*ThreadRecorder, *rng.Xoshiro256)) *History {
-	n := cfg.Threads
-	if n <= 0 {
-		n = 1
-	}
-	h := NewHistory(n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			worker(h.Recorder(i),
-				rng.NewXoshiro256(cfg.Seed+uint64(i)*0x9e3779b97f4a7c15+1))
-		}(i)
-	}
-	wg.Wait()
-	return h
+	return runRecorded(kind, m, cfg, func() section { return g.section })
 }

@@ -43,12 +43,12 @@ type ALEMethod struct {
 }
 
 // NewALE returns an ALE-style method over m with the given write-orec
-// count (power of two).
+// count, which must pass CheckOrecs.
 //
 //rtle:init
 func NewALE(m *mem.Memory, orecs int, policy Policy) *ALEMethod {
-	if orecs < 1 || orecs > 1<<20 || orecs&(orecs-1) != 0 {
-		panic(fmt.Sprintf("core: ALE orec count %d is not a power of two in [1, 2^20]", orecs))
+	if err := CheckOrecs(orecs); err != nil {
+		panic("core: ALE " + err.Error())
 	}
 	a := &ALEMethod{elision: elision{m, spinlock.New(m), policy}, norecs: uint64(orecs)}
 	line := m.AllocLines(1)

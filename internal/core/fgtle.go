@@ -106,11 +106,22 @@ func newOrecTable(m *mem.Memory, orecs int) (*spinlock.Lock, orecTable) {
 	return spinlock.NewAt(m, line), o
 }
 
-// NewFGTLE returns an FG-TLE method over m with orecs ownership records per
-// array. orecs must be a power of two between 1 and 1<<20.
-func NewFGTLE(m *mem.Memory, orecs int, policy Policy) *FGTLEMethod {
+// CheckOrecs is the rule for the orec count of FG-TLE and ALE: a power of
+// two (orecIndex masks with it) between 1 and 1<<20. Whoever takes a count
+// from outside the program checks it here; NewFGTLE and NewALE panic on a
+// count that fails.
+func CheckOrecs(orecs int) error {
 	if orecs < 1 || orecs > 1<<20 || orecs&(orecs-1) != 0 {
-		panic(fmt.Sprintf("core: FG-TLE orec count %d is not a power of two in [1, 2^20]", orecs))
+		return fmt.Errorf("orec count %d is not a power of two in [1, 2^20]", orecs)
+	}
+	return nil
+}
+
+// NewFGTLE returns an FG-TLE method over m with orecs ownership records per
+// array; orecs must pass CheckOrecs.
+func NewFGTLE(m *mem.Memory, orecs int, policy Policy) *FGTLEMethod {
+	if err := CheckOrecs(orecs); err != nil {
+		panic("core: FG-TLE " + err.Error())
 	}
 	lock, table := newOrecTable(m, orecs)
 	return &FGTLEMethod{elision{m, lock, policy}, table, uint64(orecs)}

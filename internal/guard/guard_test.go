@@ -557,40 +557,100 @@ func TestStatsSurvivePoolDrop(t *testing.T) {
 	}
 }
 
-// BenchmarkRWMutexParallel is the guard_counters shape under go test: 90 %
-// RDo summing four of 64 line-sized counters, 10 % Do incrementing one,
-// from GOMAXPROCS goroutines. Data conflicts are rare here, so what it
-// times is the guard's fixed cost per section, including every line the
-// goroutines share.
-func BenchmarkRWMutexParallel(b *testing.B) {
+// countersOp is one operation of the guard_counters shape: 90 % RDo summing
+// four of the line-sized counters, 10 % Do incrementing one.
+func countersOp(g *RWMutex, counters []mem.Addr, r *rng.Xoshiro256, sink *uint64) {
+	at := r.Intn(len(counters))
+	if r.Intn(100) < 90 {
+		g.RDo(func(c core.Context) {
+			var sum uint64
+			for i := 0; i < 4; i++ {
+				sum += c.Read(counters[(at+i)%len(counters)])
+			}
+			*sink = sum
+		})
+		return
+	}
+	g.Do(func(c core.Context) {
+		a := counters[at]
+		c.Write(a, c.Read(a)+1)
+	})
+}
+
+// benchCounters times op from GOMAXPROCS goroutines over an RWMutex built
+// with cfg and 64 line-sized counters; op's id numbers the goroutines from 1.
+func benchCounters(b *testing.B, cfg Config, op func(g *RWMutex, counters []mem.Addr, id uint64, r *rng.Xoshiro256, sink *uint64)) {
 	m := newHeap()
-	g := NewRWMutex(m, Config{})
-	var counters [64]mem.Addr
+	g := NewRWMutex(m, cfg)
+	counters := make([]mem.Addr, 64)
 	for i := range counters {
 		counters[i] = m.AllocLines(1)
 	}
-	var seed atomic.Uint64
+	var ids atomic.Uint64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		r := rng.NewXoshiro256(seed.Add(1))
+		id := ids.Add(1)
+		r := rng.NewXoshiro256(id)
 		var sink uint64
 		for pb.Next() {
-			at := r.Intn(len(counters))
-			if r.Intn(100) < 90 {
-				g.RDo(func(c core.Context) {
-					var sum uint64
-					for i := 0; i < 4; i++ {
-						sum += c.Read(counters[(at+i)%len(counters)])
-					}
-					sink = sum
-				})
-				continue
+			op(g, counters, id, r, &sink)
+		}
+	})
+	b.ReportMetric(float64(g.Stats().ModeSwitches), "mode-switches")
+}
+
+// BenchmarkRWMutexParallel is the guard_counters shape under go test, from
+// GOMAXPROCS goroutines. Data conflicts are rare here, so what it times is
+// the guard's fixed cost per section, including every line the goroutines
+// share.
+func BenchmarkRWMutexParallel(b *testing.B) {
+	benchCounters(b, Config{}, func(g *RWMutex, counters []mem.Addr, _ uint64, r *rng.Xoshiro256, sink *uint64) {
+		countersOp(g, counters, r, sink)
+	})
+}
+
+// BenchmarkRetreat is the retreat controller's ablation cell (EXPERIMENTS.md
+// "A7"): four section mixes, each with the controller on and with
+// RetreatConfig.Disable. futile: every Do hits an instruction the HTM
+// refuses, so each speculative attempt is wasted; futile_reader: one such
+// writer beside RDo readers; hot: every Do increments one counter; healthy:
+// the guard_counters shape, which never trips the controller. Needs -cpu 2
+// or more; compare on and off from alternated runs only.
+func BenchmarkRetreat(b *testing.B) {
+	futile := func(g *RWMutex, counters []mem.Addr, r *rng.Xoshiro256) {
+		a := counters[r.Intn(len(counters))]
+		g.Do(func(c core.Context) {
+			c.Unsupported()
+			c.Write(a, c.Read(a)+1)
+		})
+	}
+	shapes := []struct {
+		name string
+		op   func(g *RWMutex, counters []mem.Addr, id uint64, r *rng.Xoshiro256, sink *uint64)
+	}{
+		{"futile", func(g *RWMutex, counters []mem.Addr, _ uint64, r *rng.Xoshiro256, _ *uint64) {
+			futile(g, counters, r)
+		}},
+		{"futile_reader", func(g *RWMutex, counters []mem.Addr, id uint64, r *rng.Xoshiro256, sink *uint64) {
+			if id == 1 {
+				futile(g, counters, r)
+				return
 			}
-			g.Do(func(c core.Context) {
-				a := counters[at]
-				c.Write(a, c.Read(a)+1)
+			a := counters[r.Intn(len(counters))]
+			g.RDo(func(c core.Context) { *sink = c.Read(a) })
+		}},
+		{"hot", func(g *RWMutex, counters []mem.Addr, _ uint64, _ *rng.Xoshiro256, _ *uint64) {
+			g.Do(func(c core.Context) { c.Write(counters[0], c.Read(counters[0])+1) })
+		}},
+		{"healthy", func(g *RWMutex, counters []mem.Addr, _ uint64, r *rng.Xoshiro256, sink *uint64) {
+			countersOp(g, counters, r, sink)
+		}},
+	}
+	for _, shape := range shapes {
+		for _, mode := range []string{"on", "off"} {
+			b.Run(shape.name+"/"+mode, func(b *testing.B) {
+				benchCounters(b, Config{Retreat: RetreatConfig{Disable: mode == "off"}}, shape.op)
 			})
 		}
-		_ = sink
-	})
+	}
 }

@@ -45,23 +45,33 @@ func BuildMethod(name string, m *mem.Memory, p core.Policy) (core.Method, error)
 	case "FG-TLE(adaptive)":
 		return core.NewAdaptiveFGTLE(m, p, core.AdaptiveConfig{}), nil
 	}
-	if rest, ok := strings.CutPrefix(name, "FG-TLE("); ok {
-		if ns, ok := strings.CutSuffix(rest, ")"); ok {
-			n, err := strconv.Atoi(ns)
-			if err == nil && n > 0 {
-				return core.NewFGTLE(m, n, p), nil
-			}
-		}
-	}
-	if rest, ok := strings.CutPrefix(name, "ALE("); ok {
-		if ns, ok := strings.CutSuffix(rest, ")"); ok {
-			n, err := strconv.Atoi(ns)
-			if err == nil && n > 0 {
-				return core.NewALE(m, n, p), nil
-			}
-		}
+	switch family, orecs, err := MethodOrecs(name); {
+	case err != nil:
+		return nil, err
+	case family == "FG-TLE":
+		return core.NewFGTLE(m, orecs, p), nil
+	case family == "ALE":
+		return core.NewALE(m, orecs, p), nil
 	}
 	return nil, fmt.Errorf("harness: unknown method %q", name)
+}
+
+// MethodOrecs splits a name of the form "FG-TLE(<n>)" or "ALE(<n>)" into
+// its family and the orec count the method allocates per array, with an
+// error for a count core.CheckOrecs refuses; any other name has family ""
+// and no orecs. Callers that size a heap need the count before BuildMethod
+// can run.
+func MethodOrecs(name string) (family string, orecs int, err error) {
+	family, rest, _ := strings.Cut(name, "(")
+	ns, closed := strings.CutSuffix(rest, ")")
+	orecs, convErr := strconv.Atoi(ns)
+	if !closed || convErr != nil || family != "FG-TLE" && family != "ALE" {
+		return "", 0, nil
+	}
+	if err := core.CheckOrecs(orecs); err != nil {
+		return "", 0, fmt.Errorf("harness: method %q: %w", name, err)
+	}
+	return family, orecs, nil
 }
 
 // MustBuildMethod is BuildMethod for statically-known names.

@@ -45,16 +45,18 @@ type adt struct {
 const unownedAccount = ^uint32(0)
 
 // heapWords sizes one shard's simulated heap for kind with the given
-// key-space bound and worker count: enough lines for every possible key
-// plus per-worker spare-node headroom and method metadata (orecs, lock
-// words). Set/map shards are sized for the full key space — the hash may
-// route any subset of keys to one shard, and simulated words are cheap.
-func heapWords(kind string, keys, workers int) int {
+// key-space bound, worker count and method orec count: enough lines for
+// every possible key plus per-worker spare-node headroom, the method's two
+// orec arrays and its other metadata (lock words). Set/map shards are sized
+// for the full key space — the hash may route any subset of keys to one
+// shard, and simulated words are cheap.
+func heapWords(kind string, keys, workers, orecs int) int {
+	method := 2*orecs + 1<<16
 	switch kind {
 	case "bank":
-		return keys*mem.WordsPerLine + 1<<16
+		return keys*mem.WordsPerLine + method
 	default:
-		return keys*2*mem.WordsPerLine + workers*64*mem.WordsPerLine + 1<<16
+		return keys*2*mem.WordsPerLine + workers*64*mem.WordsPerLine + method
 	}
 }
 
@@ -223,17 +225,7 @@ func (e *executor) after(s int, op Op, r Result) {
 		e.setH[s].AfterInsert(r.Ok)
 	case check.OpRemove:
 		e.setH[s].AfterRemove(r.Ok)
-	case check.OpPut:
-		if r.Ok && e.mapH[s].UsedSpare() {
-			e.mapH[s].ConsumeSpare()
-		}
-	case check.OpAdd:
-		if e.mapH[s].UsedSpare() {
-			e.mapH[s].ConsumeSpare()
-		}
-	case check.OpDelete:
-		if r.Ok {
-			e.mapH[s].RecycleRemoved()
-		}
+	case check.OpPut, check.OpAdd, check.OpDelete:
+		e.mapH[s].Committed()
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestUnownedAccountFailsLoudly(t *testing.T) {
 	const keys, shards = 16, 2
 	r := newRouter("bank", shards, keys)
-	a, err := newADT("bank", mem.New(heapWords("bank", keys, 1)), keys, r.ownedAccounts(0))
+	a, err := newADT("bank", mem.New(heapWords("bank", keys, 1, 0)), keys, r.ownedAccounts(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,9 +274,12 @@ func (f *scriptedNotPrimaryConn) Close() error      { return nil }
 // counted as NotPrimary retries, never cut to pending — and complete the
 // operation once the rejections stop.
 func TestLoadRetriesNotPrimaryByType(t *testing.T) {
-	cfg := LoadConfig{Workload: "map", Conns: 1, Pipeline: 1}
+	cfg := LoadConfig{Workload: "map", Conns: 1, Pipeline: 1, Addrs: []string{"a", "b"}} // two addresses: failover
 	cfg.fill()
-	st := &loadState{cfg: cfg, failover: true, hist: check.NewHistory(1)}
+	st, err := newLoadState(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	conn := &scriptedNotPrimaryConn{rejections: 3}
 	r := rng.NewXoshiro256(1)
 

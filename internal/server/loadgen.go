@@ -213,6 +213,7 @@ type loadState struct {
 	cfg       LoadConfig
 	failover  bool         // more than one address: ride through server death
 	zipf      *rng.Zipf    // non-nil when KeyDist is "zipf"
+	gen       check.OpGen  // draws every recorded single operation
 	remaining atomic.Int64 // the run's op budget
 	deadline  time.Time
 	hist      *check.History
@@ -266,6 +267,23 @@ func (st *loadState) noteHealthy() {
 	st.mu.Unlock()
 }
 
+// newLoadState builds the state of a run of slots slots over a filled cfg:
+// the key distribution and the operation generator, which refuse what no
+// slot could issue (an unknown workload or distribution, a one-account bank).
+func newLoadState(cfg LoadConfig, slots int) (*loadState, error) {
+	st := &loadState{cfg: cfg, failover: len(cfg.Addrs) > 1, hist: check.NewHistory(slots)}
+	switch cfg.KeyDist {
+	case "uniform":
+	case "zipf":
+		st.zipf = rng.NewZipf(cfg.Keys, cfg.ZipfS)
+	default:
+		return nil, fmt.Errorf("server: unknown key distribution %q (want uniform or zipf)", cfg.KeyDist)
+	}
+	var err error
+	st.gen, err = check.NewOpGen(cfg.Workload, uint64(cfg.Keys), cfg.ReadPct, st.key)
+	return st, err
+}
+
 // RunLoad drives the configured load against a live server, then (with
 // cfg.Check) validates the recorded wire-level history: set/map histories
 // are partitioned by key — single-key operations make linearizability
@@ -277,16 +295,10 @@ func (st *loadState) noteHealthy() {
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	cfg.fill()
 	slots := cfg.Conns * cfg.Pipeline
-
-	st := &loadState{cfg: cfg, hist: check.NewHistory(slots)}
-	switch cfg.KeyDist {
-	case "uniform":
-	case "zipf":
-		st.zipf = rng.NewZipf(cfg.Keys, cfg.ZipfS)
-	default:
-		return nil, fmt.Errorf("server: unknown key distribution %q (want uniform or zipf)", cfg.KeyDist)
+	st, err := newLoadState(cfg, slots)
+	if err != nil {
+		return nil, err
 	}
-	st.failover = len(cfg.Addrs) > 1
 
 	clients := make([]loadConn, cfg.Conns)
 	for i := range clients {
@@ -508,7 +520,7 @@ func (st *loadState) issue(c loadConn, req *Request, res []Result) (Response, ou
 // and Return after the final response, so issue's retries only widen the
 // pending interval. It reports whether the slot goes on.
 func (st *loadState) single(rec *check.ThreadRecorder, c loadConn, r *rng.Xoshiro256, issueAt time.Time, req *Request, res []Result) bool {
-	op, a1, a2, a3 := st.pick(r)
+	op, a1, a2, a3 := st.gen.Draw(r)
 	rec.Invoke(op, a1, a2, a3)
 	*req = Request{Op: op, Arg1: a1, Arg2: a2, Arg3: a3}
 	resp, out := st.issue(c, req, res)
@@ -629,47 +641,6 @@ func (st *loadState) key(r *rng.Xoshiro256) uint64 {
 		return st.zipf.Sample(r)
 	}
 	return r.Uint64n(uint64(st.cfg.Keys))
-}
-
-// pick draws one single operation from the configured mix.
-func (st *loadState) pick(r *rng.Xoshiro256) (Op, uint64, uint64, uint64) {
-	cfg := &st.cfg
-	keys := uint64(cfg.Keys)
-	read := r.Intn(100) < cfg.ReadPct
-	switch cfg.Workload {
-	case "map":
-		key := st.key(r)
-		if read {
-			return check.OpGet, key, 0, 0
-		}
-		switch r.Intn(3) {
-		case 0:
-			return check.OpPut, key, r.Uint64n(1 << 20), 0
-		case 1:
-			return check.OpAdd, key, 1 + r.Uint64n(9), 0
-		default:
-			return check.OpDelete, key, 0, 0
-		}
-	case "bank":
-		if read {
-			return check.OpBalance, st.key(r), 0, 0
-		}
-		// The source account follows the skew (a hot account contends);
-		// the destination stays uniform among the other accounts so a
-		// transfer never degenerates to from == to.
-		from := st.key(r)
-		to := (from + 1 + r.Uint64n(keys-1)) % keys
-		return check.OpTransfer, from, to, 1 + r.Uint64n(100)
-	default: // set
-		key := st.key(r)
-		if read {
-			return check.OpContains, key, 0, 0
-		}
-		if r.Intn(2) == 0 {
-			return check.OpInsert, key, 0, 0
-		}
-		return check.OpRemove, key, 0, 0
-	}
 }
 
 func (st *loadState) fail(err error) {

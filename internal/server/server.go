@@ -374,8 +374,12 @@ func (s *Server) buildTopology(n int) (*topology, error) {
 	if MaxBatchOps > slots {
 		slots = MaxBatchOps
 	}
+	_, orecs, err := harness.MethodOrecs(cfg.Method)
+	if err != nil {
+		return nil, err
+	}
 	for k := 0; k < n; k++ {
-		m := mem.New(heapWords(cfg.Workload, cfg.Keys, cfg.Workers))
+		m := mem.New(heapWords(cfg.Workload, cfg.Keys, cfg.Workers, orecs))
 		var owned []uint64
 		if cfg.Workload == "bank" {
 			owned = tp.router.ownedAccounts(k)

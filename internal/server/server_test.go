@@ -539,3 +539,39 @@ func TestOpenLoop(t *testing.T) {
 		t.Fatal("open loop completed nothing")
 	}
 }
+
+// TestNewRejectsBadOrecCount: a method name arrives from a flag, so an orec
+// count core would panic on must come back from New as an error.
+func TestNewRejectsBadOrecCount(t *testing.T) {
+	for _, method := range []string{"FG-TLE(3)", "ALE(0)", "FG-TLE(2097152)"} {
+		srv, err := New(Config{Workload: "set", Method: method})
+		if err == nil {
+			t.Errorf("New accepted method %q", method)
+			srv.Close()
+		}
+	}
+}
+
+// TestLargeOrecCountServes: the shard heap is sized for the method's orec
+// arrays, so a legal count larger than the heap's fixed slack boots (it
+// used to panic with "mem: heap exhausted") and serves.
+func TestLargeOrecCountServes(t *testing.T) {
+	_, addr := startServer(t, Config{Workload: "set", Method: "FG-TLE(65536)", Keys: 64})
+	res, err := RunLoad(LoadConfig{Addr: addr, Workload: "set", Conns: 2, Pipeline: 2, Ops: 200, Keys: 64, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 200 || !res.Linearizable {
+		t.Fatalf("ops %d, linearizable %v: %s", res.Ops, res.Linearizable, res.CheckDetail)
+	}
+}
+
+// TestRunLoadRejectsOneAccountBank: a transfer's destination is drawn among
+// the other accounts, so a one-account bank is refused before any slot
+// starts (it used to panic in a slot goroutine).
+func TestRunLoadRejectsOneAccountBank(t *testing.T) {
+	_, err := RunLoad(LoadConfig{Addr: "127.0.0.1:0", Workload: "bank", Keys: 1})
+	if err == nil || !strings.Contains(err.Error(), "at least 2") {
+		t.Fatalf("RunLoad over a one-account bank: %v, want the generator's refusal", err)
+	}
+}

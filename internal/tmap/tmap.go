@@ -48,6 +48,11 @@ func (mp *Map) Buckets() int { return int(mp.nb) }
 
 // Handle is the per-thread access handle (scratch allocation cache). A
 // Handle must not be shared between goroutines.
+//
+// AddCS and PutCS link the handle's spare node when the key is new, and
+// DeleteCS unlinks a node; each forgets what the previous execution did, so
+// after any number of re-executions the handle remembers the committed one.
+// Whoever ran the atomic block calls Committed once it has returned.
 type Handle struct {
 	mp        *Map
 	spare     mem.Addr
@@ -153,13 +158,11 @@ func (h *Handle) Get(t core.Thread, key uint64) (uint64, bool) {
 	return v, ok
 }
 
-// Add runs AddCS atomically on t, consuming the spare node if used.
+// Add runs AddCS atomically on t.
 func (h *Handle) Add(t core.Thread, key, delta uint64) uint64 {
 	var nv uint64
 	t.Atomic(func(c core.Context) { nv = h.AddCS(c, key, delta) })
-	if h.usedSpare {
-		h.spare = mem.Nil
-	}
+	h.Committed()
 	return nv
 }
 
@@ -167,54 +170,59 @@ func (h *Handle) Add(t core.Thread, key, delta uint64) uint64 {
 func (h *Handle) Put(t core.Thread, key, val uint64) bool {
 	var inserted bool
 	t.Atomic(func(c core.Context) { inserted = h.PutCS(c, key, val) })
-	if inserted && h.usedSpare {
-		h.spare = mem.Nil
-	}
+	h.Committed()
 	return inserted
 }
 
-// Delete runs DeleteCS atomically on t and recycles the unlinked node.
+// Delete runs DeleteCS atomically on t.
 func (h *Handle) Delete(t core.Thread, key uint64) bool {
 	var ok bool
 	t.Atomic(func(c core.Context) { ok = h.DeleteCS(c, key) })
-	if ok && h.removed != mem.Nil {
-		h.freeList = append(h.freeList, h.removed)
-		h.removed = mem.Nil
-	}
+	h.Committed()
 	return ok
 }
 
 // --- Direct (unsynchronized) wrappers --------------------------------------
 //
 // For single-threaded setup and quiescent phases: they run the CS body via
-// the given context and perform the post-commit bookkeeping immediately
-// (there is no speculation to wait for).
+// the given context and call Committed immediately (there is no speculation
+// to wait for).
 
-// AddDirect is AddCS plus bookkeeping, for quiescent use.
+// AddDirect is AddCS plus Committed, for quiescent use.
 func (h *Handle) AddDirect(c core.Context, key, delta uint64) uint64 {
 	nv := h.AddCS(c, key, delta)
-	if h.usedSpare {
-		h.spare = mem.Nil
-	}
+	h.Committed()
 	return nv
 }
 
-// PutDirect is PutCS plus bookkeeping, for quiescent use.
+// PutDirect is PutCS plus Committed, for quiescent use.
 func (h *Handle) PutDirect(c core.Context, key, val uint64) bool {
 	inserted := h.PutCS(c, key, val)
-	if inserted && h.usedSpare {
-		h.spare = mem.Nil
-	}
+	h.Committed()
 	return inserted
 }
 
-// DeleteDirect is DeleteCS plus bookkeeping, for quiescent use.
+// DeleteDirect is DeleteCS plus Committed, for quiescent use.
 func (h *Handle) DeleteDirect(c core.Context, key uint64) bool {
 	ok := h.DeleteCS(c, key)
-	if ok {
-		h.RecycleRemoved()
-	}
+	h.Committed()
 	return ok
+}
+
+// Committed is the post-commit step of every mutating *CS body: call it
+// after the atomic block that ran AddCS, PutCS or DeleteCS on this handle
+// has committed (the wrappers above do). The spare node the body linked
+// stops being the handle's, the node it unlinked joins the free list, and
+// both are forgotten — so a second call, or one with nothing pending, does
+// nothing.
+func (h *Handle) Committed() {
+	if h.usedSpare {
+		h.spare, h.usedSpare = mem.Nil, false
+	}
+	if h.removed != mem.Nil {
+		h.freeList = append(h.freeList, h.removed)
+		h.removed = mem.Nil
+	}
 }
 
 func (h *Handle) ensureSpare() mem.Addr {
@@ -266,22 +274,5 @@ func (mp *Map) forEachRange(c core.Context, lo, hi int, fn func(key, val uint64)
 			}
 			n = mem.Addr(c.Read(n + offNext))
 		}
-	}
-}
-
-// UsedSpare reports whether the most recent *CS call on this handle linked
-// its spare node into the map (callers composing CS bodies themselves use
-// it for post-commit bookkeeping, like the Add/Put wrappers do).
-func (h *Handle) UsedSpare() bool { return h.usedSpare }
-
-// ConsumeSpare finalizes a committed insertion performed via a raw *CS
-// call: the linked node no longer belongs to the handle.
-func (h *Handle) ConsumeSpare() { h.spare = mem.Nil }
-
-// RecycleRemoved recycles the node unlinked by a committed DeleteCS.
-func (h *Handle) RecycleRemoved() {
-	if h.removed != mem.Nil {
-		h.freeList = append(h.freeList, h.removed)
-		h.removed = mem.Nil
 	}
 }

@@ -70,20 +70,39 @@ func TestDirectWrappersBookkeeping(t *testing.T) {
 	}
 }
 
+// TestHandleSpareAccessors: Committed does nothing with nothing pending or
+// when called twice, consumes the spare only when the committed body linked
+// it, and recycles exactly the node the committed DeleteCS unlinked.
 func TestHandleSpareAccessors(t *testing.T) {
 	_, h, c := newMap(8)
-	h.PutCS(c, 1, 1)
-	if !h.UsedSpare() {
-		t.Fatal("UsedSpare false after inserting PutCS")
+	h.Committed()
+	if h.spare != mem.Nil || len(h.freeList) != 0 {
+		t.Fatalf("Committed on a fresh handle left spare %d, free list %v", h.spare, h.freeList)
 	}
-	h.ConsumeSpare()
-	h.PutCS(c, 1, 2) // update: no spare involved
-	if h.UsedSpare() {
-		t.Fatal("UsedSpare true after update-only PutCS")
+	if !h.PutCS(c, 1, 1) {
+		t.Fatal("first PutCS did not insert")
+	}
+	node := h.spare
+	h.Committed()
+	h.Committed() // idempotent
+	if h.spare != mem.Nil || len(h.freeList) != 0 {
+		t.Fatalf("after an inserting PutCS, Committed left spare %d, free list %v", h.spare, h.freeList)
+	}
+	spare := h.ensureSpare() // as an inserting attempt that aborted leaves it
+	h.PutCS(c, 1, 2)         // update: no spare involved
+	h.Committed()
+	if h.spare != spare {
+		t.Fatal("Committed after an update-only PutCS consumed the spare")
 	}
 	if !h.DeleteCS(c, 1) {
 		t.Fatal("delete failed")
 	}
-	h.RecycleRemoved()
-	h.RecycleRemoved() // idempotent
+	h.Committed()
+	h.Committed() // idempotent
+	if len(h.freeList) != 1 || h.freeList[0] != node {
+		t.Fatalf("free list %v after deleting node %d, want exactly that node", h.freeList, node)
+	}
+	if h.spare != spare {
+		t.Fatal("Committed after DeleteCS touched the spare")
+	}
 }

@@ -302,15 +302,15 @@ func New(alg Algorithm, opts ...Option) (*TM, error) {
 	case RWTLE:
 		method = core.NewRWTLE(m, c.policy)
 	case FGTLE:
-		if err := checkOrecs(c.orecs); err != nil {
-			return nil, err
+		if err := core.CheckOrecs(c.orecs); err != nil {
+			return nil, fmt.Errorf("rtle: %w", err)
 		}
 		method = core.NewFGTLE(m, c.orecs, c.policy)
 	case AdaptiveFGTLE:
 		method = core.NewAdaptiveFGTLE(m, c.policy, c.adaptive)
 	case ALE:
-		if err := checkOrecs(c.orecs); err != nil {
-			return nil, err
+		if err := core.CheckOrecs(c.orecs); err != nil {
+			return nil, fmt.Errorf("rtle: %w", err)
 		}
 		method = core.NewALE(m, c.orecs, c.policy)
 	case NOrec:
@@ -321,13 +321,6 @@ func New(alg Algorithm, opts ...Option) (*TM, error) {
 		return nil, fmt.Errorf("rtle: unknown algorithm %v", alg)
 	}
 	return &TM{m: m, method: method, policy: c.policy}, nil
-}
-
-func checkOrecs(n int) error {
-	if n < 1 || n > 1<<20 || n&(n-1) != 0 {
-		return fmt.Errorf("rtle: orec count %d is not a power of two in [1, 2^20]", n)
-	}
-	return nil
 }
 
 // MustNew is New for statically-known configurations; it panics on error.
