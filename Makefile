@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race vet rtlevet e2e microbench bench bench-test all
+.PHONY: fmt build test race vet rtlevet e2e microbench fuzz-short bench bench-test all
 
 all: fmt build vet test
 
@@ -43,6 +43,12 @@ e2e:
 microbench:
 	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Store|LockSection|SlowFind|SlowWriters' \
 		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
+
+# fuzz-short runs each fuzz target over the bytes the serving layer parses
+# for ten seconds (CI's step): the request decoder and the frame reader.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated
 # workloads, one result line each. benchmark/ is its own module, so root

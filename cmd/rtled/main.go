@@ -2,14 +2,17 @@
 // bank) over TCP behind any of the repository's synchronization methods,
 // speaking the rtled/1 pipelined binary protocol (see internal/server's
 // package documentation). With -shards N the key space is partitioned into
-// N independent instances by consistent hash, each with its own bounded
-// queue and worker pool; single-key requests route to their shard and
-// cross-shard requests take an ordered-drain slow path. A shard's worker
-// folds the single operations already queued behind the one it took, up
-// to -coalesce in all, into one shared atomic block; a full queue
-// answers StatusBusy with a queue-depth-aware retry hint. SIGINT/SIGTERM
-// drain gracefully: accepted requests on every shard finish and flush
-// before the listener and connections close.
+// N independent instances by consistent hash, each with a pool of -workers
+// sections; single-key requests route to their shard and cross-shard
+// requests take an ordered-drain slow path. Each connection costs one
+// goroutine: its reader folds up to -coalesce consecutive operations of a
+// pipelined burst that route to one shard into one shared atomic block,
+// runs it on a section borrowed from that shard, and writes the burst's
+// answers in one vectored flush. The cross-shard slow queue is bounded by
+// -queue; when it is full the server answers StatusBusy with a
+// queue-depth-aware retry hint. SIGINT/SIGTERM drain gracefully: accepted
+// requests on every shard are answered on the wire before the listener and
+// connections close.
 //
 // With -http it serves /metrics (the obs registry's rtle_* execution
 // series concatenated with the wire-level rtled_* series) and /snapshot
@@ -68,9 +71,9 @@ func main() {
 	workload := flag.String("workload", "set", "served data structure: "+strings.Join(server.Workloads, ", "))
 	method := flag.String("method", "FG-TLE(256)", "synchronization method (Lock, TLE, HLE, RW-TLE, FG-TLE(N), FG-TLE(adaptive), ALE(N), NOrec, RHNOrec)")
 	shards := flag.Int("shards", 1, "independent ADT partitions (consistent-hash routed)")
-	workers := flag.Int("workers", 4, "worker pool size per shard")
-	queue := flag.Int("queue", 256, "accepted-request queue bound per shard (backpressure beyond)")
-	coalesce := flag.Int("coalesce", 8, "maximum single ops per shared atomic block (1: uncoalesced)")
+	workers := flag.Int("workers", 4, "sections per shard: concurrent atomic blocks a shard runs")
+	queue := flag.Int("queue", 256, "cross-shard slow-queue bound (busy answers beyond)")
+	coalesce := flag.Int("coalesce", 8, "maximum single ops per shared atomic block, the longest run a reader admits (1: uncoalesced)")
 	keys := flag.Int("keys", 0, "key space (set/map) or account count (bank); 0 picks the default")
 	attempts := flag.Int("attempts", core.DefaultAttempts, "HTM attempts before lock fallback")
 	lazy := flag.Bool("lazy", false, "lazy lock subscription on the slow path")

@@ -45,11 +45,11 @@ type adt struct {
 const unownedAccount = ^uint32(0)
 
 // heapWords sizes one shard's simulated heap for kind with the given
-// key-space bound, worker count and method orec count: enough lines for
-// every possible key plus per-worker spare-node headroom, the method's two
-// orec arrays and its other metadata (lock words). Set/map shards are sized
-// for the full key space — the hash may route any subset of keys to one
-// shard, and simulated words are cheap.
+// key-space bound, section count (Config.Workers) and method orec count:
+// enough lines for every possible key plus per-section spare-node headroom,
+// the method's two orec arrays and its other metadata (lock words). Set/map
+// shards are sized for the full key space — the hash may route any subset
+// of keys to one shard, and simulated words are cheap.
 func heapWords(kind string, keys, workers, orecs int) int {
 	method := 2*orecs + 1<<16
 	switch kind {
@@ -88,7 +88,7 @@ func newADT(kind string, m *mem.Memory, keys int, owned []uint64) (*adt, error) 
 }
 
 // validate checks one operation against the serving contract before it is
-// queued: the op must belong to the served ADT and its arguments must be
+// admitted: the op must belong to the served ADT and its arguments must be
 // inside the configured key/account space (unbounded keys would let a
 // client exhaust the simulated heap).
 func (a *adt) validate(op Op, a1, a2 uint64) error {
@@ -131,7 +131,7 @@ func (a *adt) validate(op Op, a1, a2 uint64) error {
 	return fmt.Errorf("op %v is not served by the %s workload", op, a.kind)
 }
 
-// executor is one worker's execution state over the shared adt: a handle
+// executor is one section's execution state over the shared adt: a handle
 // per batch/coalesce slot, because a handle carries exactly one spare node
 // and one removed-node record, so every operation of a multi-op atomic
 // block needs its own.
@@ -142,7 +142,8 @@ type executor struct {
 }
 
 // newExecutor returns an executor with slots independent handles. Runs
-// once per worker at startup; the executor is reused for every block.
+// once per section when its generation is built; the executor is reused
+// for every block.
 //
 //rtle:init
 func (a *adt) newExecutor(slots int) *executor {

@@ -1,31 +1,37 @@
 package server
 
 import (
-	"io"
 	"net"
 	"testing"
 
 	"rtle/internal/check"
 )
 
-// fastPathHarness is an in-process single-op serving pipeline: the real
-// router over the real shards, with one worker's section per shard standing
-// in for the worker pool and the worker's own runSection executing the
-// block. Buffers mirror the per-connection scratch the serving loops reuse.
+// fastPathHarness drives the wire fast path in process, end to end: a
+// request frame is decoded, validated and admitted as a run (flushRun),
+// executed by the reader on a section borrowed from its shard, and its
+// answer leaves through the connection's output queue — endBurst's queue
+// and flush, one vectored write — into a sink that keeps the bytes for the
+// client-side decode. Only the socket and the read loop's frame reading
+// are left out.
 type fastPathHarness struct {
-	srv     *Server
-	secs    []*section
-	reqBuf  []byte
-	entries []BatchEntry // the one-operation group handed to runSection
-
-	// Response-side scratch, mirroring writeLoop's conn-lifetime iovec
-	// backing array, its boxed view (see writeLoop for why the view must
-	// not be re-boxed per batch), and the client's per-slot decode scratch.
-	bufs   net.Buffers
-	view   *net.Buffers
-	sink   io.Writer
+	srv    *Server
+	c      *conn
+	sink   *sinkConn
+	reqBuf []byte
 	cliRes [1]Result
-	resp   Response
+}
+
+// sinkConn is a net.Conn whose writes land in one reused buffer; only
+// Write is ever called.
+type sinkConn struct {
+	net.Conn
+	last []byte
+}
+
+func (s *sinkConn) Write(p []byte) (int, error) {
+	s.last = append(s.last[:0], p...)
+	return len(p), nil
 }
 
 func newFastPathHarness(tb testing.TB) *fastPathHarness {
@@ -34,27 +40,20 @@ func newFastPathHarness(tb testing.TB) *fastPathHarness {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := &fastPathHarness{
-		srv:     srv,
-		reqBuf:  make([]byte, 0, 64),
-		entries: make([]BatchEntry, 1),
-		bufs:    make(net.Buffers, 1),
-		view:    new(net.Buffers),
-		sink:    io.Discard,
+	sink := &sinkConn{last: make([]byte, 0, 64)}
+	return &fastPathHarness{
+		srv:    srv,
+		c:      newConn(sink, &srv.metrics, srv.cfg.Coalesce),
+		sink:   sink,
+		reqBuf: make([]byte, 0, 64),
 	}
-	for _, sh := range srv.top().shards {
-		h.secs = append(h.secs, newSection(sh, 1))
-	}
-	return h
 }
 
-// serve pushes one request through the wire fast path end to end: encode
-// the frame, decode it back (the server's read side), validate, route,
-// execute the operation in an atomic block on the routed shard, encode the
-// response into a pooled frame buffer, flush it through the vectored
-// writer, recycle the buffer, and decode the response into the
-// client-side result scratch — everything both ends do per request except
-// the socket itself and the queue handoff.
+// serve pushes one request through the wire fast path: encode the frame,
+// decode it back (the server's read side), validate, plan, admit and
+// execute it as a one-op run, flush the answer through the vectored writer,
+// and decode the response into the client-side result scratch — everything
+// both ends do per request except the socket itself.
 func (h *fastPathHarness) serve(req *Request) error {
 	h.reqBuf = AppendRequest(h.reqBuf[:0], req)
 	decoded, err := DecodeRequest(h.reqBuf[4:])
@@ -65,29 +64,15 @@ func (h *fastPathHarness) serve(req *Request) error {
 		return err
 	}
 	tp := h.srv.top()
-	plan := tp.router.plan(&decoded)
-	// The worker's own block runner, post-commit bookkeeping included (an
-	// insert consumed the handle's spare node; runSection replaces it before
-	// the next operation reuses the handle).
-	sec := h.secs[plan.shard]
-	h.entries[0] = BatchEntry{Op: decoded.Op, Arg1: decoded.Arg1, Arg2: decoded.Arg2, Arg3: decoded.Arg3}
-	h.srv.runSection(tp.shards[plan.shard], sec, h.entries)
-	h.resp = Response{ID: decoded.ID, Status: StatusOK, Results: sec.results[:1]}
-
-	// Response side: pooled frame, vectored flush, recycle — writeLoop's
-	// steady state with a one-frame batch.
-	f := getFrame()
-	f.b = AppendResponse(f.b, &h.resp)
-	h.bufs[0] = f.b
-	*h.view = h.bufs[:1]
-	if err := writeBuffers(h.sink, h.view); err != nil {
-		return err
-	}
+	run := &h.c.run
+	run.add(h.c, decoded)
+	run.tp, run.sh = tp, tp.router.plan(&decoded).shard
+	h.srv.flushRun(h.c)
+	h.srv.endBurst(h.c)
 
 	// Client side: decode the response into the caller's result scratch,
 	// as Client.readLoop does for a DoInto caller.
-	cresp, err := DecodeResponseInto(f.b[4:], h.cliRes[:])
-	putFrame(f)
+	cresp, err := DecodeResponseInto(h.sink.last[4:], h.cliRes[:])
 	if err != nil {
 		return err
 	}
@@ -116,7 +101,7 @@ func BenchmarkWireFastPathAllocs(b *testing.B) {
 }
 
 // TestWireFastPathAllocBudget pins the fast path's steady-state allocation
-// count at zero: with the connection and worker scratch reused, serving
+// count at zero: with the connection and section scratch reused, serving
 // one single-op request must not allocate at all. A nonzero count means a
 // new allocation crept onto the path — the dynamic twin of the hotalloc
 // pass's static claim.

@@ -51,10 +51,10 @@ func opName(i int) string {
 }
 
 // ShardMetrics is one shard's wire-level execution state. All fields are
-// atomics: the hot path is wait-free and a scrape never blocks a worker.
+// atomics: the hot path is wait-free and a scrape never blocks a reader.
 type ShardMetrics struct {
-	queueDepth atomic.Int64 // requests accepted onto this shard, not yet picked up
-	inflight   atomic.Int64 // requests picked up, not yet answered
+	queueDepth atomic.Int64 // requests admitted onto this shard, waiting for a section
+	inflight   atomic.Int64 // requests executing on a section, not yet answered
 	sections   atomic.Uint64
 	batchOps   atomic.Uint64
 	coalesced  atomic.Uint64 // single ops executed in a shared atomic block
@@ -81,20 +81,15 @@ func ewmaFold(v *atomic.Int64, sample int64) {
 // observeService folds one atomic block's wall time into the service EWMA.
 func (m *ShardMetrics) observeService(nanos int64) { ewmaFold(&m.ewmaServiceNanos, nanos) }
 
-// retryAfterMicros estimates when this shard's queue capacity frees up:
-// the backlog ahead of a rejected request (depth plus what is executing),
-// paced by the decayed per-section service time spread over the shard's
-// worker pool.
-func (m *ShardMetrics) retryAfterMicros(workers int) uint32 {
-	backlog := m.queueDepth.Load() + m.inflight.Load()
+// retryAfterMicros estimates when the slow queue frees a slot: the backlog
+// ahead of a rejected request, paced by this shard's decayed per-block
+// service time (the one slow worker takes the queue a task at a time).
+func (m *ShardMetrics) retryAfterMicros(backlog int64) uint32 {
 	svc := m.ewmaServiceNanos.Load()
 	if svc <= 0 {
 		svc = 50_000 // no samples yet: a conservative 50us guess
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	micros := backlog * svc / int64(workers) / 1_000
+	micros := backlog * svc / 1_000
 	if micros < 100 {
 		micros = 100
 	}
@@ -137,13 +132,12 @@ type Metrics struct {
 	// saved.
 	writeBatchFrames obs.Histogram
 
-	// affineOps counts operations handed to their shard queue by an
-	// affinity run: the reader chained consecutive same-shard single ops
-	// and delivered the chain in one queue send, skipping the per-op
-	// channel hop.
+	// affineOps counts operations admitted in a run on its cached plan:
+	// the reader chained consecutive same-shard operations of one burst
+	// and executed them as one group.
 	affineOps atomic.Uint64
-	// affineRuns counts the chains themselves (affineOps / affineRuns is
-	// the mean run length).
+	// affineRuns counts the runs themselves (affineOps / affineRuns is the
+	// mean run length).
 	affineRuns atomic.Uint64
 
 	// shards holds the per-shard execution metrics, attached by New and
@@ -172,8 +166,8 @@ func (m *Metrics) Latency(op Op) obs.LatencySnapshot {
 	return m.latency[opIndex(op)].Snapshot()
 }
 
-// QueueDepth returns the accepted-but-not-started request count summed
-// across all shard queues and the slow-path queue.
+// QueueDepth returns the accepted-but-not-started request count: every
+// shard's admitted requests waiting for a section, plus the slow queue.
 func (m *Metrics) QueueDepth() int64 {
 	d := m.slowDepth.Load()
 	for _, s := range m.Shards() {
@@ -241,7 +235,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 
 	p.Metric("rtled_bad_requests_total", "counter", "Frames rejected at decode or validation.", m.badOps.Load())
 	p.Metric("rtled_hello_rejects_total", "counter", "Connections refused at version negotiation.", m.helloRejects.Load())
-	p.Metric("rtled_queue_depth", "gauge", "Accepted requests waiting for a worker.", m.QueueDepth())
+	p.Metric("rtled_queue_depth", "gauge", "Accepted requests not yet executing (shard backlogs and the slow queue).", m.QueueDepth())
 	p.Metric("rtled_cross_shard_total", "counter", "Operations answered via the cross-shard slow path.", m.crossOps.Load())
 
 	// Per-shard execution families: the unlabelled line is the merged
@@ -267,11 +261,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		slowBlocks += s.slowBlocks.Load()
 		ewmaMax = max(ewmaMax, s.ewmaServiceNanos.Load())
 	}
-	perShard("rtled_inflight", "gauge", "Requests a worker is executing.",
+	perShard("rtled_inflight", "gauge", "Requests executing on a shard section.",
 		inflight, func(s *ShardMetrics) any { return s.inflight.Load() })
-	perShard("rtled_shard_queue_depth", "gauge", "Accepted requests waiting on one shard's queue.",
+	perShard("rtled_shard_queue_depth", "gauge", "Admitted requests waiting for one of the shard's sections.",
 		nil, func(s *ShardMetrics) any { return s.queueDepth.Load() })
-	perShard("rtled_sections_total", "counter", "Atomic blocks executed by the worker pools.",
+	perShard("rtled_sections_total", "counter", "Atomic blocks executed on the shard.",
 		sections, func(s *ShardMetrics) any { return s.sections.Load() })
 	perShard("rtled_batch_ops_total", "counter", "Operations executed inside client batches.",
 		batchOps, func(s *ShardMetrics) any { return s.batchOps.Load() })
@@ -316,8 +310,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		p.Metric("rtled_repl_log_truncations_total", "counter", "Completed log compactions (truncations and bootstrap resets).", st.Truncations)
 	}
 
-	p.Metric("rtled_affine_ops_total", "counter", "Operations handed to their shard by a chained affinity run.", m.affineOps.Load())
-	p.Metric("rtled_affine_runs_total", "counter", "Affinity-run chains delivered (ops/runs is the mean run length).", m.affineRuns.Load())
+	p.Metric("rtled_affine_ops_total", "counter", "Operations admitted in a run planned onto one shard.", m.affineOps.Load())
+	p.Metric("rtled_affine_runs_total", "counter", "Runs executed on their cached plan (ops/runs is the mean run length).", m.affineRuns.Load())
 
 	// Frames-per-writev distribution. The histogram's log2 buckets hold
 	// frame counts, not nanoseconds, so the bucket bound is rendered as the

@@ -257,7 +257,7 @@ func (s Status) String() string {
 
 // MaxBatchOps bounds the entries of one batch frame: a batch must fit one
 // critical section, and an unbounded count would let one frame monopolize
-// a worker.
+// a section.
 const MaxBatchOps = 1024
 
 // maxFrame bounds a frame payload; the largest legal frame is a

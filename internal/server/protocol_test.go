@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -27,18 +28,21 @@ func roundTripRequest(t *testing.T, r Request) Request {
 	return dec
 }
 
+// roundTripRequests are the request round-trip cases; the fuzz targets
+// seed their corpora from them.
+var roundTripRequests = []Request{
+	{ID: 1, Op: check.OpInsert, Arg1: 42},
+	{ID: 0xfffffffe, Op: check.OpTransfer, Arg1: 3, Arg2: 9, Arg3: 100},
+	{ID: 7, Op: OpPing},
+	{ID: 9, Op: OpBatch, Batch: []BatchEntry{
+		{Op: check.OpContains, Arg1: 5},
+		{Op: check.OpGet, Arg1: 6},
+		{Op: check.OpBalance, Arg1: 0},
+	}},
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	cases := []Request{
-		{ID: 1, Op: check.OpInsert, Arg1: 42},
-		{ID: 0xfffffffe, Op: check.OpTransfer, Arg1: 3, Arg2: 9, Arg3: 100},
-		{ID: 7, Op: OpPing},
-		{ID: 9, Op: OpBatch, Batch: []BatchEntry{
-			{Op: check.OpContains, Arg1: 5},
-			{Op: check.OpGet, Arg1: 6},
-			{Op: check.OpBalance, Arg1: 0},
-		}},
-	}
-	for _, want := range cases {
+	for _, want := range roundTripRequests {
 		got := roundTripRequest(t, want)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip %+v -> %+v", want, got)
@@ -258,4 +262,89 @@ func TestValidateContract(t *testing.T) {
 	}}); err == nil {
 		t.Error("batch with out-of-range entry accepted")
 	}
+}
+
+// FuzzDecodeRequest: the request decoder never panics, whatever the
+// payload; anything it accepts re-encodes with AppendRequest and decodes
+// back equal; and what it allocates is bounded by the batch length the
+// payload actually carries (one entry per 25 payload bytes).
+func FuzzDecodeRequest(f *testing.F) {
+	for i := range roundTripRequests {
+		f.Add(AppendRequest(nil, &roundTripRequests[i])[4:])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		req, err := DecodeRequest(p)
+		if err != nil {
+			return
+		}
+		if cap(req.Batch) > len(p)/25 {
+			t.Fatalf("a %d-byte payload decoded into a batch of capacity %d", len(p), cap(req.Batch))
+		}
+		frame := AppendRequest(nil, &req)
+		again, err := DecodeRequest(frame[4:])
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", req, err)
+		}
+		if !reflect.DeepEqual(again, req) {
+			t.Fatalf("round trip %+v -> %+v", req, again)
+		}
+	})
+}
+
+// chunkReader hands out its bytes at most n per Read, so frames arrive
+// split at arbitrary points.
+type chunkReader struct {
+	b []byte
+	n int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), r.n, len(r.b))
+	copy(p, r.b[:n])
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// FuzzReadFrame drives frameReader (readFrame and the ready lookahead) over
+// arbitrary streams delivered in arbitrary splits: it never panics, never
+// returns a payload longer than the frame limit, returns exactly the bytes
+// each header announced in stream order, and whenever ready promised a
+// buffered frame, next delivers it.
+func FuzzReadFrame(f *testing.F) {
+	var stream []byte
+	for i := range roundTripRequests {
+		frame := AppendRequest(nil, &roundTripRequests[i])
+		f.Add(frame, uint8(255))
+		f.Add(frame[:len(frame)-1], uint8(3)) // short: the body is cut off
+		stream = append(stream, frame...)
+	}
+	f.Add(stream, uint8(1)) // every frame split byte by byte
+	var huge [4]byte
+	binary.BigEndian.PutUint32(huge[:], maxFrame+1)
+	f.Add(append(huge[:], stream...), uint8(7)) // oversized header first
+	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
+		fr := frameReader{r: bufio.NewReaderSize(&chunkReader{b: stream, n: int(chunk) + 1}, 64)}
+		off := 0
+		for {
+			ready := fr.ready()
+			payload, err := fr.next()
+			if err != nil {
+				if ready {
+					t.Fatalf("ready promised a frame at offset %d, next failed: %v", off, err)
+				}
+				return
+			}
+			if len(payload) > maxFrame {
+				t.Fatalf("payload of %d bytes exceeds the %d-byte limit", len(payload), maxFrame)
+			}
+			n := int(binary.BigEndian.Uint32(stream[off:]))
+			if n != len(payload) || !bytes.Equal(payload, stream[off+4:off+4+n]) {
+				t.Fatalf("frame at offset %d: got %d bytes, the header announced %d", off, len(payload), n)
+			}
+			off += 4 + n
+		}
+	})
 }

@@ -356,9 +356,9 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 		start = sn.Seq + 1
 	}
 
-	// The streamer sends via c.send like any worker; c.tasks keeps c.out
-	// open until it exits, and writeLoop's dead-drain keeps c.send from
-	// blocking on a dead peer.
+	// The streamer sends through the connection's output queue like every
+	// other sender; c.tasks keeps the teardown from closing the socket
+	// under it, and a dead queue recycles its frames instead of blocking.
 	c.tasks.Add(1)
 	done := make(chan struct{})
 	go func() {
@@ -404,11 +404,14 @@ func (s *Server) streamEntries(c *conn, sub *replSub, next uint64) {
 				return
 			}
 		}
+		// Queue the whole read, then flush once: one writev per batch of
+		// entries rather than per entry.
 		for i := range entries {
 			f := getFrame()
 			f.b = AppendReplEntry(f.b, &entries[i])
-			c.send(f)
+			c.queue(f)
 		}
+		c.flush()
 		next = entries[len(entries)-1].Seq + 1
 	}
 }

@@ -29,22 +29,25 @@ type Config struct {
 	// harness.BuildMethod (default "FG-TLE(256)").
 	Method string
 	// Shards is the number of independent ADT partitions, each with its
-	// own simulated heap, method instance, bounded queue, and worker pool.
+	// own simulated heap, method instance, and pool of sections.
 	// Single-key operations route to their key's shard by consistent hash;
 	// multi-key operations spanning shards take a slower quiescing path
 	// (default 1: the unsharded server).
 	Shards int
-	// Workers sizes each shard's worker pool; each worker owns one
-	// core.Thread (default 4).
+	// Workers bounds each shard's concurrent elided critical sections: the
+	// shard keeps a pool of that many sections, each on its own
+	// core.Thread, and a connection's reader borrows one to execute the run
+	// it admitted. A reader that finds the pool empty waits, which
+	// backpressures its own connection through TCP (default 4).
 	Workers int
-	// QueueDepth bounds each shard's accepted-request queue (and the
-	// cross-shard slow queue). A full queue rejects with StatusBusy and a
-	// retry-after hint (default 256).
+	// QueueDepth bounds the cross-shard slow queue, the only queue left:
+	// fast-path requests execute on their connection's reader. A full slow
+	// queue rejects with StatusBusy and a retry-after hint (default 256).
 	QueueDepth int
-	// Coalesce is the maximum number of pending single operations one
-	// worker folds into a shared atomic block: it takes one task and
-	// drains up to Coalesce-1 more that are already queued, never waiting
-	// (default 8; 1 means uncoalesced execution).
+	// Coalesce is the maximum number of single operations one atomic block
+	// serves, and so the longest run a reader admits before executing it:
+	// consecutive operations of one pipelined burst that route to the same
+	// shard (default 8; 1 means uncoalesced execution).
 	Coalesce int
 	// Keys bounds the key space for set/map and is the account count for
 	// bank (default 1024, bank 16).
@@ -134,9 +137,10 @@ func (c *Config) fill() {
 // shard set it routes over, and the cross-shard slow queue. Admission
 // reads the live generation through Server.topo under drainMu; Reshard
 // builds a new generation offline, migrates the state into it through a
-// snapshot, and swaps the pointer while admission is quiesced — so a task
-// always executes on the generation that admitted it, and a worker only
-// ever drains queues of its own generation.
+// snapshot, and swaps the pointer while admission is quiesced and every
+// accepted task is released — so a task always executes on the generation
+// that admitted it, and the slow worker only ever drains its own
+// generation's queue.
 type topology struct {
 	router *router
 	shards []*shard
@@ -155,9 +159,10 @@ func (tp *topology) shardMetrics() []*ShardMetrics {
 	return sms
 }
 
-// Server is the TCP serving layer: an acceptor, per-connection reader and
-// writer goroutines, and per-shard bounded worker pools executing requests
-// against independently elided data-structure partitions.
+// Server is the TCP serving layer: an acceptor, one goroutine per
+// connection that reads, executes and answers its requests on pooled
+// per-shard sections over independently elided data-structure partitions,
+// and one slow worker per generation for cross-shard operations.
 type Server struct {
 	cfg      Config
 	director *fault.Director
@@ -179,16 +184,16 @@ type Server struct {
 	// admit under RLock, Shutdown flips draining under Lock, so after the
 	// flip no reader can be mid-admission and tasksWG covers every
 	// accepted task. Topology swaps hold it exclusively for the same
-	// reason: after the flip, no admission can target a retired queue.
+	// reason: after the flip, no admission can target a retired generation.
 	drainMu  sync.RWMutex
 	draining bool
 	// started flips in Listen (under drainMu): topology swaps only manage
-	// worker pools once they exist.
+	// the slow worker once it exists.
 	started bool
 
-	tasksWG   sync.WaitGroup // accepted tasks not yet answered
-	workersWG sync.WaitGroup
-	connsWG   sync.WaitGroup
+	tasksWG   sync.WaitGroup // accepted tasks not yet answered and flushed
+	workersWG sync.WaitGroup // the live generation's slow worker
+	connsWG   sync.WaitGroup // one per connection, released by its teardown
 
 	// Auto-compactor lifecycle (nil/unused unless CompactEvery > 0).
 	compactStop chan struct{}
@@ -204,7 +209,7 @@ type Server struct {
 func (s *Server) top() *topology { return s.topo.Load() }
 
 // task is one accepted request bound to its connection. Task headers are
-// pooled: affRun.add draws them from the arena and respond/discard recycle
+// pooled: affRun.add draws them from the arena and encode/discard recycle
 // them, so steady-state admission allocates nothing.
 type task struct {
 	c       *conn
@@ -214,9 +219,8 @@ type task struct {
 	sh *shard
 	// spans is the ascending involved-shard set for slow-path tasks.
 	spans []int
-	// next chains an affinity run: consecutive same-shard single ops the
-	// reader handed to the shard queue as one linked batch (see
-	// readLoop's run handoff). nil outside a run.
+	// next chains a run: the operations the reader admitted together (see
+	// readLoop). nil outside a run.
 	next *task
 }
 
@@ -239,33 +243,9 @@ func putTask(t *task) {
 	taskPool.Put(t)
 }
 
-// conn is one client connection.
-type conn struct {
-	nc net.Conn
-	// out carries encoded response frames to the write loop, which flushes
-	// them in vectored batches and recycles every buffer into the frame
-	// arena; closed after the last send. Every frame on it MUST come from
-	// getFrame.
-	out chan *frameBuf
-	// features holds the client hello's declared feature bits, written by
-	// hello and read only from the same read-loop goroutine (subscriber
-	// bootstrap checks FeatureSnapshot).
-	features uint32
-	// tasks counts this connection's accepted-but-unanswered requests;
-	// out closes only once it drains, so workers never send on a closed
-	// channel.
-	tasks sync.WaitGroup
-}
-
-// send queues one pooled frame for writing. Ownership transfers to the
-// write loop, which recycles the buffer after the flush.
-//
-//rtle:hotpath
-func (c *conn) send(f *frameBuf) { c.out <- f }
-
-// New builds a Server: per-shard simulated heaps, ADT partitions, and
-// synchronization methods, plus the key router, fault director, and worker
-// pool state. When Config.SnapFile names an existing snapshot it is
+// New builds a Server: per-shard simulated heaps, ADT partitions,
+// synchronization methods and section pools, plus the key router and fault
+// director. When Config.SnapFile names an existing snapshot it is
 // restored first, and log replay (Config.ReplLog) continues from the
 // snapshot's sequence instead of from scratch.
 func New(cfg Config) (*Server, error) {
@@ -358,9 +338,10 @@ func New(cfg Config) (*Server, error) {
 }
 
 // buildTopology assembles one serving generation with n shards: per-shard
-// simulated heaps, ADT partitions, method instances, queues, and metric
-// blocks. The generation is cold — startWorkers launches its pools — and
-// its structures are pristine, which restoreTopology relies on.
+// simulated heaps, ADT partitions, method instances, section pools, and
+// metric blocks. The generation is cold — startSlowWorker launches its slow
+// worker — and its structures are pristine, which restoreTopology relies
+// on.
 func (s *Server) buildTopology(n int) (*topology, error) {
 	cfg := &s.cfg
 	if cfg.Workload == "bank" && n > cfg.Keys {
@@ -397,8 +378,11 @@ func (s *Server) buildTopology(n int) (*topology, error) {
 			mem:    m,
 			adt:    a,
 			method: method,
-			queue:  make(chan *task, cfg.QueueDepth),
+			secs:   make(chan *section, cfg.Workers),
 			m:      &ShardMetrics{},
+		}
+		for i := 0; i < cfg.Workers; i++ {
+			sh.secs <- newSection(sh, slots)
 		}
 		sh.slowThread = method.NewThread()
 		sh.slowEx = a.newExecutor(slots)
@@ -407,15 +391,9 @@ func (s *Server) buildTopology(n int) (*topology, error) {
 	return tp, nil
 }
 
-// startWorkers launches one generation's pools: Workers fast-path workers
-// per shard plus the generation's slow worker.
-func (s *Server) startWorkers(tp *topology) {
-	for _, sh := range tp.shards {
-		for i := 0; i < s.cfg.Workers; i++ {
-			s.workersWG.Add(1)
-			go s.worker(sh)
-		}
-	}
+// startSlowWorker launches one generation's cross-shard slow worker, its
+// only goroutine.
+func (s *Server) startSlowWorker(tp *topology) {
 	s.workersWG.Add(1)
 	go s.slowWorker(tp)
 }
@@ -439,7 +417,7 @@ func (s *Server) Keys() int { return s.cfg.Keys }
 // it).
 func (s *Server) Shards() int { return len(s.top().shards) }
 
-// Listen binds the configured address and starts the worker pools. It
+// Listen binds the configured address and starts the slow worker. It
 // returns the bound address (Config.Addr may name port 0).
 func (s *Server) Listen() (net.Addr, error) {
 	lis, err := net.Listen("tcp", s.cfg.Addr)
@@ -452,7 +430,7 @@ func (s *Server) Listen() (net.Addr, error) {
 	s.drainMu.Lock()
 	s.started = true
 	s.drainMu.Unlock()
-	s.startWorkers(s.top())
+	s.startSlowWorker(s.top())
 	if r := s.repl; r != nil && r.role.Load() == roleReplica {
 		r.started.Store(true)
 		go s.runReplica()
@@ -482,63 +460,70 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		c := &conn{nc: nc, out: make(chan *frameBuf, 64)}
-		s.mu.Lock()
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
-		s.metrics.connsOpen.Add(1)
-		s.metrics.connsTotal.Add(1)
-		s.connsWG.Add(2)
-		go s.readLoop(c)
-		go s.writeLoop(c)
+		s.serveConn(nc)
 	}
 }
 
+// serveConn registers one accepted connection and starts its read loop, the
+// only goroutine it costs.
+func (s *Server) serveConn(nc net.Conn) {
+	c := newConn(nc, &s.metrics, s.cfg.Coalesce)
+	s.mu.Lock()
+	s.conns[c] = struct{}{}
+	s.mu.Unlock()
+	s.metrics.connsOpen.Add(1)
+	s.metrics.connsTotal.Add(1)
+	s.connsWG.Add(1)
+	go s.readLoop(c)
+}
+
+// endConn is a connection's teardown, run by its read loop on the way out:
+// once every request it accepted is answered (the slow worker's, a
+// replication streamer's), it waits out a running flush, closes the socket
+// and forgets the connection. Once per connection: cold.
+//
+//rtle:coldpath
+func (s *Server) endConn(c *conn) {
+	c.tasks.Wait()
+	c.shut()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.metrics.connsOpen.Add(-1)
+	s.connsWG.Done()
+}
+
 // readLoop negotiates the hello exchange, then decodes frames from one
-// connection, validating and admitting them.
+// connection, validating, admitting and executing them, and answers them
+// itself: a pipelined burst's fast-path operations run on this goroutine,
+// on sections borrowed from their shard, and their responses leave in one
+// flush before the next read that could block.
 //
 //rtle:hotpath
 func (s *Server) readLoop(c *conn) {
-	defer s.connsWG.Done()
-	//rtle:ignore hotalloc conn-teardown closure; runs once per connection lifetime
-	defer func() {
-		// The connection stops producing work; release the writer once
-		// every accepted task has queued its response.
-		//rtle:ignore hotalloc conn-teardown closure; runs once per connection lifetime
-		go func() {
-			c.tasks.Wait()
-			close(c.out)
-		}()
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		s.metrics.connsOpen.Add(-1)
-	}()
-
+	defer s.endConn(c)
 	fr := frameReader{r: bufio.NewReaderSize(c.nc, 1<<16)}
 	if !s.hello(c, &fr) {
-		// Return without closing the socket: the deferred teardown closes
-		// c.out once the (empty) task set drains, and writeLoop flushes
-		// the queued rejection before it closes the connection — closing
-		// here would race the client out of its explanation.
+		// The rejection is already on the wire (send flushes); the teardown
+		// closes the socket behind it.
 		return
 	}
-	var run affRun
+	run := &c.run
 	for {
-		// Flush the pending affinity run before any read that could block:
-		// as long as the next frame is already buffered the run may keep
-		// growing, but a parked reader must not sit on admitted-but-unqueued
-		// work.
-		if run.n > 0 && !fr.ready() {
-			s.flushRun(c, &run)
+		// End the burst before any read that could block: as long as the
+		// next frame is already buffered the run may keep growing, but a
+		// parked reader must hold neither admitted work nor unsent answers.
+		if !fr.ready() {
+			s.flushRun(c)
+			s.endBurst(c)
 		}
 		payload, err := fr.next()
 		if err != nil {
-			// EOF, connection reset, or an unrecoverable framing error
-			// (oversized frame): no way to resynchronize, drop the conn.
-			// The run is always empty here: a buffered frame cannot fail to
-			// read, and the flush above covered the blocking case.
-			_ = c.nc.Close() // double-close on teardown is harmless
+			// EOF, connection reset, an expired read deadline (Shutdown), or
+			// an unrecoverable framing error (oversized frame): no way to
+			// resynchronize, drop the conn. The burst is always over here: a
+			// buffered frame cannot fail to read, and the code above ended
+			// it before the blocking case.
 			return
 		}
 		req, err := DecodeRequest(payload)
@@ -554,15 +539,19 @@ func (s *Server) readLoop(c *conn) {
 		}
 		if req.Op == OpReplSubscribe {
 			// The connection becomes a replication stream; when the
-			// subscriber hangs up the deferred teardown runs as usual.
-			s.flushRun(c, &run)
+			// subscriber hangs up the deferred teardown runs as usual. The
+			// burst ends first: a capture under drainMu must not wait on
+			// tasks this reader still holds.
+			s.flushRun(c)
+			s.endBurst(c)
 			s.serveSubscriber(c, &fr, req)
 			return
 		}
 		if req.Op == OpSnapshot {
 			// The full state streams inline as snapshot chunks; the read
-			// loop resumes decoding requests once the end chunk is queued.
-			s.flushRun(c, &run)
+			// loop resumes decoding requests once the end chunk is sent.
+			s.flushRun(c)
+			s.endBurst(c)
 			s.serveSnapshot(c, req)
 			continue
 		}
@@ -580,17 +569,16 @@ func (s *Server) readLoop(c *conn) {
 			continue
 		}
 		// Shard-affinity classification: consecutive fast-path ops that
-		// hash to one shard chain into a run and reach the shard queue as
-		// one linked handoff, skipping the per-op channel send.
+		// hash to one shard chain into a run, which executes as one group.
 		if run.n > 0 {
 			plan := run.tp.router.plan(&req)
-			if plan.fast && plan.shard == run.sh && run.n < affinityRunCap {
+			if plan.fast && plan.shard == run.sh && run.n < s.cfg.Coalesce {
 				run.add(c, req)
 				continue
 			}
-			// Cross-shard op, slow-path op, or a full run: the run flushes
+			// Cross-shard op, slow-path op, or a full run: the run executes
 			// in admission order ahead of the newcomer.
-			s.flushRun(c, &run)
+			s.flushRun(c)
 		}
 		tp := s.top()
 		plan := tp.router.plan(&req)
@@ -602,22 +590,16 @@ func (s *Server) readLoop(c *conn) {
 		// A multi-shard op is a run of length one with no cached plan:
 		// flushRun plans it under the drain lock and queues it on the slow
 		// path.
-		s.flushRun(c, &run)
+		s.flushRun(c)
 	}
 }
 
-// affinityRunCap bounds one affinity run's chain length. A run occupies a
-// single queue slot however long it is, so the cap keeps the effective
-// queue bound (slots × cap) within the same order as QueueDepth while
-// still amortizing the channel handoff across a pipelined burst.
-const affinityRunCap = 32
-
-// affRun accumulates one connection's pending run: requests admitted by the
-// read loop but not yet queued, chained through task.next. Consecutive
+// affRun accumulates one connection's pending run: requests decoded by the
+// read loop but not yet admitted, chained through task.next. Consecutive
 // fast-path operations planned onto one shard of one topology generation
-// keep growing the chain while further frames are already buffered, and
-// flushRun delivers it with a single queue send; a run with no cached plan
-// (tp nil) is planned task by task at the flush.
+// keep growing the chain, up to Config.Coalesce, while further frames are
+// already buffered, and flushRun admits and executes it as one group; a run
+// with no cached plan (tp nil) is planned task by task at the flush.
 type affRun struct {
 	head, tail *task
 	sh         int       // planned shard index
@@ -640,27 +622,36 @@ func (run *affRun) add(c *conn, req Request) {
 	run.n++
 }
 
-// flushRun is the one admission function: it queues the pending run,
-// applying drain and backpressure rejection. A run whose cached plan is
-// still of the live generation reaches its shard queue as one linked
-// handoff. Otherwise — the run carries no plan (a multi-shard op), or a
-// reshard swapped the generation since the run was planned without holding
-// drainMu — every task is planned on the generation whose workers will
-// execute it, and may legally land on a different shard or the slow queue.
-// The topology load sits inside the drain lock for that reason: swaps hold
-// it exclusively.
+// flushRun is the one admission function: it admits the pending run,
+// applying drain and backpressure rejection, and executes its fast-path
+// tasks on this goroutine. A run whose cached plan is still of the live
+// generation is admitted whole onto its shard. Otherwise — the run carries
+// no plan (a multi-shard op), or a reshard swapped the generation since the
+// run was planned without holding drainMu — every task is planned on the
+// generation that will execute it, and may legally land on a different
+// shard or the slow queue. The topology load sits inside the drain lock for
+// that reason: swaps hold it exclusively, and wait for every task counted
+// under it, so execution after the unlock still runs on the admitting
+// generation.
 //
-// Rejected tasks are answered only after the lock is released: a send can
-// block on a stalled peer, and blocking under drainMu would wedge Shutdown.
+// The lock is tried first: a drain or a swap that holds or awaits it is
+// waiting for tasksWG to empty, so a reader still holding its burst's
+// answers must release them (endBurst) before queueing behind it. Rejected
+// tasks are answered only after the lock is released: a send can block on
+// a stalled peer, and blocking under drainMu would wedge Shutdown.
 //
 //rtle:hotpath
-func (s *Server) flushRun(c *conn, run *affRun) {
+func (s *Server) flushRun(c *conn) {
+	run := &c.run
 	if run.n == 0 {
 		return
 	}
 	head, shIdx, tp0, n := run.head, run.sh, run.tp, run.n
 	run.head, run.tail, run.tp, run.n = nil, nil, nil, 0
-	s.drainMu.RLock()
+	if !s.drainMu.TryRLock() {
+		s.endBurst(c)
+		s.drainMu.RLock()
+	}
 	if s.draining {
 		s.drainMu.RUnlock()
 		for t := head; t != nil; {
@@ -671,22 +662,30 @@ func (s *Server) flushRun(c *conn, run *affRun) {
 		}
 		return
 	}
-	// rejected chains the backpressured tasks, each carrying its busy-hint
-	// shard in t.sh, out of the lock.
-	var rejected *task
+	// fast chains the admitted fast-path tasks in run order; rejected chains
+	// the backpressured ones, each carrying its busy-hint shard in t.sh, out
+	// of the lock.
+	var fast, rejected *task
 	tp := s.top()
 	if tp == tp0 {
-		if s.enqueueLocked(tp, head, n, routePlan{fast: true, shard: shIdx}) {
-			s.metrics.affineOps.Add(uint64(n))
-			s.metrics.affineRuns.Add(1)
-		} else {
-			rejected = head
-		}
+		s.admitLocked(tp.shards[shIdx], head, n)
+		s.metrics.affineOps.Add(uint64(n))
+		s.metrics.affineRuns.Add(1)
+		fast = head
 	} else {
+		var tail *task
 		for t := head; t != nil; {
 			nx := t.next
 			t.next = nil
-			if !s.enqueueLocked(tp, t, 1, tp.router.plan(&t.req)) {
+			if plan := tp.router.plan(&t.req); plan.fast {
+				s.admitLocked(tp.shards[plan.shard], t, 1)
+				if tail == nil {
+					fast = t
+				} else {
+					tail.next = t
+				}
+				tail = t
+			} else if !s.enqueueSlowLocked(tp, t, plan.spans) {
 				t.next = rejected
 				rejected = t
 			}
@@ -700,47 +699,81 @@ func (s *Server) flushRun(c *conn, run *affRun) {
 		putTask(t)
 		t = nx
 	}
+	s.execute(c, fast)
 }
 
-// enqueueLocked queues a planned chain of n tasks on its shard queue (or a
-// single multi-shard task on the slow queue) with the count-before-send
-// accounting discipline: a worker decrements the depth gauge at pickup, so
-// counting after the send could let a scrape, or a busy answer's
-// queue-depth hint, read it negative. The caller holds drainMu shared with
-// draining false. On backpressure every count is rolled back, each task's
-// sh is left naming the busy-hint shard, and false is returned.
+// admitLocked counts the fast-path chain from head, n tasks long, into its
+// connection's and the server's in-flight sets and sh's backlog gauge
+// before anything executes it: count before execute, so neither a drain
+// nor a scrape can miss an admitted task. The caller holds drainMu shared
+// with draining false.
 //
 //rtle:hotpath
-func (s *Server) enqueueLocked(tp *topology, head *task, n int, plan routePlan) bool {
-	c := head.c
-	c.tasks.Add(n)
+func (s *Server) admitLocked(sh *shard, head *task, n int) {
+	head.c.tasks.Add(n)
 	s.tasksWG.Add(n)
-	if plan.fast {
-		sh := tp.shards[plan.shard]
-		for t := head; t != nil; t = t.next {
-			t.sh = sh
-		}
-		sh.m.queueDepth.Add(int64(n))
-		select {
-		case sh.queue <- head:
-			return true
-		default:
-			sh.m.queueDepth.Add(int64(-n))
-		}
-	} else {
-		head.spans = plan.spans
-		s.metrics.slowDepth.Add(1)
-		select {
-		case tp.slowQueue <- head:
-			return true
-		default:
-			s.metrics.slowDepth.Add(-1)
-			head.sh = tp.shards[plan.spans[0]]
-		}
+	sh.m.queueDepth.Add(int64(n))
+	for t := head; t != nil; t = t.next {
+		t.sh = sh
 	}
+}
+
+// enqueueSlowLocked queues one multi-shard task on the slow queue with the
+// count-before-send accounting discipline: the slow worker decrements the
+// depth gauge at pickup, so counting after the send could let a scrape, or
+// a busy answer's queue-depth hint, read it negative. The caller holds
+// drainMu shared with draining false. On backpressure every count is rolled
+// back, t.sh is left naming the busy-hint shard, and false is returned.
+//
+//rtle:hotpath
+func (s *Server) enqueueSlowLocked(tp *topology, t *task, spans []int) bool {
+	c := t.c
+	c.tasks.Add(1)
+	s.tasksWG.Add(1)
+	t.spans = spans
+	s.metrics.slowDepth.Add(1)
+	select {
+	case tp.slowQueue <- t:
+		return true
+	default:
+	}
+	s.metrics.slowDepth.Add(-1)
+	t.sh = tp.shards[spans[0]]
+	c.tasks.Add(-1)
+	s.tasksWG.Add(-1)
+	return false
+}
+
+// endBurst ends the reader's burst: on a sync-ack primary it waits once
+// for the highest barrier among the burst's blocks, hands the staged
+// answers to the output queue in one flush, and only then releases their
+// accounting — so a drain that finds tasksWG empty finds every accepted
+// request answered on the wire, or in the hands of a flush the
+// connection's teardown waits out. If the wait is abandoned because the
+// server is closing, the answers are dropped unsent and the connection is
+// closed, as discard does for the slow path (see replWait).
+//
+//rtle:hotpath
+func (s *Server) endBurst(c *conn) {
+	n := len(c.staged)
+	if n == 0 {
+		return
+	}
+	bar := c.bar
+	c.bar = 0
+	if s.replWait(bar) {
+		c.queue(c.staged...)
+		c.flush()
+	} else {
+		for _, f := range c.staged {
+			putFrame(f)
+		}
+		_ = c.nc.Close() // the client sees its connection die and records the ops pending
+	}
+	clear(c.staged)
+	c.staged = c.staged[:0]
 	c.tasks.Add(-n)
 	s.tasksWG.Add(-n)
-	return false
 }
 
 // hello runs the server side of the rtled/1 version negotiation: the first
@@ -819,115 +852,50 @@ func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 	c.send(f)
 }
 
-// busy answers a request rejected by backpressure, with the target
-// shard's queue-depth-aware retry hint. A backpressured server is paying
-// for queue pressure, not the response alloc: cold.
+// busy answers a request the full slow queue turned away, with the queue's
+// depth and a retry hint paced by sh, the first shard it spans. A
+// backpressured server is paying for queue pressure, not the response
+// alloc: cold.
 //
 //rtle:coldpath
 func (s *Server) busy(c *conn, id uint32, sh *shard) {
 	s.metrics.statuses[StatusBusy].Add(1)
+	depth := s.metrics.slowDepth.Load()
 	f := getFrame()
 	f.b = AppendResponse(f.b, &Response{
 		ID:               id,
 		Status:           StatusBusy,
-		RetryAfterMicros: sh.m.retryAfterMicros(s.cfg.Workers),
-		QueueDepth:       uint32(sh.m.queueDepth.Load()),
+		RetryAfterMicros: sh.m.retryAfterMicros(depth),
+		QueueDepth:       uint32(depth),
 	})
 	c.send(f)
 }
 
-// Write-batch bounds. The frame bound keeps one writev's iovec small
-// enough to track the sizes of the coalesced blocks the workers
-// produce (a whole block's responses land in one syscall); the byte
-// bound is the latency budget — it flushes before the vectored write
-// itself becomes a latency cliff for whoever's response rides last in
-// the batch. Gathering never waits: only frames already queued join a
-// batch, so batching adds no latency, it only removes syscalls.
-const (
-	maxWriteBatchFrames = 256
-	maxWriteBatchBytes  = 256 << 10
-)
-
-// writeLoop flushes encoded responses to the socket in vectored batches:
-// every frame already queued on c.out (bounded by the batch limits above)
-// is gathered into one net.Buffers and hits the wire as a single writev
-// syscall — one syscall per coalesced burst, not per response. Flushed
-// buffers return to the frame arena. On a write error it keeps draining
-// (recycling) so senders never block on a dead peer.
+// encode turns an executed task's response into a pooled frame, counts it,
+// and recycles the task header. results may alias a section's scratch
+// slice; it is encoded before returning, so the steady-state response path
+// allocates nothing: the frame returns to the arena after the flush that
+// writes it, the task header after this call.
 //
 //rtle:hotpath
-func (s *Server) writeLoop(c *conn) {
-	defer s.connsWG.Done()
-	//rtle:ignore hotalloc conn-teardown closure; runs once per connection lifetime
-	defer func() {
-		_ = c.nc.Close() // double-close on teardown is harmless
-	}()
-	frames := make([]*frameBuf, 0, maxWriteBatchFrames) //rtle:ignore hotalloc conn-lifetime gather scratch, reused for every batch
-	bufs := make(net.Buffers, maxWriteBatchFrames)      //rtle:ignore hotalloc conn-lifetime iovec backing array, reused for every batch
-	// The iovec view handed to writeBuffers must live in a conn-lifetime
-	// box: net.Buffers.WriteTo consumes the view in place through an
-	// interface, so a per-batch &view would escape — one header allocation
-	// per writev, exactly the cost this loop exists to remove.
-	view := new(net.Buffers) //rtle:ignore hotalloc conn-lifetime iovec view box, reused for every batch
-	dead := false
-	open := true
-	for open {
-		f, ok := <-c.out
-		if !ok {
-			return
-		}
-		frames = append(frames[:0], f)
-		bytes := len(f.b)
-		// Gather whatever else is already queued — never wait for more.
-	gather:
-		for len(frames) < maxWriteBatchFrames && bytes < maxWriteBatchBytes {
-			select {
-			case f2, ok2 := <-c.out:
-				if !ok2 {
-					open = false
-					break gather
-				}
-				frames = append(frames, f2)
-				bytes += len(f2.b)
-			default:
-				break gather
-			}
-		}
-		if !dead {
-			for i, fb := range frames {
-				bufs[i] = fb.b
-			}
-			*view = bufs[:len(frames)]
-			if err := writeBuffers(c.nc, view); err != nil {
-				dead = true
-			}
-			s.metrics.writeBatchFrames.Observe(int64(len(frames)))
-		}
-		for _, fb := range frames {
-			putFrame(fb)
-		}
-	}
-}
-
-// respond answers an executed task and releases its accounting, then
-// recycles the task header. results may alias a worker's scratch slice;
-// it is encoded into a pooled frame before returning, so the steady-state
-// response path allocates nothing: the frame returns to the arena after
-// the write loop's vectored flush, the task header after this call.
-//
-//rtle:hotpath
-func (s *Server) respond(t *task, results []Result, resp Response) {
+func (s *Server) encode(t *task, results []Result, resp Response) *frameBuf {
 	resp.Results = results
 	f := getFrame()
 	f.b = AppendResponse(f.b, &resp)
 	s.metrics.statuses[resp.Status].Add(1)
 	s.metrics.latency[opIndex(t.req.Op)].Observe(time.Since(t.arrived).Nanoseconds())
-	c := t.c
 	if t.sh != nil {
 		t.sh.m.inflight.Add(-1)
 	}
 	putTask(t)
-	c.send(f)
+	return f
+}
+
+// respond answers a task the slow worker executed: send, then release its
+// accounting.
+func (s *Server) respond(t *task, results []Result, resp Response) {
+	c := t.c
+	c.send(s.encode(t, results, resp))
 	c.tasks.Done()
 	s.tasksWG.Done()
 }
@@ -978,23 +946,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.repl != nil {
 			s.repl.markClosing()
 		}
-		s.closeConns()
+		s.closeConns(true)
 		return ctx.Err()
 	}
 
 	// All accepted tasks are answered and no reader can admit more (the
 	// draining flip happened under drainMu, which also pins the topology),
-	// so every queue is empty and closing them retires the workers.
-	tp := s.top()
-	for _, sh := range tp.shards {
-		close(sh.queue)
-	}
-	close(tp.slowQueue)
+	// so the slow queue is empty and closing it retires the slow worker.
+	close(s.top().slowQueue)
 	s.workersWG.Wait()
 
-	// Unblock readers parked on their sockets; writers flush what remains
-	// and exit via the closed out channels.
-	s.closeConns()
+	// Unblock readers parked on their sockets; each connection's teardown
+	// waits out its last flush before it closes the socket.
+	s.closeConns(false)
 	done := make(chan struct{})
 	go func() {
 		s.connsWG.Wait()
@@ -1007,6 +971,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		return nil
 	case <-ctx.Done():
+		s.closeConns(true)
 		return ctx.Err()
 	}
 }
@@ -1030,7 +995,7 @@ func (s *Server) Close() error {
 	if lis != nil {
 		_ = lis.Close() // net.ErrClosed on re-close is the expected teardown path
 	}
-	s.closeConns()
+	s.closeConns(true)
 	if s.repl != nil {
 		return s.repl.log.Close()
 	}
@@ -1047,8 +1012,11 @@ func (s *Server) stopCompactor() {
 	<-s.compactDone
 }
 
-// closeConns force-closes every live connection.
-func (s *Server) closeConns() {
+// closeConns unblocks every live connection's reader. hard closes the
+// sockets outright, failing any flush in progress; otherwise only the
+// reads expire, and each connection's teardown closes its socket once its
+// last flush is out.
+func (s *Server) closeConns(hard bool) {
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
 	for c := range s.conns {
@@ -1056,6 +1024,10 @@ func (s *Server) closeConns() {
 	}
 	s.mu.Unlock()
 	for _, c := range conns {
-		_ = c.nc.Close() // readers and writers observe the close and exit
+		if hard {
+			_ = c.nc.Close() // readers and flushers observe the close and exit
+		} else {
+			_ = c.nc.SetReadDeadline(time.Now()) // fails only on a closed socket
+		}
 	}
 }

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,25 +165,82 @@ func TestCoalescing(t *testing.T) {
 // flushOne admits one request the way the read loop admits a multi-shard
 // op: as a run of length one with no cached plan.
 func flushOne(srv *Server, c *conn, req Request) {
-	var run affRun
-	run.add(c, req)
-	srv.flushRun(c, &run)
+	c.run.add(c, req)
+	srv.flushRun(c)
 }
 
-// nextResponse decodes the next frame queued on c.
-func nextResponse(t *testing.T, c *conn) Response {
+// pipeConn builds a conn over the server end of a net.Pipe, with no read
+// loop, for tests that drive admission and execution directly; peer is the
+// client end. A net.Pipe has no buffer: a server write completes only once
+// the peer reads it.
+func pipeConn(t testing.TB, srv *Server) (c *conn, peer net.Conn) {
+	t.Helper()
+	server, client := net.Pipe()
+	t.Cleanup(func() {
+		_ = server.Close() // teardown of a test pipe
+		_ = client.Close() // teardown of a test pipe
+	})
+	return newConn(server, &srv.metrics, srv.cfg.Coalesce), client
+}
+
+// servePipe serves the server end of a net.Pipe through the real read loop
+// (serveConn) and runs the hello exchange on the client end, which it
+// returns with the reader positioned after the server's hello.
+func servePipe(t testing.TB, srv *Server) (peer net.Conn, fr *frameReader) {
+	t.Helper()
+	server, client := net.Pipe()
+	t.Cleanup(func() { _ = client.Close() }) // the server end belongs to its teardown
+	srv.serveConn(server)
+	if _, err := client.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})); err != nil {
+		t.Fatal(err)
+	}
+	fr = &frameReader{r: bufio.NewReader(client)}
+	payload, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeServerHello(payload); err != nil {
+		t.Fatal(err)
+	}
+	return client, fr
+}
+
+// collect decodes every response frame the server writes to peer onto the
+// returned channel, until the pipe closes.
+func collect(t testing.TB, peer net.Conn) <-chan Response {
+	resps := make(chan Response, 1024)
+	go func() {
+		defer close(resps)
+		fr := frameReader{r: bufio.NewReader(peer)}
+		for {
+			payload, err := fr.next()
+			if err != nil {
+				return
+			}
+			resp, err := DecodeResponse(payload)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resps <- resp
+		}
+	}()
+	return resps
+}
+
+// nextResponse returns the next response the server wrote.
+func nextResponse(t *testing.T, resps <-chan Response) Response {
 	t.Helper()
 	select {
-	case frame := <-c.out:
-		resp, err := DecodeResponse(frame.b[4:])
-		if err != nil {
-			t.Fatal(err)
+	case resp, ok := <-resps:
+		if !ok {
+			t.Fatal("connection closed before the response")
 		}
 		return resp
 	case <-time.After(10 * time.Second):
-		t.Fatal("no response queued")
-		return Response{}
+		t.Fatal("no response written")
 	}
+	return Response{}
 }
 
 // watchGauges samples every shard's queue-depth and in-flight gauges and the
@@ -215,36 +276,12 @@ func watchGauges(t *testing.T, m *Metrics) (stop func()) {
 }
 
 // TestBackpressure exercises the one admission function, flushRun,
-// directly. No workers are running (Listen is never called), so queues
-// only fill: a full queue must answer StatusBusy with a retry hint instead
-// of blocking, a draining server must refuse planned runs and unplanned
-// singles alike, and no rejection may leave task accounting behind.
+// directly, on a cold server (Listen is never called, so no slow worker
+// runs). The slow queue, the only queue left, only fills: a full one must
+// answer StatusBusy with a retry hint instead of blocking, a draining
+// server must refuse planned runs and unplanned singles alike, and no
+// rejection may leave task accounting behind.
 func TestBackpressure(t *testing.T) {
-	t.Run("busy", func(t *testing.T) {
-		srv, err := New(Config{Workload: "set", QueueDepth: 1, Keys: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first admission fills the queue and the second must bounce.
-		c := &conn{out: make(chan *frameBuf, 4)}
-		flushOne(srv, c, Request{ID: 1, Op: check.OpContains, Arg1: 1})
-		flushOne(srv, c, Request{ID: 2, Op: check.OpContains, Arg1: 2})
-
-		resp := nextResponse(t, c)
-		if resp.ID != 2 || resp.Status != StatusBusy {
-			t.Fatalf("second admission answered %+v, want busy for id 2", resp)
-		}
-		if resp.RetryAfterMicros < 100 {
-			t.Errorf("retry-after %dus below the floor", resp.RetryAfterMicros)
-		}
-		if resp.QueueDepth != 1 {
-			t.Errorf("queue depth %d, want 1", resp.QueueDepth)
-		}
-		if got := srv.Metrics().Responses(StatusBusy); got != 1 {
-			t.Errorf("busy responses %d, want 1", got)
-		}
-	})
-
 	// bankPair returns a bank server and two accounts that different shards
 	// own once it serves two, where a transfer between them is a slow-path
 	// op.
@@ -262,6 +299,29 @@ func TestBackpressure(t *testing.T) {
 		return nil, 0, 0
 	}
 
+	t.Run("busy", func(t *testing.T) {
+		srv, a, b := bankPair(t, 2)
+		c, peer := pipeConn(t, srv)
+		resps := collect(t, peer)
+		// The first transfer fills the slow queue and the second must bounce.
+		flushOne(srv, c, Request{ID: 1, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		flushOne(srv, c, Request{ID: 2, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+
+		resp := nextResponse(t, resps)
+		if resp.ID != 2 || resp.Status != StatusBusy {
+			t.Fatalf("second admission answered %+v, want busy for id 2", resp)
+		}
+		if resp.RetryAfterMicros < 100 {
+			t.Errorf("retry-after %dus below the floor", resp.RetryAfterMicros)
+		}
+		if resp.QueueDepth != 1 {
+			t.Errorf("queue depth %d, want 1", resp.QueueDepth)
+		}
+		if got := srv.Metrics().Responses(StatusBusy); got != 1 {
+			t.Errorf("busy responses %d, want 1", got)
+		}
+	})
+
 	t.Run("draining", func(t *testing.T) {
 		srv, a, b := bankPair(t, 2)
 		tp := srv.top()
@@ -271,17 +331,17 @@ func TestBackpressure(t *testing.T) {
 
 		// A pending three-task run with a live cached plan, then a
 		// slow-path single: the same check refuses both.
-		c := &conn{out: make(chan *frameBuf, 4)}
-		var run affRun
-		run.tp, run.sh = tp, tp.router.shardOf(a)
+		c, peer := pipeConn(t, srv)
+		resps := collect(t, peer)
+		c.run.tp, c.run.sh = tp, tp.router.shardOf(a)
 		for id := uint32(1); id <= 3; id++ {
-			run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+			c.run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
 		}
-		srv.flushRun(c, &run)
+		srv.flushRun(c)
 		flushOne(srv, c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
 
 		for id := uint32(1); id <= 4; id++ {
-			if resp := nextResponse(t, c); resp.ID != id || resp.Status != StatusShutdown {
+			if resp := nextResponse(t, resps); resp.ID != id || resp.Status != StatusShutdown {
 				t.Errorf("draining server answered %+v, want shutdown for id %d", resp, id)
 			}
 		}
@@ -295,16 +355,15 @@ func TestBackpressure(t *testing.T) {
 		srv, a, b := bankPair(t, 1)
 		// The run is planned on the one-shard generation, where even the
 		// transfers are fast-path; the reshard under it makes the flush
-		// re-plan every task: three balances compete for one shard-queue
-		// slot, two now cross-shard transfers for the one slow-queue slot.
-		c := &conn{out: make(chan *frameBuf)}
-		var run affRun
-		run.tp, run.sh = srv.top(), 0
+		// re-plan every task: the three balances execute on the reader, the
+		// two now cross-shard transfers compete for the one slow-queue slot.
+		c, peer := pipeConn(t, srv)
+		c.run.tp, c.run.sh = srv.top(), 0
 		for id := uint32(1); id <= 3; id++ {
-			run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+			c.run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
 		}
-		run.add(c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
-		run.add(c, Request{ID: 5, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		c.run.add(c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		c.run.add(c, Request{ID: 5, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
 		if err := srv.Reshard(2); err != nil {
 			t.Fatal(err)
 		}
@@ -315,34 +374,36 @@ func TestBackpressure(t *testing.T) {
 
 		flushed := make(chan struct{})
 		go func() {
-			srv.flushRun(c, &run)
+			srv.flushRun(c)
+			srv.endBurst(c)
 			close(flushed)
 		}()
-		// c.out is unbuffered, so the flush sits in its first busy send
-		// until this receive: were it answering under drainMu, the lock
-		// would still be held for the two sends to come.
-		busy := []Response{nextResponse(t, c)}
+		// Nobody reads the pipe yet, so the busy answer sits in its write:
+		// were it sent under drainMu, the lock would be held now.
+		waitFor(t, 10*time.Second, "the busy answer", func() bool { return m.Responses(StatusBusy) == 1 })
 		if !srv.drainMu.TryLock() {
 			t.Fatal("busy rejections are sent with drainMu held: a stalled peer would wedge Shutdown")
 		}
 		srv.drainMu.Unlock()
-		busy = append(busy, nextResponse(t, c), nextResponse(t, c))
+
+		resps := collect(t, peer)
+		if resp := nextResponse(t, resps); resp.ID != 5 || resp.Status != StatusBusy {
+			t.Errorf("re-planned run answered %+v first, want busy for id 5", resp)
+		}
 		<-flushed
-		for _, resp := range busy {
-			if resp.Status != StatusBusy || resp.ID == 1 || resp.ID == 4 {
-				t.Errorf("re-planned run answered %+v, want busy for ids 2, 3 and 5 only", resp)
+		for range 3 {
+			if resp := nextResponse(t, resps); resp.Status != StatusOK || resp.ID > 3 {
+				t.Errorf("re-planned run answered %+v, want ok for ids 1-3", resp)
 			}
 		}
-		if d := m.QueueDepth(); d != 2 || m.slowDepth.Load() != 1 {
-			t.Errorf("depth %d (slow %d) after the flush, want the 2 accepted tasks (1 slow)", d, m.slowDepth.Load())
+		if d := m.QueueDepth(); d != 1 || m.slowDepth.Load() != 1 {
+			t.Errorf("depth %d (slow %d) after the flush, want the 1 queued slow task", d, m.slowDepth.Load())
 		}
 
-		// Workers pick the two accepted tasks up; the gauges return to 0.
-		srv.startWorkers(srv.top())
-		for range 2 {
-			if resp := nextResponse(t, c); resp.Status != StatusOK {
-				t.Errorf("accepted task answered %+v, want ok", resp)
-			}
+		// The slow worker picks the queued transfer up; the gauges return to 0.
+		srv.startSlowWorker(srv.top())
+		if resp := nextResponse(t, resps); resp.ID != 4 || resp.Status != StatusOK {
+			t.Errorf("queued transfer answered %+v, want ok for id 4", resp)
 		}
 		c.tasks.Wait()
 		if d := m.QueueDepth(); d != 0 {
@@ -355,6 +416,189 @@ func TestBackpressure(t *testing.T) {
 			t.Errorf("Shutdown: %v", err)
 		}
 	})
+}
+
+// TestStalledClientParksOnlyItsConnection: a client that pipelines requests
+// and never reads stalls its own connection's flush, and nothing else. One
+// shard with one section: were any shared execution resource parked on the
+// stalled socket, another client of the same shard would starve.
+func TestStalledClientParksOnlyItsConnection(t *testing.T) {
+	srv, addr := startServer(t, Config{Workload: "set", Shards: 1, Workers: 1, Keys: 64})
+
+	// Client A: a small receive buffer, the hello, then requests forever,
+	// never reading an answer.
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close() // releases the stalled connection before the server's drain
+	if err := a.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&frameReader{r: a}).next(); err != nil {
+		t.Fatal(err)
+	}
+	var written atomic.Int64
+	go func() {
+		var burst []byte
+		for i := 0; ; i++ {
+			burst = burst[:0]
+			for j := 0; j < 64; j++ {
+				burst = AppendRequest(burst, &Request{ID: uint32(i*64 + j), Op: check.OpContains, Arg1: uint64(j)})
+			}
+			if _, err := a.Write(burst); err != nil {
+				return
+			}
+			written.Add(1)
+		}
+	}()
+	// A is stalled once every buffer between the two ends is full: its
+	// writes stop, and so does the server's reading of them.
+	progress := func() [2]uint64 {
+		return [2]uint64{uint64(written.Load()), srv.Metrics().Requests(check.OpContains)}
+	}
+	for last, deadline := progress(), time.Now().Add(20*time.Second); ; {
+		time.Sleep(200 * time.Millisecond)
+		now := progress()
+		if now == last {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("client A never stalled")
+		}
+		last = now
+	}
+
+	// Client B, on the same shard, is answered promptly.
+	b, err := DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 100; i++ {
+			resp, err := b.Op(check.OpInsert, uint64(i%64), 0, 0)
+			if err == nil && resp.Status != StatusOK {
+				err = fmt.Errorf("op %d answered %v beside the stalled client", i, resp.Status)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a client of the same shard starved behind a client that stopped reading")
+	}
+}
+
+// settledGoroutines waits for the goroutine count to hold still for 20 ms
+// (earlier tests' teardowns finishing) and returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// expectGoroutines waits up to 5 s for the goroutine count to reach want.
+func expectGoroutines(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGoroutineBudget pins what serving costs in goroutines: a connection
+// costs one, its reader, and a shard costs none — beyond the connections,
+// a server runs its acceptor and its generation's one slow worker,
+// whatever its shard and section counts.
+func TestGoroutineBudget(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base := settledGoroutines()
+			_, addr := startServer(t, Config{Workload: "set", Shards: shards, Workers: 4, Keys: 64})
+			expectGoroutines(t, base+2, "a listening server (acceptor and slow worker)")
+			const conns = 5
+			hello := AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})
+			for i := 0; i < conns; i++ {
+				rawHelloExchange(t, addr, hello)
+			}
+			expectGoroutines(t, base+2+conns, fmt.Sprintf("%d served connections", conns))
+		})
+	}
+}
+
+// TestBurstYieldsToReshard: a reader holding its burst's answers —
+// executed, not yet flushed, still counted in tasksWG — must release them
+// before it queues behind a reshard that waits on tasksWG under the drain
+// lock; otherwise each waits on the other forever.
+func TestBurstYieldsToReshard(t *testing.T) {
+	srv, err := New(Config{Workload: "map", Keys: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, peer := pipeConn(t, srv)
+	resps := collect(t, peer)
+	tp := srv.top()
+	c.run.tp, c.run.sh = tp, 0
+	c.run.add(c, Request{ID: 1, Op: check.OpGet, Arg1: 1})
+	srv.flushRun(c) // executed; the answer is staged and the task still counted
+
+	resharded := make(chan error, 1)
+	go func() { resharded <- srv.Reshard(2) }()
+	waitFor(t, 10*time.Second, "the reshard to claim the drain lock", func() bool {
+		if srv.drainMu.TryRLock() {
+			srv.drainMu.RUnlock()
+			return false
+		}
+		return true
+	})
+
+	flushed := make(chan struct{})
+	go func() {
+		c.run.tp, c.run.sh = tp, 0
+		c.run.add(c, Request{ID: 2, Op: check.OpGet, Arg1: 1})
+		srv.flushRun(c)
+		srv.endBurst(c)
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader and the reshard wait on each other")
+	}
+	if err := <-resharded; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if resp := nextResponse(t, resps); resp.Status != StatusOK {
+			t.Errorf("answered %+v, want ok", resp)
+		}
+	}
+	if got := srv.Shards(); got != 2 {
+		t.Errorf("%d shards after the reshard, want 2", got)
+	}
 }
 
 // TestGracefulDrain checks the shutdown contract: in-flight requests are

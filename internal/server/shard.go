@@ -12,7 +12,7 @@ import (
 )
 
 // shard is one independent serving partition: its own simulated heap, ADT
-// instance, synchronization method, bounded queue, and worker pool. The
+// instance, synchronization method, and pool of sections. The
 // key-hash router sends every single-key operation to exactly one shard,
 // so shards never share simulated memory and their method instances never
 // contend — the serving-layer analogue of the paper's fine-grained
@@ -23,10 +23,16 @@ type shard struct {
 	mem    *mem.Memory
 	adt    *adt
 	method core.Method
-	queue  chan *task
+
+	// secs is the shard's pool of Config.Workers sections, each on its own
+	// core.Thread: at most that many fast-path blocks run on the shard at
+	// once. A connection's reader borrows one to execute the run it
+	// admitted and returns it before anything is flushed, so a section is
+	// never held across I/O; a reader that finds the pool empty waits.
+	secs chan *section
 
 	// gate is the shard's drain gate, the fast/slow-path split at the
-	// serving layer: workers hold it shared around every atomic block (the
+	// serving layer: readers hold it shared around every atomic block (the
 	// speculative common case, arbitrarily concurrent), while the
 	// cross-shard slow path holds every involved shard's gate exclusively
 	// — in ascending shard order, so two slow operations can never
@@ -58,103 +64,53 @@ type shard struct {
 	slowEx     *executor
 }
 
-// worker executes one shard's queued tasks. Each worker owns one method
-// thread and one executor (with a handle per slot), so the pool maps onto
-// the paper's thread model: Workers concurrent critical-section executors
-// per shard.
-//
-//rtle:hotpath
-func (s *Server) worker(sh *shard) {
-	defer s.workersWG.Done()
-	sec := newSection(sh, max(s.cfg.Coalesce, MaxBatchOps))
-	group := make([]*task, 0, s.cfg.Coalesce) //rtle:ignore hotalloc worker-lifetime scratch; one group of at most Coalesce tasks at a time
-
-	for {
-		t, ok := <-sh.queue
-		if !ok {
-			return
-		}
-		// The queue carries affinity-run chains as well as lone tasks. Each
-		// task is picked up (queued → executing) only as it is detached
-		// into a group, so a carried chain remainder still reads as queue
-		// depth. Detaching before execution matters: putTask clears next,
-		// so a still-linked task would drop its tail.
-		for t != nil {
-			carry := t.next
-			t.next = nil
-			sh.pickup(t)
-			switch t.req.Op {
-			case OpPing:
-				//rtle:ignore hotalloc a ping carries no results; respond encodes nil as the empty set without growing it
-				s.respond(t, nil, Response{ID: t.req.ID, Status: StatusOK})
-			case OpBatch:
-				s.runBatch(sh, sec, t)
-			default:
-				group = append(group[:0], t)
-				// The rest of the chain fills the group first, then the
-				// queue tops it off.
-				for carry != nil && len(group) < s.cfg.Coalesce &&
-					carry.req.Op != OpPing && carry.req.Op != OpBatch {
-					nt := carry
-					carry = carry.next
-					nt.next = nil
-					sh.pickup(nt)
-					group = append(group, nt)
-				}
-				if carry == nil {
-					carry = s.fillGroup(sh, &group)
-				}
-				s.runGroup(sh, sec, group)
-			}
-			t = carry
-		}
-	}
-}
-
-// pickup accounts a task's transition from queued to executing. The depth
-// gauge was raised before the send (enqueueLocked), so it never reads
-// negative here either.
-func (sh *shard) pickup(t *task) {
-	sh.m.queueDepth.Add(-1)
-	sh.m.inflight.Add(1)
-}
-
-// fillGroup drains further single operations that are already queued into
-// group, up to Config.Coalesce in all, so one elided critical section
-// serves several pending requests. It never waits: a shallow queue yields a
-// small group. A batch or ping pulled while filling is returned for the
-// caller to run next, as is the remainder of a chain that overflows the
-// cap (not yet picked up, its links intact). Coalescing preserves
+// execute runs a run's admitted fast-path tasks, chained from t, on the
+// calling reader. Each stretch of consecutive tasks on one shard borrows
+// one of the shard's sections; its single operations run as one group
+// (a run holds at most Config.Coalesce operations, see readLoop), and a
+// ping is answered in place and a batch runs as its own block, each ending
+// the group before it. Answers are staged on c until the burst ends
+// (endBurst). Coalescing preserves
 // linearizability: every grouped operation is pending (invoked, not yet
 // answered) when the shared block commits, so placing them all at its
 // commit point respects real-time order.
-func (s *Server) fillGroup(sh *shard, group *[]*task) *task {
-	for len(*group) < s.cfg.Coalesce {
-		select {
-		case t, ok := <-sh.queue:
-			if !ok {
-				return nil
+//
+//rtle:hotpath
+func (s *Server) execute(c *conn, t *task) {
+	for t != nil {
+		sh := t.sh
+		sec := <-sh.secs
+		group := c.group[:0]
+		for t != nil && t.sh == sh {
+			// Detach before answering: encode recycles the header, next
+			// included.
+			nx := t.next
+			t.next = nil
+			sh.m.queueDepth.Add(-1)
+			sh.m.inflight.Add(1)
+			switch t.req.Op {
+			case OpPing:
+				s.runGroup(c, sh, sec, group)
+				group = group[:0]
+				c.staged = append(c.staged, s.encode(t, sec.results[:0], Response{ID: t.req.ID, Status: StatusOK}))
+			case OpBatch:
+				s.runGroup(c, sh, sec, group)
+				group = group[:0]
+				s.runBatch(c, sh, sec, t)
+			default:
+				group = append(group, t)
 			}
-			for t != nil {
-				if t.req.Op == OpPing || t.req.Op == OpBatch || len(*group) >= s.cfg.Coalesce {
-					return t
-				}
-				nx := t.next
-				t.next = nil
-				sh.pickup(t)
-				*group = append(*group, t)
-				t = nx
-			}
-		default:
-			return nil
+			t = nx
 		}
+		s.runGroup(c, sh, sec, group)
+		sh.secs <- sec
 	}
-	return nil
 }
 
-// section is what one worker runs its atomic blocks with: an executor (a
-// handle per slot), a method thread, and the scratch a block needs, reused
-// for the worker's whole life. The block's body is bound once, here: Atomic
+// section is what a reader runs its atomic blocks with: an executor (a
+// handle per slot), a method thread, and the scratch a block needs, pooled
+// on its shard for the generation's whole life. The block's body is bound
+// once, here: Atomic
 // is an interface call, so a body built per block would escape — one
 // allocation per section, the serving path's only steady-state garbage.
 type section struct {
@@ -167,8 +123,8 @@ type section struct {
 	body    func(core.Context) // exec, bound
 }
 
-// newSection builds the block runner of one worker of sh, sized for blocks
-// of up to slots operations.
+// newSection builds one pooled block runner of sh, sized for blocks of up
+// to slots operations.
 //
 //rtle:init
 func newSection(sh *shard, slots int) *section {
@@ -236,47 +192,47 @@ func (s *Server) runSection(sh *shard, sec *section, entries []BatchEntry) uint6
 	return bar
 }
 
-// runGroup executes every task of group inside one atomic block on sh,
-// then answers them.
-func (s *Server) runGroup(sh *shard, sec *section, group []*task) {
+// runGroup executes every task of group inside one atomic block on sh and
+// stages their answers on c, raising the burst's sync barrier to the
+// block's. An empty group runs nothing.
+//
+//rtle:hotpath
+func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []*task) {
+	if len(group) == 0 {
+		return
+	}
 	sec.staged = sec.staged[:0]
 	for _, t := range group {
 		sec.staged = append(sec.staged, BatchEntry{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3})
 	}
-	bar := s.runSection(sh, sec, sec.staged)
+	c.bar = max(c.bar, s.runSection(sh, sec, sec.staged))
 	if len(group) > 1 {
 		sh.m.coalesced.Add(uint64(len(group)))
 	}
-	if !s.replWait(bar) {
-		for _, t := range group {
-			s.discard(t)
-		}
-		return
-	}
 	for i, t := range group {
-		s.respond(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
+		c.staged = append(c.staged, s.encode(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK}))
 	}
 }
 
 // runBatch executes one single-shard client batch inside one atomic block
-// — the protocol's atomicity contract — and answers with per-entry
-// results. Batches spanning several shards take the slow path instead.
-func (s *Server) runBatch(sh *shard, sec *section, t *task) {
+// — the protocol's atomicity contract — and stages its per-entry results on
+// c. Batches spanning several shards take the slow path instead.
+//
+//rtle:hotpath
+func (s *Server) runBatch(c *conn, sh *shard, sec *section, t *task) {
 	entries := t.req.Batch
-	bar := s.runSection(sh, sec, entries)
+	c.bar = max(c.bar, s.runSection(sh, sec, entries))
 	sh.m.batchOps.Add(uint64(len(entries)))
-	if !s.replWait(bar) {
-		s.discard(t)
-		return
-	}
-	s.respond(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
+	c.staged = append(c.staged, s.encode(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK}))
 }
 
 // replWait blocks until the barrier sequence is acknowledged (sync ack
 // mode; a no-op otherwise). A false return means the wait was abandoned
-// by server teardown: the caller must discard the task instead of
-// answering it — the write may never reach a replica, so a response
-// would be an acknowledgement the surviving side cannot honor.
+// by server teardown: the caller must drop the answers it holds instead of
+// sending them — the write may never reach a replica, so a response would
+// be an acknowledgement the surviving side cannot honor. The slow worker
+// waits once per task; a reader once per burst (endBurst), for the highest
+// barrier among the burst's blocks.
 func (s *Server) replWait(bar uint64) bool {
 	if s.repl == nil {
 		return true
@@ -377,7 +333,7 @@ func (tp *topology) unlockSpans(spans []int) {
 // shards: withdraw on the source shard, then deposit on the destination,
 // each its own atomic block, both under the two shards' exclusive gates.
 // Holding both gates for the whole sequence makes the pair observably
-// atomic — no fast-path worker (and hence no client-visible operation)
+// atomic — no fast-path block (and hence no client-visible operation)
 // can read either shard between the halves — so the bank's conservation
 // invariant is never visibly broken, exactly as if TransferCS had run in
 // one block.

@@ -219,12 +219,14 @@ func TestCrossShardTransferBatch(t *testing.T) {
 	}
 }
 
-// TestWorkerDrain holds the worker loop to its contract: take one task,
-// fold in whatever single operations are already queued up to
-// Config.Coalesce, never wait for more, and run a ping or batch pulled
-// mid-fill next, picking it up exactly once. Requests are admitted on a cold
-// server (Listen is never called) and one worker is started on the full
-// queue, so the grouping is deterministic.
+// TestWorkerDrain holds the reader's execution to its contract, through
+// the real read loop over a net.Pipe: a pipelined burst runs in groups of
+// at most Config.Coalesce single operations, a ping or batch ends the
+// group before it and runs on its own, and every answer leaves in the
+// burst's flush. The whole burst is written at once, so the grouping is
+// deterministic. Shutdown is called while that flush is blocked on the
+// unread pipe, and must not return before every accepted request's answer
+// has been written.
 func TestWorkerDrain(t *testing.T) {
 	get := Request{Op: check.OpGet, Arg1: 1}
 	gets := []Request{get, get, get, get, get, get, get, get}
@@ -249,40 +251,54 @@ func TestWorkerDrain(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := &conn{out: make(chan *frameBuf, len(tc.reqs))}
-			for i, req := range tc.reqs {
-				req.ID = uint32(i + 1)
-				flushOne(srv, c, req)
-			}
 			m := srv.Metrics()
-			sm := m.Shards()[0]
-			if d := sm.queueDepth.Load(); d != int64(len(tc.reqs)) {
-				t.Fatalf("queue depth %d after %d admissions", d, len(tc.reqs))
-			}
-
 			// The gauges must never read negative, whoever looks.
 			stopWatch := watchGauges(t, m)
-			srv.startWorkers(srv.top())
-			for range tc.reqs {
-				if resp := nextResponse(t, c); resp.Status != StatusOK {
-					t.Errorf("queued request answered %+v, want ok", resp)
+			defer stopWatch()
+
+			peer, fr := servePipe(t, srv)
+			var burst []byte
+			for i, req := range tc.reqs {
+				req.ID = uint32(i + 1)
+				burst = AppendRequest(burst, &req)
+			}
+			if _, err := peer.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			// Every block has run once the sections are counted; the answers
+			// then wait in the burst's flush, which nobody reads yet.
+			waitFor(t, 10*time.Second, "the burst's sections", func() bool { return m.Sections() == tc.sections })
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			shut := make(chan error, 1)
+			go func() { shut <- srv.Shutdown(ctx) }()
+			for i := range tc.reqs {
+				select {
+				case err := <-shut:
+					t.Fatalf("Shutdown returned (%v) with %d of %d answers unwritten", err, len(tc.reqs)-i, len(tc.reqs))
+				default:
+				}
+				payload, err := fr.next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp, err := DecodeResponse(payload); err != nil || resp.Status != StatusOK {
+					t.Errorf("queued request answered %+v (%v), want ok", resp, err)
 				}
 			}
-			c.tasks.Wait()
-			stopWatch()
+			if err := <-shut; err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
 			if got := m.Sections(); got != tc.sections {
 				t.Errorf("%d sections, want %d", got, tc.sections)
 			}
 			if got := m.Coalesced(); got != tc.coalesced {
 				t.Errorf("%d coalesced operations, want %d", got, tc.coalesced)
 			}
+			sm := m.Shards()[0]
 			if q, in, slow := sm.queueDepth.Load(), sm.inflight.Load(), m.slowDepth.Load(); q != 0 || in != 0 || slow != 0 {
 				t.Errorf("queue depth %d, inflight %d, slow depth %d after every answer, want 0", q, in, slow)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Errorf("Shutdown: %v", err)
 			}
 		})
 	}

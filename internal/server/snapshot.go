@@ -291,23 +291,19 @@ func (s *Server) swapTopology(nt *topology) error {
 }
 
 // swapTopologyLocked retires the live generation and installs nt: close
-// the old queues (empty — admission is quiesced and accepted tasks have
-// drained), retire the old worker pools, swap the pointer, attach the new
-// metric blocks, and start the new pools. Caller holds drainMu
+// the old slow queue (empty — admission is quiesced and accepted tasks have
+// drained), retire the old slow worker, swap the pointer, attach the new
+// metric blocks, and start the new slow worker. Caller holds drainMu
 // exclusively with tasksWG drained.
 func (s *Server) swapTopologyLocked(nt *topology) {
-	old := s.top()
 	if s.started {
-		for _, sh := range old.shards {
-			close(sh.queue)
-		}
-		close(old.slowQueue)
+		close(s.top().slowQueue)
 		s.workersWG.Wait()
 	}
 	s.topo.Store(nt)
 	s.metrics.attach(nt.shardMetrics())
 	if s.started {
-		s.startWorkers(nt)
+		s.startSlowWorker(nt)
 	}
 }
 

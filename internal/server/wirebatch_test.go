@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"net"
@@ -104,105 +104,238 @@ func TestWriteBuffersNoProgress(t *testing.T) {
 }
 
 // TestFramePoolTeardownRace hammers the pooled response path from several
-// pipelined connections and tears the server down hard mid-flight. The
-// interesting properties are invisible on success and loud under -race: no
-// frame is recycled while the write loop still holds it, the dead-drain
-// branch keeps recycling after the socket dies, and no worker sends on a
-// closed out channel.
+// pipelined net.Pipe connections and tears the server down hard mid-flight.
+// The interesting properties are invisible on success and loud under
+// -race: no frame is recycled while a flush still holds it, the dead queue
+// keeps recycling after the socket dies, no sender blocks on a dead peer,
+// and every connection's teardown completes.
 func TestFramePoolTeardownRace(t *testing.T) {
 	srv, err := New(Config{Workload: "set", Keys: 128, Workers: 2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve() }()
-
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
-		wg.Add(1)
+		peer, fr := servePipe(t, srv)
+		wg.Add(2)
 		go func(seed uint64) {
 			defer wg.Done()
-			c, err := DialContext(context.Background(), addr.String())
-			if err != nil {
-				return // the server may already be tearing down
-			}
-			defer c.Close()
-			var res [1]Result
-			var req Request
+			var buf []byte
 			for j := uint64(0); j < 500; j++ {
-				req = Request{Op: check.OpInsert, Arg1: (seed*131 + j) % 128}
+				req := Request{ID: uint32(j), Op: check.OpInsert, Arg1: (seed*131 + j) % 128}
 				if j%3 == 0 {
 					req.Op = check.OpContains
 				}
-				if _, err := c.DoInto(&req, res[:]); err != nil {
+				buf = AppendRequest(buf[:0], &req)
+				if _, err := peer.Write(buf); err != nil {
 					return // teardown reached this connection
 				}
 			}
 		}(uint64(i))
+		go func() {
+			defer wg.Done()
+			for {
+				if _, err := fr.next(); err != nil {
+					return
+				}
+			}
+		}()
 	}
 
 	// Let the load ramp, then yank everything out from under it.
 	time.Sleep(5 * time.Millisecond)
 	_ = srv.Close()
 	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		srv.connsWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a connection's teardown never finished after Close")
+	}
 }
 
 // TestAffinityRunDelivery pushes a deeply pipelined single-shard burst
-// through a live server and checks the affinity path actually engaged: the
-// ops all complete, and the affine counters account a multi-op run.
+// through the read loop and checks runs actually formed: every op
+// completes, each on a run planned onto its shard, and runs hold more than
+// one op — at most Config.Coalesce.
 func TestAffinityRunDelivery(t *testing.T) {
 	srv, err := New(Config{Workload: "set", Keys: 64, Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve() }()
 	defer srv.Close()
+	peer, fr := servePipe(t, srv)
 
-	c, err := DialContext(context.Background(), addr.String())
-	if err != nil {
+	// One write carries the whole burst, so frames sit buffered in the
+	// server's reader — the condition runs grow on. A net.Pipe write waits
+	// for the reader, and the reader answers as it goes, so the answers are
+	// read concurrently.
+	const ops = 2000
+	var burst []byte
+	for j := 0; j < ops; j++ {
+		burst = AppendRequest(burst, &Request{ID: uint32(j), Op: check.OpInsert, Arg1: uint64(j % 64)})
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := peer.Write(burst)
+		wrote <- err
+	}()
+	for j := 0; j < ops; j++ {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := DecodeResponse(payload); err != nil || resp.Status != StatusOK {
+			t.Fatalf("op answered %+v (%v), want ok", resp, err)
+		}
+	}
+	if err := <-wrote; err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	// Pipeline from many goroutines over one connection so bursts of
-	// frames sit buffered in the server's reader — the condition affinity
-	// runs chain on.
-	const ops = 2000
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var res [1]Result
-			var req Request
-			for j := 0; j < ops/16; j++ {
-				req = Request{Op: check.OpInsert, Arg1: uint64((g*97 + j) % 64)}
-				resp, err := c.DoInto(&req, res[:])
-				if err != nil {
-					t.Errorf("op failed: %v", err)
-					return
-				}
-				if resp.Status != StatusOK && resp.Status != StatusBusy {
-					t.Errorf("op answered %v", resp.Status)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 
 	m := srv.Metrics()
-	if m.affineOps.Load() == 0 {
-		t.Error("a 16-deep pipelined single-shard burst never took the affinity run path")
+	if got := m.affineOps.Load(); got != ops {
+		t.Errorf("%d ops ran in planned runs, want all %d", got, ops)
 	}
-	if runs := m.affineRuns.Load(); runs > 0 && m.affineOps.Load() <= runs {
-		t.Errorf("affine ops %d never exceeded runs %d: chains all had length 1", m.affineOps.Load(), runs)
+	runs := m.affineRuns.Load()
+	if runs == 0 || m.affineOps.Load() <= runs {
+		t.Errorf("affine ops %d never exceeded runs %d: runs all had length 1", m.affineOps.Load(), runs)
 	}
+	if fewest := uint64(ops / srv.cfg.Coalesce); runs < fewest {
+		t.Errorf("%d runs for %d ops: a run outgrew Coalesce %d", runs, ops, srv.cfg.Coalesce)
+	}
+}
+
+// TestFlushCombining holds the output queue to its contract over a
+// net.Pipe, whose writes complete only as the peer reads: concurrent
+// senders each get every frame written exactly once, whole and in their own
+// order; a frame queued during another goroutine's flush is written by that
+// flush before it clears flushing; and after a write error the frames are
+// recycled and no sender blocks.
+func TestFlushCombining(t *testing.T) {
+	// frame encodes (sender, seq) as one response frame.
+	frame := func(sender, seq int) *frameBuf {
+		f := getFrame()
+		f.b = AppendResponse(f.b, &Response{ID: uint32(sender<<16 | seq), Status: StatusOK})
+		return f
+	}
+
+	t.Run("senders", func(t *testing.T) {
+		server, peer := net.Pipe()
+		defer server.Close()
+		defer peer.Close()
+		c := newConn(server, &Metrics{}, 8)
+		const senders, each = 8, 200
+		var wg sync.WaitGroup
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					c.send(frame(g, i))
+				}
+			}(g)
+		}
+		next := make([]int, senders)
+		fr := frameReader{r: bufio.NewReader(peer)}
+		for n := 0; n < senders*each; n++ {
+			payload, err := fr.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := DecodeResponse(payload)
+			if err != nil {
+				t.Fatalf("frame %d torn: %v", n, err)
+			}
+			g, seq := int(resp.ID>>16), int(resp.ID&0xffff)
+			if g >= senders || seq != next[g] {
+				t.Fatalf("sender %d frame %d arrived, want its frame %d", g, seq, next[g])
+			}
+			next[g]++
+		}
+		wg.Wait()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.flushing || len(c.pending) != 0 {
+			t.Errorf("queue left flushing=%v with %d frames after every send returned", c.flushing, len(c.pending))
+		}
+	})
+
+	t.Run("joins-running-flush", func(t *testing.T) {
+		server, peer := net.Pipe()
+		defer server.Close()
+		defer peer.Close()
+		c := newConn(server, &Metrics{}, 8)
+		first := make(chan struct{})
+		go func() {
+			c.send(frame(0, 0)) // blocks in its write: nobody reads yet
+			close(first)
+		}()
+		waitFor(t, 10*time.Second, "the first flush", func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return c.flushing
+		})
+		c.send(frame(1, 0)) // must join the running flush and return at once
+		fr := frameReader{r: bufio.NewReader(peer)}
+		for _, want := range []uint32{0, 1 << 16} {
+			payload, err := fr.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := DecodeResponse(payload); err != nil || resp.ID != want {
+				t.Fatalf("read %+v (%v), want id %#x", resp, err, want)
+			}
+		}
+		<-first
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.flushing || len(c.pending) != 0 {
+			t.Errorf("the flusher returned with flushing=%v and %d frames queued", c.flushing, len(c.pending))
+		}
+	})
+
+	t.Run("write-error", func(t *testing.T) {
+		server, peer := net.Pipe()
+		defer server.Close()
+		c := newConn(server, &Metrics{}, 8)
+		// One flusher stuck on the unread pipe, senders queued up behind it
+		// past the bound, then the peer goes away.
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 2*maxQueuedFrames; i++ {
+					c.send(frame(g, i))
+				}
+			}(g)
+		}
+		waitFor(t, 10*time.Second, "a full queue behind the stuck flush", func() bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			return len(c.pending) == maxQueuedFrames
+		})
+		_ = peer.Close()
+		done := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a sender blocked on a dead connection")
+		}
+		c.send(frame(9, 0)) // a dead queue recycles at once
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !c.dead || c.flushing || len(c.pending) != 0 {
+			t.Errorf("after the write error: dead=%v flushing=%v, %d frames still queued", c.dead, c.flushing, len(c.pending))
+		}
+	})
 }
