@@ -45,10 +45,12 @@ microbench:
 		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
 
 # fuzz-short runs each fuzz target over the bytes the serving layer parses
-# for ten seconds (CI's step): the request decoder and the frame reader.
+# for ten seconds (CI's step): the request decoder, the frame reader and
+# the response decoder.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/server
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated
 # workloads, one result line each. benchmark/ is its own module, so root

@@ -7,10 +7,11 @@
 // requests take an ordered-drain slow path. Each connection costs one
 // goroutine: its reader folds up to -coalesce consecutive operations of a
 // pipelined burst that route to one shard into one shared atomic block,
-// runs it on a section borrowed from that shard, and writes the burst's
-// answers in one vectored flush. The cross-shard slow queue is bounded by
-// -queue; when it is full the server answers StatusBusy with a
-// queue-depth-aware retry hint. SIGINT/SIGTERM drain gracefully: accepted
+// runs it on a section borrowed from that shard — or runs a cross-shard
+// request itself under the involved shards' exclusive gates, taken in
+// ascending order — and writes the burst's answers in one vectored flush.
+// Nothing is refused for load: a client that outpaces the server is slowed
+// by TCP on its own connection. SIGINT/SIGTERM drain gracefully: accepted
 // requests on every shard are answered on the wire before the listener and
 // connections close.
 //
@@ -72,7 +73,6 @@ func main() {
 	method := flag.String("method", "FG-TLE(256)", "synchronization method (Lock, TLE, HLE, RW-TLE, FG-TLE(N), FG-TLE(adaptive), ALE(N), NOrec, RHNOrec)")
 	shards := flag.Int("shards", 1, "independent ADT partitions (consistent-hash routed)")
 	workers := flag.Int("workers", 4, "sections per shard: concurrent atomic blocks a shard runs")
-	queue := flag.Int("queue", 256, "cross-shard slow-queue bound (busy answers beyond)")
 	coalesce := flag.Int("coalesce", 8, "maximum single ops per shared atomic block, the longest run a reader admits (1: uncoalesced)")
 	keys := flag.Int("keys", 0, "key space (set/map) or account count (bank); 0 picks the default")
 	attempts := flag.Int("attempts", core.DefaultAttempts, "HTM attempts before lock fallback")
@@ -111,7 +111,6 @@ func main() {
 		Method:       *method,
 		Shards:       *shards,
 		Workers:      *workers,
-		QueueDepth:   *queue,
 		Coalesce:     *coalesce,
 		Keys:         *keys,
 		Policy:       core.Policy{Attempts: *attempts, LazySubscription: *lazy},
@@ -182,8 +181,8 @@ loop:
 	}
 
 	m := srv.Metrics()
-	fmt.Fprintf(os.Stderr, "rtled: served %d sections, %d coalesced ops, %d cross-shard ops, %d busy rejections\n",
-		m.Sections(), m.Coalesced(), m.CrossShard(), m.Responses(server.StatusBusy))
+	fmt.Fprintf(os.Stderr, "rtled: served %d sections, %d coalesced ops, %d cross-shard ops\n",
+		m.Sections(), m.Coalesced(), m.CrossShard())
 	if d := srv.Director(); d != nil {
 		fmt.Fprintf(os.Stderr, "rtled: fault director injected %d aborts, %d lock spikes\n",
 			d.TotalInjected(), d.LockSpins())

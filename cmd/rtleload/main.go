@@ -6,8 +6,7 @@
 // partitions for set/map, whole-history for bank). Read-only witness
 // batches additionally validate the batch atomicity contract (duplicate
 // reads inside one batch must agree; a bank batch must observe conserved
-// total money). StatusBusy rejections are absorbed by retry below the
-// recording layer.
+// total money).
 //
 // The process exits non-zero if the history is not linearizable, a witness
 // is violated, or the run errors — so CI can gate on it directly.
@@ -94,8 +93,8 @@ func main() {
 	}
 
 	fmt.Printf("rtleload: server advertises %d shard(s)\n", res.Shards)
-	fmt.Printf("rtleload: %d ops in %v (%.0f ops/sec), %d witness batches, %d busy retries, %d rejected\n",
-		res.Ops, res.Elapsed.Round(time.Millisecond), res.Throughput(), res.Batches, res.BusyRetries, res.Rejected)
+	fmt.Printf("rtleload: %d ops in %v (%.0f ops/sec), %d witness batches, %d rejected\n",
+		res.Ops, res.Elapsed.Round(time.Millisecond), res.Throughput(), res.Batches, res.Rejected)
 	fmt.Printf("rtleload: latency p50 %.3gms p99 %.3gms max-bucket %.3gms\n",
 		res.Percentile(0.50)*1e3, res.Percentile(0.99)*1e3, res.Percentile(1.0)*1e3)
 	if len(addrs) > 1 {

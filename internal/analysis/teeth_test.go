@@ -98,10 +98,10 @@ func TestSuiteTeeth(t *testing.T) {
 		{
 			name: "loggate/append-after-release",
 			file: "shard.go",
-			old: `	bar := s.replAppendSlow(tp, spans, ops)
-	tp.unlockSpans(spans)`,
-			new: `	tp.unlockSpans(spans)
-	bar := s.replAppendSlow(tp, spans, ops)`,
+			old: `	bar := s.replAppendSlow(tp, t.spans, ops)
+	tp.unlockSpans(t.spans)`,
+			new: `	tp.unlockSpans(t.spans)
+	bar := s.replAppendSlow(tp, t.spans, ops)`,
 			analyzer: loggate.Analyzer,
 			want:     "outside a held gate region",
 		},

@@ -345,8 +345,7 @@ func (c *Client) send(req *Request, res []Result) (*pendingCall, error) {
 
 // Do issues req and blocks for its response. The request's ID field is
 // assigned by the client. Status is reported through the Response, not the
-// error: a StatusBusy rejection is a normal response here, and retrying is
-// the caller's policy.
+// error.
 //
 //rtle:hotpath
 func (c *Client) Do(req *Request) (Response, error) {

@@ -117,8 +117,6 @@ type LoadResult struct {
 	Ops uint64
 	// Batches counts witness batches that completed OK.
 	Batches uint64
-	// BusyRetries counts StatusBusy rejections absorbed by retry.
-	BusyRetries uint64
 	// Rejected counts operations abandoned on StatusShutdown/StatusBad.
 	Rejected uint64
 	// Elapsed is the issuing phase's wall time.
@@ -221,7 +219,6 @@ type loadState struct {
 	outage    atomic.Bool // a disruption window is open (cheap gate for noteHealthy)
 
 	mu          sync.Mutex
-	busy        uint64
 	rejected    uint64
 	batches     uint64
 	cut         uint64
@@ -379,7 +376,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	res := &LoadResult{
 		Ops:               0,
 		Batches:           st.batches,
-		BusyRetries:       st.busy,
 		Rejected:          st.rejected,
 		Elapsed:           elapsed,
 		Shards:            clients[0].ServerShards(),
@@ -470,9 +466,8 @@ const (
 // generator's whole response policy, for recorded operations and witness
 // batches alike. What the server rejected before execution is re-issued
 // here, below the recording layer, which is sound for exactly that reason:
-// a StatusBusy request after the server's retry hint, and a not-primary
-// rejection once the promotion lands. The failover client classifies the
-// latter as a typed ErrNotPrimary — not string-matched, so it survives
+// a not-primary rejection, once the promotion lands. The failover client
+// classifies it as a typed ErrNotPrimary — not string-matched, so it survives
 // message rewording — and a plain client never re-issues it: with one
 // address there is no successor to wait for, and the status fails the run.
 func (st *loadState) issue(c loadConn, req *Request, res []Result) (Response, outcome) {
@@ -492,13 +487,6 @@ func (st *loadState) issue(c loadConn, req *Request, res []Result) (Response, ou
 		case err != nil:
 			st.fail(err)
 			return resp, failed
-		case resp.Status == StatusBusy:
-			st.count(&st.busy)
-			backoff := time.Duration(resp.RetryAfterMicros) * time.Microsecond
-			if backoff > 20*time.Millisecond {
-				backoff = 20 * time.Millisecond
-			}
-			time.Sleep(backoff)
 		default:
 			st.count(&st.rejected)
 			if resp.Status != StatusShutdown {

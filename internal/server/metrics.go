@@ -61,8 +61,8 @@ type ShardMetrics struct {
 	slowBlocks atomic.Uint64 // atomic blocks run on this shard by the cross-shard slow path
 
 	// ewmaServiceNanos is the decayed mean wall time of one atomic block
-	// on this shard — fast and slow paths alike — the basis of the
-	// retry-after hint, which prices total shard occupancy.
+	// on this shard — fast and slow paths alike — exported as an
+	// observability gauge of shard occupancy.
 	ewmaServiceNanos atomic.Int64
 }
 
@@ -80,24 +80,6 @@ func ewmaFold(v *atomic.Int64, sample int64) {
 
 // observeService folds one atomic block's wall time into the service EWMA.
 func (m *ShardMetrics) observeService(nanos int64) { ewmaFold(&m.ewmaServiceNanos, nanos) }
-
-// retryAfterMicros estimates when the slow queue frees a slot: the backlog
-// ahead of a rejected request, paced by this shard's decayed per-block
-// service time (the one slow worker takes the queue a task at a time).
-func (m *ShardMetrics) retryAfterMicros(backlog int64) uint32 {
-	svc := m.ewmaServiceNanos.Load()
-	if svc <= 0 {
-		svc = 50_000 // no samples yet: a conservative 50us guess
-	}
-	micros := backlog * svc / 1_000
-	if micros < 100 {
-		micros = 100
-	}
-	if micros > 1_000_000 {
-		micros = 1_000_000
-	}
-	return uint32(micros)
-}
 
 // Metrics is the server's wire-level metric registry, exposed next to the
 // obs.Registry series on /metrics. Connection- and protocol-level series
@@ -118,9 +100,7 @@ type Metrics struct {
 	// (missing hello, unsupported version).
 	helloRejects atomic.Uint64
 
-	// Cross-shard slow path.
-	slowDepth atomic.Int64  // slow-path tasks accepted, not yet picked up
-	crossOps  atomic.Uint64 // operations answered via the slow path
+	crossOps atomic.Uint64 // operations answered via the cross-shard slow path
 
 	// latency is the queue-to-response service latency per op slot.
 	latency [numOps]obs.Histogram
@@ -167,9 +147,9 @@ func (m *Metrics) Latency(op Op) obs.LatencySnapshot {
 }
 
 // QueueDepth returns the accepted-but-not-started request count: every
-// shard's admitted requests waiting for a section, plus the slow queue.
+// shard's admitted requests waiting for a section.
 func (m *Metrics) QueueDepth() int64 {
-	d := m.slowDepth.Load()
+	var d int64
 	for _, s := range m.Shards() {
 		d += s.queueDepth.Load()
 	}
@@ -229,13 +209,13 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	}
 
 	p.Family("rtled_responses_total", "counter", "Responses sent, by status.")
-	for s := 0; s < len(m.statuses); s++ {
-		p.Sample(m.statuses[s].Load(), "status", Status(s).String())
+	for _, s := range [...]Status{StatusOK, StatusBad, StatusShutdown, StatusNotPrimary} {
+		p.Sample(m.statuses[s].Load(), "status", s.String())
 	}
 
 	p.Metric("rtled_bad_requests_total", "counter", "Frames rejected at decode or validation.", m.badOps.Load())
 	p.Metric("rtled_hello_rejects_total", "counter", "Connections refused at version negotiation.", m.helloRejects.Load())
-	p.Metric("rtled_queue_depth", "gauge", "Accepted requests not yet executing (shard backlogs and the slow queue).", m.QueueDepth())
+	p.Metric("rtled_queue_depth", "gauge", "Accepted requests waiting for a shard section.", m.QueueDepth())
 	p.Metric("rtled_cross_shard_total", "counter", "Operations answered via the cross-shard slow path.", m.crossOps.Load())
 
 	// Per-shard execution families: the unlabelled line is the merged

@@ -54,14 +54,15 @@
 //	u32 id | u8 status | body
 //
 // StatusOK carries one `u64 ret | u8 ok` result pair for a single
-// operation, `u16 n` pairs for a batch, and nothing for a ping. StatusBusy
-// is the backpressure signal: the request was rejected before execution
-// (it had no effect) and the body is `u32 retry-after-micros | u32 queue
-// depth`, the server's own estimate of when capacity frees up. StatusBad,
+// operation, `u16 n` pairs for a batch, and nothing for a ping. StatusBad,
 // StatusShutdown, and StatusNotPrimary carry a `u16 len | bytes` message;
 // StatusShutdown means the server is draining and will not accept further
 // work, StatusNotPrimary that this server is a replica (the request was
-// rejected before execution — retry against the current primary).
+// rejected before execution — retry against the current primary). The
+// server refuses nothing for load: a client that outpaces it is slowed by
+// TCP on its own connection. Status code 1 is reserved (it was a
+// backpressure rejection no server sends any more); a frame carrying it
+// decodes as an unknown status.
 //
 // # Replication stream
 //
@@ -226,8 +227,8 @@ type Status uint8
 const (
 	// StatusOK carries the executed operation's results.
 	StatusOK Status = iota
-	// StatusBusy rejects a request under backpressure, before execution.
-	StatusBusy
+	// Code 1 is reserved (see the package documentation).
+	_
 	// StatusBad rejects a malformed or out-of-contract request.
 	StatusBad
 	// StatusShutdown rejects a request because the server is draining.
@@ -243,8 +244,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusOK:
 		return "ok"
-	case StatusBusy:
-		return "busy"
 	case StatusBad:
 		return "bad-request"
 	case StatusShutdown:
@@ -293,9 +292,6 @@ type Response struct {
 	// Results holds one entry for a single operation, len(Batch) entries
 	// for a batch, none for a ping (StatusOK only).
 	Results []Result
-	// RetryAfterMicros and QueueDepth accompany StatusBusy.
-	RetryAfterMicros uint32
-	QueueDepth       uint32
 	// Message accompanies StatusBad and StatusShutdown.
 	Message string
 }
@@ -346,9 +342,6 @@ func AppendResponse(buf []byte, r *Response) []byte {
 				buf = append(buf, 0)
 			}
 		}
-	case StatusBusy:
-		buf = binary.BigEndian.AppendUint32(buf, r.RetryAfterMicros)
-		buf = binary.BigEndian.AppendUint32(buf, r.QueueDepth)
 	default:
 		msg := r.Message
 		if len(msg) > 1<<15 {
@@ -567,13 +560,6 @@ func DecodeResponseInto(p []byte, res []Result) (Response, error) {
 				p = p[9:]
 			}
 		}
-		return r, nil
-	case StatusBusy:
-		if len(p) != 8 {
-			return r, errShort
-		}
-		r.RetryAfterMicros = binary.BigEndian.Uint32(p)
-		r.QueueDepth = binary.BigEndian.Uint32(p[4:])
 		return r, nil
 	case StatusBad, StatusShutdown, StatusNotPrimary:
 		if len(p) < 2 {

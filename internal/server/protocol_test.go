@@ -50,16 +50,19 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// roundTripResponses are the response round-trip cases; FuzzDecodeResponse
+// seeds its corpus from them.
+var roundTripResponses = []Response{
+	{ID: 1, Status: StatusOK, Results: []Result{{Ret: 7, Ok: true}}},
+	{ID: 2, Status: StatusOK}, // ping: no results
+	{ID: 3, Status: StatusOK, Results: []Result{{Ret: 1, Ok: false}, {Ret: 2, Ok: true}}},
+	{ID: 5, Status: StatusBad, Message: "key 9 outside the served key space [0,8)"},
+	{ID: 6, Status: StatusShutdown, Message: "server is draining"},
+	{ID: 7, Status: StatusNotPrimary, Message: "server is a replica of 127.0.0.1:7632"},
+}
+
 func TestResponseRoundTrip(t *testing.T) {
-	cases := []Response{
-		{ID: 1, Status: StatusOK, Results: []Result{{Ret: 7, Ok: true}}},
-		{ID: 2, Status: StatusOK}, // ping: no results
-		{ID: 3, Status: StatusOK, Results: []Result{{Ret: 1, Ok: false}, {Ret: 2, Ok: true}}},
-		{ID: 4, Status: StatusBusy, RetryAfterMicros: 1500, QueueDepth: 12},
-		{ID: 5, Status: StatusBad, Message: "key 9 outside the served key space [0,8)"},
-		{ID: 6, Status: StatusShutdown, Message: "server is draining"},
-	}
-	for _, want := range cases {
+	for _, want := range roundTripResponses {
 		frame := AppendResponse(nil, &want)
 		got, err := DecodeResponse(frame[4:])
 		if err != nil {
@@ -67,6 +70,13 @@ func TestResponseRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip %+v -> %+v", want, got)
+		}
+	}
+	// Code 1 is reserved: no status decodes from it, whatever the body.
+	for _, body := range [][]byte{nil, {0, 0, 0, 1, 0, 0, 0, 2}, {0, 0}} {
+		p := append([]byte{0, 0, 0, 9, 1}, body...)
+		if resp, err := DecodeResponse(p); err == nil {
+			t.Errorf("status 1 with a %d-byte body decoded as %+v", len(body), resp)
 		}
 	}
 }
@@ -287,6 +297,36 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, req) {
 			t.Fatalf("round trip %+v -> %+v", req, again)
+		}
+	})
+}
+
+// FuzzDecodeResponse: the response decoder never panics, whatever the
+// payload, and anything it accepts re-encodes with AppendResponse and
+// decodes back equal — except a message longer than the 32 KiB that
+// AppendResponse keeps, which comes back cut to that length.
+func FuzzDecodeResponse(f *testing.F) {
+	for i := range roundTripResponses {
+		f.Add(AppendResponse(nil, &roundTripResponses[i])[4:])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		resp, err := DecodeResponse(p)
+		if err != nil {
+			return
+		}
+		frame := AppendResponse(nil, &resp)
+		again, err := DecodeResponse(frame[4:])
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", resp, err)
+		}
+		if len(resp.Message) > 1<<15 {
+			if again.Message != resp.Message[:1<<15] {
+				t.Fatalf("a %d-byte message came back as %d bytes, want the first %d", len(resp.Message), len(again.Message), 1<<15)
+			}
+			resp.Message = again.Message
+		}
+		if !reflect.DeepEqual(again, resp) {
+			t.Fatalf("round trip %+v -> %+v", resp, again)
 		}
 	})
 }

@@ -129,42 +129,72 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 }
 
 // TestSyncAckWaitsForReplica checks sync mode's commit barrier: with a
-// live subscriber, a write releases only after the replica acknowledged
-// its log entry, so acked tracks the high-water mark with no degraded
-// releases.
+// live subscriber, every write — a put on the fast path, a cross-shard
+// transfer under exclusive gates — is answered only after the replica
+// acknowledged its log entry, so acked has reached the high-water mark
+// whenever an answer arrives, with no degraded releases.
 func TestSyncAckWaitsForReplica(t *testing.T) {
-	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplAck: "sync"})
-	replica, _ := bootRepl(t, Config{Workload: "map", Keys: 32, ReplicaOf: pAddr})
+	cases := []struct {
+		name string
+		cfg  Config
+		// write is the i'th write; cross is an account pair different
+		// shards own (bank only).
+		write func(i int, cross [2]uint64) Request
+	}{
+		{"map/1-shard", Config{Workload: "map", Keys: 32}, func(i int, _ [2]uint64) Request {
+			return Request{Op: check.OpPut, Arg1: uint64(i % 32), Arg2: uint64(i)}
+		}},
+		{"bank/2-shard", Config{Workload: "bank", Keys: 16, Shards: 2}, func(i int, cross [2]uint64) Request {
+			return Request{Op: check.OpTransfer, Arg1: cross[i%2], Arg2: cross[1-i%2], Arg3: 1}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pcfg, rcfg := tc.cfg, tc.cfg
+			pcfg.ReplAck = "sync"
+			primary, pAddr := bootRepl(t, pcfg)
+			rcfg.ReplicaOf = pAddr
+			replica, _ := bootRepl(t, rcfg)
+			var cross [2]uint64
+			if tc.cfg.Workload == "bank" {
+				cross, _ = crossShardPair(t, primary.top().router, uint64(tc.cfg.Keys))
+			}
 
-	waitFor(t, 10*time.Second, "replica subscription", func() bool {
-		primary.repl.mu.Lock()
-		n := len(primary.repl.subs)
-		primary.repl.mu.Unlock()
-		return n == 1
-	})
+			waitFor(t, 10*time.Second, "replica subscription", func() bool {
+				primary.repl.mu.Lock()
+				n := len(primary.repl.subs)
+				primary.repl.mu.Unlock()
+				return n == 1
+			})
 
-	c, err := DialContext(context.Background(), pAddr)
-	if err != nil {
-		t.Fatal(err)
+			c, err := DialContext(context.Background(), pAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < 50; i++ {
+				req := tc.write(i, cross)
+				if resp, err := c.Op(req.Op, req.Arg1, req.Arg2, req.Arg3); err != nil || resp.Status != StatusOK {
+					t.Fatalf("write %d: %v / %v", i, err, resp.Status)
+				}
+				// Only this client writes: the high water is this write's entry.
+				hw := primary.repl.log.HighWater()
+				if hw == 0 {
+					t.Fatalf("no log entry after write %d", i)
+				}
+				if acked := primary.repl.minAcked(); acked < hw {
+					t.Fatalf("sync mode answered write %d at acked %d < high water %d", i, acked, hw)
+				}
+			}
+			if d := primary.repl.degraded.Load(); d != 0 {
+				t.Errorf("%d degraded releases with a live subscriber", d)
+			}
+			if tc.cfg.Workload == "bank" && primary.Metrics().CrossShard() != 50 {
+				t.Errorf("%d cross-shard ops, want the 50 transfers", primary.Metrics().CrossShard())
+			}
+			waitFor(t, 10*time.Second, "replica catch-up", caughtUp(primary, replica))
+		})
 	}
-	defer c.Close()
-	for i := 0; i < 50; i++ {
-		if resp, err := c.Op(check.OpPut, uint64(i%32), uint64(i), 0); err != nil || resp.Status != StatusOK {
-			t.Fatalf("put %d: %v / %v", i, err, resp.Status)
-		}
-	}
-
-	hw := primary.repl.log.HighWater()
-	if hw == 0 {
-		t.Fatal("no log entries after 50 writes")
-	}
-	if acked := primary.repl.minAcked(); acked < hw {
-		t.Errorf("sync mode released writes at acked %d < high water %d", acked, hw)
-	}
-	if d := primary.repl.degraded.Load(); d != 0 {
-		t.Errorf("%d degraded releases with a live subscriber", d)
-	}
-	waitFor(t, 10*time.Second, "replica catch-up", caughtUp(primary, replica))
 }
 
 // TestSyncAckDegradedWithoutReplica checks sync mode's availability

@@ -175,7 +175,7 @@ func (s *Server) bootstrapFromSnapshot(sn *snap.Snapshot) error {
 
 // applyEntry validates one log entry against the serving contract and
 // replays it through the cross-shard machinery, under the involved
-// shards' exclusive gates — the replica-side mirror of runSlowBatch,
+// shards' exclusive gates — the replica-side mirror of runCross,
 // which makes replay serialization a superset of the primary's: whatever
 // interleaving produced the block, executing it alone under exclusive
 // gates reproduces its effect. Validation first: the entry came off the

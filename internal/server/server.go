@@ -31,7 +31,8 @@ type Config struct {
 	// Shards is the number of independent ADT partitions, each with its
 	// own simulated heap, method instance, and pool of sections.
 	// Single-key operations route to their key's shard by consistent hash;
-	// multi-key operations spanning shards take a slower quiescing path
+	// multi-key operations spanning shards take a slower quiescing path,
+	// run by the admitting reader under those shards' exclusive gates
 	// (default 1: the unsharded server).
 	Shards int
 	// Workers bounds each shard's concurrent elided critical sections: the
@@ -40,10 +41,6 @@ type Config struct {
 	// it admitted. A reader that finds the pool empty waits, which
 	// backpressures its own connection through TCP (default 4).
 	Workers int
-	// QueueDepth bounds the cross-shard slow queue, the only queue left:
-	// fast-path requests execute on their connection's reader. A full slow
-	// queue rejects with StatusBusy and a retry-after hint (default 256).
-	QueueDepth int
 	// Coalesce is the maximum number of single operations one atomic block
 	// serves, and so the longest run a reader admits before executing it:
 	// consecutive operations of one pipelined burst that route to the same
@@ -109,9 +106,6 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.Coalesce <= 0 {
 		c.Coalesce = 8
 	}
@@ -133,21 +127,15 @@ func (c *Config) fill() {
 	}
 }
 
-// topology is one generation of the serving plane: the key router, the
-// shard set it routes over, and the cross-shard slow queue. Admission
-// reads the live generation through Server.topo under drainMu; Reshard
-// builds a new generation offline, migrates the state into it through a
-// snapshot, and swaps the pointer while admission is quiesced and every
-// accepted task is released — so a task always executes on the generation
-// that admitted it, and the slow worker only ever drains its own
-// generation's queue.
+// topology is one generation of the serving plane: the key router and the
+// shard set it routes over. Admission reads the live generation through
+// Server.topo under drainMu; Reshard builds a new generation offline,
+// migrates the state into it through a snapshot, and swaps the pointer
+// while admission is quiesced and every accepted task is released — so a
+// task always executes on the generation that admitted it.
 type topology struct {
 	router *router
 	shards []*shard
-
-	// slowQueue feeds this generation's cross-shard slow path (multi-shard
-	// transfers and batches).
-	slowQueue chan *task
 }
 
 // shardMetrics collects the per-shard metric blocks in shard order.
@@ -159,10 +147,11 @@ func (tp *topology) shardMetrics() []*ShardMetrics {
 	return sms
 }
 
-// Server is the TCP serving layer: an acceptor, one goroutine per
-// connection that reads, executes and answers its requests on pooled
+// Server is the TCP serving layer: an acceptor, and one goroutine per
+// connection that reads, executes and answers its requests — on pooled
 // per-shard sections over independently elided data-structure partitions,
-// and one slow worker per generation for cross-shard operations.
+// or, for a cross-shard operation, under the exclusive gates of the shards
+// it spans.
 type Server struct {
 	cfg      Config
 	director *fault.Director
@@ -187,13 +176,9 @@ type Server struct {
 	// reason: after the flip, no admission can target a retired generation.
 	drainMu  sync.RWMutex
 	draining bool
-	// started flips in Listen (under drainMu): topology swaps only manage
-	// the slow worker once it exists.
-	started bool
 
-	tasksWG   sync.WaitGroup // accepted tasks not yet answered and flushed
-	workersWG sync.WaitGroup // the live generation's slow worker
-	connsWG   sync.WaitGroup // one per connection, released by its teardown
+	tasksWG sync.WaitGroup // accepted tasks not yet answered and flushed
+	connsWG sync.WaitGroup // one per connection, released by its teardown
 
 	// Auto-compactor lifecycle (nil/unused unless CompactEvery > 0).
 	compactStop chan struct{}
@@ -209,15 +194,16 @@ type Server struct {
 func (s *Server) top() *topology { return s.topo.Load() }
 
 // task is one accepted request bound to its connection. Task headers are
-// pooled: affRun.add draws them from the arena and encode/discard recycle
-// them, so steady-state admission allocates nothing.
+// pooled: affRun.add draws them from the arena and encode recycles them,
+// so steady-state admission allocates nothing.
 type task struct {
 	c       *conn
 	req     Request
 	arrived time.Time
-	// sh is the owning shard for fast-path tasks (nil on the slow path).
+	// sh is the owning shard for fast-path tasks (nil for a cross-shard
+	// task).
 	sh *shard
-	// spans is the ascending involved-shard set for slow-path tasks.
+	// spans is the ascending involved-shard set for cross-shard tasks.
 	spans []int
 	// next chains a run: the operations the reader admitted together (see
 	// readLoop). nil outside a run.
@@ -339,18 +325,14 @@ func New(cfg Config) (*Server, error) {
 
 // buildTopology assembles one serving generation with n shards: per-shard
 // simulated heaps, ADT partitions, method instances, section pools, and
-// metric blocks. The generation is cold — startSlowWorker launches its slow
-// worker — and its structures are pristine, which restoreTopology relies
-// on.
+// metric blocks. It starts no goroutine, and its structures are pristine,
+// which restoreTopology relies on.
 func (s *Server) buildTopology(n int) (*topology, error) {
 	cfg := &s.cfg
 	if cfg.Workload == "bank" && n > cfg.Keys {
 		n = cfg.Keys // at least one account per shard
 	}
-	tp := &topology{
-		router:    newRouter(cfg.Workload, n, cfg.Keys),
-		slowQueue: make(chan *task, cfg.QueueDepth),
-	}
+	tp := &topology{router: newRouter(cfg.Workload, n, cfg.Keys)}
 	slots := cfg.Coalesce
 	if MaxBatchOps > slots {
 		slots = MaxBatchOps
@@ -391,13 +373,6 @@ func (s *Server) buildTopology(n int) (*topology, error) {
 	return tp, nil
 }
 
-// startSlowWorker launches one generation's cross-shard slow worker, its
-// only goroutine.
-func (s *Server) startSlowWorker(tp *topology) {
-	s.workersWG.Add(1)
-	go s.slowWorker(tp)
-}
-
 // Metrics returns the server's wire-level metric registry.
 func (s *Server) Metrics() *Metrics { return &s.metrics }
 
@@ -417,8 +392,9 @@ func (s *Server) Keys() int { return s.cfg.Keys }
 // it).
 func (s *Server) Shards() int { return len(s.top().shards) }
 
-// Listen binds the configured address and starts the slow worker. It
-// returns the bound address (Config.Addr may name port 0).
+// Listen binds the configured address and starts a replica's follower and
+// the auto-compactor when configured. It returns the bound address
+// (Config.Addr may name port 0).
 func (s *Server) Listen() (net.Addr, error) {
 	lis, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
@@ -427,10 +403,6 @@ func (s *Server) Listen() (net.Addr, error) {
 	s.mu.Lock()
 	s.lis = lis
 	s.mu.Unlock()
-	s.drainMu.Lock()
-	s.started = true
-	s.drainMu.Unlock()
-	s.startSlowWorker(s.top())
 	if r := s.repl; r != nil && r.role.Load() == roleReplica {
 		r.started.Store(true)
 		go s.runReplica()
@@ -478,9 +450,9 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // endConn is a connection's teardown, run by its read loop on the way out:
-// once every request it accepted is answered (the slow worker's, a
-// replication streamer's), it waits out a running flush, closes the socket
-// and forgets the connection. Once per connection: cold.
+// once every request it accepted is answered (a replication streamer's
+// included), it waits out a running flush, closes the socket and forgets
+// the connection. Once per connection: cold.
 //
 //rtle:coldpath
 func (s *Server) endConn(c *conn) {
@@ -495,8 +467,9 @@ func (s *Server) endConn(c *conn) {
 
 // readLoop negotiates the hello exchange, then decodes frames from one
 // connection, validating, admitting and executing them, and answers them
-// itself: a pipelined burst's fast-path operations run on this goroutine,
-// on sections borrowed from their shard, and their responses leave in one
+// itself: a pipelined burst's operations run on this goroutine — on
+// sections borrowed from their shard, or under the exclusive gates of the
+// shards a cross-shard operation spans — and their responses leave in one
 // flush before the next read that could block.
 //
 //rtle:hotpath
@@ -588,8 +561,7 @@ func (s *Server) readLoop(c *conn) {
 			continue
 		}
 		// A multi-shard op is a run of length one with no cached plan:
-		// flushRun plans it under the drain lock and queues it on the slow
-		// path.
+		// flushRun plans it under the drain lock and executes it.
 		s.flushRun(c)
 	}
 }
@@ -623,16 +595,16 @@ func (run *affRun) add(c *conn, req Request) {
 }
 
 // flushRun is the one admission function: it admits the pending run,
-// applying drain and backpressure rejection, and executes its fast-path
-// tasks on this goroutine. A run whose cached plan is still of the live
-// generation is admitted whole onto its shard. Otherwise — the run carries
-// no plan (a multi-shard op), or a reshard swapped the generation since the
-// run was planned without holding drainMu — every task is planned on the
-// generation that will execute it, and may legally land on a different
-// shard or the slow queue. The topology load sits inside the drain lock for
-// that reason: swaps hold it exclusively, and wait for every task counted
-// under it, so execution after the unlock still runs on the admitting
-// generation.
+// applying drain rejection, and executes it on this goroutine. A run whose
+// cached plan is still of the live generation is admitted whole onto its
+// shard. Otherwise — the run carries no plan (a multi-shard op), or a
+// reshard swapped the generation since the run was planned without holding
+// drainMu — every task is planned on the generation that will execute it,
+// and may legally land on a different shard or span several; a cross-shard
+// task is counted like a fast one, and nothing is refused for load. The
+// topology load sits inside the drain lock because swaps hold it
+// exclusively and wait for every task counted under it, so execution after
+// the unlock still runs on the admitting generation.
 //
 // The lock is tried first: a drain or a swap that holds or awaits it is
 // waiting for tasksWG to empty, so a reader still holding its burst's
@@ -662,49 +634,29 @@ func (s *Server) flushRun(c *conn) {
 		}
 		return
 	}
-	// fast chains the admitted fast-path tasks in run order; rejected chains
-	// the backpressured ones, each carrying its busy-hint shard in t.sh, out
-	// of the lock.
-	var fast, rejected *task
 	tp := s.top()
 	if tp == tp0 {
 		s.admitLocked(tp.shards[shIdx], head, n)
 		s.metrics.affineOps.Add(uint64(n))
 		s.metrics.affineRuns.Add(1)
-		fast = head
 	} else {
-		var tail *task
-		for t := head; t != nil; {
-			nx := t.next
-			t.next = nil
+		for t := head; t != nil; t = t.next {
 			if plan := tp.router.plan(&t.req); plan.fast {
 				s.admitLocked(tp.shards[plan.shard], t, 1)
-				if tail == nil {
-					fast = t
-				} else {
-					tail.next = t
-				}
-				tail = t
-			} else if !s.enqueueSlowLocked(tp, t, plan.spans) {
-				t.next = rejected
-				rejected = t
+			} else {
+				c.tasks.Add(1)
+				s.tasksWG.Add(1)
+				t.spans = plan.spans
 			}
-			t = nx
 		}
 	}
 	s.drainMu.RUnlock()
-	for t := rejected; t != nil; {
-		nx := t.next
-		s.busy(c, t.req.ID, t.sh)
-		putTask(t)
-		t = nx
-	}
-	s.execute(c, fast)
+	s.execute(c, tp, head)
 }
 
-// admitLocked counts the fast-path chain from head, n tasks long, into its
+// admitLocked counts the n fast-path tasks chained from head into their
 // connection's and the server's in-flight sets and sh's backlog gauge
-// before anything executes it: count before execute, so neither a drain
+// before anything executes them: count before execute, so neither a drain
 // nor a scrape can miss an admitted task. The caller holds drainMu shared
 // with draining false.
 //
@@ -713,45 +665,19 @@ func (s *Server) admitLocked(sh *shard, head *task, n int) {
 	head.c.tasks.Add(n)
 	s.tasksWG.Add(n)
 	sh.m.queueDepth.Add(int64(n))
-	for t := head; t != nil; t = t.next {
+	for t, i := head, 0; i < n; t, i = t.next, i+1 {
 		t.sh = sh
 	}
 }
 
-// enqueueSlowLocked queues one multi-shard task on the slow queue with the
-// count-before-send accounting discipline: the slow worker decrements the
-// depth gauge at pickup, so counting after the send could let a scrape, or
-// a busy answer's queue-depth hint, read it negative. The caller holds
-// drainMu shared with draining false. On backpressure every count is rolled
-// back, t.sh is left naming the busy-hint shard, and false is returned.
-//
-//rtle:hotpath
-func (s *Server) enqueueSlowLocked(tp *topology, t *task, spans []int) bool {
-	c := t.c
-	c.tasks.Add(1)
-	s.tasksWG.Add(1)
-	t.spans = spans
-	s.metrics.slowDepth.Add(1)
-	select {
-	case tp.slowQueue <- t:
-		return true
-	default:
-	}
-	s.metrics.slowDepth.Add(-1)
-	t.sh = tp.shards[spans[0]]
-	c.tasks.Add(-1)
-	s.tasksWG.Add(-1)
-	return false
-}
-
 // endBurst ends the reader's burst: on a sync-ack primary it waits once
-// for the highest barrier among the burst's blocks, hands the staged
-// answers to the output queue in one flush, and only then releases their
-// accounting — so a drain that finds tasksWG empty finds every accepted
-// request answered on the wire, or in the hands of a flush the
-// connection's teardown waits out. If the wait is abandoned because the
-// server is closing, the answers are dropped unsent and the connection is
-// closed, as discard does for the slow path (see replWait).
+// for the highest barrier among the burst's blocks, fast and cross-shard
+// alike, hands the staged answers to the output queue in one flush, and
+// only then releases their accounting — so a drain that finds tasksWG
+// empty finds every accepted request answered on the wire, or in the hands
+// of a flush the connection's teardown waits out. If the wait is abandoned
+// because the server is closing, the answers are dropped unsent and the
+// connection is closed (see replWait).
 //
 //rtle:hotpath
 func (s *Server) endBurst(c *conn) {
@@ -852,25 +778,6 @@ func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 	c.send(f)
 }
 
-// busy answers a request the full slow queue turned away, with the queue's
-// depth and a retry hint paced by sh, the first shard it spans. A
-// backpressured server is paying for queue pressure, not the response
-// alloc: cold.
-//
-//rtle:coldpath
-func (s *Server) busy(c *conn, id uint32, sh *shard) {
-	s.metrics.statuses[StatusBusy].Add(1)
-	depth := s.metrics.slowDepth.Load()
-	f := getFrame()
-	f.b = AppendResponse(f.b, &Response{
-		ID:               id,
-		Status:           StatusBusy,
-		RetryAfterMicros: sh.m.retryAfterMicros(depth),
-		QueueDepth:       uint32(depth),
-	})
-	c.send(f)
-}
-
 // encode turns an executed task's response into a pooled frame, counts it,
 // and recycles the task header. results may alias a section's scratch
 // slice; it is encoded before returning, so the steady-state response path
@@ -889,29 +796,6 @@ func (s *Server) encode(t *task, results []Result, resp Response) *frameBuf {
 	}
 	putTask(t)
 	return f
-}
-
-// respond answers a task the slow worker executed: send, then release its
-// accounting.
-func (s *Server) respond(t *task, results []Result, resp Response) {
-	c := t.c
-	c.send(s.encode(t, results, resp))
-	c.tasks.Done()
-	s.tasksWG.Done()
-}
-
-// discard releases an executed task's accounting without answering it.
-// Used only when server teardown abandoned the task's sync-ack wait: the
-// response must not escape to the client (see replWait), which instead
-// observes its dying connection and records the operation as pending.
-func (s *Server) discard(t *task) {
-	c := t.c
-	if t.sh != nil {
-		t.sh.m.inflight.Add(-1)
-	}
-	putTask(t)
-	c.tasks.Done()
-	s.tasksWG.Done()
 }
 
 // Shutdown drains gracefully: stop admitting, stop accepting, let every
@@ -951,13 +835,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	// All accepted tasks are answered and no reader can admit more (the
-	// draining flip happened under drainMu, which also pins the topology),
-	// so the slow queue is empty and closing it retires the slow worker.
-	close(s.top().slowQueue)
-	s.workersWG.Wait()
-
-	// Unblock readers parked on their sockets; each connection's teardown
-	// waits out its last flush before it closes the socket.
+	// draining flip happened under drainMu). Unblock readers parked on their
+	// sockets; each connection's teardown waits out its last flush before it
+	// closes the socket.
 	s.closeConns(false)
 	done := make(chan struct{})
 	go func() {

@@ -243,9 +243,9 @@ func nextResponse(t *testing.T, resps <-chan Response) Response {
 	return Response{}
 }
 
-// watchGauges samples every shard's queue-depth and in-flight gauges and the
-// slow-queue depth from a goroutine of its own, failing the test if one ever
-// reads negative, until the returned function is called.
+// watchGauges samples every shard's queue-depth and in-flight gauges from a
+// goroutine of its own, failing the test if one ever reads negative, until
+// the returned function is called.
 func watchGauges(t *testing.T, m *Metrics) (stop func()) {
 	done := make(chan struct{})
 	var sampler sync.WaitGroup
@@ -257,9 +257,6 @@ func watchGauges(t *testing.T, m *Metrics) (stop func()) {
 				if q, in := sm.queueDepth.Load(), sm.inflight.Load(); q < 0 || in < 0 {
 					t.Errorf("shard %d: a gauge went negative: queue depth %d, inflight %d", k, q, in)
 				}
-			}
-			if d := m.slowDepth.Load(); d < 0 {
-				t.Errorf("slow queue depth went negative: %d", d)
 			}
 			select {
 			case <-done:
@@ -276,17 +273,17 @@ func watchGauges(t *testing.T, m *Metrics) (stop func()) {
 }
 
 // TestBackpressure exercises the one admission function, flushRun,
-// directly, on a cold server (Listen is never called, so no slow worker
-// runs). The slow queue, the only queue left, only fills: a full one must
-// answer StatusBusy with a retry hint instead of blocking, a draining
-// server must refuse planned runs and unplanned singles alike, and no
-// rejection may leave task accounting behind.
+// directly, on a cold server (Listen is never called). Nothing is refused
+// for load: a draining server must refuse planned runs and unplanned
+// singles alike without leaving task accounting behind, and a run that a
+// reshard forces to re-plan executes whole on the reader, cross-shard
+// tasks included, with its answers written outside the drain lock.
 func TestBackpressure(t *testing.T) {
 	// bankPair returns a bank server and two accounts that different shards
 	// own once it serves two, where a transfer between them is a slow-path
 	// op.
 	bankPair := func(t *testing.T, shards int) (*Server, uint64, uint64) {
-		srv, err := New(Config{Workload: "bank", Shards: shards, QueueDepth: 1, Keys: 16})
+		srv, err := New(Config{Workload: "bank", Shards: shards, Keys: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,29 +295,6 @@ func TestBackpressure(t *testing.T) {
 		t.Fatal("every account hashes to one shard")
 		return nil, 0, 0
 	}
-
-	t.Run("busy", func(t *testing.T) {
-		srv, a, b := bankPair(t, 2)
-		c, peer := pipeConn(t, srv)
-		resps := collect(t, peer)
-		// The first transfer fills the slow queue and the second must bounce.
-		flushOne(srv, c, Request{ID: 1, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
-		flushOne(srv, c, Request{ID: 2, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
-
-		resp := nextResponse(t, resps)
-		if resp.ID != 2 || resp.Status != StatusBusy {
-			t.Fatalf("second admission answered %+v, want busy for id 2", resp)
-		}
-		if resp.RetryAfterMicros < 100 {
-			t.Errorf("retry-after %dus below the floor", resp.RetryAfterMicros)
-		}
-		if resp.QueueDepth != 1 {
-			t.Errorf("queue depth %d, want 1", resp.QueueDepth)
-		}
-		if got := srv.Metrics().Responses(StatusBusy); got != 1 {
-			t.Errorf("busy responses %d, want 1", got)
-		}
-	})
 
 	t.Run("draining", func(t *testing.T) {
 		srv, a, b := bankPair(t, 2)
@@ -355,8 +329,9 @@ func TestBackpressure(t *testing.T) {
 		srv, a, b := bankPair(t, 1)
 		// The run is planned on the one-shard generation, where even the
 		// transfers are fast-path; the reshard under it makes the flush
-		// re-plan every task: the three balances execute on the reader, the
-		// two now cross-shard transfers compete for the one slow-queue slot.
+		// re-plan every task: the three balances run on a section of their
+		// shard, the two now cross-shard transfers under both shards' gates,
+		// all on the reader.
 		c, peer := pipeConn(t, srv)
 		c.run.tp, c.run.sh = srv.top(), 0
 		for id := uint32(1); id <= 3; id++ {
@@ -378,33 +353,26 @@ func TestBackpressure(t *testing.T) {
 			srv.endBurst(c)
 			close(flushed)
 		}()
-		// Nobody reads the pipe yet, so the busy answer sits in its write:
-		// were it sent under drainMu, the lock would be held now.
-		waitFor(t, 10*time.Second, "the busy answer", func() bool { return m.Responses(StatusBusy) == 1 })
+		// Nobody reads the pipe yet, so once both transfers ran the burst's
+		// answers sit in its flush: were they written under drainMu, the
+		// lock would be held now.
+		waitFor(t, 10*time.Second, "the re-planned transfers", func() bool { return m.CrossShard() == 2 })
 		if !srv.drainMu.TryLock() {
-			t.Fatal("busy rejections are sent with drainMu held: a stalled peer would wedge Shutdown")
+			t.Fatal("the burst is written with drainMu held: a stalled peer would wedge Shutdown")
 		}
 		srv.drainMu.Unlock()
 
 		resps := collect(t, peer)
-		if resp := nextResponse(t, resps); resp.ID != 5 || resp.Status != StatusBusy {
-			t.Errorf("re-planned run answered %+v first, want busy for id 5", resp)
-		}
-		<-flushed
-		for range 3 {
-			if resp := nextResponse(t, resps); resp.Status != StatusOK || resp.ID > 3 {
-				t.Errorf("re-planned run answered %+v, want ok for ids 1-3", resp)
+		for id := uint32(1); id <= 5; id++ {
+			resp := nextResponse(t, resps)
+			if resp.ID != id || resp.Status != StatusOK {
+				t.Errorf("re-planned run answered %+v, want ok for id %d", resp, id)
+			}
+			if id >= 4 && resp.Results[0].Ret != 1 {
+				t.Errorf("transfer %d moved %d, want 1", id, resp.Results[0].Ret)
 			}
 		}
-		if d := m.QueueDepth(); d != 1 || m.slowDepth.Load() != 1 {
-			t.Errorf("depth %d (slow %d) after the flush, want the 1 queued slow task", d, m.slowDepth.Load())
-		}
-
-		// The slow worker picks the queued transfer up; the gauges return to 0.
-		srv.startSlowWorker(srv.top())
-		if resp := nextResponse(t, resps); resp.ID != 4 || resp.Status != StatusOK {
-			t.Errorf("queued transfer answered %+v, want ok for id 4", resp)
-		}
+		<-flushed
 		c.tasks.Wait()
 		if d := m.QueueDepth(); d != 0 {
 			t.Errorf("queue depth %d after the accepted tasks ran, want 0", d)
@@ -420,85 +388,99 @@ func TestBackpressure(t *testing.T) {
 
 // TestStalledClientParksOnlyItsConnection: a client that pipelines requests
 // and never reads stalls its own connection's flush, and nothing else. One
-// shard with one section: were any shared execution resource parked on the
-// stalled socket, another client of the same shard would starve.
+// section per shard: were any shared execution resource parked on the
+// stalled socket, another client of the same shards would starve — on the
+// fast path, and on the cross-shard path, whose answers must not wait on
+// the stalled socket either.
 func TestStalledClientParksOnlyItsConnection(t *testing.T) {
-	srv, addr := startServer(t, Config{Workload: "set", Shards: 1, Workers: 1, Keys: 64})
+	cases := []struct {
+		name string
+		cfg  Config
+		// stall is client A's request, probe client B's; a transfer's
+		// accounts are filled in with a pair different shards own.
+		stall, probe Request
+	}{
+		{"set", Config{Workload: "set", Shards: 1, Workers: 1, Keys: 64},
+			Request{Op: check.OpContains, Arg1: 1}, Request{Op: check.OpInsert, Arg1: 2}},
+		{"bank/cross-shard", Config{Workload: "bank", Shards: 2, Workers: 1, Keys: 16},
+			Request{Op: check.OpTransfer, Arg3: 1}, Request{Op: check.OpTransfer, Arg3: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, tc.cfg)
+			if tc.stall.Op == check.OpTransfer {
+				cross, _ := crossShardPair(t, srv.top().router, uint64(tc.cfg.Keys))
+				tc.stall.Arg1, tc.stall.Arg2 = cross[0], cross[1]
+				tc.probe.Arg1, tc.probe.Arg2 = cross[1], cross[0]
+			}
 
-	// Client A: a small receive buffer, the hello, then requests forever,
-	// never reading an answer.
-	a, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close() // releases the stalled connection before the server's drain
-	if err := a.(*net.TCPConn).SetReadBuffer(4096); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&frameReader{r: a}).next(); err != nil {
-		t.Fatal(err)
-	}
-	var written atomic.Int64
-	go func() {
-		var burst []byte
-		for i := 0; ; i++ {
-			burst = burst[:0]
-			for j := 0; j < 64; j++ {
-				burst = AppendRequest(burst, &Request{ID: uint32(i*64 + j), Op: check.OpContains, Arg1: uint64(j)})
+			// Client A: the hello, then requests forever, never reading an
+			// answer. A net.Pipe has no buffer, so the first write to A that
+			// the server attempts blocks for good.
+			a, _ := servePipe(t, srv)
+			defer a.Close() // releases the stalled connection before the server's drain
+			var written atomic.Int64
+			go func() {
+				var burst []byte
+				for i := 0; ; i++ {
+					burst = burst[:0]
+					for j := 0; j < 64; j++ {
+						req := tc.stall
+						req.ID = uint32(i*64 + j)
+						burst = AppendRequest(burst, &req)
+					}
+					if _, err := a.Write(burst); err != nil {
+						return
+					}
+					written.Add(1)
+				}
+			}()
+			// A is stalled once the server stops reading its requests.
+			progress := func() [2]uint64 {
+				return [2]uint64{uint64(written.Load()), srv.Metrics().Requests(tc.stall.Op)}
 			}
-			if _, err := a.Write(burst); err != nil {
-				return
+			for last, deadline := progress(), time.Now().Add(20*time.Second); ; {
+				time.Sleep(200 * time.Millisecond)
+				now := progress()
+				if now == last {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("client A never stalled")
+				}
+				last = now
 			}
-			written.Add(1)
-		}
-	}()
-	// A is stalled once every buffer between the two ends is full: its
-	// writes stop, and so does the server's reading of them.
-	progress := func() [2]uint64 {
-		return [2]uint64{uint64(written.Load()), srv.Metrics().Requests(check.OpContains)}
-	}
-	for last, deadline := progress(), time.Now().Add(20*time.Second); ; {
-		time.Sleep(200 * time.Millisecond)
-		now := progress()
-		if now == last {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client A never stalled")
-		}
-		last = now
-	}
 
-	// Client B, on the same shard, is answered promptly.
-	b, err := DialContext(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 100; i++ {
-			resp, err := b.Op(check.OpInsert, uint64(i%64), 0, 0)
-			if err == nil && resp.Status != StatusOK {
-				err = fmt.Errorf("op %d answered %v beside the stalled client", i, resp.Status)
-			}
+			// Client B, on the same shards, is answered promptly.
+			b, err := DialContext(context.Background(), addr)
 			if err != nil {
-				done <- err
-				return
+				t.Fatal(err)
 			}
-		}
-		done <- nil
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("a client of the same shard starved behind a client that stopped reading")
+			defer b.Close()
+			done := make(chan error, 1)
+			go func() {
+				p := tc.probe
+				for i := 0; i < 100; i++ {
+					resp, err := b.Op(p.Op, p.Arg1, p.Arg2, p.Arg3)
+					if err == nil && resp.Status != StatusOK {
+						err = fmt.Errorf("op %d answered %v beside the stalled client", i, resp.Status)
+					}
+					if err != nil {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a client of the same shards starved behind a client that stopped reading")
+			}
+		})
 	}
 }
 
@@ -531,20 +513,19 @@ func expectGoroutines(t *testing.T, want int, what string) {
 
 // TestGoroutineBudget pins what serving costs in goroutines: a connection
 // costs one, its reader, and a shard costs none — beyond the connections,
-// a server runs its acceptor and its generation's one slow worker,
-// whatever its shard and section counts.
+// a server runs its acceptor alone, whatever its shard and section counts.
 func TestGoroutineBudget(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			base := settledGoroutines()
 			_, addr := startServer(t, Config{Workload: "set", Shards: shards, Workers: 4, Keys: 64})
-			expectGoroutines(t, base+2, "a listening server (acceptor and slow worker)")
+			expectGoroutines(t, base+1, "a listening server (its acceptor)")
 			const conns = 5
 			hello := AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})
 			for i := 0; i < conns; i++ {
 				rawHelloExchange(t, addr, hello)
 			}
-			expectGoroutines(t, base+2+conns, fmt.Sprintf("%d served connections", conns))
+			expectGoroutines(t, base+1+conns, fmt.Sprintf("%d served connections", conns))
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtle/internal/check"
 	"rtle/internal/core"
 	"rtle/internal/mem"
 	"rtle/internal/repl"
@@ -33,11 +32,11 @@ type shard struct {
 
 	// gate is the shard's drain gate, the fast/slow-path split at the
 	// serving layer: readers hold it shared around every atomic block (the
-	// speculative common case, arbitrarily concurrent), while the
-	// cross-shard slow path holds every involved shard's gate exclusively
-	// — in ascending shard order, so two slow operations can never
-	// deadlock — which quiesces those shards for the duration of the
-	// multi-shard operation.
+	// speculative common case, arbitrarily concurrent), while a reader
+	// running a cross-shard operation holds every involved shard's gate
+	// exclusively — in ascending shard order, so two cross-shard operations
+	// can never deadlock — which quiesces those shards for the duration of
+	// the multi-shard operation.
 	gate sync.RWMutex
 
 	m *ShardMetrics
@@ -64,21 +63,30 @@ type shard struct {
 	slowEx     *executor
 }
 
-// execute runs a run's admitted fast-path tasks, chained from t, on the
-// calling reader. Each stretch of consecutive tasks on one shard borrows
-// one of the shard's sections; its single operations run as one group
-// (a run holds at most Config.Coalesce operations, see readLoop), and a
-// ping is answered in place and a batch runs as its own block, each ending
-// the group before it. Answers are staged on c until the burst ends
-// (endBurst). Coalescing preserves
-// linearizability: every grouped operation is pending (invoked, not yet
-// answered) when the shared block commits, so placing them all at its
-// commit point respects real-time order.
+// execute runs a run's admitted tasks, chained from t, on the calling
+// reader, against tp, the generation that admitted them. Each stretch of
+// consecutive tasks on one shard borrows one of the shard's sections; its
+// single operations run as one group (a run holds at most Config.Coalesce
+// operations, see readLoop), and a ping is answered in place and a batch
+// runs as its own block, each ending the group before it. A cross-shard
+// task (no shard) ends the stretch and runs once the section is back in
+// its pool (runCross). Answers are staged on c until the burst ends
+// (endBurst). Coalescing preserves linearizability: every grouped
+// operation is pending (invoked, not yet answered) when the shared block
+// commits, so placing them all at its commit point respects real-time
+// order.
 //
 //rtle:hotpath
-func (s *Server) execute(c *conn, t *task) {
+func (s *Server) execute(c *conn, tp *topology, t *task) {
 	for t != nil {
 		sh := t.sh
+		if sh == nil {
+			nx := t.next
+			t.next = nil
+			s.runCross(c, tp, t)
+			t = nx
+			continue
+		}
 		sec := <-sh.secs
 		group := c.group[:0]
 		for t != nil && t.sh == sh {
@@ -230,9 +238,9 @@ func (s *Server) runBatch(c *conn, sh *shard, sec *section, t *task) {
 // mode; a no-op otherwise). A false return means the wait was abandoned
 // by server teardown: the caller must drop the answers it holds instead of
 // sending them — the write may never reach a replica, so a response would
-// be an acknowledgement the surviving side cannot honor. The slow worker
-// waits once per task; a reader once per burst (endBurst), for the highest
-// barrier among the burst's blocks.
+// be an acknowledgement the surviving side cannot honor. A reader waits
+// once per burst (endBurst), for the highest barrier among the burst's
+// blocks.
 func (s *Server) replWait(bar uint64) bool {
 	if s.repl == nil {
 		return true
@@ -278,36 +286,13 @@ func (sh *shard) sectionDone(start time.Time) {
 	sh.m.observeService(time.Since(start).Nanoseconds())
 }
 
-// slowSectionDone folds one slow-path atomic block into sh's metrics.
-// Slow blocks run under the exclusive gate and feed the same service EWMA:
-// the retry-after hint prices total shard occupancy.
+// slowSectionDone folds one slow-path atomic block, run under the
+// exclusive gate, into sh's metrics and the same service EWMA as the fast
+// path's.
 func (sh *shard) slowSectionDone(start time.Time) {
 	sh.m.sections.Add(1)
 	sh.m.slowBlocks.Add(1)
 	sh.m.observeService(time.Since(start).Nanoseconds())
-}
-
-// slowWorker executes one generation's cross-shard tasks. One goroutine
-// suffices: slow operations serialize on the exclusive gates anyway, and
-// keeping the pool at one bounds the number of shards a misbehaving
-// workload can quiesce at once.
-func (s *Server) slowWorker(tp *topology) {
-	defer s.workersWG.Done()
-	results := make([]Result, MaxBatchOps)
-	for t := range tp.slowQueue {
-		s.metrics.slowDepth.Add(-1)
-		switch t.req.Op {
-		case check.OpTransfer:
-			s.runSlowTransfer(tp, t)
-		case OpBatch:
-			s.runSlowBatch(tp, t, results)
-		default:
-			// The router only sends transfers and batches here; anything
-			// else is a routing bug surfaced loudly in tests.
-			s.reject(t.c, t.req.ID, StatusBad, "internal: single-shard op on slow path")
-			s.discard(t)
-		}
-	}
 }
 
 // lockSpans acquires the drain gates of the involved shards exclusively,
@@ -329,43 +314,46 @@ func (tp *topology) unlockSpans(spans []int) {
 	}
 }
 
-// runSlowTransfer moves funds between accounts owned by two different
-// shards: withdraw on the source shard, then deposit on the destination,
-// each its own atomic block, both under the two shards' exclusive gates.
-// Holding both gates for the whole sequence makes the pair observably
-// atomic — no fast-path block (and hence no client-visible operation)
-// can read either shard between the halves — so the bank's conservation
-// invariant is never visibly broken, exactly as if TransferCS had run in
-// one block.
-func (s *Server) runSlowTransfer(tp *topology, t *task) {
-	from := tp.shards[tp.router.shardOf(t.req.Arg1)]
-	to := tp.shards[tp.router.shardOf(t.req.Arg2)]
-
-	tp.lockSpans(t.spans)
-	res := s.crossTransfer(from, to, t.req.Arg1, t.req.Arg2, t.req.Arg3)
-	var bar uint64
-	if r := s.repl; r != nil && r.primary() {
-		bar = s.replAppendSlow(tp, t.spans, []repl.Op{{
-			Code: uint8(check.OpTransfer),
-			Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3,
-		}})
+// runCross executes one cross-shard transfer or batch on the admitting
+// reader, against tp, under the exclusive gates of every shard it spans,
+// taken in ascending order. The entries execute strictly in batch order,
+// each inside its own atomic block on its owning shard (execEntriesLocked);
+// a single transfer is a one-entry batch, and logs as the same op. The
+// gates make the per-entry blocks jointly atomic to every observer, so the
+// client sees exactly a sequential, atomic execution of its request. The
+// answer is staged on c with the rest of its burst, and the block's sync
+// barrier folds into the burst's: endBurst waits and flushes once. Cold:
+// the result slice and the span set are allocated per operation.
+//
+//rtle:coldpath
+func (s *Server) runCross(c *conn, tp *topology, t *task) {
+	entries := t.req.Batch
+	if t.req.Op != OpBatch {
+		entries = []BatchEntry{{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3}}
 	}
+	results := make([]Result, len(entries))
+	var ops []repl.Op
+	if r := s.repl; r != nil && r.primary() {
+		ops = replBatchOps(nil, entries)
+	}
+	tp.lockSpans(t.spans)
+	s.execEntriesLocked(tp, entries, results)
+	bar := s.replAppendSlow(tp, t.spans, ops)
 	tp.unlockSpans(t.spans)
 
-	s.metrics.crossOps.Add(1)
-	if !s.replWait(bar) {
-		s.discard(t)
-		return
-	}
-	s.respond(t, []Result{res}, Response{ID: t.req.ID, Status: StatusOK})
+	s.metrics.crossOps.Add(uint64(len(entries)))
+	c.bar = max(c.bar, bar)
+	c.staged = append(c.staged, s.encode(t, results, Response{ID: t.req.ID, Status: StatusOK}))
 }
 
 // crossTransfer runs the withdraw/deposit split of one cross-shard
 // transfer: withdraw on the source shard, then deposit of the amount
 // actually moved on the destination, each its own atomic block. The
-// caller holds both shards' gates exclusively, which is what makes the
-// two blocks observably one transfer (see runSlowTransfer). The clamped
-// result matches TransferCS exactly.
+// caller holds both shards' gates exclusively for the whole sequence, so
+// no fast-path block (and hence no client-visible operation) can read
+// either shard between the halves: the bank's conservation invariant is
+// never visibly broken, exactly as if TransferCS had run in one block.
+// The clamped result matches TransferCS exactly.
 func (s *Server) crossTransfer(from, to *shard, src, dst, amount uint64) Result {
 	var moved uint64
 	start := time.Now()
@@ -381,39 +369,10 @@ func (s *Server) crossTransfer(from, to *shard, src, dst, amount uint64) Result 
 	return Result{Ret: moved, Ok: true}
 }
 
-// runSlowBatch executes a batch whose entries span several shards. All
-// involved shards' gates are held exclusively for the whole batch, then
-// the entries execute strictly in batch order, each inside its own
-// atomic block on its owning shard — a cross-shard transfer entry as the
-// crossTransfer withdraw/deposit split, since its two accounts live in
-// different shards' heaps. The gates make the per-entry blocks jointly
-// atomic to every observer, so the client sees exactly a sequential,
-// atomic execution of its batch.
-func (s *Server) runSlowBatch(tp *topology, t *task, results []Result) {
-	entries := t.req.Batch
-	spans := t.spans
-
-	tp.lockSpans(spans)
-	s.execEntriesLocked(tp, entries, results)
-	var ops []repl.Op
-	if r := s.repl; r != nil && r.primary() {
-		ops = replBatchOps(nil, entries)
-	}
-	bar := s.replAppendSlow(tp, spans, ops)
-	tp.unlockSpans(spans)
-
-	s.metrics.crossOps.Add(uint64(len(entries)))
-	if !s.replWait(bar) {
-		s.discard(t)
-		return
-	}
-	s.respond(t, results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
-}
-
 // execEntriesLocked executes batch entries strictly in order, each inside
 // its own atomic block on its owning shard (a cross-shard transfer as the
 // crossTransfer split). The caller holds every involved shard's gate
-// exclusively — runSlowBatch for client batches, applyBlock for replica
+// exclusively — runCross for client requests, applyEntry for replica
 // replay, so both paths produce identical state transitions.
 func (s *Server) execEntriesLocked(tp *topology, entries []BatchEntry, results []Result) {
 	for i := range entries {

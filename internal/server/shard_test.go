@@ -171,24 +171,17 @@ func TestCrossShardTransferBatch(t *testing.T) {
 				a, b = to, from
 			}
 			for i := 0; i < 50; i++ {
-				for {
-					resp, err := cc.Batch([]BatchEntry{
-						{Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: uint64(1 + i%5)},
-						{Op: check.OpBalance, Arg1: a},
-					})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if resp.Status == StatusBusy {
-						time.Sleep(time.Duration(resp.RetryAfterMicros) * time.Microsecond)
-						continue
-					}
-					if resp.Status != StatusOK {
-						t.Errorf("batch rejected: %s", resp.Message)
-						return
-					}
-					break
+				resp, err := cc.Batch([]BatchEntry{
+					{Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: uint64(1 + i%5)},
+					{Op: check.OpBalance, Arg1: a},
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.Status != StatusOK {
+					t.Errorf("batch rejected: %s", resp.Message)
+					return
 				}
 			}
 		}(g)
@@ -216,6 +209,84 @@ func TestCrossShardTransferBatch(t *testing.T) {
 	}
 	if srv.Metrics().CrossShard() == 0 {
 		t.Error("no cross-shard operations recorded; the test is vacuous")
+	}
+}
+
+// TestCrossShardBurstOrder: a pipelined burst that mixes fast-path reads
+// with cross-shard transfers is answered strictly in request order — a
+// cross-shard answer is staged with the rest of its burst, never sent
+// ahead of it — and every read observes exactly the transfers before it.
+func TestCrossShardBurstOrder(t *testing.T) {
+	const keys, rounds = 16, 40
+	srv, addr := startServer(t, Config{Workload: "bank", Shards: 2, Workers: 2, Keys: keys})
+	cross, _ := crossShardPair(t, srv.top().router, keys)
+	from, to := cross[0], cross[1]
+
+	_, br, nc := rawHelloExchange(t, addr, AppendClientHello(nil, &ClientHello{Version: ProtocolVersion}))
+	var burst []byte
+	for r := 0; r < rounds; r++ {
+		for j, req := range []Request{
+			{Op: check.OpBalance, Arg1: from},
+			{Op: check.OpTransfer, Arg1: from, Arg2: to, Arg3: 1},
+			{Op: check.OpBalance, Arg1: to},
+		} {
+			req.ID = uint32(3*r + j + 1)
+			burst = AppendRequest(burst, &req)
+		}
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	fr := frameReader{r: br}
+	for id := uint32(1); id <= 3*rounds; id++ {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != id || resp.Status != StatusOK {
+			t.Fatalf("answer %d is %+v: out of request order", id, resp)
+		}
+		r := uint64(id-1) / 3
+		var want uint64
+		switch (id - 1) % 3 {
+		case 0:
+			want = BankInitial - r // the source, before this round's transfer
+		case 1:
+			want = 1 // the amount moved
+		case 2:
+			want = BankInitial + r + 1 // the destination, after it
+		}
+		if got := resp.Results[0].Ret; got != want {
+			t.Errorf("answer %d returned %d, want %d", id, got, want)
+		}
+	}
+	if got := srv.Metrics().CrossShard(); got != rounds {
+		t.Errorf("%d cross-shard ops, want the %d transfers", got, rounds)
+	}
+
+	c, err := DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	entries := make([]BatchEntry, keys)
+	for i := range entries {
+		entries[i] = BatchEntry{Op: check.OpBalance, Arg1: uint64(i)}
+	}
+	resp, err := c.Batch(entries)
+	if err != nil || resp.Status != StatusOK {
+		t.Fatalf("balance scan: %v / %+v", err, resp)
+	}
+	var sum uint64
+	for _, r := range resp.Results {
+		sum += r.Ret
+	}
+	if want := uint64(keys) * BankInitial; sum != want {
+		t.Errorf("bank total %d after the burst, want %d", sum, want)
 	}
 }
 
@@ -297,15 +368,15 @@ func TestWorkerDrain(t *testing.T) {
 				t.Errorf("%d coalesced operations, want %d", got, tc.coalesced)
 			}
 			sm := m.Shards()[0]
-			if q, in, slow := sm.queueDepth.Load(), sm.inflight.Load(), m.slowDepth.Load(); q != 0 || in != 0 || slow != 0 {
-				t.Errorf("queue depth %d, inflight %d, slow depth %d after every answer, want 0", q, in, slow)
+			if q, in := sm.queueDepth.Load(), sm.inflight.Load(); q != 0 || in != 0 {
+				t.Errorf("queue depth %d, inflight %d after every answer, want 0", q, in)
 			}
 		})
 	}
 }
 
 // TestMultiShardDrain proves the drain contract survives sharding: with
-// load in flight across four shard queues and the slow queue, Shutdown
+// load in flight across four shards, Shutdown
 // answers every accepted request on every shard before returning, and
 // afterwards no queue holds residue.
 func TestMultiShardDrain(t *testing.T) {

@@ -290,21 +290,12 @@ func (s *Server) swapTopology(nt *topology) error {
 	return nil
 }
 
-// swapTopologyLocked retires the live generation and installs nt: close
-// the old slow queue (empty — admission is quiesced and accepted tasks have
-// drained), retire the old slow worker, swap the pointer, attach the new
-// metric blocks, and start the new slow worker. Caller holds drainMu
-// exclusively with tasksWG drained.
+// swapTopologyLocked installs nt as the live generation and attaches its
+// metric blocks. Caller holds drainMu exclusively with tasksWG drained, so
+// nothing still runs on the retired generation.
 func (s *Server) swapTopologyLocked(nt *topology) {
-	if s.started {
-		close(s.top().slowQueue)
-		s.workersWG.Wait()
-	}
 	s.topo.Store(nt)
 	s.metrics.attach(nt.shardMetrics())
-	if s.started {
-		s.startSlowWorker(nt)
-	}
 }
 
 // Reshard rebuilds the serving plane at n shards while the server stays
