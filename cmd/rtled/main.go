@@ -9,7 +9,7 @@
 // pipelined burst that route to one shard into one shared atomic block,
 // runs it on a section borrowed from that shard — or runs a cross-shard
 // request itself under the involved shards' exclusive gates, taken in
-// ascending order — and writes the burst's answers in one vectored flush.
+// ascending order — and writes the burst's answers in one write.
 // Nothing is refused for load: a client that outpaces the server is slowed
 // by TCP on its own connection. SIGINT/SIGTERM drain gracefully: accepted
 // requests on every shard are answered on the wire before the listener and

@@ -10,9 +10,8 @@ import (
 // fastPathHarness drives the wire fast path in process, end to end: a
 // request frame is decoded, validated and admitted as a run (flushRun),
 // executed by the reader on a section borrowed from its shard, and its
-// answer leaves through the connection's output queue — endBurst's queue
-// and flush, one vectored write — into a sink that keeps the bytes for the
-// client-side decode. Only the socket and the read loop's frame reading
+// answer leaves through the connection's output buffer — endBurst's one
+// write — into a sink that keeps the bytes for the client-side decode. Only the socket and the read loop's frame reading
 // are left out.
 type fastPathHarness struct {
 	srv    *Server
@@ -51,7 +50,7 @@ func newFastPathHarness(tb testing.TB) *fastPathHarness {
 
 // serve pushes one request through the wire fast path: encode the frame,
 // decode it back (the server's read side), validate, plan, admit and
-// execute it as a one-op run, flush the answer through the vectored writer,
+// execute it as a one-op run, write the answer in the burst's one write,
 // and decode the response into the client-side result scratch — everything
 // both ends do per request except the socket itself.
 func (h *fastPathHarness) serve(req *Request) error {
@@ -117,7 +116,7 @@ func TestWireFastPathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm up: the first call grows the frame buffers to capacity
+	run() // warm up: the first call grows the scratch buffers to capacity
 	if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
 		t.Errorf("wire fast path allocates %.1f times per request, want 0", allocs)
 	}

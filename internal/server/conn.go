@@ -1,24 +1,20 @@
 package server
 
-import (
-	"net"
-	"sync"
-)
+import "net"
 
-// Output-queue bounds. One flush hands at most maxWriteBatchFrames frames to
-// a single writev; while a flush is running, a sender waits once
-// maxQueuedFrames frames are queued behind it, so a peer that stops reading
-// holds a bounded number of frames and parks only the goroutines sending to
-// it.
-const (
-	maxWriteBatchFrames = 256
-	maxQueuedFrames     = 64
-)
+// maxRetainedOut bounds the output buffer a connection keeps between
+// writes. One that grew past it (a huge batch response, a snapshot items
+// chunk) is dropped after its write instead of pinning its capacity for
+// the connection's life; the common single-op answer is ~20 bytes.
+const maxRetainedOut = 1 << 14
 
 // conn is one client connection: its socket, the read loop's burst state,
-// and the output queue every frame leaves through — responses, hellos,
-// rejections, snapshot chunks and replication entries alike. Every frame
-// queued MUST come from getFrame; whoever flushes it recycles it.
+// and the output buffer every frame leaves through — responses, hellos,
+// rejections, snapshot chunks and replication entries alike. Exactly one
+// goroutine owns a connection at a time: its reader, or, once a subscriber
+// connection turned into a replication stream, the streamer until the
+// reader has waited it out. Only the owner touches the burst state and
+// out, so nothing here is synchronized.
 type conn struct {
 	nc net.Conn
 	m  *Metrics
@@ -26,35 +22,20 @@ type conn struct {
 	// hello and read only from the read loop (subscriber bootstrap checks
 	// FeatureSnapshot).
 	features uint32
-	// tasks counts this connection's accepted-but-unreleased requests; the
-	// teardown closes the socket only once it drains.
-	tasks sync.WaitGroup
 
-	// The read loop's burst state, touched by its goroutine alone: the run
-	// being admitted, one coalesced group's scratch, the answers of the runs
-	// executed since the burst began (staged, still counted in tasks) and
-	// the highest sync barrier among their blocks. endBurst hands the staged
-	// answers to the output queue.
-	run    affRun
-	group  []*task
-	staged []*frameBuf
-	bar    uint64
+	// The read loop's burst state: the run being admitted, one coalesced
+	// group's scratch, the number of tasks answered since the burst began
+	// (still counted in tasksWG) and the highest sync barrier among their
+	// blocks. endBurst writes the answers and releases the count.
+	run      affRun
+	group    []*task
+	answered int
+	bar      uint64
 
-	// The output queue: pending frames in send order, flushed by whichever
-	// goroutine finds no flush running. spare is the flusher's second list,
-	// swapped in while it writes the first. dead means a write failed: later
-	// frames are recycled unsent.
-	mu       sync.Mutex
-	cond     sync.Cond // on mu: a flush took the list or finished
-	pending  []*frameBuf
-	spare    []*frameBuf
-	flushing bool
-	dead     bool
-	bufs     net.Buffers // iovec backing array, reused by every flush
-	// view is the iovec handed to writeBuffers, boxed for the connection's
-	// life: net.Buffers.WriteTo consumes it in place through an interface,
-	// so a per-flush &view would escape — one allocation per writev.
-	view *net.Buffers
+	// out holds the encoded frames not yet written, in send order, and
+	// frames counts them; write sends them in one Write.
+	out    []byte
+	frames int
 }
 
 // newConn builds a connection and the scratch it keeps for its whole life.
@@ -62,122 +43,32 @@ type conn struct {
 //
 //rtle:coldpath
 func newConn(nc net.Conn, m *Metrics, coalesce int) *conn {
-	c := &conn{
-		nc:      nc,
-		m:       m,
-		group:   make([]*task, 0, coalesce),
-		pending: make([]*frameBuf, 0, maxQueuedFrames),
-		spare:   make([]*frameBuf, 0, maxQueuedFrames),
-		bufs:    make(net.Buffers, maxWriteBatchFrames),
-		view:    new(net.Buffers),
+	return &conn{
+		nc:    nc,
+		m:     m,
+		group: make([]*task, 0, coalesce),
+		out:   make([]byte, 0, 512),
 	}
-	c.cond.L = &c.mu
-	return c
 }
 
-// queue appends frames to the output queue in order; ownership passes to
-// whichever goroutine flushes them. While a flush is running, a sender
-// waits for room once maxQueuedFrames frames are queued behind it. On a
-// dead connection the frames are recycled at once.
+// write sends every staged frame in one Write — a Write on a TCP socket
+// returns only once every byte is out or the socket failed — and empties
+// the buffer. A failed write closes the socket, so the reader's next read
+// ends the connection instead of executing requests whose answers go
+// nowhere.
 //
 //rtle:hotpath
-func (c *conn) queue(fs ...*frameBuf) {
-	c.mu.Lock()
-	for len(fs) > 0 {
-		if c.dead {
-			for _, f := range fs {
-				putFrame(f)
-			}
-			break
-		}
-		room := len(fs)
-		if c.flushing {
-			room = min(room, maxQueuedFrames-len(c.pending))
-			if room <= 0 {
-				c.cond.Wait()
-				continue
-			}
-		}
-		c.pending = append(c.pending, fs[:room]...)
-		fs = fs[room:]
-	}
-	c.mu.Unlock()
-}
-
-// flush writes the output queue unless a flush is already running. The
-// first goroutine to find none becomes the flusher: it takes the whole
-// list, writes it, recycles the frames, and loops until the list is empty,
-// so a frame queued during its flush is written before it clears flushing.
-// Everyone else returns at once.
-//
-//rtle:hotpath
-func (c *conn) flush() {
-	c.mu.Lock()
-	if c.flushing {
-		c.mu.Unlock()
+func (c *conn) write() {
+	if c.frames == 0 {
 		return
 	}
-	c.flushing = true
-	for len(c.pending) > 0 {
-		batch := c.pending
-		c.pending = c.spare[:0]
-		c.cond.Broadcast() // room again for senders waiting behind this flush
-		dead := c.dead
-		c.mu.Unlock()
-		if !dead {
-			dead = !c.write(batch)
-		}
-		for i, f := range batch {
-			putFrame(f)
-			batch[i] = nil
-		}
-		c.mu.Lock()
-		c.dead = c.dead || dead
-		c.spare = batch[:0]
+	if _, err := c.nc.Write(c.out); err != nil {
+		_ = c.nc.Close() // the failure that matters is the write's; the reader sees the close
 	}
-	c.flushing = false
-	c.cond.Broadcast()
-	c.mu.Unlock()
-}
-
-// write sends batch to the socket in vectored chunks of at most
-// maxWriteBatchFrames frames, one writev each, and reports whether every
-// byte went out.
-//
-//rtle:hotpath
-func (c *conn) write(batch []*frameBuf) bool {
-	for len(batch) > 0 {
-		n := min(len(batch), maxWriteBatchFrames)
-		for i, f := range batch[:n] {
-			c.bufs[i] = f.b
-		}
-		*c.view = c.bufs[:n]
-		err := writeBuffers(c.nc, c.view)
-		c.m.writeBatchFrames.Observe(int64(n))
-		if err != nil {
-			return false
-		}
-		batch = batch[n:]
+	c.m.writeBatchFrames.Observe(int64(c.frames))
+	c.frames = 0
+	c.out = c.out[:0]
+	if cap(c.out) > maxRetainedOut {
+		c.out = nil
 	}
-	return true
-}
-
-// send queues one frame and flushes.
-//
-//rtle:hotpath
-func (c *conn) send(f *frameBuf) {
-	c.queue(f)
-	c.flush()
-}
-
-// shut waits out a running flush, then closes the socket: the
-// connection's teardown, once nothing it accepted is unanswered — so no
-// sender is left to queue behind it.
-func (c *conn) shut() {
-	c.mu.Lock()
-	for c.flushing {
-		c.cond.Wait()
-	}
-	c.mu.Unlock()
-	_ = c.nc.Close() // double-close after a hard Close is harmless
 }

@@ -105,11 +105,10 @@ type Metrics struct {
 	// latency is the queue-to-response service latency per op slot.
 	latency [numOps]obs.Histogram
 
-	// writeBatchFrames is the distribution of frames per vectored write:
-	// how many queued responses each writev flushed in one syscall. A mass
-	// near 1 means the write loop never finds a second frame queued (the
-	// load is not pipelined enough to coalesce); a fatter tail is syscalls
-	// saved.
+	// writeBatchFrames is the distribution of frames per write syscall:
+	// how many staged frames each connection write carried. A mass near 1
+	// means a burst never holds a second answer (the load is not pipelined
+	// enough to coalesce); a fatter tail is syscalls saved.
 	writeBatchFrames obs.Histogram
 
 	// affineOps counts operations admitted in a run on its cached plan:
@@ -297,7 +296,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	// frame counts, not nanoseconds, so the bucket bound is rendered as the
 	// largest count the bucket admits.
 	if wb := m.writeBatchFrames.Snapshot(); wb.Count > 0 {
-		p.Family("rtled_write_batch_frames", "histogram", "Response frames flushed per vectored write syscall.")
+		p.Family("rtled_write_batch_frames", "histogram", "Frames per write syscall.")
 		p.Histogram(&wb, false)
 	}
 

@@ -440,7 +440,7 @@ func (fr *frameReader) next() ([]byte, error) {
 // ready reports whether a complete frame is already buffered, i.e. whether
 // next() would return without touching the socket. The server's read loop
 // uses it to decide when a pipelined burst has drained: as long as ready
-// holds, admission may keep extending an affinity run, because flushing is
+// holds, admission may keep extending an affinity run, because writing is
 // only mandatory before a read that could block. False when the underlying
 // reader is not a *bufio.Reader (no lookahead available).
 //

@@ -327,9 +327,9 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 		bootstrap = true
 	}
 	s.metrics.statuses[StatusOK].Add(1)
-	ok := getFrame()
-	ok.b = AppendResponse(ok.b, &Response{ID: req.ID, Status: StatusOK})
-	c.send(ok)
+	c.out = AppendResponse(c.out, &Response{ID: req.ID, Status: StatusOK})
+	c.frames++
+	c.write()
 
 	sub := r.addSub(first)
 	defer r.removeSub(sub)
@@ -356,13 +356,10 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 		start = sn.Seq + 1
 	}
 
-	// The streamer sends through the connection's output queue like every
-	// other sender; c.tasks keeps the teardown from closing the socket
-	// under it, and a dead queue recycles its frames instead of blocking.
-	c.tasks.Add(1)
+	// From here until <-done the streamer is the connection's only
+	// writer; this goroutine only reads acknowledgements.
 	done := make(chan struct{})
 	go func() {
-		defer c.tasks.Done()
 		defer close(done)
 		s.streamEntries(c, sub, start)
 	}()
@@ -379,7 +376,7 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 		r.ack(sub, seq)
 	}
 	close(sub.dead)
-	_ = c.nc.Close() // unblock the streamer's sends and our own teardown
+	_ = c.nc.Close() // unblock the streamer's write and our own teardown
 	<-done
 }
 
@@ -404,14 +401,12 @@ func (s *Server) streamEntries(c *conn, sub *replSub, next uint64) {
 				return
 			}
 		}
-		// Queue the whole read, then flush once: one writev per batch of
-		// entries rather than per entry.
+		// One write per log read, not per entry.
 		for i := range entries {
-			f := getFrame()
-			f.b = AppendReplEntry(f.b, &entries[i])
-			c.queue(f)
+			c.out = AppendReplEntry(c.out, &entries[i])
+			c.frames++
 		}
-		c.flush()
+		c.write()
 		next = entries[len(entries)-1].Seq + 1
 	}
 }

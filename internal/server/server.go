@@ -177,7 +177,7 @@ type Server struct {
 	drainMu  sync.RWMutex
 	draining bool
 
-	tasksWG sync.WaitGroup // accepted tasks not yet answered and flushed
+	tasksWG sync.WaitGroup // accepted tasks not yet answered on the wire
 	connsWG sync.WaitGroup // one per connection, released by its teardown
 
 	// Auto-compactor lifecycle (nil/unused unless CompactEvery > 0).
@@ -449,15 +449,15 @@ func (s *Server) serveConn(nc net.Conn) {
 	go s.readLoop(c)
 }
 
-// endConn is a connection's teardown, run by its read loop on the way out:
-// once every request it accepted is answered (a replication streamer's
-// included), it waits out a running flush, closes the socket and forgets
-// the connection. Once per connection: cold.
+// endConn is a connection's teardown, run by its read loop on the way out,
+// when every request it accepted is answered and no streamer writes any
+// more: it writes what is still staged (a hello or subscribe rejection),
+// closes the socket and forgets the connection. Once per connection: cold.
 //
 //rtle:coldpath
 func (s *Server) endConn(c *conn) {
-	c.tasks.Wait()
-	c.shut()
+	c.write()
+	_ = c.nc.Close() // double-close after a hard Close or a failed write is harmless
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
@@ -470,15 +470,15 @@ func (s *Server) endConn(c *conn) {
 // itself: a pipelined burst's operations run on this goroutine — on
 // sections borrowed from their shard, or under the exclusive gates of the
 // shards a cross-shard operation spans — and their responses leave in one
-// flush before the next read that could block.
+// write before the next read that could block.
 //
 //rtle:hotpath
 func (s *Server) readLoop(c *conn) {
 	defer s.endConn(c)
 	fr := frameReader{r: bufio.NewReaderSize(c.nc, 1<<16)}
 	if !s.hello(c, &fr) {
-		// The rejection is already on the wire (send flushes); the teardown
-		// closes the socket behind it.
+		// The teardown writes the rejection, if any, and closes the socket
+		// behind it.
 		return
 	}
 	run := &c.run
@@ -499,9 +499,12 @@ func (s *Server) readLoop(c *conn) {
 			// it before the blocking case.
 			return
 		}
+		// A rejection joins the burst's answers in request order, behind
+		// the pending run's: the run executes first.
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			s.metrics.badOps.Add(1)
+			s.flushRun(c)
 			s.reject(c, req.ID, StatusBad, err.Error())
 			continue
 		}
@@ -530,6 +533,7 @@ func (s *Server) readLoop(c *conn) {
 		}
 		if err := s.validate(&req); err != nil {
 			s.metrics.badOps.Add(1)
+			s.flushRun(c)
 			s.reject(c, req.ID, StatusBad, err.Error())
 			continue
 		}
@@ -537,6 +541,7 @@ func (s *Server) readLoop(c *conn) {
 		// everything else before execution: clients retry against the
 		// primary or ride out this server's promotion.
 		if r := s.repl; r != nil && !r.primary() && req.Op != OpPing {
+			s.flushRun(c)
 			s.reject(c, req.ID, StatusNotPrimary,
 				"server is a replica of "+r.primaryAddr)
 			continue
@@ -608,9 +613,10 @@ func (run *affRun) add(c *conn, req Request) {
 //
 // The lock is tried first: a drain or a swap that holds or awaits it is
 // waiting for tasksWG to empty, so a reader still holding its burst's
-// answers must release them (endBurst) before queueing behind it. Rejected
-// tasks are answered only after the lock is released: a send can block on
-// a stalled peer, and blocking under drainMu would wedge Shutdown.
+// answers must release them (endBurst) before queueing behind it. Nothing
+// is written under the lock: a write can block on a stalled peer, and
+// blocking under drainMu would wedge Shutdown. Refused tasks are staged
+// like any answer and leave with the burst.
 //
 //rtle:hotpath
 func (s *Server) flushRun(c *conn) {
@@ -644,7 +650,6 @@ func (s *Server) flushRun(c *conn) {
 			if plan := tp.router.plan(&t.req); plan.fast {
 				s.admitLocked(tp.shards[plan.shard], t, 1)
 			} else {
-				c.tasks.Add(1)
 				s.tasksWG.Add(1)
 				t.spans = plan.spans
 			}
@@ -654,15 +659,14 @@ func (s *Server) flushRun(c *conn) {
 	s.execute(c, tp, head)
 }
 
-// admitLocked counts the n fast-path tasks chained from head into their
-// connection's and the server's in-flight sets and sh's backlog gauge
+// admitLocked counts the n fast-path tasks chained from head into the
+// server's in-flight set and sh's backlog gauge
 // before anything executes them: count before execute, so neither a drain
 // nor a scrape can miss an admitted task. The caller holds drainMu shared
 // with draining false.
 //
 //rtle:hotpath
 func (s *Server) admitLocked(sh *shard, head *task, n int) {
-	head.c.tasks.Add(n)
 	s.tasksWG.Add(n)
 	sh.m.queueDepth.Add(int64(n))
 	for t, i := head, 0; i < n; t, i = t.next, i+1 {
@@ -672,33 +676,25 @@ func (s *Server) admitLocked(sh *shard, head *task, n int) {
 
 // endBurst ends the reader's burst: on a sync-ack primary it waits once
 // for the highest barrier among the burst's blocks, fast and cross-shard
-// alike, hands the staged answers to the output queue in one flush, and
-// only then releases their accounting — so a drain that finds tasksWG
-// empty finds every accepted request answered on the wire, or in the hands
-// of a flush the connection's teardown waits out. If the wait is abandoned
-// because the server is closing, the answers are dropped unsent and the
-// connection is closed (see replWait).
+// alike, writes the staged answers and rejections in one write, and only
+// then releases the answered tasks' accounting — so a drain that finds
+// tasksWG empty finds every accepted request answered on the wire. If the
+// wait is abandoned because the server is closing, the answers are dropped
+// unsent and the connection is closed (see replWait).
 //
 //rtle:hotpath
 func (s *Server) endBurst(c *conn) {
-	n := len(c.staged)
-	if n == 0 {
+	if c.frames == 0 {
 		return
 	}
-	bar := c.bar
-	c.bar = 0
+	bar, n := c.bar, c.answered
+	c.bar, c.answered = 0, 0
 	if s.replWait(bar) {
-		c.queue(c.staged...)
-		c.flush()
+		c.write()
 	} else {
-		for _, f := range c.staged {
-			putFrame(f)
-		}
+		c.out, c.frames = c.out[:0], 0
 		_ = c.nc.Close() // the client sees its connection die and records the ops pending
 	}
-	clear(c.staged)
-	c.staged = c.staged[:0]
-	c.tasks.Add(-n)
 	s.tasksWG.Add(-n)
 }
 
@@ -734,13 +730,13 @@ func (s *Server) hello(c *conn, fr *frameReader) bool {
 	if s.repl != nil {
 		features |= FeatureReplicated
 	}
-	f := getFrame()
-	f.b = AppendServerHello(f.b, &ServerHello{
+	c.out = AppendServerHello(c.out, &ServerHello{
 		Version:  ProtocolVersion,
 		Features: features,
 		Shards:   uint16(len(s.top().shards)),
 	})
-	c.send(f)
+	c.frames++
+	c.write()
 	return true
 }
 
@@ -767,39 +763,40 @@ func (s *Server) validate(req *Request) error {
 	}
 }
 
-// reject answers a request that will not execute. Rejection is the error
+// reject stages the answer to a request that will not execute; it leaves
+// with the rest of the burst, or at the teardown. Rejection is the error
 // branch of admission: cold, allocation is priced in.
 //
 //rtle:coldpath
 func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 	s.metrics.statuses[st].Add(1)
-	f := getFrame()
-	f.b = AppendResponse(f.b, &Response{ID: id, Status: st, Message: msg})
-	c.send(f)
+	c.out = AppendResponse(c.out, &Response{ID: id, Status: st, Message: msg})
+	c.frames++
 }
 
-// encode turns an executed task's response into a pooled frame, counts it,
+// encode stages an executed task's response on its connection, counts it,
 // and recycles the task header. results may alias a section's scratch
 // slice; it is encoded before returning, so the steady-state response path
-// allocates nothing: the frame returns to the arena after the flush that
-// writes it, the task header after this call.
+// allocates nothing: the connection's buffer is reused after every write,
+// the task header after this call.
 //
 //rtle:hotpath
-func (s *Server) encode(t *task, results []Result, resp Response) *frameBuf {
+func (s *Server) encode(t *task, results []Result, resp Response) {
 	resp.Results = results
-	f := getFrame()
-	f.b = AppendResponse(f.b, &resp)
+	c := t.c
+	c.out = AppendResponse(c.out, &resp)
+	c.frames++
+	c.answered++
 	s.metrics.statuses[resp.Status].Add(1)
 	s.metrics.latency[opIndex(t.req.Op)].Observe(time.Since(t.arrived).Nanoseconds())
 	if t.sh != nil {
 		t.sh.m.inflight.Add(-1)
 	}
 	putTask(t)
-	return f
 }
 
 // Shutdown drains gracefully: stop admitting, stop accepting, let every
-// accepted request on every shard finish and flush, then tear the
+// accepted request on every shard finish and be written, then tear the
 // connections down. It returns ctx's error if the drain does not complete
 // in time (the server is then closed hard).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -834,10 +831,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 
-	// All accepted tasks are answered and no reader can admit more (the
-	// draining flip happened under drainMu). Unblock readers parked on their
-	// sockets; each connection's teardown waits out its last flush before it
-	// closes the socket.
+	// All accepted tasks are answered on the wire and no reader can admit
+	// more (the draining flip happened under drainMu). Unblock readers
+	// parked on their sockets; each connection's teardown closes its own.
 	s.closeConns(false)
 	done := make(chan struct{})
 	go func() {
@@ -893,9 +889,8 @@ func (s *Server) stopCompactor() {
 }
 
 // closeConns unblocks every live connection's reader. hard closes the
-// sockets outright, failing any flush in progress; otherwise only the
-// reads expire, and each connection's teardown closes its socket once its
-// last flush is out.
+// sockets outright, failing any write in progress; otherwise only the
+// reads expire, and each connection's teardown closes its socket.
 func (s *Server) closeConns(hard bool) {
 	s.mu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
@@ -905,7 +900,7 @@ func (s *Server) closeConns(hard bool) {
 	s.mu.Unlock()
 	for _, c := range conns {
 		if hard {
-			_ = c.nc.Close() // readers and flushers observe the close and exit
+			_ = c.nc.Close() // readers and writers observe the close and exit
 		} else {
 			_ = c.nc.SetReadDeadline(time.Now()) // fails only on a closed socket
 		}

@@ -185,12 +185,20 @@ func pipeConn(t testing.TB, srv *Server) (c *conn, peer net.Conn) {
 
 // servePipe serves the server end of a net.Pipe through the real read loop
 // (serveConn) and runs the hello exchange on the client end, which it
-// returns with the reader positioned after the server's hello.
+// returns with the reader positioned after the server's hello. The server
+// end fails the test if two of its writes ever overlap: one goroutine at a
+// time writes a connection.
 func servePipe(t testing.TB, srv *Server) (peer net.Conn, fr *frameReader) {
+	t.Helper()
+	return serveWrapped(t, srv, func(nc net.Conn) net.Conn { return &oneWriterConn{Conn: nc, t: t} })
+}
+
+// serveWrapped is servePipe with the server end wrapped by wrap.
+func serveWrapped(t testing.TB, srv *Server, wrap func(net.Conn) net.Conn) (peer net.Conn, fr *frameReader) {
 	t.Helper()
 	server, client := net.Pipe()
 	t.Cleanup(func() { _ = client.Close() }) // the server end belongs to its teardown
-	srv.serveConn(server)
+	srv.serveConn(wrap(server))
 	if _, err := client.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})); err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +211,23 @@ func servePipe(t testing.TB, srv *Server) (peer net.Conn, fr *frameReader) {
 		t.Fatal(err)
 	}
 	return client, fr
+}
+
+// oneWriterConn fails the test when a Write starts while another one on
+// the same connection is still in progress.
+type oneWriterConn struct {
+	net.Conn
+	t       testing.TB
+	writing atomic.Bool
+}
+
+func (c *oneWriterConn) Write(p []byte) (int, error) {
+	if !c.writing.CompareAndSwap(false, true) {
+		c.t.Error("two goroutines write one connection at once")
+		return c.Conn.Write(p)
+	}
+	defer c.writing.Store(false)
+	return c.Conn.Write(p)
 }
 
 // collect decodes every response frame the server writes to peer onto the
@@ -313,6 +338,7 @@ func TestBackpressure(t *testing.T) {
 		}
 		srv.flushRun(c)
 		flushOne(srv, c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		srv.endBurst(c)
 
 		for id := uint32(1); id <= 4; id++ {
 			if resp := nextResponse(t, resps); resp.ID != id || resp.Status != StatusShutdown {
@@ -354,7 +380,7 @@ func TestBackpressure(t *testing.T) {
 			close(flushed)
 		}()
 		// Nobody reads the pipe yet, so once both transfers ran the burst's
-		// answers sit in its flush: were they written under drainMu, the
+		// answers sit in its write: were they written under drainMu, the
 		// lock would be held now.
 		waitFor(t, 10*time.Second, "the re-planned transfers", func() bool { return m.CrossShard() == 2 })
 		if !srv.drainMu.TryLock() {
@@ -373,7 +399,6 @@ func TestBackpressure(t *testing.T) {
 			}
 		}
 		<-flushed
-		c.tasks.Wait()
 		if d := m.QueueDepth(); d != 0 {
 			t.Errorf("queue depth %d after the accepted tasks ran, want 0", d)
 		}
@@ -387,7 +412,7 @@ func TestBackpressure(t *testing.T) {
 }
 
 // TestStalledClientParksOnlyItsConnection: a client that pipelines requests
-// and never reads stalls its own connection's flush, and nothing else. One
+// and never reads stalls its own connection's write, and nothing else. One
 // section per shard: were any shared execution resource parked on the
 // stalled socket, another client of the same shards would starve — on the
 // fast path, and on the cross-shard path, whose answers must not wait on

@@ -26,7 +26,7 @@ type shard struct {
 	// secs is the shard's pool of Config.Workers sections, each on its own
 	// core.Thread: at most that many fast-path blocks run on the shard at
 	// once. A connection's reader borrows one to execute the run it
-	// admitted and returns it before anything is flushed, so a section is
+	// admitted and returns it before anything is written, so a section is
 	// never held across I/O; a reader that finds the pool empty waits.
 	secs chan *section
 
@@ -100,7 +100,7 @@ func (s *Server) execute(c *conn, tp *topology, t *task) {
 			case OpPing:
 				s.runGroup(c, sh, sec, group)
 				group = group[:0]
-				c.staged = append(c.staged, s.encode(t, sec.results[:0], Response{ID: t.req.ID, Status: StatusOK}))
+				s.encode(t, sec.results[:0], Response{ID: t.req.ID, Status: StatusOK})
 			case OpBatch:
 				s.runGroup(c, sh, sec, group)
 				group = group[:0]
@@ -218,7 +218,7 @@ func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []*task) {
 		sh.m.coalesced.Add(uint64(len(group)))
 	}
 	for i, t := range group {
-		c.staged = append(c.staged, s.encode(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK}))
+		s.encode(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
 	}
 }
 
@@ -231,7 +231,7 @@ func (s *Server) runBatch(c *conn, sh *shard, sec *section, t *task) {
 	entries := t.req.Batch
 	c.bar = max(c.bar, s.runSection(sh, sec, entries))
 	sh.m.batchOps.Add(uint64(len(entries)))
-	c.staged = append(c.staged, s.encode(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK}))
+	s.encode(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
 }
 
 // replWait blocks until the barrier sequence is acknowledged (sync ack
@@ -322,7 +322,7 @@ func (tp *topology) unlockSpans(spans []int) {
 // gates make the per-entry blocks jointly atomic to every observer, so the
 // client sees exactly a sequential, atomic execution of its request. The
 // answer is staged on c with the rest of its burst, and the block's sync
-// barrier folds into the burst's: endBurst waits and flushes once. Cold:
+// barrier folds into the burst's: endBurst waits and writes once. Cold:
 // the result slice and the span set are allocated per operation.
 //
 //rtle:coldpath
@@ -343,7 +343,7 @@ func (s *Server) runCross(c *conn, tp *topology, t *task) {
 
 	s.metrics.crossOps.Add(uint64(len(entries)))
 	c.bar = max(c.bar, bar)
-	c.staged = append(c.staged, s.encode(t, results, Response{ID: t.req.ID, Status: StatusOK}))
+	s.encode(t, results, Response{ID: t.req.ID, Status: StatusOK})
 }
 
 // crossTransfer runs the withdraw/deposit split of one cross-shard

@@ -213,9 +213,10 @@ func TestCrossShardTransferBatch(t *testing.T) {
 }
 
 // TestCrossShardBurstOrder: a pipelined burst that mixes fast-path reads
-// with cross-shard transfers is answered strictly in request order — a
-// cross-shard answer is staged with the rest of its burst, never sent
-// ahead of it — and every read observes exactly the transfers before it.
+// with cross-shard transfers and rejected requests is answered strictly in
+// request order — a cross-shard answer or a rejection is staged with the
+// rest of its burst, never sent ahead of it — and every read observes
+// exactly the transfers before it.
 func TestCrossShardBurstOrder(t *testing.T) {
 	const keys, rounds = 16, 40
 	srv, addr := startServer(t, Config{Workload: "bank", Shards: 2, Workers: 2, Keys: keys})
@@ -229,8 +230,9 @@ func TestCrossShardBurstOrder(t *testing.T) {
 			{Op: check.OpBalance, Arg1: from},
 			{Op: check.OpTransfer, Arg1: from, Arg2: to, Arg3: 1},
 			{Op: check.OpBalance, Arg1: to},
+			{Op: check.OpBalance, Arg1: keys}, // out of range: rejected
 		} {
-			req.ID = uint32(3*r + j + 1)
+			req.ID = uint32(4*r + j + 1)
 			burst = AppendRequest(burst, &req)
 		}
 	}
@@ -238,7 +240,7 @@ func TestCrossShardBurstOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	fr := frameReader{r: br}
-	for id := uint32(1); id <= 3*rounds; id++ {
+	for id := uint32(1); id <= 4*rounds; id++ {
 		payload, err := fr.next()
 		if err != nil {
 			t.Fatal(err)
@@ -247,18 +249,24 @@ func TestCrossShardBurstOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.ID != id || resp.Status != StatusOK {
+		wantStatus := StatusOK
+		if id%4 == 0 {
+			wantStatus = StatusBad
+		}
+		if resp.ID != id || resp.Status != wantStatus {
 			t.Fatalf("answer %d is %+v: out of request order", id, resp)
 		}
-		r := uint64(id-1) / 3
+		r := uint64(id-1) / 4
 		var want uint64
-		switch (id - 1) % 3 {
+		switch (id - 1) % 4 {
 		case 0:
 			want = BankInitial - r // the source, before this round's transfer
 		case 1:
 			want = 1 // the amount moved
 		case 2:
 			want = BankInitial + r + 1 // the destination, after it
+		case 3:
+			continue
 		}
 		if got := resp.Results[0].Ret; got != want {
 			t.Errorf("answer %d returned %d, want %d", id, got, want)
@@ -294,8 +302,8 @@ func TestCrossShardBurstOrder(t *testing.T) {
 // the real read loop over a net.Pipe: a pipelined burst runs in groups of
 // at most Config.Coalesce single operations, a ping or batch ends the
 // group before it and runs on its own, and every answer leaves in the
-// burst's flush. The whole burst is written at once, so the grouping is
-// deterministic. Shutdown is called while that flush is blocked on the
+// burst's write. The whole burst is written at once, so the grouping is
+// deterministic. Shutdown is called while that write is blocked on the
 // unread pipe, and must not return before every accepted request's answer
 // has been written.
 func TestWorkerDrain(t *testing.T) {
@@ -337,7 +345,7 @@ func TestWorkerDrain(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every block has run once the sections are counted; the answers
-			// then wait in the burst's flush, which nobody reads yet.
+			// then wait in the burst's write, which nobody reads yet.
 			waitFor(t, 10*time.Second, "the burst's sections", func() bool { return m.Sections() == tc.sections })
 
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -210,20 +210,20 @@ func (s *Server) serveSnapshot(c *conn, req Request) {
 		return
 	}
 	s.metrics.statuses[StatusOK].Add(1)
-	ok := getFrame()
-	ok.b = AppendResponse(ok.b, &Response{ID: req.ID, Status: StatusOK})
-	c.send(ok)
+	c.out = AppendResponse(c.out, &Response{ID: req.ID, Status: StatusOK})
+	c.frames++
+	c.write()
 	s.sendSnapshot(c, sn)
 }
 
-// sendSnapshot queues a snapshot's chunk frames on c. Encoding happens
+// sendSnapshot writes a snapshot's chunk frames to c, one write each. Encoding happens
 // after the gates released (CaptureSnapshot returned), so a slow consumer
 // never extends the capture's busy window.
 func (s *Server) sendSnapshot(c *conn, sn *snap.Snapshot) {
 	w := snap.NewWriter(func(chunk []byte) error {
-		f := getFrame()
-		f.b = AppendSnapChunk(f.b, chunk)
-		c.send(f)
+		c.out = AppendSnapChunk(c.out, chunk)
+		c.frames++
+		c.write()
 		return nil
 	})
 	// The emit callback never fails and the snapshot came from our own

@@ -1,115 +1,25 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
-	"io"
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rtle/internal/check"
+	"rtle/internal/repl"
 )
 
-// throttledWriter accepts at most cap bytes per Write call, returning
-// io.ErrShortWrite for the remainder — the contract a non-blocking socket
-// exhibits when its send buffer fills mid-writev.
-type throttledWriter struct {
-	cap int
-	out bytes.Buffer
-}
-
-func (w *throttledWriter) Write(p []byte) (int, error) {
-	n := len(p)
-	if n > w.cap {
-		n = w.cap
-	}
-	w.out.Write(p[:n])
-	if n < len(p) {
-		return n, io.ErrShortWrite
-	}
-	return n, nil
-}
-
-// TestWriteBuffersPartialWrite drives the vectored flush through a writer
-// that keeps truncating: writeBuffers must resume after every short write
-// and deliver the whole batch, in order, without duplicating or dropping a
-// byte.
-func TestWriteBuffersPartialWrite(t *testing.T) {
-	frames := [][]byte{
-		[]byte("alpha-frame"),
-		[]byte("b"),
-		[]byte("gamma-gamma-gamma-gamma"),
-		[]byte("delta"),
-	}
-	var want []byte
-	for _, f := range frames {
-		want = append(want, f...)
-	}
-	for _, chunk := range []int{1, 2, 3, 7, 1 << 20} {
-		w := &throttledWriter{cap: chunk}
-		v := make(net.Buffers, len(frames))
-		for i, f := range frames {
-			v[i] = f
-		}
-		if err := writeBuffers(w, &v); err != nil {
-			t.Fatalf("cap %d: writeBuffers: %v", chunk, err)
-		}
-		if !bytes.Equal(w.out.Bytes(), want) {
-			t.Fatalf("cap %d: wrote %q, want %q", chunk, w.out.Bytes(), want)
-		}
-		if len(v) != 0 {
-			t.Fatalf("cap %d: %d buffers left unconsumed", chunk, len(v))
-		}
-	}
-}
-
-// stuckWriter makes no progress at all.
-type stuckWriter struct{}
-
-func (stuckWriter) Write(p []byte) (int, error) { return 0, io.ErrShortWrite }
-
-// errWriter fails with a real transport error after accepting some bytes.
-type errWriter struct{ n int }
-
-func (w *errWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errors.New("peer reset")
-	}
-	n := len(p)
-	if n > w.n {
-		n = w.n
-	}
-	w.n -= n
-	if n < len(p) {
-		return n, io.ErrShortWrite
-	}
-	return n, nil
-}
-
-// TestWriteBuffersNoProgress checks the two fatal branches: a writer that
-// accepts nothing must surface io.ErrShortWrite instead of spinning, and a
-// real transport error must pass through once progress stops.
-func TestWriteBuffersNoProgress(t *testing.T) {
-	v := net.Buffers{[]byte("payload")}
-	if err := writeBuffers(stuckWriter{}, &v); !errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("stuck writer: got %v, want io.ErrShortWrite", err)
-	}
-	v = net.Buffers{[]byte("payload-that-does-not-fit")}
-	if err := writeBuffers(&errWriter{n: 4}, &v); err == nil || errors.Is(err, io.ErrShortWrite) {
-		t.Fatalf("failing writer: got %v, want the transport error", err)
-	}
-}
-
-// TestFramePoolTeardownRace hammers the pooled response path from several
-// pipelined net.Pipe connections and tears the server down hard mid-flight.
-// The interesting properties are invisible on success and loud under
-// -race: no frame is recycled while a flush still holds it, the dead queue
-// keeps recycling after the socket dies, no sender blocks on a dead peer,
-// and every connection's teardown completes.
-func TestFramePoolTeardownRace(t *testing.T) {
+// TestTeardownUnderLoad hammers the response path from several pipelined
+// net.Pipe connections and tears the server down hard mid-flight. The
+// interesting properties are invisible on success and loud under -race or
+// servePipe's overlapping-write check: no connection's buffer is touched
+// by two goroutines, a reader whose write failed on the closed socket
+// exits, and every connection's teardown completes.
+func TestTeardownUnderLoad(t *testing.T) {
 	srv, err := New(Config{Workload: "set", Keys: 128, Workers: 2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -210,132 +120,113 @@ func TestAffinityRunDelivery(t *testing.T) {
 	}
 }
 
-// TestFlushCombining holds the output queue to its contract over a
-// net.Pipe, whose writes complete only as the peer reads: concurrent
-// senders each get every frame written exactly once, whole and in their own
-// order; a frame queued during another goroutine's flush is written by that
-// flush before it clears flushing; and after a write error the frames are
-// recycled and no sender blocks.
-func TestFlushCombining(t *testing.T) {
-	// frame encodes (sender, seq) as one response frame.
-	frame := func(sender, seq int) *frameBuf {
-		f := getFrame()
-		f.b = AppendResponse(f.b, &Response{ID: uint32(sender<<16 | seq), Status: StatusOK})
-		return f
+// failAfterConn lets its first writes through and fails every later one;
+// ok counts the writes left.
+type failAfterConn struct {
+	net.Conn
+	ok atomic.Int32
+}
+
+func (c *failAfterConn) Write(p []byte) (int, error) {
+	if c.ok.Add(-1) < 0 {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestFailedWriteEndsConnection: a write that fails after the hello ends
+// the connection — the reader stops executing requests whose answers could
+// go nowhere and the teardown runs — even while the peer keeps sending.
+func TestFailedWriteEndsConnection(t *testing.T) {
+	srv, err := New(Config{Workload: "set", Keys: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	peer, _ := serveWrapped(t, srv, func(nc net.Conn) net.Conn {
+		fc := &failAfterConn{Conn: nc}
+		fc.ok.Store(1) // the server's hello
+		return fc
+	})
+	go func() {
+		var buf []byte
+		for j := uint32(1); ; j++ {
+			buf = AppendRequest(buf[:0], &Request{ID: j, Op: check.OpContains, Arg1: uint64(j % 64)})
+			if _, err := peer.Write(buf); err != nil {
+				return // the server end is closed
+			}
+		}
+	}()
+	m := srv.Metrics()
+	waitFor(t, 10*time.Second, "the connection's teardown after its failed write", func() bool {
+		return m.connsOpen.Load() == 0
+	})
+}
+
+// TestSubscriberStreamOneWriter: a replication stream is written by the
+// subscriber's reader until the streamer starts, and by the streamer alone
+// afterwards; servePipe's check fails the test on any overlap. Another
+// connection's puts feed the stream meanwhile, and every one arrives, in
+// log order.
+func TestSubscriberStreamOneWriter(t *testing.T) {
+	srv, err := New(Config{Workload: "map", Keys: 64, Repl: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sub, fr := servePipe(t, srv)
+	if _, err := sub.Write(AppendRequest(nil, &Request{ID: 1, Op: OpReplSubscribe, Arg1: 1})); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := DecodeResponse(payload); err != nil || resp.Status != StatusOK {
+		t.Fatalf("subscribe answered %+v (%v), want ok", resp, err)
 	}
 
-	t.Run("senders", func(t *testing.T) {
-		server, peer := net.Pipe()
-		defer server.Close()
-		defer peer.Close()
-		c := newConn(server, &Metrics{}, 8)
-		const senders, each = 8, 200
-		var wg sync.WaitGroup
-		for g := 0; g < senders; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					c.send(frame(g, i))
-				}
-			}(g)
-		}
-		next := make([]int, senders)
-		fr := frameReader{r: bufio.NewReader(peer)}
-		for n := 0; n < senders*each; n++ {
-			payload, err := fr.next()
+	const puts = 200
+	client, cfr := servePipe(t, srv)
+	wrote := make(chan error, 1)
+	go func() {
+		var buf []byte
+		for j := uint32(1); j <= puts; j++ {
+			buf = AppendRequest(buf[:0], &Request{ID: j, Op: check.OpPut, Arg1: uint64(j % 64), Arg2: uint64(j)})
+			if _, err := client.Write(buf); err != nil {
+				wrote <- err
+				return
+			}
+			payload, err := cfr.next()
 			if err != nil {
-				t.Fatal(err)
+				wrote <- err
+				return
 			}
-			resp, err := DecodeResponse(payload)
-			if err != nil {
-				t.Fatalf("frame %d torn: %v", n, err)
+			if resp, err := DecodeResponse(payload); err != nil || resp.Status != StatusOK {
+				wrote <- fmt.Errorf("put %d answered %+v (%v)", j, resp, err)
+				return
 			}
-			g, seq := int(resp.ID>>16), int(resp.ID&0xffff)
-			if g >= senders || seq != next[g] {
-				t.Fatalf("sender %d frame %d arrived, want its frame %d", g, seq, next[g])
-			}
-			next[g]++
 		}
-		wg.Wait()
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.flushing || len(c.pending) != 0 {
-			t.Errorf("queue left flushing=%v with %d frames after every send returned", c.flushing, len(c.pending))
-		}
-	})
+		wrote <- nil
+	}()
 
-	t.Run("joins-running-flush", func(t *testing.T) {
-		server, peer := net.Pipe()
-		defer server.Close()
-		defer peer.Close()
-		c := newConn(server, &Metrics{}, 8)
-		first := make(chan struct{})
-		go func() {
-			c.send(frame(0, 0)) // blocks in its write: nobody reads yet
-			close(first)
-		}()
-		waitFor(t, 10*time.Second, "the first flush", func() bool {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return c.flushing
-		})
-		c.send(frame(1, 0)) // must join the running flush and return at once
-		fr := frameReader{r: bufio.NewReader(peer)}
-		for _, want := range []uint32{0, 1 << 16} {
-			payload, err := fr.next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp, err := DecodeResponse(payload); err != nil || resp.ID != want {
-				t.Fatalf("read %+v (%v), want id %#x", resp, err, want)
-			}
+	next, ops := uint64(1), 0
+	for ops < puts {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		<-first
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.flushing || len(c.pending) != 0 {
-			t.Errorf("the flusher returned with flushing=%v and %d frames queued", c.flushing, len(c.pending))
+		e, err := repl.DecodeEntryPayload(payload)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-
-	t.Run("write-error", func(t *testing.T) {
-		server, peer := net.Pipe()
-		defer server.Close()
-		c := newConn(server, &Metrics{}, 8)
-		// One flusher stuck on the unread pipe, senders queued up behind it
-		// past the bound, then the peer goes away.
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 2*maxQueuedFrames; i++ {
-					c.send(frame(g, i))
-				}
-			}(g)
+		if e.Seq != next {
+			t.Fatalf("entry %d arrived, want %d", e.Seq, next)
 		}
-		waitFor(t, 10*time.Second, "a full queue behind the stuck flush", func() bool {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return len(c.pending) == maxQueuedFrames
-		})
-		_ = peer.Close()
-		done := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatal("a sender blocked on a dead connection")
-		}
-		c.send(frame(9, 0)) // a dead queue recycles at once
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if !c.dead || c.flushing || len(c.pending) != 0 {
-			t.Errorf("after the write error: dead=%v flushing=%v, %d frames still queued", c.dead, c.flushing, len(c.pending))
-		}
-	})
+		next++
+		ops += len(e.Ops)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
 }
