@@ -22,7 +22,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# rtlevet enforces the repository's HTM/TLE instrumentation and serving
+# rtlevet enforces the repository's HTM/TLE instrumentation and log-order
 # disciplines: every pass over the whole tree (go vet exits non-zero on an
 # unwaived finding), then the standalone driver's stale-waiver report (an
 # //rtle:ignore that suppresses nothing is a violation hiding spot). CI's

@@ -1,7 +1,6 @@
 // Command rtlevet runs the rtle static-analysis suite (txbody, abortpath,
-// barrierdiscipline, gateorder, loggate, hotalloc, guardmisuse,
-// statsatomic — see rtle/internal/analysis) over Go packages. It works in
-// two modes:
+// barrierdiscipline, loggate, guardmisuse — see rtle/internal/analysis)
+// over Go packages. It works in two modes:
 //
 // Standalone, with go list patterns:
 //
@@ -14,7 +13,7 @@
 //	go build -o /tmp/rtlevet rtle/cmd/rtlevet
 //	go vet -vettool=/tmp/rtlevet ./...
 //
-// Pass an analyzer's name as a flag (-txbody, -hotalloc, ...) to run a
+// Pass an analyzer's name as a flag (-txbody, -loggate, ...) to run a
 // subset of the suite; by default every pass runs. -unusedignores
 // additionally reports //rtle:ignore pragmas that suppressed nothing in
 // the run, so stale waivers cannot silently outlive the finding they

@@ -62,9 +62,16 @@ func TestFlagsJSON(t *testing.T) {
 		}
 		got[f.Name] = true
 	}
+	want := map[string]bool{"unusedignores": true}
 	for _, a := range analysis.Analyzers() {
+		want[a.Name] = true
 		if !got[a.Name] {
 			t.Errorf("-flags output missing analyzer flag %s", a.Name)
+		}
+	}
+	for name := range got {
+		if !want[name] {
+			t.Errorf("-flags output has %s, which is neither a registered pass nor -unusedignores", name)
 		}
 	}
 }

@@ -4,11 +4,8 @@ import (
 	"rtle/internal/analysis/abortpath"
 	"rtle/internal/analysis/barrierdiscipline"
 	"rtle/internal/analysis/framework"
-	"rtle/internal/analysis/gateorder"
 	"rtle/internal/analysis/guardmisuse"
-	"rtle/internal/analysis/hotalloc"
 	"rtle/internal/analysis/loggate"
-	"rtle/internal/analysis/statsatomic"
 	"rtle/internal/analysis/txbody"
 )
 
@@ -18,10 +15,7 @@ func Analyzers() []*framework.Analyzer {
 		txbody.Analyzer,
 		abortpath.Analyzer,
 		barrierdiscipline.Analyzer,
-		gateorder.Analyzer,
 		loggate.Analyzer,
-		hotalloc.Analyzer,
 		guardmisuse.Analyzer,
-		statsatomic.Analyzer,
 	}
 }

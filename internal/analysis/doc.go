@@ -1,10 +1,11 @@
-// Package analysis bundles the rtlevet static-analysis suite: eight
-// passes that enforce the HTM/TLE instrumentation discipline the paper's
-// refined algorithms depend on, plus the serving layer's gate, log and
-// allocation disciplines. One un-instrumented word access on a slow
-// path breaks opacity in a way runtime checking (internal/check) can only
-// catch probabilistically; these passes make the discipline a
-// compile-time property.
+// Package analysis bundles the rtlevet static-analysis suite: five passes
+// that enforce the HTM/TLE instrumentation discipline the paper's refined
+// algorithms depend on, plus the serving layer's log-order discipline.
+// One un-instrumented word access on a slow path breaks opacity in a way
+// runtime checking (internal/check) can only catch probabilistically;
+// these passes make the discipline a compile-time property. DESIGN §5.1
+// records which mutants of the real tree each pass catches and which
+// tests catch them too; gate order and allocation are pinned by tests.
 //
 // The passes are:
 //
@@ -18,25 +19,16 @@
 //     goes through the htm.Tx read/write barriers, and writer metadata is
 //     only mutated on the lock-holder path (declared //rtle:lockpath or
 //     inherited from an all-lockpath caller set).
-//   - gateorder: exclusive shard drain gates are acquired only inside the
-//     //rtle:gatelock helper, in an ascending range loop, and no shared
-//     gate is taken while exclusive gates are held.
 //   - loggate: replication-log appends and barrier-seq (lastSeq) accesses
 //     happen inside a held gate region, or inside //rtle:gated functions
 //     whose call sites all hold the gates.
-//   - hotalloc: functions reachable from //rtle:hotpath roots are free of
-//     per-call allocation effects (escaping literals, make/new,
-//     string<->[]byte copies, interface boxing, capturing closures,
-//     un-pooled append growth) unless waived by a reasoned //rtle:ignore.
 //   - guardmisuse: elision guards follow the acquire/defer-release shape.
-//   - statsatomic: no mixed atomic/plain access to Stats and observer
-//     counter fields.
 //
 // The framework underneath is interprocedural: per-function summaries
-// (marks, gate/log effects) are computed bottom-up over an in-package
-// call graph, and marks propagate — //rtle:hotpath forward to everything
-// it calls, //rtle:lockpath backward onto helpers all of whose callers
-// hold the lock — so annotations live at roots, not at every helper.
+// (marks, direct gate effects) over an in-package call graph, and marks
+// propagate — //rtle:slowpath forward to everything it calls,
+// //rtle:lockpath backward onto helpers all of whose callers hold the
+// lock — so annotations live at roots, not at every helper.
 //
 // Run the suite standalone or as a vet tool:
 //
@@ -61,7 +53,9 @@
 // slow path (RW-TLE/FG-TLE barrier Contexts, and anything they call).
 // barrierdiscipline requires the function — and every same-package
 // function statically reachable from it — to route all simulated-heap
-// access through the htm.Tx barriers.
+// access through the htm.Tx barriers. Conflicts with //rtle:lockpath and
+// //rtle:init on the same declaration (a parse error, not last-wins: the
+// pass skips lock-holder and setup code, so the mark would be inert).
 //
 //	//rtle:lockpath
 //
@@ -73,25 +67,6 @@
 //
 // On a function declaration: single-threaded setup (constructors).
 // Metadata stores are allowed; no concurrent reader exists yet.
-//
-//	//rtle:hotpath
-//
-// On a function declaration: a serving fast-path root (shard fast
-// section, frame encode/decode, Client send/recv). hotalloc checks the
-// function and everything statically reachable from it in-package for
-// per-call allocation effects. Conflicts with //rtle:coldpath and
-// //rtle:init on the same declaration (a parse error, not last-wins).
-//
-//	//rtle:coldpath
-//
-// On a function declaration: an error/setup branch called from hot code;
-// hotpath propagation stops here and the body may allocate.
-//
-//	//rtle:gatelock
-//
-// On a function declaration: the one sanctioned multi-gate acquisition
-// helper. gateorder requires every exclusive gate.Lock in the package to
-// be here, inside an ascending range loop over the span list.
 //
 //	//rtle:gated
 //
@@ -107,12 +82,6 @@
 // Memory.Store/CAS/FetchAdd calls whose address derives from the field;
 // for ordinary Go fields it guards direct assignment. Both are only legal
 // inside //rtle:lockpath or //rtle:init functions.
-//
-//	//rtle:counters
-//
-// On a type declaration: the struct's fields are statistics counters;
-// statsatomic enforces unmixed (all-atomic or all-plain) access. Types
-// named Stats are covered automatically.
 //
 //	//rtle:engine
 //

@@ -27,23 +27,11 @@ const (
 	// access and metadata stores are allowed because no concurrent
 	// reader exists yet.
 	MarkInit
-	// MarkHotpath marks a wire/shard fast-path root: the function and
-	// everything reachable from it in-package (minus //rtle:coldpath
-	// cuts) must be allocation-free per hotalloc.
-	MarkHotpath
-	// MarkColdpath cuts hotpath propagation: the function runs on an
-	// error/setup branch and may allocate even when called from a
-	// hotpath root.
-	MarkColdpath
 	// MarkGated marks a function whose contract is caller-holds-gates:
 	// its body may append to the replication log and touch the barrier
 	// sequence, and every call site must itself sit in a held gate
 	// region (or in another gated function).
 	MarkGated
-	// MarkGatelock marks the one sanctioned multi-gate acquisition
-	// helper: exclusive shard-gate Locks are legal only here, and only
-	// inside an ascending range loop.
-	MarkGatelock
 )
 
 // Marks is a bit set of function path annotations.
@@ -52,14 +40,14 @@ type Marks uint16
 // conflictingMarks lists mark pairs that cannot coexist on one function:
 // a declaration carrying both is a parse error (reported unconditionally,
 // never last-wins), and both bits are dropped so downstream passes see a
-// consistent view.
+// consistent view. barrierdiscipline skips every lockpath/init function,
+// so a slowpath mark beside either would otherwise be silently inert.
 var conflictingMarks = [][2]struct {
 	bit  Marks
 	name string
 }{
-	{{MarkHotpath, "hotpath"}, {MarkColdpath, "coldpath"}},
-	{{MarkHotpath, "hotpath"}, {MarkInit, "init"}},
-	{{MarkGated, "gated"}, {MarkGatelock, "gatelock"}},
+	{{MarkSlowpath, "slowpath"}, {MarkLockpath, "lockpath"}},
+	{{MarkSlowpath, "slowpath"}, {MarkInit, "init"}},
 }
 
 // Has reports whether all bits of m2 are set in m.
@@ -78,9 +66,8 @@ type Annotations struct {
 	// not waivable.
 	Errors []Diagnostic
 
-	funcs    map[*types.Func]Marks
-	meta     map[*types.Var]bool
-	counters map[*types.TypeName]bool
+	funcs map[*types.Func]Marks
+	meta  map[*types.Var]bool
 
 	// suppress maps filename -> line -> the //rtle:ignore pragmas
 	// covering that line.
@@ -99,25 +86,11 @@ type ignorePragma struct {
 // FuncMarks returns the path marks of fn (zero when unannotated).
 func (a *Annotations) FuncMarks(fn *types.Func) Marks { return a.funcs[fn] }
 
-// MarkedFuncs returns every annotated function carrying the given mark.
-func (a *Annotations) MarkedFuncs(m Marks) []*types.Func {
-	var out []*types.Func
-	for fn, marks := range a.funcs {
-		if marks.Has(m) {
-			out = append(out, fn)
-		}
-	}
-	return out
-}
-
 // IsMeta reports whether field is marked //rtle:meta (writer metadata).
 func (a *Annotations) IsMeta(field *types.Var) bool { return a.meta[field] }
 
 // HasMeta reports whether any field in the package is marked //rtle:meta.
 func (a *Annotations) HasMeta() bool { return len(a.meta) > 0 }
-
-// IsCounterType reports whether tn is marked //rtle:counters.
-func (a *Annotations) IsCounterType(tn *types.TypeName) bool { return a.counters[tn] }
 
 // suppressed reports whether an //rtle:ignore pragma covers analyzer at
 // pos, marking any matching pragma as used. A pragma trailing code
@@ -205,14 +178,8 @@ func marksOf(groups ...*ast.CommentGroup) Marks {
 				m |= MarkLockpath
 			case "init":
 				m |= MarkInit
-			case "hotpath":
-				m |= MarkHotpath
-			case "coldpath":
-				m |= MarkColdpath
 			case "gated":
 				m |= MarkGated
-			case "gatelock":
-				m |= MarkGatelock
 			}
 		}
 	}
@@ -224,7 +191,6 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 	a := &Annotations{
 		funcs:    map[*types.Func]Marks{},
 		meta:     map[*types.Var]bool{},
-		counters: map[*types.TypeName]bool{},
 		suppress: map[string]map[int][]*ignorePragma{},
 	}
 	for _, file := range files {
@@ -288,15 +254,6 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
-					}
-					for _, g := range []*ast.CommentGroup{d.Doc, ts.Doc, ts.Comment} {
-						for _, p := range pragmaLines(g) {
-							if p[0] == "counters" {
-								if tn, ok := info.Defs[ts.Name].(*types.TypeName); ok {
-									a.counters[tn] = true
-								}
-							}
-						}
 					}
 					st, ok := ts.Type.(*ast.StructType)
 					if !ok {

@@ -46,11 +46,6 @@ type state struct {
 	plain uint64
 }
 
-//rtle:counters
-type hits struct {
-	n uint64
-}
-
 // run is both speculative and, after fallback, a lock holder.
 //
 //rtle:speculative
@@ -98,13 +93,6 @@ func TestParseAnnotations(t *testing.T) {
 	}
 	if !ann.HasMeta() {
 		t.Errorf("HasMeta() = false, want true")
-	}
-
-	if tn := scope.Lookup("hits").(*types.TypeName); !ann.IsCounterType(tn) {
-		t.Errorf("IsCounterType(hits) = false, want true")
-	}
-	if tn := scope.Lookup("state").(*types.TypeName); ann.IsCounterType(tn) {
-		t.Errorf("IsCounterType(state) = true, want false")
 	}
 }
 
@@ -256,15 +244,15 @@ type State struct{ n uint64 }
 // Mark's receiver type is parenthesized: grouping must not hide the
 // method from the annotation walk.
 //
-//rtle:hotpath
+//rtle:lockpath
 func (s *(State)) Mark() { s.n++ }
 
-// hot carries a compiler directive between the mark and the declaration;
+// held carries a compiler directive between the mark and the declaration;
 // both live in the same doc group and the mark must still bind.
 //
-//rtle:hotpath
+//rtle:lockpath
 //go:noinline
-func hot() {}
+func held() {}
 `
 
 // TestParseAnnotationsEdgeCases pins two shapes that once silently lost
@@ -288,28 +276,29 @@ func TestParseAnnotationsEdgeCases(t *testing.T) {
 	if method == nil {
 		t.Fatal("method Mark not found on *State")
 	}
-	if m := ann.FuncMarks(method); !m.Has(MarkHotpath) {
-		t.Errorf("FuncMarks((*(State)).Mark) = %b, want hotpath: grouped receiver dropped the mark", m)
+	if m := ann.FuncMarks(method); !m.Has(MarkLockpath) {
+		t.Errorf("FuncMarks((*(State)).Mark) = %b, want lockpath: grouped receiver dropped the mark", m)
 	}
-	if m := ann.FuncMarks(scope.Lookup("hot").(*types.Func)); !m.Has(MarkHotpath) {
-		t.Errorf("FuncMarks(hot) = %b, want hotpath: //go: directive shadowed the mark", m)
+	if m := ann.FuncMarks(scope.Lookup("held").(*types.Func)); !m.Has(MarkLockpath) {
+		t.Errorf("FuncMarks(held) = %b, want lockpath: //go: directive shadowed the mark", m)
 	}
 }
 
 const conflictSrc = `package p
 
-// torn claims both temperatures; last-wins would silently honor whichever
-// pragma sorts later, so the parser must reject the pair instead.
+// torn claims to be both a slow path and a lock holder; barrierdiscipline
+// would honour lockpath and never check the body, so the parser must reject
+// the pair instead.
 //
-//rtle:hotpath
-//rtle:coldpath
+//rtle:slowpath
+//rtle:lockpath
 func torn() {}
 
-//rtle:gated
-//rtle:gatelock
-func tornGate() {}
+//rtle:slowpath
+//rtle:init
+func tornInit() {}
 
-//rtle:hotpath
+//rtle:slowpath
 func fine() {}
 `
 
@@ -327,14 +316,14 @@ func TestParseAnnotationsConflict(t *testing.T) {
 		}
 	}
 	scope := pkg.Types.Scope()
-	if m := ann.FuncMarks(scope.Lookup("torn").(*types.Func)); m.Has(MarkHotpath) || m.Has(MarkColdpath) {
-		t.Errorf("torn marks = %b, want neither hotpath nor coldpath applied", m)
+	if m := ann.FuncMarks(scope.Lookup("torn").(*types.Func)); m != 0 {
+		t.Errorf("torn marks = %b, want neither slowpath nor lockpath applied", m)
 	}
-	if m := ann.FuncMarks(scope.Lookup("tornGate").(*types.Func)); m.Has(MarkGated) || m.Has(MarkGatelock) {
-		t.Errorf("tornGate marks = %b, want neither gated nor gatelock applied", m)
+	if m := ann.FuncMarks(scope.Lookup("tornInit").(*types.Func)); m != 0 {
+		t.Errorf("tornInit marks = %b, want neither slowpath nor init applied", m)
 	}
-	if m := ann.FuncMarks(scope.Lookup("fine").(*types.Func)); !m.Has(MarkHotpath) {
-		t.Errorf("fine marks = %b, want hotpath: a conflict elsewhere must not leak", m)
+	if m := ann.FuncMarks(scope.Lookup("fine").(*types.Func)); !m.Has(MarkSlowpath) {
+		t.Errorf("fine marks = %b, want slowpath: a conflict elsewhere must not leak", m)
 	}
 }
 
@@ -352,7 +341,7 @@ func TestAnnotationsSkipTestFiles(t *testing.T) {
 	}
 	files := []*ast.File{
 		parse("p.go", "package p\n\nfunc a() {}\n"),
-		parse("p_test.go", "package p\n\n//rtle:hotpath\nfunc helper() {}\n"),
+		parse("p_test.go", "package p\n\n//rtle:lockpath\nfunc helper() {}\n"),
 	}
 	pkg := &Package{
 		PkgPath: "rtle/testdata/p", Module: "rtle", Fset: fset, Files: files,

@@ -1,8 +1,8 @@
 // Package framework is a minimal, dependency-free analogue of
 // golang.org/x/tools/go/analysis: just enough driver, annotation and
 // suppression machinery to host the rtlevet passes (txbody, abortpath,
-// barrierdiscipline, statsatomic) without importing anything outside the
-// standard library.
+// barrierdiscipline, loggate, guardmisuse) without importing anything
+// outside the standard library.
 //
 // The shape deliberately mirrors go/analysis — an Analyzer owns a Run
 // function over a Pass carrying syntax plus type information — so the
@@ -281,19 +281,4 @@ func InModule(pkg *types.Package, module string) bool {
 	}
 	p := pkg.Path()
 	return p == module || strings.HasPrefix(p, module+"/")
-}
-
-// EnclosingFuncDecl returns the innermost FuncDecl in file whose body
-// contains pos, or nil.
-func EnclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		if fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-			return fd
-		}
-	}
-	return nil
 }

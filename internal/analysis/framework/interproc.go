@@ -7,11 +7,11 @@ import (
 
 // This file is the framework's lightweight interprocedural layer: an
 // in-package call graph with per-function summaries (declared marks,
-// gate/log effects) computed bottom-up, plus the two propagation rules the
-// serving-discipline passes rely on:
+// direct gate effects), plus the two propagation rules barrierdiscipline
+// relies on:
 //
-//   - MarkReachable: a root mark (//rtle:hotpath, slow-path seeds) flows
-//     forward to everything the root calls, stopping at cut marks.
+//   - MarkReachable: a root mark (//rtle:slowpath, Run-closure seeds)
+//     flows forward to everything the root calls, stopping at cut marks.
 //   - MarkCovered: a contextual mark (//rtle:lockpath) flows backward onto
 //     helpers all of whose callers carry it, so the mark need not be
 //     restated at every private helper.
@@ -20,27 +20,16 @@ import (
 // scope the intra-function passes already assumed — so it stays cheap
 // (one AST walk per function) and needs nothing beyond go/types.
 
-// Effects is a bit set of facts a function body establishes about gate and
-// replication-log state. Direct effects come from the body itself;
-// Summary.Effects closes them over in-package callees.
-type Effects uint16
+// Effects is a bit set of facts a function body itself establishes about
+// shard drain gates; loggate counts a call to a function that takes (or
+// drops) gates as entering (or leaving) a held region.
+type Effects uint8
 
 const (
-	// EffectSharedGate: acquires a shard drain gate in shared mode
-	// (gate.RLock).
-	EffectSharedGate Effects = 1 << iota
-	// EffectSharedUngate: releases a shared gate (gate.RUnlock).
-	EffectSharedUngate
 	// EffectExclusiveGate: acquires a drain gate exclusively (gate.Lock).
-	EffectExclusiveGate
+	EffectExclusiveGate Effects = 1 << iota
 	// EffectExclusiveUngate: releases an exclusive gate (gate.Unlock).
 	EffectExclusiveUngate
-	// EffectLogAppend: appends to the replication log (replication.append
-	// or repl.Log.Append).
-	EffectLogAppend
-	// EffectBarrierSeq: reads or writes the sync-ack barrier sequence
-	// (the lastSeq atomic).
-	EffectBarrierSeq
 )
 
 // Has reports whether all bits of e2 are set in e.
@@ -57,10 +46,8 @@ type Summary struct {
 	// Graph.Mark or propagated by MarkReachable / MarkCovered.
 	Marks Marks
 
-	// Direct holds the effects established by this body alone; Effects
-	// closes them over in-package callees (bottom-up fixpoint).
-	Direct  Effects
-	Effects Effects
+	// Direct holds the effects established by this body alone.
+	Direct Effects
 
 	// Callees lists the in-package functions this body statically calls
 	// (including from closures), deduplicated, in source order.
@@ -77,8 +64,7 @@ type Graph struct {
 	order []*types.Func
 }
 
-// NewGraph builds the call graph and function summaries for pass, and
-// closes each function's Effects over its in-package callees.
+// NewGraph builds the call graph and function summaries for pass.
 func NewGraph(pass *Pass) *Graph {
 	g := &Graph{pass: pass, funcs: map[*types.Func]*Summary{}}
 
@@ -105,7 +91,7 @@ func NewGraph(pass *Pass) *Graph {
 		}
 	}
 
-	// Second pass: direct effects, call edges, and address-taken uses.
+	// Second pass: direct gate effects, call edges, and address-taken uses.
 	for _, fn := range g.order {
 		s := g.funcs[fn]
 		seen := map[*types.Func]bool{}
@@ -123,21 +109,11 @@ func NewGraph(pass *Pass) *Graph {
 			}
 			if name, ok := GateMethod(pass.TypesInfo, call); ok {
 				switch name {
-				case "RLock":
-					s.Direct |= EffectSharedGate
-				case "RUnlock":
-					s.Direct |= EffectSharedUngate
 				case "Lock":
 					s.Direct |= EffectExclusiveGate
 				case "Unlock":
 					s.Direct |= EffectExclusiveUngate
 				}
-			}
-			if IsLogAppend(pass.TypesInfo, pass.Module, call) {
-				s.Direct |= EffectLogAppend
-			}
-			if IsBarrierSeqAccess(pass.TypesInfo, call) {
-				s.Direct |= EffectBarrierSeq
 			}
 			callee := CalleeFunc(pass.TypesInfo, call)
 			if callee == nil || seen[callee] {
@@ -162,22 +138,6 @@ func NewGraph(pass *Pass) *Graph {
 			}
 			return true
 		})
-	}
-
-	// Bottom-up effect closure (fixpoint; the graph may be cyclic).
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range g.order {
-			s := g.funcs[fn]
-			eff := s.Direct
-			for _, callee := range s.Callees {
-				eff |= g.funcs[callee].Effects
-			}
-			if eff != s.Effects {
-				s.Effects = eff
-				changed = true
-			}
-		}
 	}
 	return g
 }

@@ -2,34 +2,33 @@ package framework
 
 import (
 	"go/types"
+	"slices"
 	"testing"
 )
 
 // graphSrc is an import-free package exercising the interprocedural layer:
-// a local type named "replication" with an append method triggers the
-// log-append recognizer (it keys on receiver type name within the module),
-// so effect closure is testable without loading internal/repl.
+// a slow-path root whose calls reach a lock-holder cut, and lock-holder
+// callers whose private helpers may inherit their context.
 const graphSrc = `package p
 
-type replication struct{}
-
-// append mirrors the serving layer's log-append wrapper shape.
-func (r *replication) append(n int) {}
-
-//rtle:hotpath
-func root(r *replication) {
-	mid(r)
-	cold(r)
+//rtle:slowpath
+func root() {
+	mid()
+	mid() // a repeated call is one edge
+	held()
+	func() { viaLit() }()
 }
 
-func mid(r *replication) { leaf(r) }
+func mid() { leaf() }
 
-func leaf(r *replication) { r.append(1) }
+func leaf() {}
 
-//rtle:coldpath
-func cold(r *replication) { colder(r) }
+func viaLit() {}
 
-func colder(r *replication) { r.append(2) }
+//rtle:lockpath
+func held() { heldLeaf() }
+
+func heldLeaf() {}
 
 //rtle:lockpath
 func lockA() {
@@ -43,6 +42,7 @@ func lockA() {
 func lockB() {
 	helper()
 	chainTop()
+	spec()
 }
 
 func open() { mixed() }
@@ -56,6 +56,9 @@ func taken() {}
 func chainTop() { chainMid() }
 
 func chainMid() {}
+
+//rtle:speculative
+func spec() {}
 
 func Pub() {}
 
@@ -87,43 +90,38 @@ func buildGraph(t *testing.T, src string) (*Graph, map[string]*Summary) {
 	return g, byName
 }
 
-func TestGraphEffectsClosure(t *testing.T) {
+func TestGraphCallees(t *testing.T) {
 	_, fns := buildGraph(t, graphSrc)
 
-	if !fns["leaf"].Direct.Has(EffectLogAppend) {
-		t.Errorf("leaf.Direct = %b, want EffectLogAppend: the append call is in its own body", fns["leaf"].Direct)
+	var got []string
+	for _, fn := range fns["root"].Callees {
+		got = append(got, fn.Name())
 	}
-	if fns["mid"].Direct != 0 {
-		t.Errorf("mid.Direct = %b, want none: mid only calls", fns["mid"].Direct)
+	if want := []string{"mid", "held", "viaLit"}; !slices.Equal(got, want) {
+		t.Errorf("root callees = %v, want %v: deduplicated, in source order, closures included", got, want)
 	}
-	if !fns["mid"].Effects.Has(EffectLogAppend) {
-		t.Errorf("mid.Effects = %b, want EffectLogAppend inherited from leaf", fns["mid"].Effects)
-	}
-	if !fns["root"].Effects.Has(EffectLogAppend) {
-		t.Errorf("root.Effects = %b, want EffectLogAppend two hops down", fns["root"].Effects)
-	}
-	if got := len(fns["root"].Callees); got != 2 {
-		t.Errorf("root has %d callees, want 2 (mid, cold)", got)
+	if got := len(fns["leaf"].Callees); got != 0 {
+		t.Errorf("leaf has %d callees, want 0", got)
 	}
 }
 
 func TestMarkReachable(t *testing.T) {
 	g, fns := buildGraph(t, graphSrc)
-	g.MarkReachable(MarkHotpath, MarkColdpath|MarkInit)
+	g.MarkReachable(MarkSlowpath, MarkLockpath|MarkInit)
 
-	for _, name := range []string{"root", "mid", "leaf", "append"} {
-		if !fns[name].Marks.Has(MarkHotpath) {
-			t.Errorf("%s not marked hot; want hotpath via forward propagation", name)
+	for _, name := range []string{"root", "mid", "leaf", "viaLit"} {
+		if !fns[name].Marks.Has(MarkSlowpath) {
+			t.Errorf("%s not marked slowpath; want it via forward propagation", name)
 		}
 	}
-	if fns["cold"].Marks.Has(MarkHotpath) {
-		t.Errorf("cold gained hotpath; //rtle:coldpath must stop propagation")
+	if fns["held"].Marks.Has(MarkSlowpath) {
+		t.Errorf("held gained slowpath; //rtle:lockpath must stop propagation")
 	}
-	if fns["colder"].Marks.Has(MarkHotpath) {
-		t.Errorf("colder gained hotpath; propagation must not cross a coldpath cut")
+	if fns["heldLeaf"].Marks.Has(MarkSlowpath) {
+		t.Errorf("heldLeaf gained slowpath; propagation must not cross a lockpath cut")
 	}
-	if fns["helper"].Marks.Has(MarkHotpath) {
-		t.Errorf("helper gained hotpath; it is not reachable from any hot root")
+	if fns["helper"].Marks.Has(MarkSlowpath) {
+		t.Errorf("helper gained slowpath; it is not reachable from any slow-path root")
 	}
 }
 
@@ -137,6 +135,9 @@ func TestMarkCovered(t *testing.T) {
 	if !fns["chainTop"].Marks.Has(MarkLockpath) || !fns["chainMid"].Marks.Has(MarkLockpath) {
 		t.Errorf("chainTop/chainMid not covered; coverage must chain through helpers to a fixpoint")
 	}
+	if !fns["heldLeaf"].Marks.Has(MarkLockpath) {
+		t.Errorf("heldLeaf not covered; its only caller, held, is lockpath")
+	}
 	if fns["mixed"].Marks.Has(MarkLockpath) {
 		t.Errorf("mixed covered; open() is an unmarked caller, so coverage must not apply")
 	}
@@ -146,8 +147,8 @@ func TestMarkCovered(t *testing.T) {
 	if fns["Pub"].Marks.Has(MarkLockpath) {
 		t.Errorf("Pub covered; exported functions never inherit context")
 	}
-	if fns["cold"].Marks.Has(MarkLockpath) {
-		t.Errorf("cold covered; declared marks keep the author's word")
+	if fns["spec"].Marks.Has(MarkLockpath) {
+		t.Errorf("spec covered; declared marks keep the author's word")
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //  1. A replication append — `replication.append` or the low-level
 //     `repl.Log.Append` — must sit inside a held gate region: between a
-//     gate.RLock/Lock (or a call to a //rtle:gatelock helper) and the
+//     gate.RLock/Lock (or a call to a helper that takes the gates) and the
 //     matching release. Outside a gate the appended block can interleave
 //     with a concurrent drain, and log order detaches from gate order.
 //
@@ -26,9 +26,8 @@
 // this sense: followers replay an already-ordered stream and hold no
 // gates.
 //
-// Region tracking is positional per body, exactly as in gateorder:
-// acquires (shared or exclusive, direct or via a gatelock/releasing
-// helper, plus the serving layer's logMu which wraps the gate) are
+// Region tracking is positional per body: acquires (shared or exclusive,
+// direct or via a helper whose body takes or drops exclusive gates) are
 // counted in textual order. The disciplines this pass guards keep
 // acquire, append, and release in one straight-line function.
 package loggate
@@ -102,7 +101,7 @@ func check(pass *framework.Pass, g *framework.Graph, s *framework.Summary) {
 					case cs.Declared.Has(framework.MarkGated):
 						sites = append(sites, site{n.Pos(), sGatedCall, callee.Name()})
 						return true
-					case cs.Declared.Has(framework.MarkGatelock) || cs.Direct.Has(framework.EffectExclusiveGate):
+					case cs.Direct.Has(framework.EffectExclusiveGate):
 						sites = append(sites, site{n.Pos(), sAcquire, callee.Name()})
 						return true
 					case cs.Direct.Has(framework.EffectExclusiveUngate):

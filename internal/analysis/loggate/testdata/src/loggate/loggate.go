@@ -34,10 +34,8 @@ type srv struct {
 	log    *repl.Log
 }
 
-// lockSpans is the exclusive acquisition helper (gateorder's domain, but
-// loggate counts calls to it as entering a held region).
-//
-//rtle:gatelock
+// lockSpans is the exclusive acquisition helper: its body takes the gates,
+// so loggate counts calls to it as entering a held region.
 func (s *srv) lockSpans(spans []int) {
 	for _, k := range spans {
 		s.shards[k].gate.Lock()

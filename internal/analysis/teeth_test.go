@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"rtle/internal/analysis/framework"
-	"rtle/internal/analysis/gateorder"
-	"rtle/internal/analysis/hotalloc"
 	"rtle/internal/analysis/loggate"
 )
 
-// TestSuiteTeeth proves the serving-discipline passes bite on the real
-// code, not just on golden files: it copies internal/server aside, checks
-// the copy analyzes clean, then seeds one violation per pass — a
-// descending gate-acquisition loop, a log append after the gates drop, a
-// boxing allocation on the response path — and requires the corresponding
-// pass to fire. If a refactor ever neuters a recognizer (renames the gate
-// field, changes the append signature), the seeded mutation stops firing
-// and this test fails before the discipline silently erodes.
+// TestSuiteTeeth proves the serving-discipline pass bites on the real code,
+// not just on its golden file: it copies internal/server aside, checks the
+// copy analyzes clean, then seeds log appends after the gates drop — on
+// the cross-shard and on the fast path, mutants every dynamic test passes
+// (DESIGN §5.1, L1 and L2) — and requires loggate to fire on each. If a
+// refactor ever neuters a recognizer (renames the gate field, changes the
+// append signature), the seeded mutation stops firing and this test fails
+// before the discipline silently erodes.
 func TestSuiteTeeth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and repeatedly type-checks internal/server")
@@ -52,7 +50,7 @@ func TestSuiteTeeth(t *testing.T) {
 	}
 
 	loader := framework.NewLoader(root)
-	analyze := func(a *framework.Analyzer) []framework.Diagnostic {
+	analyze := func() []framework.Diagnostic {
 		t.Helper()
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
@@ -61,40 +59,25 @@ func TestSuiteTeeth(t *testing.T) {
 		if len(pkg.TypeErrors) > 0 {
 			t.Fatalf("mutated copy does not type-check: %v", pkg.TypeErrors)
 		}
-		diags, err := framework.RunAnalyzer(a, pkg)
+		diags, err := framework.RunAnalyzer(loggate.Analyzer, pkg)
 		if err != nil {
-			t.Fatalf("running %s: %v", a.Name, err)
+			t.Fatalf("running loggate: %v", err)
 		}
 		return diags
 	}
 
 	// Baseline: the verbatim copy must be as clean as the real tree, so
 	// any diagnostic below is attributable to the seeded mutation alone.
-	for _, a := range []*framework.Analyzer{gateorder.Analyzer, loggate.Analyzer, hotalloc.Analyzer} {
-		if diags := analyze(a); len(diags) > 0 {
-			t.Fatalf("baseline copy not clean under %s: %v", a.Name, diags)
-		}
+	if diags := analyze(); len(diags) > 0 {
+		t.Fatalf("baseline copy not clean under loggate: %v", diags)
 	}
 
 	mutations := []struct {
 		name     string
 		file     string
 		old, new string
-		analyzer *framework.Analyzer
 		want     string // substring of the expected diagnostic message
 	}{
-		{
-			name: "gateorder/descending-acquisition",
-			file: "shard.go",
-			old: `	for _, k := range spans {
-		tp.shards[k].gate.Lock()
-	}`,
-			new: `	for i := len(spans) - 1; i >= 0; i-- {
-		tp.shards[spans[i]].gate.Lock()
-	}`,
-			analyzer: gateorder.Analyzer,
-			want:     "range loop",
-		},
 		{
 			name: "loggate/append-after-release",
 			file: "shard.go",
@@ -102,18 +85,26 @@ func TestSuiteTeeth(t *testing.T) {
 	tp.unlockSpans(t.spans)`,
 			new: `	tp.unlockSpans(t.spans)
 	bar := s.replAppendSlow(tp, t.spans, ops)`,
-			analyzer: loggate.Analyzer,
-			want:     "outside a held gate region",
+			want: "outside a held gate region",
 		},
 		{
-			name: "hotalloc/boxing-on-response-path",
-			file: "server.go",
-			old:  `	s.metrics.statuses[resp.Status].Add(1)`,
-			new: `	trace := fmt.Sprint(resp.ID)
-	_ = trace
-	s.metrics.statuses[resp.Status].Add(1)`,
-			analyzer: hotalloc.Analyzer,
-			want:     "boxed into interface",
+			name: "loggate/fast-append-after-runlock",
+			file: "shard.go",
+			old: `		if ops != nil {
+			bar = r.append(ops)
+			sh.lastSeq.Store(bar)
+		} else {
+			bar = sh.lastSeq.Load()
+		}
+		sh.gate.RUnlock()`,
+			new: `		sh.gate.RUnlock()
+		if ops != nil {
+			bar = r.append(ops)
+			sh.lastSeq.Store(bar)
+		} else {
+			bar = sh.lastSeq.Load()
+		}`,
+			want: "outside a held gate region",
 		},
 	}
 
@@ -137,7 +128,7 @@ func TestSuiteTeeth(t *testing.T) {
 				}
 			}()
 
-			diags := analyze(m.analyzer)
+			diags := analyze()
 			found := false
 			for _, d := range diags {
 				if strings.Contains(d.Message, m.want) && filepath.Base(d.Pos.Filename) == m.file {
@@ -145,8 +136,8 @@ func TestSuiteTeeth(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("%s did not fire on the seeded violation (want a diagnostic containing %q); got: %v",
-					m.analyzer.Name, m.want, diags)
+				t.Fatalf("loggate did not fire on the seeded violation (want a diagnostic containing %q); got: %v",
+					m.want, diags)
 			}
 		})
 	}

@@ -61,8 +61,6 @@ const opBytes = 1 + 3*8
 // The same bytes serve as a stream-frame payload (the caller adds the
 // frame length prefix) and as a file-record payload (the caller adds
 // length and CRC).
-//
-//rtle:hotpath
 func AppendEntryPayload(buf []byte, e *Entry) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, e.Seq)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.Ops)))
@@ -77,26 +75,21 @@ func AppendEntryPayload(buf []byte, e *Entry) []byte {
 
 // DecodeEntryPayload parses one encoded entry. The returned entry's Ops
 // slice aliases nothing in p.
-//
-//rtle:hotpath
 func DecodeEntryPayload(p []byte) (Entry, error) {
 	var e Entry
 	if len(p) < 10 {
-		//rtle:ignore hotalloc malformed-payload error path; the stream is about to drop
 		return e, fmt.Errorf("repl: truncated entry payload (%d bytes)", len(p))
 	}
 	e.Seq = binary.BigEndian.Uint64(p)
 	n := int(binary.BigEndian.Uint16(p[8:]))
 	if n == 0 || n > MaxOps {
-		//rtle:ignore hotalloc malformed-payload error path; the stream is about to drop
 		return e, fmt.Errorf("repl: entry of %d ops outside [1,%d]", n, MaxOps)
 	}
 	p = p[10:]
 	if len(p) != n*opBytes {
-		//rtle:ignore hotalloc malformed-payload error path; the stream is about to drop
 		return e, fmt.Errorf("repl: entry body of %d bytes, want %d", len(p), n*opBytes)
 	}
-	e.Ops = make([]Op, n) //rtle:ignore hotalloc one op slice per decoded entry; the entry owns it past the caller's buffer reuse
+	e.Ops = make([]Op, n)
 	for i := range e.Ops {
 		op := &e.Ops[i]
 		op.Code = p[0]
@@ -110,18 +103,13 @@ func DecodeEntryPayload(p []byte) (Entry, error) {
 
 // AppendAckPayload appends a replica's acknowledgement payload — the
 // highest contiguous sequence it has appended and applied — to buf.
-//
-//rtle:hotpath
 func AppendAckPayload(buf []byte, seq uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, seq)
 }
 
 // DecodeAckPayload parses one acknowledgement payload.
-//
-//rtle:hotpath
 func DecodeAckPayload(p []byte) (uint64, error) {
 	if len(p) != 8 {
-		//rtle:ignore hotalloc malformed-payload error path; the stream is about to drop
 		return 0, fmt.Errorf("repl: ack payload of %d bytes, want 8", len(p))
 	}
 	return binary.BigEndian.Uint64(p), nil

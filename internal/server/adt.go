@@ -97,7 +97,6 @@ func (a *adt) validate(op Op, a1, a2 uint64) error {
 		switch op {
 		case check.OpContains, check.OpInsert, check.OpRemove:
 			if a1 >= a.keys {
-				//rtle:ignore hotalloc validation-failure error path; the request is rejected
 				return fmt.Errorf("key %d outside the served key space [0,%d)", a1, a.keys)
 			}
 			return nil
@@ -106,7 +105,6 @@ func (a *adt) validate(op Op, a1, a2 uint64) error {
 		switch op {
 		case check.OpGet, check.OpPut, check.OpDelete, check.OpAdd:
 			if a1 >= a.keys {
-				//rtle:ignore hotalloc validation-failure error path; the request is rejected
 				return fmt.Errorf("key %d outside the served key space [0,%d)", a1, a.keys)
 			}
 			return nil
@@ -115,19 +113,16 @@ func (a *adt) validate(op Op, a1, a2 uint64) error {
 		switch op {
 		case check.OpBalance:
 			if a1 >= a.keys {
-				//rtle:ignore hotalloc validation-failure error path; the request is rejected
 				return fmt.Errorf("account %d outside [0,%d)", a1, a.keys)
 			}
 			return nil
 		case check.OpTransfer:
 			if a1 >= a.keys || a2 >= a.keys {
-				//rtle:ignore hotalloc validation-failure error path; the request is rejected
 				return fmt.Errorf("account pair (%d,%d) outside [0,%d)", a1, a2, a.keys)
 			}
 			return nil
 		}
 	}
-	//rtle:ignore hotalloc validation-failure error path; the request is rejected
 	return fmt.Errorf("op %v is not served by the %s workload", op, a.kind)
 }
 
@@ -199,7 +194,6 @@ func (e *executor) run(c core.Context, s int, op Op, a1, a2, a3 uint64) Result {
 func (a *adt) localIdx(g uint64) int {
 	l := a.local[g]
 	if l == unownedAccount {
-		//rtle:ignore hotalloc routing-bug panic path; the process is about to die loudly
 		panic(fmt.Sprintf("server: account %d routed to a shard that does not own it", g))
 	}
 	return int(l)

@@ -47,14 +47,12 @@ var callPool = sync.Pool{
 	New: func() any { return &pendingCall{ch: make(chan Response, 1)} },
 }
 
-//rtle:hotpath
 func getCall(res []Result) *pendingCall {
 	call := callPool.Get().(*pendingCall)
 	call.res = res
 	return call
 }
 
-//rtle:hotpath
 func putCall(call *pendingCall) {
 	call.res = nil
 	callPool.Put(call)
@@ -210,8 +208,6 @@ func (c *Client) ServerFeatures() uint32 { return c.hello.Features }
 
 // readLoop demultiplexes responses to their waiting callers until the
 // connection dies, then fails every pending and future request.
-//
-//rtle:hotpath
 func (c *Client) readLoop(fr *frameReader) {
 	for {
 		payload, err := fr.next()
@@ -250,8 +246,6 @@ func (c *Client) readLoop(fr *frameReader) {
 
 // fail marks the client dead and releases every waiting caller. Runs
 // once, when the connection dies: cold.
-//
-//rtle:coldpath
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -306,8 +300,6 @@ func (c *Client) CloseContext(ctx context.Context) error {
 // send registers a pooled pending call, encodes req with a fresh id into
 // the client's write scratch, and writes the frame. The caller owns the
 // returned call until the response arrives; error paths never return one.
-//
-//rtle:hotpath
 func (c *Client) send(req *Request, res []Result) (*pendingCall, error) {
 	call := getCall(res)
 	c.mu.Lock()
@@ -346,18 +338,14 @@ func (c *Client) send(req *Request, res []Result) (*pendingCall, error) {
 // Do issues req and blocks for its response. The request's ID field is
 // assigned by the client. Status is reported through the Response, not the
 // error.
-//
-//rtle:hotpath
 func (c *Client) Do(req *Request) (Response, error) {
-	return c.DoInto(req, nil) //rtle:ignore hotalloc scratchless compatibility surface; zero-alloc callers use DoInto
+	return c.DoInto(req, nil)
 }
 
 // DoInto is Do with caller-owned result scratch: an OK response's results
 // are decoded into res when they fit (Response.Results then aliases res),
 // so a caller that sizes res to its op's result count completes the whole
 // round trip without allocating. A nil res is Do.
-//
-//rtle:hotpath
 func (c *Client) DoInto(req *Request, res []Result) (Response, error) {
 	call, err := c.send(req, res)
 	if err != nil {
@@ -381,10 +369,7 @@ func (c *Client) DoInto(req *Request, res []Result) (Response, error) {
 }
 
 // Op issues one single-operation request and blocks for its response.
-//
-//rtle:hotpath
 func (c *Client) Op(op Op, a1, a2, a3 uint64) (Response, error) {
-	//rtle:ignore hotalloc one request header per call; it almost always stays on the stack (Do does not retain it)
 	return c.Do(&Request{Op: op, Arg1: a1, Arg2: a2, Arg3: a3})
 }
 

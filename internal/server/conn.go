@@ -40,8 +40,6 @@ type conn struct {
 
 // newConn builds a connection and the scratch it keeps for its whole life.
 // Runs once per accept: cold by construction.
-//
-//rtle:coldpath
 func newConn(nc net.Conn, m *Metrics, coalesce int) *conn {
 	return &conn{
 		nc:    nc,
@@ -56,8 +54,6 @@ func newConn(nc net.Conn, m *Metrics, coalesce int) *conn {
 // the buffer. A failed write closes the socket, so the reader's next read
 // ends the connection instead of executing requests whose answers go
 // nowhere.
-//
-//rtle:hotpath
 func (c *conn) write() {
 	if c.frames == 0 {
 		return

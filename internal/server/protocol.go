@@ -297,8 +297,6 @@ type Response struct {
 }
 
 // AppendRequest encodes r as one frame appended to buf.
-//
-//rtle:hotpath
 func AppendRequest(buf []byte, r *Request) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length, patched below
@@ -324,8 +322,6 @@ func AppendRequest(buf []byte, r *Request) []byte {
 }
 
 // AppendResponse encodes r as one frame appended to buf.
-//
-//rtle:hotpath
 func AppendResponse(buf []byte, r *Response) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
@@ -357,8 +353,6 @@ func AppendResponse(buf []byte, r *Response) []byte {
 // AppendReplEntry encodes one log entry as a replication-stream frame
 // appended to buf. The largest entry (repl.MaxOps operations) stays under
 // maxFrame, so the stream reuses the ordinary frame reader.
-//
-//rtle:hotpath
 func AppendReplEntry(buf []byte, e *repl.Entry) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
@@ -382,8 +376,6 @@ func AppendSnapChunk(buf, chunk []byte) []byte {
 
 // AppendReplAck encodes a cumulative acknowledgement through seq as a
 // replication-stream frame appended to buf.
-//
-//rtle:hotpath
 func AppendReplAck(buf []byte, seq uint64) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
@@ -393,21 +385,22 @@ func AppendReplAck(buf []byte, seq uint64) []byte {
 }
 
 // readFrame reads one length-prefixed payload from r into buf (grown as
-// needed), returning the payload slice.
-//
-//rtle:hotpath
+// needed), returning the payload slice. The length prefix is read into buf
+// too: a local header array escapes through the io.Reader call, one heap
+// allocation per frame.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n > maxFrame {
-		//rtle:ignore hotalloc malformed-frame error path; the conn is about to drop
 		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte limit", n, maxFrame)
 	}
 	if cap(buf) < int(n) {
-		buf = make([]byte, n) //rtle:ignore hotalloc grow-on-demand: amortized, the frame buffer is reused across reads
+		buf = make([]byte, n)
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -426,8 +419,6 @@ type frameReader struct {
 var errShort = fmt.Errorf("server: truncated frame payload")
 
 // next reads the next raw payload.
-//
-//rtle:hotpath
 func (fr *frameReader) next() ([]byte, error) {
 	p, err := readFrame(fr.r, fr.buf)
 	if err != nil {
@@ -443,8 +434,6 @@ func (fr *frameReader) next() ([]byte, error) {
 // holds, admission may keep extending an affinity run, because writing is
 // only mandatory before a read that could block. False when the underlying
 // reader is not a *bufio.Reader (no lookahead available).
-//
-//rtle:hotpath
 func (fr *frameReader) ready() bool {
 	br, ok := fr.r.(*bufio.Reader)
 	if !ok {
@@ -463,8 +452,6 @@ func (fr *frameReader) ready() bool {
 
 // DecodeRequest parses a request payload. The returned request's Batch
 // aliases nothing in p.
-//
-//rtle:hotpath
 func DecodeRequest(p []byte) (Request, error) {
 	var r Request
 	if len(p) < 5 {
@@ -483,19 +470,16 @@ func DecodeRequest(p []byte) (Request, error) {
 		n := int(binary.BigEndian.Uint16(p))
 		p = p[2:]
 		if n > MaxBatchOps {
-			//rtle:ignore hotalloc malformed-batch error path
 			return r, fmt.Errorf("server: batch of %d ops exceeds the %d-op limit", n, MaxBatchOps)
 		}
 		if len(p) != n*25 {
 			return r, errShort
 		}
-		//rtle:ignore hotalloc one entry slice per decoded batch; pooled decode is the zero-alloc roadmap item
 		r.Batch = make([]BatchEntry, n)
 		for i := range r.Batch {
 			e := &r.Batch[i]
 			e.Op = Op(p[0])
 			if e.Op == OpBatch || e.Op == OpPing {
-				//rtle:ignore hotalloc malformed-batch error path
 				return r, fmt.Errorf("server: nested %v inside a batch", e.Op)
 			}
 			e.Arg1 = binary.BigEndian.Uint64(p[1:])
@@ -516,10 +500,8 @@ func DecodeRequest(p []byte) (Request, error) {
 }
 
 // DecodeResponse parses a response payload.
-//
-//rtle:hotpath
 func DecodeResponse(p []byte) (Response, error) {
-	return DecodeResponseInto(p, nil) //rtle:ignore hotalloc scratchless compatibility surface; zero-alloc callers use DecodeResponseInto
+	return DecodeResponseInto(p, nil)
 }
 
 // DecodeResponseInto parses a response payload, decoding an OK response's
@@ -527,8 +509,6 @@ func DecodeResponse(p []byte) (Response, error) {
 // aliases res). A response carrying more results than res holds — or a nil
 // res — falls back to allocating, so the zero-alloc contract is between
 // the caller and its own scratch sizing.
-//
-//rtle:hotpath
 func DecodeResponseInto(p []byte, res []Result) (Response, error) {
 	var r Response
 	if len(p) < 5 {
@@ -551,7 +531,6 @@ func DecodeResponseInto(p []byte, res []Result) (Response, error) {
 			if n <= len(res) {
 				r.Results = res[:n]
 			} else {
-				//rtle:ignore hotalloc oversized-response fallback; steady-state callers size their scratch to the op's result count
 				r.Results = make([]Result, n)
 			}
 			for i := range r.Results {
@@ -569,10 +548,9 @@ func DecodeResponseInto(p []byte, res []Result) (Response, error) {
 		if len(p[2:]) != n {
 			return r, errShort
 		}
-		r.Message = string(p[2 : 2+n]) //rtle:ignore hotalloc error statuses carry a message; the copy rides the failure path
+		r.Message = string(p[2 : 2+n])
 		return r, nil
 	}
-	//rtle:ignore hotalloc unknown-status error path
 	return r, fmt.Errorf("server: unknown response status %d", uint8(r.Status))
 }
 

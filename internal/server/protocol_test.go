@@ -365,6 +365,8 @@ func FuzzReadFrame(f *testing.F) {
 	var huge [4]byte
 	binary.BigEndian.PutUint32(huge[:], maxFrame+1)
 	f.Add(append(huge[:], stream...), uint8(7)) // oversized header first
+	// An empty frame first: the next header lands in a zero-length buffer.
+	f.Add(append([]byte{0, 0, 0, 0}, stream...), uint8(255))
 	f.Fuzz(func(t *testing.T, stream []byte, chunk uint8) {
 		fr := frameReader{r: bufio.NewReaderSize(&chunkReader{b: stream, n: int(chunk) + 1}, 64)}
 		off := 0

@@ -298,8 +298,6 @@ func replBatchOps(buf []repl.Op, entries []BatchEntry) []repl.Op {
 // (the read) loop consuming cumulative acks. It returns when the
 // connection dies; readLoop stops decoding requests afterwards. The
 // stream setup is once-per-subscriber: cold from readLoop's perspective.
-//
-//rtle:coldpath
 func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 	r := s.repl
 	if r == nil {

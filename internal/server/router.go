@@ -128,7 +128,6 @@ func (r *router) plan(req *Request) routePlan {
 		if a > b {
 			a, b = b, a
 		}
-		//rtle:ignore hotalloc cross-shard plans ride the slow path; the span set is the plan's identity
 		return routePlan{spans: []int{a, b}}
 	default:
 		return routePlan{fast: true, shard: r.shardOf(req.Arg1)}
@@ -150,8 +149,6 @@ func (r *router) entryShards(e *BatchEntry) (int, int) {
 // batchSpans returns the ascending deduplicated shard set of a batch.
 // Only multi-shard batches reach it, and those ride the slow path by
 // construction.
-//
-//rtle:coldpath
 func (r *router) batchSpans(batch []BatchEntry) []int {
 	seen := make(map[int]struct{}, r.shards)
 	for i := range batch {

@@ -215,15 +215,11 @@ var taskPool = sync.Pool{
 }
 
 // getTask draws a clean task header from the arena.
-//
-//rtle:hotpath
 func getTask() *task { return taskPool.Get().(*task) }
 
 // putTask recycles one answered task's header, dropping every reference
 // it carried (the batch slice, the connection, the chain link) so the
 // arena never pins freed request state.
-//
-//rtle:hotpath
 func putTask(t *task) {
 	*t = task{}
 	taskPool.Put(t)
@@ -453,8 +449,6 @@ func (s *Server) serveConn(nc net.Conn) {
 // when every request it accepted is answered and no streamer writes any
 // more: it writes what is still staged (a hello or subscribe rejection),
 // closes the socket and forgets the connection. Once per connection: cold.
-//
-//rtle:coldpath
 func (s *Server) endConn(c *conn) {
 	c.write()
 	_ = c.nc.Close() // double-close after a hard Close or a failed write is harmless
@@ -471,8 +465,6 @@ func (s *Server) endConn(c *conn) {
 // sections borrowed from their shard, or under the exclusive gates of the
 // shards a cross-shard operation spans — and their responses leave in one
 // write before the next read that could block.
-//
-//rtle:hotpath
 func (s *Server) readLoop(c *conn) {
 	defer s.endConn(c)
 	fr := frameReader{r: bufio.NewReaderSize(c.nc, 1<<16)}
@@ -585,8 +577,6 @@ type affRun struct {
 }
 
 // add appends one accepted request to the run.
-//
-//rtle:hotpath
 func (run *affRun) add(c *conn, req Request) {
 	t := getTask()
 	t.c, t.req, t.arrived = c, req, time.Now()
@@ -617,8 +607,6 @@ func (run *affRun) add(c *conn, req Request) {
 // is written under the lock: a write can block on a stalled peer, and
 // blocking under drainMu would wedge Shutdown. Refused tasks are staged
 // like any answer and leave with the burst.
-//
-//rtle:hotpath
 func (s *Server) flushRun(c *conn) {
 	run := &c.run
 	if run.n == 0 {
@@ -664,8 +652,6 @@ func (s *Server) flushRun(c *conn) {
 // before anything executes them: count before execute, so neither a drain
 // nor a scrape can miss an admitted task. The caller holds drainMu shared
 // with draining false.
-//
-//rtle:hotpath
 func (s *Server) admitLocked(sh *shard, head *task, n int) {
 	s.tasksWG.Add(n)
 	sh.m.queueDepth.Add(int64(n))
@@ -681,8 +667,6 @@ func (s *Server) admitLocked(sh *shard, head *task, n int) {
 // tasksWG empty finds every accepted request answered on the wire. If the
 // wait is abandoned because the server is closing, the answers are dropped
 // unsent and the connection is closed (see replWait).
-//
-//rtle:hotpath
 func (s *Server) endBurst(c *conn) {
 	if c.frames == 0 {
 		return
@@ -704,8 +688,6 @@ func (s *Server) endBurst(c *conn) {
 // feature bits, shard count) and the connection proceeds to requests; on
 // failure the client gets one explanatory StatusBad response and the
 // connection closes. Runs once per connection: cold by construction.
-//
-//rtle:coldpath
 func (s *Server) hello(c *conn, fr *frameReader) bool {
 	payload, err := fr.next()
 	if err != nil {
@@ -753,7 +735,6 @@ func (s *Server) validate(req *Request) error {
 		for i := range req.Batch {
 			e := &req.Batch[i]
 			if err := adt.validate(e.Op, e.Arg1, e.Arg2); err != nil {
-				//rtle:ignore hotalloc validation-failure error path; the request is rejected
 				return fmt.Errorf("batch entry %d: %w", i, err)
 			}
 		}
@@ -766,8 +747,6 @@ func (s *Server) validate(req *Request) error {
 // reject stages the answer to a request that will not execute; it leaves
 // with the rest of the burst, or at the teardown. Rejection is the error
 // branch of admission: cold, allocation is priced in.
-//
-//rtle:coldpath
 func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 	s.metrics.statuses[st].Add(1)
 	c.out = AppendResponse(c.out, &Response{ID: id, Status: st, Message: msg})
@@ -779,8 +758,6 @@ func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 // slice; it is encoded before returning, so the steady-state response path
 // allocates nothing: the connection's buffer is reused after every write,
 // the task header after this call.
-//
-//rtle:hotpath
 func (s *Server) encode(t *task, results []Result, resp Response) {
 	resp.Results = results
 	c := t.c

@@ -21,7 +21,7 @@ import (
 
 // startServer boots a server on a loopback port and tears it down with the
 // test.
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Addr = "127.0.0.1:0"
 	srv, err := New(cfg)

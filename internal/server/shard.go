@@ -75,8 +75,6 @@ type shard struct {
 // operation is pending (invoked, not yet answered) when the shared block
 // commits, so placing them all at its commit point respects real-time
 // order.
-//
-//rtle:hotpath
 func (s *Server) execute(c *conn, tp *topology, t *task) {
 	for t != nil {
 		sh := t.sh
@@ -149,8 +147,6 @@ func newSection(sh *shard, slots int) *section {
 // exec is the atomic-block body: entry i runs in executor slot i and leaves
 // its result in results[i]. Re-executable, as every body must be: a retry
 // overwrites each slot.
-//
-//rtle:hotpath
 func (sec *section) exec(c core.Context) {
 	for i := range sec.entries {
 		e := &sec.entries[i]
@@ -203,8 +199,6 @@ func (s *Server) runSection(sh *shard, sec *section, entries []BatchEntry) uint6
 // runGroup executes every task of group inside one atomic block on sh and
 // stages their answers on c, raising the burst's sync barrier to the
 // block's. An empty group runs nothing.
-//
-//rtle:hotpath
 func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []*task) {
 	if len(group) == 0 {
 		return
@@ -225,8 +219,6 @@ func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []*task) {
 // runBatch executes one single-shard client batch inside one atomic block
 // — the protocol's atomicity contract — and stages its per-entry results on
 // c. Batches spanning several shards take the slow path instead.
-//
-//rtle:hotpath
 func (s *Server) runBatch(c *conn, sh *shard, sec *section, t *task) {
 	entries := t.req.Batch
 	c.bar = max(c.bar, s.runSection(sh, sec, entries))
@@ -299,8 +291,6 @@ func (sh *shard) slowSectionDone(start time.Time) {
 // in ascending shard order. All cross-shard operations order their
 // acquisitions the same way, so no cycle — and therefore no deadlock — is
 // possible; spans is ascending by construction (router.plan).
-//
-//rtle:gatelock
 func (tp *topology) lockSpans(spans []int) {
 	for _, k := range spans {
 		tp.shards[k].gate.Lock()
@@ -324,8 +314,6 @@ func (tp *topology) unlockSpans(spans []int) {
 // answer is staged on c with the rest of its burst, and the block's sync
 // barrier folds into the burst's: endBurst waits and writes once. Cold:
 // the result slice and the span set are allocated per operation.
-//
-//rtle:coldpath
 func (s *Server) runCross(c *conn, tp *topology, t *task) {
 	entries := t.req.Batch
 	if t.req.Op != OpBatch {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,11 @@ func TestShardedLinearizable(t *testing.T) {
 // the two-block withdraw/deposit slow path under exclusive drain gates,
 // and the whole-history linearizability check (plus full-coverage
 // conservation witnesses) must still pass — under an active fault plan, so
-// speculation on every shard is being aborted while gates are cycling.
+// speculation on every shard is being aborted while gates are cycling. The
+// load takes well under a second; if it has not finished after
+// gateDeadlockBound, readers are parked on each other's gates, and the test
+// fails with every goroutine's stack instead of hanging until go test's
+// timeout.
 func TestCrossShardBank(t *testing.T) {
 	plan := fault.Plan{
 		Seed:       11,
@@ -79,10 +84,24 @@ func TestCrossShardBank(t *testing.T) {
 		Keys:     16,
 		Plan:     &plan,
 	})
-	res, err := RunLoad(LoadConfig{
-		Addr: addr, Workload: "bank", Conns: 2, Pipeline: 4,
-		Ops: 800, ReadPct: 50, BatchPct: 20, Keys: 16, Check: true,
-	})
+	var res *LoadResult
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, err = RunLoad(LoadConfig{
+			Addr: addr, Workload: "bank", Conns: 2, Pipeline: 4,
+			Ops: 800, ReadPct: 50, BatchPct: 20, Keys: 16, Check: true,
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(gateDeadlockBound):
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("bank load still running after %v: likely a gate-order deadlock (look for readers parked in gate.Lock or gate.RLock)\n%s",
+			gateDeadlockBound, buf)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +126,10 @@ func TestCrossShardBank(t *testing.T) {
 		t.Error("fault plan injected nothing; the chaos run was vacuous")
 	}
 }
+
+// gateDeadlockBound is how long TestCrossShardBank's load may run before
+// the test calls it a deadlock.
+const gateDeadlockBound = 60 * time.Second
 
 // TestCrossShardTransferBatch pins the regression where a batch entry's
 // transfer destination was ignored by routing: a batch holding a
@@ -335,7 +358,11 @@ func TestWorkerDrain(t *testing.T) {
 			stopWatch := watchGauges(t, m)
 			defer stopWatch()
 
-			peer, fr := servePipe(t, srv)
+			peer, _ := servePipe(t, srv)
+			// Read the answers unbuffered: a buffered reader takes the whole
+			// burst's write in its first read, after which Shutdown may
+			// rightly return with answers still in the reader's buffer.
+			fr := &frameReader{r: peer}
 			var burst []byte
 			for i, req := range tc.reqs {
 				req.ID = uint32(i + 1)

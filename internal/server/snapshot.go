@@ -201,8 +201,6 @@ func restoreItem(sh *shard, workload string, it snap.Item) {
 // client treats the snapshot as its sole in-flight request (the chunk
 // frames carry no request id), and the connection resumes ordinary
 // request traffic after the end chunk.
-//
-//rtle:coldpath
 func (s *Server) serveSnapshot(c *conn, req Request) {
 	sn, err := s.CaptureSnapshot()
 	if err != nil {
