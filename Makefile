@@ -44,13 +44,17 @@ microbench:
 	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Store|LockSection|SlowFind|SlowWriters' \
 		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
 
-# fuzz-short runs each fuzz target over the bytes the serving layer parses
-# for ten seconds (CI's step): the request decoder, the frame reader and
-# the response decoder.
+# fuzz-short runs each fuzz target over untrusted bytes, and the fault-plan
+# fuzzer, for ten seconds (CI's step): the request decoder, the frame
+# reader, the response decoder, the snapshot reader, the replication log's
+# file replay, and fault plans under the linearizability checker.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapReader$$' -fuzztime 10s ./internal/snap
+	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 10s ./internal/repl
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/check
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated
 # workloads, one result line each. benchmark/ is its own module, so root

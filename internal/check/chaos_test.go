@@ -4,6 +4,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"rtle/internal/avl"
 	"rtle/internal/core"
 	"rtle/internal/fault"
+	"rtle/internal/guard"
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -61,39 +63,65 @@ func chaosPlan(seed uint64) fault.Plan {
 	}
 }
 
-// TestChaosLinearizableUnderFaults runs every method over every ADT
-// workload under seeded fault plans and checks each recorded history for
-// linearizability. This is the end-to-end claim of the paper's algorithms:
-// the critical sections stay atomic no matter how the hardware misbehaves.
-func TestChaosLinearizableUnderFaults(t *testing.T) {
+// chaosMethods is the method roster the chaos suite and FuzzFaultPlan
+// cover: every synchronization scheme in the repository.
+var chaosMethods = []string{
+	"Lock", "TLE", "HLE", "RW-TLE", "FG-TLE(256)", "FG-TLE(adaptive)",
+	"ALE(256)", "NOrec", "RHNOrec",
+}
+
+// guardVariants names the guard types the chaos suite and FuzzFaultPlan
+// drive through RunGuardWorkload.
+var guardVariants = []string{"Guard(TLE)", "Guard(RW-TLE)"}
+
+// faultTrial runs one recorded workload of kind under plan, through the
+// named method or, for a "Guard(" name, the named guard variant, and
+// checks the history for linearizability. It also reports how many faults
+// the plan injected.
+func faultTrial(plan fault.Plan, name, kind string, cfg RunConfig) (ok bool, injected uint64, err error) {
+	d := fault.NewDirector(plan)
+	policy := core.Policy{Attempts: 5, HTM: htm.Config{InterleaveEvery: 8}}
+	d.Configure(&policy)
+	m := mem.New(1 << 18)
+	var (
+		h     *History
+		model Model
+	)
+	if strings.HasPrefix(name, "Guard(") {
+		h, model, err = RunGuardWorkload(kind, name, m, guard.Config{Policy: policy}, cfg)
+	} else {
+		var method core.Method
+		if method, err = harness.BuildMethod(name, m, policy); err != nil {
+			return false, 0, err
+		}
+		h, model, err = RunWorkload(kind, method, m, cfg)
+	}
+	if err != nil {
+		return false, 0, err
+	}
+	return CheckLinearizable(model, h.Events()), d.TotalInjected(), nil
+}
+
+// chaosSweep runs every name of roster over every ADT workload under the
+// seeded chaos plans, and requires every history to linearize and the
+// plans to have injected something.
+func chaosSweep(t *testing.T, roster []string) {
 	seeds := chaosSeeds(t)
 	var injectedTotal uint64
-	for _, methodName := range ChaosMethods {
+	for _, name := range roster {
 		for _, kind := range Workloads {
 			for _, seed := range seeds {
 				plan := chaosPlan(seed)
-				d := fault.NewDirector(plan)
-				policy := core.Policy{
-					Attempts: 5,
-					HTM:      htm.Config{InterleaveEvery: 8},
-				}
-				d.Configure(&policy)
-				m := mem.New(1 << 18)
-				method, err := harness.BuildMethod(methodName, m, policy)
-				if err != nil {
-					t.Fatalf("%s: %v", methodName, err)
-				}
-				h, model, err := RunWorkload(kind, method, m, RunConfig{
+				ok, injected, err := faultTrial(plan, name, kind, RunConfig{
 					Threads: 4, OpsPerThread: 120, Seed: seed,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !CheckLinearizable(model, h.Events()) {
-					t.Errorf("%s over %s with plan %s: history NOT linearizable",
-						methodName, kind, plan)
+				if !ok {
+					t.Errorf("%s over %s with plan %s: history NOT linearizable", name, kind, plan)
 				}
-				injectedTotal += d.TotalInjected()
+				injectedTotal += injected
 			}
 		}
 	}
@@ -101,7 +129,85 @@ func TestChaosLinearizableUnderFaults(t *testing.T) {
 		t.Fatal("chaos sweep injected no faults at all")
 	}
 	t.Logf("chaos sweep injected %d faults across %d runs",
-		injectedTotal, len(ChaosMethods)*len(Workloads)*len(seeds))
+		injectedTotal, len(roster)*len(Workloads)*len(seeds))
+}
+
+// TestChaosLinearizableUnderFaults runs every method over every ADT
+// workload under seeded fault plans and checks each recorded history for
+// linearizability. This is the end-to-end claim of the paper's algorithms:
+// the critical sections stay atomic no matter how the hardware misbehaves.
+func TestChaosLinearizableUnderFaults(t *testing.T) {
+	chaosSweep(t, chaosMethods)
+}
+
+// planFromBytes maps any byte string to a fault plan whose every rule is
+// bounded, so every fuzz input runs in bounded time. Byte i reads as 0
+// past the end, and a fault family is off while its first byte is 0:
+// cutting the tail, the first thing Go's minimizer tries, turns families
+// off from the last one forward.
+//
+//	0 seed | 1 begin | 2 access | 3 commit | 4-5 nth access, every
+//	6-9 squeeze every, len, read lines, write lines | 10-11 storm every, len
+//	12-13 lock spike every, spins
+func planFromBytes(b []byte) fault.Plan {
+	at := func(i int) int {
+		if i < len(b) {
+			return int(b[i])
+		}
+		return 0
+	}
+	p := fault.Plan{Seed: uint64(at(0))}
+	if v := at(1); v > 0 {
+		p.BeginProb = float64(1+v%8) / 100
+	}
+	if v := at(2); v > 0 {
+		p.AccessProb = float64(1+v%10) / 1000
+	}
+	if v := at(3); v > 0 {
+		p.CommitProb = float64(1+v%6) / 100
+	}
+	if v := at(4); v > 0 {
+		p.NthAccess, p.NthEvery = 2+v%10, 3+at(5)%6
+	}
+	if v := at(6); v > 0 {
+		p.SqueezeEvery, p.SqueezeLen = 20+v%60, 1+at(7)%6
+		p.SqueezeReadLines, p.SqueezeWriteLines = 2+at(8)%6, 1+at(9)%4
+	}
+	if v := at(10); v > 0 {
+		p.StormEvery, p.StormLen = 20+v%60, 1+at(11)%5
+	}
+	if v := at(12); v > 0 {
+		p.LockSpikeEvery, p.LockSpikeSpins = 4+v%12, 100+at(13)*3/2
+	}
+	return p
+}
+
+// FuzzFaultPlan runs one method or guard variant over one ADT workload
+// under a fuzzed fault plan and checks the history for linearizability.
+// roster indexes chaosMethods followed by guardVariants and adt indexes
+// Workloads, both modulo the list's length. The seed corpus is every
+// roster name over every ADT with every fault family on; a failure prints
+// the plan as JSON, the form rtled -fault-plan accepts.
+func FuzzFaultPlan(f *testing.F) {
+	names := append(append([]string(nil), chaosMethods...), guardVariants...)
+	for r := range names {
+		for a := range Workloads {
+			// A distinct seed byte, then every family on at magnitudes
+			// close to chaosPlan's.
+			f.Add([]byte{byte(r*len(Workloads) + a + 1), 2, 3, 1, 3, 3, 20, 3, 1, 1, 20, 2, 4, 67}, uint8(r), uint8(a))
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte, roster, adt uint8) {
+		plan := planFromBytes(b)
+		name, kind := names[int(roster)%len(names)], Workloads[int(adt)%len(Workloads)]
+		ok, _, err := faultTrial(plan, name, kind, RunConfig{Threads: 4, OpsPerThread: 120, Seed: plan.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Fatalf("%s over %s with plan %s: history NOT linearizable", name, kind, plan)
+		}
+	})
 }
 
 // TestChaosOpacityUnderFaults validates the raw HTM engine itself: under

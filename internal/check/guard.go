@@ -8,10 +8,6 @@ import (
 	"rtle/internal/mem"
 )
 
-// GuardVariants names the guard types the fuzzer and the chaos suite
-// drive through RunGuardWorkload.
-var GuardVariants = []string{"Guard(TLE)", "Guard(RW-TLE)"}
-
 // guardOps erases the difference between Mutex and RWMutex so one
 // workload body can drive either. For the plain Mutex the read forms
 // degrade to the write forms, exactly as a sync.Mutex user would write

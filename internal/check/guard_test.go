@@ -6,7 +6,6 @@ import (
 
 	"rtle/internal/bank"
 	"rtle/internal/core"
-	"rtle/internal/fault"
 	"rtle/internal/guard"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -18,7 +17,7 @@ import (
 // history for linearizability. This is the guard analogue of the method
 // sweep: sync-shaped elision must be indistinguishable from a real lock.
 func TestGuardWorkloadsLinearizable(t *testing.T) {
-	for _, variant := range GuardVariants {
+	for _, variant := range guardVariants {
 		for _, kind := range Workloads {
 			t.Run(variant+"/"+kind, func(t *testing.T) {
 				m := mem.New(1 << 18)
@@ -47,39 +46,7 @@ func TestGuardWorkloadsLinearizable(t *testing.T) {
 // the hook), so writers draining readers and write sections subscribed to
 // the reader count meet a stalled reader here.
 func TestGuardLinearizableUnderFaults(t *testing.T) {
-	seeds := chaosSeeds(t)
-	var injectedTotal uint64
-	for _, variant := range GuardVariants {
-		for _, kind := range Workloads {
-			for _, seed := range seeds {
-				plan := chaosPlan(seed)
-				d := fault.NewDirector(plan)
-				policy := core.Policy{
-					Attempts: 5,
-					HTM:      htm.Config{InterleaveEvery: 8},
-				}
-				d.Configure(&policy)
-				m := mem.New(1 << 18)
-				h, model, err := RunGuardWorkload(kind, variant, m,
-					guard.Config{Policy: policy}, RunConfig{
-						Threads: 4, OpsPerThread: 120, Seed: seed,
-					})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !CheckLinearizable(model, h.Events()) {
-					t.Errorf("%s over %s with plan %s: history NOT linearizable",
-						variant, kind, plan)
-				}
-				injectedTotal += d.TotalInjected()
-			}
-		}
-	}
-	if injectedTotal == 0 {
-		t.Fatal("guard chaos sweep injected no faults at all")
-	}
-	t.Logf("guard chaos sweep injected %d faults across %d runs",
-		injectedTotal, len(GuardVariants)*len(Workloads)*len(seeds))
+	chaosSweep(t, guardVariants)
 }
 
 // TestGuardStressBankConservation is the -race stress: many goroutines

@@ -12,16 +12,9 @@ import (
 	"rtle/internal/tmap"
 )
 
-// Workloads names the checked ADT workloads, in the order the fuzzer
-// cycles through them.
+// Workloads names the checked ADT workloads: the kinds RunWorkload,
+// RunGuardWorkload and NewOpGen accept, and the ones the server serves.
 var Workloads = []string{"set", "map", "bank"}
-
-// ChaosMethods is the method roster the chaos suite and cmd/rtlefuzz
-// cover: every synchronization scheme in the repository.
-var ChaosMethods = []string{
-	"Lock", "TLE", "HLE", "RW-TLE", "FG-TLE(256)", "FG-TLE(adaptive)",
-	"ALE(256)", "NOrec", "RHNOrec",
-}
 
 // RunConfig configures one recorded workload run.
 type RunConfig struct {

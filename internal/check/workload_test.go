@@ -46,7 +46,7 @@ func TestOneGeneratorUnderMethodsAndGuards(t *testing.T) {
 			if ops := workloadOps[kind]; len(seen) != 1+len(ops.writes) {
 				t.Fatalf("%d operations drew only %v", len(want), seen)
 			}
-			for _, variant := range GuardVariants {
+			for _, variant := range guardVariants {
 				gm := mem.New(1 << 18)
 				gh, _, err := RunGuardWorkload(kind, variant, gm, guard.Config{}, cfg)
 				if err != nil {
@@ -80,7 +80,7 @@ func TestBankOfOneAccountRejected(t *testing.T) {
 	if _, _, err := RunWorkload("bank", core.NewLock(m), m, cfg); err == nil {
 		t.Error("RunWorkload accepted a one-account bank")
 	}
-	for _, variant := range GuardVariants {
+	for _, variant := range guardVariants {
 		if _, _, err := RunGuardWorkload("bank", variant, mem.New(1<<16), guard.Config{}, cfg); err == nil {
 			t.Errorf("RunGuardWorkload over %s accepted a one-account bank", variant)
 		}

@@ -10,8 +10,8 @@
 // thread's begin fails inside the same global window — the lemming-effect
 // trigger), and lock-holder latency spikes. Because the Plan is plain data,
 // a failing schedule is logged as one JSON line and replays exactly; and
-// because it is a handful of scalars, a shrinker (cmd/rtlefuzz) can walk it
-// toward a minimal reproducer field by field.
+// because it is a handful of bounded scalars, a fuzzer (check.FuzzFaultPlan)
+// can derive one from a few bytes and its minimizer can switch rules off.
 //
 // Determinism: probabilistic decisions come from per-thread xoshiro256**
 // streams derived from Plan.Seed and a thread ordinal assigned in injector

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -103,10 +104,13 @@ func (l *Log) load(f *os.File) (int64, error) {
 		}
 		if n == 10 && binary.BigEndian.Uint16(payload[8:]) == 0 {
 			// Floor marker: the retained suffix starts above this sequence.
-			if !first {
-				return good, nil // a marker mid-file is garbage: stop before it
+			floor := binary.BigEndian.Uint64(payload)
+			if !first || floor == math.MaxUint64 {
+				// A marker mid-file, or one with no sequence above it (the
+				// next entry's would wrap to 0), is garbage: stop before it.
+				return good, nil
 			}
-			l.floor = binary.BigEndian.Uint64(payload)
+			l.floor = floor
 			first = false
 			good += int64(8 + n)
 			continue

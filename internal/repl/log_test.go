@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -313,4 +314,90 @@ func TestLogTornTail(t *testing.T) {
 	if hw := l3.HighWater(); hw != 3 {
 		t.Fatalf("high water after repair %d, want 3", hw)
 	}
+}
+
+// FuzzLogReplay writes arbitrary bytes as a log file and opens it. Open
+// must not panic. It either fails, or keeps a prefix of the file and
+// truncates the rest, and what it kept re-encodes to exactly that prefix:
+// an optional floor marker for Floor, then one record per entry. With
+// reseal, every whole record's CRC is recomputed before the write, so
+// mutated payloads reach the entry decoder and the sequence checks
+// instead of stopping at the CRC.
+func FuzzLogReplay(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "repl.log")
+	l, err := Open(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snapshot := func() {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, false)
+		f.Add(raw, true)
+	}
+	for i := 1; i <= 3; i++ {
+		l.Append([]Op{{Code: 1, Arg1: uint64(i)}, {Code: 4, Arg1: uint64(i), Arg2: 9, Arg3: 1}})
+	}
+	snapshot()
+	if err := l.TruncateBelow(2); err != nil {
+		f.Fatal(err)
+	}
+	snapshot()
+	if err := l.ResetTo(50); err != nil {
+		f.Fatal(err)
+	}
+	l.Append([]Op{{Code: 2, Arg1: 7}})
+	snapshot()
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, file []byte, reseal bool) {
+		if reseal {
+			file = resealRecords(file)
+		}
+		path := filepath.Join(t.TempDir(), "repl.log")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path)
+		if err != nil {
+			return
+		}
+		defer l.Close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(file, kept) {
+			t.Fatalf("Open left %d bytes that are not a prefix of the %d written", len(kept), len(file))
+		}
+		var entries, marker bytes.Buffer
+		for _, e := range l.From(l.Floor()+1, int(l.HighWater()-l.Floor())) {
+			_ = writeRecord(&entries, AppendEntryPayload(nil, &e))
+		}
+		_ = writeRecord(&marker, floorMarkerPayload(l.Floor()))
+		head, ok := bytes.CutSuffix(kept, entries.Bytes())
+		if !ok || len(head) > 0 && !bytes.Equal(head, marker.Bytes()) || len(head) == 0 && l.Floor() > 0 {
+			t.Fatalf("floor %d and %d entries do not re-encode to the %x Open kept",
+				l.Floor(), l.HighWater()-l.Floor(), kept)
+		}
+	})
+}
+
+// resealRecords returns a copy of file with the CRC of every whole
+// `u32 len | u32 crc | payload` record recomputed.
+func resealRecords(file []byte) []byte {
+	file = bytes.Clone(file)
+	for b := file; len(b) >= 8; {
+		n := int(binary.BigEndian.Uint32(b))
+		if n > len(b)-8 {
+			break
+		}
+		binary.BigEndian.PutUint32(b[4:], crc32.ChecksumIEEE(b[8:8+n]))
+		b = b[8+n:]
+	}
+	return file
 }

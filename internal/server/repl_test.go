@@ -172,19 +172,26 @@ func TestSyncAckWaitsForReplica(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			for i := 0; i < 50; i++ {
-				req := tc.write(i, cross)
-				if resp, err := c.Op(req.Op, req.Arg1, req.Arg2, req.Arg3); err != nil || resp.Status != StatusOK {
-					t.Fatalf("write %d: %v / %v", i, err, resp.Status)
+			// A cross-shard write that deadlocks on its gates would hang
+			// here, before TestCrossShardBank's bound could fire.
+			withinGateBound(t, "sync-acked writes", func() {
+				for i := 0; i < 50 && err == nil; i++ {
+					req := tc.write(i, cross)
+					resp, opErr := c.Op(req.Op, req.Arg1, req.Arg2, req.Arg3)
+					// Only this client writes: the high water is this write's entry.
+					hw := primary.repl.log.HighWater()
+					switch acked := primary.repl.minAcked(); {
+					case opErr != nil || resp.Status != StatusOK:
+						err = fmt.Errorf("write %d: %v / %v", i, opErr, resp.Status)
+					case hw == 0:
+						err = fmt.Errorf("no log entry after write %d", i)
+					case acked < hw:
+						err = fmt.Errorf("sync mode answered write %d at acked %d < high water %d", i, acked, hw)
+					}
 				}
-				// Only this client writes: the high water is this write's entry.
-				hw := primary.repl.log.HighWater()
-				if hw == 0 {
-					t.Fatalf("no log entry after write %d", i)
-				}
-				if acked := primary.repl.minAcked(); acked < hw {
-					t.Fatalf("sync mode answered write %d at acked %d < high water %d", i, acked, hw)
-				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			if d := primary.repl.degraded.Load(); d != 0 {
 				t.Errorf("%d degraded releases with a live subscriber", d)

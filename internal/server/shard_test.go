@@ -65,9 +65,8 @@ func TestShardedLinearizable(t *testing.T) {
 // conservation witnesses) must still pass — under an active fault plan, so
 // speculation on every shard is being aborted while gates are cycling. The
 // load takes well under a second; if it has not finished after
-// gateDeadlockBound, readers are parked on each other's gates, and the test
-// fails with every goroutine's stack instead of hanging until go test's
-// timeout.
+// gateDeadlockBound, readers are parked on each other's gates, and
+// withinGateBound fails the test with every goroutine's stack.
 func TestCrossShardBank(t *testing.T) {
 	plan := fault.Plan{
 		Seed:       11,
@@ -86,22 +85,12 @@ func TestCrossShardBank(t *testing.T) {
 	})
 	var res *LoadResult
 	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	withinGateBound(t, "bank load", func() {
 		res, err = RunLoad(LoadConfig{
 			Addr: addr, Workload: "bank", Conns: 2, Pipeline: 4,
 			Ops: 800, ReadPct: 50, BatchPct: 20, Keys: 16, Check: true,
 		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(gateDeadlockBound):
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Fatalf("bank load still running after %v: likely a gate-order deadlock (look for readers parked in gate.Lock or gate.RLock)\n%s",
-			gateDeadlockBound, buf)
-	}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +116,30 @@ func TestCrossShardBank(t *testing.T) {
 	}
 }
 
-// gateDeadlockBound is how long TestCrossShardBank's load may run before
+// gateDeadlockBound is how long a test's cross-shard load may run before
 // the test calls it a deadlock.
 const gateDeadlockBound = 60 * time.Second
+
+// withinGateBound runs load and, if it has not returned after
+// gateDeadlockBound, fails the test with every goroutine's stack instead of
+// hanging the package until go test's -timeout. load runs on its own
+// goroutine, so it reports failures through its captures, not through t.
+func withinGateBound(t *testing.T, what string, load func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		load()
+	}()
+	select {
+	case <-done:
+	case <-time.After(gateDeadlockBound):
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%s still running after %v: likely a gate-order deadlock (look for readers parked in gate.Lock or gate.RLock)\n%s",
+			what, gateDeadlockBound, buf)
+	}
+}
 
 // TestCrossShardTransferBatch pins the regression where a batch entry's
 // transfer destination was ignored by routing: a batch holding a

@@ -234,10 +234,15 @@ func Encode(w *Writer, s *Snapshot) error {
 // payloads in stream order; it validates ordering, shard indices, and
 // the end chunk's count and CRC.
 type Reader struct {
-	s     *Snapshot
-	crc   uint32
-	count uint64
-	done  bool
+	s *Snapshot
+	// shards is the header's shard count; items collects each shard's
+	// pairs until the end chunk validates and builds s.Shards, so a
+	// header allocates nothing for the shards it merely declares.
+	shards int
+	items  map[int][]Item
+	crc    uint32
+	count  uint64
+	done   bool
 }
 
 // NewReader returns a Reader awaiting a header chunk.
@@ -277,8 +282,8 @@ func (r *Reader) Feed(payload []byte) (done bool, err error) {
 			Workload: w,
 			Keys:     binary.BigEndian.Uint64(payload[7:]),
 			Seq:      binary.BigEndian.Uint64(payload[15:]),
-			Shards:   make([][]Item, shards),
 		}
+		r.shards, r.items = shards, map[int][]Item{}
 		return false, nil
 	case chunkItems:
 		if r.s == nil {
@@ -289,8 +294,8 @@ func (r *Reader) Feed(payload []byte) (done bool, err error) {
 		}
 		shard := int(binary.BigEndian.Uint16(payload[5:]))
 		n := int(binary.BigEndian.Uint16(payload[7:]))
-		if shard >= len(r.s.Shards) {
-			return false, fmt.Errorf("snap: items chunk for shard %d of %d", shard, len(r.s.Shards))
+		if shard >= r.shards {
+			return false, fmt.Errorf("snap: items chunk for shard %d of %d", shard, r.shards)
 		}
 		if n == 0 || n > MaxChunkItems {
 			return false, fmt.Errorf("snap: items chunk of %d pairs outside [1,%d]", n, MaxChunkItems)
@@ -301,14 +306,14 @@ func (r *Reader) Feed(payload []byte) (done bool, err error) {
 		}
 		r.crc = crc32.Update(r.crc, crc32.IEEETable, body)
 		r.count += uint64(n)
-		items := r.s.Shards[shard]
+		items := r.items[shard]
 		for i := 0; i < n; i++ {
 			items = append(items, Item{
 				Key: binary.BigEndian.Uint64(body[i*itemBytes:]),
 				Val: binary.BigEndian.Uint64(body[i*itemBytes+8:]),
 			})
 		}
-		r.s.Shards[shard] = items
+		r.items[shard] = items
 		return false, nil
 	case chunkEnd:
 		if r.s == nil {
@@ -325,7 +330,11 @@ func (r *Reader) Feed(payload []byte) (done bool, err error) {
 		if crc != r.crc {
 			return false, fmt.Errorf("snap: snapshot CRC mismatch")
 		}
-		r.done = true
+		r.s.Shards = make([][]Item, r.shards)
+		for k, items := range r.items {
+			r.s.Shards[k] = items
+		}
+		r.items, r.done = nil, true
 		return true, nil
 	}
 	return false, fmt.Errorf("snap: unknown chunk type %d", payload[4])

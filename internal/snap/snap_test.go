@@ -5,11 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
 // collect runs a Writer over s and returns the emitted chunk payloads.
-func collect(t *testing.T, s *Snapshot) [][]byte {
+func collect(t testing.TB, s *Snapshot) [][]byte {
 	t.Helper()
 	var chunks [][]byte
 	w := NewWriter(func(p []byte) error {
@@ -23,7 +24,7 @@ func collect(t *testing.T, s *Snapshot) [][]byte {
 }
 
 // decode feeds chunks through a Reader and returns the snapshot.
-func decode(t *testing.T, chunks [][]byte) *Snapshot {
+func decode(t testing.TB, chunks [][]byte) *Snapshot {
 	t.Helper()
 	r := NewReader()
 	for i, p := range chunks {
@@ -188,4 +189,79 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, err := ReadFile(path); err == nil {
 		t.Fatalf("torn snapshot file accepted")
 	}
+}
+
+// joinChunks frames chunk payloads as `u16 len | payload` records, the
+// input form of FuzzSnapReader.
+func joinChunks(chunks [][]byte) []byte {
+	var b []byte
+	for _, p := range chunks {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(p)))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// splitChunks undoes joinChunks on any bytes: a record whose length runs
+// past the end is the bytes that are left.
+func splitChunks(b []byte) [][]byte {
+	var chunks [][]byte
+	for len(b) > 0 {
+		n := len(b)
+		if len(b) >= 2 {
+			n = min(int(binary.BigEndian.Uint16(b)), len(b)-2)
+			b = b[2:]
+		}
+		chunks = append(chunks, b[:n])
+		b = b[n:]
+	}
+	return chunks
+}
+
+// FuzzSnapReader feeds arbitrary chunk sequences to a Reader. It must not
+// panic; what it allocates must stay within a constant factor of the bytes
+// fed, plus the slice headers of an accepted snapshot's shards; and a
+// stream it accepts must come back unchanged through Encode.
+func FuzzSnapReader(f *testing.F) {
+	for _, s := range []*Snapshot{
+		{Workload: "map", Keys: 1024, Seq: 77, Shards: [][]Item{{{Key: 1, Val: 10}, {Key: 5, Val: 50}}, nil, {{Key: 9, Val: 90}}}},
+		{Workload: "set", Keys: 16, Shards: [][]Item{{{Key: 3}}}},
+		{Workload: "bank", Keys: 4, Seq: 9, Shards: [][]Item{{{Key: 0, Val: 100}, {Key: 1, Val: 100}}, {{Key: 2, Val: 100}, {Key: 3, Val: 100}}}},
+	} {
+		f.Add(joinChunks(collect(f, s)))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewReader()
+		var (
+			done bool
+			err  error
+		)
+		for _, p := range splitChunks(b) {
+			if done, err = r.Feed(p); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		accepted := err == nil && done
+		var shards uint64
+		if accepted {
+			s, _ := r.Snapshot()
+			shards = uint64(len(s.Shards))
+		}
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(b))+24*shards+16<<10; alloc > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(b), alloc, bound)
+		}
+		if !accepted {
+			return
+		}
+		s, err := r.Snapshot()
+		if err != nil {
+			t.Fatalf("Feed reported done but Snapshot failed: %v", err)
+		}
+		if again := decode(t, collect(t, s)); !reflect.DeepEqual(again, s) {
+			t.Fatalf("Encode round trip changed the snapshot: %+v, then %+v", s, again)
+		}
+	})
 }
