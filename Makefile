@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race vet rtlevet e2e microbench fuzz-short bench bench-test all
+.PHONY: fmt build test race vet e2e microbench fuzz-short bench bench-test all
 
 all: fmt build vet test
 
@@ -21,16 +21,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-# rtlevet enforces the repository's HTM/TLE instrumentation and log-order
-# disciplines: every pass over the whole tree (go vet exits non-zero on an
-# unwaived finding), then the standalone driver's stale-waiver report (an
-# //rtle:ignore that suppresses nothing is a violation hiding spot). CI's
-# rtlevet job calls this target.
-rtlevet:
-	$(GO) build -o /tmp/rtlevet ./cmd/rtlevet
-	$(GO) vet -vettool=/tmp/rtlevet ./...
-	/tmp/rtlevet -unusedignores ./...
 
 # e2e boots rtled on loopback and validates wire-level linearizability
 # with rtleload, clean and under a fault plan, once per shard count.

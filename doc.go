@@ -49,9 +49,9 @@
 // abort) and interoperate with the closure forms through that same
 // subscription. Guards are assembled by NewMutex/NewRWMutex with
 // WithGuard* options, or derived from a TM (TM.NewMutex, TM.NewRWMutex)
-// to share its heap and policy. The guardmisuse pass of cmd/rtlevet
-// statically checks guard call sites (unbalanced brackets, nested
-// acquisition, HTM-unfriendly operations inside Do bodies).
+// to share its heap and policy. The txbody check of internal/analysis
+// holds Do/RDo bodies to the rules of a hardware transaction's body (no
+// raw heap access, blocking, Go synchronization or allocation).
 //
 // Statistics come in two forms: quiescent per-thread Stats (read after
 // workers stop, merged with Stats.Merge) or per-guard Stats, and — when

@@ -1,4 +1,4 @@
-// Package abortpath defines the rtlevet pass that keeps abort codes and
+// Package abortpath defines the pass that keeps abort codes and
 // in-module errors from being silently dropped.
 //
 // (*htm.Tx).Run never retries — the caller owns the retry/fallback
@@ -28,10 +28,8 @@ import (
 
 // Analyzer is the abortpath pass.
 var Analyzer = &framework.Analyzer{
-	Name:    "abortpath",
-	Doc:     "flag discarded htm abort codes and discarded in-module errors",
-	Version: 1,
-	Run:     run,
+	Name: "abortpath",
+	Run:  run,
 }
 
 func run(pass *framework.Pass) error {

@@ -15,17 +15,9 @@ const (
 	// MarkSpeculative marks a function whose body executes inside a
 	// hardware transaction (fast or slow path).
 	MarkSpeculative Marks = 1 << iota
-	// MarkSlowpath marks a function that implements (or is called from)
-	// the instrumented slow path: all simulated-heap access must go
-	// through the htm.Tx barriers.
-	MarkSlowpath
-	// MarkLockpath marks a function that only runs while its method's
-	// fallback lock is held; it is the only place writer metadata
-	// (//rtle:meta fields) may be mutated.
-	MarkLockpath
-	// MarkInit marks single-threaded setup code (constructors): raw heap
-	// access and metadata stores are allowed because no concurrent
-	// reader exists yet.
+	// MarkInit marks single-threaded setup code (constructors): no
+	// concurrent reader exists yet, so loggate lets it touch the barrier
+	// sequence outside a gate.
 	MarkInit
 	// MarkGated marks a function whose contract is caller-holds-gates:
 	// its body may append to the replication log and touch the barrier
@@ -37,19 +29,6 @@ const (
 // Marks is a bit set of function path annotations.
 type Marks uint16
 
-// conflictingMarks lists mark pairs that cannot coexist on one function:
-// a declaration carrying both is a parse error (reported unconditionally,
-// never last-wins), and both bits are dropped so downstream passes see a
-// consistent view. barrierdiscipline skips every lockpath/init function,
-// so a slowpath mark beside either would otherwise be silently inert.
-var conflictingMarks = [][2]struct {
-	bit  Marks
-	name string
-}{
-	{{MarkSlowpath, "slowpath"}, {MarkLockpath, "lockpath"}},
-	{{MarkSlowpath, "slowpath"}, {MarkInit, "init"}},
-}
-
 // Has reports whether all bits of m2 are set in m.
 func (m Marks) Has(m2 Marks) bool { return m&m2 == m2 }
 
@@ -57,17 +36,10 @@ func (m Marks) Has(m2 Marks) bool { return m&m2 == m2 }
 type Annotations struct {
 	// Engine reports a package marked //rtle:engine: it implements the
 	// simulated hardware itself (mem, htm, spinlock), sits below the
-	// barrier layer, and is exempt from txbody and barrierdiscipline.
+	// barrier layer, and is exempt from txbody.
 	Engine bool
 
-	// Errors records malformed pragma combinations (today: conflicting
-	// marks on one declaration). They are reported once per package by
-	// RunAnalyzers under the pseudo-analyzer name "annotations" and are
-	// not waivable.
-	Errors []Diagnostic
-
 	funcs map[*types.Func]Marks
-	meta  map[*types.Var]bool
 
 	// suppress maps filename -> line -> the //rtle:ignore pragmas
 	// covering that line.
@@ -85,12 +57,6 @@ type ignorePragma struct {
 
 // FuncMarks returns the path marks of fn (zero when unannotated).
 func (a *Annotations) FuncMarks(fn *types.Func) Marks { return a.funcs[fn] }
-
-// IsMeta reports whether field is marked //rtle:meta (writer metadata).
-func (a *Annotations) IsMeta(field *types.Var) bool { return a.meta[field] }
-
-// HasMeta reports whether any field in the package is marked //rtle:meta.
-func (a *Annotations) HasMeta() bool { return len(a.meta) > 0 }
 
 // suppressed reports whether an //rtle:ignore pragma covers analyzer at
 // pos, marking any matching pragma as used. A pragma trailing code
@@ -115,23 +81,14 @@ func (a *Annotations) suppressed(analyzer string, pos token.Position) bool {
 }
 
 // UnusedIgnores returns a diagnostic for every //rtle:ignore pragma that
-// never suppressed a finding, restricted to pragmas whose target analyzer
-// actually ran (ran maps pass names; full reports whether the whole suite
-// ran, which is required before condemning an unnamed "*" pragma). Call it
-// only after every analyzer of interest has reported through this
-// Annotations value.
-func (a *Annotations) UnusedIgnores(ran map[string]bool, full bool) []Diagnostic {
+// never suppressed a finding. Call it only after every analyzer has
+// reported through this Annotations value.
+func (a *Annotations) UnusedIgnores() []Diagnostic {
 	var out []Diagnostic
 	for _, lines := range a.suppress {
 		for _, ps := range lines {
 			for _, p := range ps {
 				if p.used {
-					continue
-				}
-				if p.analyzer == "*" && !full {
-					continue
-				}
-				if p.analyzer != "*" && !ran[p.analyzer] {
 					continue
 				}
 				out = append(out, Diagnostic{
@@ -165,22 +122,16 @@ func pragmaLines(g *ast.CommentGroup) [][2]string {
 	return out
 }
 
-func marksOf(groups ...*ast.CommentGroup) Marks {
+func marksOf(g *ast.CommentGroup) Marks {
 	var m Marks
-	for _, g := range groups {
-		for _, p := range pragmaLines(g) {
-			switch p[0] {
-			case "speculative":
-				m |= MarkSpeculative
-			case "slowpath":
-				m |= MarkSlowpath
-			case "lockpath":
-				m |= MarkLockpath
-			case "init":
-				m |= MarkInit
-			case "gated":
-				m |= MarkGated
-			}
+	for _, p := range pragmaLines(g) {
+		switch p[0] {
+		case "speculative":
+			m |= MarkSpeculative
+		case "init":
+			m |= MarkInit
+		case "gated":
+			m |= MarkGated
 		}
 	}
 	return m
@@ -190,7 +141,6 @@ func marksOf(groups ...*ast.CommentGroup) Marks {
 func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) *Annotations {
 	a := &Annotations{
 		funcs:    map[*types.Func]Marks{},
-		meta:     map[*types.Var]bool{},
 		suppress: map[string]map[int][]*ignorePragma{},
 	}
 	for _, file := range files {
@@ -230,52 +180,10 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File, info *types.Info) 
 		}
 
 		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if m := marksOf(d.Doc); m != 0 {
-					for _, pair := range conflictingMarks {
-						if m.Has(pair[0].bit) && m.Has(pair[1].bit) {
-							a.Errors = append(a.Errors, Diagnostic{
-								Analyzer: "annotations",
-								Pos:      fset.Position(d.Name.Pos()),
-								Message: "conflicting marks //rtle:" + pair[0].name +
-									" and //rtle:" + pair[1].name + " on " + d.Name.Name +
-									"; pick one (neither is applied)",
-							})
-							m &^= pair[0].bit | pair[1].bit
-						}
-					}
-					if fn, ok := info.Defs[d.Name].(*types.Func); ok {
-						a.funcs[fn] |= m
-					}
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						meta := false
-						for _, g := range []*ast.CommentGroup{field.Doc, field.Comment} {
-							for _, p := range pragmaLines(g) {
-								if p[0] == "meta" {
-									meta = true
-								}
-							}
-						}
-						if !meta {
-							continue
-						}
-						for _, name := range field.Names {
-							if v, ok := info.Defs[name].(*types.Var); ok {
-								a.meta[v] = true
-							}
-						}
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				if fn, ok := info.Defs[d.Name].(*types.Func); ok {
+					if m := marksOf(d.Doc); m != 0 {
+						a.funcs[fn] = m
 					}
 				}
 			}

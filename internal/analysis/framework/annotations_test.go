@@ -2,6 +2,7 @@ package framework
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -9,7 +10,8 @@ import (
 	"testing"
 )
 
-// checkSource parses and type-checks one import-free source file.
+// checkSource parses and type-checks one source file that imports only the
+// standard library.
 func checkSource(t *testing.T, filename, src string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -29,7 +31,10 @@ func checkSource(t *testing.T, filename, src string) *Package {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
-	conf := types.Config{Error: func(err error) { t.Fatalf("type check: %v", err) }}
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "gc", nil),
+		Error:    func(err error) { t.Fatalf("type check: %v", err) },
+	}
 	pkg.Types, _ = conf.Check(pkg.PkgPath, fset, pkg.Files, pkg.TypesInfo)
 	return pkg
 }
@@ -38,22 +43,20 @@ const annotatedSrc = `package p
 
 //rtle:engine
 
-type state struct {
-	flag uint64 //rtle:meta
-	// epoch is the lock holder's clock.
-	//rtle:meta
-	epoch uint64
-	plain uint64
-}
-
-// run is both speculative and, after fallback, a lock holder.
+// run executes inside a hardware transaction.
 //
 //rtle:speculative
-//rtle:lockpath
-func run(s *state) { s.flag = 1 }
+func run() {}
 
 //rtle:init
-func setup() *state { return &state{} }
+func setup() {}
+
+// appendLocked's callers hold the gates; the mark survives a //go:
+// directive stacked below it in the same doc group.
+//
+//rtle:gated
+//go:noinline
+func appendLocked() {}
 
 func unmarked() {}
 `
@@ -65,34 +68,16 @@ func TestParseAnnotations(t *testing.T) {
 	if !ann.Engine {
 		t.Errorf("Engine = false, want true")
 	}
-
-	funcs := map[string]Marks{}
 	scope := pkg.Types.Scope()
-	for _, name := range scope.Names() {
-		if fn, ok := scope.Lookup(name).(*types.Func); ok {
-			funcs[name] = ann.FuncMarks(fn)
+	for name, want := range map[string]Marks{
+		"run":          MarkSpeculative,
+		"setup":        MarkInit,
+		"appendLocked": MarkGated,
+		"unmarked":     0,
+	} {
+		if got := ann.FuncMarks(scope.Lookup(name).(*types.Func)); got != want {
+			t.Errorf("%s marks = %b, want %b", name, got, want)
 		}
-	}
-	if m := funcs["run"]; !m.Has(MarkSpeculative) || !m.Has(MarkLockpath) || m.Has(MarkSlowpath) {
-		t.Errorf("run marks = %b, want speculative|lockpath", m)
-	}
-	if m := funcs["setup"]; !m.Has(MarkInit) {
-		t.Errorf("setup marks = %b, want init", m)
-	}
-	if m := funcs["unmarked"]; m != 0 {
-		t.Errorf("unmarked marks = %b, want none", m)
-	}
-
-	st := scope.Lookup("state").Type().Underlying().(*types.Struct)
-	wantMeta := map[string]bool{"flag": true, "epoch": true, "plain": false}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if got := ann.IsMeta(f); got != wantMeta[f.Name()] {
-			t.Errorf("IsMeta(%s) = %v, want %v", f.Name(), got, wantMeta[f.Name()])
-		}
-	}
-	if !ann.HasMeta() {
-		t.Errorf("HasMeta() = false, want true")
 	}
 }
 
@@ -120,7 +105,6 @@ func calls() {
 func TestReportSuppression(t *testing.T) {
 	fake := &Analyzer{
 		Name: "fake",
-		Doc:  "flags every call",
 		Run: func(pass *Pass) error {
 			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
@@ -178,7 +162,6 @@ func TestRunAnalyzerSkipsTestFiles(t *testing.T) {
 
 	fake := &Analyzer{
 		Name: "fake",
-		Doc:  "flags every call",
 		Run: func(pass *Pass) error {
 			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
@@ -244,29 +227,17 @@ type State struct{ n uint64 }
 // Mark's receiver type is parenthesized: grouping must not hide the
 // method from the annotation walk.
 //
-//rtle:lockpath
+//rtle:gated
 func (s *(State)) Mark() { s.n++ }
-
-// held carries a compiler directive between the mark and the declaration;
-// both live in the same doc group and the mark must still bind.
-//
-//rtle:lockpath
-//go:noinline
-func held() {}
 `
 
-// TestParseAnnotationsEdgeCases pins two shapes that once silently lost
-// marks in prototype parsers: parenthesized (grouped) receiver types, and
-// marks stacked above //go: compiler directives.
+// TestParseAnnotationsEdgeCases pins a shape that once silently lost marks
+// in prototype parsers: a parenthesized (grouped) receiver type. (A mark
+// stacked above a //go: directive is in annotatedSrc.)
 func TestParseAnnotationsEdgeCases(t *testing.T) {
 	pkg := checkSource(t, "p.go", edgeSrc)
 	ann := ParseAnnotations(pkg.Fset, pkg.Files, pkg.TypesInfo)
-	if len(ann.Errors) != 0 {
-		t.Fatalf("unexpected annotation errors: %v", ann.Errors)
-	}
-
-	scope := pkg.Types.Scope()
-	named := scope.Lookup("State").Type()
+	named := pkg.Types.Scope().Lookup("State").Type()
 	var method *types.Func
 	for ms, i := types.NewMethodSet(types.NewPointer(named)), 0; i < ms.Len(); i++ {
 		if fn := ms.At(i).Obj().(*types.Func); fn.Name() == "Mark" {
@@ -276,54 +247,8 @@ func TestParseAnnotationsEdgeCases(t *testing.T) {
 	if method == nil {
 		t.Fatal("method Mark not found on *State")
 	}
-	if m := ann.FuncMarks(method); !m.Has(MarkLockpath) {
-		t.Errorf("FuncMarks((*(State)).Mark) = %b, want lockpath: grouped receiver dropped the mark", m)
-	}
-	if m := ann.FuncMarks(scope.Lookup("held").(*types.Func)); !m.Has(MarkLockpath) {
-		t.Errorf("FuncMarks(held) = %b, want lockpath: //go: directive shadowed the mark", m)
-	}
-}
-
-const conflictSrc = `package p
-
-// torn claims to be both a slow path and a lock holder; barrierdiscipline
-// would honour lockpath and never check the body, so the parser must reject
-// the pair instead.
-//
-//rtle:slowpath
-//rtle:lockpath
-func torn() {}
-
-//rtle:slowpath
-//rtle:init
-func tornInit() {}
-
-//rtle:slowpath
-func fine() {}
-`
-
-// TestParseAnnotationsConflict requires conflicting mark pairs to produce
-// a parse error and apply neither bit — not last-wins.
-func TestParseAnnotationsConflict(t *testing.T) {
-	pkg := checkSource(t, "p.go", conflictSrc)
-	ann := ParseAnnotations(pkg.Fset, pkg.Files, pkg.TypesInfo)
-	if len(ann.Errors) != 2 {
-		t.Fatalf("got %d annotation errors, want 2: %v", len(ann.Errors), ann.Errors)
-	}
-	for _, e := range ann.Errors {
-		if e.Analyzer != "annotations" {
-			t.Errorf("error attributed to %q, want \"annotations\"", e.Analyzer)
-		}
-	}
-	scope := pkg.Types.Scope()
-	if m := ann.FuncMarks(scope.Lookup("torn").(*types.Func)); m != 0 {
-		t.Errorf("torn marks = %b, want neither slowpath nor lockpath applied", m)
-	}
-	if m := ann.FuncMarks(scope.Lookup("tornInit").(*types.Func)); m != 0 {
-		t.Errorf("tornInit marks = %b, want neither slowpath nor init applied", m)
-	}
-	if m := ann.FuncMarks(scope.Lookup("fine").(*types.Func)); !m.Has(MarkSlowpath) {
-		t.Errorf("fine marks = %b, want slowpath: a conflict elsewhere must not leak", m)
+	if m := ann.FuncMarks(method); !m.Has(MarkGated) {
+		t.Errorf("FuncMarks((*(State)).Mark) = %b, want gated: grouped receiver dropped the mark", m)
 	}
 }
 
@@ -341,7 +266,7 @@ func TestAnnotationsSkipTestFiles(t *testing.T) {
 	}
 	files := []*ast.File{
 		parse("p.go", "package p\n\nfunc a() {}\n"),
-		parse("p_test.go", "package p\n\n//rtle:lockpath\nfunc helper() {}\n"),
+		parse("p_test.go", "package p\n\n//rtle:gated\nfunc helper() {}\n"),
 	}
 	pkg := &Package{
 		PkgPath: "rtle/testdata/p", Module: "rtle", Fset: fset, Files: files,

@@ -1,8 +1,7 @@
 // Package framework is a minimal, dependency-free analogue of
-// golang.org/x/tools/go/analysis: just enough driver, annotation and
-// suppression machinery to host the rtlevet passes (txbody, abortpath,
-// barrierdiscipline, loggate, guardmisuse) without importing anything
-// outside the standard library.
+// golang.org/x/tools/go/analysis: just enough loader, annotation and
+// suppression machinery to host the static checks (txbody, abortpath,
+// loggate) without importing anything outside the standard library.
 //
 // The shape deliberately mirrors go/analysis — an Analyzer owns a Run
 // function over a Pass carrying syntax plus type information — so the
@@ -24,12 +23,6 @@ type Analyzer struct {
 	// Name identifies the pass in diagnostics and in //rtle:ignore
 	// pragmas. It must be a valid identifier.
 	Name string
-	// Doc is the help text.
-	Doc string
-	// Version is bumped whenever the pass's semantics change. It feeds
-	// the rtlevet -V=full fingerprint so go vet's unit-result cache is
-	// invalidated when a pass is added or modified.
-	Version int
 	// Run applies the pass to one package. Diagnostics are reported via
 	// Pass.Report; the error return is for operational failures only.
 	Run func(*Pass) error
@@ -114,13 +107,10 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 }
 
 // RunAnalyzers applies every analyzer to every package, concatenating the
-// diagnostics in (package, analyzer, position) order. Annotation parse
-// errors (conflicting marks) are prepended once per package: a malformed
-// pragma must fail the run even when no pass consults the mark.
+// diagnostics in (package, analyzer, position) order.
 func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, pkg.Annotations().Errors...)
 		for _, a := range analyzers {
 			diags, err := RunAnalyzer(a, pkg)
 			if err != nil {
@@ -133,18 +123,13 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 }
 
 // UnusedIgnores reports, for every package, the //rtle:ignore pragmas that
-// suppressed nothing across the analyzers already run via RunAnalyzer(s)
-// on these same Package values. full must be true only when the complete
-// registered suite ran; unnamed ("*") pragmas are otherwise given the
-// benefit of the doubt.
-func UnusedIgnores(analyzers []*Analyzer, pkgs []*Package, full bool) []Diagnostic {
-	ran := map[string]bool{}
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
+// suppressed nothing once the whole suite has run through RunAnalyzers on
+// these same Package values — including pragmas naming a pass that no
+// longer exists.
+func UnusedIgnores(pkgs []*Package) []Diagnostic {
 	var all []Diagnostic
 	for _, pkg := range pkgs {
-		all = append(all, pkg.Annotations().UnusedIgnores(ran, full)...)
+		all = append(all, pkg.Annotations().UnusedIgnores()...)
 	}
 	return all
 }

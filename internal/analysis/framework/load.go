@@ -56,20 +56,17 @@ type Loader struct {
 	fset    *token.FileSet
 	module  string
 	exports map[string]string // import path -> export data file
-	listed  map[string]*listedPackage
 	imp     types.Importer
 }
 
 type listedPackage struct {
 	ImportPath      string
-	Name            string
 	Dir             string
 	Export          string
 	GoFiles         []string
 	CompiledGoFiles []string
 	Standard        bool
 	DepOnly         bool
-	Incomplete      bool
 	Module          *struct{ Path string }
 	Error           *struct{ Err string }
 }
@@ -80,7 +77,6 @@ func NewLoader(moduleDir string) *Loader {
 		Dir:     moduleDir,
 		fset:    token.NewFileSet(),
 		exports: map[string]string{},
-		listed:  map[string]*listedPackage{},
 	}
 	l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := l.exports[path]
@@ -113,7 +109,7 @@ func ModuleRoot(dir string) (string, error) {
 func (l *Loader) list(patterns ...string) ([]*listedPackage, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,CompiledGoFiles,Standard,DepOnly,Incomplete,Module,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,CompiledGoFiles,Standard,DepOnly,Module,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir
@@ -133,7 +129,6 @@ func (l *Loader) list(patterns ...string) ([]*listedPackage, error) {
 			return nil, fmt.Errorf("go list: decoding output: %w", err)
 		}
 		pkgs = append(pkgs, p)
-		l.listed[p.ImportPath] = p
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
@@ -143,9 +138,6 @@ func (l *Loader) list(patterns ...string) ([]*listedPackage, error) {
 	}
 	return pkgs, nil
 }
-
-// Module returns the module path of the loaded tree ("rtle").
-func (l *Loader) Module() string { return l.module }
 
 // Load loads, parses and type-checks the packages matching the go
 // patterns (for example "./..."), excluding dependencies.

@@ -1,4 +1,4 @@
-// Package loggate defines the rtlevet pass that statically enforces the
+// Package loggate defines the pass that statically enforces the
 // log-order-equals-gate-order invariant (DESIGN.md §9): replica replay is
 // sound only because every replication-log append happens while the
 // mutated shards' drain gates are held, so the log's total order is a
@@ -42,17 +42,15 @@ import (
 
 // Analyzer is the loggate pass.
 var Analyzer = &framework.Analyzer{
-	Name:    "loggate",
-	Doc:     "replication-log appends and barrier-seq accesses only inside held gate regions (or //rtle:gated functions)",
-	Version: 1,
-	Run:     run,
+	Name: "loggate",
+	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
 	if framework.PkgPathIs(pass.Pkg, "internal/repl") {
 		return nil // the log engine itself sits below the invariant
 	}
-	g := framework.NewGraph(pass)
+	g := framework.NewSummaries(pass)
 	for _, s := range g.Functions() {
 		check(pass, g, s)
 	}
@@ -73,8 +71,8 @@ const (
 	sGatedCall
 )
 
-func check(pass *framework.Pass, g *framework.Graph, s *framework.Summary) {
-	gated := s.Declared.Has(framework.MarkGated)
+func check(pass *framework.Pass, g *framework.Summaries, s *framework.Summary) {
+	gated := s.Marks.Has(framework.MarkGated)
 	var sites []site
 	ast.Inspect(s.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -98,7 +96,7 @@ func check(pass *framework.Pass, g *framework.Graph, s *framework.Summary) {
 			if callee != nil {
 				if cs := g.Summary(callee); cs != nil {
 					switch {
-					case cs.Declared.Has(framework.MarkGated):
+					case cs.Marks.Has(framework.MarkGated):
 						sites = append(sites, site{n.Pos(), sGatedCall, callee.Name()})
 						return true
 					case cs.Direct.Has(framework.EffectExclusiveGate):
@@ -139,7 +137,7 @@ func check(pass *framework.Pass, g *framework.Graph, s *framework.Summary) {
 					e.what, s.Fn.Name())
 			}
 		case sBarrier:
-			if !held && !gated && !s.Declared.Has(framework.MarkInit) {
+			if !held && !gated && !s.Marks.Has(framework.MarkInit) {
 				pass.Report(e.pos,
 					"%s in %s outside a held gate region; the sync-ack barrier is only meaningful while the shard's gate pins the log tail",
 					e.what, s.Fn.Name())

@@ -7,11 +7,10 @@ import (
 	"rtle/internal/analysis/framework"
 )
 
-// TestRepoIsClean runs the full rtlevet suite over the real tree and
-// requires zero diagnostics — the same gate CI applies via cmd/rtlevet.
-// Deliberate exceptions in the tree must carry //rtle:ignore pragmas (or
-// path marks), so a failure here means either a new violation or an
-// undocumented exception.
+// TestRepoIsClean is the one way the static checks run: the whole suite
+// over the real tree, requiring zero diagnostics. Deliberate exceptions in
+// the tree must carry //rtle:ignore pragmas, so a failure here means
+// either a new violation or an undocumented exception.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -42,9 +41,10 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	// Every //rtle:ignore in the tree must still excuse a live finding.
 	// The full suite just ran, so a pragma that suppressed nothing is
-	// provably stale — the finding it excused was fixed, or it never
-	// matched. Stale waivers are how real violations hide.
-	for _, d := range framework.UnusedIgnores(analysis.Analyzers(), pkgs, true) {
+	// provably stale — the finding it excused was fixed, it never matched,
+	// or the pass it names is gone. Stale waivers are how real violations
+	// hide.
+	for _, d := range framework.UnusedIgnores(pkgs) {
 		t.Errorf("stale waiver: %s", d)
 	}
 }

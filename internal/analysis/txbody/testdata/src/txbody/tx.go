@@ -4,7 +4,10 @@ package txbody
 
 import (
 	"sync/atomic"
+	"time"
 
+	"rtle/internal/core"
+	"rtle/internal/guard"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
@@ -50,4 +53,24 @@ func logged(tx *htm.Tx, a mem.Addr, log *[]uint64) {
 		*log = append(*log, v)
 	})
 	_ = reason
+}
+
+// A guard's Do/RDo closure runs as a hardware transaction too: the same
+// rules apply, and a raw heap read there is the paper's unsafe
+// uninstrumented access.
+func guardBodies(g *guard.RWMutex, mu *guard.Mutex, m *mem.Memory, a mem.Addr, ch chan int) {
+	g.Do(func(c core.Context) {
+		time.Sleep(time.Nanosecond) // want `call to time\.Sleep inside guard Do body`
+		c.Write(a, 1)
+	})
+	g.RDo(func(c core.Context) {
+		ch <- int(c.Read(a)) // want `channel send inside guard RDo body`
+	})
+	mu.Do(func(c core.Context) {
+		if m.Load(a) < 7 { // want `raw heap access Memory\.Load inside guard Do body`
+			c.Write(a, 7)
+		}
+	})
+	g.Do(func(c core.Context) { c.Write(a, c.Read(a)+1) })
+	g.RDo(func(c core.Context) { _ = c.Read(a) })
 }

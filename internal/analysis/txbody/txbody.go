@@ -1,9 +1,11 @@
-// Package txbody defines the rtlevet pass that flags HTM-unfriendly
-// operations inside hardware-transaction bodies.
+// Package txbody defines the pass that flags HTM-unfriendly operations
+// inside hardware-transaction bodies.
 //
-// A transaction body is a func literal passed to (*htm.Tx).Run or any
-// function marked //rtle:speculative. On real hardware (and in the htm
-// simulation, via Tx.Unsupported and capacity aborts) such code must not:
+// A transaction body is a func literal passed to (*htm.Tx).Run or to an
+// elision guard's Do/RDo (guard.Mutex, guard.RWMutex — rtle.Mutex and
+// rtle.RWMutex to users), or any function marked //rtle:speculative. On
+// real hardware (and in the htm simulation, via Tx.Unsupported and
+// capacity aborts) such code must not:
 //
 //   - access the simulated heap except through the Tx.Read/Tx.Write
 //     barriers — a raw mem.Memory access bypasses conflict tracking and
@@ -32,10 +34,8 @@ import (
 
 // Analyzer is the txbody pass.
 var Analyzer = &framework.Analyzer{
-	Name:    "txbody",
-	Doc:     "flag HTM-unfriendly operations inside hardware-transaction bodies",
-	Version: 1,
-	Run:     run,
+	Name: "txbody",
+	Run:  run,
 }
 
 // rawMemMethods are the mem.Memory entry points that bypass transactional
@@ -70,18 +70,22 @@ func run(pass *framework.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		// Func literals passed to (*htm.Tx).Run.
+		// Func literals passed to (*htm.Tx).Run or a guard's Do/RDo.
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) == 0 {
 				return true
 			}
-			fn := framework.CalleeFunc(pass.TypesInfo, call)
-			if !framework.IsTxMethod(fn, "Run") {
+			lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit)
+			if !ok {
 				return true
 			}
-			if lit, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok {
+			fn := framework.CalleeFunc(pass.TypesInfo, call)
+			switch {
+			case framework.IsTxMethod(fn, "Run"):
 				checkBody(pass, lit.Body, "transaction body")
+			case isGuardDo(fn):
+				checkBody(pass, lit.Body, "guard "+fn.Name()+" body")
 			}
 			return true
 		})
@@ -100,16 +104,17 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// CheckBody reports every HTM-unfriendly operation in body, attributing
-// the diagnostics to pass's own analyzer and describing the location as
-// where (e.g. "transaction body", "guard Do body"). It is exported so
-// passes over other speculative-closure surfaces — the guardmisuse pass
-// checks rtle.Mutex.Do / rtle.RWMutex.RDo bodies — reuse one definition
-// of "HTM-unfriendly" instead of drifting from this one.
-func CheckBody(pass *framework.Pass, body *ast.BlockStmt, where string) {
-	checkBody(pass, body, where)
+// isGuardDo reports whether fn is the closure form of an elision guard:
+// Do on guard.Mutex, Do or RDo on guard.RWMutex. The closure runs as a
+// hardware transaction (and again under the lock after a fallback).
+func isGuardDo(fn *types.Func) bool {
+	return framework.IsMethodOf(fn, "internal/guard", "Mutex", "Do") ||
+		framework.IsMethodOf(fn, "internal/guard", "RWMutex", "Do") ||
+		framework.IsMethodOf(fn, "internal/guard", "RWMutex", "RDo")
 }
 
+// checkBody reports every HTM-unfriendly operation in body, describing
+// the location as where (e.g. "transaction body", "guard Do body").
 func checkBody(pass *framework.Pass, body *ast.BlockStmt, where string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {

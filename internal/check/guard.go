@@ -31,7 +31,6 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 		// silently do nothing, so strip it rather than mislead.
 		gcfg.Policy.LazySubscription = false
 		g := guard.NewMutex(m, gcfg)
-		//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with unlock
 		w := func() core.Context { g.Lock(); return g.Ctx() }
 		return &guardOps{
 			do: g.Do, rdo: g.Do,
@@ -42,10 +41,8 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 		g := guard.NewRWMutex(m, gcfg)
 		return &guardOps{
 			do: g.Do, rdo: g.RDo,
-			//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with unlock
-			lock:   func() core.Context { g.Lock(); return g.Ctx() },
-			unlock: g.Unlock,
-			//rtle:ignore guardmisuse acquire-helper: guardOps.section pairs it with runlock
+			lock:    func() core.Context { g.Lock(); return g.Ctx() },
+			unlock:  g.Unlock,
 			rlock:   func() core.Context { g.RLock(); return g.RCtx() },
 			runlock: g.RUnlock,
 		}, nil

@@ -76,14 +76,14 @@ type AdaptiveFGTLE struct {
 	orecTable
 	cfg AdaptiveConfig
 
-	sizeAddr mem.Addr //rtle:meta
-	modeAddr mem.Addr //rtle:meta
+	sizeAddr mem.Addr
+	modeAddr mem.Addr
 
 	// Adaptation state, mutated only while holding the lock.
-	windowRuns  uint64 //rtle:meta
-	usageSum    uint64 //rtle:meta
-	saturations uint64 //rtle:meta
-	slowBase    uint64 //rtle:meta slow commits observed at window start (approximate)
+	windowRuns  uint64
+	usageSum    uint64
+	saturations uint64
+	slowBase    uint64 // slow commits observed at window start (approximate)
 	slowCommits *counterSet
 }
 
@@ -121,8 +121,6 @@ func (c *counterSet) sum() uint64 {
 
 // NewAdaptiveFGTLE returns an adaptive FG-TLE method over m. The orec
 // array is allocated at cfg.MaxOrecs and the live size starts there.
-//
-//rtle:init
 func NewAdaptiveFGTLE(m *mem.Memory, policy Policy, cfg AdaptiveConfig) *AdaptiveFGTLE {
 	minN, maxN := cfg.min(), cfg.max()
 	if minN&(minN-1) != 0 || maxN&(maxN-1) != 0 || minN > maxN {
@@ -177,8 +175,6 @@ type adaptiveThread struct {
 
 // runSlow is fgtleThread.runSlow with the mode flag and the live orec count
 // read inside the transaction, subscribing to both.
-//
-//rtle:slowpath
 func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 	a := t.method
 	t.beginSlow()
@@ -197,7 +193,6 @@ func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 	return reason
 }
 
-//rtle:lockpath
 func (t *adaptiveThread) lockSection(body func(Context)) {
 	a := t.method
 	t.adapt()
@@ -219,8 +214,6 @@ func (t *adaptiveThread) lockSection(body func(Context)) {
 
 // adapt runs the adaptation policy. Called with the lock held, before the
 // critical section, so resizes and mode switches are safe (§4.2.1).
-//
-//rtle:lockpath
 func (t *adaptiveThread) adapt() {
 	a := t.method
 	if a.windowRuns < a.cfg.window() {

@@ -36,16 +36,14 @@ import (
 type ALEMethod struct {
 	elision
 
-	seqAddr     mem.Addr //rtle:meta software-phase counter (bumped by each sw section)
-	blockedAddr mem.Addr //rtle:meta halts the fast path during pessimistic write-back
+	seqAddr     mem.Addr // software-phase counter (bumped by each sw section)
+	blockedAddr mem.Addr // halts the fast path during pessimistic write-back
 	orecs       mem.Addr
 	norecs      uint64
 }
 
 // NewALE returns an ALE-style method over m with the given write-orec
 // count, which must pass CheckOrecs.
-//
-//rtle:init
 func NewALE(m *mem.Memory, orecs int, policy Policy) *ALEMethod {
 	if err := CheckOrecs(orecs); err != nil {
 		panic("core: ALE " + err.Error())
@@ -75,8 +73,8 @@ type aleThread struct {
 	method *ALEMethod
 
 	// Software-section state.
-	swSeq   uint64   //rtle:meta phase counter value of this section
-	swClock uint64   //rtle:meta memory-clock snapshot at section begin
+	swSeq   uint64   // phase counter value of this section
+	swClock uint64   // memory-clock snapshot at section begin
 	log     ValueLog // reads by value and buffered writes of this section
 }
 
@@ -112,8 +110,6 @@ func (t *aleThread) Atomic(body func(Context)) {
 
 // software runs the critical section as the single software thread, under
 // the lock, with buffered writes, retrying until the write-back commits.
-//
-//rtle:lockpath
 func (t *aleThread) software(body func(Context)) {
 	start := t.AcquireLock()
 	for !t.attemptSoftware(body) {
@@ -126,8 +122,6 @@ type aleAbort struct{}
 
 // attemptSoftware runs one buffered execution plus write-back; false means
 // interference was detected and the section must re-run.
-//
-//rtle:lockpath
 func (t *aleThread) attemptSoftware(body func(Context)) (ok bool) {
 	a := t.method
 	m := a.m
@@ -157,8 +151,6 @@ func (t *aleThread) attemptSoftware(body func(Context)) (ok bool) {
 // transaction that revalidates the read log by value (atomically with the
 // publication), then — after repeated failures — pessimistically behind
 // the blocked flag, halting the whole fast path (the §2 criticism).
-//
-//rtle:lockpath
 func (t *aleThread) writeBack() bool {
 	a := t.method
 	m := a.m
@@ -235,7 +227,6 @@ type aleSwCtx struct {
 	t *aleThread
 }
 
-//rtle:lockpath
 func (c aleSwCtx) Read(a mem.Addr) uint64 {
 	t := c.t
 	t.pacer.Tick()
@@ -257,7 +248,6 @@ func (c aleSwCtx) Read(a mem.Addr) uint64 {
 	return v
 }
 
-//rtle:lockpath
 func (c aleSwCtx) Write(a mem.Addr, v uint64) {
 	c.t.pacer.Tick()
 	c.t.log.Buffer(a, v)

@@ -51,10 +51,10 @@ type FGTLEMethod struct {
 // word, the mode word and the read and write orec arrays. FG-TLE(n) uses all
 // n orecs of each array; adaptive FG-TLE a live-sized prefix.
 type orecTable struct {
-	epochAddr mem.Addr //rtle:meta
-	admitAddr mem.Addr //rtle:meta the mode word: writersAdmitted or readersOnly, stored by lock holders only
-	rOrecs    mem.Addr //rtle:meta
-	wOrecs    mem.Addr //rtle:meta
+	epochAddr mem.Addr
+	admitAddr mem.Addr // the mode word: writersAdmitted or readersOnly, stored by lock holders only
+	rOrecs    mem.Addr
+	wOrecs    mem.Addr
 
 	// slowWrite is the signal the mode follows: the epoch snapshot of the
 	// most recent slow attempt that reached a write barrier, published
@@ -90,8 +90,6 @@ func orecIndex(a mem.Addr, n uint64) uint64 { return wanghash.Hash(mem.LineOf(a)
 // the lock and epoch snapshot before a slow attempt, then touch one line
 // instead of two. Nothing subscribes the epoch, and a fast-path subscriber
 // of the lock word is already doomed by the acquisition when the epoch moves.
-//
-//rtle:init
 func newOrecTable(m *mem.Memory, orecs int) (*spinlock.Lock, orecTable) {
 	var o orecTable
 	line := m.AllocLines(1)
@@ -148,10 +146,10 @@ type fgtleThread struct {
 	orecTable
 
 	// Lock-holder state for the current critical section.
-	seq   uint64 //rtle:meta epoch stamped into acquired orecs
-	size  uint64 //rtle:meta orec count: fixed for FG-TLE(n), re-read under the lock by adaptive FG-TLE
-	uniqR uint64 //rtle:meta distinct read orecs acquired so far (Figure 3's uniq_r_orecs)
-	uniqW uint64 //rtle:meta distinct write orecs acquired so far
+	seq   uint64 // epoch stamped into acquired orecs
+	size  uint64 // orec count: fixed for FG-TLE(n), re-read under the lock by adaptive FG-TLE
+	uniqR uint64 // distinct read orecs acquired so far (Figure 3's uniq_r_orecs)
+	uniqW uint64 // distinct write orecs acquired so far
 
 	// State of the slow attempt or lock section in flight (a thread runs one
 	// at a time), kept here and not in the Context so that a Context stays
@@ -172,19 +170,14 @@ func newFGThread(e Exec, o orecTable, size uint64) fgtleThread {
 // local_seq_number before the transaction begins, so the epoch line itself
 // is not subscribed and the lock release does not abort slow-path
 // transactions.
-//
-//rtle:slowpath
 func (t *fgtleThread) beginSlow() {
 	t.lastR, t.lastW, t.wrote = 0, 0, false
 	// The raw load is the algorithm: the snapshot must predate the
 	// transaction so the epoch line stays out of the read set.
-	//rtle:ignore barrierdiscipline pre-transaction epoch snapshot (Figure 3 local_seq_number)
 	t.localSeq = t.m.Load(t.epochAddr)
 }
 
 // runSlow is one instrumented slow-path attempt.
-//
-//rtle:slowpath
 func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
 	t.beginSlow()
 	reason := t.Tx.Run(func(tx *htm.Tx) {
@@ -200,8 +193,6 @@ func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
 // after Tx.Run has returned (on real RTM a store inside the attempt would
 // roll back with it) and stores only over a stale value, so a stream of
 // writing attempts shares the signal's line read-only.
-//
-//rtle:slowpath
 func (t *fgtleThread) endSlow() {
 	if t.wrote && t.localSeq >= t.slowWrite.n.Load()+publishEpochs {
 		t.slowWrite.n.Store(t.localSeq)
@@ -216,8 +207,6 @@ func (t *fgtleThread) endSlow() {
 // readers-only section starts with every r-orec counted as acquired —
 // §4.2's saturation shortcut taken from the first read — so the read
 // barrier stamps none.
-//
-//rtle:lockpath
 func (t *fgtleThread) lockSection(body func(Context)) {
 	m := t.m
 	t.seq = m.Load(t.epochAddr) + 1
@@ -251,7 +240,6 @@ type fgSlowCtx struct {
 	t *fgtleThread
 }
 
-//rtle:slowpath
 func (c fgSlowCtx) Read(a mem.Addr) uint64 {
 	t := c.t
 	tx := t.Tx
@@ -269,8 +257,6 @@ func (c fgSlowCtx) Read(a mem.Addr) uint64 {
 // reads the mode word, and only it does — a read-only attempt never
 // subscribes the mode, so a flip aborts no reader — and turns the attempt
 // away while the holder stamps no r-orecs.
-//
-//rtle:slowpath
 func (c fgSlowCtx) Write(a mem.Addr, v uint64) {
 	t := c.t
 	tx := t.Tx
@@ -304,7 +290,6 @@ type fgLockCtx struct {
 	t *fgtleThread
 }
 
-//rtle:lockpath
 func (c fgLockCtx) Read(a mem.Addr) uint64 {
 	t := c.t
 	t.pacer.Tick()
@@ -319,7 +304,6 @@ func (c fgLockCtx) Read(a mem.Addr) uint64 {
 	return t.m.Load(a)
 }
 
-//rtle:lockpath
 func (c fgLockCtx) Write(a mem.Addr, v uint64) {
 	t := c.t
 	t.pacer.Tick()

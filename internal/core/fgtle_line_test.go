@@ -325,6 +325,35 @@ func TestModeFlipFailsAWritingAttempt(t *testing.T) {
 	})
 }
 
+// TestAdaptiveAttemptReadsModeAndSizeInside: adaptive FG-TLE's slow attempt
+// makes exactly two transactional accesses more than FG-TLE's over the same
+// body — the mode and the live orec count, read inside the transaction. Read
+// before it instead, neither is subscribed: a holder that switches to TLE
+// mode (and stamps nothing) or resizes (and stamps other orecs) between that
+// read and the attempt's begin leaves it checking orecs nobody stamps, and it
+// commits half of that holder's section. The simulated HTM validates a
+// read-only attempt against its begin snapshot, so no interleaving a test
+// can stage tells the two apart by outcome; the access count does.
+func TestAdaptiveAttemptReadsModeAndSizeInside(t *testing.T) {
+	var accesses int
+	p := Policy{}
+	p.HTM.NewInjector = func() htm.Injector { return accessCounter{&accesses} }
+	m := mem.New(1 << 16)
+	fg := NewFGTLE(m, 256, p).NewThread().(*fgtleThread)
+	ad := NewAdaptiveFGTLE(m, p, AdaptiveConfig{MaxOrecs: 256}).NewThread().(*adaptiveThread)
+	l := m.AllocLines(2)
+	count := func(runSlow func(func(Context)) htm.AbortReason) int {
+		accesses = 0
+		if r := runSlow(func(c Context) { c.Read(l); c.Read(l + mem.WordsPerLine) }); r != htm.None {
+			t.Fatalf("read-only slow attempt with no holder: %v", r)
+		}
+		return accesses
+	}
+	if f, a := count(fg.runSlow), count(ad.runSlow); a != f+2 {
+		t.Fatalf("adaptive slow attempt made %d transactional accesses and FG-TLE's %d: want two more, the mode and the orec count", a, f)
+	}
+}
+
 // TestSlowWriteSignalIsSparse: every writing slow attempt notes the write,
 // turned away or not, but only one that finds the published epoch
 // publishEpochs stale stores it — a thousand of them beside one long hold

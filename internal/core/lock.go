@@ -39,8 +39,6 @@ func (l *LockMethod) NewThread() Thread {
 type lockThread struct{ Exec }
 
 // Atomic always takes the pessimistic path; the body runs uninstrumented.
-//
-//rtle:lockpath
 func (t *lockThread) Atomic(body func(Context)) {
 	t0 := t.Rec.Begin()
 	start := t.AcquireLock()

@@ -101,8 +101,6 @@ func (r *refinedThread) Atomic(body func(Context)) {
 
 // runUnderLock is the pessimistic path: the method's instrumented lock-path
 // body, or the unmodified critical section when it has none.
-//
-//rtle:lockpath
 func (r *refinedThread) runUnderLock(body func(Context)) {
 	start := r.AcquireLock()
 	if r.underLock != nil {

@@ -58,8 +58,8 @@ func (r *RWTLEMethod) NewThread() Thread {
 // the lock orders the raised bit between successive holders.
 type WriteFlag struct {
 	m      *mem.Memory
-	addr   mem.Addr //rtle:meta
-	raised bool     //rtle:meta write flag raised during the current lock-held section
+	addr   mem.Addr
+	raised bool // write flag raised during the current lock-held section
 }
 
 // NewWriteFlag wraps the (zero) word at addr as a write flag.
@@ -71,8 +71,6 @@ func (f *WriteFlag) Addr() mem.Addr { return f.addr }
 // SlowAttempt is one instrumented slow-path attempt of body on e's
 // transaction: subscribe to the write flag, run the body with the aborting
 // write barrier, optionally subscribe to the lock lazily (§5).
-//
-//rtle:slowpath
 func (f *WriteFlag) SlowAttempt(e *Exec, body func(Context)) htm.AbortReason {
 	return e.Tx.Run(func(tx *htm.Tx) {
 		if tx.Read(f.addr) != 0 {
@@ -85,16 +83,12 @@ func (f *WriteFlag) SlowAttempt(e *Exec, body func(Context)) htm.AbortReason {
 
 // LockCtx returns the instrumented pessimistic-path Context for a section
 // of e that holds the lock: its first write raises the flag.
-//
-//rtle:lockpath
 func (f *WriteFlag) LockCtx(e *Exec) Context { return rwLockCtx{f, &e.pacer} }
 
 // Lower clears the flag if the section raised it (once per critical section
 // — Figure 2's note that only the first write needs the barrier — so a
 // read-only holder never stores to the line its subscribers watch). The
 // holder calls it after the body, before releasing the lock.
-//
-//rtle:lockpath
 func (f *WriteFlag) Lower() {
 	if f.raised {
 		f.m.Store(f.addr, 0)
@@ -108,10 +102,8 @@ type rwSlowCtx struct {
 	tx *htm.Tx
 }
 
-//rtle:slowpath
 func (c rwSlowCtx) Read(a mem.Addr) uint64 { return c.tx.Read(a) }
 
-//rtle:slowpath
 func (c rwSlowCtx) Write(a mem.Addr, v uint64) { c.tx.Abort() }
 func (c rwSlowCtx) InHTM() bool                { return true }
 func (c rwSlowCtx) Unsupported()               { c.tx.Unsupported() }
@@ -124,13 +116,11 @@ type rwLockCtx struct {
 	p *Pacer
 }
 
-//rtle:lockpath
 func (c rwLockCtx) Read(a mem.Addr) uint64 {
 	c.p.Tick()
 	return c.f.m.Load(a)
 }
 
-//rtle:lockpath
 func (c rwLockCtx) Write(a mem.Addr, v uint64) {
 	c.p.Tick()
 	if !c.f.raised {

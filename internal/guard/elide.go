@@ -105,8 +105,6 @@ func (g *base) do(kind section, body func(core.Context)) {
 // drains: new readers cannot enter once the lock word is held (acquireReader
 // re-checks it after incrementing), so the wait is bounded by the sections
 // already in flight.
-//
-//rtle:lockpath
 func (g *base) acquire(kind section, t *gthread) time.Time {
 	g.lock.Acquire()
 	if kind == writer {
@@ -122,8 +120,6 @@ func (g *base) acquire(kind section, t *gthread) time.Time {
 // lockCtx is the Context of a section that holds the lock: uninstrumented
 // for a Mutex, the RW-TLE lock path whose first write raises the flag for an
 // RWMutex writer.
-//
-//rtle:lockpath
 func (g *base) lockCtx(kind section, t *gthread) core.Context {
 	if kind == writer {
 		return g.flag.LockCtx(&t.Exec)
@@ -133,8 +129,6 @@ func (g *base) lockCtx(kind section, t *gthread) core.Context {
 
 // release ends the hold that began at start, lowering the write flag if the
 // section raised it (only a writer's Context can).
-//
-//rtle:lockpath
 func (g *base) release(t *gthread, start time.Time) {
 	g.flag.Lower()
 	t.ReleaseLock(start)
@@ -144,8 +138,6 @@ func (g *base) release(t *gthread, start time.Time) {
 // cannot re-execute the code between Lock and Unlock after an abort — so it
 // always takes the lock, which in turn aborts every speculating section via
 // their subscriptions.
-//
-//rtle:lockpath
 func (g *base) enter(kind section) {
 	t := g.get()
 	g.holdStart = g.acquire(kind, t)
@@ -154,8 +146,6 @@ func (g *base) enter(kind section) {
 }
 
 // exit is the bracket form's Unlock.
-//
-//rtle:lockpath
 func (g *base) exit() {
 	t, t0 := g.holder, g.holdT0
 	if t == nil {

@@ -110,8 +110,6 @@ type base struct {
 
 // init lays out the lock line and wires the pool and the bracket recorder.
 // Single-threaded constructor use only.
-//
-//rtle:init
 func (b *base) init(m *mem.Memory, name string, cfg Config) {
 	if m == nil {
 		panic("guard: nil Memory")

@@ -72,7 +72,6 @@ type retreat struct {
 	_         [64]byte
 }
 
-//rtle:init
 func (r *retreat) init(cfg RetreatConfig) {
 	r.cfg = cfg.withDefaults()
 	r.batch = max(1, r.cfg.Window/flushDivisor)

@@ -27,7 +27,7 @@
 package htm
 
 // The transaction engine manipulates the raw heap by definition; the
-// rtlevet txbody and barrierdiscipline passes do not apply here.
+// txbody check (internal/analysis) does not apply here.
 //
 //rtle:engine
 

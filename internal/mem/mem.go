@@ -25,9 +25,9 @@
 // RW-TLE and FG-TLE instrumentation barriers, as in the paper.
 package mem
 
-// This package IS the raw layer the rtlevet suite protects: its accessors
-// are what everything else must route around, so the txbody and
-// barrierdiscipline passes do not apply here.
+// This package IS the raw layer the static checks protect: its accessors
+// are what everything else must route around, so the txbody check
+// (internal/analysis) does not apply here.
 //
 //rtle:engine
 

@@ -9,8 +9,8 @@
 // nor this implementation addresses fairness or anti-starvation.
 package spinlock
 
-// The lock word lives in raw simulated memory by design; the rtlevet
-// txbody and barrierdiscipline passes do not apply here.
+// The lock word lives in raw simulated memory by design; the txbody
+// check (internal/analysis) does not apply here.
 //
 //rtle:engine
 
