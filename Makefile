@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race vet e2e microbench fuzz-short bench bench-test all
+.PHONY: fmt build test race vet e2e microbench cross-build fuzz-short bench bench-test all
 
 all: fmt build vet test
 
@@ -28,11 +28,20 @@ e2e:
 	scripts/e2e.sh
 
 # microbench compiles and completes the micro-benchmarks DESIGN.md §1.8
-# quotes, a hundred iterations each (CI's step; raise -benchtime, build both
-# sides with `go test -c` and alternate them to measure).
+# quotes, and the heap's own (plain load and store, map-touch-drop), a
+# hundred iterations each (CI's step; raise -benchtime, build both sides
+# with `go test -c` and alternate them to measure).
 microbench:
-	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Store|LockSection|SlowFind|SlowWriters' \
-		-benchtime 100x ./internal/htm ./internal/guard ./internal/core
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters' \
+		-benchtime 100x ./internal/mem ./internal/htm ./internal/guard ./internal/core
+
+# cross-build compiles the tree where the heap is not mapped (windows,
+# js/wasm: heap_other.go) and vets the mapping on a second unix (darwin),
+# so neither side of internal/mem's build constraint rots (CI's step).
+cross-build:
+	GOOS=windows $(GO) build ./...
+	GOOS=js GOARCH=wasm $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/mem
 
 # fuzz-short runs each fuzz target over untrusted bytes, and the fault-plan
 # fuzzer, for ten seconds (CI's step): the request decoder, the frame

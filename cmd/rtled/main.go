@@ -26,9 +26,9 @@
 // names a path) and streams it to subscribed replicas; -repl-ack sync
 // holds each write's response until a replica acknowledged its entry. A
 // server started with -replica-of follows that primary, answering
-// StatusNotPrimary to clients until SIGUSR1 or POST /promote flips it to
-// primary — the failover handshake scripts/e2e.sh exercises with a SIGKILL
-// mid-run.
+// StatusNotPrimary to clients until POST /promote (or, on unix, SIGUSR1)
+// flips it to primary — the failover handshake scripts/e2e.sh exercises
+// with a SIGKILL mid-run.
 //
 // Snapshots: every server answers OpSnapshot with a consistent cut of its
 // full state, taken under the shard gates and stamped with the replication
@@ -134,7 +134,7 @@ func main() {
 	fmt.Printf("rtled: listening on %s (%s over %s, %d shards x %d workers)\n",
 		bound, srv.MethodName(), srv.Workload(), srv.Shards(), *workers)
 	if *replicaOf != "" {
-		fmt.Fprintf(os.Stderr, "rtled: replica of %s (SIGUSR1 or POST /promote to take over)\n", *replicaOf)
+		fmt.Fprintf(os.Stderr, "rtled: replica of %s (%s to take over)\n", *replicaOf, promoteHint)
 	}
 
 	var admin *server.AdminServer
@@ -150,12 +150,15 @@ func main() {
 	go func() { done <- srv.Serve() }()
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGUSR1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if promoteSignal != nil {
+		signal.Notify(sig, promoteSignal)
+	}
 loop:
 	for {
 		select {
 		case s := <-sig:
-			if s == syscall.SIGUSR1 {
+			if s == promoteSignal {
 				promote(srv)
 				continue
 			}

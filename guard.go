@@ -61,7 +61,8 @@ func WithGuardMemory(m *Memory) GuardOption {
 }
 
 // WithGuardMemoryWords sizes the heap the constructor allocates when
-// WithGuardMemory is not given. Default 1<<20 words.
+// WithGuardMemory is not given. Default 1<<20 words: 8 MB of address space,
+// resident as touched.
 func WithGuardMemoryWords(words int) GuardOption {
 	return func(c *guardConfig) { c.words = words; c.mark("WithGuardMemoryWords") }
 }

@@ -71,15 +71,19 @@ type Memory struct {
 // New returns a Memory with capacity for at least words 64-bit words,
 // rounded up to a whole number of lines. The first line is reserved so that
 // Addr 0 can serve as nil.
+//
+// On unix the words and meta arrays live outside the Go heap (heap_unix.go):
+// they cost address space when mapped, resident memory only where touched,
+// and are unmapped once the Memory is unreachable. Every method that
+// indexes words or meta therefore ends with runtime.KeepAlive(m), so the
+// mapping cannot be released in the middle of an access.
 func New(words int) *Memory {
 	if words < 2*WordsPerLine {
 		words = 2 * WordsPerLine
 	}
 	lines := (words + WordsPerLine - 1) / WordsPerLine
-	m := &Memory{
-		words: make([]atomic.Uint64, lines*WordsPerLine),
-		meta:  make([]atomic.Uint64, lines),
-	}
+	m := &Memory{}
+	m.words, m.meta = mapHeap(m, lines)
 	m.next.Store(WordsPerLine) // skip the nil line
 	return m
 }
@@ -167,6 +171,7 @@ func (m *Memory) Load(a Addr) uint64 {
 		if !Locked(m1) {
 			v := m.words[a].Load()
 			if m.meta[line].Load() == m1 {
+				runtime.KeepAlive(m)
 				return v
 			}
 		}
@@ -188,6 +193,7 @@ func (m *Memory) Store(a Addr, v uint64) {
 	m.words[a].Store(v)
 	nv := m.clock.Add(1)
 	m.meta[line].Store(nv << 1)
+	runtime.KeepAlive(m)
 }
 
 // CAS performs a non-transactional compare-and-swap on a word, returning
@@ -199,11 +205,13 @@ func (m *Memory) CAS(a Addr, old, new uint64) bool {
 	mw := m.lockLine(line)
 	if m.words[a].Load() != old {
 		m.meta[line].Store(mw) // restore; no modification happened
+		runtime.KeepAlive(m)
 		return false
 	}
 	m.words[a].Store(new)
 	nv := m.clock.Add(1)
 	m.meta[line].Store(nv << 1)
+	runtime.KeepAlive(m)
 	return true
 }
 
@@ -216,6 +224,7 @@ func (m *Memory) FetchAdd(a Addr, delta uint64) uint64 {
 	m.words[a].Store(nv)
 	ver := m.clock.Add(1)
 	m.meta[line].Store(ver << 1)
+	runtime.KeepAlive(m)
 	return nv
 }
 
@@ -225,6 +234,7 @@ func (m *Memory) lockLine(line uint64) uint64 {
 	for spins := 0; ; spins++ {
 		mw := m.meta[line].Load()
 		if !Locked(mw) && m.meta[line].CompareAndSwap(mw, mw|1) {
+			runtime.KeepAlive(m)
 			return mw
 		}
 		if spins%64 == 63 {
@@ -240,7 +250,11 @@ func (m *Memory) lockLine(line uint64) uint64 {
 // never call them.
 
 // MetaLoad returns the current meta word of a line.
-func (m *Memory) MetaLoad(line uint64) uint64 { return m.meta[line].Load() }
+func (m *Memory) MetaLoad(line uint64) uint64 {
+	v := m.meta[line].Load()
+	runtime.KeepAlive(m)
+	return v
+}
 
 // TryLockLine attempts to set the lock bit of a line whose meta word was
 // observed as observed (which must have the lock bit clear). It returns
@@ -249,7 +263,9 @@ func (m *Memory) TryLockLine(line uint64, observed uint64) bool {
 	if Locked(observed) {
 		return false
 	}
-	return m.meta[line].CompareAndSwap(observed, observed|1)
+	ok := m.meta[line].CompareAndSwap(observed, observed|1)
+	runtime.KeepAlive(m)
+	return ok
 }
 
 // UnlockLine releases a line lock, installing version as the line's new
@@ -257,15 +273,23 @@ func (m *Memory) TryLockLine(line uint64, observed uint64) bool {
 // value to publish).
 func (m *Memory) UnlockLine(line uint64, version uint64) {
 	m.meta[line].Store(version << 1)
+	runtime.KeepAlive(m)
 }
 
 // WordLoad is a raw word read used by the transaction engine between its
 // own meta validations.
-func (m *Memory) WordLoad(a Addr) uint64 { return m.words[a].Load() }
+func (m *Memory) WordLoad(a Addr) uint64 {
+	v := m.words[a].Load()
+	runtime.KeepAlive(m)
+	return v
+}
 
 // WordStore is a raw word write used by the transaction engine while it
 // holds the line lock during commit.
-func (m *Memory) WordStore(a Addr, v uint64) { m.words[a].Store(v) }
+func (m *Memory) WordStore(a Addr, v uint64) {
+	m.words[a].Store(v)
+	runtime.KeepAlive(m)
+}
 
 // ClockLoad returns the current global clock value.
 func (m *Memory) ClockLoad() uint64 { return m.clock.Load() }

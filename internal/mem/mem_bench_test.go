@@ -53,3 +53,13 @@ func BenchmarkAllocLines(b *testing.B) {
 		m.AllocLines(1)
 	}
 }
+
+// BenchmarkNewDrop maps a heap of rtle.New's default size, touches one line
+// and drops it: what a short-lived guard or test pays for its heap, with
+// New's pacing collections amortized in.
+func BenchmarkNewDrop(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		m := New(1 << 20)
+		m.Store(m.Alloc(1), 1)
+	}
+}

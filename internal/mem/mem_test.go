@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -350,4 +353,58 @@ func TestClockDoesNotShareALineWithHeaders(t *testing.T) {
 	if d := unsafe.Offsetof(m.next) - (unsafe.Offsetof(m.clock) + unsafe.Sizeof(m.clock)); d < line {
 		t.Errorf("next starts %d bytes after the clock ends, want >= %d", d, line)
 	}
+}
+
+// TestAccessorsKeepMemoryAlive pins the rule that lets the heap live
+// outside the Go heap: the collector does not see a pointer into the
+// mapping, so once a method has loaded m.words or m.meta, m itself may be
+// dead and its finalizer may unmap the heap before the access lands. Every
+// Memory method that indexes words or meta must call runtime.KeepAlive(m)
+// after its last such access.
+func TestAccessorsKeepMemoryAlive(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "mem.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || fn.Body == nil {
+			continue
+		}
+		recv := fn.Recv.List[0].Names[0].Name
+		var lastAccess, lastKeep token.Pos
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IndexExpr:
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && isIdent(sel.X, recv) &&
+					(sel.Sel.Name == "words" || sel.Sel.Name == "meta") {
+					lastAccess = max(lastAccess, n.Pos())
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isIdent(sel.X, "runtime") &&
+					sel.Sel.Name == "KeepAlive" && len(n.Args) == 1 && isIdent(n.Args[0], recv) {
+					lastKeep = max(lastKeep, n.Pos())
+				}
+			}
+			return true
+		})
+		if lastAccess == token.NoPos {
+			continue
+		}
+		checked++
+		if lastKeep < lastAccess {
+			t.Errorf("%s: Memory.%s indexes the heap with no runtime.KeepAlive(%s) after its last access",
+				fset.Position(lastAccess), fn.Name.Name, recv)
+		}
+	}
+	if checked < 10 {
+		t.Errorf("found %d methods that index the heap: the check no longer sees mem.go's accessors", checked)
+	}
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }

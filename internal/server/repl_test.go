@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,6 +126,81 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 			t.Fatalf("key %d = (%d,%v) after promote, want (%d,true)",
 				key, resp.Results[0].Ret, resp.Results[0].Ok, last)
 		}
+	}
+}
+
+// TestReplicaMatchesPrimaryUnderOverlappingWrites pins log order to
+// commit order within a shard. Four connections put to the same key at
+// once, key after key, on one shard: the four sections conflict, commit one
+// after another, and the last to commit holds the key for good, since no
+// later step writes it again. Were a section's append made outside logMu
+// (DESIGN §5.1, L4), two of them could log in the opposite order to their
+// commits, and the replica, replaying the log, would keep a value the
+// primary overwrote.
+func TestReplicaMatchesPrimaryUnderOverlappingWrites(t *testing.T) {
+	const conns, keys = 4, 4096
+	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 1, Repl: true})
+	replica, rAddr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 1, ReplicaOf: pAddr})
+
+	clients := make([]*Client, conns)
+	for g := range clients {
+		c, err := DialContext(context.Background(), pAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[g] = c
+	}
+	for key := uint64(0); key < keys && !t.Failed(); key++ {
+		var wg sync.WaitGroup
+		for g, c := range clients {
+			wg.Add(1)
+			go func(g int, c *Client) {
+				defer wg.Done()
+				if resp, err := c.Op(check.OpPut, key, uint64(g)<<32|(key+1), 0); err != nil || resp.Status != StatusOK {
+					t.Errorf("conn %d put %d: %v / %v", g, key, err, resp.Status)
+				}
+			}(g, c)
+		}
+		wg.Wait()
+	}
+	if t.Failed() {
+		return
+	}
+	waitFor(t, 10*time.Second, "replica catch-up", caughtUp(primary, replica))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	psn, err := FetchSnapshot(ctx, pAddr)
+	if err != nil {
+		t.Fatalf("primary snapshot: %v", err)
+	}
+	rsn, err := FetchSnapshot(ctx, rAddr)
+	if err != nil {
+		t.Fatalf("replica snapshot: %v", err)
+	}
+	if psn.Seq != rsn.Seq || psn.Seq != conns*keys {
+		t.Fatalf("primary cut at seq %d, replica at %d: want both at %d", psn.Seq, rsn.Seq, conns*keys)
+	}
+	if len(psn.Shards) != len(rsn.Shards) {
+		t.Fatalf("primary has %d shards, replica %d", len(psn.Shards), len(rsn.Shards))
+	}
+	diverged := 0
+	for sh := range psn.Shards {
+		p, r := psn.Shards[sh], rsn.Shards[sh]
+		if len(p) != len(r) {
+			t.Fatalf("shard %d: primary holds %d items, replica %d", sh, len(p), len(r))
+		}
+		for i := range p {
+			if p[i] != r[i] {
+				if diverged++; diverged <= 3 {
+					t.Errorf("shard %d item %d: primary %+v, replica %+v at seq %d", sh, i, p[i], r[i], psn.Seq)
+				}
+			}
+		}
+	}
+	if diverged > 3 {
+		t.Errorf("%d items differ in all", diverged)
 	}
 }
 

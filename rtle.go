@@ -172,7 +172,7 @@ type Option func(*config)
 func WithMemory(m *Memory) Option { return func(c *config) { c.memory = m } }
 
 // WithMemoryWords sizes the heap New allocates when WithMemory is not
-// given. Default 1<<20 words (8 MB).
+// given. Default 1<<20 words: 8 MB of address space, resident as touched.
 func WithMemoryWords(words int) Option { return func(c *config) { c.words = words } }
 
 // WithAttempts sets the fast-path HTM retry budget (paper default 5).
