@@ -113,8 +113,7 @@ func main() {
 		Workers:      *workers,
 		Coalesce:     *coalesce,
 		Keys:         *keys,
-		Policy:       core.Policy{Attempts: *attempts, LazySubscription: *lazy},
-		Registry:     reg,
+		Policy:       core.Policy{Attempts: *attempts, LazySubscription: *lazy, Observer: reg},
 		Plan:         plan,
 		ReplicaOf:    *replicaOf,
 		ReplAck:      *replAck,

@@ -47,9 +47,10 @@
 // and an abort-rate-aware retreat; the bracket forms always take the real
 // lock (Go cannot re-execute the code between two calls after a hardware
 // abort) and interoperate with the closure forms through that same
-// subscription. Guards are assembled by NewMutex/NewRWMutex with
-// WithGuard* options, or derived from a TM (TM.NewMutex, TM.NewRWMutex)
-// to share its heap and policy. The txbody check of internal/analysis
+// subscription. Guards are assembled by NewMutex/NewRWMutex with the
+// same options as New (an option the guard ignores, such as WithOrecs, is
+// an error), or derived from a TM (TM.NewMutex, TM.NewRWMutex) to share
+// its heap and policy. The txbody check of internal/analysis
 // holds Do/RDo bodies to the rules of a hardware transaction's body (no
 // raw heap access, blocking, Go synchronization or allocation).
 //

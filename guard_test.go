@@ -12,7 +12,7 @@ import (
 // TestGuardMutexPublic drives the public Mutex from several goroutines
 // through both forms.
 func TestGuardMutexPublic(t *testing.T) {
-	g, err := rtle.NewMutex(rtle.WithGuardMemoryWords(1<<16), rtle.WithGuardAttempts(4))
+	g, err := rtle.NewMutex(rtle.WithMemoryWords(1<<16), rtle.WithAttempts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,27 +50,27 @@ func TestGuardMutexPublic(t *testing.T) {
 // TestGuardOptionValidation pins the guard constructors' configuration
 // errors.
 func TestGuardOptionValidation(t *testing.T) {
-	if _, err := rtle.NewMutex(rtle.WithGuardLazySubscription()); err == nil ||
-		!strings.Contains(err.Error(), "WithGuardLazySubscription") {
+	if _, err := rtle.NewMutex(rtle.WithLazySubscription()); err == nil ||
+		!strings.Contains(err.Error(), "WithLazySubscription") {
 		t.Errorf("NewMutex accepted lazy subscription (err = %v)", err)
 	}
-	if _, err := rtle.NewRWMutex(rtle.WithGuardLazySubscription()); err != nil {
+	if _, err := rtle.NewRWMutex(rtle.WithLazySubscription()); err != nil {
 		t.Errorf("NewRWMutex rejected lazy subscription: %v", err)
 	}
-	if _, err := rtle.NewMutex(rtle.WithGuardMemoryWords(-1)); err == nil {
+	if _, err := rtle.NewMutex(rtle.WithMemoryWords(-1)); err == nil {
 		t.Error("NewMutex accepted a negative memory size")
 	}
 	if _, err := rtle.NewMutex(
-		rtle.WithGuardMemory(rtle.NewMemory(1<<12)),
-		rtle.WithGuardMemoryWords(1<<12)); err == nil {
-		t.Error("NewMutex accepted WithGuardMemory + WithGuardMemoryWords")
+		rtle.WithMemory(rtle.NewMemory(1<<12)),
+		rtle.WithMemoryWords(1<<12)); err == nil {
+		t.Error("NewMutex accepted WithMemory + WithMemoryWords")
 	}
 }
 
 // TestGuardObserver checks the registry wiring through the guard path.
 func TestGuardObserver(t *testing.T) {
 	reg := rtle.NewRegistry()
-	g := rtle.MustNewRWMutex(rtle.WithGuardMemoryWords(1<<14), rtle.WithGuardObserver(reg))
+	g := rtle.MustNewRWMutex(rtle.WithMemoryWords(1<<14), rtle.WithObserver(reg))
 	word := g.Memory().AllocLines(1)
 	for i := 0; i < 60; i++ {
 		g.Do(func(c rtle.Context) { c.Write(word, c.Read(word)+1) })
@@ -85,9 +85,11 @@ func TestGuardObserver(t *testing.T) {
 	}
 }
 
-// TestTMGuards checks guards built from a TM share its heap and policy.
+// TestTMGuards checks guards built from a TM share its heap and policy,
+// with options applied on top.
 func TestTMGuards(t *testing.T) {
-	tm := rtle.MustNew(rtle.TLE, rtle.WithMemoryWords(1<<14), rtle.WithAttempts(4))
+	reg := rtle.NewRegistry()
+	tm := rtle.MustNew(rtle.TLE, rtle.WithMemoryWords(1<<14), rtle.WithAttempts(4), rtle.WithObserver(reg))
 	g, err := tm.NewMutex()
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +105,19 @@ func TestTMGuards(t *testing.T) {
 	if got != 9 {
 		t.Fatalf("thread read %d through shared heap, want 9", got)
 	}
-	rw, err := tm.NewRWMutex(rtle.WithGuardRetreat(rtle.GuardRetreatConfig{Disable: true}))
+	rw, err := tm.NewRWMutex(rtle.WithRetreat(rtle.GuardRetreatConfig{Disable: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rw.Memory() != tm.Memory() {
 		t.Fatal("TM.NewRWMutex did not share the TM heap")
+	}
+	rw.RDo(func(c rtle.Context) { _ = c.Read(word) })
+	if ops := reg.Snapshot().Stats.Ops; ops != 3 {
+		t.Fatalf("the TM's observer saw %d ops, want 3: a guard did not share the policy", ops)
+	}
+	if _, err := tm.NewMutex(rtle.WithMemoryWords(1 << 12)); err == nil ||
+		!strings.Contains(err.Error(), "WithMemoryWords") {
+		t.Errorf("TM.NewMutex accepted a heap size beside the TM's heap (err = %v)", err)
 	}
 }

@@ -53,7 +53,7 @@ var allocCases = []struct {
 		{Op: check.OpPut, Arg1: 7, Arg2: 42}, {Op: check.OpGet, Arg1: 7}, {Op: check.OpDelete, Arg1: 9},
 	}}, 1},
 	// The log retains one entry per replicated block.
-	{"put/async-primary", Config{Workload: "map", Method: "TLE", Workers: 1, Keys: 64, Repl: true}, Request{Op: check.OpPut, Arg1: 7, Arg2: 42}, 1},
+	{"put/async-primary", Config{Workload: "map", Method: "TLE", Workers: 1, Keys: 64, ReplAck: "async"}, Request{Op: check.OpPut, Arg1: 7, Arg2: 42}, 1},
 }
 
 // BenchmarkWireFastPathAllocs reports each budgeted round trip's time and

@@ -215,7 +215,7 @@ func TestFailoverClientCloseContextDuringReconnect(t *testing.T) {
 // with errors.Is regardless of message wording), while the plain Client
 // keeps surfacing the raw status.
 func TestErrNotPrimaryTyped(t *testing.T) {
-	_, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, Repl: true})
+	_, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplAck: "async"})
 	_, rAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplicaOf: pAddr})
 
 	fc, err := NewFailoverClient(FailoverConfig{Addrs: []string{rAddr}})

@@ -102,7 +102,8 @@ type Metrics struct {
 
 	crossOps atomic.Uint64 // operations answered via the cross-shard slow path
 
-	// latency is the queue-to-response service latency per op slot.
+	// latency is the service latency per op slot: from the request's
+	// arrival at decode to its answer's encode.
 	latency [numOps]obs.Histogram
 
 	// writeBatchFrames is the distribution of frames per write syscall:
@@ -300,7 +301,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		p.Histogram(&wb, false)
 	}
 
-	p.Family("rtled_request_latency_seconds", "histogram", "Queue-to-response service latency by operation.")
+	p.Family("rtled_request_latency_seconds", "histogram", "Service latency by operation, from decode to encode.")
 	for i := 0; i < numOps; i++ {
 		if l := m.latency[i].Snapshot(); l.Count > 0 {
 			p.Histogram(&l, true, "op", opName(i))

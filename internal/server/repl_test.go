@@ -60,7 +60,7 @@ func caughtUp(primary, replica *Server) func() bool {
 // state, refuses writes while following, and serves the full history
 // after promotion.
 func TestReplicaFollowsAndPromotes(t *testing.T) {
-	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 64, Shards: 2, Repl: true})
+	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 64, Shards: 2, ReplAck: "async"})
 	replica, rAddr := bootRepl(t, Config{Workload: "map", Keys: 64, Shards: 2, ReplicaOf: pAddr})
 
 	c, err := DialContext(context.Background(), pAddr)
@@ -139,7 +139,7 @@ func TestReplicaFollowsAndPromotes(t *testing.T) {
 // primary overwrote.
 func TestReplicaMatchesPrimaryUnderOverlappingWrites(t *testing.T) {
 	const conns, keys = 4, 4096
-	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 1, Repl: true})
+	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 1, ReplAck: "async"})
 	replica, rAddr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 1, ReplicaOf: pAddr})
 
 	clients := make([]*Client, conns)
@@ -375,7 +375,7 @@ func TestWaitAckedReleasePaths(t *testing.T) {
 // TestReplGauges checks the replication block of the Prometheus surface
 // on both roles.
 func TestReplGauges(t *testing.T) {
-	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, Repl: true})
+	primary, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplAck: "async"})
 	replica, _ := bootRepl(t, Config{Workload: "map", Keys: 32, ReplicaOf: pAddr})
 
 	c, err := DialContext(context.Background(), pAddr)
@@ -572,7 +572,7 @@ func TestFailoverUnderLoad(t *testing.T) {
 // Close waited forever on a runner blocked reading a live stream (a fifth
 // of lone TestErrNotPrimaryTyped runs hung in their cleanup).
 func TestReplicaCloseRacesFirstDial(t *testing.T) {
-	_, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, Repl: true})
+	_, pAddr := bootRepl(t, Config{Workload: "map", Keys: 32, ReplAck: "async"})
 	for i := 0; i < 40; i++ {
 		srv, err := New(Config{Workload: "map", Keys: 32, ReplicaOf: pAddr, Addr: "127.0.0.1:0"})
 		if err != nil {

@@ -41,10 +41,10 @@ type router struct {
 	workload string
 	shards   int
 
-	// Bank translation tables, nil for set/map. acctShard[g] owns global
-	// account g; acctLocal[g] is its index inside that shard's Bank.
+	// Bank ownership table, nil for set/map: acctShard[g] owns global
+	// account g. The shard's adt translates g to its Bank index, in
+	// ownedAccounts order.
 	acctShard []int32
-	acctLocal []uint32
 	// perShard[k] counts the accounts shard k owns.
 	perShard []int
 }
@@ -55,12 +55,10 @@ func newRouter(workload string, shards, keys int) *router {
 	r := &router{workload: workload, shards: shards}
 	if workload == "bank" {
 		r.acctShard = make([]int32, keys)
-		r.acctLocal = make([]uint32, keys)
 		r.perShard = make([]int, shards)
 		for g := 0; g < keys; g++ {
 			k := ShardForKey(uint64(g), shards)
 			r.acctShard[g] = int32(k)
-			r.acctLocal[g] = uint32(r.perShard[k])
 			r.perShard[k]++
 		}
 	}
@@ -80,8 +78,7 @@ func (r *router) ownedAccounts(k int) []uint64 {
 }
 
 // shardOf maps one operation's key to its shard. For bank the precomputed
-// account table is authoritative (it also backs the local translation);
-// set/map hash directly.
+// account table is authoritative; set/map hash directly.
 func (r *router) shardOf(key uint64) int {
 	if r.shards <= 1 {
 		return 0
@@ -92,19 +89,20 @@ func (r *router) shardOf(key uint64) int {
 	return ShardForKey(key, r.shards)
 }
 
-// routePlan classifies one validated request. Fast-path requests belong to
-// exactly one shard's queue; slow-path requests involve the ascending
-// shard id set in shards and go through the cross-shard executor.
+// routePlan classifies one validated request. A fast-path request runs on
+// one shard, on a section borrowed from its pool; a slow-path request
+// involves the ascending shard id set in spans and runs under those
+// shards' exclusive gates (runCross).
 type routePlan struct {
 	fast  bool
 	shard int   // fast-path target
 	spans []int // slow-path involved shards, ascending, no duplicates
 }
 
-// plan routes one validated request. Ping rides shard 0's queue (it is a
-// liveness and drain probe, so it must flow through a real queue). A
-// batch whose entries all hash to one shard takes that shard's fast path;
-// anything touching several shards is a slow-path plan.
+// plan routes one validated request. Ping takes shard 0's fast path (it is
+// a liveness and drain probe, so it is admitted and borrows a section like
+// any operation). A batch whose entries all hash to one shard takes that
+// shard's fast path; anything touching several shards is a slow-path plan.
 func (r *router) plan(req *Request) routePlan {
 	switch req.Op {
 	case OpPing:

@@ -77,8 +77,8 @@ func TestJumpHashStability(t *testing.T) {
 }
 
 // TestRouterBankTables checks the bank partition: every global account is
-// owned by exactly one shard, local indices are dense per shard, and
-// ownedAccounts agrees with the translation tables.
+// owned by exactly one shard, and ownedAccounts agrees with the ownership
+// table. The local index order is the adt's (TestUnownedAccountFailsLoudly).
 func TestRouterBankTables(t *testing.T) {
 	const keys, shards = 64, 4
 	r := newRouter("bank", shards, keys)
@@ -90,12 +90,9 @@ func TestRouterBankTables(t *testing.T) {
 				k, len(owned), r.perShard[k])
 		}
 		total += len(owned)
-		for idx, g := range owned {
+		for _, g := range owned {
 			if int(r.acctShard[g]) != k {
 				t.Errorf("account %d listed for shard %d but acctShard says %d", g, k, r.acctShard[g])
-			}
-			if int(r.acctLocal[g]) != idx {
-				t.Errorf("account %d local index %d, want %d", g, r.acctLocal[g], idx)
 			}
 		}
 	}

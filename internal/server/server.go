@@ -14,7 +14,6 @@ import (
 	"rtle/internal/fault"
 	"rtle/internal/harness"
 	"rtle/internal/mem"
-	"rtle/internal/obs"
 	"rtle/internal/repl"
 	"rtle/internal/snap"
 )
@@ -50,21 +49,18 @@ type Config struct {
 	// bank (default 1024, bank 16).
 	Keys int
 	// Policy carries the speculation knobs (attempts, lazy subscription,
-	// HTM config). Registry and Plan are wired into it by New.
+	// HTM config) and the observer of the methods' execution events (rtled
+	// installs the obs.Registry its /metrics renders next to the wire
+	// series). Plan is wired into it by New.
 	Policy core.Policy
-	// Registry, when non-nil, is installed as the method's observer, so
-	// /metrics exposes the per-path execution series next to the wire
-	// series.
-	Registry *obs.Registry
 	// Plan, when non-nil and active, wires a fault.Director into the
 	// method: chaos runs work over the wire exactly as in-process ones.
 	Plan *fault.Plan
 
-	// Repl enables the replication subsystem: committed mutating blocks
-	// are appended to an ordered log and streamed to subscribers (see
-	// internal/repl and the protocol doc). Implied by any of the fields
-	// below.
-	Repl bool
+	// Any of the replication fields below enables the replication
+	// subsystem: committed mutating blocks are appended to an ordered log
+	// and streamed to subscribers (see internal/repl and the protocol doc).
+
 	// ReplicaOf, when set, starts this server as a replica of the primary
 	// at that address: it rejects writes with StatusNotPrimary, follows
 	// the primary's log, and can be promoted (Promote).
@@ -86,7 +82,7 @@ type Config struct {
 	// CompactEvery, when > 0, auto-compacts the replication log each time
 	// it accumulates this many entries above its floor: the state is
 	// snapshotted to SnapFile and the covered log prefix truncated.
-	// Requires SnapFile; implies Repl.
+	// Requires SnapFile; enables replication.
 	CompactEvery int
 }
 
@@ -118,12 +114,6 @@ func (c *Config) fill() {
 	}
 	if c.Workload == "bank" && c.Shards > c.Keys {
 		c.Shards = c.Keys // at least one account per shard
-	}
-	if c.ReplicaOf != "" || c.ReplAck != "" || c.ReplLog != "" || c.CompactEvery > 0 {
-		c.Repl = true
-	}
-	if c.Repl && c.ReplAck == "" {
-		c.ReplAck = "async"
 	}
 }
 
@@ -166,7 +156,8 @@ type Server struct {
 	// on the admission path, and freely for read-only accessors.
 	topo atomic.Pointer[topology]
 
-	// repl is the replication subsystem state; nil unless Config.Repl.
+	// repl is the replication subsystem state; nil unless a replication
+	// field of Config is set.
 	repl *replication
 
 	// drainMu serializes request admission against the drain flip: readers
@@ -240,9 +231,6 @@ func New(cfg Config) (*Server, error) {
 		conns: make(map[*conn]struct{}),
 	}
 	s.policy = cfg.Policy
-	if cfg.Registry != nil {
-		s.policy.Observer = cfg.Registry
-	}
 	if cfg.Plan != nil && cfg.Plan.Active() {
 		s.director = fault.NewDirector(*cfg.Plan)
 		s.director.Configure(&s.policy)
@@ -272,10 +260,10 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	if cfg.Repl {
+	if cfg.ReplicaOf != "" || cfg.ReplAck != "" || cfg.ReplLog != "" || cfg.CompactEvery > 0 {
 		var syncAck bool
 		switch cfg.ReplAck {
-		case "async":
+		case "", "async":
 		case "sync":
 			syncAck = true
 		default:

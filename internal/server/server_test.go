@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rtle/internal/check"
+	"rtle/internal/core"
 	"rtle/internal/fault"
 	"rtle/internal/obs"
 )
@@ -699,7 +700,7 @@ func TestBadRequestOverWire(t *testing.T) {
 // series must appear with the op labels after a run.
 func TestMetricsRendered(t *testing.T) {
 	reg := obs.NewRegistry(obs.Config{})
-	srv, addr := startServer(t, Config{Workload: "set", Keys: 16, Registry: reg})
+	srv, addr := startServer(t, Config{Workload: "set", Keys: 16, Policy: core.Policy{Observer: reg}})
 	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func TestSnapshotEqualsLogPrefix(t *testing.T) {
 				if w == "bank" {
 					keys = 16
 				}
-				srv, addr := bootRepl(t, Config{Workload: w, Keys: keys, Shards: shards, Repl: true})
+				srv, addr := bootRepl(t, Config{Workload: w, Keys: keys, Shards: shards, ReplAck: "async"})
 
 				// Writers keep mutating while the cut is taken: the capture
 				// must land on a consistent sequence anyway.
@@ -125,7 +125,7 @@ func TestSnapshotEqualsLogPrefix(t *testing.T) {
 
 				// A fresh server replaying exactly the prefix through sn.Seq
 				// must land on the captured state, bit for bit.
-				fresh, err := New(Config{Workload: w, Keys: keys, Shards: shards, Repl: true})
+				fresh, err := New(Config{Workload: w, Keys: keys, Shards: shards, ReplAck: "async"})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func TestSnapshotEqualsLogPrefix(t *testing.T) {
 // space wide enough to force multiple item chunks per shard.
 func TestFetchSnapshotWire(t *testing.T) {
 	const keys = 1500 // > snap.MaxChunkItems, so the stream must chunk
-	srv, addr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 2, Repl: true})
+	srv, addr := bootRepl(t, Config{Workload: "map", Keys: keys, Shards: 2, ReplAck: "async"})
 
 	c, err := DialContext(context.Background(), addr)
 	if err != nil {
@@ -290,7 +290,7 @@ func TestReshardUnderLoad(t *testing.T) {
 func TestReplicaBootstrapAfterCompaction(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "state.snap")
 	primary, pAddr := bootRepl(t, Config{
-		Workload: "map", Keys: 32, Shards: 2, Repl: true, SnapFile: snapPath,
+		Workload: "map", Keys: 32, Shards: 2, ReplAck: "async", SnapFile: snapPath,
 	})
 
 	c, err := DialContext(context.Background(), pAddr)
@@ -476,7 +476,7 @@ func TestBootRejectsLogFloorAboveSnapshot(t *testing.T) {
 func TestAutoCompactor(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "state.snap")
 	primary, pAddr := bootRepl(t, Config{
-		Workload: "map", Keys: 32, Repl: true,
+		Workload: "map", Keys: 32, ReplAck: "async",
 		SnapFile: snapPath, CompactEvery: 25,
 	})
 	c, err := DialContext(context.Background(), pAddr)
@@ -513,7 +513,7 @@ func TestWarmCheckConsecutiveRuns(t *testing.T) {
 			if w == "bank" {
 				keys = 12
 			}
-			_, addr := bootRepl(t, Config{Workload: w, Keys: keys, Shards: 2, Repl: true})
+			_, addr := bootRepl(t, Config{Workload: w, Keys: keys, Shards: 2, ReplAck: "async"})
 			for run := 0; run < 2; run++ {
 				res, err := RunLoad(LoadConfig{
 					Addr:     addr,

@@ -169,7 +169,7 @@ func TestFailedWriteEndsConnection(t *testing.T) {
 // connection's puts feed the stream meanwhile, and every one arrives, in
 // log order.
 func TestSubscriberStreamOneWriter(t *testing.T) {
-	srv, err := New(Config{Workload: "map", Keys: 64, Repl: true})
+	srv, err := New(Config{Workload: "map", Keys: 64, ReplAck: "async"})
 	if err != nil {
 		t.Fatal(err)
 	}

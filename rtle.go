@@ -2,6 +2,7 @@ package rtle
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"rtle/internal/core"
@@ -22,6 +23,9 @@ import (
 //		rtle.WithAttempts(5),
 //		rtle.WithObserver(rtle.NewRegistry()))
 //
+// The same Option set configures the guards (guard.go), and one scope
+// table, optionScope, says which option applies to which target.
+//
 // The internal packages stay importable for code that needs the full
 // surface (custom adaptive configs, the harness, the benchmarks); the root
 // package is the stable entry point examples and downstream code build on.
@@ -37,7 +41,7 @@ type (
 	Thread = core.Thread
 	// Stats holds one thread's quiescent counters (Merge aggregates).
 	Stats = core.Stats
-	// Policy holds the speculation knobs (assembled by New's options).
+	// Policy holds the speculation knobs (assembled by the options).
 	Policy = core.Policy
 	// Observer receives live execution events (see WithObserver).
 	Observer = core.Observer
@@ -150,48 +154,55 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// config collects what the options assemble. applied records each
-// algorithm-scoped option by name so New can reject combinations the
-// chosen algorithm ignores.
+// config collects what the options assemble. applied records by name the
+// options whose presence is checked: the scoped ones, so a constructor can
+// reject what its target ignores, and WithMemoryWords, which conflicts
+// with WithMemory.
 type config struct {
 	memory   *Memory
 	words    int
 	policy   Policy
 	orecs    int
 	adaptive AdaptiveConfig
+	retreat  GuardRetreatConfig
 	applied  []string
 }
 
 func (c *config) mark(name string) { c.applied = append(c.applied, name) }
 
-// Option configures New.
+// Option configures New, NewMutex and NewRWMutex (and the TM's guard
+// constructors). Each constructor rejects an option its target ignores.
 type Option func(*config)
 
-// WithMemory runs the method over an existing heap (so several methods or
-// data structures can share one address space). Default: a fresh heap.
+// WithMemory runs the method or guard over an existing heap (so several
+// methods, guards or data structures can share one address space).
+// Default: a fresh heap.
 func WithMemory(m *Memory) Option { return func(c *config) { c.memory = m } }
 
-// WithMemoryWords sizes the heap New allocates when WithMemory is not
-// given. Default 1<<20 words: 8 MB of address space, resident as touched.
-func WithMemoryWords(words int) Option { return func(c *config) { c.words = words } }
+// WithMemoryWords sizes the heap the constructor allocates when WithMemory
+// is not given (the two conflict). Default 1<<20 words: 8 MB of address
+// space, resident as touched.
+func WithMemoryWords(words int) Option {
+	return func(c *config) { c.words = words; c.mark("WithMemoryWords") }
+}
 
 // WithAttempts sets the fast-path HTM retry budget (paper default 5).
 // Applies to the algorithms with an attempt loop: TLE, RWTLE, FGTLE,
-// AdaptiveFGTLE, ALE, and RHNOrec.
+// AdaptiveFGTLE, ALE, and RHNOrec; and to both guards.
 func WithAttempts(n int) Option {
 	return func(c *config) { c.policy.Attempts = n; c.mark("WithAttempts") }
 }
 
 // WithLazySubscription makes slow-path transactions subscribe to the lock
 // just before committing (§5). Applies to the algorithms with an
-// instrumented slow path: RWTLE, FGTLE, and AdaptiveFGTLE.
+// instrumented slow path: RWTLE, FGTLE, and AdaptiveFGTLE; and to RWMutex.
 func WithLazySubscription() Option {
 	return func(c *config) { c.policy.LazySubscription = true; c.mark("WithLazySubscription") }
 }
 
 // WithAdaptiveAttempts replaces the static retry budget with a per-thread
 // AIMD policy seeded by the WithAttempts value. Applies to TLE, RWTLE,
-// FGTLE, AdaptiveFGTLE, and ALE.
+// FGTLE, AdaptiveFGTLE, and ALE; and to both guards.
 func WithAdaptiveAttempts() Option {
 	return func(c *config) { c.policy.AdaptiveAttempts = true; c.mark("WithAdaptiveAttempts") }
 }
@@ -212,6 +223,12 @@ func WithInterleave(n int) Option {
 	return func(c *config) { c.policy.HTM.InterleaveEvery = n }
 }
 
+// WithPolicy replaces the assembled Policy wholesale. It is the way to
+// wire what has no dedicated option — most notably a fault plan: build a
+// Policy, let a fault Director configure it, then pass it here. Options
+// after it still apply on top.
+func WithPolicy(p Policy) Option { return func(c *config) { c.policy = p } }
+
 // WithOrecs sets the ownership-record count for FGTLE and ALE (a power of
 // two in [1, 1<<20]; default 256).
 func WithOrecs(n int) Option {
@@ -223,40 +240,53 @@ func WithAdaptive(cfg AdaptiveConfig) Option {
 	return func(c *config) { c.adaptive = cfg; c.mark("WithAdaptive") }
 }
 
-// optionScope lists, for every option whose effect is algorithm-specific,
-// the algorithms that consume it. New rejects an out-of-scope option with
-// a descriptive error instead of silently ignoring it; options absent
-// from this table (memory sizing, observer, HTM configuration) apply to
-// every algorithm. TestNewOptionValidation pins the full matrix.
-var optionScope = map[string][]Algorithm{
-	"WithAttempts":         {TLE, RWTLE, FGTLE, AdaptiveFGTLE, ALE, RHNOrec},
-	"WithAdaptiveAttempts": {TLE, RWTLE, FGTLE, AdaptiveFGTLE, ALE},
-	"WithLazySubscription": {RWTLE, FGTLE, AdaptiveFGTLE},
-	"WithOrecs":            {FGTLE, ALE},
-	"WithAdaptive":         {AdaptiveFGTLE},
+// WithRetreat tunes a guard's abort-rate-aware retreat controller (guards
+// only).
+func WithRetreat(cfg GuardRetreatConfig) Option {
+	return func(c *config) { c.retreat = cfg; c.mark("WithRetreat") }
 }
 
-// checkOptionScope rejects applied options the chosen algorithm ignores.
-func checkOptionScope(alg Algorithm, applied []string) error {
-	for _, name := range applied {
-		scope := optionScope[name]
-		ok := false
-		for _, a := range scope {
-			if a == alg {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			names := make([]string, len(scope))
-			for i, a := range scope {
-				names[i] = a.String()
-			}
-			return fmt.Errorf("rtle: %s has no effect under %v (applies to %s)",
-				name, alg, strings.Join(names, ", "))
+// optionScope lists, for every option whose effect is target-specific,
+// the targets that consume it: algorithms by their legend names, and the
+// guards as "Mutex" (scoped like TLE, which backs it) and "RWMutex" (like
+// RW-TLE). A constructor rejects an out-of-scope option with a
+// descriptive error instead of silently ignoring it; options absent from
+// this table (memory, observer, HTM configuration, policy) apply to every
+// target. TestNewOptionValidation pins the full matrix.
+var optionScope = map[string][]string{
+	"WithAttempts":         {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "RHNOrec", "Mutex", "RWMutex"},
+	"WithAdaptiveAttempts": {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "Mutex", "RWMutex"},
+	"WithLazySubscription": {"RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "RWMutex"},
+	"WithOrecs":            {"FG-TLE", "ALE"},
+	"WithAdaptive":         {"FG-TLE(adaptive)"},
+	"WithRetreat":          {"Mutex", "RWMutex"},
+}
+
+// configure applies opts over base (the heap and policy a TM's guard
+// starts from; zero for the package-level constructors), rejects options
+// target ignores, and resolves the heap. New and every guard constructor
+// build through it.
+func configure(target string, base config, opts []Option) (config, error) {
+	c := base
+	c.words, c.orecs = 1<<20, DefaultOrecs
+	for _, opt := range opts {
+		opt(&c)
+	}
+	for _, name := range c.applied {
+		if scope, ok := optionScope[name]; ok && !slices.Contains(scope, target) {
+			return config{}, fmt.Errorf("rtle: %s has no effect under %s (applies to %s)",
+				name, target, strings.Join(scope, ", "))
 		}
 	}
-	return nil
+	switch {
+	case c.memory != nil && slices.Contains(c.applied, "WithMemoryWords"):
+		return config{}, fmt.Errorf("rtle: WithMemoryWords conflicts with WithMemory (the supplied heap fixes the size)")
+	case c.memory == nil && c.words <= 0:
+		return config{}, fmt.Errorf("rtle: memory size %d words is not positive", c.words)
+	case c.memory == nil:
+		c.memory = mem.New(c.words)
+	}
+	return c, nil
 }
 
 // DefaultOrecs is the orec-array size New uses for FGTLE and ALE when
@@ -276,20 +306,11 @@ type TM struct {
 // chosen algorithm ignores (say WithOrecs under plain TLE) is a
 // configuration error, not a no-op.
 func New(alg Algorithm, opts ...Option) (*TM, error) {
-	c := config{words: 1 << 20, orecs: DefaultOrecs}
-	for _, opt := range opts {
-		opt(&c)
-	}
-	if err := checkOptionScope(alg, c.applied); err != nil {
+	c, err := configure(alg.String(), config{}, opts)
+	if err != nil {
 		return nil, err
 	}
 	m := c.memory
-	if m == nil {
-		if c.words <= 0 {
-			return nil, fmt.Errorf("rtle: memory size %d words is not positive", c.words)
-		}
-		m = mem.New(c.words)
-	}
 
 	var method Method
 	switch alg {

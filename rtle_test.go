@@ -65,62 +65,79 @@ func TestNewAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestNewOptionValidation covers every Algorithm × option pair: options
-// an algorithm consumes are accepted, options it would silently ignore
-// are rejected with a descriptive error.
+// TestNewOptionValidation covers every option × target pair, the targets
+// being the nine algorithms under New plus NewMutex and NewRWMutex: options
+// a target consumes are accepted, options it would silently ignore are
+// rejected with an error that names them.
 func TestNewOptionValidation(t *testing.T) {
-	algs := []rtle.Algorithm{
+	type target struct {
+		name  string
+		build func(...rtle.Option) error
+	}
+	var targets []target
+	for _, alg := range []rtle.Algorithm{
 		rtle.Lock, rtle.TLE, rtle.HLE, rtle.RWTLE, rtle.FGTLE,
 		rtle.AdaptiveFGTLE, rtle.ALE, rtle.NOrec, rtle.RHNOrec,
+	} {
+		targets = append(targets, target{alg.String(), func(opts ...rtle.Option) error {
+			_, err := rtle.New(alg, opts...)
+			return err
+		}})
 	}
-	all := func() map[rtle.Algorithm]bool {
-		m := map[rtle.Algorithm]bool{}
-		for _, a := range algs {
-			m[a] = true
+	targets = append(targets,
+		target{"Mutex", func(opts ...rtle.Option) error { _, err := rtle.NewMutex(opts...); return err }},
+		target{"RWMutex", func(opts ...rtle.Option) error { _, err := rtle.NewRWMutex(opts...); return err }})
+	only := func(names ...string) map[string]bool {
+		m := map[string]bool{}
+		for _, n := range names {
+			m[n] = true
 		}
 		return m
 	}
-	only := func(as ...rtle.Algorithm) map[rtle.Algorithm]bool {
-		m := map[rtle.Algorithm]bool{}
-		for _, a := range as {
-			m[a] = true
-		}
-		return m
-	}
+	var all map[string]bool // nil: valid everywhere
+	none := only()
 	shared := rtle.NewMemory(1 << 18)
 	cases := []struct {
-		name  string
-		opt   rtle.Option
-		valid map[rtle.Algorithm]bool
+		name  string // the options, joined by "+"; a rejection names each
+		opts  []rtle.Option
+		valid map[string]bool
 	}{
-		{"WithMemory", rtle.WithMemory(shared), all()},
-		{"WithMemoryWords", rtle.WithMemoryWords(1 << 16), all()},
-		{"WithObserver", rtle.WithObserver(rtle.NewRegistry()), all()},
-		{"WithHTM", rtle.WithHTM(rtle.HTMConfig{InterleaveEvery: 2}), all()},
-		{"WithInterleave", rtle.WithInterleave(2), all()},
-		{"WithAttempts", rtle.WithAttempts(3),
-			only(rtle.TLE, rtle.RWTLE, rtle.FGTLE, rtle.AdaptiveFGTLE, rtle.ALE, rtle.RHNOrec)},
-		{"WithAdaptiveAttempts", rtle.WithAdaptiveAttempts(),
-			only(rtle.TLE, rtle.RWTLE, rtle.FGTLE, rtle.AdaptiveFGTLE, rtle.ALE)},
-		{"WithLazySubscription", rtle.WithLazySubscription(),
-			only(rtle.RWTLE, rtle.FGTLE, rtle.AdaptiveFGTLE)},
-		{"WithOrecs", rtle.WithOrecs(64), only(rtle.FGTLE, rtle.ALE)},
-		{"WithAdaptive", rtle.WithAdaptive(rtle.AdaptiveConfig{MinOrecs: 1, MaxOrecs: 64}),
-			only(rtle.AdaptiveFGTLE)},
+		{"WithMemory", []rtle.Option{rtle.WithMemory(shared)}, all},
+		{"WithMemoryWords", []rtle.Option{rtle.WithMemoryWords(1 << 16)}, all},
+		{"WithMemory+WithMemoryWords",
+			[]rtle.Option{rtle.WithMemory(shared), rtle.WithMemoryWords(1 << 16)}, none},
+		{"WithObserver", []rtle.Option{rtle.WithObserver(rtle.NewRegistry())}, all},
+		{"WithHTM", []rtle.Option{rtle.WithHTM(rtle.HTMConfig{InterleaveEvery: 2})}, all},
+		{"WithInterleave", []rtle.Option{rtle.WithInterleave(2)}, all},
+		{"WithPolicy", []rtle.Option{rtle.WithPolicy(rtle.Policy{Attempts: 3})}, all},
+		{"WithAttempts", []rtle.Option{rtle.WithAttempts(3)},
+			only("TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "RHNOrec", "Mutex", "RWMutex")},
+		{"WithAdaptiveAttempts", []rtle.Option{rtle.WithAdaptiveAttempts()},
+			only("TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "Mutex", "RWMutex")},
+		{"WithLazySubscription", []rtle.Option{rtle.WithLazySubscription()},
+			only("RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "RWMutex")},
+		{"WithOrecs", []rtle.Option{rtle.WithOrecs(64)}, only("FG-TLE", "ALE")},
+		{"WithAdaptive", []rtle.Option{rtle.WithAdaptive(rtle.AdaptiveConfig{MinOrecs: 1, MaxOrecs: 64})},
+			only("FG-TLE(adaptive)")},
+		{"WithRetreat", []rtle.Option{rtle.WithRetreat(rtle.GuardRetreatConfig{Disable: true})},
+			only("Mutex", "RWMutex")},
 	}
 	for _, tc := range cases {
-		for _, alg := range algs {
-			t.Run(tc.name+"/"+alg.String(), func(t *testing.T) {
-				_, err := rtle.New(alg, rtle.WithMemoryWords(1<<16), tc.opt)
-				if tc.valid[alg] && err != nil {
-					t.Fatalf("New(%v, %s) rejected a valid option: %v", alg, tc.name, err)
+		for _, tg := range targets {
+			t.Run(tc.name+"/"+tg.name, func(t *testing.T) {
+				err := tg.build(tc.opts...)
+				valid := tc.valid == nil || tc.valid[tg.name]
+				if valid && err != nil {
+					t.Fatalf("%s with %s rejected a valid option: %v", tg.name, tc.name, err)
 				}
-				if !tc.valid[alg] {
+				if !valid {
 					if err == nil {
-						t.Fatalf("New(%v, %s) accepted an option %v ignores", alg, tc.name, alg)
+						t.Fatalf("%s accepted %s, which it ignores", tg.name, tc.name)
 					}
-					if !strings.Contains(err.Error(), tc.name) {
-						t.Fatalf("error %q does not name the offending option %s", err, tc.name)
+					for _, name := range strings.Split(tc.name, "+") {
+						if !strings.Contains(err.Error(), name) {
+							t.Fatalf("error %q does not name the offending option %s", err, name)
+						}
 					}
 				}
 			})
@@ -142,6 +159,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := rtle.New(rtle.TLE, rtle.WithMemoryWords(-1)); err == nil {
 		t.Error("New accepted a negative memory size")
+	}
+	if _, err := rtle.NewMutex(rtle.WithMemoryWords(-1)); err == nil {
+		t.Error("NewMutex accepted a negative memory size")
 	}
 }
 
