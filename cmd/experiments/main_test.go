@@ -4,9 +4,13 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rtle/internal/htm"
+	"rtle/internal/mem"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/skeleton.golden from the current printer")
@@ -78,5 +82,29 @@ func TestSkeletonGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("output skeleton differs from %s (regenerate with -update only for a deliberate change)\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestSpuriousStreamsDifferPerThread: the threads of one run suffer their
+// own spurious aborts. Two Txs built from one policy, as two threads of a
+// figure point are, must not draw the same abort sequence.
+func TestSpuriousStreamsDifferPerThread(t *testing.T) {
+	pol := options{spurious: 0.3}.policy()
+	m := mem.New(1 << 12)
+	a := m.AllocLines(1)
+	draw := func() []htm.AbortReason {
+		tx := htm.NewTx(m, pol.HTM)
+		out := make([]htm.AbortReason, 64)
+		for i := range out {
+			out[i] = tx.Run(func(tx *htm.Tx) { tx.Read(a) })
+		}
+		return out
+	}
+	first, second := draw(), draw()
+	if slices.Equal(first, second) {
+		t.Fatalf("two threads drew the same %d outcomes: %v", len(first), first)
+	}
+	if !slices.Contains(first, htm.Spurious) {
+		t.Fatal("spurious 0.3 aborted none of 64 attempts")
 	}
 }

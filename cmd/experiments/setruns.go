@@ -8,6 +8,7 @@ import (
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
+	"rtle/internal/fault"
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -17,13 +18,12 @@ import (
 // flags: every method (including the Lock baseline and the STM paths) is
 // paced identically, and spurious aborts model the non-conflict HTM
 // failures (capacity overflows, interrupts) that drive the paper's
-// contended regime.
+// contended regime: a fresh one-family fault plan per run, one abort
+// stream per thread, as each core of real HTM suffers its own.
 func (o options) policy() core.Policy {
-	return core.Policy{HTM: htm.Config{
-		InterleaveEvery: o.interleave,
-		SpuriousProb:    o.spurious,
-		SpuriousSeed:    o.seed,
-	}}
+	p := core.Policy{HTM: htm.Config{InterleaveEvery: o.interleave}}
+	fault.NewDirector(fault.Plan{Seed: o.seed, AccessProb: o.spurious}).Configure(&p)
+	return p
 }
 
 // mixes are the paper's operation distributions, written Ins:Rem:Find.

@@ -13,6 +13,7 @@ import (
 	"rtle/internal/avl"
 	"rtle/internal/bank"
 	"rtle/internal/core"
+	"rtle/internal/fault"
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -28,17 +29,27 @@ var integrationMethods = []string{
 }
 
 // integrationPolicies exercises plain and virtualized/fault-injected
-// configurations.
-func integrationPolicies(short bool) map[string]core.Policy {
-	pols := map[string]core.Policy{
-		"default": {},
+// configurations. Each returns a fresh policy, so every run gets its own
+// fault Director.
+func integrationPolicies(short bool) map[string]func() core.Policy {
+	pols := map[string]func() core.Policy{
+		"default": func() core.Policy { return core.Policy{} },
 	}
 	if !short {
-		pols["contended"] = core.Policy{HTM: htm.Config{
-			InterleaveEvery: 4, SpuriousProb: 0.02, SpuriousSeed: 17,
-		}}
+		pols["contended"] = func() core.Policy {
+			return spuriousPolicy(4, 0.02, 17)
+		}
 	}
 	return pols
+}
+
+// spuriousPolicy paces every access path at interleave and aborts each
+// transactional access with probability prob, from per-thread streams
+// derived from seed.
+func spuriousPolicy(interleave int, prob float64, seed uint64) core.Policy {
+	p := core.Policy{HTM: htm.Config{InterleaveEvery: interleave}}
+	fault.NewDirector(fault.Plan{Seed: seed, AccessProb: prob}).Configure(&p)
+	return p
 }
 
 func TestIntegrationSetAllMethods(t *testing.T) {
@@ -47,7 +58,7 @@ func TestIntegrationSetAllMethods(t *testing.T) {
 		for _, name := range integrationMethods {
 			t.Run(polName+"/"+name, func(t *testing.T) {
 				m := mem.New(1 << 22)
-				meth := harness.MustBuildMethod(name, m, pol)
+				meth := harness.MustBuildMethod(name, m, pol())
 				set := avl.New(m)
 				initial := map[uint64]bool{}
 				seedH := set.NewHandle()
@@ -141,7 +152,7 @@ func TestIntegrationBankAllMethods(t *testing.T) {
 		for _, name := range integrationMethods {
 			t.Run(polName+"/"+name, func(t *testing.T) {
 				m := mem.New(1 << 20)
-				meth := harness.MustBuildMethod(name, m, pol)
+				meth := harness.MustBuildMethod(name, m, pol())
 				b := bank.New(m, accounts, initial)
 				const goroutines = 4
 				const perG = 350
@@ -184,7 +195,7 @@ func TestIntegrationMapAllMethods(t *testing.T) {
 		for _, name := range integrationMethods {
 			t.Run(polName+"/"+name, func(t *testing.T) {
 				m := mem.New(1 << 22)
-				meth := harness.MustBuildMethod(name, m, pol)
+				meth := harness.MustBuildMethod(name, m, pol())
 				mp := tmap.New(m, 32)
 				const goroutines = 4
 				const perG = 350
@@ -227,7 +238,7 @@ func TestIntegrationSoak(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	m := mem.New(1 << 23)
-	pol := core.Policy{HTM: htm.Config{InterleaveEvery: 8, SpuriousProb: 0.005, SpuriousSeed: 23}}
+	pol := spuriousPolicy(8, 0.005, 23)
 	meth := core.NewFGTLE(m, 512, pol)
 	set := avl.New(m)
 	b := bank.New(m, 16, 1000)

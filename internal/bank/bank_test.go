@@ -87,7 +87,7 @@ func TestQuickTransferConserves(t *testing.T) {
 // holders while other transfers speculate).
 func TestConcurrentConservation(t *testing.T) {
 	builders := []func(m *mem.Memory) core.Method{
-		func(m *mem.Memory) core.Method { return core.NewLock(m) },
+		func(m *mem.Memory) core.Method { return core.NewLock(m, core.Policy{}) },
 		func(m *mem.Memory) core.Method { return core.NewTLE(m, core.Policy{}) },
 		func(m *mem.Memory) core.Method { return core.NewRWTLE(m, core.Policy{}) },
 		func(m *mem.Memory) core.Method { return core.NewFGTLE(m, 256, core.Policy{}) },

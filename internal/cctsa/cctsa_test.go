@@ -174,7 +174,7 @@ func TestAssemblyReconstructsGenomeExact(t *testing.T) {
 	}
 	in := &Input{Cfg: cfg, Genome: genome, Reads: reads}
 	res := in.RunTransactified(func(m *mem.Memory) core.Method {
-		return core.NewLock(m)
+		return core.NewLock(m, core.Policy{})
 	})
 	if len(res.Contigs) != 1 {
 		t.Fatalf("contigs = %d, want 1 (repeat-free genome, full coverage)", len(res.Contigs))
@@ -192,7 +192,7 @@ func TestAssemblyFromSampledReads(t *testing.T) {
 	cfg := Config{GenomeLen: 3000, Coverage: 50, Threads: 1, Seed: 5}
 	in := Prepare(cfg)
 	res := in.RunTransactified(func(m *mem.Memory) core.Method {
-		return core.NewLock(m)
+		return core.NewLock(m, core.Policy{})
 	})
 	if len(res.Contigs) == 0 || len(res.Contigs) > 5 {
 		t.Fatalf("contigs = %d, want a handful at coverage 50", len(res.Contigs))
@@ -235,7 +235,7 @@ func TestAssemblyVariantsAgree(t *testing.T) {
 func TestAssemblyConcurrentMatchesSequential(t *testing.T) {
 	cfg1 := Config{GenomeLen: 1500, Coverage: 10, Seed: 4, Threads: 1}
 	base := Prepare(cfg1).RunTransactified(func(m *mem.Memory) core.Method {
-		return core.NewLock(m)
+		return core.NewLock(m, core.Policy{})
 	})
 	for _, name := range []string{"TLE", "RW-TLE", "FG-TLE"} {
 		t.Run(name, func(t *testing.T) {
@@ -334,7 +334,7 @@ func TestN50SingleContigEqualsGenome(t *testing.T) {
 		reads = append(reads, genome[i:i+cfg.ReadLen])
 	}
 	in := &Input{Cfg: cfg, Genome: genome, Reads: reads}
-	res := in.RunTransactified(func(m *mem.Memory) core.Method { return core.NewLock(m) })
+	res := in.RunTransactified(func(m *mem.Memory) core.Method { return core.NewLock(m, core.Policy{}) })
 	if res.N50() != cfg.GenomeLen {
 		t.Fatalf("N50 = %d, want %d for a single-contig assembly", res.N50(), cfg.GenomeLen)
 	}

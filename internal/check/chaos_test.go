@@ -3,6 +3,7 @@ package check
 import (
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,16 +187,24 @@ func planFromBytes(b []byte) fault.Plan {
 // under a fuzzed fault plan and checks the history for linearizability.
 // roster indexes chaosMethods followed by guardVariants and adt indexes
 // Workloads, both modulo the list's length. The seed corpus is every
-// roster name over every ADT with every fault family on; a failure prints
-// the plan as JSON, the form rtled -fault-plan accepts.
+// roster name over every ADT with every fault family on, and every roster
+// name over the set with only the access family on at AccessProb 0.01, the
+// plan cmd/experiments runs its figures under at its default -spurious; a
+// failure prints the plan as JSON, the form rtled -fault-plan accepts.
 func FuzzFaultPlan(f *testing.F) {
 	names := append(append([]string(nil), chaosMethods...), guardVariants...)
+	set := uint8(slices.Index(Workloads, "set"))
 	for r := range names {
 		for a := range Workloads {
 			// A distinct seed byte, then every family on at magnitudes
 			// close to chaosPlan's.
 			f.Add([]byte{byte(r*len(Workloads) + a + 1), 2, 3, 1, 3, 3, 20, 3, 1, 1, 20, 2, 4, 67}, uint8(r), uint8(a))
 		}
+	}
+	for r := range names {
+		// The figure driver's plan at its default -spurious: the access
+		// family alone, at AccessProb 0.01.
+		f.Add([]byte{byte(100 + r), 0, 9}, uint8(r), set)
 	}
 	f.Fuzz(func(t *testing.T, b []byte, roster, adt uint8) {
 		plan := planFromBytes(b)

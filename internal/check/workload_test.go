@@ -30,7 +30,7 @@ func TestOneGeneratorUnderMethodsAndGuards(t *testing.T) {
 	for _, kind := range Workloads {
 		t.Run(kind, func(t *testing.T) {
 			m := mem.New(1 << 18)
-			h, model, err := RunWorkload(kind, core.NewLock(m), m, cfg)
+			h, model, err := RunWorkload(kind, core.NewLock(m, core.Policy{}), m, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestOneGeneratorUnderMethodsAndGuards(t *testing.T) {
 func TestBankOfOneAccountRejected(t *testing.T) {
 	cfg := RunConfig{Threads: 2, OpsPerThread: 10, Seed: 1, Keys: 1}
 	m := mem.New(1 << 16)
-	if _, _, err := RunWorkload("bank", core.NewLock(m), m, cfg); err == nil {
+	if _, _, err := RunWorkload("bank", core.NewLock(m, core.Policy{}), m, cfg); err == nil {
 		t.Error("RunWorkload accepted a one-account bank")
 	}
 	for _, variant := range guardVariants {
@@ -86,7 +86,7 @@ func TestBankOfOneAccountRejected(t *testing.T) {
 		}
 	}
 	// One key is a legal set or map.
-	if _, _, err := RunWorkload("set", core.NewLock(m), m, cfg); err != nil {
+	if _, _, err := RunWorkload("set", core.NewLock(m, core.Policy{}), m, cfg); err != nil {
 		t.Errorf("one-key set: %v", err)
 	}
 }

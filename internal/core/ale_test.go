@@ -7,7 +7,6 @@ import (
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/rng"
 )
@@ -287,10 +286,7 @@ func TestALEConcurrentAVL(t *testing.T) {
 // the blocked path end-to-end by making HTM unusable entirely.
 func TestALEPessimisticWriteBackBlocksFastPath(t *testing.T) {
 	m := mem.New(1 << 16)
-	meth := core.NewALE(m, 64, core.Policy{
-		Attempts: 1,
-		HTM:      htm.Config{SpuriousProb: 1.0, SpuriousSeed: 9},
-	})
+	meth := core.NewALE(m, 64, withSpurious(core.Policy{Attempts: 1}, 1, 9))
 	a := m.AllocLines(1)
 	th := meth.NewThread()
 	for i := 0; i < 20; i++ {

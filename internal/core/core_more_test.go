@@ -8,6 +8,7 @@ import (
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
+	"rtle/internal/fault"
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -423,10 +424,17 @@ func TestPacedMethodsStillCorrect(t *testing.T) {
 	}
 }
 
+// withSpurious returns p with a fault plan that aborts each transactional
+// access with probability prob, from per-thread streams derived from seed.
+func withSpurious(p core.Policy, prob float64, seed uint64) core.Policy {
+	fault.NewDirector(fault.Plan{Seed: seed, AccessProb: prob}).Configure(&p)
+	return p
+}
+
 // TestSpuriousInjectionDrivesFallback: with a high injected abort rate,
 // operations land on the lock path and still execute correctly.
 func TestSpuriousInjectionDrivesFallback(t *testing.T) {
-	pol := core.Policy{HTM: htm.Config{SpuriousProb: 0.9, SpuriousSeed: 3}}
+	pol := withSpurious(core.Policy{}, 0.9, 3)
 	m := mem.New(1 << 18)
 	meth := core.NewFGTLE(m, 64, pol)
 	set := avl.New(m)

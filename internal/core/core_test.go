@@ -16,7 +16,7 @@ import (
 // allMethods builds one instance of every synchronization method over m.
 func allMethods(m *mem.Memory, p core.Policy) []core.Method {
 	return []core.Method{
-		core.NewLock(m),
+		core.NewLock(m, core.Policy{}),
 		core.NewTLE(m, p),
 		core.NewRWTLE(m, p),
 		core.NewFGTLE(m, 1, p),
@@ -103,7 +103,7 @@ func methodByName(t *testing.T, m *mem.Memory, name string, p core.Policy) core.
 	t.Helper()
 	switch name {
 	case "Lock":
-		return core.NewLock(m)
+		return core.NewLock(m, core.Policy{})
 	case "TLE":
 		return core.NewTLE(m, p)
 	case "RW-TLE":

@@ -10,15 +10,11 @@ import (
 // normalization (every Fig. 5 curve is relative to single-threaded Lock).
 type LockMethod struct{ elision }
 
-// NewLock returns a lock-only method over m with a fresh lock.
-func NewLock(m *mem.Memory) *LockMethod {
-	return NewLockWithPolicy(m, Policy{})
-}
-
-// NewLockWithPolicy is NewLock honouring the policy's concurrency
-// virtualization (the lock path paces its accesses like every other path,
-// keeping the baseline comparable); the speculation knobs are ignored.
-func NewLockWithPolicy(m *mem.Memory, policy Policy) *LockMethod {
+// NewLock returns a lock-only method over m with a fresh lock, honouring
+// the policy's concurrency virtualization (the lock path paces its accesses
+// like every other path, keeping the baseline comparable); the speculation
+// knobs are ignored.
+func NewLock(m *mem.Memory, policy Policy) *LockMethod {
 	return &LockMethod{elision{m, spinlock.New(m), policy}}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rtle/internal/core"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
 
@@ -103,10 +102,7 @@ func TestAdaptiveAttemptsEndToEnd(t *testing.T) {
 func TestAdaptiveAttemptsRecoversOnFriendlyWorkload(t *testing.T) {
 	m := mem.New(1 << 16)
 	// Make speculation flaky-but-viable so recovery needs budget > 1.
-	meth := core.NewTLE(m, core.Policy{
-		AdaptiveAttempts: true,
-		HTM:              htm.Config{SpuriousProb: 0.1, SpuriousSeed: 5},
-	})
+	meth := core.NewTLE(m, withSpurious(core.Policy{AdaptiveAttempts: true}, 0.1, 5))
 	a := m.AllocLines(1)
 	th := meth.NewThread()
 	// Hostile phase: collapse the budget.

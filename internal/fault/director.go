@@ -41,11 +41,13 @@ func NewDirector(plan Plan) *Director {
 func (d *Director) Plan() Plan { return d.plan }
 
 // Configure wires the Director into a Policy: every Tx the methods create
-// gets a per-thread injector, and every fallback-lock acquisition reports
-// to the Director for lock-spike injection.
+// gets a per-thread injector, and, when the plan has lock spikes, every
+// fallback-lock acquisition reports to the Director.
 func (d *Director) Configure(p *core.Policy) {
 	p.HTM.NewInjector = d.NewInjector
-	p.LockFault = d
+	if d.plan.LockSpikeEvery > 0 && d.plan.LockSpikeSpins > 0 {
+		p.LockFault = d
+	}
 }
 
 // Injected returns a live snapshot of faults injected so far, by reason.
@@ -95,14 +97,14 @@ func (d *Director) OnLockAcquired() {
 	}
 }
 
-// NewInjector returns the next per-thread injector. Matches the signature
-// of htm.Config.NewInjector. Each injector owns a private xoshiro256**
-// stream derived from (Seed, thread ordinal), so one thread's
-// probabilistic decisions are a pure function of the plan and its creation
-// rank.
+// NewInjector returns the next per-thread injector, nil (a hook-free Tx)
+// for a plan without transactional faults. Matches htm.Config.NewInjector.
+// Each injector owns a private xoshiro256** stream derived from (Seed,
+// thread ordinal), so one thread's probabilistic decisions are a pure
+// function of the plan and its creation rank.
 func (d *Director) NewInjector() htm.Injector {
 	id := d.threads.Add(1) - 1
-	if !d.plan.Active() {
+	if !d.plan.txFaults() {
 		return nil
 	}
 	return &injector{
@@ -135,7 +137,10 @@ func (in *injector) count(r htm.AbortReason) htm.AbortReason {
 func (in *injector) TxBegin() (readLines, writeLines int, reason htm.AbortReason) {
 	p := in.d.plan
 	in.attempt++
-	global := in.d.attempts.Add(1)
+	var global int64 // shared across threads: touched only for window rules
+	if p.StormEvery > 0 || p.SqueezeEvery > 0 {
+		global = in.d.attempts.Add(1)
+	}
 
 	// Conflict storm: every attempt starting inside the window dies,
 	// whichever thread it belongs to — the synchronized volley that

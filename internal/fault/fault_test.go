@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rtle/internal/core"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
@@ -46,6 +47,67 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 	}
 	if n := tx.Stats.TotalInjected(); n != 0 {
 		t.Fatalf("zero plan injected %d faults", n)
+	}
+}
+
+// TestAccessProbAbortsFirstAccess: at AccessProb 1 the abort lands on the
+// first access itself, before it reads or buffers anything: the body does
+// not continue and the heap is untouched.
+func TestAccessProbAbortsFirstAccess(t *testing.T) {
+	d := NewDirector(Plan{AccessProb: 1})
+	m := mem.New(1 << 12)
+	a := m.AllocLines(1)
+	tx := htm.NewTx(m, htm.Config{NewInjector: d.NewInjector})
+	for name, first := range map[string]func(*htm.Tx){
+		"read":  func(tx *htm.Tx) { tx.Read(a) },
+		"write": func(tx *htm.Tx) { tx.Write(a, 7) },
+	} {
+		reached := false
+		r := tx.Run(func(tx *htm.Tx) {
+			first(tx)
+			reached = true
+		})
+		if r != htm.Spurious || reached {
+			t.Errorf("first access a %s: reason %v, body continued = %v; want spurious on the access itself", name, r, reached)
+		}
+	}
+	if m.Load(a) != 0 || tx.Stats.Aborts[htm.Spurious] != 2 || tx.Stats.Commits != 0 {
+		t.Fatalf("word = %d, stats = %+v", m.Load(a), tx.Stats)
+	}
+}
+
+// TestDirectorInstallsOnlyWhatThePlanUses: a plan's unused families cost
+// nothing. Without a window rule no attempt touches the shared attempt
+// counter; without lock spikes Configure leaves Policy.LockFault unset; and
+// a plan of lock spikes alone gives every Tx a nil injector, so its
+// accesses run hook-free.
+func TestDirectorInstallsOnlyWhatThePlanUses(t *testing.T) {
+	d := NewDirector(Plan{Seed: 3, AccessProb: 0.01})
+	var pol core.Policy
+	d.Configure(&pol)
+	if pol.LockFault != nil {
+		t.Error("a plan without lock spikes installed the lock hook")
+	}
+	m := mem.New(1 << 12)
+	a := m.AllocLines(1)
+	tx := htm.NewTx(m, pol.HTM)
+	for i := 0; i < 1000; i++ {
+		tx.Run(func(tx *htm.Tx) { tx.Read(a) })
+	}
+	if n := d.attempts.Load(); n != 0 {
+		t.Errorf("attempts = %d after 1000 attempts under a plan with no window rule, want 0", n)
+	}
+	if tx.Stats.Aborts[htm.Spurious] == 0 {
+		t.Error("AccessProb 0.01 aborted none of 1000 attempts")
+	}
+
+	spikes := NewDirector(Plan{Seed: 3, LockSpikeEvery: 4, LockSpikeSpins: 10})
+	spikes.Configure(&pol)
+	if pol.LockFault == nil {
+		t.Error("a plan with lock spikes left the lock hook unset")
+	}
+	if inj := spikes.NewInjector(); inj != nil {
+		t.Errorf("a plan of lock spikes alone built an injector: %v", inj)
 	}
 }
 

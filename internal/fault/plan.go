@@ -84,9 +84,14 @@ type Plan struct {
 
 // Active reports whether the plan injects any fault at all.
 func (p Plan) Active() bool {
+	return p.txFaults() || p.LockSpikeEvery > 0
+}
+
+// txFaults reports whether the plan has a rule a transaction's injector
+// acts on: everything but lock spikes.
+func (p Plan) txFaults() bool {
 	return p.BeginProb > 0 || p.AccessProb > 0 || p.CommitProb > 0 ||
-		p.NthAccess > 0 || p.SqueezeEvery > 0 || p.StormEvery > 0 ||
-		p.LockSpikeEvery > 0
+		p.NthAccess > 0 || p.SqueezeEvery > 0 || p.StormEvery > 0
 }
 
 // reason returns the probabilistic-fault reason, defaulting to Spurious.

@@ -37,7 +37,7 @@ func TestRunCountMode(t *testing.T) {
 
 func TestRunDurationMode(t *testing.T) {
 	m := mem.New(1 << 16)
-	meth := core.NewLock(m)
+	meth := core.NewLock(m, core.Policy{})
 	a := m.AllocLines(1)
 	res := Run(meth, Config{Threads: 2, Duration: 50 * time.Millisecond, Seed: 1},
 		func(id int, th core.Thread) Worker {
@@ -58,7 +58,7 @@ func TestRunDurationMode(t *testing.T) {
 
 func TestRunDefaultsToOneThread(t *testing.T) {
 	m := mem.New(1 << 16)
-	meth := core.NewLock(m)
+	meth := core.NewLock(m, core.Policy{})
 	res := Run(meth, Config{OpsPerThread: 5},
 		func(id int, th core.Thread) Worker {
 			return func(r *rng.Xoshiro256) { th.Atomic(func(core.Context) {}) }
@@ -94,7 +94,7 @@ func TestSetWorkerMixRespected(t *testing.T) {
 	m := mem.New(1 << 22)
 	set := avl.New(m)
 	SeedSet(set, 256)
-	meth := core.NewLock(m)
+	meth := core.NewLock(m, core.Policy{})
 	res := Run(meth, Config{Threads: 2, OpsPerThread: 1500, Seed: 3},
 		SetWorkerFactory(set, SetMix{InsertPct: 20, RemovePct: 20}, 256))
 	if res.Total.Ops != 3000 {
@@ -207,7 +207,7 @@ func TestDeterministicWorkloadSameSeed(t *testing.T) {
 		m := mem.New(1 << 22)
 		set := avl.New(m)
 		SeedSet(set, 128)
-		meth := core.NewLock(m)
+		meth := core.NewLock(m, core.Policy{})
 		Run(meth, Config{Threads: 1, OpsPerThread: 1000, Seed: 42},
 			SetWorkerFactory(set, SetMix{InsertPct: 30, RemovePct: 30}, 128))
 		var sum uint64
@@ -250,7 +250,7 @@ func TestScanWorkerClampsRange(t *testing.T) {
 	m := mem.New(1 << 22)
 	set := avl.New(m)
 	SeedSet(set, 64)
-	meth := core.NewLock(m)
+	meth := core.NewLock(m, core.Policy{})
 	mix := ScanMix{ScanPct: 100, ScanSpan: 1 << 20}
 	res := Run(meth, Config{Threads: 1, OpsPerThread: 50, Seed: 2},
 		ScanWorkerFactory(set, mix, 64))

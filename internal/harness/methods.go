@@ -31,7 +31,7 @@ var RefinedNames = []string{
 func BuildMethod(name string, m *mem.Memory, p core.Policy) (core.Method, error) {
 	switch name {
 	case "Lock":
-		return core.NewLockWithPolicy(m, p), nil
+		return core.NewLock(m, p), nil
 	case "TLE":
 		return core.NewTLE(m, p), nil
 	case "HLE":

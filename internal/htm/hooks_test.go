@@ -51,8 +51,7 @@ func TestHookedIsResolvedAtNewTx(t *testing.T) {
 		want bool
 	}{
 		{"none", Config{}, false},
-		{"limits only", Config{ReadLines: 4, WriteLines: 2, SpuriousSeed: 9}, false},
-		{"SpuriousProb", Config{SpuriousProb: 0.5}, true},
+		{"limits only", Config{ReadLines: 4, WriteLines: 2}, false},
 		{"NewInjector", Config{NewInjector: func() Injector { return &recordingInjector{} }}, true},
 		{"InterleaveEvery", Config{InterleaveEvery: 3}, true},
 	} {
@@ -75,31 +74,6 @@ func TestOnlyInjectorSeesEveryAccess(t *testing.T) {
 		if !slices.Equal(in.seen, mixedBodyAccesses) {
 			t.Fatalf("attempt %d: TxAccess saw %v, want %v (nth restarts at 1 each attempt)", attempt, in.seen, mixedBodyAccesses)
 		}
-	}
-}
-
-func TestOnlySpuriousProbAbortsFirstAccess(t *testing.T) {
-	m := mem.New(1 << 12)
-	a := m.AllocLines(1)
-	tx := NewTx(m, Config{SpuriousProb: 1})
-	for name, first := range map[string]func(*Tx){
-		"read":  func(tx *Tx) { tx.Read(a) },
-		"write": func(tx *Tx) { tx.Write(a, 7) },
-	} {
-		reached := false
-		r := tx.Run(func(tx *Tx) {
-			first(tx)
-			reached = true
-		})
-		if r != Spurious || reached {
-			t.Errorf("first access a %s: reason %v, body continued = %v; want spurious on the access itself", name, r, reached)
-		}
-		if tx.LastAbortInjected() {
-			t.Errorf("first access a %s: a SpuriousProb abort was booked as injector-forced", name)
-		}
-	}
-	if m.Load(a) != 0 || tx.Stats.Aborts[Spurious] != 2 || tx.Stats.Commits != 0 {
-		t.Fatalf("word = %d, stats = %+v", m.Load(a), tx.Stats)
 	}
 }
 
@@ -161,12 +135,11 @@ func TestOnlyInterleaveEveryYieldsOnReadAndWrite(t *testing.T) {
 
 // TestHookFreeTxMatchesPassingHooks runs the same bodies — commits, an
 // explicit abort, a capacity abort — on a Tx with no hook and on one with
-// all three installed but never firing, and requires identical outcomes,
+// both installed but never firing, and requires identical outcomes,
 // Stats and heap contents.
 func TestHookFreeTxMatchesPassingHooks(t *testing.T) {
 	passing := Config{
 		WriteLines:      2,
-		SpuriousProb:    1e-300, // installs the generator; never below a drawn float
 		NewInjector:     func() Injector { return &recordingInjector{} },
 		InterleaveEvery: 2,
 	}

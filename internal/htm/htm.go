@@ -17,7 +17,7 @@
 //     capacity overflow (bounded read/write sets, as an L1-bounded HTM),
 //     explicit self-abort, "unsupported instructions" (the Unsupported
 //     hook, modelling a divide-by-zero or syscall under RTM), and — when
-//     fault injection is enabled — spuriously.
+//     an Injector is configured — spuriously.
 //
 // What the engine deliberately does NOT provide is atomicity for a group of
 // non-transactional accesses: the thread holding the lock in a TLE scheme
@@ -36,7 +36,6 @@ import (
 	"runtime"
 
 	"rtle/internal/mem"
-	"rtle/internal/rng"
 )
 
 // AbortReason classifies the outcome of a transaction attempt. None means
@@ -120,11 +119,6 @@ type Config struct {
 	// WriteLines is the maximum number of distinct cache lines a
 	// transaction may write (default 128, a store-buffer-bounded HTM).
 	WriteLines int
-	// SpuriousProb, if positive, aborts each access with the given
-	// probability. Used for fault-injection tests.
-	SpuriousProb float64
-	// SpuriousSeed seeds the fault-injection generator.
-	SpuriousSeed uint64
 	// NewInjector, if non-nil, builds the fault injector for each Tx
 	// created with this Config (one private instance per Tx, so
 	// per-thread injector state needs no locking). internal/fault's
@@ -212,8 +206,7 @@ type Tx struct {
 	writes     *writeMap
 	locked     []lineVer
 
-	fault *rng.Xoshiro256
-	inj   Injector
+	inj Injector
 
 	// Per-attempt effective capacity limits (the injector may squeeze
 	// them below the configured ones at begin).
@@ -256,13 +249,10 @@ func NewTx(m *mem.Memory, cfg Config) *Tx {
 		writeLines: newLineSet(cfg.WriteLines),
 		writes:     newWriteMap(cfg.WriteLines * mem.WordsPerLine),
 	}
-	if cfg.SpuriousProb > 0 {
-		t.fault = rng.NewXoshiro256(cfg.SpuriousSeed | 1)
-	}
 	if cfg.NewInjector != nil {
 		t.inj = cfg.NewInjector()
 	}
-	t.hooked = t.fault != nil || t.inj != nil || cfg.InterleaveEvery > 0
+	t.hooked = t.inj != nil || cfg.InterleaveEvery > 0
 	return t
 }
 
@@ -406,13 +396,10 @@ func (t *Tx) mustBeActive(op string) {
 	}
 }
 
-// onAccess runs the per-access hooks: fault injection (probabilistic and
-// plan-driven) and single-core concurrency virtualization (InterleaveEvery).
-// Read and Write skip the call on a Tx that NewTx found to have none.
+// onAccess runs the per-access hooks: the injector and single-core
+// concurrency virtualization (InterleaveEvery). Read and Write skip the call
+// on a Tx that NewTx found to have neither.
 func (t *Tx) onAccess(write bool) {
-	if t.fault != nil && t.fault.Float64() < t.cfg.SpuriousProb {
-		t.abort(Spurious)
-	}
 	t.accesses++
 	if t.inj != nil {
 		if r := t.inj.TxAccess(t.accesses, write); r != None {

@@ -231,10 +231,11 @@ func TestUnsupportedAborts(t *testing.T) {
 func TestSpuriousInjection(t *testing.T) {
 	m := newHeap()
 	a := m.Alloc(1)
-	tx := NewTx(m, Config{SpuriousProb: 1.0, SpuriousSeed: 42})
+	in := &scriptedInjector{accessReasons: []AbortReason{Spurious}}
+	tx := NewTx(m, Config{NewInjector: func() Injector { return in }})
 	reason := tx.Run(func(tx *Tx) { tx.Read(a) })
 	if reason != Spurious {
-		t.Fatalf("reason = %v, want spurious with probability 1", reason)
+		t.Fatalf("reason = %v, want spurious", reason)
 	}
 }
 

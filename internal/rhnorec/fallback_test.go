@@ -4,19 +4,23 @@ import (
 	"testing"
 
 	"rtle/internal/core"
-	"rtle/internal/htm"
+	"rtle/internal/fault"
 	"rtle/internal/mem"
 )
+
+// htmUnusable returns p with a fault plan that aborts every transactional
+// access, so no hardware transaction that touches memory commits.
+func htmUnusable(p core.Policy) core.Policy {
+	fault.NewDirector(fault.Plan{AccessProb: 1}).Configure(&p)
+	return p
+}
 
 // TestFallbackLockCommit: with HTM made unusable entirely, every
 // operation must flow fast-path → software path → reduced-commit attempts
 // → global fallback lock, and still be correct.
 func TestFallbackLockCommit(t *testing.T) {
 	m := mem.New(1 << 16)
-	meth := New(m, core.Policy{
-		Attempts: 2,
-		HTM:      htm.Config{SpuriousProb: 1.0, SpuriousSeed: 11},
-	})
+	meth := New(m, htmUnusable(core.Policy{Attempts: 2}))
 	a := m.AllocLines(1)
 	th := meth.NewThread()
 	for i := 0; i < 25; i++ {
@@ -84,10 +88,7 @@ func TestSwCountReturnsToZero(t *testing.T) {
 // against plain concurrent stores (paper §1).
 func TestValidationUnderFallbackLockReleasesOnAbort(t *testing.T) {
 	m := mem.New(1 << 16)
-	meth := New(m, core.Policy{
-		Attempts: 1,
-		HTM:      htm.Config{SpuriousProb: 1.0, SpuriousSeed: 3},
-	})
+	meth := New(m, htmUnusable(core.Policy{Attempts: 1}))
 	a := m.AllocLines(1)
 	sw := meth.NewThread()
 	other := meth.NewThread()

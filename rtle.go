@@ -315,7 +315,7 @@ func New(alg Algorithm, opts ...Option) (*TM, error) {
 	var method Method
 	switch alg {
 	case Lock:
-		method = core.NewLockWithPolicy(m, c.policy)
+		method = core.NewLock(m, c.policy)
 	case TLE:
 		method = core.NewTLE(m, c.policy)
 	case HLE:
