@@ -28,12 +28,13 @@ e2e:
 	scripts/e2e.sh
 
 # microbench compiles and completes the micro-benchmarks DESIGN.md §1.8
-# quotes, and the heap's own (plain load and store, map-touch-drop), a
-# hundred iterations each (CI's step; raise -benchtime, build both sides
-# with `go test -c` and alternate them to measure).
+# quotes, the heap's own (plain load and store, map-touch-drop) and the root
+# package's observer-overhead model, a hundred iterations each (CI's step;
+# raise -benchtime, build both sides with `go test -c` and alternate them to
+# measure).
 microbench:
-	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters' \
-		-benchtime 100x ./internal/mem ./internal/htm ./internal/guard ./internal/core
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters|ObserverOverhead' \
+		-benchtime 100x . ./internal/mem ./internal/htm ./internal/guard ./internal/core
 
 # cross-build compiles the tree where the heap is not mapped (windows,
 # js/wasm: heap_other.go) and vets the mapping on a second unix (darwin),

@@ -1,29 +1,17 @@
-// Benchmarks regenerating the paper's evaluation (§6), one benchmark
-// family per table/figure, plus ablation benches for the design choices
-// DESIGN.md calls out. Each bench reports the paper's metric via
-// b.ReportMetric (ops/ms, or ms of runtime for ccTSA).
-//
-// The thread axis here is kept small so `go test -bench=.` terminates
-// quickly; cmd/experiments sweeps the full grids with wall-clock-length
-// data points.
+// BenchmarkObserverOverhead, the model ROADMAP gives for the cost of
+// observability on the hot path. The paper's figures and the design
+// ablations are regenerated by cmd/experiments, not by benchmarks here.
 package rtle_test
 
 import (
-	"fmt"
 	"testing"
 
 	"rtle/internal/avl"
-	"rtle/internal/bank"
-	"rtle/internal/cctsa"
 	"rtle/internal/core"
 	"rtle/internal/harness"
-	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/obs"
-	"rtle/internal/rng"
 )
-
-var benchThreads = []int{1, 2, 4}
 
 // benchSet runs one AVL-set configuration for b.N total operations and
 // reports throughput.
@@ -42,308 +30,6 @@ func benchSet(b *testing.B, method string, keyRange uint64, mix harness.SetMix, 
 	b.ReportMetric(res.Throughput(), "ops/ms")
 	if err := set.CheckInvariants(core.Direct(m)); err != nil {
 		b.Fatalf("tree corrupted: %v", err)
-	}
-}
-
-// BenchmarkFig5 regenerates Figure 5's throughput grid: key range × mix ×
-// method × threads, as speedup raw material (normalize to Lock/T=1).
-func BenchmarkFig5(b *testing.B) {
-	for _, kr := range []uint64{8192, 65536} {
-		for _, mix := range []harness.SetMix{
-			{InsertPct: 0, RemovePct: 0},
-			{InsertPct: 10, RemovePct: 10},
-			{InsertPct: 20, RemovePct: 20},
-			{InsertPct: 50, RemovePct: 50},
-		} {
-			for _, meth := range []string{"Lock", "NOrec", "RHNOrec", "TLE", "RW-TLE", "FG-TLE(16)", "FG-TLE(1024)", "FG-TLE(8192)"} {
-				for _, n := range benchThreads {
-					name := fmt.Sprintf("range=%d/mix=%d:%d:%d/%s/threads=%d",
-						kr, mix.InsertPct, mix.RemovePct, 100-mix.InsertPct-mix.RemovePct, meth, n)
-					b.Run(name, func(b *testing.B) {
-						benchSet(b, meth, kr, mix, n, core.Policy{})
-					})
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig6_SlowPath regenerates Figure 6: slow-path throughput of the
-// refined variants on the contended workload (8192 keys, 20% updates).
-func BenchmarkFig6_SlowPath(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, meth := range harness.RefinedNames {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				m := mem.New(harness.DefaultSetHeapWords(8192, n) + 1<<18)
-				set := avl.New(m)
-				harness.SeedSet(set, 8192)
-				method := harness.MustBuildMethod(meth, m, core.Policy{})
-				b.ResetTimer()
-				res := harness.Run(method, harness.Config{
-					Threads: n, OpsPerThread: b.N/n + 1, Seed: 1,
-				}, harness.SetWorkerFactory(set, mix, 8192))
-				b.StopTimer()
-				b.ReportMetric(res.SlowHTMThroughput(), "slowHTM-ops/ms")
-				b.ReportMetric(res.LockPathThroughput(), "lock-ops/ms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig7_TimeUnderLock regenerates Figure 7: per-execution lock
-// hold time (normalize externally to the Lock rows).
-func BenchmarkFig7_TimeUnderLock(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	methods := append([]string{"Lock", "TLE"}, harness.RefinedNames...)
-	for _, meth := range methods {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				m := mem.New(harness.DefaultSetHeapWords(8192, n) + 1<<18)
-				set := avl.New(m)
-				harness.SeedSet(set, 8192)
-				method := harness.MustBuildMethod(meth, m, core.Policy{})
-				b.ResetTimer()
-				res := harness.Run(method, harness.Config{
-					Threads: n, OpsPerThread: b.N/n + 1, Seed: 1,
-				}, harness.SetWorkerFactory(set, mix, 8192))
-				b.StopTimer()
-				if res.Total.LockRuns > 0 {
-					b.ReportMetric(float64(res.Total.LockHoldNanos)/float64(res.Total.LockRuns), "ns/lock-run")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig8to10_NOrecFamily regenerates Figures 8–10: RHNOrec
-// slow-path throughput, execution-type distribution, and validation
-// frequency (NOrec alongside for Fig. 10).
-func BenchmarkFig8to10_NOrecFamily(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, meth := range []string{"NOrec", "RHNOrec"} {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				m := mem.New(harness.DefaultSetHeapWords(8192, n) + 1<<18)
-				set := avl.New(m)
-				harness.SeedSet(set, 8192)
-				method := harness.MustBuildMethod(meth, m, core.Policy{})
-				b.ResetTimer()
-				res := harness.Run(method, harness.Config{
-					Threads: n, OpsPerThread: b.N/n + 1, Seed: 1,
-				}, harness.SetWorkerFactory(set, mix, 8192))
-				b.StopTimer()
-				b.ReportMetric(res.ValidationsPerTx(), "validations/tx")
-				f := res.ExecTypeDistribution()
-				b.ReportMetric(f.HTMFast, "fracHTMfast")
-				b.ReportMetric(f.STMFast+f.STMSlow, "fracSTM")
-				if meth == "RHNOrec" {
-					b.ReportMetric(res.RHNOrecSlowHTMThroughput(), "slowHTM-ops/ms")
-					b.ReportMetric(res.STMThroughput(), "swslow-ops/ms")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig11_Bank regenerates Figure 11: the bank-accounts
-// read-modify-write micro-benchmark.
-func BenchmarkFig11_Bank(b *testing.B) {
-	for _, meth := range []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1)", "FG-TLE(256)", "FG-TLE(8192)", "NOrec", "RHNOrec"} {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				m := mem.New(1 << 20)
-				bk := bank.New(m, 256, 10000)
-				method := harness.MustBuildMethod(meth, m, core.Policy{})
-				b.ResetTimer()
-				res := harness.Run(method, harness.Config{
-					Threads: n, OpsPerThread: b.N/n + 1, Seed: 1,
-				}, harness.BankFactory(bk, 100))
-				b.StopTimer()
-				b.ReportMetric(res.Throughput(), "ops/ms")
-				if err := bk.CheckConservation(core.Direct(m), 256*10000); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig12_Unfriendly regenerates Figure 12: one HTM-unfriendly
-// updater plus Find-only readers.
-func BenchmarkFig12_Unfriendly(b *testing.B) {
-	const keyRange = 65536
-	for _, meth := range []string{"Lock", "TLE", "RW-TLE", "FG-TLE(16)", "FG-TLE(8192)", "NOrec", "RHNOrec"} {
-		for _, n := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				m := mem.New(harness.DefaultSetHeapWords(keyRange, n) + 1<<18)
-				set := avl.New(m)
-				harness.SeedSet(set, keyRange)
-				method := harness.MustBuildMethod(meth, m, core.Policy{})
-				b.ResetTimer()
-				res := harness.Run(method, harness.Config{
-					Threads: n, OpsPerThread: b.N/n + 1, Seed: 1,
-				}, harness.UnfriendlyFactory(set, keyRange, true))
-				b.StopTimer()
-				b.ReportMetric(res.Throughput(), "ops/ms")
-			})
-		}
-	}
-}
-
-// BenchmarkFig13_CCTSA regenerates Figure 13: total assembler runtime,
-// original fine-grained locking versus transactified variants.
-func BenchmarkFig13_CCTSA(b *testing.B) {
-	cfgFor := func(threads int) cctsa.Config {
-		return cctsa.Config{GenomeLen: 20000, Coverage: 6, Threads: threads, Seed: 1}
-	}
-	for _, n := range benchThreads {
-		b.Run(fmt.Sprintf("Lock.orig/threads=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				in := cctsa.Prepare(cfgFor(n))
-				res := in.RunOriginal()
-				b.ReportMetric(float64(res.Total.Microseconds())/1000, "runtime-ms")
-			}
-		})
-	}
-	for _, meth := range []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1024)", "FG-TLE(8192)"} {
-		for _, n := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", meth, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					in := cctsa.Prepare(cfgFor(n))
-					res := in.RunTransactified(func(m *mem.Memory) core.Method {
-						return harness.MustBuildMethod(meth, m, core.Policy{})
-					})
-					b.ReportMetric(float64(res.Total.Microseconds())/1000, "runtime-ms")
-					b.ReportMetric(res.Stats.LockFallbackFraction()*100, "lock-fallback-%")
-				}
-			})
-		}
-	}
-}
-
-// --- Ablations (A1–A3 of DESIGN.md) ----------------------------------------
-
-// BenchmarkAblation_LazySub measures the §5 lazy-subscription option's
-// cost on the contended workload: slow-path commits become impossible
-// while the lock is held, so refined TLE degrades toward plain TLE.
-func BenchmarkAblation_LazySub(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, lazy := range []bool{false, true} {
-		b.Run(fmt.Sprintf("FG-TLE(1024)/lazy=%v/threads=4", lazy), func(b *testing.B) {
-			benchSet(b, "FG-TLE(1024)", 8192, mix, 4, core.Policy{LazySubscription: lazy})
-		})
-	}
-}
-
-// BenchmarkAblation_Attempts sweeps the fast-path retry budget (the
-// paper's footnote 1: libitm default 2 vs the paper's 5).
-func BenchmarkAblation_Attempts(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, attempts := range []int{1, 2, 5, 10} {
-		b.Run(fmt.Sprintf("TLE/attempts=%d/threads=4", attempts), func(b *testing.B) {
-			benchSet(b, "TLE", 8192, mix, 4, core.Policy{Attempts: attempts})
-		})
-	}
-}
-
-// BenchmarkAblation_Adaptive compares adaptive FG-TLE against fixed orec
-// counts on a small-footprint workload where shrinking pays.
-func BenchmarkAblation_Adaptive(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 50, RemovePct: 50}
-	for _, meth := range []string{"FG-TLE(1)", "FG-TLE(8192)", "FG-TLE(adaptive)"} {
-		b.Run(fmt.Sprintf("%s/threads=4", meth), func(b *testing.B) {
-			benchSet(b, meth, 512, mix, 4, core.Policy{})
-		})
-	}
-}
-
-// BenchmarkAblation_OrecCount isolates the orec-count tradeoff of §6.2.1
-// at one contended configuration.
-func BenchmarkAblation_OrecCount(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, orecs := range []int{1, 4, 16, 256, 1024, 4096, 8192} {
-		b.Run(fmt.Sprintf("orecs=%d/threads=4", orecs), func(b *testing.B) {
-			benchSet(b, fmt.Sprintf("FG-TLE(%d)", orecs), 8192, mix, 4, core.Policy{})
-		})
-	}
-}
-
-// BenchmarkAblation_ALE contrasts the §2 related-work design point: ALE's
-// always-on fast-path write instrumentation versus refined TLE's
-// uninstrumented fast path, and HLE's single hardware retry as the floor.
-func BenchmarkAblation_ALE(b *testing.B) {
-	mix := harness.SetMix{InsertPct: 20, RemovePct: 20}
-	for _, meth := range []string{"HLE", "TLE", "FG-TLE(1024)", "ALE(1024)"} {
-		b.Run(fmt.Sprintf("%s/threads=4", meth), func(b *testing.B) {
-			benchSet(b, meth, 8192, mix, 4, core.Policy{})
-		})
-	}
-}
-
-// BenchmarkAblation_AdaptiveAttempts contrasts the static attempt budget
-// with the AIMD policy on an HTM-hostile workload (one in five operations
-// cannot speculate).
-func BenchmarkAblation_AdaptiveAttempts(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		b.Run(fmt.Sprintf("TLE/adaptive=%v/threads=4", adaptive), func(b *testing.B) {
-			m := mem.New(harness.DefaultSetHeapWords(8192, 4) + 1<<18)
-			set := avl.New(m)
-			harness.SeedSet(set, 8192)
-			meth := harness.MustBuildMethod("TLE", m, core.Policy{AdaptiveAttempts: adaptive})
-			factory := func(id int, t core.Thread) harness.Worker {
-				h := set.NewHandle()
-				return func(r *rng.Xoshiro256) {
-					key := r.Uint64n(8192)
-					if r.Intn(5) == 0 {
-						var res bool
-						t.Atomic(func(c core.Context) {
-							c.Unsupported()
-							res = h.InsertCS(c, key)
-						})
-						h.AfterInsert(res)
-					} else {
-						h.Contains(t, key)
-					}
-				}
-			}
-			b.ResetTimer()
-			res := harness.Run(meth, harness.Config{Threads: 4, OpsPerThread: b.N/4 + 1, Seed: 1}, factory)
-			b.StopTimer()
-			b.ReportMetric(res.Throughput(), "ops/ms")
-			b.ReportMetric(float64(res.Total.FastAttempts)/float64(res.Total.Ops), "attempts/op")
-		})
-	}
-}
-
-// BenchmarkScanWorkload is this repository's extension experiment: point
-// operations plus wide range scans whose read sets overflow the HTM
-// capacity naturally (no fault injection), forcing lock fallbacks under
-// which refined TLE keeps committing point reads.
-func BenchmarkScanWorkload(b *testing.B) {
-	mix := harness.ScanMix{
-		SetMix:   harness.SetMix{InsertPct: 20, RemovePct: 20},
-		ScanPct:  5,
-		ScanSpan: 4096,
-	}
-	// Interleaving is required here: without it a scan completes within
-	// one scheduler slice on a single-core host and no slow-path window
-	// ever opens (DESIGN.md §1.5).
-	pol := core.Policy{HTM: htm.Config{InterleaveEvery: 4}}
-	for _, meth := range []string{"Lock", "TLE", "RW-TLE", "FG-TLE(8192)", "NOrec"} {
-		b.Run(fmt.Sprintf("%s/threads=4", meth), func(b *testing.B) {
-			m := mem.New(harness.DefaultSetHeapWords(8192, 4) + 1<<18)
-			set := avl.New(m)
-			harness.SeedSet(set, 8192)
-			method := harness.MustBuildMethod(meth, m, pol)
-			b.ResetTimer()
-			res := harness.Run(method, harness.Config{
-				Threads: 4, OpsPerThread: b.N/4 + 1, Seed: 1,
-			}, harness.ScanWorkerFactory(set, mix, 8192))
-			b.StopTimer()
-			b.ReportMetric(res.Throughput(), "ops/ms")
-			b.ReportMetric(float64(res.Total.SlowCommits), "slow-commits")
-		})
 	}
 }
 

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"rtle/internal/avl"
 	"rtle/internal/bank"
 	"rtle/internal/cctsa"
 	"rtle/internal/core"
@@ -21,8 +24,9 @@ func fig11(opt options) {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(256)", "NOrec", "RHNOrec"}
 	}
 	opt.sweep("method", perThread, methods, func(meth string, n int) string {
-		res := opt.methodPoint(meth, n, 1<<20, func(m *mem.Memory) harness.WorkerFactory {
-			return harness.BankFactory(bank.New(m, 256, 10000), 100)
+		res := opt.methodPoint(meth, n, 1<<20, func(m *mem.Memory) (harness.WorkerFactory, func() error) {
+			bk := bank.New(m, 256, 10000)
+			return harness.BankFactory(bk, 100), func() error { return bk.CheckConservation(core.Direct(m), 256*10000) }
 		})
 		return fmt.Sprintf("%.0f", res.Throughput())
 	})
@@ -43,8 +47,8 @@ func fig12(opt options) {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(256)", "NOrec", "RHNOrec"}
 	}
 	opt.sweep("method", perThread, methods, func(meth string, n int) string {
-		res := opt.methodPoint(meth, n, harness.DefaultSetHeapWords(keyRange, n)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
-			return harness.UnfriendlyFactory(avlSeeded(m, keyRange), keyRange, true)
+		res := opt.avlPoint(meth, n, keyRange, func(set *avl.Set) harness.WorkerFactory {
+			return harness.UnfriendlyFactory(set, keyRange, true)
 		})
 		return fmt.Sprintf("%.0f", res.Throughput())
 	})
@@ -67,22 +71,31 @@ func fig13(opt options) {
 		methods = []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1024)"}
 	}
 	// The share of atomic blocks that took the lock, per method and thread
-	// count, for the second table.
+	// count, for the second table; and the distinct k-mers Lock.orig, the
+	// first row, counts at each thread count, which every variant must match.
 	type cellKey struct {
 		meth string
 		n    int
 	}
 	fallback := map[cellKey]float64{}
+	distinct := map[int]int{}
 	opt.sweep("variant", perThread, append([]string{"Lock.orig"}, methods...), func(variant string, n int) string {
 		in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
 		warm(n)
-		if variant == "Lock.orig" {
-			return fmt.Sprintf("%.0f", float64(in.RunOriginal().Total.Milliseconds()))
-		}
-		res := in.RunTransactified(func(m *mem.Memory) core.Method {
-			return harness.MustBuildMethod(variant, m, opt.policy())
+		res := medianAssembly(opt.runs, func() *cctsa.Result {
+			var res *cctsa.Result
+			if variant == "Lock.orig" {
+				res = in.RunOriginal()
+				distinct[n] = res.DistinctKmers
+			} else {
+				res = in.RunTransactified(func(m *mem.Memory) core.Method {
+					return harness.MustBuildMethod(variant, m, opt.policy())
+				})
+			}
+			opt.mustHold(variant, n, assembled(res, distinct[n]))
+			return res
 		})
-		fallback[cellKey{variant, n}] = float64(res.Stats.LockRuns) / float64(max(res.Stats.Ops, 1))
+		fallback[cellKey{variant, n}] = res.Stats.LockFallbackFraction()
 		return fmt.Sprintf("%.0f", float64(res.Total.Milliseconds()))
 	})
 
@@ -92,4 +105,26 @@ func fig13(opt options) {
 	opt.sweep("method", perThread, methods[1:], func(meth string, n int) string {
 		return fmt.Sprintf("%.4f%%", fallback[cellKey{meth, n}]*100)
 	})
+}
+
+// medianAssembly runs an assembly runs times and returns the run of median
+// total runtime; of two central runs, the slower, as harness.Median picks.
+func medianAssembly(runs int, run func() *cctsa.Result) *cctsa.Result {
+	rs := make([]*cctsa.Result, max(runs, 1))
+	for i := range rs {
+		rs[i] = run()
+	}
+	slices.SortFunc(rs, func(a, b *cctsa.Result) int { return cmp.Compare(a.Total, b.Total) })
+	return rs[len(rs)/2]
+}
+
+// assembled is what TestAssemblyVariantsAgree (internal/cctsa) asserts of an
+// assembly: its contigs consume every k-mer it counted, and it counted the
+// distinct k-mers the original assembler counts on the same input, want.
+func assembled(res *cctsa.Result, want int) error {
+	if res.DistinctKmers != want || res.KmersInContigs != want {
+		return fmt.Errorf("ccTSA: %d distinct k-mers, %d in contigs; the original assembler counts %d",
+			res.DistinctKmers, res.KmersInContigs, want)
+	}
+	return nil
 }

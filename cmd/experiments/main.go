@@ -14,6 +14,8 @@
 //	experiments -fig 11           # bank accounts (Fig. 11)
 //	experiments -fig 12           # HTM-unfriendly corner case (Fig. 12)
 //	experiments -fig 13           # ccTSA runtimes (Fig. 13 + fallback table)
+//	experiments -fig scan         # wide-scan extension
+//	experiments -fig ablation     # design ablations A2–A6
 //	experiments -fig all -quick   # everything, at reduced duration
 //
 // On a many-core machine, pass the paper's thread axis, e.g.
@@ -27,6 +29,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"rtle/internal/core"
 )
 
 type options struct {
@@ -39,12 +43,16 @@ type options struct {
 	spurious   float64
 	runs       int
 	csvPath    string
+	// tweak, set by an ablation (options.tweaked) and never by a flag, changes
+	// every point's policy; variant names it in CSV labels and failed checks.
+	tweak   func(*core.Policy)
+	variant string
 }
 
 func main() {
 	var opt options
 	var threadsFlag string
-	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 5..13, scan, or all")
+	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 5..13, scan, ablation, or all")
 	flag.StringVar(&threadsFlag, "threads", "", "comma-separated thread counts (default 1,2,4,8)")
 	flag.DurationVar(&opt.dur, "dur", 300*time.Millisecond, "duration per data point (-quick: 100ms unless given)")
 	var seed int64
@@ -80,11 +88,12 @@ func main() {
 	figs := map[string]func(options){
 		"5": fig5, "6": fig6, "7": fig7, "8": fig8, "9": fig9,
 		"10": fig10, "11": fig11, "12": fig12, "13": fig13,
-		"scan": figScan,
+		"scan": figScan, "ablation": figAblation,
 	}
-	order := []string{"5", "6", "7", "8", "9", "10", "11", "12", "13", "scan"}
+	order := []string{"5", "6", "7", "8", "9", "10", "11", "12", "13", "scan", "ablation"}
 	if opt.fig == "all" {
 		for _, f := range order {
+			opt.fig = f
 			figs[f](opt)
 		}
 		flushCSV(opt)
@@ -92,7 +101,7 @@ func main() {
 	}
 	f, ok := figs[opt.fig]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want 5..13, scan, or all)\n", opt.fig)
+		fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want 5..13, scan, ablation, or all)\n", opt.fig)
 		os.Exit(2)
 	}
 	f(opt)

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"rtle/internal/avl"
+	"rtle/internal/core"
+	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
@@ -106,5 +109,26 @@ func TestSpuriousStreamsDifferPerThread(t *testing.T) {
 	}
 	if !slices.Contains(first, htm.Spurious) {
 		t.Fatal("spurious 0.3 aborted none of 64 attempts")
+	}
+}
+
+// TestAVLCheckCatchesCorruption: the check every AVL point runs after its
+// workers stop passes on the seeded set and fails once a word of the tree
+// is overwritten through core.Direct.
+func TestAVLCheckCatchesCorruption(t *testing.T) {
+	const keyRange, words = 512, 1 << 16
+	m := mem.New(words)
+	_, check := avlWorkload(keyRange, func(*avl.Set) harness.WorkerFactory { return nil })(m)
+	if err := check(); err != nil {
+		t.Fatalf("the seeded set fails its check: %v", err)
+	}
+	// The set's first line, which holds the root pointer, is the first any
+	// fresh heap hands out; a node's key is its first word.
+	head := mem.New(words).AllocLines(1)
+	c := core.Direct(m)
+	root := mem.Addr(c.Read(head))
+	c.Write(root, keyRange) // above every key in the root's right subtree
+	if err := check(); err == nil {
+		t.Fatal("the check passed a tree whose root key exceeds its right subtree's")
 	}
 }

@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 
+	"rtle/internal/avl"
 	"rtle/internal/harness"
-	"rtle/internal/mem"
 )
 
 // figScan is this repository's extension experiment (EXPERIMENTS.md §Scan):
@@ -22,8 +22,8 @@ func figScan(opt options) {
 	}
 	methods := []string{"Lock", "TLE", "RW-TLE", "FG-TLE(16)", "FG-TLE(1024)", "FG-TLE(8192)", "NOrec", "RHNOrec"}
 	opt.sweep("method", []string{"", "slow "}, methods, func(meth string, n int) string {
-		res := opt.methodPoint(meth, n, harness.DefaultSetHeapWords(8192, n)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
-			return harness.ScanWorkerFactory(avlSeeded(m, 8192), mix, 8192)
+		res := opt.avlPoint(meth, n, 8192, func(set *avl.Set) harness.WorkerFactory {
+			return harness.ScanWorkerFactory(set, mix, 8192)
 		})
 		return fmt.Sprintf("%.0f\t%d", res.Throughput(), res.Total.SlowCommits)
 	})

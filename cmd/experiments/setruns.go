@@ -23,7 +23,17 @@ import (
 func (o options) policy() core.Policy {
 	p := core.Policy{HTM: htm.Config{InterleaveEvery: o.interleave}}
 	fault.NewDirector(fault.Plan{Seed: o.seed, AccessProb: o.spurious}).Configure(&p)
+	if o.tweak != nil {
+		o.tweak(&p)
+	}
 	return p
+}
+
+// tweaked returns o with every point's policy changed by tweak, which
+// variant names.
+func (o options) tweaked(variant string, tweak func(*core.Policy)) options {
+	o.variant, o.tweak = variant, tweak
+	return o
 }
 
 // mixes are the paper's operation distributions, written Ins:Rem:Find.
@@ -44,11 +54,14 @@ var csvRecords []harness.Record
 // runSetPoint runs one AVL data point — a fresh heap, a seeded set, one
 // method, one thread count — as options.point runs every point.
 func runSetPoint(opt options, method string, keyRange uint64, mix harness.SetMix, threads int) *harness.Result {
-	res := opt.methodPoint(method, threads, harness.DefaultSetHeapWords(keyRange, threads)+1<<18, func(m *mem.Memory) harness.WorkerFactory {
-		return harness.SetWorkerFactory(avlSeeded(m, keyRange), mix, keyRange)
+	res := opt.avlPoint(method, threads, keyRange, func(set *avl.Set) harness.WorkerFactory {
+		return harness.SetWorkerFactory(set, mix, keyRange)
 	})
 	if opt.csvPath != "" {
 		label := fmt.Sprintf("range=%d mix=%s", keyRange, mixLabel(mix))
+		if opt.variant != "" {
+			label += " " + opt.variant
+		}
 		csvRecords = append(csvRecords, res.Record(label))
 	}
 	return res
@@ -71,11 +84,23 @@ func flushCSV(opt options) {
 	fmt.Printf("\n%d data points written to %s\n", len(csvRecords), opt.csvPath)
 }
 
-// avlSeeded builds a seeded AVL set on m.
-func avlSeeded(m *mem.Memory, keyRange uint64) *avl.Set {
-	set := avl.New(m)
-	harness.SeedSet(set, keyRange)
-	return set
+// A workload builds its structure on a fresh heap and returns its workers'
+// factory and the check the structure must pass once they have run.
+type workload func(*mem.Memory) (harness.WorkerFactory, func() error)
+
+// avlWorkload seeds an AVL set of keyRange keys for workers to run on; the
+// tree's invariants are its check.
+func avlWorkload(keyRange uint64, workers func(*avl.Set) harness.WorkerFactory) workload {
+	return func(m *mem.Memory) (harness.WorkerFactory, func() error) {
+		set := avl.New(m)
+		harness.SeedSet(set, keyRange)
+		return workers(set), func() error { return set.CheckInvariants(core.Direct(m)) }
+	}
+}
+
+// avlPoint is a point of one method over avlWorkload's set.
+func (o options) avlPoint(method string, threads int, keyRange uint64, workers func(*avl.Set) harness.WorkerFactory) *harness.Result {
+	return o.methodPoint(method, threads, harness.DefaultSetHeapWords(keyRange, threads)+1<<18, avlWorkload(keyRange, workers))
 }
 
 // newTable returns a tabwriter printing to stdout.
@@ -138,15 +163,31 @@ func warm(threads int) float64 {
 }
 
 // methodPoint is a point of one method on a fresh heap of words words:
-// workload builds its structure on the heap, then the method is built on it.
-func (o options) methodPoint(method string, threads, words int, workload func(*mem.Memory) harness.WorkerFactory) *harness.Result {
+// build lays its structure on the heap, then the method is built on it, and
+// every run's structure is checked once its workers stop.
+func (o options) methodPoint(method string, threads, words int, build workload) *harness.Result {
 	return o.point(threads, func() *harness.Result {
 		m := mem.New(words)
-		factory := workload(m)
-		return harness.Run(harness.MustBuildMethod(method, m, o.policy()), harness.Config{
+		factory, check := build(m)
+		res := harness.Run(harness.MustBuildMethod(method, m, o.policy()), harness.Config{
 			Threads: threads, Duration: o.dur, Seed: o.seed,
 		}, factory)
+		o.mustHold(method, threads, check())
+		return res
 	})
+}
+
+// mustHold ends the program with a non-zero status when a run's check
+// failed: a figure must not print numbers measured on a broken structure.
+func (o options) mustHold(method string, threads int, err error) {
+	if err == nil {
+		return
+	}
+	if o.variant != "" {
+		method += " " + o.variant
+	}
+	fmt.Fprintf(os.Stderr, "experiments: -fig %s, %s at T=%d: check failed: %v\n", o.fig, method, threads, err)
+	os.Exit(1)
 }
 
 // point is how every harness data point runs: warmed, o.runs times over a

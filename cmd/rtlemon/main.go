@@ -84,7 +84,6 @@ func main() {
 			Registry: reg,
 			Interval: *interval,
 			W:        os.Stdout,
-			Format:   "csv",
 		},
 	}, harness.SetWorkerFactory(set, harness.SetMix{InsertPct: *inserts, RemovePct: *removes}, *keyRange))
 

@@ -81,7 +81,7 @@
 //
 // See README.md for a tour, DESIGN.md for the architecture and the
 // hardware-substitution rationale, and EXPERIMENTS.md for the
-// paper-versus-measured record of every figure. The benchmarks in
-// bench_test.go and the cmd/experiments binary regenerate the paper's
-// evaluation; examples/ holds runnable programs against the public API.
+// paper-versus-measured record of every figure. The cmd/experiments binary
+// regenerates the paper's evaluation and the design ablations; examples/
+// holds runnable programs against the public API.
 package rtle

@@ -27,8 +27,8 @@ type Director struct {
 	// injected counts the faults the injectors decided to force,
 	// maintained live so tests and the fuzzer can see activity without
 	// quiescing threads. Capacity aborts caused by a squeeze are decided
-	// inside htm (the injector only shrinks the limit), so they appear in
-	// the Txs' Stats.Injected but not here.
+	// inside htm (the injector only shrinks the limit), so the Txs'
+	// LastAbortInjected reports them but this count does not.
 	injected [htm.NumReasons]atomic.Uint64
 }
 
@@ -123,9 +123,9 @@ type injector struct {
 	attempt int64 // this thread's attempt count (for NthEvery)
 }
 
-// count records an injected fault in the Director's live mirror. The Tx's
-// own Stats.Injected is bumped by htm.Run when the abort unwinds; this
-// mirror exists so fault activity is visible without quiescing threads.
+// count records an injected fault in the Director's live count. The Tx marks
+// the attempt (LastAbortInjected) when the abort unwinds; this count exists
+// so fault activity is visible without quiescing threads.
 func (in *injector) count(r htm.AbortReason) htm.AbortReason {
 	if r != htm.None {
 		in.d.injected[r].Add(1)

@@ -41,11 +41,11 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 	tx := htm.NewTx(m, htm.Config{NewInjector: d.NewInjector})
 	a := m.Alloc(1)
 	for i := 0; i < 100; i++ {
-		if r := tx.Run(func(tx *htm.Tx) { tx.Write(a, tx.Read(a)+1) }); r != htm.None {
-			t.Fatalf("attempt %d aborted: %v", i, r)
+		if r := tx.Run(func(tx *htm.Tx) { tx.Write(a, tx.Read(a)+1) }); r != htm.None || tx.LastAbortInjected() {
+			t.Fatalf("attempt %d: reason %v, injected %v", i, r, tx.LastAbortInjected())
 		}
 	}
-	if n := tx.Stats.TotalInjected(); n != 0 {
+	if n := d.TotalInjected(); n != 0 {
 		t.Fatalf("zero plan injected %d faults", n)
 	}
 }
@@ -67,12 +67,13 @@ func TestAccessProbAbortsFirstAccess(t *testing.T) {
 			first(tx)
 			reached = true
 		})
-		if r != htm.Spurious || reached {
-			t.Errorf("first access a %s: reason %v, body continued = %v; want spurious on the access itself", name, r, reached)
+		if r != htm.Spurious || reached || !tx.LastAbortInjected() {
+			t.Errorf("first access a %s: reason %v, body continued = %v, injected = %v; want an injected spurious abort on the access itself",
+				name, r, reached, tx.LastAbortInjected())
 		}
 	}
-	if m.Load(a) != 0 || tx.Stats.Aborts[htm.Spurious] != 2 || tx.Stats.Commits != 0 {
-		t.Fatalf("word = %d, stats = %+v", m.Load(a), tx.Stats)
+	if m.Load(a) != 0 {
+		t.Fatalf("word = %d, want 0", m.Load(a))
 	}
 }
 
@@ -91,13 +92,16 @@ func TestDirectorInstallsOnlyWhatThePlanUses(t *testing.T) {
 	m := mem.New(1 << 12)
 	a := m.AllocLines(1)
 	tx := htm.NewTx(m, pol.HTM)
+	spurious := 0
 	for i := 0; i < 1000; i++ {
-		tx.Run(func(tx *htm.Tx) { tx.Read(a) })
+		if tx.Run(func(tx *htm.Tx) { tx.Read(a) }) == htm.Spurious {
+			spurious++
+		}
 	}
 	if n := d.attempts.Load(); n != 0 {
 		t.Errorf("attempts = %d after 1000 attempts under a plan with no window rule, want 0", n)
 	}
-	if tx.Stats.Aborts[htm.Spurious] == 0 {
+	if spurious == 0 {
 		t.Error("AccessProb 0.01 aborted none of 1000 attempts")
 	}
 
@@ -208,9 +212,6 @@ func TestCapacitySqueeze(t *testing.T) {
 	if !tx.LastAbortInjected() {
 		t.Fatal("squeezed capacity abort not marked injected")
 	}
-	if tx.Stats.Injected[htm.Capacity] != 1 {
-		t.Fatalf("Stats.Injected[Capacity] = %d, want 1", tx.Stats.Injected[htm.Capacity])
-	}
 
 	// The same footprint passes with no squeeze configured.
 	d2 := NewDirector(Plan{Seed: 1, StormEvery: 1 << 30}) // active plan, windows never hit twice
@@ -267,8 +268,14 @@ func TestChaosConcurrentInjection(t *testing.T) {
 	m := mem.New(1 << 16)
 	base := m.AllocLines(8)
 
+	// Each thread tallies what its Runs return, and which of those aborts
+	// were injected.
+	type tally struct {
+		commits            int
+		aborts, injections [htm.NumReasons]int
+	}
 	var wg sync.WaitGroup
-	stats := make([]htm.Stats, threads)
+	tallies := make([]tally, threads)
 	for th := 0; th < threads; th++ {
 		wg.Add(1)
 		go func(th int) {
@@ -284,40 +291,47 @@ func TestChaosConcurrentInjection(t *testing.T) {
 						}
 					})
 					if r == htm.None {
+						tallies[th].commits++
 						break
+					}
+					tallies[th].aborts[r]++
+					if tx.LastAbortInjected() {
+						tallies[th].injections[r]++
 					}
 					// Model the fallback-lock acquisition so lock
 					// spikes fire too.
 					d.OnLockAcquired()
 				}
 			}
-			stats[th] = tx.Stats
 		}(th)
 	}
 	wg.Wait()
 
-	var total htm.Stats
-	for i := range stats {
-		total.Merge(&stats[i])
+	var total tally
+	for _, th := range tallies {
+		total.commits += th.commits
+		for r := range total.aborts {
+			total.aborts[r] += th.aborts[r]
+			total.injections[r] += th.injections[r]
+		}
 	}
-	if total.Commits != threads*ops {
-		t.Fatalf("commits = %d, want %d", total.Commits, threads*ops)
+	if total.commits != threads*ops {
+		t.Fatalf("commits = %d, want %d", total.commits, threads*ops)
 	}
-	if total.Starts != total.Commits+total.TotalAborts() {
-		t.Fatalf("starts %d != commits %d + aborts %d",
-			total.Starts, total.Commits, total.TotalAborts())
+	injected := 0
+	for r := range total.aborts {
+		if total.injections[r] > total.aborts[r] {
+			t.Fatalf("%v: injected %d exceeds its %d aborts", htm.AbortReason(r), total.injections[r], total.aborts[r])
+		}
+		injected += total.injections[r]
 	}
-	if total.TotalInjected() == 0 {
+	if injected == 0 {
 		t.Fatal("chaos plan injected nothing")
-	}
-	if total.TotalInjected() > total.TotalAborts() {
-		t.Fatalf("injected %d exceeds total aborts %d",
-			total.TotalInjected(), total.TotalAborts())
 	}
 	if d.TotalInjected() == 0 {
 		t.Fatal("director live counter saw no injected faults")
 	}
-	if total.Injected[htm.Spurious] == 0 || total.Injected[htm.Conflict] == 0 {
-		t.Fatalf("expected both spurious and conflict injections, got %v", total.Injected)
+	if total.injections[htm.Spurious] == 0 || total.injections[htm.Conflict] == 0 {
+		t.Fatalf("expected both spurious and conflict injections, got %v", total.injections)
 	}
 }

@@ -229,12 +229,3 @@ func (r *Result) ValidationsPerTx() float64 {
 	}
 	return float64(r.Total.Validations) / float64(r.Total.STMStarts)
 }
-
-// LockFallbackRate returns the fraction of atomic blocks that acquired the
-// lock (§6.4.2 reports it for ccTSA).
-func (r *Result) LockFallbackRate() float64 {
-	if r.Total.Ops == 0 {
-		return 0
-	}
-	return float64(r.Total.LockRuns) / float64(r.Total.Ops)
-}

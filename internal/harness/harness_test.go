@@ -197,8 +197,8 @@ func TestValidationsPerTxAndFallbackRate(t *testing.T) {
 	if got := r.ValidationsPerTx(); got != 3.0 {
 		t.Fatalf("ValidationsPerTx = %v, want 3", got)
 	}
-	if got := r.LockFallbackRate(); got != 0.25 {
-		t.Fatalf("LockFallbackRate = %v, want 0.25", got)
+	if got := r.Total.LockFallbackFraction(); got != 0.25 {
+		t.Fatalf("LockFallbackFraction = %v, want 0.25", got)
 	}
 }
 

@@ -2,41 +2,37 @@ package harness
 
 import (
 	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // Record is one experiment data point flattened for export: the
 // identifying axes, the paper-relevant derived metrics, and the raw
-// counters, suitable for plotting the figures from CSV/JSON without
-// re-running.
+// counters, suitable for plotting the figures from CSV without re-running.
 type Record struct {
-	Method  string  `json:"method"`
-	Threads int     `json:"threads"`
-	Label   string  `json:"label,omitempty"` // free-form axis (mix, key range, ...)
-	Seconds float64 `json:"seconds"`
+	Method  string
+	Threads int
+	Label   string // free-form axis (mix, key range, ...)
+	Seconds float64
 
-	Ops          uint64  `json:"ops"`
-	Throughput   float64 `json:"opsPerMs"`
-	FastCommits  uint64  `json:"fastCommits"`
-	SlowCommits  uint64  `json:"slowCommits"`
-	LockRuns     uint64  `json:"lockRuns"`
-	STMCommits   uint64  `json:"stmCommits"`
-	FastAborts   uint64  `json:"fastAborts"`
-	SlowAborts   uint64  `json:"slowAborts"`
-	LockHoldMs   float64 `json:"lockHoldMs"`
-	STMTimeMs    float64 `json:"stmTimeMs"`
-	SlowHTMTput  float64 `json:"slowHtmOpsPerMs"`
-	LockPathTput float64 `json:"lockPathOpsPerMs"`
-	Validations  float64 `json:"validationsPerTx"`
-	LockFallback float64 `json:"lockFallbackRate"`
+	Ops          uint64
+	Throughput   float64
+	FastCommits  uint64
+	SlowCommits  uint64
+	LockRuns     uint64
+	STMCommits   uint64
+	FastAborts   uint64
+	SlowAborts   uint64
+	LockHoldMs   float64
+	STMTimeMs    float64
+	SlowHTMTput  float64
+	LockPathTput float64
+	Validations  float64
+	LockFallback float64
 
 	// ParallelRatio is Result.ParallelRatio: the two-spinner reading taken
 	// before a multi-threaded point, 0 when none was.
-	ParallelRatio float64 `json:"parallelRatio"`
+	ParallelRatio float64
 }
 
 // Record flattens the result, labelling it with an axis description.
@@ -65,7 +61,7 @@ func (r *Result) Record(label string) Record {
 		SlowHTMTput:  r.SlowHTMThroughput(),
 		LockPathTput: r.LockPathThroughput(),
 		Validations:  r.ValidationsPerTx(),
-		LockFallback: r.LockFallbackRate(),
+		LockFallback: st.LockFallbackFraction(),
 
 		ParallelRatio: r.ParallelRatio,
 	}
@@ -103,22 +99,4 @@ func WriteCSV(w io.Writer, records []Record) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON emits records as a JSON array (indented).
-func WriteJSON(w io.Writer, records []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(records)
-}
-
-// Summary returns a one-line human-readable digest of the run, used by the
-// CLI tools.
-func (r *Result) Summary() string {
-	st := &r.Total
-	return fmt.Sprintf("%s T=%d: %.0f ops/ms (%d ops in %v; fast=%d slow=%d lock=%d stm=%d)",
-		r.Method, r.Threads, r.Throughput(), st.Ops,
-		r.Elapsed.Round(time.Millisecond),
-		st.FastCommits, st.SlowCommits, st.LockRuns,
-		st.STMCommitsHTM+st.STMCommitsLock+st.STMCommitsRO)
 }

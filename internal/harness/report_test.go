@@ -3,8 +3,6 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -60,30 +58,6 @@ func TestWriteCSVRoundTrips(t *testing.T) {
 	}
 	if rows[1][2] != "a" || rows[2][2] != "b" {
 		t.Fatalf("labels wrong: %v / %v", rows[1][2], rows[2][2])
-	}
-}
-
-func TestWriteJSONRoundTrips(t *testing.T) {
-	recs := []Record{sampleResult().Record("x")}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	var back []Record
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0] != recs[0] {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-}
-
-func TestSummaryMentionsEssentials(t *testing.T) {
-	s := sampleResult().Summary()
-	for _, want := range []string{"FG-TLE(256)", "T=4", "ops/ms"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary %q missing %q", s, want)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -20,11 +19,8 @@ type SampleConfig struct {
 	Registry *obs.Registry
 	// Interval is the sampling period (e.g. 100ms).
 	Interval time.Duration
-	// W receives one sample row per interval.
+	// W receives a CSV header row, then one sample row per interval.
 	W io.Writer
-	// Format is "csv" (default; header row then comma-separated values)
-	// or "json" (one object per line).
-	Format string
 }
 
 func (c SampleConfig) enabled() bool {
@@ -39,20 +35,6 @@ type Sampler struct {
 	done  sync.WaitGroup
 }
 
-// sampleRow is the JSON form of one sample.
-type sampleRow struct {
-	TMillis            int64   `json:"t_ms"`
-	Ops                uint64  `json:"ops"`
-	OpsPerMilli        float64 `json:"ops_per_ms"`
-	FastCommits        uint64  `json:"fast_commits"`
-	SlowCommits        uint64  `json:"slow_commits"`
-	LockRuns           uint64  `json:"lock_runs"`
-	STMCommits         uint64  `json:"stm_commits"`
-	AbortRate          float64 `json:"abort_rate"`
-	LockFallback       float64 `json:"lock_fallback"`
-	SubscriptionAborts uint64  `json:"subscription_aborts"`
-}
-
 // StartSampler begins periodic sampling; it returns nil when cfg disables
 // sampling. Call Stop to emit the final partial interval and shut down.
 func StartSampler(cfg SampleConfig) *Sampler {
@@ -60,9 +42,7 @@ func StartSampler(cfg SampleConfig) *Sampler {
 		return nil
 	}
 	s := &Sampler{cfg: cfg, start: time.Now(), stop: make(chan struct{})}
-	if cfg.Format != "json" {
-		fmt.Fprintln(cfg.W, "t_ms,ops,ops_per_ms,fast_commits,slow_commits,lock_runs,stm_commits,abort_rate,lock_fallback,subscription_aborts")
-	}
+	fmt.Fprintln(cfg.W, "t_ms,ops,ops_per_ms,fast_commits,slow_commits,lock_runs,stm_commits,abort_rate,lock_fallback,subscription_aborts")
 	// Reset the delta baseline to now, so the first row covers only the
 	// sampled window.
 	cfg.Registry.Snapshot()
@@ -96,24 +76,9 @@ func (s *Sampler) Stop() {
 
 func (s *Sampler) emit() {
 	d := s.cfg.Registry.DeltaSince()
-	row := sampleRow{
-		TMillis:            time.Since(s.start).Milliseconds(),
-		Ops:                d.Stats.Ops,
-		OpsPerMilli:        d.Throughput() / 1e3,
-		FastCommits:        d.Stats.FastCommits,
-		SlowCommits:        d.Stats.SlowCommits,
-		LockRuns:           d.Stats.LockRuns,
-		STMCommits:         d.Stats.STMCommitsHTM + d.Stats.STMCommitsLock + d.Stats.STMCommitsRO,
-		AbortRate:          d.AbortRate(),
-		LockFallback:       d.Stats.LockFallbackFraction(),
-		SubscriptionAborts: d.Stats.SubscriptionAborts,
-	}
-	if s.cfg.Format == "json" {
-		_ = json.NewEncoder(s.cfg.W).Encode(row)
-		return
-	}
+	st := &d.Stats
 	fmt.Fprintf(s.cfg.W, "%d,%d,%.3f,%d,%d,%d,%d,%.4f,%.4f,%d\n",
-		row.TMillis, row.Ops, row.OpsPerMilli, row.FastCommits,
-		row.SlowCommits, row.LockRuns, row.STMCommits,
-		row.AbortRate, row.LockFallback, row.SubscriptionAborts)
+		time.Since(s.start).Milliseconds(), st.Ops, d.Throughput()/1e3, st.FastCommits,
+		st.SlowCommits, st.LockRuns, st.STMCommitsHTM+st.STMCommitsLock+st.STMCommitsRO,
+		d.AbortRate(), st.LockFallbackFraction(), st.SubscriptionAborts)
 }

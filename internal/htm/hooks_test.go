@@ -135,41 +135,49 @@ func TestOnlyInterleaveEveryYieldsOnReadAndWrite(t *testing.T) {
 
 // TestHookFreeTxMatchesPassingHooks runs the same bodies — commits, an
 // explicit abort, a capacity abort — on a Tx with no hook and on one with
-// both installed but never firing, and requires identical outcomes,
-// Stats and heap contents.
+// both installed but never firing, and requires identical outcomes, injected
+// marks and heap contents.
 func TestHookFreeTxMatchesPassingHooks(t *testing.T) {
 	passing := Config{
 		WriteLines:      2,
 		NewInjector:     func() Injector { return &recordingInjector{} },
 		InterleaveEvery: 2,
 	}
-	run := func(cfg Config) ([]AbortReason, Stats, []uint64) {
+	run := func(cfg Config) ([]AbortReason, []bool, []uint64) {
 		m := mem.New(1 << 12)
 		a, b, c := m.AllocLines(1), m.AllocLines(1), m.AllocLines(1)
 		tx := NewTx(m, cfg)
 		var reasons []AbortReason
-		for i := 0; i < 4; i++ {
-			reasons = append(reasons, tx.Run(mixedBody(a, b)))
+		var injected []bool
+		record := func(r AbortReason) {
+			reasons = append(reasons, r)
+			injected = append(injected, tx.LastAbortInjected())
 		}
-		reasons = append(reasons, tx.Run(func(tx *Tx) {
+		for i := 0; i < 4; i++ {
+			record(tx.Run(mixedBody(a, b)))
+		}
+		record(tx.Run(func(tx *Tx) {
 			tx.Write(a, 99)
 			tx.Abort()
 		}))
-		reasons = append(reasons, tx.Run(func(tx *Tx) {
+		record(tx.Run(func(tx *Tx) {
 			tx.Write(a, 1)
 			tx.Write(b, 2)
 			tx.Write(c, 3) // third line: over WriteLines
 		}))
-		return reasons, tx.Stats, []uint64{m.Load(a), m.Load(b), m.Load(c)}
+		return reasons, injected, []uint64{m.Load(a), m.Load(b), m.Load(c)}
 	}
-	freeReasons, freeStats, freeHeap := run(Config{WriteLines: 2})
-	hookReasons, hookStats, hookHeap := run(passing)
+	freeReasons, freeInjected, freeHeap := run(Config{WriteLines: 2})
+	hookReasons, hookInjected, hookHeap := run(passing)
 	want := []AbortReason{None, None, None, None, Explicit, Capacity}
 	if !slices.Equal(freeReasons, want) {
 		t.Fatalf("hook-free outcomes %v, want %v", freeReasons, want)
 	}
-	if !slices.Equal(hookReasons, freeReasons) || hookStats != freeStats || !slices.Equal(hookHeap, freeHeap) {
-		t.Fatalf("hook-free and passing-hook runs differ:\n free: %v %+v %v\n hook: %v %+v %v",
-			freeReasons, freeStats, freeHeap, hookReasons, hookStats, hookHeap)
+	if slices.Contains(freeInjected, true) {
+		t.Fatalf("a hook-free run reported an injected abort: %v", freeInjected)
+	}
+	if !slices.Equal(hookReasons, freeReasons) || !slices.Equal(hookInjected, freeInjected) || !slices.Equal(hookHeap, freeHeap) {
+		t.Fatalf("hook-free and passing-hook runs differ:\n free: %v %v %v\n hook: %v %v %v",
+			freeReasons, freeInjected, freeHeap, hookReasons, hookInjected, hookHeap)
 	}
 }

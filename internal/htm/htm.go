@@ -142,44 +142,6 @@ const (
 	DefaultWriteLines = 128
 )
 
-// Stats counts transaction outcomes for one Tx (one thread).
-type Stats struct {
-	Starts  uint64
-	Commits uint64
-	Aborts  [NumReasons]uint64
-	// Injected breaks down, by reason, the subset of Aborts that were
-	// forced by the configured Injector rather than arising organically.
-	Injected [NumReasons]uint64
-}
-
-// TotalAborts sums aborts across reasons.
-func (s *Stats) TotalAborts() uint64 {
-	var t uint64
-	for _, v := range s.Aborts {
-		t += v
-	}
-	return t
-}
-
-// TotalInjected sums injected aborts across reasons.
-func (s *Stats) TotalInjected() uint64 {
-	var t uint64
-	for _, v := range s.Injected {
-		t += v
-	}
-	return t
-}
-
-// Merge adds other into s.
-func (s *Stats) Merge(other *Stats) {
-	s.Starts += other.Starts
-	s.Commits += other.Commits
-	for i := range s.Aborts {
-		s.Aborts[i] += other.Aborts[i]
-		s.Injected[i] += other.Injected[i]
-	}
-}
-
 // abortSignal is the private panic value used to unwind an aborting
 // transaction back to Run.
 type abortSignal struct{ reason AbortReason }
@@ -193,6 +155,11 @@ type lineVer struct {
 // be shared between goroutines. Accessor methods (Read, Write, Abort,
 // Unsupported) may only be called from inside the body passed to Run.
 type Tx struct {
+	// Txs are allocated back to back, one per thread, and every attempt
+	// writes the struct's tail; as in core.Exec, a line of padding in front
+	// keeps the previous Tx's tail off this one's read-mostly head.
+	_ [64]byte
+
 	m   *mem.Memory
 	cfg Config
 
@@ -212,16 +179,12 @@ type Tx struct {
 	// them below the configured ones at begin).
 	effReadLines  int
 	effWriteLines int
-	// injecting marks that the abort currently unwinding was forced by
-	// the injector; lastInjected publishes it for the finished attempt.
-	injecting    bool
+	// lastInjected marks that the attempt's abort was forced by the
+	// injector (injectAbort sets it as the abort starts to unwind).
 	lastInjected bool
 	// lastCommitVer is the serialization version of the last committed
 	// attempt (see CommitVersion).
 	lastCommitVer uint64
-
-	// Stats accumulates outcomes across all Run calls on this Tx.
-	Stats Stats
 }
 
 // checkAddressable panics if a heap of the given size has addresses the
@@ -297,11 +260,6 @@ func (t *Tx) Run(body func(*Tx)) (reason AbortReason) {
 		if r := recover(); r != nil {
 			if sig, ok := r.(abortSignal); ok {
 				reason = sig.reason
-				t.Stats.Aborts[sig.reason]++
-				if t.injecting {
-					t.Stats.Injected[sig.reason]++
-					t.lastInjected = true
-				}
 				return
 			}
 			panic(r)
@@ -314,13 +272,7 @@ func (t *Tx) Run(body func(*Tx)) (reason AbortReason) {
 			t.injectAbort(r)
 		}
 	}
-	reason = t.commit()
-	if reason == None {
-		t.Stats.Commits++
-	} else {
-		t.Stats.Aborts[reason]++
-	}
-	return reason
+	return t.commit()
 }
 
 func (t *Tx) begin() {
@@ -329,9 +281,7 @@ func (t *Tx) begin() {
 	t.snapshot = t.m.ClockLoad()
 	t.effReadLines = t.cfg.ReadLines
 	t.effWriteLines = t.cfg.WriteLines
-	t.injecting = false
 	t.lastInjected = false
-	t.Stats.Starts++
 }
 
 // injectBegin consults the injector's begin hook: capacity squeezes shrink
@@ -355,11 +305,10 @@ func (t *Tx) injectBegin() {
 	}
 }
 
-// injectAbort unwinds the attempt with an injector-forced reason, marking
-// it so Stats.Injected and LastAbortInjected can distinguish it from an
-// organic abort of the same reason.
+// injectAbort unwinds the attempt with an injector-forced reason, marking it
+// so LastAbortInjected can tell it from an organic abort of the same reason.
 func (t *Tx) injectAbort(reason AbortReason) {
-	t.injecting = true
+	t.lastInjected = true
 	t.abort(reason)
 }
 

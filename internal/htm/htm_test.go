@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rtle/internal/mem"
 )
@@ -250,36 +251,29 @@ func TestNoSpuriousWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestStatsCounting: a caller's tally of what Run returns — the only
+// outcome record a Tx keeps is its return value — books one commit and one
+// abort per reason, none of them injected.
 func TestStatsCounting(t *testing.T) {
 	m := newHeap()
 	a := m.Alloc(1)
 	tx := NewTx(m, Config{})
-	tx.Run(func(tx *Tx) { tx.Write(a, 1) })
-	tx.Run(func(tx *Tx) { tx.Abort() })
-	tx.Run(func(tx *Tx) { tx.Unsupported() })
-	if tx.Stats.Starts != 3 {
-		t.Errorf("Starts = %d, want 3", tx.Stats.Starts)
+	var outcomes [NumReasons]int
+	for _, body := range []func(*Tx){
+		func(tx *Tx) { tx.Write(a, 1) },
+		func(tx *Tx) { tx.Abort() },
+		func(tx *Tx) { tx.Unsupported() },
+	} {
+		outcomes[tx.Run(body)]++
+		if tx.LastAbortInjected() {
+			t.Error("an organic outcome reported as injected")
+		}
 	}
-	if tx.Stats.Commits != 1 {
-		t.Errorf("Commits = %d, want 1", tx.Stats.Commits)
+	if outcomes[None] != 1 || outcomes[Explicit] != 1 || outcomes[Unsupported] != 1 {
+		t.Errorf("outcome breakdown wrong: %v", outcomes)
 	}
-	if tx.Stats.Aborts[Explicit] != 1 || tx.Stats.Aborts[Unsupported] != 1 {
-		t.Errorf("abort breakdown wrong: %v", tx.Stats.Aborts)
-	}
-	if tx.Stats.TotalAborts() != 2 {
-		t.Errorf("TotalAborts = %d, want 2", tx.Stats.TotalAborts())
-	}
-}
-
-func TestStatsMerge(t *testing.T) {
-	var a, b Stats
-	a.Starts, a.Commits = 3, 2
-	a.Aborts[Conflict] = 1
-	b.Starts, b.Commits = 5, 4
-	b.Aborts[Conflict] = 1
-	a.Merge(&b)
-	if a.Starts != 8 || a.Commits != 6 || a.Aborts[Conflict] != 2 {
-		t.Fatalf("merge wrong: %+v", a)
+	if m.Load(a) != 1 {
+		t.Errorf("word = %d, want the one commit's 1", m.Load(a))
 	}
 }
 
@@ -518,4 +512,13 @@ func TestFootprintReporting(t *testing.T) {
 			t.Errorf("WriteSetLines = %d, want 1", tx.WriteSetLines())
 		}
 	})
+}
+
+// TestTxStartsALineIn: Txs are allocated back to back and every attempt
+// writes a Tx's tail, so the fields after the head pad must start a full
+// 64-byte cache line in.
+func TestTxStartsALineIn(t *testing.T) {
+	if off := unsafe.Offsetof(Tx{}.m); off < 64 {
+		t.Fatalf("Tx's first live field is %d bytes in; it must be at least a 64-byte cache line", off)
+	}
 }
