@@ -36,11 +36,11 @@ func fig11(opt options) {
 // HTM-unfriendly Insert/Remove (it always falls back to the lock) while
 // the remaining threads run Find — total throughput per method.
 func fig12(opt options) {
-	opt.header("Fig. 12: HTM-unfriendly thread + readers, AVL key range 65536 (ops/ms)")
 	keyRange := uint64(65536)
 	if opt.quick {
 		keyRange = 8192
 	}
+	opt.header(fmt.Sprintf("Fig. 12: HTM-unfriendly thread + readers, AVL key range %d (ops/ms)", keyRange))
 	methods := []string{"Lock", "TLE", "RW-TLE", "FG-TLE(1)", "FG-TLE(16)",
 		"FG-TLE(256)", "FG-TLE(4096)", "FG-TLE(8192)", "NOrec", "RHNOrec"}
 	if opt.quick {

@@ -59,7 +59,12 @@
 // WithObserver attaches a Registry — live coherent snapshots readable at
 // any moment during a run, with per-path latency histograms,
 // path-transition traces, and Prometheus/JSON export (see internal/obs
-// and cmd/rtlemon).
+// and cmd/rtlemon). An observed thread copies its Stats into a slot the
+// Registry reads at the end of every atomic block, and times one block in
+// 16. On avl_mixed's shape (FG-TLE(256), two threads) observer-on ÷
+// observer-off reads 0.95–0.97, against 0.81–0.83 when every event was
+// mirrored into atomic counters (three sets each, of 30, 60 and 40
+// alternated pairs).
 //
 // # Repository layout
 //

@@ -91,12 +91,13 @@ func main() {
 	//    is safe to call at any moment — including while the workers
 	//    above were still running — and stays coherent (commits never
 	//    exceed ops). It adds what quiescent stats cannot offer:
-	//    per-path latency histograms and a path-transition trace.
+	//    per-path latency histograms (one block in 16 is timed) and a
+	//    path-transition trace.
 	snap := reg.Snapshot()
 	fmt.Printf("registry: %d ops across %d threads agree with merged stats: %v\n",
 		snap.Stats.Ops, snap.Threads, snap.Stats == total)
 	fast := snap.Latency[rtle.PathFast]
-	fmt.Printf("  mean fast-path latency: %.0fns over %d ops\n", fast.MeanNanos(), fast.Count)
+	fmt.Printf("  mean fast-path latency: %.0fns over %d sampled ops\n", fast.MeanNanos(), fast.Count)
 	fmt.Printf("  path transitions traced: %d\n", len(snap.Trace))
 
 	if err := set.CheckInvariants(rtle.Direct(m)); err != nil {

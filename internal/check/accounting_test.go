@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -10,7 +11,6 @@ import (
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
-	"rtle/internal/obs"
 	"rtle/internal/spinlock"
 )
 
@@ -116,6 +116,18 @@ func buildElider(t *testing.T, name string, m *mem.Memory, p core.Policy) elider
 	}
 }
 
+// waitInFrame waits until some goroutine's stack holds a call of fn.
+func waitInFrame(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn)) {
+			return
+		}
+	}
+	t.Fatalf("no goroutine reached %s", fn)
+}
+
 // TestAccountingConformance runs the same scripted sections through every
 // instantiation of Figure 1's loop — the five elision methods (one loop in
 // internal/core) and the three guard entry points (one loop in
@@ -163,8 +175,7 @@ func TestAccountingConformance(t *testing.T) {
 		for _, sc := range scenarios {
 			t.Run(e.name+"/"+sc.name, func(t *testing.T) {
 				m := mem.New(1 << 16)
-				reg := obs.NewRegistry(obs.Config{})
-				el := buildElider(t, e.name, m, core.Policy{Attempts: budget, Observer: reg})
+				el := buildElider(t, e.name, m, core.Policy{Attempts: budget})
 				word := m.AllocLines(1)
 				m.Store(word, 42)
 
@@ -193,10 +204,9 @@ func TestAccountingConformance(t *testing.T) {
 						el.run(body)
 					}()
 					if e.class == hardware {
-						// Release only once the doomed attempt has aborted.
-						for reg.Snapshot().Stats.SubscriptionAborts == 0 {
-							runtime.Gosched()
-						}
+						// Release only once the doomed attempt has aborted
+						// and the section queues for the lock.
+						waitInFrame(t, "spinlock.(*Lock).Acquire")
 					} else {
 						// A waiter shows nothing while it waits; give it
 						// time to reach the lock. The counts hold either way.

@@ -106,12 +106,12 @@ type Policy struct {
 	// AIMD policy in the spirit of the paper's references [12, 13]
 	// (see AttemptPolicy). Attempts then seeds the initial budget.
 	AdaptiveAttempts bool
-	// Observer, when non-nil, receives every thread's execution events
-	// live (commits per path, aborts per reason, latencies, lock-hold
-	// time), so metrics can be read while workers run instead of only
-	// after they quiesce. internal/obs provides the standard Registry
-	// implementation. Nil disables observation at the cost of one nil
-	// check per event.
+	// Observer, when non-nil, hands every thread a Slot into which the
+	// thread publishes its Stats at the end of each atomic block, with the
+	// latency of one block in 16, so metrics can be read while workers run
+	// instead of only after they quiesce. internal/obs provides the
+	// standard Registry implementation. Nil disables observation at the
+	// cost of one nil check per block.
 	Observer Observer
 	// HTM configures the simulated hardware (capacities, fault
 	// injection).

@@ -102,14 +102,17 @@ func (e *Exec) AcquireLock() time.Time {
 // (a guard writer also waits out its readers) call it themselves.
 func (e *Exec) BeginHold() time.Time {
 	e.Rec.LockAcquired()
-	return holdEpoch.Add(time.Since(holdEpoch))
+	return epoch.Add(time.Since(epoch))
 }
 
-// holdEpoch anchors the start times BeginHold hands out: its only consumer
-// is ReleaseLock's time.Since, which reads the monotonic clock alone, and
-// Since-then-Add reaches the same instant without time.Now's wall-clock
-// read — inside every critical section of every lock-based method.
-var holdEpoch = time.Now()
+// epoch anchors the monotonic clock reads of this package: the start times
+// BeginHold hands out, whose only consumer is ReleaseLock's time.Since, and
+// the sampled block latencies of Recorder. time.Since reads the monotonic
+// clock alone, so both skip time.Now's wall-clock read.
+var epoch = time.Now()
+
+// sinceEpoch returns the nanoseconds elapsed since epoch.
+func sinceEpoch() int64 { return int64(time.Since(epoch)) }
 
 // ReleaseLock accounts the hold that began at start and releases the lock.
 func (e *Exec) ReleaseLock(start time.Time) {

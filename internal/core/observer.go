@@ -1,14 +1,18 @@
 package core
 
-import "rtle/internal/htm"
+import (
+	"math/bits"
+	"sync"
+)
 
-// This file defines the live-observability hook points. A Method's threads
-// keep their quiescent per-thread Stats exactly as before; when
-// Policy.Observer is set, every accounting event is additionally forwarded
-// to a per-thread ThreadObserver, which can publish it through atomic
-// counters so an aggregator (internal/obs) can read a coherent view at any
-// time — without stopping the workers. With Policy.Observer nil the hooks
-// cost one nil check per event.
+// This file defines what a thread publishes for live observability. A
+// Method's threads count into their plain per-thread Stats; when
+// Policy.Observer is set, every thread also gets a Slot from it and, at the
+// end of every atomic block, copies its Stats into the slot under the
+// slot's own mutex. An aggregator (internal/obs) reads the slots at any
+// time without stopping the workers, and every copy it reads is one
+// thread's state at a block boundary. With Policy.Observer nil a block
+// pays one nil check.
 
 // Path identifies one of the execution paths an atomic block can take, the
 // axis along which the paper's evaluation (Figs. 5–10) breaks every
@@ -96,58 +100,98 @@ func (k CommitKind) String() string {
 	return "unknown"
 }
 
-// ThreadObserver receives the live execution events of one Thread. Each
-// instance is driven by exactly one goroutine (the thread's), but its state
-// may be read concurrently by aggregators, so implementations must publish
-// through atomics or equivalent.
-//
-// Event ordering contract (what makes concurrent snapshots coherent): a
-// thread emits Attempt before the matching Op or Abort, and exactly one Op
-// per completed atomic block. An implementation that increments its Ops
-// counter before its per-kind commit counter, and whose reader loads the
-// commit counters before the Ops counter, therefore always observes
-// TotalCommits <= Ops and Attempts >= Commits+Aborts per path.
+// ThreadObserver is the one live hook a thread calls: PathChanged runs at
+// the end of an atomic block that completed on a different path from the
+// thread's previous block — the path transitions obs's trace ring samples.
+// The thread's goroutine calls it, outside the slot's mutex.
 type ThreadObserver interface {
-	// Op records one completed atomic block: the bucket it committed in
-	// and the wall-clock latency of the whole Atomic call (including all
-	// aborted speculative attempts).
-	Op(k CommitKind, latencyNanos int64)
-	// ExtraCommit records a commit-bucket increment that does not retire
-	// an additional atomic block. Only ALE uses it: its software sections
-	// count both a lock run (the Op) and an STM commit bucket, mirroring
-	// how its Stats double-book those paths.
-	ExtraCommit(k CommitKind)
-	// Attempt records a transaction attempt beginning on p: PathFast and
-	// PathSlow for hardware attempts, PathSTM for software-transaction
-	// starts (Stats.STMStarts).
-	Attempt(p Path)
-	// Abort records a failed hardware attempt on p (PathFast or
-	// PathSlow). subscription is true when a fast-path attempt aborted
-	// because the lock was observed held after transaction begin;
-	// injected is true when the abort was forced by a fault injector
-	// (htm.Injector) rather than arising organically.
-	Abort(p Path, reason htm.AbortReason, subscription, injected bool)
-	// STMAbort records a software-transaction validation failure.
-	STMAbort()
-	// Validation records one value-based read-set validation (Fig. 10).
-	Validation()
-	// LockHold adds nanos of lock-hold time (Fig. 7).
-	LockHold(nanos int64)
-	// STMTime adds nanos spent inside software transactions (Fig. 8).
-	STMTime(nanos int64)
-	// Resize records an adaptive FG-TLE orec-array resize.
-	Resize()
-	// ModeSwitch records a mode change (Stats.ModeSwitches).
-	ModeSwitch()
+	PathChanged(from, to Path, k CommitKind)
 }
 
-// Observer hands out per-thread observers. Implementations must be safe
-// for concurrent ObserveThread calls (threads can be created while others
-// run). internal/obs provides the standard implementation (Registry).
+// Observer hands out the slots threads publish into. Implementations must
+// be safe for concurrent ObserveThread calls (threads can be created while
+// others run). internal/obs provides the standard implementation
+// (Registry).
 type Observer interface {
-	// ObserveThread returns the observer for a newly created thread of
-	// the named method.
-	ObserveThread(method string) ThreadObserver
+	// ObserveThread returns the slot for a newly created thread of the
+	// named method.
+	ObserveThread(method string) *Slot
+}
+
+// Slot is where one thread publishes: a copy of its Stats as of the end of
+// its latest atomic block, and the latency histograms of its sampled
+// blocks (one in sampleEvery, see Recorder.Begin). The owning thread
+// writes it under mu once per block; Read takes the same mutex, which no
+// one else contends, so a reader never waits on a block in flight.
+type Slot struct {
+	mu      sync.Mutex
+	stats   Stats
+	latency [NumPaths]Latency
+
+	paths ThreadObserver // called by the owning thread; nil for none
+}
+
+// NewSlot returns an empty slot whose thread reports its path transitions
+// to paths (nil for none).
+func NewSlot(paths ThreadObserver) *Slot { return &Slot{paths: paths} }
+
+// Read returns the slot's latest copy of its thread's Stats and latency
+// histograms, indexed by Path.
+func (s *Slot) Read() (Stats, [NumPaths]Latency) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats, s.latency
+}
+
+// publish copies st — whose latest block retired on path p and, when
+// sampled, took latency nanos (negative: not sampled) — into the slot.
+func (s *Slot) publish(st *Stats, p Path, nanos int64) {
+	s.mu.Lock()
+	s.stats = *st
+	if nanos >= 0 {
+		s.latency[p].Observe(nanos)
+	}
+	s.mu.Unlock()
+}
+
+// NumLatencyBuckets is the number of log2-spaced histogram buckets. Bucket i
+// counts latencies in [2^i, 2^(i+1)) nanoseconds (bucket 0 also absorbs 0),
+// so 64 buckets cover every int64 nanosecond value.
+const NumLatencyBuckets = 64
+
+// LatencyBucket maps a latency to its histogram bucket: floor(log2(n)),
+// clamped.
+func LatencyBucket(nanos int64) int {
+	if nanos <= 0 {
+		return 0
+	}
+	return min(bits.Len64(uint64(nanos))-1, NumLatencyBuckets-1)
+}
+
+// Latency is a plain log2 latency histogram, written by one goroutine at a
+// time.
+type Latency struct {
+	// Counts[i] holds observations that fell in [2^i, 2^(i+1))
+	// nanoseconds.
+	Counts [NumLatencyBuckets]uint64 `json:"counts"`
+	// Count and SumNanos give the total observations and nanoseconds.
+	Count    uint64 `json:"count"`
+	SumNanos int64  `json:"sum_nanos"`
+}
+
+// Observe records one latency sample.
+func (l *Latency) Observe(nanos int64) {
+	l.Counts[LatencyBucket(nanos)]++
+	l.Count++
+	l.SumNanos += nanos
+}
+
+// MeanNanos returns the mean latency, or 0 with no observations.
+func (l *Latency) MeanNanos() float64 {
+	if l.Count == 0 {
+		return 0
+	}
+	return float64(l.SumNanos) / float64(l.Count)
 }
 
 // LockFaultHook is the pessimistic-path half of fault injection: every

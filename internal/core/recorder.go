@@ -1,31 +1,32 @@
 package core
 
-import (
-	"time"
+import "rtle/internal/htm"
 
-	"rtle/internal/htm"
-)
-
-// Recorder couples a thread's quiescent Stats with the optional live
-// observer shard, so the two cannot drift: every accounting event flows
-// through exactly one Recorder method, which updates the plain counters and
-// forwards the event to the ThreadObserver when one is attached. With no
-// observer each method reduces to the bare field increments the threads
-// performed before observability existed, plus one nil check.
+// Recorder is a thread's accounting: every event flows through exactly one
+// Recorder method, which updates the thread's plain Stats. When the policy
+// names an Observer, the method that retires an atomic block also publishes
+// the Stats into the thread's Slot, with the block's latency when the block
+// was sampled; with no observer it costs one nil check per block.
 //
 // It is exported because the STM and hybrid methods outside this package
 // (internal/norec, internal/rhnorec) account through it too.
 type Recorder struct {
 	stats     Stats
-	obs       ThreadObserver // nil when Policy.Observer is unset
-	lockFault LockFaultHook  // nil when Policy.LockFault is unset
+	slot      *Slot         // nil when Policy.Observer is unset
+	lockFault LockFaultHook // nil when Policy.LockFault is unset
+	last      Path          // path of the latest block, when observed
 }
+
+// sampleEvery is the latency sampling period: a thread times its 1st,
+// (sampleEvery+1)th, ... atomic block, so a thread with n blocks
+// contributes ceil(n/sampleEvery) latency observations.
+const sampleEvery = 16
 
 // NewRecorder builds the recorder for one thread of the named method.
 func NewRecorder(p Policy, method string) Recorder {
 	var r Recorder
 	if p.Observer != nil {
-		r.obs = p.Observer.ObserveThread(method)
+		r.slot = p.Observer.ObserveThread(method)
 	}
 	r.lockFault = p.LockFault
 	return r
@@ -43,38 +44,25 @@ func (r *Recorder) LockAcquired() {
 // Stats exposes the quiescent counters (Thread.Stats).
 func (r *Recorder) Stats() *Stats { return &r.stats }
 
-// Begin returns the atomic block's start time for latency accounting, or 0
-// when observation is disabled (the clock is then never read).
+// Begin returns the atomic block's start on the monotonic epoch (see
+// sinceEpoch), plus one so that it is never 0, when the block is sampled
+// for latency; 0 when it is not or observation is disabled (the clock is
+// then not read).
 func (r *Recorder) Begin() int64 {
-	if r.obs == nil {
+	if r.slot == nil || r.stats.Ops%sampleEvery != 0 {
 		return 0
 	}
-	return time.Now().UnixNano()
+	return sinceEpoch() + 1
 }
 
 // FastAttempt records a fast-path hardware attempt beginning.
-func (r *Recorder) FastAttempt() {
-	r.stats.FastAttempts++
-	if r.obs != nil {
-		r.obs.Attempt(PathFast)
-	}
-}
+func (r *Recorder) FastAttempt() { r.stats.FastAttempts++ }
 
 // SlowAttempt records a slow-path hardware attempt beginning.
-func (r *Recorder) SlowAttempt() {
-	r.stats.SlowAttempts++
-	if r.obs != nil {
-		r.obs.Attempt(PathSlow)
-	}
-}
+func (r *Recorder) SlowAttempt() { r.stats.SlowAttempts++ }
 
 // STMStart records a software-transaction attempt beginning.
-func (r *Recorder) STMStart() {
-	r.stats.STMStarts++
-	if r.obs != nil {
-		r.obs.Attempt(PathSTM)
-	}
-}
+func (r *Recorder) STMStart() { r.stats.STMStarts++ }
 
 // FastAbort records a failed fast-path attempt; subscription marks aborts
 // caused by observing the lock held after transaction begin, injected ones
@@ -87,9 +75,6 @@ func (r *Recorder) FastAbort(reason htm.AbortReason, subscription, injected bool
 	if injected {
 		r.stats.InjectedAborts[reason]++
 	}
-	if r.obs != nil {
-		r.obs.Abort(PathFast, reason, subscription, injected)
-	}
 }
 
 // SlowAbort records a failed slow-path attempt.
@@ -98,50 +83,22 @@ func (r *Recorder) SlowAbort(reason htm.AbortReason, injected bool) {
 	if injected {
 		r.stats.InjectedAborts[reason]++
 	}
-	if r.obs != nil {
-		r.obs.Abort(PathSlow, reason, false, injected)
-	}
 }
 
 // STMAbort records a software-transaction validation failure.
-func (r *Recorder) STMAbort() {
-	r.stats.STMAborts++
-	if r.obs != nil {
-		r.obs.STMAbort()
-	}
-}
+func (r *Recorder) STMAbort() { r.stats.STMAborts++ }
 
 // Validation records one value-based read-set validation.
-func (r *Recorder) Validation() {
-	r.stats.Validations++
-	if r.obs != nil {
-		r.obs.Validation()
-	}
-}
+func (r *Recorder) Validation() { r.stats.Validations++ }
 
 // LockHold adds nanos of lock-hold time.
-func (r *Recorder) LockHold(nanos int64) {
-	r.stats.LockHoldNanos += nanos
-	if r.obs != nil {
-		r.obs.LockHold(nanos)
-	}
-}
+func (r *Recorder) LockHold(nanos int64) { r.stats.LockHoldNanos += nanos }
 
 // Resize records an adaptive FG-TLE orec-array resize.
-func (r *Recorder) Resize() {
-	r.stats.Resizes++
-	if r.obs != nil {
-		r.obs.Resize()
-	}
-}
+func (r *Recorder) Resize() { r.stats.Resizes++ }
 
 // ModeSwitch records a mode change (Stats.ModeSwitches).
-func (r *Recorder) ModeSwitch() {
-	r.stats.ModeSwitches++
-	if r.obs != nil {
-		r.obs.ModeSwitch()
-	}
-}
+func (r *Recorder) ModeSwitch() { r.stats.ModeSwitches++ }
 
 // addCommit bumps the Stats counter matching a commit bucket.
 func (s *Stats) addCommit(k CommitKind) {
@@ -161,13 +118,27 @@ func (s *Stats) addCommit(k CommitKind) {
 	}
 }
 
-// commit retires one atomic block in bucket k. t0 is the Begin() value.
+// commit retires one atomic block in bucket k, t0 being its Begin value.
+// When the thread is observed it publishes the thread's Stats — this is the
+// last accounting a block does, so every published copy is the thread's
+// state at a block boundary — and then reports a change of path.
 func (r *Recorder) commit(k CommitKind, t0 int64) {
 	r.stats.Ops++
 	r.stats.addCommit(k)
-	if r.obs != nil {
-		r.obs.Op(k, time.Now().UnixNano()-t0)
+	s := r.slot
+	if s == nil {
+		return
 	}
+	nanos := int64(-1)
+	if t0 != 0 {
+		nanos = sinceEpoch() + 1 - t0
+	}
+	p := k.Path()
+	s.publish(&r.stats, p, nanos)
+	if s.paths != nil && r.stats.Ops > 1 && p != r.last {
+		s.paths.PathChanged(r.last, p, k)
+	}
+	r.last = p
 }
 
 // FastCommit retires an atomic block that committed on the fast path.
@@ -184,17 +155,10 @@ func (r *Recorder) LockCommit(t0 int64) { r.commit(CommitLock, t0) }
 // software attempts (Stats.STMTimeNanos).
 func (r *Recorder) STMDone(k CommitKind, t0 int64, stmNanos int64) {
 	r.stats.STMTimeNanos += stmNanos
-	if r.obs != nil {
-		r.obs.STMTime(stmNanos)
-	}
 	r.commit(k, t0)
 }
 
-// ExtraCommit bumps a commit bucket without retiring an atomic block (see
-// ThreadObserver.ExtraCommit; only ALE's dual-booked software sections).
-func (r *Recorder) ExtraCommit(k CommitKind) {
-	r.stats.addCommit(k)
-	if r.obs != nil {
-		r.obs.ExtraCommit(k)
-	}
-}
+// ExtraCommit bumps a commit bucket without retiring an atomic block: only
+// ALE's software sections, which its Stats book both as a lock run and in
+// an STM commit bucket.
+func (r *Recorder) ExtraCommit(k CommitKind) { r.stats.addCommit(k) }

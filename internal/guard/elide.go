@@ -36,6 +36,10 @@ const (
 // core's loop (§6.2.1) does not: a reader that gives up falls back to a
 // shared acquisition, which excludes no other reader, so giving up early
 // is cheap where retrying beside a writer that has already written is not.
+//
+// The commit is the section's last accounting, after the retreat window's
+// (which may record a mode switch), so the copy an observer publishes at
+// the commit is the thread's state at a block boundary.
 func (g *base) do(kind section, body func(core.Context)) {
 	t := g.get()
 	defer g.put(t)
@@ -51,9 +55,9 @@ func (g *base) do(kind section, body func(core.Context)) {
 				t.Rec.SlowAttempt()
 				reason := g.flag.SlowAttempt(&t.Exec, body)
 				if reason == htm.None {
-					t.Rec.SlowCommit(t0)
 					t.Attempts.Record(attempts, true)
 					g.retreat.record(t, attempts, attempts+1)
+					t.Rec.SlowCommit(t0)
 					return
 				}
 				t.Rec.SlowAbort(reason, t.Tx.LastAbortInjected())
@@ -76,9 +80,9 @@ func (g *base) do(kind section, body func(core.Context)) {
 			body(core.FastContext(tx))
 		})
 		if reason == htm.None {
-			t.Rec.FastCommit(t0)
 			t.Attempts.Record(attempts, true)
 			g.retreat.record(t, attempts, attempts+1)
+			t.Rec.FastCommit(t0)
 			return
 		}
 		t.FastAborted(reason)
@@ -93,11 +97,11 @@ func (g *base) do(kind section, body func(core.Context)) {
 		body(g.lockCtx(kind, t))
 		g.release(t, start)
 	}
-	t.Rec.LockCommit(t0)
 	if budget > 0 {
 		t.Attempts.Record(budget, false)
 		g.retreat.record(t, budget, budget)
 	}
+	t.Rec.LockCommit(t0)
 }
 
 // acquire makes t the pessimistic holder of an exclusive or writer section

@@ -133,7 +133,7 @@ func (snap *Snapshot) WritePrometheus(w io.Writer) error {
 	p.Metric("rtle_lock_hold_seconds_total", "counter", "Time spent holding the fallback lock.", seconds(st.LockHoldNanos))
 	p.Metric("rtle_stm_seconds_total", "counter", "Time spent inside software transactions.", seconds(st.STMTimeNanos))
 	p.Metric("rtle_resizes_total", "counter", "Adaptive FG-TLE orec-array resizes.", st.Resizes)
-	p.Metric("rtle_mode_switches_total", "counter", "Adaptive FG-TLE mode changes.", st.ModeSwitches)
+	p.Metric("rtle_mode_switches_total", "counter", "Mode changes: FG-TLE writers-admitted/readers-only flips, adaptive FG-TLE switches to and from TLE, guard retreats and returns.", st.ModeSwitches)
 	p.Metric("rtle_threads", "gauge", "Observed worker threads.", snap.Threads)
 
 	p.Family("rtle_atomic_latency_seconds", "histogram", "Whole-Atomic-call latency by execution path.")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/obs"
+	"rtle/internal/spinlock"
 )
 
 // allMethods covers every synchronization method in the repository.
@@ -26,7 +28,7 @@ var allMethods = []string{
 
 // runSet drives a small AVL-set workload on the named method with reg
 // attached and returns the harness result (merged quiescent stats).
-func runSet(t testing.TB, method string, reg *obs.Registry, threads, ops int) *harness.Result {
+func runSet(t testing.TB, method string, reg core.Observer, threads, ops int) *harness.Result {
 	t.Helper()
 	const keyRange = 512
 	m := mem.New(harness.DefaultSetHeapWords(keyRange, threads) + 1<<18)
@@ -65,31 +67,74 @@ func TestSnapshotMatchesMergedStats(t *testing.T) {
 					t.Errorf("thread %d shard diverges from its quiescent stats", i)
 				}
 			}
-			// Latency histograms must count exactly the completed ops
-			// (ALE's extra STM bookings don't observe latency twice).
-			var histTotal uint64
+			// Latency histograms must count exactly the sampled blocks,
+			// ceil(n/16) of a thread's n (ALE's extra STM bookings don't
+			// observe latency twice).
+			var histTotal, sampled uint64
 			for p := 0; p < core.NumPaths; p++ {
 				histTotal += snap.Latency[p].Count
 			}
-			if histTotal != snap.Stats.Ops {
-				t.Errorf("latency histograms count %d observations, want Ops=%d", histTotal, snap.Stats.Ops)
+			for _, st := range res.PerThread {
+				sampled += sampledBlocks(st.Ops)
+			}
+			if histTotal != sampled {
+				t.Errorf("latency histograms count %d observations, want %d sampled of Ops=%d", histTotal, sampled, snap.Stats.Ops)
 			}
 		})
 	}
 }
 
+// sampledBlocks is how many of a thread's n atomic blocks are timed: its
+// 1st, 17th, 33rd, ...
+func sampledBlocks(n uint64) uint64 { return (n + 15) / 16 }
+
+// slotTap is a Registry that also keeps the slots it hands out, so a test
+// can read each thread's published copy on its own.
+type slotTap struct {
+	*obs.Registry
+	mu    sync.Mutex
+	slots []*core.Slot
+}
+
+func (r *slotTap) ObserveThread(method string) *core.Slot {
+	s := r.Registry.ObserveThread(method)
+	r.mu.Lock()
+	r.slots = append(r.slots, s)
+	r.mu.Unlock()
+	return s
+}
+
+// checkSampled checks that every slot's latency histograms count exactly
+// the sampled blocks of the Ops published beside them.
+func (r *slotTap) checkSampled(t *testing.T, method string) {
+	t.Helper()
+	r.mu.Lock()
+	slots := append([]*core.Slot(nil), r.slots...)
+	r.mu.Unlock()
+	for i, s := range slots {
+		st, lat := s.Read()
+		var n uint64
+		for p := range lat {
+			n += lat[p].Count
+		}
+		if want := sampledBlocks(st.Ops); n != want {
+			t.Errorf("%s: thread %d published %d latency samples beside Ops=%d, want %d", method, i, n, st.Ops, want)
+		}
+	}
+}
+
 // TestSnapshotCoherentMidRun hammers Snapshot concurrently with running
-// workers (this is the test the race detector exercises) and checks the
-// ordering invariants on every mid-run view: TotalCommits <= Ops, and per
-// hardware path attempts >= commits + aborts. ALE is excluded: its Stats
-// dual-book software sections by design, so TotalCommits > Ops even at
-// rest.
+// workers (this is the test the race detector exercises) and checks every
+// mid-run view: TotalCommits <= Ops, per hardware path attempts >= commits
+// + aborts, and per thread a latency sample for exactly one block in 16.
+// ALE is excluded: its Stats dual-book software sections by design, so
+// TotalCommits > Ops even at rest.
 func TestSnapshotCoherentMidRun(t *testing.T) {
 	methods := []string{"TLE", "RW-TLE", "FG-TLE(64)", "FG-TLE(adaptive)", "HLE", "NOrec", "RHNOrec"}
 	for _, method := range methods {
 		t.Run(method, func(t *testing.T) {
 			t.Parallel()
-			reg := obs.NewRegistry(obs.Config{TraceCapacity: 256})
+			reg := &slotTap{Registry: obs.NewRegistry(obs.Config{TraceCapacity: 256})}
 			var stop atomic.Bool
 			var snaps int
 			var wg sync.WaitGroup
@@ -101,6 +146,7 @@ func TestSnapshotCoherentMidRun(t *testing.T) {
 					snap := reg.Snapshot()
 					snaps++
 					checkCoherent(t, method, snap)
+					reg.checkSampled(t, method)
 					if prev != nil {
 						d := snap.Delta(prev)
 						if d.Stats.Ops > snap.Stats.Ops {
@@ -120,11 +166,68 @@ func TestSnapshotCoherentMidRun(t *testing.T) {
 			// The final view must also be coherent and non-empty.
 			final := reg.Snapshot()
 			checkCoherent(t, method, final)
+			reg.checkSampled(t, method)
 			if final.Stats.Ops == 0 {
 				t.Fatal("no ops observed")
 			}
 		})
 	}
+}
+
+// TestSnapshotBesideParkedThread parks a TLE thread inside Atomic, waiting
+// for a lock the test holds: Snapshot must not wait for the block in
+// flight, and once the block completes the registry must hold the
+// thread's Stats exactly.
+func TestSnapshotBesideParkedThread(t *testing.T) {
+	reg := obs.NewRegistry(obs.Config{})
+	m := mem.New(1 << 12)
+	meth, err := harness.BuildMethod("TLE", m, core.Policy{Observer: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := meth.(interface{ Lock() *spinlock.Lock }).Lock()
+	word := m.AllocLines(1)
+	th := meth.NewThread()
+	incr := func(c core.Context) { c.Write(word, c.Read(word)+1) }
+	for i := 0; i < 20; i++ {
+		th.Atomic(incr)
+	}
+
+	lock.Acquire()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th.Atomic(incr)
+	}()
+	waitInFrame(t, "spinlock.(*Lock).WaitUntilFree")
+	taken := make(chan *obs.Snapshot)
+	go func() { taken <- reg.Snapshot() }()
+	select {
+	case snap := <-taken:
+		if snap.Stats.Ops != 20 {
+			t.Errorf("snapshot beside the parked block saw Ops=%d, want the 20 before it", snap.Stats.Ops)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Snapshot waited for a block in flight")
+	}
+	lock.Release()
+	<-done
+
+	if snap := reg.Snapshot(); snap.Stats != *th.Stats() {
+		t.Errorf("snapshot %+v != thread stats %+v", snap.Stats, *th.Stats())
+	}
+}
+
+// waitInFrame waits until some goroutine's stack holds a call of fn.
+func waitInFrame(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn)) {
+			return
+		}
+	}
+	t.Fatalf("no goroutine reached %s", fn)
 }
 
 func checkCoherent(t *testing.T, method string, snap *obs.Snapshot) {
@@ -243,15 +346,12 @@ func TestExporters(t *testing.T) {
 	}
 }
 
-// TestLatencyBuckets pins the log2 bucketing.
+// TestLatencyBuckets pins the log2 bucketing of a thread's histogram.
 func TestLatencyBuckets(t *testing.T) {
-	reg := obs.NewRegistry(obs.Config{TraceCapacity: -1})
-	sh := reg.ObserveThread("test")
+	var l obs.LatencySnapshot
 	for _, nanos := range []int64{0, 1, 2, 3, 1000, 1 << 40} {
-		sh.Op(core.CommitFast, nanos)
+		l.Observe(nanos)
 	}
-	snap := reg.Snapshot()
-	l := snap.Latency[core.PathFast]
 	if l.Count != 6 {
 		t.Fatalf("count %d, want 6", l.Count)
 	}

@@ -8,25 +8,12 @@ import (
 	"rtle/internal/htm"
 )
 
-// LatencySnapshot is the aggregated latency histogram of one execution path.
-type LatencySnapshot struct {
-	// Counts[i] holds completed atomic blocks whose whole-call latency
-	// fell in [2^i, 2^(i+1)) nanoseconds.
-	Counts [NumLatencyBuckets]uint64 `json:"counts"`
-	// Count and SumNanos give the total observations and nanoseconds.
-	Count    uint64 `json:"count"`
-	SumNanos int64  `json:"sum_nanos"`
-}
+// LatencySnapshot is a log2 latency histogram read out of a Histogram or
+// merged from threads' slots: Counts[i] holds observations that fell in
+// [2^i, 2^(i+1)) nanoseconds.
+type LatencySnapshot = core.Latency
 
-// MeanNanos returns the mean latency, or 0 with no observations.
-func (l *LatencySnapshot) MeanNanos() float64 {
-	if l.Count == 0 {
-		return 0
-	}
-	return float64(l.SumNanos) / float64(l.Count)
-}
-
-// ThreadSnapshot is one shard's view inside a Snapshot.
+// ThreadSnapshot is one thread's view inside a Snapshot.
 type ThreadSnapshot struct {
 	Thread int        `json:"thread"`
 	Method string     `json:"method"`
@@ -35,9 +22,10 @@ type ThreadSnapshot struct {
 
 // Snapshot is a coherent point-in-time aggregate of a Registry. Coherent
 // means: even while workers run, Stats.TotalCommits() <= Stats.Ops and, per
-// hardware path, attempts >= commits + aborts (see the package comment; the
-// one documented exception is ALE, whose Stats dual-book software sections
-// by design, so its TotalCommits exceeds Ops even at rest).
+// hardware path, attempts >= commits + aborts, because every thread's part
+// is its state at a block boundary (the one documented exception is ALE,
+// whose Stats dual-book software sections by design, so its TotalCommits
+// exceeds Ops even at rest).
 type Snapshot struct {
 	// TakenUnixNanos is when the snapshot was read.
 	TakenUnixNanos int64 `json:"taken_unix_nanos"`
@@ -49,10 +37,10 @@ type Snapshot struct {
 	// Stats aggregates every shard into the same counter layout the
 	// methods report after quiescing.
 	Stats core.Stats `json:"stats"`
-	// PerThread holds each shard's individual counters.
+	// PerThread holds each thread's individual counters.
 	PerThread []ThreadSnapshot `json:"per_thread"`
-	// Latency aggregates the per-path latency histograms, indexed by
-	// core.Path.
+	// Latency aggregates the per-path latency histograms of the sampled
+	// blocks (one in 16 per thread), indexed by core.Path.
 	Latency [core.NumPaths]LatencySnapshot `json:"latency"`
 	// Trace is the sampled path-transition ring, oldest first.
 	Trace []TraceEvent `json:"trace,omitempty"`
@@ -60,51 +48,11 @@ type Snapshot struct {
 	TraceDropped uint64 `json:"trace_dropped"`
 }
 
-// readStats loads one shard's counters in the coherence order: commit
-// buckets first, everything else next, ops after commits, attempts last.
-func (s *Shard) readStats() core.Stats {
-	var st core.Stats
-	var commits [core.NumCommitKinds]uint64
-	for k := 0; k < core.NumCommitKinds; k++ {
-		commits[k] = s.commits[k].Load() + s.extras[k].Load()
-	}
-	st.FastCommits = commits[core.CommitFast]
-	st.SlowCommits = commits[core.CommitSlow]
-	st.LockRuns = commits[core.CommitLock]
-	st.STMCommitsHTM = commits[core.CommitSTMHTM]
-	st.STMCommitsLock = commits[core.CommitSTMLock]
-	st.STMCommitsRO = commits[core.CommitSTMRO]
-
-	for i := 0; i < htm.NumReasons; i++ {
-		st.FastAborts[i] = s.fastAborts[i].Load()
-		st.SlowAborts[i] = s.slowAborts[i].Load()
-		st.InjectedAborts[i] = s.injectedAborts[i].Load()
-	}
-	st.SubscriptionAborts = s.subscriptionAborts.Load()
-	st.STMAborts = s.stmAborts.Load()
-	st.Validations = s.validations.Load()
-	st.LockHoldNanos = s.lockHoldNanos.Load()
-	st.STMTimeNanos = s.stmTimeNanos.Load()
-	st.Resizes = s.resizes.Load()
-	st.ModeSwitches = s.modeSwitches.Load()
-
-	// Ops strictly after the commit buckets: every commit the loads above
-	// saw had already bumped ops, so TotalCommits <= Ops.
-	st.Ops = s.ops.Load()
-
-	// Attempts strictly after commits and aborts: every outcome counted
-	// above had already counted its attempt.
-	st.FastAttempts = s.attempts[core.PathFast].Load()
-	st.SlowAttempts = s.attempts[core.PathSlow].Load()
-	st.STMStarts = s.attempts[core.PathSTM].Load()
-	return st
-}
-
-// Snapshot aggregates all shards into a coherent point-in-time view without
-// stopping the workers. It also becomes the baseline for the next Delta.
+// Snapshot merges every thread's slot into a coherent point-in-time view
+// without stopping the workers. It also becomes the baseline for the next Delta.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
-	shards := make([]*Shard, len(r.shards))
+	shards := make([]*shard, len(r.shards))
 	copy(shards, r.shards)
 	var trace []TraceEvent
 	if r.traceLen > 0 {
@@ -130,25 +78,18 @@ func (r *Registry) Snapshot() *Snapshot {
 		TraceDropped:   dropped,
 	}
 	for _, s := range shards {
-		st := s.readStats()
+		st, lat := s.slot.Read()
 		snap.Stats.Merge(&st)
 		snap.PerThread = append(snap.PerThread, ThreadSnapshot{
 			Thread: s.id, Method: s.method, Stats: st,
 		})
-		for p := 0; p < core.NumPaths; p++ {
-			h := &s.latency[p]
+		for p := range lat {
 			agg := &snap.Latency[p]
-			// Sum before counts: a concurrent observe bumps the
-			// count after the sum, so mean stays well-defined
-			// (sum covers at least the counted events' order —
-			// both are monotone, slight skew is acceptable for a
-			// live histogram).
-			agg.SumNanos += h.sum.Load()
-			for b := 0; b < NumLatencyBuckets; b++ {
-				n := h.counts[b].Load()
+			for b, n := range lat[p].Counts {
 				agg.Counts[b] += n
-				agg.Count += n
 			}
+			agg.Count += lat[p].Count
+			agg.SumNanos += lat[p].SumNanos
 		}
 	}
 	r.prev.Store(snap)

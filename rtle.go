@@ -43,9 +43,10 @@ type (
 	Stats = core.Stats
 	// Policy holds the speculation knobs (assembled by the options).
 	Policy = core.Policy
-	// Observer receives live execution events (see WithObserver).
+	// Observer hands every thread a slot to publish its Stats into (see
+	// WithObserver).
 	Observer = core.Observer
-	// ThreadObserver is the per-thread half of Observer.
+	// ThreadObserver is the path-transition hook a thread's slot calls.
 	ThreadObserver = core.ThreadObserver
 	// Path identifies an execution path (fast, slow, lock, stm).
 	Path = core.Path
@@ -207,10 +208,11 @@ func WithAdaptiveAttempts() Option {
 	return func(c *config) { c.policy.AdaptiveAttempts = true; c.mark("WithAdaptiveAttempts") }
 }
 
-// WithObserver streams every thread's execution events into obs (commits
-// per path, aborts per reason, latencies, lock-hold time), readable while
-// the workload runs. Pass a *Registry from NewRegistry, then call its
-// Snapshot or DeltaSince at any time.
+// WithObserver has every thread publish its Stats (commits per path,
+// aborts per reason, lock-hold time) into o at the end of each atomic
+// block, with the latency of one block in 16, readable while the workload
+// runs. Pass a *Registry from NewRegistry, then call its Snapshot or
+// DeltaSince at any time.
 func WithObserver(o Observer) Option { return func(c *config) { c.policy.Observer = o } }
 
 // WithHTM replaces the simulated-HTM configuration wholesale.
