@@ -45,9 +45,10 @@ cross-build:
 	GOOS=darwin $(GO) vet ./internal/mem
 
 # fuzz-short runs each fuzz target over untrusted bytes, and the fault-plan
-# fuzzer, for ten seconds (CI's step): the request decoder, the frame
-# reader, the response decoder, the snapshot reader, the replication log's
-# file replay, and fault plans under the linearizability checker.
+# fuzzer, for ten seconds (CI's step): the request decoder together with
+# both hello decoders, the frame reader, the response decoder, the snapshot
+# reader, the replication log's file replay, and fault plans under the
+# linearizability checker.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/server

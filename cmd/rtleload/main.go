@@ -11,14 +11,10 @@
 // The process exits non-zero if the history is not linearizable, a witness
 // is violated, or the run errors — so CI can gate on it directly.
 //
-// -check seeds its sequential models from a pre-run server snapshot when
-// the server advertises FeatureSnapshot: the consistent cut at log seq S
-// stands in for the empty initial state, so checked runs compose — a
-// second run against the same warm server is as sound as the first. A
-// server without snapshot support falls back to the old contract, where
-// -check is only sound against a freshly started server (empty set/map,
-// every bank account at par); checking a warm server then reports false
-// violations. Load without -check has no restriction either way.
+// -check seeds its sequential models from a pre-run server snapshot: the
+// consistent cut at log seq S stands in for the empty initial state, so
+// checked runs compose — a second run against the same warm server is as
+// sound as the first. Load without -check fetches no snapshot.
 //
 // Failover runs: -addr accepts a comma-separated address list (primary
 // first). With more than one address each connection becomes a failover
@@ -110,11 +106,7 @@ func main() {
 		}
 	}
 	if res.Checked {
-		if res.Seeded {
-			fmt.Printf("rtleload: check seeded from server snapshot at seq %d\n", res.SeedSeq)
-		} else {
-			fmt.Println("rtleload: check unseeded (server lacks snapshot support); sound only against a fresh server")
-		}
+		fmt.Printf("rtleload: check seeded from server snapshot at seq %d\n", res.SeedSeq)
 		if res.Linearizable {
 			fmt.Println("rtleload: history is linearizable")
 		} else {

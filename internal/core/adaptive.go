@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -22,8 +20,6 @@ type AdaptiveConfig struct {
 	// Window is the number of lock-path executions between adaptation
 	// decisions (default 64).
 	Window int
-	// DisableModeSwitch keeps the method in FG-TLE mode always.
-	DisableModeSwitch bool
 }
 
 func (c AdaptiveConfig) min() uint64 {
@@ -83,40 +79,7 @@ type AdaptiveFGTLE struct {
 	windowRuns  uint64
 	usageSum    uint64
 	saturations uint64
-	slowBase    uint64 // slow commits observed at window start (approximate)
-	slowCommits *counterSet
-}
-
-// counterSet lets lock holders observe approximate global slow-path commit
-// counts without scanning thread stats: each thread increments its own slot.
-// The mutex guards the slots slice itself (threads can be created while
-// others already run); slot increments are lock-free.
-type counterSet struct {
-	mu    sync.Mutex
-	slots []*paddedCounter
-}
-
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [7]uint64 // pad to a cache line to avoid false sharing between threads
-}
-
-func (c *counterSet) add() *paddedCounter {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	slot := &paddedCounter{}
-	c.slots = append(c.slots, slot)
-	return slot
-}
-
-func (c *counterSet) sum() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t uint64
-	for _, s := range c.slots {
-		t += s.n.Load()
-	}
-	return t
+	windowEpoch uint64 // the epoch the window opened at, which adapt compares slow.commit with
 }
 
 // NewAdaptiveFGTLE returns an adaptive FG-TLE method over m. The orec
@@ -131,7 +94,7 @@ func NewAdaptiveFGTLE(m *mem.Memory, policy Policy, cfg AdaptiveConfig) *Adaptiv
 		elision:     elision{m, lock, policy},
 		orecTable:   table,
 		cfg:         cfg,
-		slowCommits: &counterSet{},
+		windowEpoch: m.Load(table.epochAddr),
 	}
 	// One control line: FG-TLE's mode word, then the live size and the
 	// TLE-mode flag, all written only under the lock.
@@ -157,7 +120,6 @@ func (a *AdaptiveFGTLE) NewThread() Thread {
 	t := &adaptiveThread{
 		fgtleThread: newFGThread(a.exec(a.Name()), a.orecTable, a.cfg.max()),
 		method:      a,
-		slot:        a.slowCommits.add(),
 	}
 	t.slowAttempt = t.runSlow
 	t.underLock = t.lockSection
@@ -170,11 +132,13 @@ func (a *AdaptiveFGTLE) NewThread() Thread {
 type adaptiveThread struct {
 	fgtleThread
 	method *AdaptiveFGTLE
-	slot   *paddedCounter
 }
 
 // runSlow is fgtleThread.runSlow with the mode flag and the live orec count
-// read inside the transaction, subscribing to both.
+// read inside the transaction, subscribing to both. A commit stamps its
+// epoch snapshot into the slow-commit word, which adapt reads; like
+// endSlow's signal it stores only over an older value, so the commits of
+// one section mostly just load the line.
 func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 	a := t.method
 	t.beginSlow()
@@ -187,8 +151,8 @@ func (t *adaptiveThread) runSlow(body func(Context)) htm.AbortReason {
 		t.lazySubscribe(tx)
 	})
 	t.endSlow()
-	if reason == htm.None {
-		t.slot.n.Add(1)
+	if reason == htm.None && t.slow.commit.n.Load() < t.localSeq {
+		t.slow.commit.n.Store(t.localSeq)
 	}
 	return reason
 }
@@ -222,14 +186,12 @@ func (t *adaptiveThread) adapt() {
 	m := t.m
 	size := m.Load(a.sizeAddr)
 	mode := m.Load(a.modeAddr)
-	slowNow := a.slowCommits.sum()
-	slowDelta := slowNow - a.slowBase
 
 	if mode == modeFG {
 		switch {
-		case !a.cfg.DisableModeSwitch && slowDelta == 0:
-			// A full window of lock-path executions with zero
-			// slow-path commits: instrumentation is pure overhead.
+		case a.slow.commit.n.Load() < a.windowEpoch:
+			// A full window of lock-path executions without a
+			// slow-path commit: instrumentation is pure overhead.
 			m.Store(a.modeAddr, modeTLE)
 			t.Rec.ModeSwitch()
 		case a.windowRuns > 0 && a.usageSum/a.windowRuns*4 <= size && size > a.cfg.min():
@@ -251,5 +213,5 @@ func (t *adaptiveThread) adapt() {
 	}
 
 	a.windowRuns, a.usageSum, a.saturations = 0, 0, 0
-	a.slowBase = slowNow
+	a.windowEpoch = m.Load(a.epochAddr)
 }

@@ -659,32 +659,6 @@ func TestLazySubscriptionBlocksEmptyCS(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShrinksWhenOrecsUnused: tiny critical sections against a
-// large orec array must drive the adaptive variant to shrink it.
-func TestAdaptiveShrinksWhenOrecsUnused(t *testing.T) {
-	m := mem.New(1 << 18)
-	meth := core.NewAdaptiveFGTLE(m, core.Policy{}, core.AdaptiveConfig{
-		MinOrecs: 1, MaxOrecs: 1024, Window: 4, DisableModeSwitch: true,
-	})
-	a := m.AllocLines(1)
-	th := meth.NewThread()
-	before := meth.CurrentOrecs()
-	for i := 0; i < 200; i++ {
-		// Force the lock path so the adaptation policy runs.
-		th.Atomic(func(c core.Context) {
-			c.Unsupported()
-			c.Write(a, c.Read(a)+1)
-		})
-	}
-	after := meth.CurrentOrecs()
-	if after >= before {
-		t.Fatalf("orec array did not shrink: %d -> %d", before, after)
-	}
-	if th.Stats().Resizes == 0 {
-		t.Fatal("no resizes recorded")
-	}
-}
-
 // TestAdaptiveSwitchesToTLEMode: with no slow-path traffic the adaptive
 // variant should stop paying for instrumentation.
 func TestAdaptiveSwitchesToTLEMode(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -56,12 +57,28 @@ type orecTable struct {
 	rOrecs    mem.Addr
 	wOrecs    mem.Addr
 
-	// slowWrite is the signal the mode follows: the epoch snapshot of the
-	// most recent slow attempt that reached a write barrier, published
-	// sparsely (endSlow) so that in steady state holder and writers only
-	// load its line. A host word, not a simulated one: a store inside an
-	// attempt would be rolled back with it.
-	slowWrite *paddedCounter
+	// slow holds the words slow attempts publish for lock holders. Host
+	// words, not simulated ones: a store inside an attempt would be rolled
+	// back with it.
+	slow *slowSignals
+}
+
+// slowSignals are the host words slow attempts publish, a cache line each.
+type slowSignals struct {
+	// write is the signal the mode follows: the epoch snapshot of the most
+	// recent slow attempt that reached a write barrier, published sparsely
+	// (endSlow) so that in steady state holder and writers only load its
+	// line.
+	write paddedCounter
+	// commit is the epoch snapshot of the latest committed slow attempt,
+	// adaptive FG-TLE's evidence that speculation pays (adapt). FG-TLE(n)
+	// never writes it.
+	commit paddedCounter
+}
+
+type paddedCounter struct {
+	n atomic.Uint64
+	_ [7]uint64 // pad to a cache line to avoid false sharing
 }
 
 // Mode word values.
@@ -98,7 +115,7 @@ func newOrecTable(m *mem.Memory, orecs int) (*spinlock.Lock, orecTable) {
 	// (orec < snapshot) from the very first transaction.
 	m.Store(o.epochAddr, 1)
 	o.admitAddr = m.AllocLines(1) // zero: a fresh method admits writers
-	o.slowWrite = &paddedCounter{}
+	o.slow = &slowSignals{}
 	o.rOrecs = m.AllocAligned(orecs)
 	o.wOrecs = m.AllocAligned(orecs)
 	return spinlock.NewAt(m, line), o
@@ -194,8 +211,8 @@ func (t *fgtleThread) runSlow(body func(Context)) htm.AbortReason {
 // roll back with it) and stores only over a stale value, so a stream of
 // writing attempts shares the signal's line read-only.
 func (t *fgtleThread) endSlow() {
-	if t.wrote && t.localSeq >= t.slowWrite.n.Load()+publishEpochs {
-		t.slowWrite.n.Store(t.localSeq)
+	if t.wrote && t.localSeq >= t.slow.write.n.Load()+publishEpochs {
+		t.slow.write.n.Store(t.localSeq)
 	}
 }
 
@@ -212,7 +229,7 @@ func (t *fgtleThread) lockSection(body func(Context)) {
 	t.seq = m.Load(t.epochAddr) + 1
 	m.Store(t.epochAddr, t.seq)
 	mode := readersOnly
-	if t.seq-t.slowWrite.n.Load() <= admitEpochs {
+	if t.seq-t.slow.write.n.Load() <= admitEpochs {
 		mode = writersAdmitted
 	}
 	if m.Load(t.admitAddr) != mode {

@@ -368,15 +368,15 @@ func TestSlowWriteSignalIsSparse(t *testing.T) {
 			lock.Acquire()
 			defer lock.Release()
 			for i := 0; i < 1000; i++ {
-				before := th.slowWrite.n.Load()
+				before := th.slow.write.n.Load()
 				if r := runSlow(write); r != want {
 					t.Fatalf("attempt %d: %v, want %v", i, r, want)
 				}
-				if after := th.slowWrite.n.Load(); after != before {
+				if after := th.slow.write.n.Load(); after != before {
 					publishes++
 					// One epoch back is still fresh: a store that did not
 					// look first would put the snapshot back.
-					th.slowWrite.n.Store(after - 1)
+					th.slow.write.n.Store(after - 1)
 				}
 			}
 			return publishes
@@ -408,7 +408,7 @@ func TestSlowWriteSignalIsSparse(t *testing.T) {
 // holder's acquire, two bumps and release, and a reader's two pre-attempt
 // loads, touch one line); the mode word shares its line with neither of them
 // and with no orec, so a flip disturbs only attempts that subscribed to it;
-// and the host signal word has a host cache line to itself.
+// and each host signal word has a host cache line to itself.
 func TestFGTLEMetadataLayout(t *testing.T) {
 	bothFlavours(t, func(t *testing.T, m *mem.Memory, lock *spinlock.Lock, th *fgtleThread, _ func(func(Context)) htm.AbortReason) {
 		if lock.Addr()%mem.WordsPerLine != 0 || th.epochAddr != lock.Addr()+1 {
@@ -423,8 +423,10 @@ func TestFGTLEMetadataLayout(t *testing.T) {
 				t.Errorf("the mode word's line %d lies inside the orec array at %d", mode, base)
 			}
 		}
-		if p := uintptr(unsafe.Pointer(th.slowWrite)); p%64 != 0 || unsafe.Sizeof(*th.slowWrite) != 64 {
-			t.Errorf("the slow-write signal sits at %#x in %d bytes: want a 64-byte host line of its own", p, unsafe.Sizeof(*th.slowWrite))
+		for _, sig := range []*paddedCounter{&th.slow.write, &th.slow.commit} {
+			if p := uintptr(unsafe.Pointer(sig)); p%64 != 0 || unsafe.Sizeof(*sig) != 64 {
+				t.Errorf("a slow-path signal sits at %#x in %d bytes: want a 64-byte host line of its own", p, unsafe.Sizeof(*sig))
+			}
 		}
 	})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
@@ -69,7 +67,7 @@ func (r *refinedThread) Atomic(body func(Context)) {
 				// A slow-path abort usually means a conflict with the
 				// lock holder that persists until its critical section
 				// retires; back off politely instead of spinning hot.
-				SpinBackoff(&backoff)
+				spinlock.Backoff(&backoff, 256)
 				continue
 			}
 			// "Is lock available?" — do not even start a transaction that
@@ -109,19 +107,4 @@ func (r *refinedThread) runUnderLock(body func(Context)) {
 		body(r.LockCtx())
 	}
 	r.ReleaseLock(start)
-}
-
-// SpinBackoff burns a short, exponentially growing number of iterations and
-// yields to the scheduler, so that retry storms stay polite under
-// GOMAXPROCS=1 and on loaded machines.
-func SpinBackoff(backoff *int) {
-	for i := 0; i < *backoff; i++ {
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
-	}
-	runtime.Gosched()
-	if *backoff < 256 {
-		*backoff <<= 1
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"rtle/internal/core"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
+	"rtle/internal/spinlock"
 )
 
 // section names a guard's three elidable entry points. They are one loop
@@ -63,7 +64,7 @@ func (g *base) do(kind section, body func(core.Context)) {
 				t.Rec.SlowAbort(reason, t.Tx.LastAbortInjected())
 				// A slow-path abort usually means a conflict with the lock
 				// holder that persists until its section retires.
-				core.SpinBackoff(&backoff)
+				spinlock.Backoff(&backoff, 256)
 				continue
 			}
 			// Anti-lemming [16]: do not start a transaction doomed to fail

@@ -70,49 +70,21 @@ var ErrClosed = errors.New("server: client connection closed")
 // same request might succeed against another server.
 var ErrConnClosed = errors.New("server: connection closed by peer")
 
-// DialOption configures DialContext. A zero-option dial has no
-// client-side setup bound and advertises no feature bits.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	timeout  time.Duration
-	features uint32
-}
-
-// WithDialTimeout bounds the whole connection setup — TCP connect plus
-// the hello exchange. Zero (the default) means no client-side bound
-// beyond the context handed to DialContext.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.timeout = d }
-}
-
-// WithHelloFeatures sets the feature bits the client advertises in its
-// hello frame. The default of zero advertises nothing; servers ignore
-// bits they do not know.
-func WithHelloFeatures(mask uint32) DialOption {
-	return func(c *dialConfig) { c.features = mask }
-}
-
 // handshake opens one client-side rtled/1 connection: TCP connect, client
-// hello advertising features, server hello back. Every client-side
-// connection of this package starts here — DialContext's pipelined Client,
-// a replica's stream (dialPrimary), a snapshot transfer (FetchSnapshot) — so
-// the negotiation rules are written once: a server that rejects the hello
-// has its explanation surfaced as the error, and one that speaks another
-// protocol version is refused.
+// hello, server hello back. Every client-side connection of this package
+// starts here — DialContext's pipelined Client, a replica's stream
+// (dialPrimary), a snapshot transfer (FetchSnapshot) — so the negotiation
+// rules are written once: a server that rejects the hello has its
+// explanation surfaced as the error, and one that speaks another protocol
+// version is refused.
 //
-// ctx, cut short by timeout when that is set, bounds the whole setup, and
-// ending it severs a blocked hello read: a connection deadline alone would
-// hold a caller that has given up until it expires. The deadline stays armed
-// on the returned connection; the caller clears it when its own setup is
-// done. The hello answer and everything after it flow through the returned
-// reader, which keeps any bytes buffered past the hello frame.
-func handshake(ctx context.Context, addr string, features uint32, timeout time.Duration) (_ net.Conn, _ *frameReader, sh ServerHello, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// ctx alone bounds the setup, and ending it severs a blocked hello read: a
+// connection deadline alone would hold a caller that has given up until it
+// expires. The context's deadline, if it has one, stays armed on the
+// returned connection; the caller clears it when its own setup is done. The
+// hello answer and everything after it flow through the returned reader,
+// which keeps any bytes buffered past the hello frame.
+func handshake(ctx context.Context, addr string) (_ net.Conn, _ *frameReader, sh ServerHello, err error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -130,7 +102,7 @@ func handshake(ctx context.Context, addr string, features uint32, timeout time.D
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = nc.SetDeadline(deadline) // best effort; the read below surfaces real failures
 	}
-	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion, Features: features})); err != nil {
+	if _, err := nc.Write(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})); err != nil {
 		return nil, nil, sh, fmt.Errorf("server: client hello: %w", err)
 	}
 	fr := &frameReader{r: bufio.NewReaderSize(nc, 1<<16)}
@@ -178,18 +150,13 @@ func exchange(ctx context.Context, nc net.Conn, fr *frameReader, req *Request) e
 }
 
 // DialContext connects to an rtled server at addr and runs the rtled/1
-// hello exchange synchronously: the server's hello (version, features,
-// shard count) is available from the moment DialContext returns. A server
-// that rejects the negotiation surfaces its explanation as the dial
-// error. The context and the WithDialTimeout option bound the TCP connect
-// and the hello exchange; the context does not govern the connection's
-// later life (use CloseContext for a bounded drain).
-func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	var cfg dialConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	nc, fr, sh, err := handshake(ctx, addr, cfg.features, cfg.timeout)
+// hello exchange synchronously: the server's hello (version, shard count)
+// is available from the moment DialContext returns. A server that rejects
+// the negotiation surfaces its explanation as the dial error. The context
+// bounds the TCP connect and the hello exchange; it does not govern the
+// connection's later life (use CloseContext for a bounded drain).
+func DialContext(ctx context.Context, addr string) (*Client, error) {
+	nc, fr, sh, err := handshake(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -202,9 +169,6 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 
 // ServerShards returns the shard count the server advertised at dial.
 func (c *Client) ServerShards() int { return int(c.hello.Shards) }
-
-// ServerFeatures returns the feature bits the server advertised at dial.
-func (c *Client) ServerFeatures() uint32 { return c.hello.Features }
 
 // readLoop demultiplexes responses to their waiting callers until the
 // connection dies, then fails every pending and future request.

@@ -9,37 +9,6 @@ import (
 	"rtle/internal/check"
 )
 
-// TestDialOptions covers the functional-option constructor: the hello
-// feature mask reaches the server, a zero-option dial still works, and
-// both observe the server's negotiation answer.
-func TestDialOptions(t *testing.T) {
-	_, addr := startServer(t, Config{Workload: "map", Keys: 32})
-
-	c, err := DialContext(context.Background(), addr,
-		WithDialTimeout(5*time.Second),
-		WithHelloFeatures(1<<7)) // an unknown bit: the server must ignore it
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.ServerFeatures()&FeatureSharded == 0 {
-		t.Error("server did not advertise FeatureSharded")
-	}
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// No options: the defaults negotiate the same answer.
-	c2, err := DialContext(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if c2.ServerShards() != c.ServerShards() {
-		t.Errorf("zero-option client saw %d shards, option client %d", c2.ServerShards(), c.ServerShards())
-	}
-}
-
 // TestDialContextCanceled checks a dead context fails the dial instead of
 // hanging in the hello exchange.
 func TestDialContextCanceled(t *testing.T) {

@@ -18,10 +18,6 @@ const maxRetainedOut = 1 << 14
 type conn struct {
 	nc net.Conn
 	m  *Metrics
-	// features holds the client hello's declared feature bits, written by
-	// hello and read only from the read loop (subscriber bootstrap checks
-	// FeatureSnapshot).
-	features uint32
 
 	// The read loop's burst state: the run being admitted, one coalesced
 	// group's scratch, the number of tasks answered since the burst began

@@ -80,7 +80,7 @@ func NewFailoverClient(cfg FailoverConfig) (*FailoverClient, error) {
 	fc.cond = sync.NewCond(&fc.mu)
 	var errs []error
 	for _, addr := range cfg.Addrs {
-		c, err := DialContext(context.Background(), addr, WithDialTimeout(cfg.DialTimeout))
+		c, err := fc.dial(context.Background(), addr)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", addr, err))
 			continue
@@ -100,6 +100,13 @@ func (fc *FailoverClient) ServerShards() int { return fc.shards }
 // Reconnects returns how many times the client re-established its
 // connection after the initial dial.
 func (fc *FailoverClient) Reconnects() uint64 { return fc.reconnects.Load() }
+
+// dial connects to addr within the configured DialTimeout.
+func (fc *FailoverClient) dial(ctx context.Context, addr string) (*Client, error) {
+	ctx, cancel := context.WithTimeout(ctx, fc.cfg.DialTimeout)
+	defer cancel()
+	return DialContext(ctx, addr)
+}
 
 // conn returns the live client, waiting up to the retry window for a
 // reconnect when the connection is down. The returned generation pairs
@@ -142,7 +149,7 @@ func (fc *FailoverClient) redial(ctx context.Context) {
 	backoff := 10 * time.Millisecond
 	for i := 0; ctx.Err() == nil; i++ {
 		addr := fc.cfg.Addrs[i%len(fc.cfg.Addrs)]
-		c, err := DialContext(ctx, addr, WithDialTimeout(fc.cfg.DialTimeout))
+		c, err := fc.dial(ctx, addr)
 		if err == nil {
 			fc.mu.Lock()
 			if fc.closed {

@@ -49,31 +49,6 @@ func fakeHelloServer(t *testing.T, hello ServerHello, serve func(nc net.Conn)) s
 	return lis.Addr().String()
 }
 
-// TestClientIgnoresUnknownServerHelloBits pins the negotiation contract
-// from the client side: a server advertising feature bits this client
-// does not know must still be usable — the bits are reported verbatim,
-// not rejected.
-func TestClientIgnoresUnknownServerHelloBits(t *testing.T) {
-	const unknown = uint32(1 << 30)
-	addr := fakeHelloServer(t, ServerHello{
-		Version:  ProtocolVersion,
-		Features: FeatureSharded | FeatureReplicated | unknown,
-		Shards:   3,
-	}, nil)
-
-	c, err := DialContext(context.Background(), addr, WithDialTimeout(5*time.Second))
-	if err != nil {
-		t.Fatalf("dial against unknown feature bits failed: %v", err)
-	}
-	defer c.Close()
-	if c.ServerFeatures()&unknown == 0 {
-		t.Error("unknown feature bit not reported verbatim")
-	}
-	if c.ServerShards() != 3 {
-		t.Errorf("shards = %d, want 3", c.ServerShards())
-	}
-}
-
 // TestErrConnClosedTyping pins the error taxonomy failover policy keys
 // on: a peer-closed connection surfaces ErrConnClosed, a local Close
 // surfaces ErrClosed, and the two are distinguishable with errors.Is.
@@ -81,7 +56,7 @@ func TestErrConnClosedTyping(t *testing.T) {
 	// Peer close: the fake server drops the connection right after hello.
 	addr := fakeHelloServer(t, ServerHello{Version: ProtocolVersion, Shards: 1},
 		func(nc net.Conn) { _ = nc.Close() })
-	c, err := DialContext(context.Background(), addr, WithDialTimeout(5*time.Second))
+	c, err := DialContext(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,7 @@ func TestEntryPointsRefuseOtherProtocolVersion(t *testing.T) {
 				if _, err := fr.next(); err != nil {
 					return
 				}
-				_, _ = nc.Write(AppendServerHello(nil, &ServerHello{
-					Version:  2,
-					Features: FeatureSharded | FeatureReplicated | FeatureSnapshot,
-					Shards:   1,
-				}))
+				_, _ = nc.Write(AppendServerHello(nil, &ServerHello{Version: 2, Shards: 1}))
 				answerOK(nc, fr)
 			})
 			err := ep.open(t, addr)
@@ -138,18 +134,19 @@ func TestEntryPointsSurfaceHelloRejection(t *testing.T) {
 }
 
 // TestEntryPointWireBytes pins what each entry point puts on the wire up to
-// the answer to its first request, against literals captured from the three
-// hand-written setups that preceded handshake: frame length, then "RTLE",
-// version 1 and the feature mask; or request id 1, opcode, three arguments.
+// the answer to its first request: one hello, the same from all three
+// (frame length 5, "RTLE", version 1), then for the two dedicated
+// connections request id 1, opcode and three arguments.
 func TestEntryPointWireBytes(t *testing.T) {
+	const hello = "00000005" + "52544c45" + "01"
 	want := map[string]string{
-		// features 0; a pipelined client sends nothing until asked to.
-		"DialContext": "00000009" + "52544c45" + "01" + "00000000",
-		// features Replicated|Snapshot; OpReplSubscribe (102), Arg1 = high-water + 1 = 4.
-		"dialPrimary": "00000009" + "52544c45" + "01" + "00000006" +
+		// A pipelined client sends nothing until asked to.
+		"DialContext": hello,
+		// OpReplSubscribe (102), Arg1 = high-water + 1 = 4.
+		"dialPrimary": hello +
 			"0000001d" + "00000001" + "66" + "0000000000000004" + "0000000000000000" + "0000000000000000",
-		// features Snapshot; OpSnapshot (103), no arguments.
-		"FetchSnapshot": "00000009" + "52544c45" + "01" + "00000004" +
+		// OpSnapshot (103), no arguments.
+		"FetchSnapshot": hello +
 			"0000001d" + "00000001" + "67" + "0000000000000000" + "0000000000000000" + "0000000000000000",
 	}
 	for _, ep := range entryPoints {
@@ -158,11 +155,7 @@ func TestEntryPointWireBytes(t *testing.T) {
 				if _, err := fr.next(); err != nil {
 					return
 				}
-				_, _ = nc.Write(AppendServerHello(nil, &ServerHello{
-					Version:  ProtocolVersion,
-					Features: FeatureSharded | FeatureReplicated | FeatureSnapshot,
-					Shards:   1,
-				}))
+				_, _ = nc.Write(AppendServerHello(nil, &ServerHello{Version: ProtocolVersion, Shards: 1}))
 				answerOK(nc, fr)
 			})
 			_ = ep.open(t, addr) // the fetch ends in EOF where the chunks should be; only the bytes matter
@@ -175,6 +168,25 @@ func TestEntryPointWireBytes(t *testing.T) {
 				t.Fatal("the peer's script never ended")
 			}
 		})
+	}
+}
+
+// TestReplicaDialRefusedWithoutReplication: a replica pointed at a server
+// that runs without replication fails its dial with that server's own
+// reason, given in answer to the subscribe.
+func TestReplicaDialRefusedWithoutReplication(t *testing.T) {
+	_, addr := startServer(t, Config{Workload: "map", Keys: 32})
+	srv, err := New(Config{Workload: "map", Keys: 32, ReplicaOf: addr, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	nc, _, err := srv.dialPrimary(context.Background())
+	if err == nil {
+		_ = nc.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "replication is not enabled") {
+		t.Fatalf("dialPrimary against a server without replication ended in %v, want its refusal", err)
 	}
 }
 

@@ -149,11 +149,8 @@ type LoadResult struct {
 	Checked      bool
 	Linearizable bool
 	CheckDetail  string
-	// Seeded reports the check's models started from a pre-run server
-	// snapshot instead of the empty state (warm checking); SeedSeq is the
-	// snapshot's replication-log stamp. Unseeded checked runs are sound
-	// only against a fresh server.
-	Seeded  bool
+	// SeedSeq is the replication-log stamp of the pre-run server snapshot
+	// a checked run's models start from (warm checking).
 	SeedSeq uint64
 }
 
@@ -328,29 +325,21 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	// from it, extending soundness from "fresh server" to "server at the
 	// snapshot-stamped prefix" — the cut is consistent at its sequence, and
 	// every recorded operation runs after the fetch returned, so the seeded
-	// model is exactly the state the history starts from. A server without
-	// FeatureSnapshot falls back to the old fresh-server contract.
+	// model is exactly the state the history starts from.
 	var seed *snap.Snapshot
 	if cfg.Check {
 		var ferr error
 		for _, a := range cfg.Addrs {
-			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			seed, ferr = FetchSnapshot(sctx, a)
-			cancel()
-			if ferr == nil || errors.Is(ferr, ErrNoSnapshot) {
+			if seed, ferr = FetchSnapshot(context.Background(), a); ferr == nil {
 				break
 			}
 		}
-		switch {
-		case seed != nil:
-			if seed.Workload != cfg.Workload || seed.Keys != uint64(cfg.Keys) {
-				return nil, fmt.Errorf("server: warm-check snapshot carries %s/%d keys, the run is %s/%d",
-					seed.Workload, seed.Keys, cfg.Workload, cfg.Keys)
-			}
-		case errors.Is(ferr, ErrNoSnapshot):
-			// An older server: unseeded, sound only if the server is fresh.
-		default:
+		if ferr != nil {
 			return nil, fmt.Errorf("server: warm-check snapshot fetch: %w", ferr)
+		}
+		if seed.Workload != cfg.Workload || seed.Keys != uint64(cfg.Keys) {
+			return nil, fmt.Errorf("server: warm-check snapshot carries %s/%d keys, the run is %s/%d",
+				seed.Workload, seed.Keys, cfg.Workload, cfg.Keys)
 		}
 	}
 
@@ -396,10 +385,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	events := st.hist.Events()
 	res.Ops = uint64(len(events)) - st.cut
 	if cfg.Check {
-		res.Checked = true
-		if seed != nil {
-			res.Seeded, res.SeedSeq = true, seed.Seq
-		}
+		res.Checked, res.SeedSeq = true, seed.Seq
 		res.Linearizable, res.CheckDetail = checkEvents(cfg.Workload, cfg.Keys, res.Shards, events, seed)
 	}
 	return res, nil
@@ -656,52 +642,43 @@ func (st *loadState) violate(msg string) {
 // (possibly on different shards), so that history is checked whole — the
 // strongest statement, covering the cross-shard slow path too.
 //
-// A non-nil seed starts every model from the snapshot's state instead of
-// empty — the warm-checking contract (see RunLoad).
+// Every model starts from seed's state — the warm-checking contract (see
+// RunLoad).
 func checkEvents(workload string, keys, shards int, events []Event, seed *snap.Snapshot) (bool, string) {
 	switch workload {
 	case "bank":
-		model := check.BankModel(keys, BankInitial)
-		if seed != nil {
-			balances := make([]uint64, keys)
-			for i := range balances {
-				balances[i] = BankInitial
-			}
-			for _, items := range seed.Shards {
-				for _, it := range items {
-					balances[it.Key] = it.Val
-				}
-			}
-			model = check.BankModelFrom(balances)
+		balances := make([]uint64, keys)
+		for i := range balances {
+			balances[i] = BankInitial
 		}
-		if !check.CheckLinearizable(model, events) {
+		for _, items := range seed.Shards {
+			for _, it := range items {
+				balances[it.Key] = it.Val
+			}
+		}
+		if !check.CheckLinearizable(check.BankModelFrom(balances), events) {
 			return false, fmt.Sprintf(
 				"bank history of %d events over %d shards is not linearizable", len(events), shards)
 		}
 		return true, ""
 	case "set", "map":
-		model := check.SetModel()
+		var model check.Model
 		if workload == "map" {
-			model = check.MapModel()
-		}
-		if seed != nil {
-			if workload == "map" {
-				m := make(map[uint64]uint64)
-				for _, items := range seed.Shards {
-					for _, it := range items {
-						m[it.Key] = it.Val
-					}
+			m := make(map[uint64]uint64)
+			for _, items := range seed.Shards {
+				for _, it := range items {
+					m[it.Key] = it.Val
 				}
-				model = check.MapModelFrom(m)
-			} else {
-				m := make(map[uint64]bool)
-				for _, items := range seed.Shards {
-					for _, it := range items {
-						m[it.Key] = true
-					}
-				}
-				model = check.SetModelFrom(m)
 			}
+			model = check.MapModelFrom(m)
+		} else {
+			m := make(map[uint64]bool)
+			for _, items := range seed.Shards {
+				for _, it := range items {
+					m[it.Key] = true
+				}
+			}
+			model = check.SetModelFrom(m)
 		}
 		byKey := make(map[uint64][]Event)
 		for _, e := range events {

@@ -14,17 +14,17 @@
 // Before the first request, the client must send one hello frame and wait
 // for the server's hello:
 //
-//	client: "RTLE" | u8 version | u32 feature bits
-//	server: "RTLE" | u8 version | u32 feature bits | u16 shards
+//	client: "RTLE" | u8 version
+//	server: "RTLE" | u8 version | u16 shards
 //
-// The magic distinguishes a hello from a request payload, so a pre-hello
-// client (one that opens with a request) is rejected with a StatusBad
-// response naming the missing hello, and the connection closes — no
-// flag-day: old clients fail fast with a clear error instead of
-// misinterpreting sharded responses. The server's hello advertises its
-// shard count and feature bits (bit 0: consistent-hash sharded routing),
-// so clients can observe topology without a side channel. A version the
-// server does not speak is likewise answered with StatusBad and a close.
+// The magic distinguishes a hello from a request payload, so a client that
+// opens with a request is rejected with a StatusBad response naming the
+// missing hello, and the connection closes. A version the server does not
+// speak, or a hello of another length, is answered the same way. The
+// server's hello reports its shard count, so clients observe topology
+// without a side channel. Every server speaks the whole protocol below;
+// what a server cannot serve (a subscription to one without replication)
+// it refuses at the request, with its reason.
 //
 // # Requests
 //
@@ -66,26 +66,23 @@
 //
 // # Replication stream
 //
-// A server started with replication enabled advertises FeatureReplicated.
 // A replica opens an ordinary connection to its primary, completes the
 // hello, and sends one OpReplSubscribe request whose Arg1 is the first log
-// sequence it wants (its own high-water mark plus one). The primary
-// answers StatusOK with no results and then repurposes the connection as a
-// one-way log stream: every subsequent server-to-client frame is a log
-// entry payload (see internal/repl: `u64 seq | u16 n | n x (u8 op | 3 x
-// u64 arg)`), in sequence order with no gaps, and every client-to-server
-// frame is an acknowledgement payload (`u64 seq`) confirming the replica
-// has durably appended and applied through seq. Acks are cumulative; the
-// primary's sync ack mode holds client replies until the commit's sequence
-// is acked by every live subscriber. Unrecognized feature bits are ignored
-// by both sides (a FeatureReplicated primary serves non-replicating
-// clients unchanged), so the extension is compatible in both directions.
+// sequence it wants (its own high-water mark plus one). A server without
+// replication answers StatusBad. A primary answers StatusOK with no
+// results and then repurposes the connection as a one-way log stream:
+// every subsequent server-to-client frame is a log entry payload (see
+// internal/repl: `u64 seq | u16 n | n x (u8 op | 3 x u64 arg)`), in
+// sequence order with no gaps, and every client-to-server frame is an
+// acknowledgement payload (`u64 seq`) confirming the replica has durably
+// appended and applied through seq. Acks are cumulative; the primary's
+// sync ack mode holds client replies until the commit's sequence is acked
+// by every live subscriber.
 //
 // # Snapshot stream
 //
-// A server that can serve consistent-cut snapshots advertises
-// FeatureSnapshot. A client sends one OpSnapshot request (arguments
-// zero); the server answers StatusOK with no results and then streams the
+// A client sends one OpSnapshot request (arguments zero); the server
+// answers StatusOK with no results and then streams a consistent-cut
 // snapshot as chunk frames — each payload is an internal/snap chunk
 // ("SNAP" magic, header/items/end; see that package) — ending with the
 // end chunk, after which the connection resumes ordinary request/response
@@ -94,12 +91,9 @@
 // snapshot consumers use a dedicated connection.
 //
 // The same chunks ride the replication stream: a subscriber whose
-// requested sequence has been compacted away (and whose hello declared
-// FeatureSnapshot) receives snapshot chunks before the entry frames —
-// snapshot-then-log-tail — instead of an error. Chunk frames are
-// distinguishable from entry frames by the magic; a subscriber that did
-// not declare FeatureSnapshot gets StatusBad, preserving the old
-// contract.
+// requested sequence has been compacted away receives snapshot chunks
+// before the entry frames — snapshot-then-log-tail. Chunk frames are
+// distinguishable from entry frames by the magic.
 package server
 
 import (
@@ -121,36 +115,16 @@ const ProtocolVersion = 1
 // path runs only after the hello completed).
 const helloMagic = "RTLE"
 
-// Feature bits advertised in the server hello. Both sides ignore bits
-// they do not recognize, so new features never break old peers.
-const (
-	// FeatureSharded: the server routes single-key operations to
-	// independent ADT shards by consistent hash and serves cross-shard
-	// operations through an ordered-drain slow path.
-	FeatureSharded uint32 = 1 << 0
-	// FeatureReplicated: the server appends committed blocks to an ordered
-	// log and accepts OpReplSubscribe; clients set it to declare they
-	// intend to subscribe.
-	FeatureReplicated uint32 = 1 << 1
-	// FeatureSnapshot: the server serves consistent-cut snapshots via
-	// OpSnapshot; a subscriber sets it to declare it accepts
-	// snapshot-then-log-tail bootstrap when its requested sequence has
-	// been compacted away.
-	FeatureSnapshot uint32 = 1 << 2
-)
-
 // ClientHello is the client's version-negotiation frame.
 type ClientHello struct {
-	Version  uint8
-	Features uint32
+	Version uint8
 }
 
 // ServerHello is the server's negotiation answer, advertising its shard
 // count so clients and load generators can observe topology.
 type ServerHello struct {
-	Version  uint8
-	Features uint32
-	Shards   uint16
+	Version uint8
+	Shards  uint16
 }
 
 // AppendClientHello encodes h as one frame appended to buf.
@@ -159,7 +133,6 @@ func AppendClientHello(buf []byte, h *ClientHello) []byte {
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(buf, helloMagic...)
 	buf = append(buf, h.Version)
-	buf = binary.BigEndian.AppendUint32(buf, h.Features)
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
 }
@@ -169,11 +142,10 @@ func AppendClientHello(buf []byte, h *ClientHello) []byte {
 // pre-hello clients with a clear message.
 func DecodeClientHello(p []byte) (ClientHello, error) {
 	var h ClientHello
-	if len(p) != 9 || string(p[:4]) != helloMagic {
+	if len(p) != 5 || string(p[:4]) != helloMagic {
 		return h, fmt.Errorf("server: expected an rtled hello frame (pre-versioning client?)")
 	}
 	h.Version = p[4]
-	h.Features = binary.BigEndian.Uint32(p[5:])
 	return h, nil
 }
 
@@ -183,7 +155,6 @@ func AppendServerHello(buf []byte, h *ServerHello) []byte {
 	buf = append(buf, 0, 0, 0, 0)
 	buf = append(buf, helloMagic...)
 	buf = append(buf, h.Version)
-	buf = binary.BigEndian.AppendUint32(buf, h.Features)
 	buf = binary.BigEndian.AppendUint16(buf, h.Shards)
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	return buf
@@ -192,12 +163,11 @@ func AppendServerHello(buf []byte, h *ServerHello) []byte {
 // DecodeServerHello parses a server hello payload.
 func DecodeServerHello(p []byte) (ServerHello, error) {
 	var h ServerHello
-	if len(p) != 11 || string(p[:4]) != helloMagic {
+	if len(p) != 7 || string(p[:4]) != helloMagic {
 		return h, fmt.Errorf("server: expected an rtled hello answer")
 	}
 	h.Version = p[4]
-	h.Features = binary.BigEndian.Uint32(p[5:])
-	h.Shards = binary.BigEndian.Uint16(p[9:])
+	h.Shards = binary.BigEndian.Uint16(p[5:])
 	return h, nil
 }
 

@@ -144,7 +144,7 @@ func TestIsRead(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	ch := ClientHello{Version: ProtocolVersion, Features: 0}
+	ch := ClientHello{Version: ProtocolVersion}
 	frame := AppendClientHello(nil, &ch)
 	if got := binary.BigEndian.Uint32(frame); int(got) != len(frame)-4 {
 		t.Fatalf("client hello length header %d, want %d", got, len(frame)-4)
@@ -154,7 +154,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("client hello round trip: %+v, %v", dch, err)
 	}
 
-	sh := ServerHello{Version: ProtocolVersion, Features: FeatureSharded, Shards: 4}
+	sh := ServerHello{Version: ProtocolVersion, Shards: 4}
 	frame = AppendServerHello(nil, &sh)
 	dsh, err := DecodeServerHello(frame[4:])
 	if err != nil || dsh != sh {
@@ -242,9 +242,6 @@ func TestHelloAdvertisesShards(t *testing.T) {
 	if c.ServerShards() != 4 {
 		t.Errorf("client saw %d shards, want 4", c.ServerShards())
 	}
-	if c.ServerFeatures()&FeatureSharded == 0 {
-		t.Error("server did not advertise FeatureSharded")
-	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping after hello: %v", err)
 	}
@@ -277,12 +274,27 @@ func TestValidateContract(t *testing.T) {
 // FuzzDecodeRequest: the request decoder never panics, whatever the
 // payload; anything it accepts re-encodes with AppendRequest and decodes
 // back equal; and what it allocates is bounded by the batch length the
-// payload actually carries (one entry per 25 payload bytes).
+// payload actually carries (one entry per 25 payload bytes). Every input
+// also goes through the two hello decoders, which parse the first frame
+// each side of a connection reads: neither panics, and a payload either
+// accepts re-encodes to the same bytes.
 func FuzzDecodeRequest(f *testing.F) {
 	for i := range roundTripRequests {
 		f.Add(AppendRequest(nil, &roundTripRequests[i])[4:])
 	}
+	f.Add(AppendClientHello(nil, &ClientHello{Version: ProtocolVersion})[4:])
+	f.Add(AppendServerHello(nil, &ServerHello{Version: ProtocolVersion, Shards: 4})[4:])
 	f.Fuzz(func(t *testing.T, p []byte) {
+		if ch, err := DecodeClientHello(p); err == nil {
+			if frame := AppendClientHello(nil, &ch); !bytes.Equal(frame[4:], p) {
+				t.Fatalf("client hello %x re-encodes as %x", p, frame[4:])
+			}
+		}
+		if sh, err := DecodeServerHello(p); err == nil {
+			if frame := AppendServerHello(nil, &sh); !bytes.Equal(frame[4:], p) {
+				t.Fatalf("server hello %x re-encodes as %x", p, frame[4:])
+			}
+		}
 		req, err := DecodeRequest(p)
 		if err != nil {
 			return

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -312,18 +311,6 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 		s.reject(c, req.ID, StatusBad, "subscribe sequence is past the log high-water mark")
 		return
 	}
-	bootstrap := false
-	if floor := r.log.Floor(); first <= floor {
-		// The requested suffix was compacted away. A snapshot-capable
-		// subscriber bootstraps from the live state instead of erroring;
-		// an older subscriber gets told why it cannot follow.
-		if c.features&FeatureSnapshot == 0 {
-			s.reject(c, req.ID, StatusBad, fmt.Sprintf(
-				"subscribe sequence %d was compacted away (log floor %d) and the subscriber did not declare snapshot support", first, floor))
-			return
-		}
-		bootstrap = true
-	}
 	s.metrics.statuses[StatusOK].Add(1)
 	c.out = AppendResponse(c.out, &Response{ID: req.ID, Status: StatusOK})
 	c.frames++
@@ -334,17 +321,10 @@ func (s *Server) serveSubscriber(c *conn, fr *frameReader, req Request) {
 
 	// Registration closes the compaction race: Compact bounds its cut by
 	// the live ack floor, which now includes this subscriber at first-1,
-	// so the log floor can no longer reach first. Re-check for a
-	// compaction that won the race before registration.
-	if !bootstrap && r.log.Floor() >= first {
-		if c.features&FeatureSnapshot == 0 {
-			_ = c.nc.Close() // its reconnect lands on the clean rejection above
-			return
-		}
-		bootstrap = true
-	}
+	// so the log floor can no longer reach first. A suffix compacted away
+	// before that is bootstrapped from the live state instead.
 	start := first
-	if bootstrap {
+	if r.log.Floor() >= first {
 		sn, err := s.CaptureSnapshot()
 		if err != nil {
 			_ = c.nc.Close() // draining; nothing to stream

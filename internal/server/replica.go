@@ -41,24 +41,21 @@ func (s *Server) runReplica() {
 	}
 }
 
-// dialPrimary opens one subscribed replication stream: the handshake
-// declaring FeatureReplicated, and an OpReplSubscribe for the suffix this
-// replica is missing. The setup runs under a deadline so a hung primary
-// cannot wedge the loop, and under ctx so a stopping replica does not wait
-// the deadline out; the deadline is cleared before the open-ended stream
-// phase.
+// dialPrimary opens one subscribed replication stream: the handshake and
+// an OpReplSubscribe for the suffix this replica is missing, which a
+// primary without replication refuses with its reason. The setup runs under
+// a deadline so a hung primary cannot wedge the loop, and under ctx so a
+// stopping replica does not wait the deadline out; the deadline is cleared
+// before the open-ended stream phase.
 func (s *Server) dialPrimary(ctx context.Context) (net.Conn, *frameReader, error) {
 	r := s.repl
-	nc, fr, sh, err := handshake(ctx, r.primaryAddr, FeatureReplicated|FeatureSnapshot, 5*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	nc, fr, _, err := handshake(ctx, r.primaryAddr)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sh.Features&FeatureReplicated == 0 {
-		err = errors.New("repl: upstream server does not replicate (missing FeatureReplicated)")
-	} else {
-		err = exchange(ctx, nc, fr, &Request{Op: OpReplSubscribe, Arg1: r.log.HighWater() + 1})
-	}
-	if err != nil {
+	if err := exchange(ctx, nc, fr, &Request{Op: OpReplSubscribe, Arg1: r.log.HighWater() + 1}); err != nil {
 		_ = nc.Close() // the setup failed; nothing to keep
 		return nil, nil, err
 	}

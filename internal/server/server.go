@@ -672,8 +672,8 @@ func (s *Server) endBurst(c *conn) {
 
 // hello runs the server side of the rtled/1 version negotiation: the first
 // frame on every connection must be a client hello with a supported
-// version. On success the server answers with its own hello (version,
-// feature bits, shard count) and the connection proceeds to requests; on
+// version. On success the server answers with its own hello (version and
+// shard count) and the connection proceeds to requests; on
 // failure the client gets one explanatory StatusBad response and the
 // connection closes. Runs once per connection: cold by construction.
 func (s *Server) hello(c *conn, fr *frameReader) bool {
@@ -693,17 +693,9 @@ func (s *Server) hello(c *conn, fr *frameReader) bool {
 			"unsupported protocol version %d (server speaks rtled/%d)", ch.Version, ProtocolVersion))
 		return false
 	}
-	// Unrecognized client feature bits are ignored (forward compatibility);
-	// the server advertises what it actually runs.
-	c.features = ch.Features
-	features := FeatureSharded | FeatureSnapshot
-	if s.repl != nil {
-		features |= FeatureReplicated
-	}
 	c.out = AppendServerHello(c.out, &ServerHello{
-		Version:  ProtocolVersion,
-		Features: features,
-		Shards:   uint16(len(s.top().shards)),
+		Version: ProtocolVersion,
+		Shards:  uint16(len(s.top().shards)),
 	})
 	c.frames++
 	c.write()

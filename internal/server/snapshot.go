@@ -229,10 +229,6 @@ func (s *Server) sendSnapshot(c *conn, sn *snap.Snapshot) {
 	_ = snap.Encode(w, sn)
 }
 
-// ErrNoSnapshot reports a server that does not advertise FeatureSnapshot
-// (an older build); callers fall back to their snapshot-less path.
-var ErrNoSnapshot = errors.New("server: the server does not support snapshot streaming")
-
 // FetchSnapshot opens a dedicated connection to addr and retrieves the
 // server's full state as one consistent snapshot. A dedicated connection
 // because the chunk frames carry no request id: the snapshot must be the
@@ -241,18 +237,16 @@ var ErrNoSnapshot = errors.New("server: the server does not support snapshot str
 func FetchSnapshot(ctx context.Context, addr string) (*snap.Snapshot, error) {
 	// A caller without a deadline still gets a bounded transfer; either way
 	// the connection deadline handshake arms stays for all of it.
-	timeout := 30 * time.Second
-	if _, ok := ctx.Deadline(); ok {
-		timeout = 0
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, 30*time.Second)
+		defer cancel()
 	}
-	nc, fr, sh, err := handshake(ctx, addr, FeatureSnapshot, timeout)
+	nc, fr, _, err := handshake(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
 	defer nc.Close()
-	if sh.Features&FeatureSnapshot == 0 {
-		return nil, ErrNoSnapshot
-	}
 	if err := exchange(ctx, nc, fr, &Request{Op: OpSnapshot}); err != nil {
 		return nil, err
 	}

@@ -532,9 +532,6 @@ func TestWarmCheckConsecutiveRuns(t *testing.T) {
 				if !res.Checked || !res.Linearizable {
 					t.Fatalf("run %d not linearizable: %s", run, res.CheckDetail)
 				}
-				if !res.Seeded {
-					t.Fatalf("run %d checked unseeded against a snapshot-capable server", run)
-				}
 				if run == 1 && res.SeedSeq == 0 {
 					t.Error("second run's seed carries seq 0; the first run's writes are missing from the cut")
 				}

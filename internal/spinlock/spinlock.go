@@ -73,15 +73,23 @@ func (l *Lock) Acquire() {
 		if !l.Held() && l.TryAcquire() {
 			return
 		}
-		for i := 0; i < backoff; i++ {
-			if i%16 == 15 {
-				runtime.Gosched()
-			}
+		Backoff(&backoff, maxBackoff)
+	}
+}
+
+// Backoff spins *n iterations, yielding to the scheduler every 16th and
+// once after them, then doubles *n up to max: the exponential backoff of
+// Acquire and of the elision loops' slow-path retries, which stays polite
+// under GOMAXPROCS=1 and on loaded machines.
+func Backoff(n *int, max int) {
+	for i := 0; i < *n; i++ {
+		if i%16 == 15 {
+			runtime.Gosched()
 		}
-		runtime.Gosched()
-		if backoff < maxBackoff {
-			backoff <<= 1
-		}
+	}
+	runtime.Gosched()
+	if *n < max {
+		*n <<= 1
 	}
 }
 
