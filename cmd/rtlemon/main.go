@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -39,20 +40,16 @@ func main() {
 	format := flag.String("format", "prom", "final snapshot format: prom or json")
 	httpAddr := flag.String("http", "", "serve /metrics and /snapshot on this address during the run (e.g. :9090)")
 	trace := flag.Int("trace", 1024, "path-transition trace capacity (negative disables)")
-	traceSample := flag.Int("tracesample", 1, "record every Nth path transition")
 	attempts := flag.Int("attempts", core.DefaultAttempts, "HTM attempts before lock fallback")
 	lazy := flag.Bool("lazy", false, "lazy lock subscription on the slow path")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	flag.Parse()
 
-	if *inserts+*removes > 100 {
-		fatal("inserts + removes must be at most 100")
-	}
-	if *format != "prom" && *format != "json" {
-		fatal("format must be prom or json")
+	if err := checkFlags(*keyRange, *threads, *inserts, *removes, *format); err != nil {
+		fatal(err)
 	}
 
-	reg := obs.NewRegistry(obs.Config{TraceCapacity: *trace, TraceSample: *traceSample})
+	reg := obs.NewRegistry(obs.Config{TraceCapacity: *trace})
 	policy := core.Policy{Attempts: *attempts, LazySubscription: *lazy, Observer: reg}
 
 	m := mem.New(harness.DefaultSetHeapWords(*keyRange, *threads) + 1<<18)
@@ -112,6 +109,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// checkFlags rejects flag values the workload cannot run: an empty key
+// range, no worker, or an operation mix that is not a split of 100 %.
+func checkFlags(keyRange uint64, threads, inserts, removes int, format string) error {
+	switch {
+	case keyRange == 0:
+		return errors.New("keyrange must be at least 1")
+	case threads < 1:
+		return errors.New("threads must be at least 1")
+	case inserts < 0 || removes < 0:
+		return errors.New("inserts and removes must not be negative")
+	case inserts+removes > 100:
+		return errors.New("inserts + removes must be at most 100")
+	case format != "prom" && format != "json":
+		return errors.New("format must be prom or json")
+	}
+	return nil
 }
 
 // newMux builds the live-scrape HTTP handler: /metrics serves the current

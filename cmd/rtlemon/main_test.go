@@ -111,3 +111,37 @@ func TestMuxUnknownPath(t *testing.T) {
 		t.Fatalf("GET /nope: status %d, want 404", w.Code)
 	}
 }
+
+// TestCheckFlags: the defaults and the edges of each range pass, and every
+// value the workload cannot run is refused with a message naming its flag.
+func TestCheckFlags(t *testing.T) {
+	type flags struct {
+		keyRange                  uint64
+		threads, inserts, removes int
+		format                    string
+	}
+	ok := flags{8192, 4, 20, 20, "prom"}
+	for _, f := range []flags{ok, {1, 1, 0, 0, "json"}, {8192, 4, 100, 0, "prom"}, {8192, 4, 0, 100, "prom"}} {
+		if err := checkFlags(f.keyRange, f.threads, f.inserts, f.removes, f.format); err != nil {
+			t.Errorf("%+v refused: %v", f, err)
+		}
+	}
+	for _, tc := range []struct {
+		flag string
+		f    flags
+	}{
+		{"keyrange", flags{0, 4, 20, 20, "prom"}},
+		{"threads", flags{8192, 0, 20, 20, "prom"}},
+		{"threads", flags{8192, -1, 20, 20, "prom"}},
+		{"inserts", flags{8192, 4, -50, 20, "prom"}},
+		{"removes", flags{8192, 4, 20, -1, "prom"}},
+		{"inserts + removes", flags{8192, 4, 60, 50, "prom"}},
+		{"inserts + removes", flags{8192, 4, 101, 0, "prom"}},
+		{"format", flags{8192, 4, 20, 20, "csv"}},
+	} {
+		err := checkFlags(tc.f.keyRange, tc.f.threads, tc.f.inserts, tc.f.removes, tc.f.format)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.f, err, tc.flag)
+		}
+	}
+}

@@ -24,12 +24,7 @@ func main() {
 	// just switches to TLE mode.
 	tm := rtle.MustNew(rtle.AdaptiveFGTLE,
 		rtle.WithMemoryWords(1<<22),
-		rtle.WithInterleave(4),
-		rtle.WithAdaptive(rtle.AdaptiveConfig{
-			MinOrecs: 1,
-			MaxOrecs: 4096,
-			Window:   32,
-		}))
+		rtle.WithHTM(rtle.HTMConfig{InterleaveEvery: 4}))
 	// The adaptive probes (orec count, mode) live on the concrete
 	// method type behind the Method interface.
 	meth := tm.Method().(*rtle.AdaptiveMethod)

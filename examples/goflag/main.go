@@ -32,7 +32,7 @@ func run(lazy bool) (sawNull int) {
 			rtle.WithOrecs(64),
 			// Pace the lock holder so its critical section spans
 			// scheduler slices, as a long computation would.
-			rtle.WithInterleave(2),
+			rtle.WithHTM(rtle.HTMConfig{InterleaveEvery: 2}),
 		}
 		if lazy {
 			opts = append(opts, rtle.WithLazySubscription())

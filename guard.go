@@ -21,9 +21,10 @@ import "rtle/internal/guard"
 // take the real lock, because Go cannot re-execute the code between two
 // calls after a hardware abort — the two forms interoperate through lock
 // subscription. The constructors take New's Option set, scoped like the
-// algorithm behind each guard (TLE for Mutex, RW-TLE for RWMutex) plus
-// WithRetreat. See the internal/guard package documentation for the
-// execution model and DESIGN.md §8 for the soundness argument.
+// algorithm behind each guard (TLE for Mutex, RW-TLE for RWMutex). The
+// retreat's thresholds are fixed; see the internal/guard package
+// documentation for them and the execution model, and DESIGN.md §8 for the
+// soundness argument.
 
 // Guard types, aliased from internal/guard.
 type (
@@ -31,20 +32,16 @@ type (
 	Mutex = guard.Mutex
 	// RWMutex is a sync.RWMutex-shaped elision guard backed by RW-TLE.
 	RWMutex = guard.RWMutex
-	// GuardRetreatConfig tunes a guard's abort-rate-aware retreat (see
-	// WithRetreat).
-	GuardRetreatConfig = guard.RetreatConfig
 )
 
 // NewMutex assembles a TLE-backed elision guard (and a fresh heap, unless
-// WithMemory supplies one). Options are New's, scoped like TLE, plus
-// WithRetreat.
+// WithMemory supplies one). Options are New's, scoped like TLE.
 func NewMutex(opts ...Option) (*Mutex, error) {
 	return newMutex(config{}, opts)
 }
 
 // NewRWMutex assembles an RW-TLE-backed elision guard. Options are New's,
-// scoped like RWTLE, plus WithRetreat.
+// scoped like RWTLE.
 func NewRWMutex(opts ...Option) (*RWMutex, error) {
 	return newRWMutex(config{}, opts)
 }
@@ -83,17 +80,17 @@ func (tm *TM) NewRWMutex(opts ...Option) (*RWMutex, error) {
 }
 
 func newMutex(base config, opts []Option) (*Mutex, error) {
-	c, err := configure("Mutex", base, opts)
+	c, err := configure(TLE, "TLE-backed Mutex", base, opts)
 	if err != nil {
 		return nil, err
 	}
-	return guard.NewMutex(c.memory, guard.Config{Policy: c.policy, Retreat: c.retreat}), nil
+	return guard.NewMutex(c.memory, c.policy), nil
 }
 
 func newRWMutex(base config, opts []Option) (*RWMutex, error) {
-	c, err := configure("RWMutex", base, opts)
+	c, err := configure(RWTLE, "RW-TLE-backed RWMutex", base, opts)
 	if err != nil {
 		return nil, err
 	}
-	return guard.NewRWMutex(c.memory, guard.Config{Policy: c.policy, Retreat: c.retreat}), nil
+	return guard.NewRWMutex(c.memory, c.policy), nil
 }

@@ -105,7 +105,7 @@ func TestTMGuards(t *testing.T) {
 	if got != 9 {
 		t.Fatalf("thread read %d through shared heap, want 9", got)
 	}
-	rw, err := tm.NewRWMutex(rtle.WithRetreat(rtle.GuardRetreatConfig{Disable: true}))
+	rw, err := tm.NewRWMutex(rtle.WithLazySubscription()) // RW-TLE's option, on top of a TLE TM's policy
 	if err != nil {
 		t.Fatal(err)
 	}

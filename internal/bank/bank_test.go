@@ -92,7 +92,7 @@ func TestConcurrentConservation(t *testing.T) {
 		func(m *mem.Memory) core.Method { return core.NewRWTLE(m, core.Policy{}) },
 		func(m *mem.Memory) core.Method { return core.NewFGTLE(m, 256, core.Policy{}) },
 		func(m *mem.Memory) core.Method {
-			return core.NewAdaptiveFGTLE(m, core.Policy{}, core.AdaptiveConfig{Window: 16, MaxOrecs: 256})
+			return core.NewAdaptiveFGTLE(m, core.Policy{})
 		},
 	}
 	for _, build := range builders {

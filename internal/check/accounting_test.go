@@ -72,7 +72,6 @@ var conformanceEntries = []struct {
 
 func buildElider(t *testing.T, name string, m *mem.Memory, p core.Policy) elider {
 	t.Helper()
-	gcfg := guard.Config{Policy: p, Retreat: guard.RetreatConfig{Disable: true}}
 	bracket := func(g interface {
 		Lock()
 		Unlock()
@@ -93,13 +92,13 @@ func buildElider(t *testing.T, name string, m *mem.Memory, p core.Policy) elider
 	}
 	switch name {
 	case "Mutex.Do":
-		g := guard.NewMutex(m, gcfg)
+		g := guard.NewMutex(m, p)
 		return bracket(g, g.Do)
 	case "RWMutex.Do":
-		g := guard.NewRWMutex(m, gcfg)
+		g := guard.NewRWMutex(m, p)
 		return bracket(g, g.Do)
 	case "RWMutex.RDo":
-		g := guard.NewRWMutex(m, gcfg)
+		g := guard.NewRWMutex(m, p)
 		return bracket(g, g.RDo)
 	}
 	method, err := harness.BuildMethod(name, m, p)

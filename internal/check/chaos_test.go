@@ -14,7 +14,6 @@ import (
 	"rtle/internal/avl"
 	"rtle/internal/core"
 	"rtle/internal/fault"
-	"rtle/internal/guard"
 	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
@@ -89,7 +88,7 @@ func faultTrial(plan fault.Plan, name, kind string, cfg RunConfig) (ok bool, inj
 		model Model
 	)
 	if strings.HasPrefix(name, "Guard(") {
-		h, model, err = RunGuardWorkload(kind, name, m, guard.Config{Policy: policy}, cfg)
+		h, model, err = RunGuardWorkload(kind, name, m, policy, cfg)
 	} else {
 		var method core.Method
 		if method, err = harness.BuildMethod(name, m, policy); err != nil {

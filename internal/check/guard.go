@@ -24,13 +24,13 @@ type guardOps struct {
 }
 
 // buildGuardOps constructs the named guard variant over m.
-func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps, error) {
+func buildGuardOps(variant string, m *mem.Memory, policy core.Policy) (*guardOps, error) {
 	switch variant {
 	case "Guard(TLE)":
 		// Plain TLE has no slow path; the lazy-subscription knob would
 		// silently do nothing, so strip it rather than mislead.
-		gcfg.Policy.LazySubscription = false
-		g := guard.NewMutex(m, gcfg)
+		policy.LazySubscription = false
+		g := guard.NewMutex(m, policy)
 		w := func() core.Context { g.Lock(); return g.Ctx() }
 		return &guardOps{
 			do: g.Do, rdo: g.Do,
@@ -38,7 +38,7 @@ func buildGuardOps(variant string, m *mem.Memory, gcfg guard.Config) (*guardOps,
 			rlock: w, runlock: g.Unlock,
 		}, nil
 	case "Guard(RW-TLE)":
-		g := guard.NewRWMutex(m, gcfg)
+		g := guard.NewRWMutex(m, policy)
 		return &guardOps{
 			do: g.Do, rdo: g.RDo,
 			lock:    func() core.Context { g.Lock(); return g.Ctx() },
@@ -77,7 +77,7 @@ func (g *guardOps) section(i int, write bool, body func(core.Context)) {
 }
 
 // RunGuardWorkload is RunWorkload with every critical section guarded by
-// the named guard variant, built over m with gcfg, instead of run by a
+// the named guard variant, built over m with policy, instead of run by a
 // method's thread: the same operations and the same bodies, mixing closure
 // and bracket forms. It returns the history and the sequential model to
 // check it against.
@@ -86,8 +86,8 @@ func (g *guardOps) section(i int, write bool, body func(core.Context)) {
 // RW-TLE variant read-mostly phases exercise reader-reader parallelism
 // and the instrumented slow path, while the TLE variant collapses both
 // onto the single writer guard.
-func RunGuardWorkload(kind, variant string, m *mem.Memory, gcfg guard.Config, cfg RunConfig) (*History, Model, error) {
-	g, err := buildGuardOps(variant, m, gcfg)
+func RunGuardWorkload(kind, variant string, m *mem.Memory, policy core.Policy, cfg RunConfig) (*History, Model, error) {
+	g, err := buildGuardOps(variant, m, policy)
 	if err != nil {
 		return nil, Model{}, err
 	}

@@ -21,11 +21,8 @@ func TestGuardWorkloadsLinearizable(t *testing.T) {
 		for _, kind := range Workloads {
 			t.Run(variant+"/"+kind, func(t *testing.T) {
 				m := mem.New(1 << 18)
-				gcfg := guard.Config{Policy: core.Policy{
-					Attempts: 5,
-					HTM:      htm.Config{InterleaveEvery: 4},
-				}}
-				h, model, err := RunGuardWorkload(kind, variant, m, gcfg, RunConfig{
+				policy := core.Policy{Attempts: 5, HTM: htm.Config{InterleaveEvery: 4}}
+				h, model, err := RunGuardWorkload(kind, variant, m, policy, RunConfig{
 					Threads: 4, OpsPerThread: 150, Seed: 0xD1CE,
 				})
 				if err != nil {
@@ -61,10 +58,7 @@ func TestGuardStressBankConservation(t *testing.T) {
 		accounts   = 8
 	)
 	m := mem.New(1 << 16)
-	g := guard.NewRWMutex(m, guard.Config{Policy: core.Policy{
-		Attempts: 4,
-		HTM:      htm.Config{InterleaveEvery: 4},
-	}})
+	g := guard.NewRWMutex(m, core.Policy{Attempts: 4, HTM: htm.Config{InterleaveEvery: 4}})
 	b := bank.New(m, accounts, BankInitial)
 
 	var wg sync.WaitGroup

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rtle/internal/core"
-	"rtle/internal/guard"
 	"rtle/internal/mem"
 )
 
@@ -48,7 +47,7 @@ func TestOneGeneratorUnderMethodsAndGuards(t *testing.T) {
 			}
 			for _, variant := range guardVariants {
 				gm := mem.New(1 << 18)
-				gh, _, err := RunGuardWorkload(kind, variant, gm, guard.Config{}, cfg)
+				gh, _, err := RunGuardWorkload(kind, variant, gm, core.Policy{}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -81,7 +80,7 @@ func TestBankOfOneAccountRejected(t *testing.T) {
 		t.Error("RunWorkload accepted a one-account bank")
 	}
 	for _, variant := range guardVariants {
-		if _, _, err := RunGuardWorkload("bank", variant, mem.New(1<<16), guard.Config{}, cfg); err == nil {
+		if _, _, err := RunGuardWorkload("bank", variant, mem.New(1<<16), core.Policy{}, cfg); err == nil {
 			t.Errorf("RunGuardWorkload over %s accepted a one-account bank", variant)
 		}
 	}

@@ -1,47 +1,20 @@
 package core
 
 import (
-	"fmt"
-
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
 
-// AdaptiveConfig tunes AdaptiveFGTLE. The zero value selects defaults.
-// The adaptation policy itself is this repository's design: the paper
-// (§4.2.1) describes the mechanisms — resizing the orec array while
-// holding the lock, and a mode flag that turns instrumentation off to
-// recover plain TLE — and leaves the policy to future work.
-type AdaptiveConfig struct {
-	// MinOrecs and MaxOrecs bound the orec-array size (powers of two;
-	// defaults 1 and 8192).
-	MinOrecs int
-	MaxOrecs int
-	// Window is the number of lock-path executions between adaptation
-	// decisions (default 64).
-	Window int
-}
-
-func (c AdaptiveConfig) min() uint64 {
-	if c.MinOrecs > 0 {
-		return uint64(c.MinOrecs)
-	}
-	return 1
-}
-
-func (c AdaptiveConfig) max() uint64 {
-	if c.MaxOrecs > 0 {
-		return uint64(c.MaxOrecs)
-	}
-	return 8192
-}
-
-func (c AdaptiveConfig) window() uint64 {
-	if c.Window > 0 {
-		return uint64(c.Window)
-	}
-	return 64
-}
+// The adaptation policy's bounds and window. The policy itself is this
+// repository's design: the paper (§4.2.1) describes the mechanisms —
+// resizing the orec array while holding the lock, and a mode flag that
+// turns instrumentation off to recover plain TLE — and leaves the policy to
+// future work.
+const (
+	adaptiveMinOrecs = 1    // the smallest live orec count (a power of two)
+	adaptiveMaxOrecs = 8192 // the array's allocated size and the starting live count
+	adaptiveWindow   = 64   // lock-path executions between adaptation decisions
+)
 
 // Adaptive mode values stored at modeAddr.
 const (
@@ -60,17 +33,16 @@ const (
 //     method fall back to plain TLE: the lock holder runs uninstrumented
 //     and slow-path speculation is disabled.
 //
-// Policy (ours): every Window lock-path executions the holder inspects the
-// mean number of orecs its critical sections acquired. If most orecs went
-// unused the array shrinks (cheaper saturation optimization); if the
-// critical sections saturated the array and slow-path transactions were
-// aborting, it grows. If a full window passes with slow-path speculation
-// enabled but no slow-path commits, the method switches to TLE mode; it
-// probes back to FG-TLE mode a window later.
+// Policy (ours): every adaptiveWindow lock-path executions the holder
+// inspects the mean number of orecs its critical sections acquired. If
+// most orecs went unused the array shrinks (cheaper saturation
+// optimization); if the critical sections saturated the array and
+// slow-path transactions were aborting, it grows. If a full window passes
+// with slow-path speculation enabled but no slow-path commits, the method
+// switches to TLE mode; it probes back to FG-TLE mode a window later.
 type AdaptiveFGTLE struct {
 	elision
 	orecTable
-	cfg AdaptiveConfig
 
 	sizeAddr mem.Addr
 	modeAddr mem.Addr
@@ -83,24 +55,19 @@ type AdaptiveFGTLE struct {
 }
 
 // NewAdaptiveFGTLE returns an adaptive FG-TLE method over m. The orec
-// array is allocated at cfg.MaxOrecs and the live size starts there.
-func NewAdaptiveFGTLE(m *mem.Memory, policy Policy, cfg AdaptiveConfig) *AdaptiveFGTLE {
-	minN, maxN := cfg.min(), cfg.max()
-	if minN&(minN-1) != 0 || maxN&(maxN-1) != 0 || minN > maxN {
-		panic(fmt.Sprintf("core: adaptive orec bounds [%d, %d] must be powers of two with min <= max", minN, maxN))
-	}
-	lock, table := newOrecTable(m, int(maxN))
+// array is allocated at adaptiveMaxOrecs and the live size starts there.
+func NewAdaptiveFGTLE(m *mem.Memory, policy Policy) *AdaptiveFGTLE {
+	lock, table := newOrecTable(m, adaptiveMaxOrecs)
 	a := &AdaptiveFGTLE{
 		elision:     elision{m, lock, policy},
 		orecTable:   table,
-		cfg:         cfg,
 		windowEpoch: m.Load(table.epochAddr),
 	}
 	// One control line: FG-TLE's mode word, then the live size and the
 	// TLE-mode flag, all written only under the lock.
 	a.sizeAddr = a.admitAddr + 1
 	a.modeAddr = a.admitAddr + 2
-	m.Store(a.sizeAddr, maxN)
+	m.Store(a.sizeAddr, adaptiveMaxOrecs)
 	m.Store(a.modeAddr, modeFG)
 	return a
 }
@@ -118,7 +85,7 @@ func (a *AdaptiveFGTLE) InTLEMode() bool { return a.m.Load(a.modeAddr) == modeTL
 // NewThread implements Method.
 func (a *AdaptiveFGTLE) NewThread() Thread {
 	t := &adaptiveThread{
-		fgtleThread: newFGThread(a.exec(a.Name()), a.orecTable, a.cfg.max()),
+		fgtleThread: newFGThread(a.exec(a.Name()), a.orecTable, adaptiveMaxOrecs),
 		method:      a,
 	}
 	t.slowAttempt = t.runSlow
@@ -180,7 +147,7 @@ func (t *adaptiveThread) lockSection(body func(Context)) {
 // critical section, so resizes and mode switches are safe (§4.2.1).
 func (t *adaptiveThread) adapt() {
 	a := t.method
-	if a.windowRuns < a.cfg.window() {
+	if a.windowRuns < adaptiveWindow {
 		return
 	}
 	m := t.m
@@ -194,12 +161,12 @@ func (t *adaptiveThread) adapt() {
 			// slow-path commit: instrumentation is pure overhead.
 			m.Store(a.modeAddr, modeTLE)
 			t.Rec.ModeSwitch()
-		case a.windowRuns > 0 && a.usageSum/a.windowRuns*4 <= size && size > a.cfg.min():
+		case a.windowRuns > 0 && a.usageSum/a.windowRuns*4 <= size && size > adaptiveMinOrecs:
 			// Most orecs never used: shrink so the saturation
 			// optimization kicks in sooner (the paper's hint).
 			m.Store(a.sizeAddr, size/2)
 			t.Rec.Resize()
-		case a.saturations*2 >= a.windowRuns && size < a.cfg.max():
+		case a.saturations*2 >= a.windowRuns && size < adaptiveMaxOrecs:
 			// Critical sections keep acquiring every orec while
 			// speculation continues: refine the granularity.
 			m.Store(a.sizeAddr, size*2)

@@ -16,7 +16,7 @@ import (
 // mode word has a reason to flip.
 func TestAdaptiveShrinksWhenOrecsUnused(t *testing.T) {
 	m := mem.New(1 << 18)
-	meth := NewAdaptiveFGTLE(m, Policy{}, AdaptiveConfig{MinOrecs: 1, MaxOrecs: 1024, Window: 4})
+	meth := NewAdaptiveFGTLE(m, Policy{})
 	a := m.AllocLines(1)
 	th := meth.NewThread()
 	before := meth.CurrentOrecs()
@@ -48,7 +48,7 @@ func TestAdaptiveShrinksWhenOrecsUnused(t *testing.T) {
 func TestSlowCommitStampsTheWord(t *testing.T) {
 	m := mem.New(1 << 16)
 	fg := NewFGTLE(m, 256, Policy{})
-	ad := NewAdaptiveFGTLE(m, Policy{}, AdaptiveConfig{MaxOrecs: 256})
+	ad := NewAdaptiveFGTLE(m, Policy{})
 	l := m.AllocLines(1)
 	for _, tc := range []struct {
 		name    string

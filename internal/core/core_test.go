@@ -22,7 +22,7 @@ func allMethods(m *mem.Memory, p core.Policy) []core.Method {
 		core.NewFGTLE(m, 1, p),
 		core.NewFGTLE(m, 16, p),
 		core.NewFGTLE(m, 256, p),
-		core.NewAdaptiveFGTLE(m, p, core.AdaptiveConfig{Window: 8}),
+		core.NewAdaptiveFGTLE(m, p),
 	}
 }
 
@@ -115,7 +115,7 @@ func methodByName(t *testing.T, m *mem.Memory, name string, p core.Policy) core.
 	case "FG-TLE(256)":
 		return core.NewFGTLE(m, 256, p)
 	case "FG-TLE(adaptive)":
-		return core.NewAdaptiveFGTLE(m, p, core.AdaptiveConfig{Window: 8})
+		return core.NewAdaptiveFGTLE(m, p)
 	default:
 		t.Fatalf("unknown method %q", name)
 		return nil
@@ -660,15 +660,15 @@ func TestLazySubscriptionBlocksEmptyCS(t *testing.T) {
 }
 
 // TestAdaptiveSwitchesToTLEMode: with no slow-path traffic the adaptive
-// variant should stop paying for instrumentation.
+// variant should stop paying for instrumentation. The policy decides once
+// per 64 lock-path executions, so the test makes a few windows of them.
 func TestAdaptiveSwitchesToTLEMode(t *testing.T) {
+	const ops = 200
 	m := mem.New(1 << 18)
-	meth := core.NewAdaptiveFGTLE(m, core.Policy{}, core.AdaptiveConfig{
-		MinOrecs: 1, MaxOrecs: 16, Window: 4,
-	})
+	meth := core.NewAdaptiveFGTLE(m, core.Policy{})
 	a := m.AllocLines(1)
 	th := meth.NewThread()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < ops; i++ {
 		th.Atomic(func(c core.Context) {
 			c.Unsupported()
 			c.Write(a, c.Read(a)+1)
@@ -677,8 +677,8 @@ func TestAdaptiveSwitchesToTLEMode(t *testing.T) {
 	if th.Stats().ModeSwitches == 0 {
 		t.Fatal("adaptive method never switched modes despite zero slow-path commits")
 	}
-	if m.Load(a) != 50 {
-		t.Fatalf("counter = %d, want 50", m.Load(a))
+	if m.Load(a) != ops {
+		t.Fatalf("counter = %d, want %d", m.Load(a), ops)
 	}
 }
 

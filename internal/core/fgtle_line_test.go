@@ -53,15 +53,15 @@ func stamped(m *mem.Memory, base mem.Addr, n uint64, v uint64) []uint64 {
 	return idx
 }
 
-// TestMethodsAgreeOnOrecIndex: FG-TLE(n), adaptive FG-TLE and ALE — the §2
-// comparison point — stamp exactly the orec orecIndex names, for a word in
-// the middle of a line.
+// TestMethodsAgreeOnOrecIndex: FG-TLE(n), adaptive FG-TLE (at its starting
+// size) and ALE — the §2 comparison point — stamp exactly the orec
+// orecIndex names, for a word in the middle of a line.
 func TestMethodsAgreeOnOrecIndex(t *testing.T) {
 	const n = 256
 	m := mem.New(1 << 16)
 	a := m.AllocLines(1) + 5
 
-	check := func(name string, base mem.Addr, v uint64) {
+	check := func(name string, base mem.Addr, n, v uint64) {
 		t.Helper()
 		got := stamped(m, base, n, v)
 		if len(got) != 1 || got[0] != orecIndex(a, n) {
@@ -72,15 +72,15 @@ func TestMethodsAgreeOnOrecIndex(t *testing.T) {
 
 	fg := NewFGTLE(m, n, Policy{}).NewThread().(*fgtleThread)
 	fg.lockSection(write)
-	check("FG-TLE", fg.wOrecs, fg.seq)
+	check("FG-TLE", fg.wOrecs, n, fg.seq)
 
-	ad := NewAdaptiveFGTLE(m, Policy{}, AdaptiveConfig{MaxOrecs: n}).NewThread().(*adaptiveThread)
+	ad := NewAdaptiveFGTLE(m, Policy{}).NewThread().(*adaptiveThread)
 	ad.lockSection(write)
-	check("FG-TLE(adaptive)", ad.wOrecs, ad.seq)
+	check("FG-TLE(adaptive)", ad.wOrecs, adaptiveMaxOrecs, ad.seq)
 
 	ale := NewALE(m, n, Policy{})
 	ale.NewThread().Atomic(write) // uncontended: commits on ALE's instrumented fast path
-	check("ALE", ale.orecs, m.Load(ale.seqAddr))
+	check("ALE", ale.orecs, n, m.Load(ale.seqAddr))
 }
 
 // accessCounter counts an attempt's transactional accesses through the
@@ -192,11 +192,12 @@ func TestOneBarrierPerLine(t *testing.T) {
 // bothFlavours runs f against a fresh FG-TLE(256) and a fresh adaptive
 // FG-TLE over one heap — the two share fgtleThread's barriers and differ in
 // runSlow alone — handing it the method's lock, one thread to play the
-// holder, and a second thread's runSlow.
+// holder, and a second thread's runSlow. The holder's size is its method's
+// orec count: 256, or the adaptive variant's starting 8192.
 func bothFlavours(t *testing.T, f func(t *testing.T, m *mem.Memory, lock *spinlock.Lock, th *fgtleThread, runSlow func(func(Context)) htm.AbortReason)) {
 	m := mem.New(1 << 16)
 	fg := NewFGTLE(m, 256, Policy{})
-	ad := NewAdaptiveFGTLE(m, Policy{}, AdaptiveConfig{MaxOrecs: 256})
+	ad := NewAdaptiveFGTLE(m, Policy{})
 	t.Run("FG-TLE(256)", func(t *testing.T) {
 		f(t, m, fg.Lock(), fg.NewThread().(*fgtleThread), fg.NewThread().(*fgtleThread).runSlow)
 	})
@@ -224,7 +225,7 @@ func TestBarrierMemoDiesWithTheAttempt(t *testing.T) {
 		m.Store(th.admitAddr, writersAdmitted)
 
 		l := m.AllocLines(1)
-		idx := mem.Addr(orecIndex(l, 256))
+		idx := mem.Addr(orecIndex(l, th.size))
 		if r := runSlow(func(c Context) {
 			c.Read(l)
 			m.Store(th.wOrecs+idx, seq) // the holder's write barrier ...
@@ -238,7 +239,7 @@ func TestBarrierMemoDiesWithTheAttempt(t *testing.T) {
 		}
 
 		l = m.AllocLines(1)
-		idx = mem.Addr(orecIndex(l, 256))
+		idx = mem.Addr(orecIndex(l, th.size))
 		if r := runSlow(func(c Context) {
 			c.Write(l, 1)
 			m.Store(th.rOrecs+idx, seq) // the holder's read barrier
@@ -277,14 +278,14 @@ func TestReadersOnlyTurnsWritersAway(t *testing.T) {
 			t.Fatalf("readers-only, holder read the line unstamped: slow-path write %v, want %v", r, htm.Explicit)
 		}
 		m.Store(th.admitAddr, writersAdmitted)
-		m.Store(th.rOrecs+mem.Addr(orecIndex(l, 256)), seq) // the holder's read barrier
+		m.Store(th.rOrecs+mem.Addr(orecIndex(l, th.size)), seq) // the holder's read barrier
 		if r := runSlow(write); r != htm.Explicit {
 			t.Fatalf("writers admitted, r-orec stamped: slow-path write %v, want %v", r, htm.Explicit)
 		}
 		if m.Load(l) != 0 {
 			t.Fatal("a slow-path write reached a line the holder had read")
 		}
-		m.Store(th.rOrecs+mem.Addr(orecIndex(l, 256)), 0)
+		m.Store(th.rOrecs+mem.Addr(orecIndex(l, th.size)), 0)
 		if r := runSlow(write); r != htm.None || m.Load(l) != 9 {
 			t.Fatalf("writers admitted, no orec in the way: slow-path write %v, line holds %d; want a commit of 9", r, m.Load(l))
 		}
@@ -340,7 +341,7 @@ func TestAdaptiveAttemptReadsModeAndSizeInside(t *testing.T) {
 	p.HTM.NewInjector = func() htm.Injector { return accessCounter{&accesses} }
 	m := mem.New(1 << 16)
 	fg := NewFGTLE(m, 256, p).NewThread().(*fgtleThread)
-	ad := NewAdaptiveFGTLE(m, p, AdaptiveConfig{MaxOrecs: 256}).NewThread().(*adaptiveThread)
+	ad := NewAdaptiveFGTLE(m, p).NewThread().(*adaptiveThread)
 	l := m.AllocLines(2)
 	count := func(runSlow func(func(Context)) htm.AbortReason) int {
 		accesses = 0
@@ -450,7 +451,7 @@ func TestFlipPrecedesTheSectionsFirstRead(t *testing.T) {
 				t.Errorf("slow-path write after the flipping section's first read: %v, want %v", r, htm.Explicit)
 			}
 		})
-		if m.Load(holder.admitAddr) != readersOnly || len(stamped(m, holder.rOrecs, 256, holder.seq)) != 0 {
+		if m.Load(holder.admitAddr) != readersOnly || len(stamped(m, holder.rOrecs, holder.size, holder.seq)) != 0 {
 			t.Fatal("staging: the section was not the one that flips to readers-only")
 		}
 		if m.Load(l) != 0 {

@@ -29,7 +29,7 @@ type Director struct {
 	// quiescing threads. Capacity aborts caused by a squeeze are decided
 	// inside htm (the injector only shrinks the limit), so the Txs'
 	// LastAbortInjected reports them but this count does not.
-	injected [htm.NumReasons]atomic.Uint64
+	injected atomic.Uint64
 }
 
 // NewDirector returns a Director that executes plan.
@@ -50,23 +50,8 @@ func (d *Director) Configure(p *core.Policy) {
 	}
 }
 
-// Injected returns a live snapshot of faults injected so far, by reason.
-func (d *Director) Injected() [htm.NumReasons]uint64 {
-	var out [htm.NumReasons]uint64
-	for i := range out {
-		out[i] = d.injected[i].Load()
-	}
-	return out
-}
-
 // TotalInjected returns the total faults injected so far.
-func (d *Director) TotalInjected() uint64 {
-	var n uint64
-	for i := range d.injected {
-		n += d.injected[i].Load()
-	}
-	return n
-}
+func (d *Director) TotalInjected() uint64 { return d.injected.Load() }
 
 // LockSpins returns the number of lock acquisitions stretched so far.
 func (d *Director) LockSpins() uint64 {
@@ -128,7 +113,7 @@ type injector struct {
 // so fault activity is visible without quiescing threads.
 func (in *injector) count(r htm.AbortReason) htm.AbortReason {
 	if r != htm.None {
-		in.d.injected[r].Add(1)
+		in.d.injected.Add(1)
 	}
 	return r
 }

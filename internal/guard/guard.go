@@ -36,9 +36,11 @@
 //     stays allocation-free without requiring per-worker handles.
 //   - Abort-rate-aware retreat: beyond the per-block attempt budget, a
 //     guard watches its recent abort rate and, when speculation is
-//     persistently futile, retreats to the pessimistic path for a
-//     (backoff-doubled) span of operations before probing again. Mode
-//     changes surface as Stats.ModeSwitches.
+//     persistently futile (70 % of a 128-attempt window aborted), retreats
+//     to the pessimistic path for a backoff-doubled span of 64 to 4096
+//     operations before probing again. The thresholds are constants
+//     (retreat.go), and retreat is always on. Mode changes surface as
+//     Stats.ModeSwitches.
 //
 // Accounting flows through the same core.Recorder plumbing as the nine
 // methods, so guard sections feed Stats, live Observers, and
@@ -53,19 +55,6 @@ import (
 	"rtle/internal/mem"
 	"rtle/internal/spinlock"
 )
-
-// Config assembles a guard. The zero value of Policy and Retreat are
-// usable defaults; Memory must be non-nil (the root package's
-// constructors always supply it).
-type Config struct {
-	// Policy carries the speculation knobs shared with the Method
-	// constructors: attempt budget, adaptive attempts, lazy subscription
-	// (RWMutex only), observer, HTM configuration, and the lock fault
-	// hook a fault.Director installs.
-	Policy core.Policy
-	// Retreat tunes the per-guard abort-rate-aware retreat.
-	Retreat RetreatConfig
-}
 
 // gthread is the per-execution state a guard lends to whichever goroutine
 // is currently inside one of its sections: the same core.Exec a method's
@@ -110,18 +99,18 @@ type base struct {
 
 // init lays out the lock line and wires the pool and the bracket recorder.
 // Single-threaded constructor use only.
-func (b *base) init(m *mem.Memory, name string, cfg Config) {
+func (b *base) init(m *mem.Memory, name string, policy core.Policy) {
 	if m == nil {
 		panic("guard: nil Memory")
 	}
 	b.m = m
-	b.policy = cfg.Policy
+	b.policy = policy
 	b.name = name
 	line := m.AllocLines(1)
 	b.lock = spinlock.NewAt(m, line)
 	b.flag = core.NewWriteFlag(m, line+1)
-	b.retreat.init(cfg.Retreat)
-	b.brec = core.NewRecorder(cfg.Policy, name)
+	b.retreat.init()
+	b.brec = core.NewRecorder(policy, name)
 	b.pool.New = func() any { return b.newThread() }
 }
 

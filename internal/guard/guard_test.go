@@ -18,7 +18,7 @@ func newHeap() *mem.Memory { return mem.New(1 << 16) }
 // and checks the total and the Stats accounting.
 func TestMutexDoCounter(t *testing.T) {
 	m := newHeap()
-	g := NewMutex(m, Config{Policy: core.Policy{HTM: htm.Config{InterleaveEvery: 4}}})
+	g := NewMutex(m, core.Policy{HTM: htm.Config{InterleaveEvery: 4}})
 	counter := m.AllocLines(1)
 
 	const goroutines, opsEach = 4, 500
@@ -52,7 +52,7 @@ func TestMutexDoCounter(t *testing.T) {
 // TestMutexBracketForms mixes Do with Lock/Unlock bracket sections.
 func TestMutexBracketForms(t *testing.T) {
 	m := newHeap()
-	g := NewMutex(m, Config{})
+	g := NewMutex(m, core.Policy{})
 	counter := m.AllocLines(1)
 
 	const goroutines, opsEach = 4, 300
@@ -89,7 +89,7 @@ func TestMutexBracketForms(t *testing.T) {
 // whose invariant (a + b constant) every reader checks.
 func TestRWMutexMixedForms(t *testing.T) {
 	m := newHeap()
-	g := NewRWMutex(m, Config{Policy: core.Policy{HTM: htm.Config{InterleaveEvery: 4}}})
+	g := NewRWMutex(m, core.Policy{HTM: htm.Config{InterleaveEvery: 4}})
 	a := m.AllocLines(1)
 	b := m.AllocLines(1)
 	const total = 10000
@@ -156,7 +156,7 @@ func TestRWMutexMixedForms(t *testing.T) {
 // not yet written (the §3 scenario the refinement exists for).
 func TestRWMutexSlowPathUnderWriter(t *testing.T) {
 	m := newHeap()
-	g := NewRWMutex(m, Config{})
+	g := NewRWMutex(m, core.Policy{})
 	word := m.AllocLines(1)
 	m.Store(word, 42)
 
@@ -191,7 +191,7 @@ func TestRWMutexSlowPathUnderWriter(t *testing.T) {
 // an RDo fallback panics, as does unbalanced bracket use.
 func TestRWMutexReadOnlyViolation(t *testing.T) {
 	m := newHeap()
-	g := NewRWMutex(m, Config{})
+	g := NewRWMutex(m, core.Policy{})
 	word := m.AllocLines(1)
 
 	mustPanic(t, "RCtx Write", func() { g.RCtx().Write(word, 1) })
@@ -199,7 +199,7 @@ func TestRWMutexReadOnlyViolation(t *testing.T) {
 	mustPanic(t, "RUnlock of unlocked", func() { g.RUnlock() })
 	mustPanic(t, "Ctx outside Lock", func() { g.Ctx() })
 
-	mg := NewMutex(m, Config{})
+	mg := NewMutex(m, core.Policy{})
 	mustPanic(t, "Mutex Unlock of unlocked", func() { mg.Unlock() })
 	mustPanic(t, "Mutex Ctx outside Lock", func() { mg.Ctx() })
 }
@@ -219,10 +219,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 // switches recorded, and operations complete via the lock path anyway.
 func TestRetreatEngages(t *testing.T) {
 	m := newHeap()
-	g := NewMutex(m, Config{
-		Policy:  core.Policy{Attempts: 2, HTM: htm.Config{ReadLines: 1, WriteLines: 1}},
-		Retreat: RetreatConfig{Window: 16, AbortFraction: 50, MinPause: 8, MaxPause: 64},
-	})
+	g := NewMutex(m, core.Policy{Attempts: 2, HTM: htm.Config{ReadLines: 1, WriteLines: 1}})
 	counter := m.AllocLines(1)
 	addrs := make([]mem.Addr, 8)
 	for i := range addrs {
@@ -256,20 +253,14 @@ func TestRetreatEngages(t *testing.T) {
 // reach mostly fast commits.
 func TestRetreatRecovers(t *testing.T) {
 	m := newHeap()
-	g := NewMutex(m, Config{
-		Policy:  core.Policy{Attempts: 3},
-		Retreat: RetreatConfig{Window: 16, AbortFraction: 50, MinPause: 4, MaxPause: 32},
-	})
+	g := NewMutex(m, core.Policy{Attempts: 3})
 	counter := m.AllocLines(1)
 	addrs := make([]mem.Addr, 64)
 	for i := range addrs {
 		addrs[i] = m.AllocLines(1)
 	}
 	// Doomed phase: single-line capacity is impossible to respect.
-	gDoomed := NewMutex(m, Config{
-		Policy:  core.Policy{Attempts: 2, HTM: htm.Config{ReadLines: 1, WriteLines: 1}},
-		Retreat: RetreatConfig{Window: 16, AbortFraction: 50, MinPause: 4, MaxPause: 32},
-	})
+	gDoomed := NewMutex(m, core.Policy{Attempts: 2, HTM: htm.Config{ReadLines: 1, WriteLines: 1}})
 	for i := 0; i < 100; i++ {
 		gDoomed.Do(func(c core.Context) {
 			for _, a := range addrs[:4] {
@@ -319,12 +310,11 @@ func TestRetreatBatchedAcrossGoroutines(t *testing.T) {
 	var storm atomic.Bool
 	storm.Store(true)
 	m := newHeap()
-	g := NewMutex(m, Config{
-		Policy: core.Policy{Attempts: budget, HTM: htm.Config{
-			NewInjector: func() htm.Injector { return stormInjector{&storm} },
-		}},
-		Retreat: RetreatConfig{Window: window, MinPause: pause, MaxPause: pause},
-	})
+	g := NewMutex(m, core.Policy{Attempts: budget, HTM: htm.Config{
+		NewInjector: func() htm.Injector { return stormInjector{&storm} },
+	}})
+	g.retreat.window, g.retreat.minPause, g.retreat.maxPause = window, pause, pause
+	g.retreat.reset()
 	var counters [goroutines]mem.Addr
 	for i := range counters {
 		counters[i] = m.AllocLines(1) // a line each: no organic conflicts
@@ -386,7 +376,7 @@ func TestRetreatBatchedAcrossGoroutines(t *testing.T) {
 // batch attempts and send a guard that no longer aborts straight back.
 func TestRetreatDropsCountsFromBeforeTheVerdict(t *testing.T) {
 	var r retreat
-	r.init(RetreatConfig{Window: 64, MinPause: 32, MaxPause: 1024})
+	r.init()
 	threads := make([]*gthread, 16)
 	for i := range threads {
 		threads[i] = &gthread{}
@@ -397,7 +387,7 @@ func TestRetreatDropsCountsFromBeforeTheVerdict(t *testing.T) {
 	}
 	for i := 0; !r.speculate(threads[i%len(threads)]); i++ {
 	}
-	for range 4 * 64 {
+	for range 4 * retreatWindow {
 		for _, th := range threads {
 			r.record(th, 0, 1)
 		}
@@ -405,8 +395,8 @@ func TestRetreatDropsCountsFromBeforeTheVerdict(t *testing.T) {
 	if left := r.remaining.Load(); left != 0 {
 		t.Fatalf("retreated again (%d ops) with no abort since the pause", left)
 	}
-	if p := r.pause.Load(); p != 32 {
-		t.Fatalf("pause = %d after healthy windows, want it back at MinPause 32", p)
+	if p := r.pause.Load(); p != retreatMinPause {
+		t.Fatalf("pause = %d after healthy windows, want it back at the minimum %d", p, retreatMinPause)
 	}
 }
 
@@ -422,10 +412,7 @@ func (c *lockFaultCounter) OnLockAcquired() { c.n.Add(1) }
 func TestReaderSectionsFireLockFault(t *testing.T) {
 	var hook lockFaultCounter
 	m := newHeap()
-	g := NewRWMutex(m, Config{
-		Policy:  core.Policy{Attempts: 2, LockFault: &hook},
-		Retreat: RetreatConfig{Disable: true},
-	})
+	g := NewRWMutex(m, core.Policy{Attempts: 2, LockFault: &hook})
 	word := m.AllocLines(1)
 
 	g.RDo(func(c core.Context) {
@@ -467,12 +454,9 @@ func TestRDoSlowAbortsSpendTheBudget(t *testing.T) {
 	const budget = 3
 	var begins atomic.Int64
 	m := newHeap()
-	g := NewRWMutex(m, Config{
-		Policy: core.Policy{Attempts: budget, HTM: htm.Config{
-			NewInjector: func() htm.Injector { return beginCounter{&begins} },
-		}},
-		Retreat: RetreatConfig{Disable: true},
-	})
+	g := NewRWMutex(m, core.Policy{Attempts: budget, HTM: htm.Config{
+		NewInjector: func() htm.Injector { return beginCounter{&begins} },
+	}})
 	word := m.AllocLines(1)
 
 	g.Lock()
@@ -514,8 +498,8 @@ func TestRDoSlowAbortsSpendTheBudget(t *testing.T) {
 func TestGuardSectionsDoNotAllocate(t *testing.T) {
 	m := newHeap()
 	word := m.AllocLines(1)
-	mu := NewMutex(m, Config{})
-	rw := NewRWMutex(m, Config{})
+	mu := NewMutex(m, core.Policy{})
+	rw := NewRWMutex(m, core.Policy{})
 	// The race detector makes sync.Pool drop a quarter of all Puts; hand
 	// the refill the same gthread back so a drop costs no allocation.
 	for _, b := range []*base{&mu.base, &rw.base} {
@@ -543,7 +527,7 @@ func TestGuardSectionsDoNotAllocate(t *testing.T) {
 // merges the registry, not the pool.
 func TestStatsSurvivePoolDrop(t *testing.T) {
 	m := newHeap()
-	g := NewMutex(m, Config{})
+	g := NewMutex(m, core.Policy{})
 	counter := m.AllocLines(1)
 	for i := 0; i < 50; i++ {
 		g.Do(func(c core.Context) { c.Write(counter, c.Read(counter)+1) })
@@ -579,9 +563,10 @@ func countersOp(g *RWMutex, counters []mem.Addr, r *rng.Xoshiro256, sink *uint64
 
 // benchCounters times op from GOMAXPROCS goroutines over an RWMutex built
 // with cfg and 64 line-sized counters; op's id numbers the goroutines from 1.
-func benchCounters(b *testing.B, cfg Config, op func(g *RWMutex, counters []mem.Addr, id uint64, r *rng.Xoshiro256, sink *uint64)) {
+func benchCounters(b *testing.B, retreatOff bool, op func(g *RWMutex, counters []mem.Addr, id uint64, r *rng.Xoshiro256, sink *uint64)) {
 	m := newHeap()
-	g := NewRWMutex(m, cfg)
+	g := NewRWMutex(m, core.Policy{})
+	g.retreat.off = retreatOff
 	counters := make([]mem.Addr, 64)
 	for i := range counters {
 		counters[i] = m.AllocLines(1)
@@ -604,14 +589,14 @@ func benchCounters(b *testing.B, cfg Config, op func(g *RWMutex, counters []mem.
 // the guard's fixed cost per section, including every line the goroutines
 // share.
 func BenchmarkRWMutexParallel(b *testing.B) {
-	benchCounters(b, Config{}, func(g *RWMutex, counters []mem.Addr, _ uint64, r *rng.Xoshiro256, sink *uint64) {
+	benchCounters(b, false, func(g *RWMutex, counters []mem.Addr, _ uint64, r *rng.Xoshiro256, sink *uint64) {
 		countersOp(g, counters, r, sink)
 	})
 }
 
 // BenchmarkRetreat is the retreat controller's ablation cell (EXPERIMENTS.md
-// "A7"): four section mixes, each with the controller on and with
-// RetreatConfig.Disable. futile: every Do hits an instruction the HTM
+// "A7"): four section mixes, each with the controller on and turned off
+// (retreat.off, which nothing outside this benchmark sets). futile: every Do hits an instruction the HTM
 // refuses, so each speculative attempt is wasted; futile_reader: one such
 // writer beside RDo readers; hot: every Do increments one counter; healthy:
 // the guard_counters shape, which never trips the controller. Needs -cpu 2
@@ -649,7 +634,7 @@ func BenchmarkRetreat(b *testing.B) {
 	for _, shape := range shapes {
 		for _, mode := range []string{"on", "off"} {
 			b.Run(shape.name+"/"+mode, func(b *testing.B) {
-				benchCounters(b, Config{Retreat: RetreatConfig{Disable: mode == "off"}}, shape.op)
+				benchCounters(b, mode == "off", shape.op)
 			})
 		}
 	}

@@ -16,10 +16,12 @@ import (
 type Mutex struct{ base }
 
 // NewMutex returns a TLE-backed guard whose lock lives on its own cache
-// line of m.
-func NewMutex(m *mem.Memory, cfg Config) *Mutex {
+// line of m. policy carries the speculation knobs shared with the Method
+// constructors: attempt budget, adaptive attempts, observer, HTM
+// configuration, and the lock fault hook a fault.Director installs.
+func NewMutex(m *mem.Memory, policy core.Policy) *Mutex {
 	g := &Mutex{}
-	g.init(m, "Guard(TLE)", cfg)
+	g.init(m, "Guard(TLE)", policy)
 	return g
 }
 

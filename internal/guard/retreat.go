@@ -2,52 +2,23 @@ package guard
 
 import "sync/atomic"
 
-// RetreatConfig tunes a guard's abort-rate-aware retreat. The attempt
-// budget bounds retries *within* one atomic block; retreat works across
-// blocks: when a decision window shows speculation mostly aborting, the
-// guard stops speculating entirely for a span of operations, doubling the
-// span while the contention persists and shrinking it while windows stay
-// healthy. This is the guard-level analogue of the adaptive integration
-// policies the paper cites as orthogonal work (§2, [12][13]), keyed to
-// the observed abort *rate* rather than a per-block attempt count.
-type RetreatConfig struct {
-	// Window is the number of fast/slow attempts per decision window
-	// (default 128).
-	Window int
-	// AbortFraction is the windowed abort fraction (in percent, so the
-	// config stays integral) at or above which the guard retreats.
-	// Default 70.
-	AbortFraction int
-	// MinPause and MaxPause bound the pessimistic span, in operations
-	// (defaults 64 and 4096). Each consecutive retreat doubles the span
-	// up to MaxPause; healthy windows halve it down to MinPause.
-	MinPause, MaxPause int
-	// Disable turns retreat off (the per-block attempt budget still
-	// applies).
-	Disable bool
-}
-
-func (c RetreatConfig) withDefaults() RetreatConfig {
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.AbortFraction <= 0 {
-		c.AbortFraction = 70
-	}
-	if c.MinPause <= 0 {
-		c.MinPause = 64
-	}
-	if c.MaxPause < c.MinPause {
-		c.MaxPause = 4096
-		if c.MaxPause < c.MinPause {
-			c.MaxPause = c.MinPause
-		}
-	}
-	return c
-}
+// A guard's abort-rate-aware retreat. The attempt budget bounds retries
+// *within* one atomic block; retreat works across blocks: when a decision
+// window shows speculation mostly aborting, the guard stops speculating
+// entirely for a span of operations, doubling the span while the
+// contention persists and shrinking it while windows stay healthy. This is
+// the guard-level analogue of the adaptive integration policies the paper
+// cites as orthogonal work (§2, [12][13]), keyed to the observed abort
+// *rate* rather than a per-block attempt count.
+const (
+	retreatWindow       = 128  // fast/slow attempts per decision window
+	retreatAbortPercent = 70   // windowed abort share, in percent, at or above which the guard retreats
+	retreatMinPause     = 64   // the shortest pessimistic span, in operations
+	retreatMaxPause     = 4096 // the longest: each consecutive retreat doubles the span up to here, healthy windows halve it
+)
 
 // flushDivisor sets how often a goroutine folds its locally counted
-// attempts into the shared window: every Window/flushDivisor attempts. A
+// attempts into the shared window: every window/flushDivisor attempts. A
 // verdict can therefore lag the window boundary by one batch per goroutine.
 const flushDivisor = 8
 
@@ -60,11 +31,17 @@ const flushDivisor = 8
 // line of its own that is written only while the guard retreats. A guard
 // whose speculation is healthy thus writes no shared line per section.
 type retreat struct {
-	cfg   RetreatConfig
+	// The controller's settings. init sets the constants above; a test
+	// that needs a shorter window or a fixed pause sets them before the
+	// guard's first section and calls reset, and BenchmarkRetreat's off
+	// cell sets off.
+	window, abortPercent, minPause, maxPause int
+	off                                      bool
+
 	batch int // attempts a gthread accumulates before folding them in
 
 	_      [64]byte
-	window atomic.Uint64 // this window's aborts<<32 | attempts: one add per batch
+	counts atomic.Uint64 // this window's aborts<<32 | attempts: one add per batch
 	pause  atomic.Int64  // current retreat span (ops)
 
 	_         [64]byte
@@ -72,10 +49,16 @@ type retreat struct {
 	_         [64]byte
 }
 
-func (r *retreat) init(cfg RetreatConfig) {
-	r.cfg = cfg.withDefaults()
-	r.batch = max(1, r.cfg.Window/flushDivisor)
-	r.pause.Store(int64(r.cfg.MinPause))
+func (r *retreat) init() {
+	r.window, r.abortPercent = retreatWindow, retreatAbortPercent
+	r.minPause, r.maxPause = retreatMinPause, retreatMaxPause
+	r.reset()
+}
+
+// reset derives the batch and the starting pause from the settings.
+func (r *retreat) reset() {
+	r.batch = max(1, r.window/flushDivisor)
+	r.pause.Store(int64(r.minPause))
 }
 
 // speculate reports whether the next block may attempt elision, consuming
@@ -84,7 +67,7 @@ func (r *retreat) init(cfg RetreatConfig) {
 // Counts t still holds from before the verdict are dropped, so they cannot
 // weigh on the first window after the retreat.
 func (r *retreat) speculate(t *gthread) bool {
-	if r.cfg.Disable {
+	if r.off {
 		return true
 	}
 	for {
@@ -107,7 +90,7 @@ func (r *retreat) speculate(t *gthread) bool {
 // boundaries, decides whether to retreat. aborted is the number of aborted
 // attempts, total the number made.
 func (r *retreat) record(t *gthread, aborted, total int) {
-	if r.cfg.Disable || total == 0 {
+	if r.off || total == 0 {
 		return
 	}
 	t.pendAborts += aborted
@@ -115,29 +98,29 @@ func (r *retreat) record(t *gthread, aborted, total int) {
 	if t.pendAttempts < r.batch {
 		return
 	}
-	w := r.window.Add(uint64(t.pendAborts)<<32 | uint64(t.pendAttempts))
+	w := r.counts.Add(uint64(t.pendAborts)<<32 | uint64(t.pendAttempts))
 	t.pendAborts, t.pendAttempts = 0, 0
 	a, n := int64(w>>32), int64(uint32(w))
-	if n < int64(r.cfg.Window) {
+	if n < int64(r.window) {
 		return
 	}
 	// One goroutine wins the reset and applies the window's verdict; the
 	// losers' counts fold into the next window.
-	if !r.window.CompareAndSwap(w, 0) {
+	if !r.counts.CompareAndSwap(w, 0) {
 		return
 	}
 	pause := r.pause.Load()
-	if a*100 >= n*int64(r.cfg.AbortFraction) {
+	if a*100 >= n*int64(r.abortPercent) {
 		// Speculation is mostly wasted work: retreat, and double the
 		// span for the next episode.
 		r.remaining.Store(pause)
-		if next := pause * 2; next <= int64(r.cfg.MaxPause) {
+		if next := pause * 2; next <= int64(r.maxPause) {
 			r.pause.Store(next)
 		}
 		t.Rec.ModeSwitch()
 		return
 	}
-	if next := pause / 2; next >= int64(r.cfg.MinPause) {
+	if next := pause / 2; next >= int64(r.minPause) {
 		r.pause.Store(next)
 	}
 }

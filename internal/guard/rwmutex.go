@@ -39,10 +39,11 @@ type RWMutex struct {
 	rstarts []int64
 }
 
-// NewRWMutex returns an RW-TLE-backed guard over m.
-func NewRWMutex(m *mem.Memory, cfg Config) *RWMutex {
+// NewRWMutex returns an RW-TLE-backed guard over m, with NewMutex's policy
+// plus lazy subscription.
+func NewRWMutex(m *mem.Memory, policy core.Policy) *RWMutex {
 	g := &RWMutex{}
-	g.init(m, "Guard(RW-TLE)", cfg)
+	g.init(m, "Guard(RW-TLE)", policy)
 	g.readersAddr = m.AllocLines(1)
 	return g
 }

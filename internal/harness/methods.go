@@ -43,7 +43,7 @@ func BuildMethod(name string, m *mem.Memory, p core.Policy) (core.Method, error)
 	case "RHNOrec":
 		return rhnorec.New(m, p), nil
 	case "FG-TLE(adaptive)":
-		return core.NewAdaptiveFGTLE(m, p, core.AdaptiveConfig{}), nil
+		return core.NewAdaptiveFGTLE(m, p), nil
 	}
 	switch family, orecs, err := MethodOrecs(name); {
 	case err != nil:

@@ -9,8 +9,8 @@
 // slot's own mutex; one block in 16 (the thread's 1st, 17th, ...) is also
 // timed on the monotonic clock into the slot's per-path log2 histogram.
 // A thread also reports each change of its commit path, which feeds a
-// sampled trace of path transitions. Registry.Snapshot merges the slots at
-// any moment without stopping the workers.
+// trace of path transitions. Registry.Snapshot merges the slots at any
+// moment without stopping the workers.
 //
 // Each slot holds one thread's state at a block boundary, so a snapshot
 // is coherent by construction: TotalCommits <= Ops and, per hardware path,
@@ -90,10 +90,6 @@ type Config struct {
 	// TraceCapacity bounds the path-transition trace ring; older events
 	// are overwritten. Default 1024. Negative disables tracing.
 	TraceCapacity int
-	// TraceSample records only every Nth transition (per thread), so hot
-	// workloads don't serialize on the trace mutex. Default 1 (record
-	// all).
-	TraceSample int
 }
 
 func (c Config) traceCapacity() int {
@@ -104,13 +100,6 @@ func (c Config) traceCapacity() int {
 		return 0
 	}
 	return c.TraceCapacity
-}
-
-func (c Config) traceSample() int {
-	if c.TraceSample <= 0 {
-		return 1
-	}
-	return c.TraceSample
 }
 
 // TraceEvent is one recorded path transition: at UnixNanos, the thread
@@ -130,15 +119,13 @@ type TraceEvent struct {
 // Registry implements core.Observer: it hands a slot to every thread and
 // merges them on demand. The zero value is NOT ready; use NewRegistry.
 type Registry struct {
-	cfg Config
-
 	mu     sync.Mutex // guards shards slice and trace ring
 	shards []*shard
 
 	trace        []TraceEvent // ring buffer, len == cap
 	traceNext    int          // next write position
 	traceLen     int          // valid entries (<= len(trace))
-	traceDropped uint64       // transitions overwritten or sampled away
+	traceDropped uint64       // transitions overwritten
 
 	start time.Time
 	prev  atomic.Pointer[Snapshot] // last snapshot, for Registry.Delta
@@ -146,7 +133,7 @@ type Registry struct {
 
 // NewRegistry returns a Registry with cfg (zero value for defaults).
 func NewRegistry(cfg Config) *Registry {
-	r := &Registry{cfg: cfg, start: time.Now()}
+	r := &Registry{start: time.Now()}
 	if n := cfg.traceCapacity(); n > 0 {
 		r.trace = make([]TraceEvent, n)
 	}
@@ -168,8 +155,7 @@ func (r *Registry) ObserveThread(method string) *core.Slot {
 	return s.slot
 }
 
-// record stamps and appends a trace event (called by shards, already
-// sampled). The stamp is taken under the lock: the ring is read oldest
+// record stamps and appends a trace event (called by shards). The stamp is taken under the lock: the ring is read oldest
 // first, so ring order must be timestamp order, and two threads that read
 // the clock before queueing for the lock can enter it the other way round.
 func (r *Registry) record(ev TraceEvent) {
@@ -185,23 +171,17 @@ func (r *Registry) record(ev TraceEvent) {
 	r.mu.Unlock()
 }
 
-// shard is one observed thread: its slot, and its path-transition sampler.
+// shard is one observed thread: its slot, and its path-transition hook.
 type shard struct {
 	reg    *Registry
 	id     int
 	method string
 	slot   *core.Slot
-
-	transitionN int // transitions seen, for sampling (the thread's alone)
 }
 
-// PathChanged implements core.ThreadObserver: it records every
-// TraceSample-th transition of the thread into the registry's trace ring.
+// PathChanged implements core.ThreadObserver: it records the thread's
+// transition into the registry's trace ring.
 func (s *shard) PathChanged(from, to core.Path, k core.CommitKind) {
-	s.transitionN++
-	if s.transitionN%s.reg.cfg.traceSample() != 0 {
-		return
-	}
 	s.reg.record(TraceEvent{
 		Thread:   s.id,
 		Method:   s.method,

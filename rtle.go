@@ -6,11 +6,10 @@ import (
 	"strings"
 
 	"rtle/internal/core"
+	"rtle/internal/harness"
 	"rtle/internal/htm"
 	"rtle/internal/mem"
-	"rtle/internal/norec"
 	"rtle/internal/obs"
-	"rtle/internal/rhnorec"
 )
 
 // This file is the public face of the library: aliases for the execution
@@ -24,11 +23,12 @@ import (
 //		rtle.WithObserver(rtle.NewRegistry()))
 //
 // The same Option set configures the guards (guard.go), and one scope
-// table, optionScope, says which option applies to which target.
+// table, optionScope, says which option applies to which algorithm; a
+// guard takes exactly the options of the algorithm behind it.
 //
 // The internal packages stay importable for code that needs the full
-// surface (custom adaptive configs, the harness, the benchmarks); the root
-// package is the stable entry point examples and downstream code build on.
+// surface (the harness, the benchmarks); the root package is the stable
+// entry point examples and downstream code build on.
 
 // Aliases for the core execution types, so user code can stay entirely
 // within the rtle package.
@@ -58,8 +58,6 @@ type (
 	Addr = mem.Addr
 	// HTMConfig configures the simulated hardware (see WithHTM).
 	HTMConfig = htm.Config
-	// AdaptiveConfig tunes the adaptive FG-TLE variant (see WithAdaptive).
-	AdaptiveConfig = core.AdaptiveConfig
 	// AdaptiveMethod is the concrete adaptive FG-TLE method; obtain it by
 	// type-asserting TM.Method after New(AdaptiveFGTLE, ...) to reach
 	// CurrentOrecs and InTLEMode.
@@ -67,8 +65,6 @@ type (
 	// Registry is the live-metrics registry (see WithObserver and
 	// NewRegistry).
 	Registry = obs.Registry
-	// RegistryConfig tunes a Registry's trace ring.
-	RegistryConfig = obs.Config
 	// Snapshot is a coherent point-in-time aggregate of a Registry.
 	Snapshot = obs.Snapshot
 )
@@ -88,12 +84,9 @@ const WordsPerLine = mem.WordsPerLine
 // NewMemory allocates a simulated heap of the given word count.
 func NewMemory(words int) *Memory { return mem.New(words) }
 
-// NewRegistry returns a live-metrics Registry with default configuration;
-// use NewRegistryWith for custom trace sizing.
+// NewRegistry returns a live-metrics Registry whose trace ring holds the
+// last 1024 path transitions.
 func NewRegistry() *Registry { return obs.NewRegistry(obs.Config{}) }
-
-// NewRegistryWith returns a Registry with the given trace configuration.
-func NewRegistryWith(cfg RegistryConfig) *Registry { return obs.NewRegistry(cfg) }
 
 // Direct returns a Context that accesses m without synchronization, for
 // setup and verification code running while no threads are active.
@@ -160,13 +153,11 @@ func (a Algorithm) String() string {
 // reject what its target ignores, and WithMemoryWords, which conflicts
 // with WithMemory.
 type config struct {
-	memory   *Memory
-	words    int
-	policy   Policy
-	orecs    int
-	adaptive AdaptiveConfig
-	retreat  GuardRetreatConfig
-	applied  []string
+	memory  *Memory
+	words   int
+	policy  Policy
+	orecs   int
+	applied []string
 }
 
 func (c *config) mark(name string) { c.applied = append(c.applied, name) }
@@ -215,15 +206,10 @@ func WithAdaptiveAttempts() Option {
 // DeltaSince at any time.
 func WithObserver(o Observer) Option { return func(c *config) { c.policy.Observer = o } }
 
-// WithHTM replaces the simulated-HTM configuration wholesale.
+// WithHTM replaces the simulated-HTM configuration wholesale; its
+// InterleaveEvery yields every n transactional accesses, so speculation
+// windows open on hosts with fewer cores than threads.
 func WithHTM(cfg HTMConfig) Option { return func(c *config) { c.policy.HTM = cfg } }
-
-// WithInterleave sets only the concurrency-virtualization knob: yield every
-// n transactional accesses so speculation windows open on hosts with fewer
-// cores than threads (see HTMConfig.InterleaveEvery).
-func WithInterleave(n int) Option {
-	return func(c *config) { c.policy.HTM.InterleaveEvery = n }
-}
 
 // WithPolicy replaces the assembled Policy wholesale. It is the way to
 // wire what has no dedicated option — most notably a fault plan: build a
@@ -237,45 +223,33 @@ func WithOrecs(n int) Option {
 	return func(c *config) { c.orecs = n; c.mark("WithOrecs") }
 }
 
-// WithAdaptive tunes the AdaptiveFGTLE variant (only).
-func WithAdaptive(cfg AdaptiveConfig) Option {
-	return func(c *config) { c.adaptive = cfg; c.mark("WithAdaptive") }
-}
-
-// WithRetreat tunes a guard's abort-rate-aware retreat controller (guards
-// only).
-func WithRetreat(cfg GuardRetreatConfig) Option {
-	return func(c *config) { c.retreat = cfg; c.mark("WithRetreat") }
-}
-
-// optionScope lists, for every option whose effect is target-specific,
-// the targets that consume it: algorithms by their legend names, and the
-// guards as "Mutex" (scoped like TLE, which backs it) and "RWMutex" (like
-// RW-TLE). A constructor rejects an out-of-scope option with a
-// descriptive error instead of silently ignoring it; options absent from
-// this table (memory, observer, HTM configuration, policy) apply to every
-// target. TestNewOptionValidation pins the full matrix.
+// optionScope lists, for every option whose effect is algorithm-specific,
+// the algorithms that consume it, by their legend names. A guard is scoped
+// like the algorithm behind it: Mutex like TLE, RWMutex like RW-TLE. A
+// constructor rejects an out-of-scope option with a descriptive error
+// instead of silently ignoring it; options absent from this table (memory,
+// observer, HTM configuration, policy) apply to every target.
+// TestNewOptionValidation pins the full matrix.
 var optionScope = map[string][]string{
-	"WithAttempts":         {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "RHNOrec", "Mutex", "RWMutex"},
-	"WithAdaptiveAttempts": {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "Mutex", "RWMutex"},
-	"WithLazySubscription": {"RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "RWMutex"},
+	"WithAttempts":         {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "RHNOrec"},
+	"WithAdaptiveAttempts": {"TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE"},
+	"WithLazySubscription": {"RW-TLE", "FG-TLE", "FG-TLE(adaptive)"},
 	"WithOrecs":            {"FG-TLE", "ALE"},
-	"WithAdaptive":         {"FG-TLE(adaptive)"},
-	"WithRetreat":          {"Mutex", "RWMutex"},
 }
 
 // configure applies opts over base (the heap and policy a TM's guard
 // starts from; zero for the package-level constructors), rejects options
-// target ignores, and resolves the heap. New and every guard constructor
-// build through it.
-func configure(target string, base config, opts []Option) (config, error) {
+// alg ignores, and resolves the heap. New and every guard constructor
+// build through it; target names the constructed thing in errors (the
+// algorithm, or the guard it backs).
+func configure(alg Algorithm, target string, base config, opts []Option) (config, error) {
 	c := base
 	c.words, c.orecs = 1<<20, DefaultOrecs
 	for _, opt := range opts {
 		opt(&c)
 	}
 	for _, name := range c.applied {
-		if scope, ok := optionScope[name]; ok && !slices.Contains(scope, target) {
+		if scope, ok := optionScope[name]; ok && !slices.Contains(scope, alg.String()) {
 			return config{}, fmt.Errorf("rtle: %s has no effect under %s (applies to %s)",
 				name, target, strings.Join(scope, ", "))
 		}
@@ -308,42 +282,19 @@ type TM struct {
 // chosen algorithm ignores (say WithOrecs under plain TLE) is a
 // configuration error, not a no-op.
 func New(alg Algorithm, opts ...Option) (*TM, error) {
-	c, err := configure(alg.String(), config{}, opts)
+	c, err := configure(alg, alg.String(), config{}, opts)
 	if err != nil {
 		return nil, err
 	}
-	m := c.memory
-
-	var method Method
-	switch alg {
-	case Lock:
-		method = core.NewLock(m, c.policy)
-	case TLE:
-		method = core.NewTLE(m, c.policy)
-	case HLE:
-		method = core.NewHLE(m, c.policy)
-	case RWTLE:
-		method = core.NewRWTLE(m, c.policy)
-	case FGTLE:
-		if err := core.CheckOrecs(c.orecs); err != nil {
-			return nil, fmt.Errorf("rtle: %w", err)
-		}
-		method = core.NewFGTLE(m, c.orecs, c.policy)
-	case AdaptiveFGTLE:
-		method = core.NewAdaptiveFGTLE(m, c.policy, c.adaptive)
-	case ALE:
-		if err := core.CheckOrecs(c.orecs); err != nil {
-			return nil, fmt.Errorf("rtle: %w", err)
-		}
-		method = core.NewALE(m, c.orecs, c.policy)
-	case NOrec:
-		method = norec.New(m, c.policy)
-	case RHNOrec:
-		method = rhnorec.New(m, c.policy)
-	default:
-		return nil, fmt.Errorf("rtle: unknown algorithm %v", alg)
+	name := alg.String()
+	if alg == FGTLE || alg == ALE {
+		name = fmt.Sprintf("%s(%d)", name, c.orecs)
 	}
-	return &TM{m: m, method: method, policy: c.policy}, nil
+	method, err := harness.BuildMethod(name, c.memory, c.policy)
+	if err != nil {
+		return nil, fmt.Errorf("rtle: %w", err)
+	}
+	return &TM{m: c.memory, method: method, policy: c.policy}, nil
 }
 
 // MustNew is New for statically-known configurations; it panics on error.

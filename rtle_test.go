@@ -108,7 +108,6 @@ func TestNewOptionValidation(t *testing.T) {
 			[]rtle.Option{rtle.WithMemory(shared), rtle.WithMemoryWords(1 << 16)}, none},
 		{"WithObserver", []rtle.Option{rtle.WithObserver(rtle.NewRegistry())}, all},
 		{"WithHTM", []rtle.Option{rtle.WithHTM(rtle.HTMConfig{InterleaveEvery: 2})}, all},
-		{"WithInterleave", []rtle.Option{rtle.WithInterleave(2)}, all},
 		{"WithPolicy", []rtle.Option{rtle.WithPolicy(rtle.Policy{Attempts: 3})}, all},
 		{"WithAttempts", []rtle.Option{rtle.WithAttempts(3)},
 			only("TLE", "RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "ALE", "RHNOrec", "Mutex", "RWMutex")},
@@ -117,10 +116,6 @@ func TestNewOptionValidation(t *testing.T) {
 		{"WithLazySubscription", []rtle.Option{rtle.WithLazySubscription()},
 			only("RW-TLE", "FG-TLE", "FG-TLE(adaptive)", "RWMutex")},
 		{"WithOrecs", []rtle.Option{rtle.WithOrecs(64)}, only("FG-TLE", "ALE")},
-		{"WithAdaptive", []rtle.Option{rtle.WithAdaptive(rtle.AdaptiveConfig{MinOrecs: 1, MaxOrecs: 64})},
-			only("FG-TLE(adaptive)")},
-		{"WithRetreat", []rtle.Option{rtle.WithRetreat(rtle.GuardRetreatConfig{Disable: true})},
-			only("Mutex", "RWMutex")},
 	}
 	for _, tc := range cases {
 		for _, tg := range targets {
@@ -145,17 +140,54 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 }
 
+// TestGuardsScopedLikeTheirAlgorithm checks every optionScope row against
+// the guards: NewMutex accepts an option exactly when New(TLE) does, and
+// NewRWMutex exactly when New(RWTLE) does.
+func TestGuardsScopedLikeTheirAlgorithm(t *testing.T) {
+	opts := map[string]rtle.Option{
+		"WithAttempts":         rtle.WithAttempts(3),
+		"WithAdaptiveAttempts": rtle.WithAdaptiveAttempts(),
+		"WithLazySubscription": rtle.WithLazySubscription(),
+		"WithOrecs":            rtle.WithOrecs(64),
+	}
+	small := rtle.WithMemoryWords(1 << 12)
+	for name := range rtle.OptionScope {
+		opt, ok := opts[name]
+		if !ok {
+			t.Errorf("optionScope row %s has no option to try here", name)
+			continue
+		}
+		_, tleErr := rtle.New(rtle.TLE, small, opt)
+		_, mutexErr := rtle.NewMutex(small, opt)
+		if (tleErr == nil) != (mutexErr == nil) {
+			t.Errorf("%s: New(TLE) error %v, NewMutex error %v; want both or neither", name, tleErr, mutexErr)
+		}
+		_, rwtleErr := rtle.New(rtle.RWTLE, small, opt)
+		_, rwmutexErr := rtle.NewRWMutex(small, opt)
+		if (rwtleErr == nil) != (rwmutexErr == nil) {
+			t.Errorf("%s: New(RWTLE) error %v, NewRWMutex error %v; want both or neither", name, rwtleErr, rwmutexErr)
+		}
+	}
+}
+
 // TestNewValidation checks that New reports configuration errors instead
-// of panicking.
+// of panicking, each under the package's "rtle:" prefix.
 func TestNewValidation(t *testing.T) {
-	if _, err := rtle.New(rtle.FGTLE, rtle.WithOrecs(3)); err == nil {
-		t.Error("New accepted a non-power-of-two orec count")
-	}
-	if _, err := rtle.New(rtle.ALE, rtle.WithOrecs(0)); err == nil {
-		t.Error("New accepted a zero orec count")
-	}
-	if _, err := rtle.New(rtle.Algorithm(99)); err == nil {
-		t.Error("New accepted an unknown algorithm")
+	for _, tc := range []struct {
+		what string
+		alg  rtle.Algorithm
+		opts []rtle.Option
+	}{
+		{"a non-power-of-two orec count", rtle.FGTLE, []rtle.Option{rtle.WithOrecs(3)}},
+		{"a zero orec count", rtle.ALE, []rtle.Option{rtle.WithOrecs(0)}},
+		{"an unknown algorithm", rtle.Algorithm(99), nil},
+	} {
+		_, err := rtle.New(tc.alg, tc.opts...)
+		if err == nil {
+			t.Errorf("New accepted %s", tc.what)
+		} else if !strings.HasPrefix(err.Error(), "rtle: ") {
+			t.Errorf("New's error for %s lacks the rtle: prefix: %v", tc.what, err)
+		}
 	}
 	if _, err := rtle.New(rtle.TLE, rtle.WithMemoryWords(-1)); err == nil {
 		t.Error("New accepted a negative memory size")
@@ -215,14 +247,13 @@ func TestWithObserver(t *testing.T) {
 // TestAdaptiveMethodAssert checks the documented type-assertion route to
 // algorithm-specific probes.
 func TestAdaptiveMethodAssert(t *testing.T) {
-	tm := rtle.MustNew(rtle.AdaptiveFGTLE, rtle.WithMemoryWords(1<<16),
-		rtle.WithAdaptive(rtle.AdaptiveConfig{MinOrecs: 1, MaxOrecs: 64}))
+	tm := rtle.MustNew(rtle.AdaptiveFGTLE, rtle.WithMemoryWords(1<<16))
 	meth, ok := tm.Method().(*rtle.AdaptiveMethod)
 	if !ok {
 		t.Fatalf("Method() is %T, want *rtle.AdaptiveMethod", tm.Method())
 	}
-	if meth.CurrentOrecs() != 64 {
-		t.Errorf("CurrentOrecs = %d, want the MaxOrecs start of 64", meth.CurrentOrecs())
+	if meth.CurrentOrecs() != 8192 {
+		t.Errorf("CurrentOrecs = %d, want the shipped start of 8192", meth.CurrentOrecs())
 	}
 }
 
