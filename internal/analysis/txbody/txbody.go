@@ -42,7 +42,7 @@ var Analyzer = &framework.Analyzer{
 // tracking when called from inside a transaction body.
 var rawMemMethods = []string{
 	"Load", "Store", "CAS", "FetchAdd",
-	"WordLoad", "WordStore", "MetaLoad", "TryLockLine", "UnlockLine",
+	"Snap", "WordStore", "MetaLoad", "TryLockLine", "UnlockLine",
 	"ClockLoad", "ClockTick", "Alloc", "AllocAligned", "AllocLines",
 }
 

@@ -154,3 +154,31 @@ func BenchmarkFGTLESlowWritersBesideHolder(b *testing.B) {
 	b.ReportMetric(float64(ms.SlowAborts[htm.Explicit])/float64(b.N), "turned-away/op")
 	b.ReportMetric(float64(hs.ModeSwitches+ms.ModeSwitches), "flips")
 }
+
+// BenchmarkFGTLEFastFind is the per-access cost of the hardware fast path:
+// one thread Finds uniform keys of the seeded 8192-key set, through
+// FG-TLE(256)'s Atomic, which with no lock holder always commits on the
+// uninstrumented fast path, and through core.Direct's plain loads. The
+// difference between the two rows is what the htm layer and the method
+// add to a Find.
+func BenchmarkFGTLEFastFind(b *testing.B) {
+	m, set, meth := fig12Set("FG-TLE(256)")
+	h := set.NewHandle()
+	b.Run("FG-TLE(256)", func(b *testing.B) {
+		t := meth.NewThread()
+		r := rng.NewXoshiro256(3)
+		for i := 0; i < b.N; i++ {
+			h.Contains(t, r.Uint64n(fig12Keys))
+		}
+		if st := t.Stats(); st.FastCommits != st.Ops {
+			b.Fatalf("%d of %d Finds committed on the fast path", st.FastCommits, st.Ops)
+		}
+	})
+	b.Run("Direct", func(b *testing.B) {
+		c := core.Direct(m)
+		r := rng.NewXoshiro256(3)
+		for i := 0; i < b.N; i++ {
+			h.FindCS(c, r.Uint64n(fig12Keys))
+		}
+	})
+}

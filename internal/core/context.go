@@ -5,24 +5,12 @@ import (
 	"rtle/internal/mem"
 )
 
-// htmCtx is the uninstrumented fast path: raw transactional accesses with
-// no software barriers, as produced by the compiler for the unmodified
-// clone of a critical section.
-type htmCtx struct {
-	tx *htm.Tx
-}
-
-//rtle:speculative
-func (c htmCtx) Read(a mem.Addr) uint64 { return c.tx.Read(a) }
-
-//rtle:speculative
-func (c htmCtx) Write(a mem.Addr, v uint64) { c.tx.Write(a, v) }
-func (c htmCtx) InHTM() bool                { return true }
-func (c htmCtx) Unsupported()               { c.tx.Unsupported() }
-
-// FastContext returns the uninstrumented fast-path Context over tx; it must
-// only be used inside tx.Run.
-func FastContext(tx *htm.Tx) Context { return htmCtx{tx} }
+// FastContext returns the uninstrumented fast-path Context over tx: raw
+// transactional accesses with no software barriers, as produced by the
+// compiler for the unmodified clone of a critical section. It is tx itself,
+// so a fast-path access is one interface call; it must only be used inside
+// tx.Run.
+func FastContext(tx *htm.Tx) Context { return tx }
 
 // directCtx is the uninstrumented pessimistic path: plain loads and stores
 // by a thread that holds the lock (or runs single-threaded).

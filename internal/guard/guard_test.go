@@ -248,35 +248,93 @@ func TestRetreatEngages(t *testing.T) {
 	}
 }
 
-// TestRetreatRecovers checks the pause decays back once speculation
-// becomes healthy again: after a doomed phase, a friendly phase should
-// reach mostly fast commits.
+// TestRetreatRecovers drives one guard through an abort storm until it
+// retreats, then calms it: once the pause drains, the guard must speculate
+// again, commit on the fast path, and halve its pause, which the retreat
+// doubled, back to the shortest one as healthy windows go by.
 func TestRetreatRecovers(t *testing.T) {
+	var storm atomic.Bool
+	storm.Store(true)
 	m := newHeap()
-	g := NewMutex(m, core.Policy{Attempts: 3})
+	g := NewMutex(m, core.Policy{Attempts: 3, HTM: htm.Config{
+		NewInjector: func() htm.Injector { return stormInjector{&storm} },
+	}})
+	// A window of 8 makes every section fold its attempt into the window
+	// (a batch of 1). At the shipped 16, a gthread must survive 16 pool
+	// round trips to fold anything, which the race detector's pool, which
+	// drops a quarter of all Puts, seldom lets it do.
+	g.retreat.window = 8
+	g.retreat.reset()
 	counter := m.AllocLines(1)
-	addrs := make([]mem.Addr, 64)
-	for i := range addrs {
-		addrs[i] = m.AllocLines(1)
+	inc := func(c core.Context) { c.Write(counter, c.Read(counter)+1) }
+	for i := 0; g.Stats().ModeSwitches == 0; i++ {
+		if i == 1000 {
+			t.Fatal("no retreat after 1000 sections that always abort")
+		}
+		g.Do(inc)
 	}
-	// Doomed phase: single-line capacity is impossible to respect.
-	gDoomed := NewMutex(m, core.Policy{Attempts: 2, HTM: htm.Config{ReadLines: 1, WriteLines: 1}})
-	for i := 0; i < 100; i++ {
-		gDoomed.Do(func(c core.Context) {
-			for _, a := range addrs[:4] {
-				c.Read(a)
-			}
-		})
+	if p := g.retreat.pause.Load(); p <= retreatMinPause {
+		t.Fatalf("pause after a retreat = %d, want it doubled past %d", p, retreatMinPause)
 	}
-	// Friendly phase on the healthy guard: all fast.
+	storm.Store(false)
+	const calm = 1000
 	before := g.Stats()
-	for i := 0; i < 200; i++ {
-		g.Do(func(c core.Context) { c.Write(counter, c.Read(counter)+1) })
+	for i := 0; i < calm; i++ {
+		g.Do(inc)
 	}
 	after := g.Stats()
-	fast := after.FastCommits - before.FastCommits
-	if fast < 190 {
-		t.Fatalf("healthy phase fast-committed only %d/200", fast)
+	if fast := after.FastCommits - before.FastCommits; fast < calm-2*retreatMinPause {
+		t.Fatalf("after the storm: %d of %d sections fast-committed", fast, calm)
+	}
+	if after.ModeSwitches != 2 {
+		t.Fatalf("ModeSwitches = %d, want 2 (one retreat, one return)", after.ModeSwitches)
+	}
+	if p := g.retreat.pause.Load(); p != retreatMinPause {
+		t.Fatalf("pause after %d healthy sections = %d, want it back at %d", calm, p, retreatMinPause)
+	}
+}
+
+// TestWriterAbortsBesideBracketReader: a speculative RWMutex writer reads
+// the bracket-reader count, so a reader that holds RLock across a yield
+// never sees a Do commit between two of its loads. One goroutine reads a,
+// yields and reads b under RLock; the other moves a unit between them with
+// Do, always keeping a+b = 10.
+func TestWriterAbortsBesideBracketReader(t *testing.T) {
+	m := newHeap()
+	g := NewRWMutex(m, core.Policy{})
+	a, b := m.AllocLines(1), m.AllocLines(1)
+	const total = 10
+	m.Store(a, total)
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			g.Do(func(c core.Context) {
+				from, to := a, b
+				if c.Read(a) == 0 {
+					from, to = b, a
+				}
+				c.Write(from, c.Read(from)-1)
+				c.Write(to, c.Read(to)+1)
+			})
+			runtime.Gosched() // on one P, hand it back to the reader
+		}
+	}()
+	defer func() {
+		stop.Store(true)
+		<-done
+	}()
+	for i := 0; i < 2000; i++ {
+		g.RLock()
+		c := g.RCtx()
+		va := c.Read(a)
+		runtime.Gosched()
+		vb := c.Read(b)
+		g.RUnlock()
+		if va+vb != total {
+			t.Fatalf("section %d: a bracket reader saw a+b = %d+%d, want %d: a writer committed inside it", i, va, vb, total)
+		}
 	}
 }
 

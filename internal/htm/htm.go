@@ -19,6 +19,14 @@
 //     hook, modelling a divide-by-zero or syscall under RTM), and — when
 //     an Injector is configured — spuriously.
 //
+// The read set costs what a cache's tracking costs real RTM: next to
+// nothing per load. It is a log of the lines read, a repeat of the line
+// read just before left out, which commit walks to revalidate. When the
+// log reaches the read capacity it is folded, once per attempt, into a
+// hash of its distinct lines, and from then on the hash enforces the limit
+// exactly: a transaction aborts for capacity at the same read as if every
+// read had been counted in distinct lines.
+//
 // What the engine deliberately does NOT provide is atomicity for a group of
 // non-transactional accesses: the thread holding the lock in a TLE scheme
 // executes plain loads and stores and receives no isolation from committing
@@ -34,6 +42,7 @@ package htm
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"rtle/internal/mem"
 )
@@ -160,12 +169,27 @@ type Tx struct {
 	// keeps the previous Tx's tail off this one's read-mostly head.
 	_ [64]byte
 
-	m   *mem.Memory
-	cfg Config
-
+	// Read's fast path loads only the fields from here to slowRead, which
+	// share the 64-byte line after the pad.
+	m        *mem.Memory
 	snapshot uint64
+	// readLog is the read set: the lines read, in order, with a repeat of
+	// the line before (lastLine) left out. Until it holds effReadLines
+	// entries it is appended to; then it is folded into readLines once,
+	// which holds the read set for the rest of the attempt (folded).
+	readLog  []uint64
+	lastLine uint64
+	// effReadLines and effWriteLines are the attempt's capacity limits
+	// (the injector may squeeze them below the configured ones at begin).
+	effReadLines int
+	// slowRead sends Read through readPrelude: set outside Run, on a
+	// hooked Tx, and from the attempt's first Write on.
+	slowRead bool
+	folded   bool
 	active   bool
 	hooked   bool // any per-access hook configured: Read/Write call onAccess
+
+	cfg      Config
 	accesses int
 
 	readLines  *lineSet
@@ -175,10 +199,8 @@ type Tx struct {
 
 	inj Injector
 
-	// Per-attempt effective capacity limits (the injector may squeeze
-	// them below the configured ones at begin).
-	effReadLines  int
 	effWriteLines int
+
 	// lastInjected marks that the attempt's abort was forced by the
 	// injector (injectAbort sets it as the abort starts to unwind).
 	lastInjected bool
@@ -208,6 +230,8 @@ func NewTx(m *mem.Memory, cfg Config) *Tx {
 	t := &Tx{
 		m:          m,
 		cfg:        cfg,
+		slowRead:   true,
+		readLog:    make([]uint64, 0, cfg.ReadLines),
 		readLines:  newLineSet(cfg.ReadLines),
 		writeLines: newLineSet(cfg.WriteLines),
 		writes:     newWriteMap(cfg.WriteLines * mem.WordsPerLine),
@@ -279,6 +303,8 @@ func (t *Tx) begin() {
 	t.active = true
 	t.accesses = 0
 	t.snapshot = t.m.ClockLoad()
+	t.slowRead = t.hooked
+	t.lastLine = noLine
 	t.effReadLines = t.cfg.ReadLines
 	t.effWriteLines = t.cfg.WriteLines
 	t.lastInjected = false
@@ -314,7 +340,12 @@ func (t *Tx) injectAbort(reason AbortReason) {
 
 func (t *Tx) reset() {
 	t.active = false
-	t.readLines.reset()
+	t.slowRead = true
+	t.readLog = t.readLog[:0]
+	if t.folded {
+		t.readLines.reset()
+		t.folded = false
+	}
 	t.writeLines.reset()
 	t.writes.reset()
 	t.locked = t.locked[:0]
@@ -338,6 +369,10 @@ func (t *Tx) Unsupported() {
 	t.mustBeActive("Unsupported")
 	t.abort(Unsupported)
 }
+
+// InHTM reports true: a Tx is the fast path's access context
+// (core.FastContext), which always runs inside a hardware transaction.
+func (t *Tx) InHTM() bool { return true }
 
 func (t *Tx) mustBeActive(op string) {
 	if !t.active {
@@ -364,22 +399,61 @@ func (t *Tx) onAccess(write bool) {
 // transaction's own pending write if there is one. The line joins the read
 // set; a version newer than the snapshot, a locked line, or read-set
 // overflow aborts the attempt.
+//
+// On an unhooked Tx that has not written yet, a read is one flag test, the
+// heap's Snap and, for a line other than the one read before, an append to
+// the read log.
 func (t *Tx) Read(a mem.Addr) uint64 {
+	if t.slowRead {
+		if v, ok := t.readPrelude(a); ok {
+			return v
+		}
+	}
+	v, meta, ok := t.m.Snap(a)
+	if !ok || mem.VersionOf(meta) > t.snapshot {
+		t.abort(Conflict)
+	}
+	if line := mem.LineOf(a); line != t.lastLine {
+		if n := len(t.readLog); n < t.effReadLines {
+			t.lastLine = line
+			t.readLog = t.readLog[:n+1]
+			t.readLog[n] = line
+		} else {
+			t.logFull(line)
+		}
+	}
+	return v
+}
+
+// readPrelude is what Read does before the load when slowRead is set: it
+// panics outside a transaction, runs the per-access hooks, and returns the
+// attempt's pending write of a if there is one.
+func (t *Tx) readPrelude(a mem.Addr) (uint64, bool) {
 	t.mustBeActive("Read")
 	if t.hooked {
 		t.onAccess(false)
 	}
 	if t.writes.len() > 0 {
-		if v, ok := t.writes.get(a); ok {
-			return v
-		}
+		return t.writes.get(a)
 	}
-	line := mem.LineOf(a)
-	m1 := t.m.MetaLoad(line)
-	v := t.m.WordLoad(a)
-	m2 := t.m.MetaLoad(line)
-	if m1 != m2 || mem.Locked(m1) || mem.VersionOf(m1) > t.snapshot {
-		t.abort(Conflict)
+	return 0, false
+}
+
+// noLine is lastLine at the start of an attempt: no line index is this
+// large.
+const noLine = ^uint64(0)
+
+// logFull adds a line other than the last one read to the read set once
+// the log holds effReadLines entries. The first time, it folds the log into
+// readLines; from then on the hash decides membership and the capacity
+// limit exactly, so an attempt folds at most once.
+func (t *Tx) logFull(line uint64) {
+	t.lastLine = line
+	if !t.folded {
+		for _, l := range t.readLog {
+			t.readLines.add(l)
+		}
+		t.folded = true
 	}
 	if t.readLines.len() >= t.effReadLines && !t.readLines.contains(line) {
 		if t.readLines.len() < t.cfg.ReadLines {
@@ -390,13 +464,22 @@ func (t *Tx) Read(a mem.Addr) uint64 {
 		t.abort(Capacity)
 	}
 	t.readLines.add(line)
-	return v
+}
+
+// readSet returns the attempt's read lines: the log, which may repeat a
+// line, or after a fold the distinct lines.
+func (t *Tx) readSet() []uint64 {
+	if t.folded {
+		return t.readLines.members
+	}
+	return t.readLog
 }
 
 // Write performs a transactional store of a word. The value is buffered
 // until commit; write-set overflow aborts the attempt.
 func (t *Tx) Write(a mem.Addr, v uint64) {
 	t.mustBeActive("Write")
+	t.slowRead = true
 	if t.hooked {
 		t.onAccess(true)
 	}
@@ -411,9 +494,22 @@ func (t *Tx) Write(a mem.Addr, v uint64) {
 	t.writes.put(a, v)
 }
 
-// ReadSetLines and WriteSetLines report the current footprint, for tests
-// and adaptive policies.
-func (t *Tx) ReadSetLines() int  { return t.readLines.len() }
+// ReadSetLines and WriteSetLines report the current footprint, in distinct
+// lines. They are for tests: no adaptive policy calls them, and
+// ReadSetLines counts the read log's distinct lines the slow way.
+func (t *Tx) ReadSetLines() int {
+	if t.folded {
+		return t.readLines.len()
+	}
+	n := 0
+	for i, line := range t.readLog {
+		if !slices.Contains(t.readLog[:i], line) {
+			n++
+		}
+	}
+	return n
+}
+
 func (t *Tx) WriteSetLines() int { return t.writeLines.len() }
 
 // commit attempts to make the attempt's writes visible atomically.
@@ -434,7 +530,7 @@ func (t *Tx) commit() AbortReason {
 		}
 		ver := mem.VersionOf(mw)
 		t.locked = append(t.locked, lineVer{line, ver})
-		if ver > t.snapshot && t.readLines.contains(line) {
+		if ver > t.snapshot && slices.Contains(t.readSet(), line) {
 			// A line we both read and wrote changed since we read it.
 			t.rollbackLocks()
 			return Conflict
@@ -446,12 +542,14 @@ func (t *Tx) commit() AbortReason {
 	// validation would leave two such commits' versions unordered, and
 	// CommitVersion order is the serial order the opacity checker replays.
 	wv := t.m.ClockTick()
-	// Validate the read set.
-	for line := range t.readLines.forEach {
-		if t.writeLines.contains(line) {
-			continue // validated during locking above
-		}
+	// Validate the read set. Every written line is locked by now, so an
+	// unlocked line is one this attempt only read; a locked one passes
+	// only if the lock is ours (validated during locking above).
+	for _, line := range t.readSet() {
 		mw := t.m.MetaLoad(line)
+		if mem.Locked(mw) && t.writeLines.contains(line) {
+			continue
+		}
 		if mem.Locked(mw) || mem.VersionOf(mw) > t.snapshot {
 			t.rollbackLocks()
 			return Conflict

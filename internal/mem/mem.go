@@ -276,12 +276,18 @@ func (m *Memory) UnlockLine(line uint64, version uint64) {
 	runtime.KeepAlive(m)
 }
 
-// WordLoad is a raw word read used by the transaction engine between its
-// own meta validations.
-func (m *Memory) WordLoad(a Addr) uint64 {
-	v := m.words[a].Load()
+// Snap is the transaction engine's read of a word: it returns the word,
+// the line's meta word loaded before it, and whether that meta word was
+// unlocked and still in place after the load — that is, whether v is the
+// line's content at version VersionOf(meta). It is small enough to inline
+// into Tx.Read, which is its one caller.
+func (m *Memory) Snap(a Addr) (v, meta uint64, ok bool) {
+	mw := &m.meta[LineOf(a)]
+	meta = mw.Load()
+	v = m.words[a].Load()
+	ok = !Locked(meta) && mw.Load() == meta
 	runtime.KeepAlive(m)
-	return v
+	return v, meta, ok
 }
 
 // WordStore is a raw word write used by the transaction engine while it

@@ -127,6 +127,26 @@ func TestStoreBumpsLineVersion(t *testing.T) {
 	}
 }
 
+// TestSnap: Snap returns the word with the meta word it was read under,
+// and refuses a line that is locked.
+func TestSnap(t *testing.T) {
+	m := New(1024)
+	a := m.Alloc(1)
+	m.Store(a, 7)
+	line := LineOf(a)
+	v, meta, ok := m.Snap(a)
+	if v != 7 || meta != m.MetaLoad(line) || !ok {
+		t.Fatalf("Snap = %d, %#x, %v; want 7, %#x, true", v, meta, ok, m.MetaLoad(line))
+	}
+	if !m.TryLockLine(line, meta) {
+		t.Fatal("TryLockLine failed on an idle line")
+	}
+	if _, _, ok := m.Snap(a); ok {
+		t.Fatal("Snap of a locked line reported ok")
+	}
+	m.UnlockLine(line, VersionOf(meta))
+}
+
 func TestStoreAdvancesGlobalClock(t *testing.T) {
 	m := New(1024)
 	a := m.Alloc(1)
