@@ -33,7 +33,7 @@ e2e:
 # raise -benchtime, build both sides with `go test -c` and alternate them to
 # measure).
 microbench:
-	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteMap|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters|FastFind|ObserverOverhead' \
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteSet|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters|FastFind|ObserverOverhead' \
 		-benchtime 100x . ./internal/mem ./internal/htm ./internal/guard ./internal/core
 
 # cross-build compiles the tree where the heap is not mapped (windows,

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"math"
+
 	"rtle/internal/htm"
 	"rtle/internal/mem"
 )
 
 // ValueLog is what a buffered software section keeps while it runs: every
-// location it read with the value it saw, and its writes, held back in
-// program order until the section is known to be consistent. The three
+// location it read with the value it saw, and its writes, held back in an
+// htm.WriteSet until the section is known to be consistent. The three
 // software sections of this repository — NOrec's transaction, RHNOrec's
 // software path (which is NOrec's) and ALE's lock holder — differ in when
 // they validate and how they publish, not in this bookkeeping, so it is
@@ -20,37 +22,37 @@ import (
 // a small hardware transaction; they are separate methods rather than one
 // taking an accessor because NOrec's validation loop is Fig. 10's hot path.
 //
+// Publication goes line by line, in first-write order, not in program
+// order, and no reader can tell: every publisher excludes every other
+// section that could observe the order — NOrec's odd sequence number,
+// RHNOrec's fallback lock, ALE's blocked flag, or the hardware commit that
+// PublishTx's writes take effect in — and a section writes each location
+// at most once, with its last value.
+//
 // It is exported for the same reason Recorder is: the STM and hybrid methods
 // live outside this package. A ValueLog belongs to one thread.
 type ValueLog struct {
-	readAddrs  []mem.Addr
-	readVals   []uint64
-	writeVals  map[mem.Addr]uint64
-	writeOrder []mem.Addr // distinct written addresses, first write first
+	readAddrs []mem.Addr
+	readVals  []uint64
+	writes    htm.WriteSet
 }
 
-// NewValueLog returns an empty log.
+// NewValueLog returns an empty log. Its write set starts with room for 16
+// lines and grows as a section needs.
 func NewValueLog() ValueLog {
-	return ValueLog{writeVals: make(map[mem.Addr]uint64, 64)}
+	return ValueLog{writes: htm.NewWriteSet(16)}
 }
 
 // Reset empties the log for the next attempt, keeping its storage.
 func (l *ValueLog) Reset() {
 	l.readAddrs = l.readAddrs[:0]
 	l.readVals = l.readVals[:0]
-	clear(l.writeVals)
-	l.writeOrder = l.writeOrder[:0]
+	l.writes.Reset()
 }
 
 // Written returns the value this section buffered for a, if it wrote a: a
 // section reads its own writes.
-func (l *ValueLog) Written(a mem.Addr) (uint64, bool) {
-	if len(l.writeVals) == 0 {
-		return 0, false
-	}
-	v, ok := l.writeVals[a]
-	return v, ok
-}
+func (l *ValueLog) Written(a mem.Addr) (uint64, bool) { return l.writes.Get(a) }
 
 // LogRead records that the section read v at a.
 func (l *ValueLog) LogRead(a mem.Addr, v uint64) {
@@ -59,15 +61,10 @@ func (l *ValueLog) LogRead(a mem.Addr, v uint64) {
 }
 
 // Buffer holds back the write of v to a.
-func (l *ValueLog) Buffer(a mem.Addr, v uint64) {
-	if _, ok := l.writeVals[a]; !ok {
-		l.writeOrder = append(l.writeOrder, a)
-	}
-	l.writeVals[a] = v
-}
+func (l *ValueLog) Buffer(a mem.Addr, v uint64) { l.writes.Put(a, v, math.MaxInt) }
 
 // ReadOnly reports whether the section has written nothing.
-func (l *ValueLog) ReadOnly() bool { return len(l.writeOrder) == 0 }
+func (l *ValueLog) ReadOnly() bool { return l.writes.Lines() == 0 }
 
 // Valid re-reads every logged location with plain loads and reports whether
 // all still hold the values read. Every logged read is a pre-write
@@ -94,20 +91,12 @@ func (l *ValueLog) ValidTx(tx *htm.Tx) bool {
 	return true
 }
 
-// Publish stores the buffered writes in program order. The caller excludes
+// Publish stores the buffered writes line by line. The caller excludes
 // every other writer.
-func (l *ValueLog) Publish(m *mem.Memory) {
-	for _, a := range l.writeOrder {
-		m.Store(a, l.writeVals[a])
-	}
-}
+func (l *ValueLog) Publish(m *mem.Memory) { l.writes.ForEach(m.Store) }
 
 // PublishTx writes the buffered writes through tx; they take effect when it
 // commits.
 //
 //rtle:speculative
-func (l *ValueLog) PublishTx(tx *htm.Tx) {
-	for _, a := range l.writeOrder {
-		tx.Write(a, l.writeVals[a])
-	}
-}
+func (l *ValueLog) PublishTx(tx *htm.Tx) { l.writes.ForEach(tx.Write) }

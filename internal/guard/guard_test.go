@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rtle/internal/core"
 	"rtle/internal/htm"
@@ -335,6 +336,23 @@ func TestWriterAbortsBesideBracketReader(t *testing.T) {
 		if va+vb != total {
 			t.Fatalf("section %d: a bracket reader saw a+b = %d+%d, want %d: a writer committed inside it", i, va, vb, total)
 		}
+	}
+}
+
+// TestTwoRWMutexesKeepTheirReaders: each RWMutex counts its bracket
+// readers on a line of its own, so a reader of one never holds up a writer
+// of another on the same heap.
+func TestTwoRWMutexesKeepTheirReaders(t *testing.T) {
+	m := newHeap()
+	g1, g2 := NewRWMutex(m, core.Policy{}), NewRWMutex(m, core.Policy{})
+	g1.RLock()
+	defer g1.RUnlock() // on failure, also frees the writer still waiting
+	done := make(chan struct{})
+	go func() { g2.Lock(); g2.Unlock(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("g2.Lock still waits after 5 s while g1 holds a reader")
 	}
 }
 

@@ -39,8 +39,9 @@ type RWMutex struct {
 	rstarts []int64
 }
 
-// NewRWMutex returns an RW-TLE-backed guard over m, with NewMutex's policy
-// plus lazy subscription.
+// NewRWMutex returns an RW-TLE-backed guard over m with NewMutex's policy.
+// Its slow path (RDo while a writer holds the lock) honours the policy's
+// LazySubscription; the guard turns nothing on by itself.
 func NewRWMutex(m *mem.Memory, policy core.Policy) *RWMutex {
 	g := &RWMutex{}
 	g.init(m, "Guard(RW-TLE)", policy)

@@ -27,6 +27,13 @@
 // exactly: a transaction aborts for capacity at the same read as if every
 // read had been counted in distinct lines.
 //
+// The write set is one table of lines, as RTM's store buffer is: a
+// WriteSet holds, for each written line in first-write order, its eight
+// words, a mask of those written, and the pre-lock version commit takes.
+// Capacity, commit's locking and validation, publication and rollback all
+// work from it, and so do the buffered software sections of packages core,
+// norec and rhnorec.
+//
 // What the engine deliberately does NOT provide is atomicity for a group of
 // non-transactional accesses: the thread holding the lock in a TLE scheme
 // executes plain loads and stores and receives no isolation from committing
@@ -155,11 +162,6 @@ const (
 // transaction back to Run.
 type abortSignal struct{ reason AbortReason }
 
-type lineVer struct {
-	line uint64
-	ver  uint64
-}
-
 // Tx is a reusable transaction context bound to one thread. A Tx must not
 // be shared between goroutines. Accessor methods (Read, Write, Abort,
 // Unsupported) may only be called from inside the body passed to Run.
@@ -192,10 +194,8 @@ type Tx struct {
 	cfg      Config
 	accesses int
 
-	readLines  *lineSet
-	writeLines *lineSet
-	writes     *writeMap
-	locked     []lineVer
+	readLines *lineSet
+	writes    WriteSet
 
 	inj Injector
 
@@ -228,13 +228,12 @@ func NewTx(m *mem.Memory, cfg Config) *Tx {
 		cfg.WriteLines = DefaultWriteLines
 	}
 	t := &Tx{
-		m:          m,
-		cfg:        cfg,
-		slowRead:   true,
-		readLog:    make([]uint64, 0, cfg.ReadLines),
-		readLines:  newLineSet(cfg.ReadLines),
-		writeLines: newLineSet(cfg.WriteLines),
-		writes:     newWriteMap(cfg.WriteLines * mem.WordsPerLine),
+		m:         m,
+		cfg:       cfg,
+		slowRead:  true,
+		readLog:   make([]uint64, 0, cfg.ReadLines),
+		readLines: newLineSet(cfg.ReadLines),
+		writes:    NewWriteSet(cfg.WriteLines),
 	}
 	if cfg.NewInjector != nil {
 		t.inj = cfg.NewInjector()
@@ -346,9 +345,7 @@ func (t *Tx) reset() {
 		t.readLines.reset()
 		t.folded = false
 	}
-	t.writeLines.reset()
-	t.writes.reset()
-	t.locked = t.locked[:0]
+	t.writes.Reset()
 }
 
 // abort unwinds the current attempt with the given reason.
@@ -433,10 +430,7 @@ func (t *Tx) readPrelude(a mem.Addr) (uint64, bool) {
 	if t.hooked {
 		t.onAccess(false)
 	}
-	if t.writes.len() > 0 {
-		return t.writes.get(a)
-	}
-	return 0, false
+	return t.writes.Get(a)
 }
 
 // noLine is lastLine at the start of an attempt: no line index is this
@@ -483,15 +477,14 @@ func (t *Tx) Write(a mem.Addr, v uint64) {
 	if t.hooked {
 		t.onAccess(true)
 	}
-	line := mem.LineOf(a)
-	if t.writeLines.len() >= t.effWriteLines && !t.writeLines.contains(line) {
-		if t.writeLines.len() < t.cfg.WriteLines {
+	if !t.writes.Put(a, v, t.effWriteLines) {
+		if t.writes.Lines() < t.cfg.WriteLines {
+			// The set fits the configured limit: only the injector's
+			// squeeze made this an overflow.
 			t.injectAbort(Capacity)
 		}
 		t.abort(Capacity)
 	}
-	t.writeLines.add(line)
-	t.writes.put(a, v)
 }
 
 // ReadSetLines and WriteSetLines report the current footprint, in distinct
@@ -510,29 +503,31 @@ func (t *Tx) ReadSetLines() int {
 	return n
 }
 
-func (t *Tx) WriteSetLines() int { return t.writeLines.len() }
+func (t *Tx) WriteSetLines() int { return t.writes.Lines() }
 
 // commit attempts to make the attempt's writes visible atomically.
 func (t *Tx) commit() AbortReason {
-	if t.writes.len() == 0 {
+	w := &t.writes
+	if w.Lines() == 0 {
 		// Read-only transactions were validated read-by-read against
 		// the snapshot; they serialize at snapshot time.
 		t.lastCommitVer = t.snapshot
 		return None
 	}
-	// Lock the write set. Pure try-lock: any contention aborts, so there
-	// is no deadlock and no ordering requirement.
-	for line := range t.writeLines.forEach {
+	// Lock the write set, recording each line's pre-lock version in its
+	// entry. Pure try-lock: any contention aborts, so there is no deadlock
+	// and no ordering requirement.
+	for i, line := range w.lines.members {
 		mw := t.m.MetaLoad(line)
 		if mem.Locked(mw) || !t.m.TryLockLine(line, mw) {
-			t.rollbackLocks()
+			t.rollbackLocks(i)
 			return Conflict
 		}
 		ver := mem.VersionOf(mw)
-		t.locked = append(t.locked, lineVer{line, ver})
+		w.entries[i].ver = ver
 		if ver > t.snapshot && slices.Contains(t.readSet(), line) {
 			// A line we both read and wrote changed since we read it.
-			t.rollbackLocks()
+			t.rollbackLocks(i + 1)
 			return Conflict
 		}
 	}
@@ -547,30 +542,27 @@ func (t *Tx) commit() AbortReason {
 	// only if the lock is ours (validated during locking above).
 	for _, line := range t.readSet() {
 		mw := t.m.MetaLoad(line)
-		if mem.Locked(mw) && t.writeLines.contains(line) {
+		if mem.Locked(mw) && w.lines.contains(line) {
 			continue
 		}
 		if mem.Locked(mw) || mem.VersionOf(mw) > t.snapshot {
-			t.rollbackLocks()
+			t.rollbackLocks(w.Lines())
 			return Conflict
 		}
 	}
 	// Publish.
-	t.writes.forEachOrdered(func(a mem.Addr, v uint64) {
-		t.m.WordStore(a, v)
-	})
-	for _, lv := range t.locked {
-		t.m.UnlockLine(lv.line, wv)
+	w.ForEach(func(a mem.Addr, v uint64) { t.m.WordStore(a, v) })
+	for _, line := range w.lines.members {
+		t.m.UnlockLine(line, wv)
 	}
 	t.lastCommitVer = wv
 	return None
 }
 
-// rollbackLocks releases any line locks taken during a failed commit,
-// restoring the pre-lock versions.
-func (t *Tx) rollbackLocks() {
-	for _, lv := range t.locked {
-		t.m.UnlockLine(lv.line, lv.ver)
+// rollbackLocks releases the first n write-set lines, which a failed commit
+// locked, restoring their pre-lock versions.
+func (t *Tx) rollbackLocks(n int) {
+	for i, line := range t.writes.lines.members[:n] {
+		t.m.UnlockLine(line, t.writes.entries[i].ver)
 	}
-	t.locked = t.locked[:0]
 }

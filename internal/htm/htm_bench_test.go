@@ -75,14 +75,14 @@ func BenchmarkLineSetAddReset(b *testing.B) {
 	}
 }
 
-func BenchmarkWriteMapPutReset(b *testing.B) {
-	w := newWriteMap(64)
+func BenchmarkWriteSetPutReset(b *testing.B) {
+	w := NewWriteSet(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			w.put(mem.Addr(uint64(i)*17+uint64(j)), uint64(j))
+			w.Put(mem.Addr(uint64(i)*17+uint64(j)), uint64(j), 8)
 		}
-		w.reset()
+		w.Reset()
 	}
 }
 

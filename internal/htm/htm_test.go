@@ -75,6 +75,18 @@ func TestReadOwnWrite(t *testing.T) {
 	}
 }
 
+// TestReadUnwrittenWordOfWrittenLine: a word of a written line that the
+// attempt did not write reads from memory, not from the line's buffer.
+func TestReadUnwrittenWordOfWrittenLine(t *testing.T) {
+	m := newHeap()
+	a := m.AllocLines(1)
+	m.Store(a+1, 5)
+	var got uint64
+	if r := NewTx(m, Config{}).Run(func(tx *Tx) { tx.Write(a, 7); got = tx.Read(a + 1) }); r != None || got != 5 {
+		t.Fatalf("read of an unwritten word of a written line = %d (%v), want 5", got, r)
+	}
+}
+
 // TestReadAfterWriteOnReadLine: on a line already in the read set a
 // buffered word wins and its unwritten neighbour still comes from memory.
 func TestReadAfterWriteOnReadLine(t *testing.T) {

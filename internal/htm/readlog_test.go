@@ -191,7 +191,7 @@ func TestQuickReadLogMatchesDistinctLines(t *testing.T) {
 
 // TestReadFastPathFieldsShareALine: Read's fast path loads m, snapshot,
 // readLog, lastLine, effReadLines and slowRead; they sit in the one 64-byte
-// line after the head pad.
+// line after the head pad, and the whole Tx stays in the 256-byte size class.
 func TestReadFastPathFieldsShareALine(t *testing.T) {
 	var tx Tx
 	first, last := unsafe.Offsetof(tx.m), unsafe.Offsetof(tx.slowRead)
@@ -202,5 +202,8 @@ func TestReadFastPathFieldsShareALine(t *testing.T) {
 	}
 	if first/64 != last/64 {
 		t.Fatalf("Read's fast-path fields span offsets %d..%d, across a 64-byte line", first, last)
+	}
+	if size := unsafe.Sizeof(tx); size > 256 {
+		t.Fatalf("Tx is %d bytes, past the 256-byte size class", size)
 	}
 }

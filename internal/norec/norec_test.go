@@ -65,6 +65,24 @@ func TestReadOwnWrite(t *testing.T) {
 	}
 }
 
+// TestWideSectionPublishesEveryWrite: a section writing more lines than
+// its write set starts with (16) grows it and publishes every value.
+func TestWideSectionPublishesEveryWrite(t *testing.T) {
+	m := mem.New(1 << 14)
+	const lines = 40
+	base := m.AllocLines(lines)
+	New(m, core.Policy{}).NewThread().Atomic(func(c core.Context) {
+		for i := range mem.Addr(lines * 2) {
+			c.Write(base+i*mem.WordsPerLine/2, uint64(i)+1)
+		}
+	})
+	for i := range mem.Addr(lines * 2) {
+		if got := m.Load(base + i*mem.WordsPerLine/2); got != uint64(i)+1 {
+			t.Fatalf("word %d = %d after commit, want %d", i, got, i+1)
+		}
+	}
+}
+
 func TestWritesInvisibleUntilCommit(t *testing.T) {
 	m := mem.New(1 << 14)
 	meth := New(m, core.Policy{})
