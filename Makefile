@@ -28,13 +28,14 @@ e2e:
 	scripts/e2e.sh
 
 # microbench compiles and completes the micro-benchmarks DESIGN.md §1.8
-# quotes, the heap's own (plain load and store, map-touch-drop) and the root
-# package's observer-overhead model, a hundred iterations each (CI's step;
+# quotes, the heap's own (plain load and store, map-touch-drop), the root
+# package's observer-overhead model and the server's wire round trips, a
+# hundred iterations each (CI's step;
 # raise -benchtime, build both sides with `go test -c` and alternate them to
 # measure).
 microbench:
-	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteSet|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters|FastFind|ObserverOverhead' \
-		-benchtime 100x . ./internal/mem ./internal/htm ./internal/guard ./internal/core
+	$(GO) test -run '^$$' -bench 'Tx|LineSet|WriteSet|RWMutexParallel|Retreat|Load|Store|NewDrop|LockSection|SlowFind|SlowWriters|FastFind|ObserverOverhead|WireFastPath' \
+		-benchtime 100x . ./internal/mem ./internal/htm ./internal/guard ./internal/core ./internal/server
 
 # cross-build compiles the tree where the heap is not mapped (windows,
 # js/wasm: heap_other.go) and vets the mapping on a second unix (darwin),

@@ -295,6 +295,44 @@ func TestRetreatRecovers(t *testing.T) {
 	}
 }
 
+// TestNoVerdictBeforeTheWindowFills: the retreat decides once per window
+// of attempts, never on a partial one. Twenty doomed sections at five
+// attempts each fold 100 aborted attempts, fewer than a window's 128, so
+// the guard must not have retreated.
+func TestNoVerdictBeforeTheWindowFills(t *testing.T) {
+	var storm atomic.Bool
+	storm.Store(true)
+	m := newHeap()
+	g := NewMutex(m, core.Policy{Attempts: 5, HTM: htm.Config{
+		NewInjector: func() htm.Injector { return stormInjector{&storm} },
+	}})
+	counter := m.AllocLines(1)
+	for range 20 {
+		g.Do(func(c core.Context) { c.Write(counter, c.Read(counter)+1) })
+	}
+	if got := m.Load(counter); got != 20 {
+		t.Fatalf("counter = %d, want 20", got)
+	}
+	if s := g.Stats(); s.ModeSwitches != 0 {
+		t.Fatalf("ModeSwitches = %d after %d attempts, fewer than a window of %d; stats %+v", s.ModeSwitches, 20*5, retreatWindow, s)
+	}
+}
+
+// TestUnlockTwicePanics: Unlock ends the bracket section it closes, so a
+// second Unlock finds no holder and panics instead of releasing the lock
+// again.
+func TestUnlockTwicePanics(t *testing.T) {
+	g := NewMutex(newHeap(), core.Policy{})
+	g.Lock()
+	g.Unlock()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Unlock did not panic")
+		}
+	}()
+	g.Unlock()
+}
+
 // TestWriterAbortsBesideBracketReader: a speculative RWMutex writer reads
 // the bracket-reader count, so a reader that holds RLock across a yield
 // never sees a Do commit between two of its loads. One goroutine reads a,

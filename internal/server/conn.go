@@ -19,12 +19,11 @@ type conn struct {
 	nc net.Conn
 	m  *Metrics
 
-	// The read loop's burst state: the run being admitted, one coalesced
-	// group's scratch, the number of tasks answered since the burst began
-	// (still counted in tasksWG) and the highest sync barrier among their
-	// blocks. endBurst writes the answers and releases the count.
+	// The read loop's burst state: the run being admitted (its task slice
+	// reused for every run), the number of tasks answered since the burst
+	// began (still counted in tasksWG) and the highest sync barrier among
+	// their blocks. endBurst writes the answers and releases the count.
 	run      affRun
-	group    []*task
 	answered int
 	bar      uint64
 
@@ -38,10 +37,10 @@ type conn struct {
 // Runs once per accept: cold by construction.
 func newConn(nc net.Conn, m *Metrics, coalesce int) *conn {
 	return &conn{
-		nc:    nc,
-		m:     m,
-		group: make([]*task, 0, coalesce),
-		out:   make([]byte, 0, 512),
+		nc:  nc,
+		m:   m,
+		run: affRun{tasks: make([]task, 0, coalesce)},
+		out: make([]byte, 0, 512),
 	}
 }
 

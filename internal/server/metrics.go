@@ -54,7 +54,7 @@ func opName(i int) string {
 // atomics: the hot path is wait-free and a scrape never blocks a reader.
 type ShardMetrics struct {
 	queueDepth atomic.Int64 // requests admitted onto this shard, waiting for a section
-	inflight   atomic.Int64 // requests executing on a section, not yet answered
+	inflight   atomic.Int64 // requests of a stretch holding a section, until it goes back
 	sections   atomic.Uint64
 	batchOps   atomic.Uint64
 	coalesced  atomic.Uint64 // single ops executed in a shared atomic block
@@ -113,8 +113,8 @@ type Metrics struct {
 	writeBatchFrames obs.Histogram
 
 	// affineOps counts operations admitted in a run on its cached plan:
-	// the reader chained consecutive same-shard operations of one burst
-	// and executed them as one group.
+	// the reader gathered consecutive same-shard operations of one burst
+	// into its connection's run slice and executed them as one group.
 	affineOps atomic.Uint64
 	// affineRuns counts the runs themselves (affineOps / affineRuns is the
 	// mean run length).

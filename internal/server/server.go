@@ -184,11 +184,9 @@ type Server struct {
 // top returns the live topology generation.
 func (s *Server) top() *topology { return s.topo.Load() }
 
-// task is one accepted request bound to its connection. Task headers are
-// pooled: affRun.add draws them from the arena and encode recycles them,
-// so steady-state admission allocates nothing.
+// task is one accepted request of a connection's run, held by value in
+// the run's slice (affRun).
 type task struct {
-	c       *conn
 	req     Request
 	arrived time.Time
 	// sh is the owning shard for fast-path tasks (nil for a cross-shard
@@ -196,24 +194,6 @@ type task struct {
 	sh *shard
 	// spans is the ascending involved-shard set for cross-shard tasks.
 	spans []int
-	// next chains a run: the operations the reader admitted together (see
-	// readLoop). nil outside a run.
-	next *task
-}
-
-var taskPool = sync.Pool{
-	New: func() any { return new(task) },
-}
-
-// getTask draws a clean task header from the arena.
-func getTask() *task { return taskPool.Get().(*task) }
-
-// putTask recycles one answered task's header, dropping every reference
-// it carried (the batch slice, the connection, the chain link) so the
-// arena never pins freed request state.
-func putTask(t *task) {
-	*t = task{}
-	taskPool.Put(t)
 }
 
 // New builds a Server: per-shard simulated heaps, ADT partitions,
@@ -527,11 +507,11 @@ func (s *Server) readLoop(c *conn) {
 			continue
 		}
 		// Shard-affinity classification: consecutive fast-path ops that
-		// hash to one shard chain into a run, which executes as one group.
-		if run.n > 0 {
+		// hash to one shard gather into a run, which executes as one group.
+		if len(run.tasks) > 0 {
 			plan := run.tp.router.plan(&req)
-			if plan.fast && plan.shard == run.sh && run.n < s.cfg.Coalesce {
-				run.add(c, req)
+			if plan.fast && plan.shard == run.sh && len(run.tasks) < s.cfg.Coalesce {
+				run.add(req)
 				continue
 			}
 			// Cross-shard op, slow-path op, or a full run: the run executes
@@ -540,7 +520,7 @@ func (s *Server) readLoop(c *conn) {
 		}
 		tp := s.top()
 		plan := tp.router.plan(&req)
-		run.add(c, req)
+		run.add(req)
 		if plan.fast {
 			run.tp, run.sh = tp, plan.shard
 			continue
@@ -551,41 +531,43 @@ func (s *Server) readLoop(c *conn) {
 	}
 }
 
-// affRun accumulates one connection's pending run: requests decoded by the
-// read loop but not yet admitted, chained through task.next. Consecutive
-// fast-path operations planned onto one shard of one topology generation
-// keep growing the chain, up to Config.Coalesce, while further frames are
-// already buffered, and flushRun admits and executes it as one group; a run
-// with no cached plan (tp nil) is planned task by task at the flush.
+// affRun is one connection's pending run: requests decoded by the read
+// loop but not yet admitted, in arrival order, in a slice the connection
+// owns for its whole life. Consecutive fast-path operations planned onto
+// one shard of one topology generation keep growing the run, up to
+// Config.Coalesce, while further frames are already buffered, and flushRun
+// admits and executes it as one group; a run with no cached plan (tp nil)
+// is planned task by task at the flush.
 type affRun struct {
-	head, tail *task
-	sh         int       // planned shard index
-	tp         *topology // generation the plan was made against
-	n          int
+	tasks []task
+	sh    int       // planned shard index
+	tp    *topology // generation the plan was made against
 }
 
-// add appends one accepted request to the run.
-func (run *affRun) add(c *conn, req Request) {
-	t := getTask()
-	t.c, t.req, t.arrived = c, req, time.Now()
-	if run.tail == nil {
-		run.head = t
-	} else {
-		run.tail.next = t
-	}
-	run.tail = t
-	run.n++
+// add appends one accepted request to the run. newConn sizes tasks at
+// Config.Coalesce, which the read loop never lets a run pass, so the
+// append never allocates.
+func (run *affRun) add(req Request) {
+	run.tasks = append(run.tasks, task{req: req, arrived: time.Now()})
+}
+
+// reset empties the executed run, dropping every reference its tasks
+// carried (a batch's entries, a cross-shard span set) so the slice never
+// pins freed request state.
+func (run *affRun) reset() {
+	clear(run.tasks)
+	run.tasks, run.tp = run.tasks[:0], nil
 }
 
 // flushRun is the one admission function: it admits the pending run,
-// applying drain rejection, and executes it on this goroutine. A run whose
-// cached plan is still of the live generation is admitted whole onto its
-// shard. Otherwise — the run carries no plan (a multi-shard op), or a
-// reshard swapped the generation since the run was planned without holding
-// drainMu — every task is planned on the generation that will execute it,
-// and may legally land on a different shard or span several; a cross-shard
-// task is counted like a fast one, and nothing is refused for load. The
-// topology load sits inside the drain lock because swaps hold it
+// applying drain rejection, executes it on this goroutine and resets it. A
+// run whose cached plan is still of the live generation is admitted whole
+// onto its shard. Otherwise — the run carries no plan (a multi-shard op),
+// or a reshard swapped the generation since the run was planned without
+// holding drainMu — every task is planned on the generation that will
+// execute it, and may legally land on a different shard or span several; a
+// cross-shard task is counted like a fast one, and nothing is refused for
+// load. The topology load sits inside the drain lock because swaps hold it
 // exclusively and wait for every task counted under it, so execution after
 // the unlock still runs on the admitting generation.
 //
@@ -597,54 +579,50 @@ func (run *affRun) add(c *conn, req Request) {
 // like any answer and leave with the burst.
 func (s *Server) flushRun(c *conn) {
 	run := &c.run
-	if run.n == 0 {
+	ts := run.tasks
+	if len(ts) == 0 {
 		return
 	}
-	head, shIdx, tp0, n := run.head, run.sh, run.tp, run.n
-	run.head, run.tail, run.tp, run.n = nil, nil, nil, 0
+	defer run.reset()
 	if !s.drainMu.TryRLock() {
 		s.endBurst(c)
 		s.drainMu.RLock()
 	}
 	if s.draining {
 		s.drainMu.RUnlock()
-		for t := head; t != nil; {
-			nx := t.next
-			s.reject(c, t.req.ID, StatusShutdown, "server is draining")
-			putTask(t)
-			t = nx
+		for i := range ts {
+			s.reject(c, ts[i].req.ID, StatusShutdown, "server is draining")
 		}
 		return
 	}
 	tp := s.top()
-	if tp == tp0 {
-		s.admitLocked(tp.shards[shIdx], head, n)
-		s.metrics.affineOps.Add(uint64(n))
+	if tp == run.tp {
+		s.admitLocked(tp.shards[run.sh], ts)
+		s.metrics.affineOps.Add(uint64(len(ts)))
 		s.metrics.affineRuns.Add(1)
 	} else {
-		for t := head; t != nil; t = t.next {
-			if plan := tp.router.plan(&t.req); plan.fast {
-				s.admitLocked(tp.shards[plan.shard], t, 1)
+		for i := range ts {
+			if plan := tp.router.plan(&ts[i].req); plan.fast {
+				s.admitLocked(tp.shards[plan.shard], ts[i:i+1])
 			} else {
 				s.tasksWG.Add(1)
-				t.spans = plan.spans
+				ts[i].spans = plan.spans
 			}
 		}
 	}
 	s.drainMu.RUnlock()
-	s.execute(c, tp, head)
+	s.execute(c, tp, ts)
 }
 
-// admitLocked counts the n fast-path tasks chained from head into the
-// server's in-flight set and sh's backlog gauge
-// before anything executes them: count before execute, so neither a drain
-// nor a scrape can miss an admitted task. The caller holds drainMu shared
-// with draining false.
-func (s *Server) admitLocked(sh *shard, head *task, n int) {
-	s.tasksWG.Add(n)
-	sh.m.queueDepth.Add(int64(n))
-	for t, i := head, 0; i < n; t, i = t.next, i+1 {
-		t.sh = sh
+// admitLocked counts the fast-path tasks ts into the server's in-flight
+// set and sh's backlog gauge before anything executes them: count before
+// execute, so neither a drain nor a scrape can miss an admitted task. The
+// caller holds drainMu shared with draining false.
+func (s *Server) admitLocked(sh *shard, ts []task) {
+	s.tasksWG.Add(len(ts))
+	sh.m.queueDepth.Add(int64(len(ts)))
+	for i := range ts {
+		ts[i].sh = sh
 	}
 }
 
@@ -733,23 +711,17 @@ func (s *Server) reject(c *conn, id uint32, st Status, msg string) {
 	c.frames++
 }
 
-// encode stages an executed task's response on its connection, counts it,
-// and recycles the task header. results may alias a section's scratch
-// slice; it is encoded before returning, so the steady-state response path
-// allocates nothing: the connection's buffer is reused after every write,
-// the task header after this call.
-func (s *Server) encode(t *task, results []Result, resp Response) {
+// encode stages an executed task's response on c and counts it. results
+// may alias a section's scratch slice; it is encoded before returning, so
+// the steady-state response path allocates nothing: the connection's
+// buffer is reused after every write.
+func (s *Server) encode(c *conn, t *task, results []Result, resp Response) {
 	resp.Results = results
-	c := t.c
 	c.out = AppendResponse(c.out, &resp)
 	c.frames++
 	c.answered++
 	s.metrics.statuses[resp.Status].Add(1)
 	s.metrics.latency[opIndex(t.req.Op)].Observe(time.Since(t.arrived).Nanoseconds())
-	if t.sh != nil {
-		t.sh.m.inflight.Add(-1)
-	}
-	putTask(t)
 }
 
 // Shutdown drains gracefully: stop admitting, stop accepting, let every

@@ -166,7 +166,7 @@ func TestCoalescing(t *testing.T) {
 // flushOne admits one request the way the read loop admits a multi-shard
 // op: as a run of length one with no cached plan.
 func flushOne(srv *Server, c *conn, req Request) {
-	c.run.add(c, req)
+	c.run.add(req)
 	srv.flushRun(c)
 }
 
@@ -335,7 +335,7 @@ func TestBackpressure(t *testing.T) {
 		resps := collect(t, peer)
 		c.run.tp, c.run.sh = tp, tp.router.shardOf(a)
 		for id := uint32(1); id <= 3; id++ {
-			c.run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+			c.run.add(Request{ID: id, Op: check.OpBalance, Arg1: a})
 		}
 		srv.flushRun(c)
 		flushOne(srv, c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
@@ -362,10 +362,10 @@ func TestBackpressure(t *testing.T) {
 		c, peer := pipeConn(t, srv)
 		c.run.tp, c.run.sh = srv.top(), 0
 		for id := uint32(1); id <= 3; id++ {
-			c.run.add(c, Request{ID: id, Op: check.OpBalance, Arg1: a})
+			c.run.add(Request{ID: id, Op: check.OpBalance, Arg1: a})
 		}
-		c.run.add(c, Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
-		c.run.add(c, Request{ID: 5, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		c.run.add(Request{ID: 4, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
+		c.run.add(Request{ID: 5, Op: check.OpTransfer, Arg1: a, Arg2: b, Arg3: 1})
 		if err := srv.Reshard(2); err != nil {
 			t.Fatal(err)
 		}
@@ -569,7 +569,7 @@ func TestBurstYieldsToReshard(t *testing.T) {
 	resps := collect(t, peer)
 	tp := srv.top()
 	c.run.tp, c.run.sh = tp, 0
-	c.run.add(c, Request{ID: 1, Op: check.OpGet, Arg1: 1})
+	c.run.add(Request{ID: 1, Op: check.OpGet, Arg1: 1})
 	srv.flushRun(c) // executed; the answer is staged and the task still counted
 
 	resharded := make(chan error, 1)
@@ -585,7 +585,7 @@ func TestBurstYieldsToReshard(t *testing.T) {
 	flushed := make(chan struct{})
 	go func() {
 		c.run.tp, c.run.sh = tp, 0
-		c.run.add(c, Request{ID: 2, Op: check.OpGet, Arg1: 1})
+		c.run.add(Request{ID: 2, Op: check.OpGet, Arg1: 1})
 		srv.flushRun(c)
 		srv.endBurst(c)
 		close(flushed)

@@ -63,52 +63,51 @@ type shard struct {
 	slowEx     *executor
 }
 
-// execute runs a run's admitted tasks, chained from t, on the calling
-// reader, against tp, the generation that admitted them. Each stretch of
-// consecutive tasks on one shard borrows one of the shard's sections; its
-// single operations run as one group (a run holds at most Config.Coalesce
-// operations, see readLoop), and a ping is answered in place and a batch
-// runs as its own block, each ending the group before it. A cross-shard
-// task (no shard) ends the stretch and runs once the section is back in
-// its pool (runCross). Answers are staged on c until the burst ends
-// (endBurst). Coalescing preserves linearizability: every grouped
-// operation is pending (invoked, not yet answered) when the shared block
-// commits, so placing them all at its commit point respects real-time
-// order.
-func (s *Server) execute(c *conn, tp *topology, t *task) {
-	for t != nil {
-		sh := t.sh
+// execute runs a run's admitted tasks ts, in order, on the calling reader,
+// against tp, the generation that admitted them. Each stretch ts[i:end] of
+// consecutive tasks on one shard borrows one of the shard's sections and
+// moves the shard's gauges once: its k tasks leave the backlog and count
+// as in flight until the section goes back. Its single operations run as
+// one group (a run holds at most Config.Coalesce operations, see
+// readLoop), and a ping is answered in place and a batch runs as its own
+// block, each ending the group before it. A cross-shard task (no shard)
+// ends the stretch and runs once the section is back in its pool
+// (runCross). Answers are staged on c until the burst ends (endBurst).
+// Coalescing preserves linearizability: every grouped operation is
+// pending (invoked, not yet answered) when the shared block commits, so
+// placing them all at its commit point respects real-time order.
+func (s *Server) execute(c *conn, tp *topology, ts []task) {
+	for i := 0; i < len(ts); {
+		sh := ts[i].sh
 		if sh == nil {
-			nx := t.next
-			t.next = nil
-			s.runCross(c, tp, t)
-			t = nx
+			s.runCross(c, tp, &ts[i])
+			i++
 			continue
 		}
+		end := i + 1
+		for end < len(ts) && ts[end].sh == sh {
+			end++
+		}
+		k := int64(end - i)
 		sec := <-sh.secs
-		group := c.group[:0]
-		for t != nil && t.sh == sh {
-			// Detach before answering: encode recycles the header, next
-			// included.
-			nx := t.next
-			t.next = nil
-			sh.m.queueDepth.Add(-1)
-			sh.m.inflight.Add(1)
+		sh.m.queueDepth.Add(-k)
+		sh.m.inflight.Add(k)
+		g := i // the pending group is ts[g:i]
+		for ; i < end; i++ {
+			t := &ts[i]
 			switch t.req.Op {
 			case OpPing:
-				s.runGroup(c, sh, sec, group)
-				group = group[:0]
-				s.encode(t, sec.results[:0], Response{ID: t.req.ID, Status: StatusOK})
+				s.runGroup(c, sh, sec, ts[g:i])
+				s.encode(c, t, sec.results[:0], Response{ID: t.req.ID, Status: StatusOK})
+				g = i + 1
 			case OpBatch:
-				s.runGroup(c, sh, sec, group)
-				group = group[:0]
+				s.runGroup(c, sh, sec, ts[g:i])
 				s.runBatch(c, sh, sec, t)
-			default:
-				group = append(group, t)
+				g = i + 1
 			}
-			t = nx
 		}
-		s.runGroup(c, sh, sec, group)
+		s.runGroup(c, sh, sec, ts[g:end])
+		sh.m.inflight.Add(-k)
 		sh.secs <- sec
 	}
 }
@@ -199,20 +198,22 @@ func (s *Server) runSection(sh *shard, sec *section, entries []BatchEntry) uint6
 // runGroup executes every task of group inside one atomic block on sh and
 // stages their answers on c, raising the burst's sync barrier to the
 // block's. An empty group runs nothing.
-func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []*task) {
+func (s *Server) runGroup(c *conn, sh *shard, sec *section, group []task) {
 	if len(group) == 0 {
 		return
 	}
 	sec.staged = sec.staged[:0]
-	for _, t := range group {
-		sec.staged = append(sec.staged, BatchEntry{Op: t.req.Op, Arg1: t.req.Arg1, Arg2: t.req.Arg2, Arg3: t.req.Arg3})
+	for i := range group {
+		r := &group[i].req
+		sec.staged = append(sec.staged, BatchEntry{Op: r.Op, Arg1: r.Arg1, Arg2: r.Arg2, Arg3: r.Arg3})
 	}
 	c.bar = max(c.bar, s.runSection(sh, sec, sec.staged))
 	if len(group) > 1 {
 		sh.m.coalesced.Add(uint64(len(group)))
 	}
-	for i, t := range group {
-		s.encode(t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
+	for i := range group {
+		t := &group[i]
+		s.encode(c, t, sec.results[i:i+1], Response{ID: t.req.ID, Status: StatusOK})
 	}
 }
 
@@ -223,7 +224,7 @@ func (s *Server) runBatch(c *conn, sh *shard, sec *section, t *task) {
 	entries := t.req.Batch
 	c.bar = max(c.bar, s.runSection(sh, sec, entries))
 	sh.m.batchOps.Add(uint64(len(entries)))
-	s.encode(t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
+	s.encode(c, t, sec.results[:len(entries)], Response{ID: t.req.ID, Status: StatusOK})
 }
 
 // replWait blocks until the barrier sequence is acknowledged (sync ack
@@ -331,7 +332,7 @@ func (s *Server) runCross(c *conn, tp *topology, t *task) {
 
 	s.metrics.crossOps.Add(uint64(len(entries)))
 	c.bar = max(c.bar, bar)
-	s.encode(t, results, Response{ID: t.req.ID, Status: StatusOK})
+	s.encode(c, t, results, Response{ID: t.req.ID, Status: StatusOK})
 }
 
 // crossTransfer runs the withdraw/deposit split of one cross-shard

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -417,6 +419,105 @@ func TestWorkerDrain(t *testing.T) {
 				t.Errorf("queue depth %d, inflight %d after every answer, want 0", q, in)
 			}
 		})
+	}
+}
+
+// TestRunGaugesWhileItWaitsForASection pins the shard gauges of an admitted
+// run: while every section of its shard is out, a burst of n gets is n
+// requests deep in the shard's backlog and none is in flight; once the
+// sections are back and the answers are in, both read 0. It then pins what
+// a run owes after execution: every task of the connection's run slice is
+// zero again, so no batch entries or span set outlive their request.
+func TestRunGaugesWhileItWaitsForASection(t *testing.T) {
+	const n = 8
+	srv, err := New(Config{Workload: "map", Shards: 2, Workers: 2, Coalesce: n, Keys: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := srv.top()
+	const key = 1
+	k := tp.router.shardOf(key)
+	other := uint64(2)
+	for tp.router.shardOf(other) == k {
+		other++
+	}
+	sh := tp.shards[k]
+	var held []*section
+	for range srv.cfg.Workers {
+		held = append(held, <-sh.secs)
+	}
+	gauges := func() string {
+		var sb strings.Builder
+		if err := srv.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	depth := func(d int) string { return fmt.Sprintf("rtled_shard_queue_depth{shard=\"%d\"} %d\n", k, d) }
+
+	peer, fr := servePipe(t, srv)
+	var burst []byte
+	for id := uint32(1); id <= n; id++ {
+		burst = AppendRequest(burst, &Request{ID: id, Op: check.OpGet, Arg1: key})
+	}
+	if _, err := peer.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the burst to be admitted", func() bool { return srv.Metrics().QueueDepth() == n })
+	for _, want := range []string{depth(n), "rtled_inflight 0\n"} {
+		if out := gauges(); !strings.Contains(out, want) {
+			t.Errorf("with every section out, the metrics lack %q", want)
+		}
+	}
+
+	for _, sec := range held {
+		sh.secs <- sec
+	}
+	for id := uint32(1); id <= n; id++ {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := DecodeResponse(payload); err != nil || resp.ID != id || resp.Status != StatusOK {
+			t.Fatalf("answered %+v (%v), want ok for id %d", resp, err, id)
+		}
+	}
+	for _, want := range []string{depth(0), "rtled_inflight 0\n"} {
+		if out := gauges(); !strings.Contains(out, want) {
+			t.Errorf("after every answer, the metrics lack %q", want)
+		}
+	}
+
+	// A batch on one shard, then one across both: a run of each.
+	burst = AppendRequest(burst[:0], &Request{ID: n + 1, Op: OpBatch, Batch: []BatchEntry{{Op: check.OpPut, Arg1: key, Arg2: 7}}})
+	burst = AppendRequest(burst, &Request{ID: n + 2, Op: OpBatch, Batch: []BatchEntry{{Op: check.OpGet, Arg1: key}, {Op: check.OpGet, Arg1: other}}})
+	if _, err := peer.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint32(n + 1); id <= n+2; id++ {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := DecodeResponse(payload); err != nil || resp.ID != id || resp.Status != StatusOK {
+			t.Fatalf("batch answered %+v (%v), want ok for id %d", resp, err, id)
+		}
+	}
+	srv.mu.Lock()
+	for c := range srv.conns {
+		tasks := c.run.tasks[:cap(c.run.tasks)]
+		for i := range tasks {
+			if !reflect.DeepEqual(tasks[i], task{}) {
+				t.Errorf("task %d of the run slice after its answer: %+v, want the zero task", i, tasks[i])
+			}
+		}
+	}
+	srv.mu.Unlock()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown: %v", err)
 	}
 }
 
