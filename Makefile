@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race vet e2e microbench cross-build fuzz-short bench bench-test all
+.PHONY: fmt build test race vet e2e microbench cross-build fuzz-short experiments bench bench-test all
 
 all: fmt build vet test
 
@@ -57,6 +57,13 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapReader$$' -fuzztime 10s ./internal/snap
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 10s ./internal/repl
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime 10s ./internal/check
+
+# experiments regenerates the evaluation record EXPERIMENTS.md quotes: every
+# figure and ablation A2–A6 at 1, 2, 4 and 8 threads, each point the median
+# of three 300 ms runs, into experiments_output.txt (about 15 minutes; run it
+# with nothing else on the host).
+experiments:
+	$(GO) run ./cmd/experiments -fig all -threads 1,2,4,8 -dur 300ms -runs 3 > experiments_output.txt
 
 # bench runs the canonical benchmark (BENCHMARK.json): the four gated
 # workloads, one result line each. benchmark/ is its own module, so root

@@ -12,11 +12,16 @@ import (
 
 // figAblation runs the design ablations A2–A6 of DESIGN.md §3 the way the
 // figures run. A1, the orec count, has no table of its own: its cells are
-// Fig. 5's 8192-key 20:20:60 panel, read beside Figs. 6 and 7.
+// Fig. 5's 8192-key 20:20:60 panel, read beside Figs. 6 and 7. A row whose
+// tweak is the default (A2's eager, A4's 5) runs untweaked, so it reads that
+// panel's runs too.
 func figAblation(opt options) {
 	opt.header("A2: eager vs lazy subscription (§5), FG-TLE(1024) — key range 8192, 20% Ins/Rem (ops/ms)")
 	opt.sweep("subscription", perThread, []string{"eager", "lazy"}, func(sub string, n int) string {
-		o := opt.tweaked(sub, func(p *core.Policy) { p.LazySubscription = sub == "lazy" })
+		o := opt
+		if sub == "lazy" {
+			o = opt.tweaked(sub, func(p *core.Policy) { p.LazySubscription = true })
+		}
 		return fmt.Sprintf("%.0f", runSetPoint(o, "FG-TLE(1024)", slowPathKeyRange, slowPathMix, n).Throughput())
 	})
 
@@ -29,7 +34,10 @@ func figAblation(opt options) {
 	opt.header("A4: fast-path attempt budget (footnote 1), TLE — key range 8192, 20% Ins/Rem (ops/ms)")
 	opt.sweep("attempts", perThread, []string{"1", "2", "5", "10"}, func(budget string, n int) string {
 		attempts, _ := strconv.Atoi(budget) // the rows are literal budgets
-		o := opt.tweaked("attempts="+budget, func(p *core.Policy) { p.Attempts = attempts })
+		o := opt
+		if attempts != core.DefaultAttempts {
+			o = opt.tweaked("attempts="+budget, func(p *core.Policy) { p.Attempts = attempts })
+		}
 		return fmt.Sprintf("%.0f", runSetPoint(o, "TLE", slowPathKeyRange, slowPathMix, n).Throughput())
 	})
 

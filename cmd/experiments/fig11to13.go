@@ -1,9 +1,7 @@
 package main
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"rtle/internal/avl"
 	"rtle/internal/bank"
@@ -82,7 +80,7 @@ func fig13(opt options) {
 	opt.sweep("variant", perThread, append([]string{"Lock.orig"}, methods...), func(variant string, n int) string {
 		in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
 		warm(n)
-		res := medianAssembly(opt.runs, func() *cctsa.Result {
+		res := harness.Median(opt.runs, func() assembly {
 			var res *cctsa.Result
 			if variant == "Lock.orig" {
 				res = in.RunOriginal()
@@ -93,7 +91,7 @@ func fig13(opt options) {
 				})
 			}
 			opt.mustHold(variant, n, assembled(res, distinct[n]))
-			return res
+			return assembly{res}
 		})
 		fallback[cellKey{variant, n}] = res.Stats.LockFallbackFraction()
 		return fmt.Sprintf("%.0f", float64(res.Total.Milliseconds()))
@@ -107,16 +105,12 @@ func fig13(opt options) {
 	})
 }
 
-// medianAssembly runs an assembly runs times and returns the run of median
-// total runtime; of two central runs, the slower, as harness.Median picks.
-func medianAssembly(runs int, run func() *cctsa.Result) *cctsa.Result {
-	rs := make([]*cctsa.Result, max(runs, 1))
-	for i := range rs {
-		rs[i] = run()
-	}
-	slices.SortFunc(rs, func(a, b *cctsa.Result) int { return cmp.Compare(a.Total, b.Total) })
-	return rs[len(rs)/2]
-}
+// assembly is a ccTSA run as harness.Median ranks it: its rate is one
+// assembly per total runtime, so the median-rate run is the median-runtime
+// run.
+type assembly struct{ *cctsa.Result }
+
+func (a assembly) Throughput() float64 { return 1 / a.Total.Seconds() }
 
 // assembled is what TestAssemblyVariantsAgree (internal/cctsa) asserts of an
 // assembly: its contigs consume every k-mer it counted, and it counted the

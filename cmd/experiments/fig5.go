@@ -20,11 +20,16 @@ func fig5(opt options) {
 	}
 	for _, kr := range keyRanges {
 		for _, mix := range ms {
-			opt.header(fmt.Sprintf("Fig. 5: AVL speedup vs 1-thread Lock — key range %d, mix %s (Ins:Rem:Find)", kr, mixLabel(mix)))
-			base := runSetPoint(opt, "Lock", kr, mix, 1)
-			opt.sweep("method", perThread, methods, func(meth string, n int) string {
-				return fmt.Sprintf("%.2f", runSetPoint(opt, meth, kr, mix, n).Speedup(base))
-			})
+			fig5Panel(opt, kr, mix, methods)
 		}
 	}
+}
+
+// fig5Panel prints Figure 5's panel of one key range and mix.
+func fig5Panel(opt options, kr uint64, mix harness.SetMix, methods []string) {
+	opt.header(fmt.Sprintf("Fig. 5: AVL speedup vs 1-thread Lock — key range %d, mix %s (Ins:Rem:Find)", kr, mixLabel(mix)))
+	base := runSetPoint(opt, "Lock", kr, mix, 1)
+	opt.sweep("method", perThread, methods, func(meth string, n int) string {
+		return fmt.Sprintf("%.2f", runSetPoint(opt, meth, kr, mix, n).Speedup(base))
+	})
 }

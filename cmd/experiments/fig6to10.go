@@ -28,16 +28,9 @@ func fig6(opt options) {
 func fig7(opt options) {
 	opt.header("Fig. 7: execution time under lock relative to Lock — key range 8192, 20% Ins/Rem")
 	methods := append([]string{"Lock", "TLE"}, harness.RefinedNames...)
-	bases := map[int]*harness.Result{}
-	for _, n := range opt.threads {
-		bases[n] = runSetPoint(opt, "Lock", slowPathKeyRange, slowPathMix, n)
-	}
 	opt.sweep("method", perThread, methods, func(meth string, n int) string {
-		rel := 1.0
-		if meth != "Lock" {
-			rel = runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n).RelativeTimeUnderLock(bases[n])
-		}
-		return fmt.Sprintf("%.2f", rel)
+		lock := runSetPoint(opt, "Lock", slowPathKeyRange, slowPathMix, n)
+		return fmt.Sprintf("%.2f", runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n).RelativeTimeUnderLock(lock))
 	})
 }
 

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"rtle/internal/core"
+	"rtle/internal/harness"
 )
 
 type options struct {
@@ -42,15 +43,18 @@ type options struct {
 	interleave int
 	spurious   float64
 	runs       int
-	csvPath    string
 	// tweak, set by an ablation (options.tweaked) and never by a flag, changes
-	// every point's policy; variant names it in CSV labels and failed checks.
+	// every point's policy; variant names it in set-point keys and failed
+	// checks.
 	tweak   func(*core.Policy)
 	variant string
+	// setRuns holds the invocation's AVL set points (runSetPoint), so a point
+	// that several figures name runs once.
+	setRuns map[setPoint]*harness.Result
 }
 
 func main() {
-	var opt options
+	opt := options{setRuns: map[setPoint]*harness.Result{}}
 	var threadsFlag string
 	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 5..13, scan, ablation, or all")
 	flag.StringVar(&threadsFlag, "threads", "", "comma-separated thread counts (default 1,2,4,8)")
@@ -61,7 +65,6 @@ func main() {
 	flag.IntVar(&opt.interleave, "interleave", 4, "concurrency virtualization: yield every N accesses (0 = off; see DESIGN.md §1.5)")
 	flag.Float64Var(&opt.spurious, "spurious", 0.01, "per-access spurious-abort probability modelling capacity/interrupt aborts (0 = off)")
 	flag.IntVar(&opt.runs, "runs", 1, "runs per data point; the median-throughput run is reported (the paper uses 5)")
-	flag.StringVar(&opt.csvPath, "csv", "", "also append every AVL data point to this CSV file")
 	flag.Parse()
 	opt.seed = uint64(seed)
 
@@ -96,7 +99,6 @@ func main() {
 			opt.fig = f
 			figs[f](opt)
 		}
-		flushCSV(opt)
 		return
 	}
 	f, ok := figs[opt.fig]
@@ -105,5 +107,4 @@ func main() {
 		os.Exit(2)
 	}
 	f(opt)
-	flushCSV(opt)
 }

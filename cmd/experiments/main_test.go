@@ -2,12 +2,14 @@ package main
 
 import (
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
@@ -85,6 +87,66 @@ func TestSkeletonGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("output skeleton differs from %s (regenerate with -update only for a deliberate change)\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestSetPointsRunOnce: Figs. 6–10 and the ablations are views of Fig. 5's
+// 8192-key 20:20:60 panel, so after that panel over Fig. 5's full method list
+// they start no run of a (method, 8192, 20:20:60, T) point — A2's eager row,
+// A4's default budget and A6's TLE and FG-TLE(1024) rows included. What they
+// add is A2's lazy row, A3's panel, A4's other budgets and A6's HLE and
+// ALE(1024) rows; the panel's own base is its Lock T=1 cell.
+func TestSetPointsRunOnce(t *testing.T) {
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	stdout := os.Stdout
+	os.Stdout = devnull
+	defer func() { os.Stdout = stdout }()
+
+	opt := options{threads: []int{1}, dur: time.Millisecond, seed: 1, runs: 1, interleave: 4, spurious: 0.01,
+		setRuns: map[setPoint]*harness.Result{}}
+	opt.fig = "5"
+	fig5Panel(opt, slowPathKeyRange, slowPathMix, harness.MethodNames)
+	if want := len(harness.MethodNames); len(opt.setRuns) != want {
+		t.Fatalf("Fig. 5's panel ran %d set points, want %d (its base is its Lock T=1 cell)", len(opt.setRuns), want)
+	}
+	fig5Runs := maps.Clone(opt.setRuns)
+	for _, f := range []struct {
+		name string
+		run  func(options)
+	}{{"6", fig6}, {"7", fig7}, {"8", fig8}, {"9", fig9}, {"10", fig10}, {"ablation", figAblation}} {
+		opt.fig = f.name
+		f.run(opt)
+	}
+
+	var added []setPoint
+	for k, res := range opt.setRuns {
+		if prev, ok := fig5Runs[k]; !ok {
+			added = append(added, k)
+		} else if prev != res {
+			t.Errorf("%+v: a later figure replaced Fig. 5's run", k)
+		}
+	}
+	updates := harness.SetMix{InsertPct: 50, RemovePct: 50}
+	want := []setPoint{
+		{"FG-TLE(1024)", slowPathKeyRange, slowPathMix, 1, "lazy"},
+		{"FG-TLE(1)", 512, updates, 1, ""},
+		{"FG-TLE(8192)", 512, updates, 1, ""},
+		{"FG-TLE(adaptive)", 512, updates, 1, ""},
+		{"HLE", slowPathKeyRange, slowPathMix, 1, ""},
+		{"ALE(1024)", slowPathKeyRange, slowPathMix, 1, ""},
+		{"TLE", slowPathKeyRange, slowPathMix, 1, "attempts=1"},
+		{"TLE", slowPathKeyRange, slowPathMix, 1, "attempts=2"},
+		{"TLE", slowPathKeyRange, slowPathMix, 1, "attempts=10"},
+	}
+	byName := func(a, b setPoint) int { return strings.Compare(a.method+a.variant, b.method+b.variant) }
+	slices.SortFunc(added, byName)
+	slices.SortFunc(want, byName)
+	if !slices.Equal(added, want) {
+		t.Errorf("Figs. 6–10 and the ablations started runs of\n%+v\nwant\n%+v", added, want)
 	}
 }
 

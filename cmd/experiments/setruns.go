@@ -48,40 +48,29 @@ func mixLabel(m harness.SetMix) string {
 	return fmt.Sprintf("%d:%d:%d", m.InsertPct, m.RemovePct, 100-m.InsertPct-m.RemovePct)
 }
 
-// csvRecords accumulates every AVL data point for the -csv flag.
-var csvRecords []harness.Record
+// setPoint names an AVL set data point: every figure and ablation row that
+// names the same one reads the same median run.
+type setPoint struct {
+	method   string
+	keyRange uint64
+	mix      harness.SetMix
+	threads  int
+	variant  string
+}
 
-// runSetPoint runs one AVL data point — a fresh heap, a seeded set, one
-// method, one thread count — as options.point runs every point.
+// runSetPoint returns one AVL data point — a fresh heap, a seeded set, one
+// method, one thread count — measured as options.point measures every point,
+// the first time the invocation names it, and from opt.setRuns after that.
 func runSetPoint(opt options, method string, keyRange uint64, mix harness.SetMix, threads int) *harness.Result {
+	key := setPoint{method, keyRange, mix, threads, opt.variant}
+	if res, ok := opt.setRuns[key]; ok {
+		return res
+	}
 	res := opt.avlPoint(method, threads, keyRange, func(set *avl.Set) harness.WorkerFactory {
 		return harness.SetWorkerFactory(set, mix, keyRange)
 	})
-	if opt.csvPath != "" {
-		label := fmt.Sprintf("range=%d mix=%s", keyRange, mixLabel(mix))
-		if opt.variant != "" {
-			label += " " + opt.variant
-		}
-		csvRecords = append(csvRecords, res.Record(label))
-	}
+	opt.setRuns[key] = res
 	return res
-}
-
-// flushCSV writes the accumulated data points, if requested.
-func flushCSV(opt options) {
-	if opt.csvPath == "" || len(csvRecords) == 0 {
-		return
-	}
-	f, err := os.Create(opt.csvPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return
-	}
-	defer f.Close()
-	if err := harness.WriteCSV(f, csvRecords); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-	}
-	fmt.Printf("\n%d data points written to %s\n", len(csvRecords), opt.csvPath)
 }
 
 // A workload builds its structure on a fresh heap and returns its workers'
@@ -192,10 +181,8 @@ func (o options) mustHold(method string, threads int, err error) {
 
 // point is how every harness data point runs: warmed, o.runs times over a
 // fresh heap each (run builds it), the median-throughput run reported — the
-// paper's discipline, §6.2 — with the probe's reading attached.
+// paper's discipline, §6.2.
 func (o options) point(threads int, run func() *harness.Result) *harness.Result {
-	ratio := warm(threads)
-	res := harness.Median(o.runs, run)
-	res.ParallelRatio = ratio
-	return res
+	warm(threads)
+	return harness.Median(o.runs, run)
 }

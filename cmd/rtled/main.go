@@ -26,9 +26,9 @@
 // names a path) and streams it to subscribed replicas; -repl-ack sync
 // holds each write's response until a replica acknowledged its entry. A
 // server started with -replica-of follows that primary, answering
-// StatusNotPrimary to clients until POST /promote (or, on unix, SIGUSR1)
+// StatusNotPrimary to clients until POST /promote on its -http address
 // flips it to primary — the failover handshake scripts/e2e.sh exercises
-// with a SIGKILL mid-run.
+// with a SIGKILL mid-run. A replica therefore needs -http.
 //
 // Snapshots: every server answers OpSnapshot with a consistent cut of its
 // full state, taken under the shard gates and stamped with the replication
@@ -86,6 +86,9 @@ func main() {
 	snapFile := flag.String("snap-file", "", "durable snapshot path: restored at boot, rewritten by compaction")
 	compactEvery := flag.Int("compact-every", 0, "auto-compact when the replication log holds this many entries above its floor (needs -snap-file; implies replication)")
 	flag.Parse()
+	if *replicaOf != "" && *httpAddr == "" {
+		fatal("-replica-of needs -http: POST /promote on the admin address is how a replica takes over")
+	}
 
 	var plan *fault.Plan
 	if *planStr != "" {
@@ -133,7 +136,7 @@ func main() {
 	fmt.Printf("rtled: listening on %s (%s over %s, %d shards x %d workers)\n",
 		bound, srv.MethodName(), srv.Workload(), srv.Shards(), *workers)
 	if *replicaOf != "" {
-		fmt.Fprintf(os.Stderr, "rtled: replica of %s (%s to take over)\n", *replicaOf, promoteHint)
+		fmt.Fprintf(os.Stderr, "rtled: replica of %s (POST /promote to take over)\n", *replicaOf)
 	}
 
 	var admin *server.AdminServer
@@ -150,35 +153,23 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	if promoteSignal != nil {
-		signal.Notify(sig, promoteSignal)
-	}
-loop:
-	for {
-		select {
-		case s := <-sig:
-			if s == promoteSignal {
-				promote(srv)
-				continue
+	select {
+	case s := <-sig:
+		fmt.Fprintf(os.Stderr, "rtled: %v, draining\n", s)
+		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			fmt.Fprintln(os.Stderr, "rtled: drain:", err)
+		}
+		if admin != nil {
+			if err := admin.Shutdown(ctx); err != nil {
+				fmt.Fprintln(os.Stderr, "rtled: admin drain:", err)
 			}
-			fmt.Fprintf(os.Stderr, "rtled: %v, draining\n", s)
-			ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "rtled: drain:", err)
-			}
-			if admin != nil {
-				if err := admin.Shutdown(ctx); err != nil {
-					fmt.Fprintln(os.Stderr, "rtled: admin drain:", err)
-				}
-			}
-			<-done
-			break loop
-		case err := <-done:
-			if err != nil {
-				fatal(err)
-			}
-			break loop
+		}
+		<-done
+	case err := <-done:
+		if err != nil {
+			fatal(err)
 		}
 	}
 
@@ -191,26 +182,14 @@ loop:
 	}
 }
 
-// promote flips a replica to primary, logging the takeover sequence on
-// stdout so harnesses can confirm the handoff landed.
-func promote(srv *server.Server) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	seq, err := srv.Promote(ctx)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rtled: promote:", err)
-		return
-	}
-	fmt.Printf("rtled: promoted to primary at seq %d\n", seq)
-}
-
 // newMux builds the admin handler: /metrics concatenates the execution
 // registry's Prometheus series with the wire-level server series under one
 // scrape; /snapshot serves the registry as JSON; POST /promote flips a
-// replica to primary (the HTTP twin of SIGUSR1, for orchestrators without
-// signal access); POST /reshard?shards=M rebuilds the serving plane at M
-// shards through a gate-held snapshot, live; POST /compact writes the
-// durable snapshot and truncates the replication log below it.
+// replica to primary, logging the takeover sequence on stdout so harnesses
+// can confirm the handoff landed (the one way to promote); POST
+// /reshard?shards=M rebuilds the serving plane at M shards through a
+// gate-held snapshot, live; POST /compact writes the durable snapshot and
+// truncates the replication log below it.
 func newMux(reg *obs.Registry, srv *server.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,48 +1,26 @@
 package harness
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Median runs an experiment n times (each invocation of run must build a
-// fresh data structure and method) and returns the run with the median
-// throughput. The paper reports the median of 5 runs and presents the
-// auxiliary statistics from the median run (§6.2); this helper gives
-// drivers the same discipline.
+// fresh data structure and method) and returns the run of median rate, as
+// its Throughput method reads it. The paper reports the median of 5 runs
+// and presents the auxiliary statistics from the median run (§6.2); this
+// helper gives drivers the same discipline.
 //
 // For odd n this is the middle run. For even n there is no middle run, and
-// a Result must still carry self-consistent auxiliary statistics (so the
-// two central runs cannot be averaged); Median instead returns the run
-// whose throughput is closest to the median value — the mean of the two
-// central runs — picking the slower run when equidistant. (The previous
-// behaviour, silently returning the upper-central run, overstated the
-// median of every even-length sample.)
-func Median(n int, run func() *Result) *Result {
-	if n <= 0 {
-		n = 1
-	}
-	results := make([]*Result, n)
+// the result must still carry self-consistent auxiliary statistics (so the
+// two central runs cannot be averaged): Median returns the slower of the
+// two central runs, results[(n-1)/2] in rate order, so an even-length
+// sample never overstates its median.
+func Median[R interface{ Throughput() float64 }](n int, run func() R) R {
+	results := make([]R, max(n, 1))
 	for i := range results {
 		results[i] = run()
 	}
-	sort.Slice(results, func(i, j int) bool {
-		return results[i].Throughput() < results[j].Throughput()
-	})
-	if n%2 == 1 {
-		return results[n/2]
-	}
-	target := (results[n/2-1].Throughput() + results[n/2].Throughput()) / 2
-	best := results[0]
-	bestDist := abs(best.Throughput() - target)
-	for _, r := range results[1:] {
-		if d := abs(r.Throughput() - target); d < bestDist {
-			best, bestDist = r, d
-		}
-	}
-	return best
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	slices.SortFunc(results, func(a, b R) int { return cmp.Compare(a.Throughput(), b.Throughput()) })
+	return results[(len(results)-1)/2]
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"rtle/internal/core"
+	"rtle/internal/mem"
+	"rtle/internal/rng"
 )
 
 // fakeResult builds a Result with the given throughput in ops/ms.
@@ -81,5 +83,22 @@ func TestMedianNonPositiveN(t *testing.T) {
 	got := Median(0, feed(t, fakeResult(7)))
 	if got.Throughput() != 7 {
 		t.Errorf("Median(0) should run once, got %v", got.Throughput())
+	}
+}
+
+func TestMedianEndToEnd(t *testing.T) {
+	res := Median(3, func() *Result {
+		m := mem.New(1 << 16)
+		meth := core.NewTLE(m, core.Policy{})
+		a := m.AllocLines(1)
+		return Run(meth, Config{Threads: 2, OpsPerThread: 200, Seed: 9},
+			func(id int, th core.Thread) Worker {
+				return func(r *rng.Xoshiro256) {
+					th.Atomic(func(c core.Context) { c.Write(a, c.Read(a)+1) })
+				}
+			})
+	})
+	if res.Total.Ops != 400 {
+		t.Fatalf("median run ops = %d, want 400", res.Total.Ops)
 	}
 }

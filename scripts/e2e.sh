@@ -12,9 +12,9 @@
 #
 # With the "failover" scenario it additionally boots a replicated pair
 # (sync ack, file-backed log), SIGKILLs the primary under recorded load,
-# promotes the replica with SIGUSR1, and requires rtleload to exit 0 with
-# a linearizable merged history — the zero acknowledged-write-loss claim,
-# checked at the wire.
+# promotes the replica with POST /promote on its admin endpoint, and
+# requires rtleload to exit 0 with a linearizable merged history — the
+# zero acknowledged-write-loss claim, checked at the wire.
 #
 # The "reshard" scenario boots a single-shard server with the admin
 # endpoint, POSTs /reshard?shards=4 while recorded load runs, and requires
@@ -108,6 +108,19 @@ drain2() {
   echo "e2e: replica drained cleanly"
 }
 
+# admin_of <log>: the admin endpoint an rtled booted with -http announced
+# in its log, once it has; fails the script if it never does.
+admin_of() {
+  local admin=""
+  for _ in $(seq 1 100); do
+    admin="$(sed -n 's|^rtled: serving /metrics and /snapshot on \(.*\)$|\1|p' "$1" | head -1)"
+    [ -n "$admin" ] && break
+    sleep 0.1
+  done
+  [ -n "$admin" ] || { echo "e2e: rtled never announced its admin port" >&2; cat "$1" >&2; exit 1; }
+  echo "$admin"
+}
+
 # http_post <host:port> <path>: minimal HTTP/1.0 POST over bash's
 # /dev/tcp, so the admin endpoints need no curl on the runner. Prints the
 # full response (headers and body).
@@ -182,8 +195,9 @@ run_failover() {
   PRIMARY="$ADDR"
   PRIMARY_PID="$SRV_PID"
   boot2 -workload map -method TLE -shards "$SHARDS" -workers 4 -keys 256 \
-    -replica-of "$PRIMARY"
+    -replica-of "$PRIMARY" -http 127.0.0.1:0
   REPLICA="$ADDR2"
+  ADMIN2="$(admin_of "$LOG2")"
 
   "$BINDIR/rtleload" -addr "$PRIMARY,$REPLICA" -workload map -keys 256 \
     -conns 4 -pipeline 8 -ops 2000000 -duration 4s -read-pct 60 -batch-pct 5 \
@@ -196,8 +210,9 @@ run_failover() {
   wait "$PRIMARY_PID" 2>/dev/null || true
   SRV_PID=""
   sleep 0.3
-  echo "e2e: promoting replica (SIGUSR1)"
-  kill -USR1 "$SRV2_PID"
+  echo "e2e: promoting replica (POST /promote on $ADMIN2)"
+  http_post "$ADMIN2" /promote | grep -q 'promoted to primary' || {
+    echo "e2e: promote request failed"; cat "$LOG2"; kill "$LOAD_PID" 2>/dev/null || true; exit 1; }
 
   wait "$LOAD_PID" || {
     echo "e2e: rtleload failed across the failover"; cat "$LOAD_OUT"; cat "$LOG2"; exit 1; }
@@ -224,13 +239,7 @@ run_reshard() {
 
   boot -workload map -method TLE -shards 1 -workers 4 -keys 256 \
     -http 127.0.0.1:0
-  ADMIN=""
-  for _ in $(seq 1 100); do
-    ADMIN="$(sed -n 's|^rtled: serving /metrics and /snapshot on \(.*\)$|\1|p' "$LOG" | head -1)"
-    [ -n "$ADMIN" ] && break
-    sleep 0.1
-  done
-  [ -n "$ADMIN" ] || { echo "e2e: rtled never announced its admin port"; cat "$LOG"; exit 1; }
+  ADMIN="$(admin_of "$LOG")"
   echo "e2e: admin endpoint at $ADMIN"
 
   "$BINDIR/rtleload" -addr "$ADDR" -workload map -keys 256 \
