@@ -39,38 +39,30 @@ func fig7(opt options) {
 // of software-transaction time.
 func fig8(opt options) {
 	opt.header("Fig. 8: RHNOrec slow-path throughput (ops/ms of software-transaction time) — key range 8192, 20% Ins/Rem")
-	w := newTable()
-	fmt.Fprintln(w, "threads\tSlowHTM\tSWSlow")
-	for _, n := range opt.threads {
+	opt.sweep("commits", perThread, []string{"SlowHTM", "SWSlow"}, func(series string, n int) string {
 		res := runSetPoint(opt, "RHNOrec", slowPathKeyRange, slowPathMix, n)
-		fmt.Fprintf(w, "%d\t%.0f\t%.0f\n", n, res.RHNOrecSlowHTMThroughput(), res.STMThroughput())
-	}
-	w.Flush()
+		if series == "SlowHTM" {
+			return fmt.Sprintf("%.0f", res.RHNOrecSlowHTMThroughput())
+		}
+		return fmt.Sprintf("%.0f", res.STMThroughput())
+	})
 }
 
 // fig9 regenerates Figure 9: RHNOrec execution-type distribution.
 func fig9(opt options) {
 	opt.header("Fig. 9: RHNOrec execution-type fractions — key range 8192, 20% Ins/Rem")
-	w := newTable()
-	fmt.Fprintln(w, "threads\tHTMFast\tHTMSlow\tSTMFastCommit\tSTMSlowCommit")
-	for _, n := range opt.threads {
-		res := runSetPoint(opt, "RHNOrec", slowPathKeyRange, slowPathMix, n)
-		f := res.ExecTypeDistribution()
-		fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\t%.3f\n", n, f.HTMFast, f.HTMSlow, f.STMFast, f.STMSlow)
-	}
-	w.Flush()
+	opt.sweep("execution", perThread, []string{"HTMFast", "HTMSlow", "STMFastCommit", "STMSlowCommit"}, func(typ string, n int) string {
+		f := runSetPoint(opt, "RHNOrec", slowPathKeyRange, slowPathMix, n).ExecTypeDistribution()
+		share := map[string]float64{"HTMFast": f.HTMFast, "HTMSlow": f.HTMSlow, "STMFastCommit": f.STMFast, "STMSlowCommit": f.STMSlow}
+		return fmt.Sprintf("%.3f", share[typ])
+	})
 }
 
 // fig10 regenerates Figure 10: value-based validations per software
 // transaction, NOrec vs RHNOrec.
 func fig10(opt options) {
 	opt.header("Fig. 10: validations per software transaction — key range 8192, 20% Ins/Rem")
-	w := newTable()
-	fmt.Fprintln(w, "threads\tNOrec\tRHNOrec")
-	for _, n := range opt.threads {
-		no := runSetPoint(opt, "NOrec", slowPathKeyRange, slowPathMix, n)
-		rh := runSetPoint(opt, "RHNOrec", slowPathKeyRange, slowPathMix, n)
-		fmt.Fprintf(w, "%d\t%.2f\t%.2f\n", n, no.ValidationsPerTx(), rh.ValidationsPerTx())
-	}
-	w.Flush()
+	opt.sweep("method", perThread, []string{"NOrec", "RHNOrec"}, func(meth string, n int) string {
+		return fmt.Sprintf("%.2f", runSetPoint(opt, meth, slowPathKeyRange, slowPathMix, n).ValidationsPerTx())
+	})
 }

@@ -1,7 +1,10 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (§6) on the simulated-HTM substrate. Each figure is a
-// subcommand-style flag; -fig all runs the full evaluation and prints the
-// text tables that EXPERIMENTS.md records.
+// evaluation (§6) on the simulated-HTM substrate, as markdown. It first
+// prints a heading naming its command, then a line naming the Go version,
+// GOOS/GOARCH, NumCPU and GOMAXPROCS; then each figure's title and one
+// table, thread counts as columns. `make experiments` writes two such runs
+// into EXPERIMENTS.md's generated tail, the record the rest of that file
+// reads.
 //
 // Usage:
 //
@@ -26,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -94,17 +98,17 @@ func main() {
 		"scan": figScan, "ablation": figAblation,
 	}
 	order := []string{"5", "6", "7", "8", "9", "10", "11", "12", "13", "scan", "ablation"}
-	if opt.fig == "all" {
-		for _, f := range order {
-			opt.fig = f
-			figs[f](opt)
+	if opt.fig != "all" {
+		if _, ok := figs[opt.fig]; !ok {
+			fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want 5..13, scan, ablation, or all)\n", opt.fig)
+			os.Exit(2)
 		}
-		return
+		order = []string{opt.fig}
 	}
-	f, ok := figs[opt.fig]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown figure %q (want 5..13, scan, ablation, or all)\n", opt.fig)
-		os.Exit(2)
+	fmt.Printf("\n## `experiments %s`\n\nEnvironment: %s %s/%s, NumCPU %d, GOMAXPROCS %d.\n",
+		strings.Join(os.Args[1:], " "), runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	for _, f := range order {
+		opt.fig = f
+		figs[f](opt)
 	}
-	f(opt)
 }

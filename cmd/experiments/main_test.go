@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -22,26 +23,25 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/skeleton.golden 
 
 // skeleton reduces the program's output to what does not depend on the host:
 // titles, header rows, row labels and the number of cells in each row. Every
-// cell after a row's first that parses as a number (with or without a
-// trailing %) becomes "#", and the two-spinner line loses its reading.
+// table cell after a row's first that parses as a number (with or without a
+// trailing %) becomes "#", and the environment and two-spinner lines lose
+// their readings.
 func skeleton(out string) string {
 	var b strings.Builder
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		switch {
+		case strings.HasPrefix(line, "Environment: "):
+			line = "Environment: #"
 		case strings.HasPrefix(line, "(two-spinner ratio "):
 			line = "(two-spinner ratio #)"
-		case line != "" && !strings.HasPrefix(line, "=== "):
-			var cells []string
-			for _, c := range strings.Split(line, "  ") { // tabwriter pads with two or more spaces
-				if c = strings.TrimSpace(c); c == "" {
-					continue
+		case strings.HasPrefix(line, "| "):
+			cells := tableCells(line)
+			for i, c := range cells[1:] {
+				if _, err := strconv.ParseFloat(strings.TrimSuffix(c, "%"), 64); err == nil {
+					cells[i+1] = "#"
 				}
-				if _, err := strconv.ParseFloat(strings.TrimSuffix(c, "%"), 64); err == nil && len(cells) > 0 {
-					c = "#"
-				}
-				cells = append(cells, c)
 			}
-			line = strings.Join(cells, "\t")
+			line = "| " + strings.Join(cells, " | ") + " |"
 		}
 		b.WriteString(line)
 		b.WriteByte('\n')
@@ -49,9 +49,17 @@ func skeleton(out string) string {
 	return b.String()
 }
 
+// tableCells splits a markdown table line into its trimmed cells.
+func tableCells(line string) []string {
+	cells := strings.Split(strings.Trim(line, "|"), "|")
+	for i, c := range cells {
+		cells[i] = strings.TrimSpace(c)
+	}
+	return cells
+}
+
 // TestSkeletonGolden runs every figure at smoke size through main itself and
-// compares the printed tables' skeleton with the one recorded before the
-// method-by-thread figures were moved onto one sweep.
+// compares the printed tables' skeleton with testdata/skeleton.golden.
 func TestSkeletonGolden(t *testing.T) {
 	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
 	if err != nil {
@@ -88,6 +96,92 @@ func TestSkeletonGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("output skeleton differs from %s (regenerate with -update only for a deliberate change)\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
+}
+
+// recordMarker is the line of EXPERIMENTS.md below which `make experiments`
+// writes the record; the Makefile names the same line.
+const recordMarker = "<!-- make experiments writes everything below this line. -->"
+
+// TestRecordTablesWellFormed reads EXPERIMENTS.md's generated tail and checks
+// that every table in it is one the program prints: a header, a separator of
+// as many cells, rows of as many cells, none empty, and for each column
+// prefix one T=n column per thread count its run's command names.
+func TestRecordTablesWellFormed(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, tail, ok := strings.Cut(string(raw), "\n"+recordMarker+"\n")
+	if !ok {
+		t.Fatalf("EXPERIMENTS.md has no line %q", recordMarker)
+	}
+	first := strings.Count(head, "\n") + 3 // EXPERIMENTS.md's line number of tail's first line
+	lines := strings.Split(tail, "\n")
+	var threads []string
+	runs, tables := 0, 0
+	for i := 0; i < len(lines); i++ {
+		if cmd, ok := strings.CutPrefix(lines[i], "## `experiments "); ok {
+			runs, threads = runs+1, nil
+			args := strings.Fields(strings.TrimSuffix(cmd, "`"))
+			if j := slices.Index(args, "-threads"); j >= 0 && j+1 < len(args) {
+				threads = strings.Split(args[j+1], ",")
+			}
+			if threads == nil {
+				t.Errorf("EXPERIMENTS.md:%d: the run's command names no -threads", first+i)
+			}
+			continue
+		}
+		if !strings.HasPrefix(lines[i], "|") {
+			continue
+		}
+		start := i
+		for i+1 < len(lines) && strings.HasPrefix(lines[i+1], "|") {
+			i++
+		}
+		tables++
+		if runs == 0 {
+			t.Errorf("EXPERIMENTS.md:%d: a table before any run's header", first+start)
+		}
+		if err := checkTable(lines[start:i+1], threads); err != nil {
+			t.Errorf("EXPERIMENTS.md:%d: %v", first+start, err)
+		}
+	}
+	if runs == 0 || tables == 0 {
+		t.Errorf("EXPERIMENTS.md's generated tail holds %d runs and %d tables", runs, tables)
+	}
+}
+
+// checkTable checks one markdown table of the record against the thread
+// counts of its run.
+func checkTable(table, threads []string) error {
+	if len(table) < 3 {
+		return fmt.Errorf("a table of %d lines: want a header, a separator and rows", len(table))
+	}
+	header := tableCells(table[0])
+	if sep := tableCells(table[1]); len(sep) != len(header) || slices.ContainsFunc(sep, func(c string) bool { return c != "---" }) {
+		return fmt.Errorf("separator %q does not match the header's %d cells", table[1], len(header))
+	}
+	for j, row := range table[2:] {
+		cells := tableCells(row)
+		if len(cells) != len(header) {
+			return fmt.Errorf("row %d has %d cells, its header %d", j+1, len(cells), len(header))
+		}
+		if slices.Contains(cells, "") {
+			return fmt.Errorf("row %d has an empty cell: %q", j+1, row)
+		}
+	}
+	cols := header[1:]
+	if len(threads) == 0 || len(cols)%len(threads) != 0 {
+		return fmt.Errorf("%d columns for the thread counts %v", len(cols), threads)
+	}
+	per := len(cols) / len(threads)
+	for k, col := range cols {
+		prefix, _, _ := strings.Cut(cols[k%per], "T=")
+		if want := prefix + "T=" + threads[k/per]; col != want {
+			return fmt.Errorf("column %d is %q, want %q", k+1, col, want)
+		}
+	}
+	return nil
 }
 
 // TestSetPointsRunOnce: Figs. 6–10 and the ablations are views of Fig. 5's

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"text/tabwriter"
+	"strings"
 
 	"rtle/internal/avl"
 	"rtle/internal/core"
@@ -92,39 +92,33 @@ func (o options) avlPoint(method string, threads int, keyRange uint64, workers f
 	return o.methodPoint(method, threads, harness.DefaultSetHeapWords(keyRange, threads)+1<<18, avlWorkload(keyRange, workers))
 }
 
-// newTable returns a tabwriter printing to stdout.
-func newTable() *tabwriter.Writer {
-	return tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-}
-
 // perThread is sweep's column list for a figure with one number per cell.
 var perThread = []string{""}
 
-// sweep prints the table most figures are: corner, then for each thread
-// count one "<prefix>T=n" column per prefix in cols; then one row per name in
-// rows, its cell for each thread count from cell (tab-separated inside when
-// cols has several prefixes). Cells are computed row by row, left to right.
+// sweep prints the markdown table every figure is: corner, then for each
+// thread count one "<prefix>T=n" column per prefix in cols; then one row per
+// name in rows, its cells for each thread count from cell (tab-separated
+// inside when cols has several prefixes). Cells are computed row by row,
+// left to right.
 func (o options) sweep(corner string, cols, rows []string, cell func(row string, threads int) string) {
-	w := newTable()
-	fmt.Fprint(w, corner)
+	head := []string{corner}
 	for _, n := range o.threads {
 		for _, prefix := range cols {
-			fmt.Fprintf(w, "\t%sT=%d", prefix, n)
+			head = append(head, fmt.Sprintf("%sT=%d", prefix, n))
 		}
 	}
-	fmt.Fprintln(w)
+	fmt.Printf("\n| %s |\n|%s\n", strings.Join(head, " | "), strings.Repeat("---|", len(head)))
 	for _, row := range rows {
-		fmt.Fprint(w, row)
+		fmt.Print("| ", row)
 		for _, n := range o.threads {
-			fmt.Fprint(w, "\t", cell(row, n))
+			fmt.Print(" | ", strings.ReplaceAll(cell(row, n), "\t", " | "))
 		}
-		fmt.Fprintln(w)
+		fmt.Println(" |")
 	}
-	w.Flush()
 }
 
 func title(s string) {
-	fmt.Printf("\n=== %s ===\n", s)
+	fmt.Printf("\n### %s\n", s)
 }
 
 // header prints a figure's title and, for a thread axis that goes past one,
@@ -132,7 +126,7 @@ func title(s string) {
 func (o options) header(s string) {
 	title(s)
 	if slices.Max(o.threads) > 1 {
-		fmt.Printf("(two-spinner ratio %.2f: 1.0 = two threads run on two cores, 2.0 = they take turns)\n", warm(2))
+		fmt.Printf("\n(two-spinner ratio %.2f: 1.0 = two threads run on two cores, 2.0 = they take turns)\n", warm(2))
 	}
 }
 

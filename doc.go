@@ -87,6 +87,8 @@
 // See README.md for a tour, DESIGN.md for the architecture and the
 // hardware-substitution rationale, and EXPERIMENTS.md for the
 // paper-versus-measured record of every figure. The cmd/experiments binary
-// regenerates the paper's evaluation and the design ablations; examples/
-// holds runnable programs against the public API.
+// regenerates the paper's evaluation and the design ablations, and `make
+// experiments` writes its tables into EXPERIMENTS.md; examples/ holds five
+// runnable demonstrations of the public API (quickstart, guard, goflag,
+// adaptive, addrspace), none of which re-runs a figure.
 package rtle

@@ -21,8 +21,6 @@ const exampleBound = 30 * time.Second
 // exampleArgs shortens the examples that take a per-method duration.
 var exampleArgs = map[string][]string{
 	"addrspace": {"-dur", "50ms"},
-	"avlset":    {"-dur", "50ms"},
-	"bank":      {"-dur", "50ms"},
 }
 
 func TestExamplesRun(t *testing.T) {

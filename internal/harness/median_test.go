@@ -39,17 +39,16 @@ func TestMedianOdd(t *testing.T) {
 
 // TestMedianEven is the regression test for the even-n case: Median used
 // to return results[n/2] unconditionally — the *upper* of the two central
-// runs — overstating the median of every even-length sample. The two
-// central runs are by construction equidistant from their mean, so the
-// closest-to-median rule resolves to the slower central run.
+// runs — overstating the median of every even-length sample. Median sorts
+// by rate and returns results[(n-1)/2], the slower central run.
 func TestMedianEven(t *testing.T) {
 	cases := []struct {
 		name string
 		runs []uint64
 		want uint64
 	}{
-		// Central pair {20, 100}, median value 60: equidistant, so the
-		// tie rule picks the slower run — the old code returned 100.
+		// Central pair {20, 100}: the slower run is returned — the old
+		// code returned 100.
 		{"wide central pair", []uint64{10, 20, 100, 110}, 20},
 		// Central pair {50, 52}, median value 51.
 		{"adjacent pair", []uint64{1, 50, 52, 99}, 50},
@@ -69,9 +68,9 @@ func TestMedianEven(t *testing.T) {
 	}
 }
 
-// TestMedianEvenDuplicate pins the scan rule when a non-central run ties
-// the central pair in throughput: any run at the median value is a valid
-// representative.
+// TestMedianEvenDuplicate pins the even-n case when a non-central run ties
+// the central pair in throughput: after the sort any run at the median
+// value may sit at results[(n-1)/2], and each is a valid representative.
 func TestMedianEvenDuplicate(t *testing.T) {
 	got := Median(4, feed(t, fakeResult(40), fakeResult(40), fakeResult(40), fakeResult(200)))
 	if got.Throughput() != 40 {
