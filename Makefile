@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: fmt build test race vet e2e microbench cross-build fuzz-short experiments bench bench-test all
+.PHONY: fmt build test race vet e2e microbench cross-build fuzz-short experiments bench bench-test loc all
 
 all: fmt build vet test
 
@@ -83,3 +83,9 @@ bench:
 
 bench-test:
 	cd benchmark && $(GO) test ./...
+
+# loc prints the Go line counts ROADMAP.md item 7 tracks, outside benchmark/
+# and testdata/: the non-test files, then the _test.go files.
+loc:
+	@echo "non-test Go: $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l)"
+	@echo "test Go: $$(find . -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l)"

@@ -79,7 +79,7 @@ func fig13(opt options) {
 	distinct := map[int]int{}
 	opt.sweep("variant", perThread, append([]string{"Lock.orig"}, methods...), func(variant string, n int) string {
 		in := cctsa.Prepare(cctsa.Config{GenomeLen: genomeLen, Coverage: coverage, Threads: n, Seed: opt.seed})
-		warm(n)
+		warm(variant, n)
 		res := harness.Median(opt.runs, func() assembly {
 			var res *cctsa.Result
 			if variant == "Lock.orig" {

@@ -2,9 +2,10 @@
 // evaluation (§6) on the simulated-HTM substrate, as markdown. It first
 // prints a heading naming its command, then a line naming the Go version,
 // GOOS/GOARCH, NumCPU and GOMAXPROCS; then each figure's title and one
-// table, thread counts as columns. `make experiments` writes two such runs
-// into EXPERIMENTS.md's generated tail, the record the rest of that file
-// reads.
+// table, thread counts as columns, with a line under it for each point whose
+// threads still took turns after the warm-up. `make experiments` writes two
+// such runs into EXPERIMENTS.md's generated tail, the record the rest of
+// that file reads.
 //
 // Usage:
 //

@@ -24,12 +24,18 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/skeleton.golden 
 // skeleton reduces the program's output to what does not depend on the host:
 // titles, header rows, row labels and the number of cells in each row. Every
 // table cell after a row's first that parses as a number (with or without a
-// trailing %) becomes "#", and the environment and two-spinner lines lose
-// their readings.
+// trailing %) becomes "#", the environment and two-spinner lines lose their
+// readings, and the notes of points whose threads took turns go, with the
+// blank line before each.
 func skeleton(out string) string {
-	var b strings.Builder
+	var lines []string
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		switch {
+		case strings.HasPrefix(line, tookTurnsPrefix):
+			if n := len(lines); n > 0 && lines[n-1] == "" {
+				lines = lines[:n-1]
+			}
+			continue
 		case strings.HasPrefix(line, "Environment: "):
 			line = "Environment: #"
 		case strings.HasPrefix(line, "(two-spinner ratio "):
@@ -43,10 +49,9 @@ func skeleton(out string) string {
 			}
 			line = "| " + strings.Join(cells, " | ") + " |"
 		}
-		b.WriteString(line)
-		b.WriteByte('\n')
+		lines = append(lines, line)
 	}
-	return b.String()
+	return strings.Join(lines, "\n") + "\n"
 }
 
 // tableCells splits a markdown table line into its trimmed cells.
@@ -95,6 +100,18 @@ func TestSkeletonGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("output skeleton differs from %s (regenerate with -update only for a deliberate change)\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestSkeletonDropsTookTurnsNotes: whether a point's threads took turns
+// depends on the host, so the skeleton of a table with a note under it is the
+// skeleton of the table alone.
+func TestSkeletonDropsTookTurnsNotes(t *testing.T) {
+	table := "\n### Fig. 5\n\n| method | T=1 | T=2 |\n|---|---|---|\n| TLE | 1.00 | 1.52 |\n"
+	next := "\n### Fig. 6\n"
+	noted := table + "\n" + tookTurnsNote("TLE", 2, 1.93) + "\n" + next
+	if got, want := skeleton(noted), skeleton(table+next); got != want {
+		t.Errorf("skeleton with a note:\n%s\nwithout:\n%s", got, want)
 	}
 }
 

@@ -59,7 +59,7 @@ type setPoint struct {
 }
 
 // runSetPoint returns one AVL data point — a fresh heap, a seeded set, one
-// method, one thread count — measured as options.point measures every point,
+// method, one thread count — measured as methodPoint measures every point,
 // the first time the invocation names it, and from opt.setRuns after that.
 func runSetPoint(opt options, method string, keyRange uint64, mix harness.SetMix, threads int) *harness.Result {
 	key := setPoint{method, keyRange, mix, threads, opt.variant}
@@ -99,7 +99,8 @@ var perThread = []string{""}
 // thread count one "<prefix>T=n" column per prefix in cols; then one row per
 // name in rows, its cells for each thread count from cell (tab-separated
 // inside when cols has several prefixes). Cells are computed row by row,
-// left to right.
+// left to right; under the table, one line names each point whose threads
+// still took turns after its warm-up.
 func (o options) sweep(corner string, cols, rows []string, cell func(row string, threads int) string) {
 	head := []string{corner}
 	for _, n := range o.threads {
@@ -115,6 +116,10 @@ func (o options) sweep(corner string, cols, rows []string, cell func(row string,
 		}
 		fmt.Println(" |")
 	}
+	for _, note := range tookTurns {
+		fmt.Printf("\n%s\n", note)
+	}
+	tookTurns = tookTurns[:0]
 }
 
 func title(s string) {
@@ -126,30 +131,40 @@ func title(s string) {
 func (o options) header(s string) {
 	title(s)
 	if slices.Max(o.threads) > 1 {
-		fmt.Printf("\n(two-spinner ratio %.2f: 1.0 = two threads run on two cores, 2.0 = they take turns)\n", warm(2))
+		ratio, _ := harness.WarmUntilParallel()
+		fmt.Printf("\n(two-spinner ratio %.2f: 1.0 = two threads run on two cores, 2.0 = they take turns)\n", ratio)
 	}
 }
 
-// warm makes sure a point of more than one thread starts with its threads
-// really overlapping (harness.WarmUntilParallel), says so on stderr when the
-// host never lets them, and returns the probe's last reading; 0 for a
-// single-threaded point, which has nothing to overlap.
-func warm(threads int) float64 {
+// tookTurns holds a tookTurnsNote per point of the table being computed whose
+// threads still took turns after the warm-up; sweep prints them under it.
+var tookTurns []string
+
+const tookTurnsPrefix = "Threads took turns: "
+
+func tookTurnsNote(name string, threads int, ratio float64) string {
+	return fmt.Sprintf("%s%s at T=%d still read %.2f on the two-spinner probe when the warm-up gave up.", tookTurnsPrefix, name, threads, ratio)
+}
+
+// warm makes sure a point of more than one thread, named name, starts with
+// its threads really overlapping (harness.WarmUntilParallel), and notes the
+// point when the host never lets them.
+func warm(name string, threads int) {
 	if threads < 2 {
-		return 0
+		return
 	}
-	ratio, ok := harness.WarmUntilParallel()
-	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: two threads still take turns after the warm-up (two-spinner ratio %.2f); the next %d-thread point has little overlap in it\n", ratio, threads)
+	if ratio, ok := harness.WarmUntilParallel(); !ok {
+		tookTurns = append(tookTurns, tookTurnsNote(name, threads, ratio))
 	}
-	return ratio
 }
 
-// methodPoint is a point of one method on a fresh heap of words words:
-// build lays its structure on the heap, then the method is built on it, and
-// every run's structure is checked once its workers stop.
+// methodPoint is how every harness data point runs: warmed, then o.runs times
+// on a fresh heap of words words (build lays its structure on it, the method
+// is built on it, the structure is checked once the workers stop), the
+// median-throughput run reported — the paper's discipline, §6.2.
 func (o options) methodPoint(method string, threads, words int, build workload) *harness.Result {
-	return o.point(threads, func() *harness.Result {
+	warm(o.label(method), threads)
+	return harness.Median(o.runs, func() *harness.Result {
 		m := mem.New(words)
 		factory, check := build(m)
 		res := harness.Run(harness.MustBuildMethod(method, m, o.policy()), harness.Config{
@@ -166,17 +181,14 @@ func (o options) mustHold(method string, threads int, err error) {
 	if err == nil {
 		return
 	}
-	if o.variant != "" {
-		method += " " + o.variant
-	}
-	fmt.Fprintf(os.Stderr, "experiments: -fig %s, %s at T=%d: check failed: %v\n", o.fig, method, threads, err)
+	fmt.Fprintf(os.Stderr, "experiments: -fig %s, %s at T=%d: check failed: %v\n", o.fig, o.label(method), threads, err)
 	os.Exit(1)
 }
 
-// point is how every harness data point runs: warmed, o.runs times over a
-// fresh heap each (run builds it), the median-throughput run reported — the
-// paper's discipline, §6.2.
-func (o options) point(threads int, run func() *harness.Result) *harness.Result {
-	warm(threads)
-	return harness.Median(o.runs, run)
+// label names method's points in notes and failed checks, with o's variant.
+func (o options) label(method string) string {
+	if o.variant != "" {
+		return method + " " + o.variant
+	}
+	return method
 }

@@ -88,7 +88,7 @@
 // hardware-substitution rationale, and EXPERIMENTS.md for the
 // paper-versus-measured record of every figure. The cmd/experiments binary
 // regenerates the paper's evaluation and the design ablations, and `make
-// experiments` writes its tables into EXPERIMENTS.md; examples/ holds five
+// experiments` writes its tables into EXPERIMENTS.md; examples/ holds four
 // runnable demonstrations of the public API (quickstart, guard, goflag,
-// adaptive, addrspace), none of which re-runs a figure.
+// adaptive), none of which re-runs a figure.
 package rtle

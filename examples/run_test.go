@@ -18,11 +18,6 @@ import (
 // hung; each finishes in under a second.
 const exampleBound = 30 * time.Second
 
-// exampleArgs shortens the examples that take a per-method duration.
-var exampleArgs = map[string][]string{
-	"addrspace": {"-dur", "50ms"},
-}
-
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs every example")
@@ -44,7 +39,7 @@ func TestExamplesRun(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), exampleBound)
 			defer cancel()
-			cmd := exec.CommandContext(ctx, filepath.Join(bin, name), exampleArgs[name]...)
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, name))
 			// On the deadline, SIGQUIT makes the example print every
 			// goroutine's stack; ten seconds later it is killed outright.
 			cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGQUIT) }

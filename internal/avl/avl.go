@@ -23,14 +23,12 @@ import (
 	"rtle/internal/mem"
 )
 
-// Node field offsets within the node's cache line; only a Map's nodes use
-// offVal.
+// Node field offsets within the node's cache line.
 const (
 	offKey    = 0
 	offLeft   = 1
 	offRight  = 2
 	offHeight = 3
-	offVal    = 4
 )
 
 // Set is a set of uint64 keys backed by an AVL tree in simulated memory.
@@ -63,26 +61,25 @@ type pathEntry struct {
 // heap); RemoveCS records the unlinked node, which the wrapper methods
 // recycle after the atomic block commits — the simulated analogue of a
 // malloc with thread-local caches, which the paper marks transaction_pure.
-//
-// A Map's nodes are a Set's plus a value word, and a MapHandle runs these
-// same bodies: vals says the nodes carry offVal, and val is the value an
-// insert in flight stores there.
 type Handle struct {
-	s        *Set
-	path     []pathEntry
-	spare    mem.Addr
-	freeList []mem.Addr
-	// One word for the three flags: two handles are allocated back to back
-	// and every operation rewrites path's length, so the struct must not
-	// grow past 128 bytes (TestHandleSize).
-	usedSpare, res, vals bool
-	removed              mem.Addr
+	s              *Set
+	path           []pathEntry
+	spare          mem.Addr
+	freeList       []mem.Addr
+	usedSpare, res bool
+	removed        mem.Addr
 
 	// The wrapper methods' atomic bodies, bound once so a call allocates
-	// neither a closure nor an escaping result: they take key (and val)
-	// and leave res in the handle.
-	key, val                         uint64
+	// neither a closure nor an escaping result: they take key and leave res
+	// in the handle.
+	key                              uint64
 	findBody, insertBody, removeBody func(core.Context)
+
+	// Handles are allocated back to back and every operation writes its own:
+	// at 128 bytes each has two lines to itself, while at 112 (the next size
+	// class down) or past 128 (TestHandleSize) one handle's tail shares a
+	// line with the next one's head.
+	_ [16]byte
 }
 
 // NewHandle returns a fresh per-thread handle.
@@ -115,8 +112,7 @@ func (h *Handle) FindCS(c core.Context, key uint64) bool {
 }
 
 // InsertCS inserts key, reporting whether the set changed. It must run
-// inside an atomic block. On a map's handle it also stores h.val as key's
-// value, whether or not key was there.
+// inside an atomic block.
 func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 	h.path = h.path[:0]
 	h.usedSpare = false
@@ -124,9 +120,6 @@ func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 	for cur != mem.Nil {
 		k := c.Read(cur + offKey)
 		if key == k {
-			if h.vals {
-				c.Write(cur+offVal, h.val)
-			}
 			return false
 		}
 		right := key > k
@@ -136,9 +129,6 @@ func (h *Handle) InsertCS(c core.Context, key uint64) bool {
 
 	n := h.ensureSpare()
 	c.Write(n+offKey, key)
-	if h.vals {
-		c.Write(n+offVal, h.val)
-	}
 	c.Write(n+offLeft, uint64(mem.Nil))
 	c.Write(n+offRight, uint64(mem.Nil))
 	c.Write(n+offHeight, 1)
@@ -185,9 +175,6 @@ func (h *Handle) RemoveCS(c core.Context, key uint64) bool {
 			succ = l
 		}
 		c.Write(target+offKey, c.Read(succ+offKey))
-		if h.vals {
-			c.Write(target+offVal, c.Read(succ+offVal))
-		}
 		target = succ
 		left = mem.Nil
 		right = mem.Addr(c.Read(target + offRight))

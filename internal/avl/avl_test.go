@@ -207,7 +207,7 @@ func TestNodeRecycling(t *testing.T) {
 // one handle per thread back to back and every operation rewrites path's
 // length at the head of its handle: at 136 bytes (the 144-byte size class)
 // handle k's tail shares a line with handle k+1's head, which cost
-// avl_mixed 4 % when the Map's value word was first added as its own field.
+// avl_mixed 4 %.
 func TestHandleSize(t *testing.T) {
 	if got := unsafe.Sizeof(Handle{}); got > 128 {
 		t.Fatalf("avl.Handle is %d bytes, want at most 128", got)

@@ -47,21 +47,3 @@ func ExampleHandle_RangeCount() {
 	// Output:
 	// 5
 }
-
-// ExampleMap demonstrates the ordered map with floor queries — the
-// operation an address-space manager resolves page faults with.
-func ExampleMap() {
-	m := mem.New(1 << 16)
-	method := core.NewRWTLE(m, core.Policy{})
-	amap := avl.NewMap(m)
-	th := method.NewThread()
-	h := amap.NewHandle()
-
-	h.Put(th, 0x1000, 0x2000) // segment start -> length
-	h.Put(th, 0x8000, 0x1000)
-
-	start, length, ok := h.Floor(th, 0x1500)
-	fmt.Printf("%#x %#x %v\n", start, length, ok)
-	// Output:
-	// 0x1000 0x2000 true
-}

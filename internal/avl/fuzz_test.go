@@ -53,62 +53,3 @@ func FuzzSetOps(f *testing.F) {
 		}
 	})
 }
-
-// FuzzMapOps does the same for the ordered map, including floor queries.
-func FuzzMapOps(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 200, 100})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) > 512 {
-			tape = tape[:512]
-		}
-		m := mem.New(1 << 18)
-		mp := NewMap(m)
-		h := mp.NewHandle()
-		c := core.Direct(m)
-		model := map[uint64]uint64{}
-		for i, b := range tape {
-			key := uint64(b % 48)
-			switch (b >> 6) % 4 {
-			case 0:
-				val := uint64(i)
-				_, existed := model[key]
-				got := h.PutCS(c, key, val)
-				h.AfterPut(got)
-				if got == existed {
-					t.Fatalf("op %d: Put inserted=%v existed=%v", i, got, existed)
-				}
-				model[key] = val
-			case 1:
-				_, existed := model[key]
-				if got := h.RemoveCS(c, key); got != existed {
-					t.Fatalf("op %d: Remove = %v, existed %v", i, got, existed)
-				} else {
-					h.AfterRemove(got)
-				}
-				delete(model, key)
-			case 2:
-				v, ok := h.GetCS(c, key)
-				wv, wok := model[key]
-				if ok != wok || v != wv {
-					t.Fatalf("op %d: Get = %d,%v want %d,%v", i, v, ok, wv, wok)
-				}
-			default:
-				k, _, ok := h.FloorCS(c, key)
-				var wantK uint64
-				wantOK := false
-				for mk := range model {
-					if mk <= key && (!wantOK || mk > wantK) {
-						wantK, wantOK = mk, true
-					}
-				}
-				if ok != wantOK || (ok && k != wantK) {
-					t.Fatalf("op %d: Floor(%d) = %d,%v want %d,%v", i, key, k, ok, wantK, wantOK)
-				}
-			}
-		}
-		if err := mp.CheckInvariants(c); err != nil {
-			t.Fatal(err)
-		}
-	})
-}

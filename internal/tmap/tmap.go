@@ -20,7 +20,7 @@ import (
 // Chain-node field offsets.
 const (
 	offKey  = 0
-	offVal  = 1
+	offData = 1
 	offNext = 2
 )
 
@@ -74,7 +74,7 @@ func (h *Handle) GetCS(c core.Context, key uint64) (uint64, bool) {
 	n := mem.Addr(c.Read(h.mp.bucketAddr(key)))
 	for n != mem.Nil {
 		if c.Read(n+offKey) == key {
-			return c.Read(n + offVal), true
+			return c.Read(n + offData), true
 		}
 		n = mem.Addr(c.Read(n + offNext))
 	}
@@ -90,14 +90,14 @@ func (h *Handle) AddCS(c core.Context, key, delta uint64) uint64 {
 	head := mem.Addr(c.Read(ba))
 	for n := head; n != mem.Nil; n = mem.Addr(c.Read(n + offNext)) {
 		if c.Read(n+offKey) == key {
-			nv := c.Read(n+offVal) + delta
-			c.Write(n+offVal, nv)
+			nv := c.Read(n+offData) + delta
+			c.Write(n+offData, nv)
 			return nv
 		}
 	}
 	n := h.ensureSpare()
 	c.Write(n+offKey, key)
-	c.Write(n+offVal, delta)
+	c.Write(n+offData, delta)
 	c.Write(n+offNext, uint64(head))
 	c.Write(ba, uint64(n))
 	h.usedSpare = true
@@ -112,13 +112,13 @@ func (h *Handle) PutCS(c core.Context, key, val uint64) bool {
 	head := mem.Addr(c.Read(ba))
 	for n := head; n != mem.Nil; n = mem.Addr(c.Read(n + offNext)) {
 		if c.Read(n+offKey) == key {
-			c.Write(n+offVal, val)
+			c.Write(n+offData, val)
 			return false
 		}
 	}
 	n := h.ensureSpare()
 	c.Write(n+offKey, key)
-	c.Write(n+offVal, val)
+	c.Write(n+offData, val)
 	c.Write(n+offNext, uint64(head))
 	c.Write(ba, uint64(n))
 	h.usedSpare = true
@@ -269,7 +269,7 @@ func (mp *Map) forEachRange(c core.Context, lo, hi int, fn func(key, val uint64)
 	for b := lo; b < hi; b++ {
 		n := mem.Addr(c.Read(mp.buckets + mem.Addr(b)))
 		for n != mem.Nil {
-			if !fn(c.Read(n+offKey), c.Read(n+offVal)) {
+			if !fn(c.Read(n+offKey), c.Read(n+offData)) {
 				return
 			}
 			n = mem.Addr(c.Read(n + offNext))
