@@ -16,18 +16,21 @@ func rootKey(s *Set, c core.Context) uint64 {
 
 // The four classic rebalancing cases, checked by root identity: inserting
 // three keys in each problematic order must leave the middle key at the
-// root with height 2.
+// root with height 2. Each case runs as the subtest "set", named for the
+// structure it builds.
 func rotationCase(t *testing.T, keys [3]uint64) {
-	s, h, c := newSet(1 << 12)
-	for _, k := range keys {
-		h.AfterInsert(h.InsertCS(c, k))
-	}
-	if got := rootKey(s, c); got != 20 {
-		t.Fatalf("root after inserting %v = %d, want 20", keys, got)
-	}
-	if err := s.CheckInvariants(c); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("set", func(t *testing.T) {
+		s, h, c := newSet(1 << 12)
+		for _, k := range keys {
+			h.AfterInsert(h.InsertCS(c, k))
+		}
+		if got := rootKey(s, c); got != 20 {
+			t.Fatalf("root after inserting %v = %d, want 20", keys, got)
+		}
+		if err := s.CheckInvariants(c); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestRotationLL(t *testing.T) { rotationCase(t, [3]uint64{30, 20, 10}) } // left-left
@@ -38,26 +41,28 @@ func TestRotationRL(t *testing.T) { rotationCase(t, [3]uint64{10, 30, 20}) } // 
 // removeCase builds a tree from build, removes victim, and requires every
 // other key to survive; wantRoot 0 leaves the root unchecked.
 func removeCase(t *testing.T, build []uint64, victim, wantRoot uint64) {
-	s, h, c := newSet(1 << 14)
-	for _, k := range build {
-		h.AfterInsert(h.InsertCS(c, k))
-	}
-	removed := h.RemoveCS(c, victim)
-	h.AfterRemove(removed)
-	if !removed {
-		t.Fatalf("remove(%d) failed", victim)
-	}
-	for _, k := range build {
-		if h.FindCS(c, k) != (k != victim) {
-			t.Fatalf("after remove(%d): find(%d) = %v", victim, k, k == victim)
+	t.Run("set", func(t *testing.T) {
+		s, h, c := newSet(1 << 14)
+		for _, k := range build {
+			h.AfterInsert(h.InsertCS(c, k))
 		}
-	}
-	if got := rootKey(s, c); wantRoot != 0 && got != wantRoot {
-		t.Fatalf("root after remove(%d) = %d, want %d", victim, got, wantRoot)
-	}
-	if err := s.CheckInvariants(c); err != nil {
-		t.Fatal(err)
-	}
+		removed := h.RemoveCS(c, victim)
+		h.AfterRemove(removed)
+		if !removed {
+			t.Fatalf("remove(%d) failed", victim)
+		}
+		for _, k := range build {
+			if h.FindCS(c, k) != (k != victim) {
+				t.Fatalf("after remove(%d): find(%d) = %v", victim, k, k == victim)
+			}
+		}
+		if got := rootKey(s, c); wantRoot != 0 && got != wantRoot {
+			t.Fatalf("root after remove(%d) = %d, want %d", victim, got, wantRoot)
+		}
+		if err := s.CheckInvariants(c); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestRemoveTriggersRotation: deleting from the light side of a
